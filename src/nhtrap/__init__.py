@@ -21,7 +21,6 @@ from .errors import (
     NoBracket,
     NotHyperbolic,
     ParseError,
-    SingularMatrix,
     StepFailure,
     Unbounded,
     UnderResolved,
@@ -50,7 +49,6 @@ __all__ = [
     "Unbounded",
     "UnderResolved",
     "ConvergenceFailure",
-    "SingularMatrix",
     "ConfigError",
     "ParseError",
     "ValidationError",

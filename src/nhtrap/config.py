@@ -7,6 +7,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .capspec import MODEL_KINDS
 from .errors import ParseError, ValidationError
 
 COMMANDS = (
@@ -19,12 +20,9 @@ COMMANDS = (
     "perturb",
 )
 
-MODEL_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
-
 DEFAULT_TOLERANCES = {
     "flow": 1e-10,
     "drift": 1e-9,
-    "residual": 1e-8,
     "consistency": 0.15,
 }
 
@@ -106,7 +104,6 @@ KNOWN_KEYS = {
     "orbit.samples": _to_int,
     "tol.flow": _to_float,
     "tol.drift": _to_float,
-    "tol.residual": _to_float,
     "tol.consistency": _to_float,
     "seed": _to_int,
     "workers": _to_int,

@@ -75,10 +75,6 @@ class ConvergenceFailure(NhtrapError):
         self.shift = shift
 
 
-class SingularMatrix(NhtrapError):
-    """Shifted matrix is singular to working precision."""
-
-
 class ConfigError(NhtrapError):
     """Base class for configuration problems (CLI exit code 2)."""
 

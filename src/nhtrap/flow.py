@@ -26,7 +26,7 @@ class FlowResult:
     end_state: np.ndarray
     jacobian: np.ndarray | None
     drift: dict[str, float]
-    steps: int
+    nfev: int
     time: float
 
 
@@ -124,7 +124,7 @@ def integrate_flow(
         end_state=end,
         jacobian=jac,
         drift=_drift(model, start, sol.sol, d, reached),
-        steps=int(sol.nfev),
+        nfev=int(sol.nfev),
         time=reached,
     )
     if sol.status == 1:  # chart event fired
@@ -186,6 +186,13 @@ def finite_time_exponents(
     return out
 
 
+def fit_slope(x: np.ndarray, y: np.ndarray):
+    """Least-squares line through (x, y): (slope, rms residual of the fit)."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return float(coef[0]), float(np.sqrt(np.mean((A @ coef - y) ** 2)))
+
+
 def growth_slope(series, tail: float = 0.5):
     """Least-squares slope of the top log-singular-value over the tail window.
 
@@ -194,11 +201,7 @@ def growth_slope(series, tail: float = 0.5):
     ts = np.asarray([t for t, _ in series])
     tops = np.asarray([lv[0] for _, lv in series])
     cut = ts >= ts[-1] * (1.0 - tail)
-    t_fit, y_fit = ts[cut], tops[cut]
-    A = np.vstack([t_fit, np.ones_like(t_fit)]).T
-    coef, *_ = np.linalg.lstsq(A, y_fit, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - y_fit) ** 2)))
-    return float(coef[0]), resid
+    return fit_slope(ts[cut], tops[cut])
 
 
 def loglog_slope(series, t_min: float, t_max: float):
@@ -206,8 +209,4 @@ def loglog_slope(series, t_min: float, t_max: float):
     ts = np.asarray([t for t, _ in series])
     tops = np.asarray([lv[0] for _, lv in series])
     cut = (ts >= t_min) & (ts <= t_max) & (tops > -np.inf)
-    t_fit = np.log(ts[cut])
-    y_fit = tops[cut]
-    A = np.vstack([t_fit, np.ones_like(t_fit)]).T
-    coef, *_ = np.linalg.lstsq(A, y_fit, rcond=None)
-    return float(coef[0])
+    return fit_slope(np.log(ts[cut]), tops[cut])[0]

@@ -10,7 +10,28 @@ The flow symbol is
         - (4*M*a*r/Delta)*beta - ((r^2+a^2)^2/Delta - a^2*sin^2(theta)),
 
 the null-geodesic symbol rescaled by r^2 + a^2*cos^2(theta) and with the
-time momentum frozen at -1.  Poisson bracket convention:
+time momentum frozen at -1.  It separates into a radial potential and the
+Carter constant carter = alpha^2 + q^2:
+
+    p = Delta*xi^2 + v_beta(r) + alpha^2 + q^2,
+    v_beta(r) = 2*a*beta - N(r, beta)/Delta(r),
+    N(r, beta) = a^2*beta^2 + 4*M*a*r*beta + (r^2 + a^2)^2,
+    q = beta/sin(theta) - a*sin(theta).
+
+This form is the single source of p and its derivatives.  The value,
+the conserved triple, the radial potential and the gradient and Hessian
+(`_grad_hess`, with `_grad_p`, `hessian_p` and `grad_hess_raw` as views)
+are all assembled from `radial_terms` (v_beta and its derivatives) and
+`_angular_terms` (q and its derivatives).  The r-derivatives of the
+quotient f = N/Delta come from the Leibniz rule for N = f*Delta,
+
+    f^(k) = (N^(k) - sum_{j<k} C(k, j) * Delta^(k-j) * f^(j)) / Delta,
+
+in which only Delta' = 2*(r - M) and Delta'' = 2 are nonzero.  Delta does
+not depend on beta, so d_beta f = N_beta/Delta, and d_r d_beta f follows
+from the same rule applied to N_beta = f_beta*Delta.
+
+Poisson bracket convention:
 
     {f, g} = sum_i  df/dxi_i * dg/dx_i - df/dx_i * dg/dxi_i,
 
@@ -124,41 +145,89 @@ def symbol_p(state: PhaseState, params: KerrParams):
 
 
 def _p_values(params: KerrParams, r, theta, xi, alpha, beta):
-    m, a = params.mass, params.spin
-    dl = delta(params, r)
-    s2 = np.sin(theta) ** 2
+    q = _angular_terms(params, theta, beta)[0]
     return (
-        dl * xi**2
+        delta(params, r) * xi**2
+        + radial_potential(params, beta, r)
         + alpha**2
-        + (1.0 / s2 - a**2 / dl) * beta**2
-        - (4.0 * m * a * r / dl) * beta
-        - ((r**2 + a**2) ** 2 / dl - a**2 * s2)
+        + q**2
     )
 
 
-def _grad_p(params: KerrParams, r, theta, xi, alpha, beta):
-    """Gradient of p in the order (r, theta, phi, xi, alpha, beta)."""
+def radial_terms(params: KerrParams, beta, r):
+    """v_beta(r) = 2*a*beta - N/Delta with its r- and beta-derivatives.
+
+    Returns (v, v_r, v_rr, v_rrr, v_b, v_rb, v_bb); the quotient
+    derivatives follow the Leibniz recursion of the module docstring.
+    """
     m, a = params.mass, params.spin
     dl = delta(params, r)
     dl1 = 2.0 * (r - m)
+    w = r**2 + a**2
+    n0 = a**2 * beta**2 + 4.0 * m * a * r * beta + w**2
+    n1 = 4.0 * m * a * beta + 4.0 * r * w
+    n2 = 12.0 * r**2 + 4.0 * a**2
+    n3 = 24.0 * r
+    f0 = n0 / dl
+    f1 = (n1 - dl1 * f0) / dl
+    f2 = (n2 - 2.0 * dl1 * f1 - 2.0 * f0) / dl
+    f3 = (n3 - 3.0 * dl1 * f2 - 6.0 * f1) / dl
+    fb = (2.0 * a**2 * beta + 4.0 * m * a * r) / dl
+    frb = (4.0 * m * a - dl1 * fb) / dl
+    fbb = 2.0 * a**2 / dl
+    return 2.0 * a * beta - f0, -f1, -f2, -f3, 2.0 * a - fb, -frb, -fbb
+
+
+def _angular_terms(params: KerrParams, theta, beta):
+    """q = beta/sin(theta) - a*sin(theta) with its derivatives.
+
+    Returns (q, q_t, q_tt, q_b, q_tb); q_bb = 0.
+    """
+    a = params.spin
     s = np.sin(theta)
     c = np.cos(theta)
-    s2 = s * s
-    csc2 = 1.0 / s2
+    q_b = 1.0 / s
+    q_tb = -c * q_b * q_b
+    q = beta / s - a * s
+    q_t = beta * q_tb - a * c
+    q_tt = beta * q_b * (1.0 + 2.0 * c * c * q_b * q_b) + a * s
+    return q, q_t, q_tt, q_b, q_tb
 
-    # radial pieces f = u/Delta handled by the quotient rule
-    p_r = (
-        dl1 * xi**2
-        - beta**2 * (-(a**2) * dl1 / dl**2)
-        - beta * (4.0 * m * a * (dl - r * dl1) / dl**2)
-        - ((4.0 * r * (r**2 + a**2)) * dl - (r**2 + a**2) ** 2 * dl1) / dl**2
-    )
-    p_theta = -2.0 * beta**2 * c / (s2 * s) + 2.0 * a**2 * s * c
-    p_xi = 2.0 * dl * xi
-    p_alpha = 2.0 * alpha
-    p_beta = 2.0 * beta * csc2 - 2.0 * a**2 * beta / dl - 4.0 * m * a * r / dl
-    zero = np.zeros_like(p_r + p_theta)
-    return p_r, p_theta, zero, p_xi, p_alpha, p_beta
+
+def _grad_hess(params: KerrParams, r, theta, xi, alpha, beta):
+    """Gradient (6, *batch) and Hessian (6, 6, *batch) of p.
+
+    The one implementation of the derivatives of p, assembled from the
+    separable form.  Components are ordered (r, theta, phi, xi, alpha,
+    beta); the arguments broadcast against each other, and their common
+    shape is the trailing batch shape.
+    """
+    _, v_r, v_rr, _, v_b, v_rb, v_bb = radial_terms(params, beta, r)
+    q, q_t, q_tt, q_b, q_tb = _angular_terms(params, theta, beta)
+    dl = delta(params, r)
+    dl1 = 2.0 * (r - params.mass)
+    batch = np.shape(dl + q + xi + alpha)
+    g = np.zeros((6,) + batch)
+    g[0] = dl1 * xi**2 + v_r
+    g[1] = 2.0 * q * q_t
+    g[3] = 2.0 * dl * xi
+    g[4] = 2.0 * alpha
+    g[5] = v_b + 2.0 * q * q_b
+    H = np.zeros((6, 6) + batch)
+    H[0, 0] = 2.0 * xi**2 + v_rr
+    H[0, 3] = H[3, 0] = 2.0 * dl1 * xi
+    H[0, 5] = H[5, 0] = v_rb
+    H[1, 1] = 2.0 * (q_t**2 + q * q_tt)
+    H[1, 5] = H[5, 1] = 2.0 * (q_b * q_t + q * q_tb)
+    H[3, 3] = 2.0 * dl
+    H[4, 4] = 2.0
+    H[5, 5] = v_bb + 2.0 * q_b**2
+    return g, H
+
+
+def _grad_p(params: KerrParams, r, theta, xi, alpha, beta):
+    """Gradient of p, shape (6, *batch), in the order (r, theta, phi, xi, alpha, beta)."""
+    return _grad_hess(params, r, theta, xi, alpha, beta)[0]
 
 
 def hamilton_field(state: PhaseState, params: KerrParams) -> np.ndarray:
@@ -177,122 +246,39 @@ def hamilton_field(state: PhaseState, params: KerrParams) -> np.ndarray:
 
 def hessian_p(state: PhaseState, params: KerrParams) -> np.ndarray:
     """6x6 Hessian of p at a (scalar) state, order (r, theta, phi, xi, alpha, beta)."""
-    m, a = params.mass, params.spin
-    r, theta = float(state.r), float(state.theta)
-    xi, _alpha, beta = float(state.xi), float(state.alpha), float(state.beta)
-    _require_exterior(params, r)
-
-    dl = delta(params, r)
-    dl1 = 2.0 * (r - m)
-    dl2 = 2.0
-    s = np.sin(theta)
-    c = np.cos(theta)
-    csc2 = 1.0 / (s * s)
-    cot = c / s
-
-    def quot2(u, u1, u2):
-        """(u/Delta)' and (u/Delta)'' from u, u', u''."""
-        f1 = u1 / dl - u * dl1 / dl**2
-        f2 = (
-            u2 / dl
-            - 2.0 * u1 * dl1 / dl**2
-            - u * dl2 / dl**2
-            + 2.0 * u * dl1**2 / dl**3
-        )
-        return f1, f2
-
-    # p = Delta xi^2 + alpha^2 + beta^2 csc^2 - beta^2 (a^2/Delta)
-    #     - beta (4 M a r/Delta) - (r^2+a^2)^2/Delta + a^2 sin^2
-    _, f1_2 = quot2(a**2, 0.0, 0.0)
-    f2_1, f2_2 = quot2(4.0 * m * a * r, 4.0 * m * a, 0.0)
-    u3 = (r**2 + a**2) ** 2
-    u3_1 = 4.0 * r * (r**2 + a**2)
-    u3_2 = 12.0 * r**2 + 4.0 * a**2
-    _, f3_2 = quot2(u3, u3_1, u3_2)
-    f1_1 = -(a**2) * dl1 / dl**2
-
-    H = np.zeros((6, 6))
-    H[0, 0] = dl2 * xi**2 - beta**2 * f1_2 - beta * f2_2 - f3_2
-    H[0, 3] = H[3, 0] = 2.0 * dl1 * xi
-    H[0, 5] = H[5, 0] = -2.0 * beta * f1_1 - f2_1
-    H[1, 1] = 2.0 * beta**2 * (csc2**2 + 2.0 * cot**2 * csc2) + 2.0 * a**2 * (
-        c * c - s * s
-    )
-    H[1, 5] = H[5, 1] = -4.0 * beta * cot * csc2
-    H[3, 3] = 2.0 * dl
-    H[4, 4] = 2.0
-    H[5, 5] = 2.0 * csc2 - 2.0 * a**2 / dl
-    return H
+    _require_exterior(params, state.r)
+    return _grad_hess(
+        params, state.r, state.theta, state.xi, state.alpha, state.beta
+    )[1]
 
 
 def grad_hess_raw(params: KerrParams, r: float, theta: float, xi: float,
                   alpha: float, beta: float):
-    """Gradient and Hessian of p in one pass (scalar hot path).
+    """Gradient (6,) and Hessian (6, 6) of p in one pass; no chart validation."""
+    return _grad_hess(params, r, theta, xi, alpha, beta)
 
-    Shares Delta/trig intermediates between the two; no chart validation.
-    """
-    m, a = params.mass, params.spin
-    a2 = a * a
-    dl = r * r - 2.0 * m * r + a2
-    dl1 = 2.0 * (r - m)
-    inv = 1.0 / dl
-    inv2 = inv * inv
-    s = np.sin(theta)
-    c = np.cos(theta)
-    csc2 = 1.0 / (s * s)
-    cot = c / s
-    w = r * r + a2
-    be2 = beta * beta
 
-    # first derivatives of the Delta-quotient pieces
-    f1_1 = -a2 * dl1 * inv2
-    f2_1 = 4.0 * m * a * (dl - r * dl1) * inv2
-    f3_1 = (4.0 * r * w * dl - w * w * dl1) * inv2
+def radial_potential(params: KerrParams, beta: float, r):
+    """v_beta(r) = 2 a beta - (a^2 beta^2 + 4 M a r beta + (r^2+a^2)^2)/Delta."""
+    return radial_terms(params, beta, r)[0]
 
-    g = np.empty(6)
-    g[0] = dl1 * xi * xi - be2 * f1_1 - beta * f2_1 - f3_1
-    g[1] = -2.0 * be2 * c * csc2 / s + 2.0 * a2 * s * c
-    g[2] = 0.0
-    g[3] = 2.0 * dl * xi
-    g[4] = 2.0 * alpha
-    g[5] = 2.0 * beta * csc2 - 2.0 * a2 * beta * inv - 4.0 * m * a * r * inv
 
-    # second derivatives of the quotient pieces
-    inv3 = inv2 * inv
-    f1_2 = -a2 * (2.0 * inv2 - 2.0 * dl1 * dl1 * inv3)
-    f2_2 = 4.0 * m * a * (-2.0 * dl1 * inv2) - 4.0 * m * a * r * (
-        2.0 * inv2 - 2.0 * dl1 * dl1 * inv3
-    )
-    u3_1 = 4.0 * r * w
-    u3_2 = 12.0 * r * r + 4.0 * a2
-    f3_2 = (
-        u3_2 * inv
-        - 2.0 * u3_1 * dl1 * inv2
-        - w * w * 2.0 * inv2
-        + 2.0 * w * w * dl1 * dl1 * inv3
-    )
+def radial_potential_derivs(params: KerrParams, beta: float, r):
+    """(v, v', v'', v''') of the radial potential, all analytic."""
+    return radial_terms(params, beta, r)[:4]
 
-    H = np.zeros((6, 6))
-    H[0, 0] = 2.0 * xi * xi - be2 * f1_2 - beta * f2_2 - f3_2
-    H[0, 3] = H[3, 0] = 2.0 * dl1 * xi
-    H[0, 5] = H[5, 0] = -2.0 * beta * f1_1 - f2_1
-    H[1, 1] = 2.0 * be2 * (csc2 * csc2 + 2.0 * cot * cot * csc2) + 2.0 * a2 * (
-        c * c - s * s
-    )
-    H[1, 5] = H[5, 1] = -4.0 * beta * cot * csc2
-    H[3, 3] = 2.0 * dl
-    H[4, 4] = 2.0
-    H[5, 5] = 2.0 * csc2 - 2.0 * a2 * inv
-    return g, H
+
+def carter(params: KerrParams, theta, alpha, beta):
+    """Carter constant alpha^2 + q^2."""
+    return alpha**2 + _angular_terms(params, theta, beta)[0] ** 2
 
 
 def conserved(state: PhaseState, params: KerrParams) -> ConservedTriple:
     """The commuting triple (p, beta, carter) at a state."""
-    a = params.spin
-    s = np.sin(state.theta)
-    carter = state.alpha**2 + (a * s - state.beta / s) ** 2
     return ConservedTriple(
-        p=symbol_p(state, params), beta=state.beta, carter=carter
+        p=symbol_p(state, params),
+        beta=state.beta,
+        carter=carter(params, state.theta, state.alpha, state.beta),
     )
 
 

@@ -15,8 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import kerr
-from .errors import DomainError
-from .kerr import KerrParams, PhaseState
+from .kerr import KerrParams, PhaseState, radial_potential, radial_potential_derivs
 
 CHART_CAP_TOY = 1e6
 CHART_CAP_KERR_R = 200.0
@@ -153,43 +152,6 @@ def toy_barrier_model() -> HamiltonianModel:
     )
 
 
-def radial_potential(params: KerrParams, beta: float, r):
-    """v_beta(r) = 2 a beta - (a^2 beta^2 + 4 M a r beta + (r^2+a^2)^2)/Delta."""
-    m, a = params.mass, params.spin
-    dl = kerr.delta(params, r)
-    num = a**2 * beta**2 + 4.0 * m * a * r * beta + (r**2 + a**2) ** 2
-    return 2.0 * a * beta - num / dl
-
-
-def radial_potential_derivs(params: KerrParams, beta: float, r):
-    """(v, v', v'', v''') of the radial potential, all analytic."""
-    m, a = params.mass, params.spin
-    dl = kerr.delta(params, r)
-    dl1 = 2.0 * (r - m)
-    dl2 = 2.0
-    num = a**2 * beta**2 + 4.0 * m * a * r * beta + (r**2 + a**2) ** 2
-    num1 = 4.0 * m * a * beta + 4.0 * r * (r**2 + a**2)
-    num2 = 12.0 * r**2 + 4.0 * a**2
-    num3 = 24.0 * r
-    f = num / dl
-    f1 = num1 / dl - num * dl1 / dl**2
-    f2 = (
-        num2 / dl
-        - 2.0 * num1 * dl1 / dl**2
-        - num * dl2 / dl**2
-        + 2.0 * num * dl1**2 / dl**3
-    )
-    f3 = (
-        num3 / dl
-        - 3.0 * num2 * dl1 / dl**2
-        - 3.0 * num1 * dl2 / dl**2
-        + 6.0 * num1 * dl1**2 / dl**3
-        + 6.0 * num * dl1 * dl2 / dl**3
-        - 6.0 * num * dl1**3 / dl**4
-    )
-    return 2.0 * a * beta - f, -f1, -f2, -f3
-
-
 def reduced_kerr_model(
     params: KerrParams,
     beta: float,
@@ -271,8 +233,7 @@ def full_kerr_model(
         return kerr.hessian_p(PhaseState.from_array(y), params)
 
     def carter(y):
-        s = np.sin(y[1])
-        return float(y[4] ** 2 + (params.spin * s - y[5] / s) ** 2)
+        return float(kerr.carter(params, y[1], y[4], y[5]))
 
     def margin(y):
         return min(
@@ -295,69 +256,3 @@ def full_kerr_model(
         chart_margin=margin,
         name=f"full_kerr(M={params.mass:g},a={params.spin:g})",
     )
-
-
-def radial_effective_model(mass: float = 1.0, k_ang: float = 27.0) -> HamiltonianModel:
-    """Conformally flattened radial model p = (Delta^2/r^4) xi^2 + k_ang Delta/r^4 - 1.
-
-    This is the symbol the spectral module discretizes for the nonrotating
-    hole; its saddle exponent matches (Delta/r^4)|_{3M} times the photon-shell
-    exponent of the unflattened flow.
-    """
-    params = KerrParams(mass=mass, spin=0.0)
-
-    def pieces(r):
-        dl = kerr.delta(params, r)
-        dl1 = 2.0 * (r - mass)
-        mw = dl**2 / r**4
-        mw1 = 2.0 * dl * dl1 / r**4 - 4.0 * dl**2 / r**5
-        mw2 = (
-            2.0 * dl1**2 / r**4
-            + 4.0 * dl / r**4
-            - 16.0 * dl * dl1 / r**5
-            + 20.0 * dl**2 / r**6
-        )
-        v = k_ang * dl / r**4 - 1.0
-        v1 = k_ang * (dl1 / r**4 - 4.0 * dl / r**5)
-        v2 = k_ang * (2.0 / r**4 - 8.0 * dl1 / r**5 + 20.0 * dl / r**6)
-        return mw, mw1, mw2, v, v1, v2
-
-    def evaluate(y):
-        mw, _, _, v, _, _ = pieces(y[0])
-        return mw * y[1] ** 2 + v
-
-    def gradient(y):
-        mw, mw1, _, _, v1, _ = pieces(y[0])
-        return np.asarray([mw1 * y[1] ** 2 + v1, 2.0 * mw * y[1]])
-
-    def hessian(y):
-        mw, mw1, mw2, _, _, v2 = pieces(y[0])
-        return np.asarray(
-            [[mw2 * y[1] ** 2 + v2, 2.0 * mw1 * y[1]], [2.0 * mw1 * y[1], 2.0 * mw]]
-        )
-
-    rp = 2.0 * mass
-
-    def margin(y):
-        return min(y[0] - rp * (1.0 + 1e-9), CHART_CAP_KERR_R - y[0])
-
-    return HamiltonianModel(
-        dimension=2,
-        evaluate=evaluate,
-        gradient=gradient,
-        hessian=hessian,
-        conserved_list={"energy": evaluate},
-        chart_margin=margin,
-        name=f"radial_effective(M={mass:g},k={k_ang:g})",
-    )
-
-
-def perturbed_reduced_model(
-    params: KerrParams, beta: float, epsilon: float, seed: int
-) -> HamiltonianModel:
-    """Reduced model plus a seeded bump pattern of sup-size epsilon."""
-    if abs(epsilon) > 0.05:
-        raise DomainError(f"perturbation size {epsilon} exceeds the 0.05 regime")
-    center = (3.0 * params.mass, 0.0)
-    bump = BumpPattern(seed, center, span=0.6 * params.mass)
-    return reduced_kerr_model(params, beta, bump=bump, epsilon=epsilon)

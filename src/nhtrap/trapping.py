@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import kerr
-from .flow import step_tolerance
+from .flow import fit_slope, step_tolerance
 from .errors import (
     Degenerate,
     DegenerateCritical,
@@ -30,16 +30,10 @@ from .errors import (
     NoBracket,
     NotHyperbolic,
 )
-from .kerr import KerrParams, PhaseState
-from .models import (
-    BumpPattern,
-    radial_potential,
-    radial_potential_derivs,
-    reduced_kerr_model,
-)
+from .kerr import KerrParams, PhaseState, radial_potential, radial_potential_derivs
+from .models import BumpPattern, reduced_kerr_model
 
 RNORM_DEFAULT = 4
-SHELL_DELTA_DEFAULT = 0.1  # energy-shell thickness used by neighborhood checks
 CHUNK_TIME = 1.0
 RATE_FLOOR_FRACTION = 0.9
 TANGENTIAL_SLOPE_MAX = 1.2
@@ -90,60 +84,28 @@ def trapped_radius(
     return float(root)
 
 
-def _b_function(params: KerrParams, beta: float, r):
-    """B(r): the momentum-equation forcing, vanishing at the trapped radius."""
-    m, a = params.mass, params.spin
-    dl = kerr.delta(params, r)
-    u = a * beta * (m - r) + r * dl + m * (a**2 - r**2)
-    w = a * beta + a**2 + r**2
-    return u * w / dl**2
-
-
-def _b_prime(params: KerrParams, beta: float, r):
-    """Analytic B'(r) (product/quotient rule)."""
-    m, a = params.mass, params.spin
-    dl = kerr.delta(params, r)
-    dl1 = 2.0 * (r - m)
-    u = a * beta * (m - r) + r * dl + m * (a**2 - r**2)
-    u1 = -a * beta + 3.0 * r**2 - 6.0 * m * r + a**2
-    w = a * beta + a**2 + r**2
-    w1 = 2.0 * r
-    A = u * w
-    A1 = u1 * w + u * w1
-    return A1 / dl**2 - 2.0 * A * dl1 / dl**3
-
-
 @dataclass(frozen=True)
 class TrappedOrbitChart:
     """Linearized normal data at one trapped sphere."""
 
     beta: float
     trapped_radius: float
-    lin_matrix: np.ndarray  # [[0, Delta], [B', 0]], half-field generator
+    lin_matrix: np.ndarray  # [[0, Delta], [B', 0]], B' = -v''/2, half-field generator
     normal_exponent: float  # 2*sqrt(Delta*B'), full-field rate
     potential_curvature: float  # v'' < 0
 
 
 def linearization(beta: float, params: KerrParams) -> TrappedOrbitChart:
-    """Normal linearization at the trapped radius; checks B' against stencils."""
+    """Normal linearization at the trapped radius.
+
+    The momentum equation's forcing is B = -v'/2, so B' = -v''/2.
+    """
     r0 = trapped_radius(beta, params)
     dl = kerr.delta(params, r0)
-    bp = _b_prime(params, beta, r0)
-    # cross-check the analytic derivative with a 5-point stencil
-    h = 1e-5 * params.mass
-    stencil = (
-        -_b_function(params, beta, r0 + 2 * h)
-        + 8.0 * _b_function(params, beta, r0 + h)
-        - 8.0 * _b_function(params, beta, r0 - h)
-        + _b_function(params, beta, r0 - 2 * h)
-    ) / (12.0 * h)
-    if abs(stencil - bp) > 1e-7 * max(1.0, abs(bp)):
-        raise NotHyperbolic(
-            f"B' stencil {stencil:g} disagrees with analytic {bp:g}"
-        )
+    curv = radial_potential_derivs(params, beta, r0)[2]
+    bp = -curv / 2.0
     if not (dl * bp > 0.0):
         raise NotHyperbolic(f"Delta*B' = {dl * bp:g} <= 0 at r={r0:g}")
-    curv = radial_potential_derivs(params, beta, r0)[2]
     return TrappedOrbitChart(
         beta=beta,
         trapped_radius=r0,
@@ -264,9 +226,6 @@ class ReducedFamily:
     def grad6(self, y6: np.ndarray) -> np.ndarray:
         return self.grad_hess6(y6)[0]
 
-    def hess6(self, y6: np.ndarray) -> np.ndarray:
-        return self.grad_hess6(y6)[1]
-
     def grad_hess6(self, y6: np.ndarray):
         g, H = kerr.grad_hess_raw(
             self.params, y6[0], y6[1], y6[3], y6[4], y6[5]
@@ -334,17 +293,18 @@ class ShellOrbit:
         variational RHS reduces to a handful of scalar operations.
         """
         params = self.family.params
-        m, a = params.mass, params.spin
+        a = params.spin
         beta = self.beta
         probe = self.embed(np.asarray([1.0, 0.0, 0.0, beta]))
-        g, H = self.family.grad_hess6(probe)
+        _, H = self.family.grad_hess6(probe)
         self._c_H00 = H[0, 0]
         self._c_H03 = H[0, 3]
         self._c_H05 = H[0, 5]
         self._c_H33 = H[3, 3]
-        dl = kerr.delta(params, self.r_s)
-        self._c_H55_r = -2.0 * a * a / dl
-        self._c_g5_r = (-2.0 * a * a * beta - 4.0 * m * a * self.r_s) / dl
+        # radial parts of p_beta and p_beta_beta; q^2 adds the theta parts
+        _, _, _, _, v_b, _, v_bb = kerr.radial_terms(params, beta, self.r_s)
+        self._c_H55_r = v_bb
+        self._c_g5_r = v_b - 2.0 * a
         self._a2 = a * a
         self._be = beta
         self._be2 = beta * beta
@@ -441,19 +401,6 @@ class ShellOrbit:
         g = self.family.grad6(self.embed(u))
         return np.asarray([g[4], g[5], -g[1], 0.0])
 
-    def intrinsic_variational(self, u: np.ndarray) -> np.ndarray:
-        H = self.family.hess6(self.embed(u))
-        HE = H @ self.embed_diff  # 6x4
-        M = np.zeros((4, 4))
-        M[0, :] = HE[4, :]
-        M[1, :] = HE[5, :]
-        M[2, :] = -HE[1, :]
-        return M
-
-    def full_variational(self, u: np.ndarray) -> np.ndarray:
-        H = self.family.hess6(self.embed(u))
-        return np.vstack([H[3:, :], -H[:3, :]])
-
     def normal_seeds(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit 6-vectors seeding the expanding/contracting normal bundles."""
         gen = self.family.normal_generator(self.beta)
@@ -539,13 +486,6 @@ def _propagate(orbit: ShellOrbit, seed6: np.ndarray, frame4: np.ndarray,
     )
 
 
-def _fit_slope(ts: np.ndarray, ys: np.ndarray, tail: float = 0.5) -> float:
-    cut = ts >= ts[-1] * (1.0 - tail)
-    A = np.vstack([ts[cut], np.ones(int(np.sum(cut)))]).T
-    coef, *_ = np.linalg.lstsq(A, ys[cut], rcond=None)
-    return float(coef[0])
-
-
 def _invariance_angle(orbit: ShellOrbit, record: _RunRecord, seed6: np.ndarray,
                       sign: int, k_from: int, k_to: int,
                       tol: float = 1e-10) -> float:
@@ -567,9 +507,17 @@ def _invariance_angle(orbit: ShellOrbit, record: _RunRecord, seed6: np.ndarray,
         z = sol.y[:, -1]
         u, w = z[:4], z[4:]
         w = w / np.linalg.norm(w)
-    ref = record.normal_dirs[k_to - 1]
-    cosang = min(1.0, abs(float(np.dot(ref, w))))
-    return math.acos(cosang)
+    return _line_angle(record.normal_dirs[k_to - 1], w)
+
+
+def _line_angle(ref: np.ndarray, w: np.ndarray) -> float:
+    """Angle between the lines spanned by unit vectors ref and w.
+
+    atan2 of the rejection and projection keeps small angles exact, where
+    acos of the projection loses them below about 1e-8.
+    """
+    dot = float(np.dot(ref, w))
+    return math.atan2(float(np.linalg.norm(w - dot * ref)), abs(dot))
 
 
 # -- certification -----------------------------------------------------------
@@ -683,11 +631,13 @@ def certify(
         frame = orbit.tangential_frame()
         fwd = _propagate(orbit, seed_plus, frame, horizon, sign=+1, tol=tol)
         bwd = _propagate(orbit, seed_minus, frame, horizon, sign=-1, tol=tol)
-        rate_plus = _fit_slope(fwd.times, fwd.log_normal)
-        rate_minus = _fit_slope(bwd.times, bwd.log_normal)
-        t_lo = max(fwd.times[0], horizon / 5.0)
-        slope_fwd = _loglog(fwd.times, fwd.sigma_tangential, t_lo)
-        slope_bwd = _loglog(bwd.times, bwd.sigma_tangential, t_lo)
+        late = fwd.times >= 0.5 * fwd.times[-1]
+        rate_plus = fit_slope(fwd.times[late], fwd.log_normal[late])[0]
+        rate_minus = fit_slope(bwd.times[late], bwd.log_normal[late])[0]
+        tangent = fwd.times >= max(fwd.times[0], horizon / 5.0)
+        log_t = np.log(fwd.times[tangent])
+        slope_fwd = fit_slope(log_t, np.log(fwd.sigma_tangential[tangent]))[0]
+        slope_bwd = fit_slope(log_t, np.log(bwd.sigma_tangential[tangent]))[0]
         k_from = max(2, int(round(2.0 / fwd.times[0])))
         k_to = min(len(fwd.times), k_from + 2)
         angle_f = _invariance_angle(orbit, fwd, seed_plus, +1, k_from, k_to)
@@ -712,6 +662,7 @@ def certify(
             )
 
     times = fwd_records[0].times
+    late = times >= 0.5 * times[-1]
     sup_T_fwd = np.max([r.sigma_tangential for r in fwd_records], axis=0)
     sup_T_bwd = np.max([r.sigma_tangential for r in bwd_records], axis=0)
     sup_logU = np.max([r.log_normal for r in fwd_records], axis=0)
@@ -721,8 +672,8 @@ def certify(
     for r in range(1, r_max + 1):
         y1 = r * np.log(sup_T_fwd) - sup_logU
         y2 = r * np.log(sup_T_bwd) - inf_logD
-        s1 = _fit_slope(times, y1)
-        s2 = _fit_slope(times, y2)
+        s1 = fit_slope(times[late], y1[late])[0]
+        s2 = fit_slope(times[late], y2[late])[0]
         ok = s1 < 0.0 and s2 < 0.0
         theta0 = 0.9 * min(-s1, -s2) if ok else 0.0
         C = float(np.exp(max(np.max(y1 + theta0 * times),
@@ -752,13 +703,6 @@ def certify(
         passed=passed,
         reasons=reasons,
     )
-
-
-def _loglog(ts: np.ndarray, sigmas: np.ndarray, t_min: float) -> float:
-    cut = ts >= t_min
-    A = np.vstack([np.log(ts[cut]), np.ones(int(np.sum(cut)))]).T
-    coef, *_ = np.linalg.lstsq(A, np.log(sigmas[cut]), rcond=None)
-    return float(coef[0])
 
 
 # -- equatorial critical manifold -------------------------------------------
@@ -975,99 +919,3 @@ def integrate_shell_orbit(
 
 
 DRIFT_SAMPLES_SHELL = 41
-
-
-def shell_orbit_ensemble(
-    cases: list[tuple[KerrParams, float, float]],
-    time: float,
-    tol: float = 1e-10,
-):
-    """Integrate many shell orbits jointly (one stacked system).
-
-    `cases` holds (params, beta, lam) triples.  All orbits advance under a
-    single adaptive solve, so the per-step Python cost is shared; the error
-    norm couples them, which only tightens steps.  Returns one dict per
-    case: conserved drift maxima, intrinsic Jacobian, and its determinant.
-    """
-    n = len(cases)
-    orbits = [ShellOrbit(ReducedFamily(p), b, lam) for p, b, lam in cases]
-
-    c_H03 = np.asarray([o._c_H03 for o in orbits])
-    c_H33 = np.asarray([o._c_H33 for o in orbits])
-    c_H05 = np.asarray([o._c_H05 for o in orbits])
-    c_H55r = np.asarray([o._c_H55_r for o in orbits])
-    c_g5r = np.asarray([o._c_g5_r for o in orbits])
-    a2 = np.asarray([o._a2 for o in orbits])
-    be = np.asarray([o.beta for o in orbits])
-    be2 = be * be
-    drdb = np.asarray([o._dr_dbeta for o in orbits])
-
-    # Variational coefficient matrices: rows (theta, phi, alpha, beta) of the
-    # intrinsic linearization.  Only four entries vary along an orbit; the
-    # rest are structural zeros or the constant d(theta')/d(alpha) = 2.
-    coeff = np.zeros((n, 4, 4))
-    coeff[:, 0, 2] = 2.0
-    mix_const = drdb * c_H05
-
-    def rhs(t, z):
-        Z = z.reshape(n, 20)
-        th = Z[:, 0]
-        s = np.sin(th)
-        c = np.cos(th)
-        csc2 = 1.0 / (s * s)
-        cot = c * csc2 * s
-        g1 = -2.0 * be2 * c * csc2 / s + 2.0 * a2 * s * c
-        H11 = 2.0 * be2 * (csc2 * csc2 + 2.0 * cot * cot * csc2) \
-            + 2.0 * a2 * (c * c - s * s)
-        H15 = -4.0 * be * cot * csc2
-        out = np.empty_like(Z)
-        out[:, 0] = 2.0 * Z[:, 2]
-        out[:, 1] = 2.0 * be * csc2 + c_g5r
-        out[:, 2] = -g1
-        out[:, 3] = 0.0
-        coeff[:, 1, 0] = H15
-        coeff[:, 1, 3] = 2.0 * csc2 + c_H55r + mix_const
-        coeff[:, 2, 0] = -H11
-        coeff[:, 2, 3] = -H15
-        V = Z[:, 4:].reshape(n, 4, 4)
-        dV = out[:, 4:].reshape(n, 4, 4)
-        np.matmul(coeff, V, out=dV)
-        return out.ravel()
-
-    z0 = np.concatenate(
-        [np.concatenate([o.u0, np.eye(4).ravel()]) for o in orbits]
-    )
-    ts = np.linspace(0.0, time, DRIFT_SAMPLES_SHELL)
-    rtol = step_tolerance(tol, time)
-    sol = solve_ivp(rhs, (0.0, time), z0, method="DOP853",
-                    rtol=rtol, atol=rtol * 1e-2, t_eval=ts)
-    if sol.status != 0:
-        raise InvalidHorizon(f"ensemble integration failed: {sol.message}")
-
-    results = []
-    for i, (orbit, (params, beta, lam)) in enumerate(zip(orbits, cases)):
-        block = sol.y[20 * i:20 * (i + 1), :]
-        ref = kerr.conserved(
-            PhaseState.from_array(orbit.embed(orbit.u0)), params
-        )
-        drift = {"p": 0.0, "beta": 0.0, "carter": 0.0}
-        for k in range(block.shape[1]):
-            st = PhaseState.from_array(orbit.embed(block[:4, k]))
-            val = kerr.conserved(st, params)
-            drift["p"] = max(drift["p"], abs(val.p - ref.p))
-            drift["beta"] = max(drift["beta"], abs(val.beta - ref.beta))
-            drift["carter"] = max(
-                drift["carter"], abs(val.carter - ref.carter)
-            )
-        jac = block[4:, -1].reshape(4, 4)
-        results.append(
-            {
-                "params": params,
-                "beta": beta,
-                "lambda": lam,
-                "drift": drift,
-                "jacobian": jac,
-                "det": float(np.linalg.det(jac)),
-            }
-        )
-    return results

@@ -61,6 +61,20 @@ class TestBuildModel:
         i_top = int(np.argmin(np.abs(p.x - 3.0)))
         assert p.absorber[i_top] == 0.0
 
+    def test_schw_barrier_top_values(self, schw_problem):
+        # v(3M) = 0, v'(3M) = 0 and m(3M) = 1/9 for the k_ang = 27 normalization
+        assert schw_problem.params == {"mass": 1.0, "k_ang": 27.0}
+        v_func, m_func, top, m_top, _, _ = capspec._model_functions(
+            "schw_radial", schw_problem.params
+        )
+        assert top == schw_problem.barrier_top == 3.0
+        assert v_func(3.0) == pytest.approx(0.0, abs=1e-13)
+        h = 1e-5
+        slope = (v_func(3.0 + h) - v_func(3.0 - h)) / (2.0 * h)
+        assert slope == pytest.approx(0.0, abs=1e-9)
+        assert m_func(3.0) == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert m_top == schw_problem.mass_top == pytest.approx(1.0 / 9.0, abs=1e-15)
+
     def test_exponent_identity(self, schw_problem):
         chart = trapping.linearization(0.0, KerrParams())
         k_ang = schw_problem.params["k_ang"]

@@ -79,7 +79,6 @@ class TestParsing:
             "orbit.samples": "11",
             "tol.flow": "1e-10",
             "tol.drift": "1e-9",
-            "tol.residual": "1e-8",
             "tol.consistency": "0.15",
             "seed": "7",
             "workers": "2",

@@ -132,6 +132,76 @@ class TestHessian:
             assert np.max(np.abs(H - H_ref)) < 1e-12 * (1 + np.max(np.abs(H_ref)))
 
 
+class TestSympyOracle:
+    """Exact derivatives of the docstring formulas, evaluated at 30 digits."""
+
+    @staticmethod
+    def symbols():
+        sp = pytest.importorskip("sympy")
+        names = sp.symbols("r theta phi xi alpha beta M a", real=True)
+        r, _, _, _, _, _, m, a = names
+        return sp, names, r**2 - 2 * m * r + a**2
+
+    @staticmethod
+    def evaluate(sp, args, exprs, rows):
+        import mpmath
+
+        f = sp.lambdify(args, exprs, modules="mpmath")
+        with mpmath.workdps(30):
+            return [
+                np.asarray(f(*[mpmath.mpf(float(v)) for v in row]), dtype=float)
+                for row in rows
+            ]
+
+    def test_gradient_and_hessian(self):
+        sp, names, dl = self.symbols()
+        r, th, ph, xi, al, be, m, a = names
+        s2 = sp.sin(th) ** 2
+        p = (
+            dl * xi**2
+            + al**2
+            + (1 / s2 - a**2 / dl) * be**2
+            - (4 * m * a * r / dl) * be
+            - ((r**2 + a**2) ** 2 / dl - a**2 * s2)
+        )
+        coords = (r, th, ph, xi, al, be)
+        grad = [sp.diff(p, x) for x in coords]
+        hess = [[sp.diff(gi, x) for x in coords] for gi in grad]
+        rng = np.random.default_rng(12)
+        rows = []
+        for spin in rng.uniform(0.0, 0.95, 60):
+            r_lo = kerr.horizon_radius(KerrParams(1.0, spin)) + 0.1
+            rows.append([*random_states(rng, 1, r_lo=r_lo)[0], 1.0, spin])
+        g_ref = self.evaluate(sp, names, grad, rows)
+        h_ref = self.evaluate(sp, names, hess, rows)
+        for y, g_exact, h_exact in zip(rows, g_ref, h_ref):
+            g, H = kerr.grad_hess_raw(
+                KerrParams(1.0, y[7]), y[0], y[1], y[3], y[4], y[5]
+            )
+            assert np.max(np.abs(g - g_exact)) <= 1e-12 * np.max(np.abs(g_exact))
+            assert np.max(np.abs(H - h_exact)) <= 1e-12 * np.max(np.abs(h_exact))
+
+    def test_radial_potential_derivatives(self):
+        sp, names, dl = self.symbols()
+        r, be, m, a = names[0], names[5], names[6], names[7]
+        v = 2 * a * be - (
+            a**2 * be**2 + 4 * m * a * r * be + (r**2 + a**2) ** 2
+        ) / dl
+        exprs = [v] + [sp.diff(v, r, k) for k in (1, 2, 3)]
+        rng = np.random.default_rng(13)
+        rows = []
+        for spin in rng.uniform(0.0, 0.95, 100):
+            r_lo = kerr.horizon_radius(KerrParams(1.0, spin)) + 0.05
+            rows.append([rng.uniform(r_lo, 10.0), rng.uniform(-6.0, 6.0), 1.0, spin])
+        refs = self.evaluate(sp, (r, be, m, a), exprs, rows)
+        for (radius, beta, _, spin), ref in zip(rows, refs):
+            got = np.asarray(
+                kerr.radial_potential_derivs(KerrParams(1.0, spin), beta, radius)
+            )
+            # the third derivative decays at large r, below its own terms
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
 class TestConserved:
     def test_triple_at_critical_sphere(self):
         p = KerrParams()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nhtrap import models
-from nhtrap.errors import DomainError
 from nhtrap.kerr import KerrParams
 
 
@@ -140,24 +139,6 @@ class TestFullModel:
         assert set(m.conserved_list) == {"p", "beta", "carter"}
 
 
-class TestRadialEffectiveModel:
-    def test_barrier_top_values(self):
-        m = models.radial_effective_model()
-        y = np.asarray([3.0, 0.0])
-        # v(3) = 0, m_w(3) = 1/9 for the k_ang = 27 normalization
-        assert m.evaluate(y) == pytest.approx(0.0, abs=1e-13)
-        g = m.gradient(y)
-        assert g[0] == pytest.approx(0.0, abs=1e-13)
-
-    def test_consistency(self):
-        rng = np.random.default_rng(29)
-        m = models.radial_effective_model()
-        pts = np.column_stack(
-            [rng.uniform(2.4, 6.0, 10), rng.uniform(-1.0, 1.0, 10)]
-        )
-        check_model_consistency(m, pts)
-
-
 class TestBumpPattern:
     def test_support_and_normalization(self):
         b = models.BumpPattern(seed=4, center=(3.0, 0.0), span=0.6)
@@ -199,20 +180,27 @@ class TestBumpPattern:
 
 
 class TestPerturbedModel:
-    def test_epsilon_bound(self):
-        with pytest.raises(DomainError):
-            models.perturbed_reduced_model(KerrParams(), 0.0, 0.06, seed=1)
+    """Reduced model plus the seeded bump that perturb_and_recertify adds."""
+
+    @staticmethod
+    def perturbed(beta, epsilon, seed):
+        bump = models.BumpPattern(seed, (3.0, 0.0), span=0.6)
+        return models.reduced_kerr_model(
+            KerrParams(), beta, bump=bump, epsilon=epsilon
+        )
 
     def test_reduces_to_base_at_zero(self):
         base = models.reduced_kerr_model(KerrParams(), 1.0)
-        pert = models.perturbed_reduced_model(KerrParams(), 1.0, 0.0, seed=1)
+        pert = self.perturbed(1.0, 0.0, seed=1)
         y = np.asarray([3.1, 0.1])
         assert pert.evaluate(y) == pytest.approx(base.evaluate(y), abs=1e-14)
+        assert np.array_equal(pert.gradient(y), base.gradient(y))
+        assert np.array_equal(pert.hessian(y), base.hessian(y))
 
     def test_perturbation_size(self):
         eps = 0.03
         base = models.reduced_kerr_model(KerrParams(), 1.0)
-        pert = models.perturbed_reduced_model(KerrParams(), 1.0, eps, seed=2)
+        pert = self.perturbed(1.0, eps, seed=2)
         ys = np.column_stack(
             [np.linspace(2.8, 3.2, 15), np.linspace(-0.2, 0.2, 15)]
         )

@@ -222,6 +222,17 @@ class TestCertify:
         assert {"r", "theta0", "C", "passed"} <= set(check)
 
 
+class TestInvarianceAngle:
+    def test_small_angles_resolved(self):
+        ref = np.zeros(6)
+        ref[0] = 1.0
+        for angle in (1e-12, 1e-6):
+            w = np.zeros(6)
+            w[0], w[3] = math.cos(angle), math.sin(angle)
+            assert trapping._line_angle(ref, w) == pytest.approx(angle, rel=1e-12)
+            assert trapping._line_angle(ref, -w) == pytest.approx(angle, rel=1e-12)
+
+
 class TestCriticalPoints:
     def test_static_hessians(self):
         pts = trapping.beta_critical_points(0.0, KerrParams())
