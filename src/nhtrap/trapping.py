@@ -1,13 +1,23 @@
 """Certification of normally hyperbolic trapping for the photon shell.
 
 The trapped set is a beta-family of saddles of the autonomous (r, xi)
-subsystem, crossed with invariant angular tori.  Because the (r, xi) block
-closes on itself, shell orbits can be integrated with the radial pair pinned
-at the saddle exactly; the full variational flow along such orbits is
-linear nonautonomous and is what the rate measurements run on.  Normal
-growth is tracked with chunked renormalization (the exponent ~ 6*sqrt(3)/M
-overflows any unrenormalized horizon-50 propagation), tangential growth with
-chunked QR.
+subsystem, crossed with invariant angular tori.  Certification rests on
+three exact facts about the separable symbol
+p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
+
+1. The (r, xi) block closes on itself, so shell orbits keep the radial pair
+   pinned at the saddle exactly and live in the intrinsic coordinates
+   u = (theta, phi, alpha, beta).
+2. Along a pinned orbit the subspace w_theta = w_alpha = w_beta = 0 is
+   invariant under A6 = J*Hess(p), and the (r, phi, xi) block of A6 on it
+   does not depend on theta (a perturbation bump depends on (r, xi) only).
+   Normal growth over a chunk of length tau is therefore the constant
+   matrix exp(+-tau*A6), applied with renormalization because the exponent
+   ~ 6*sqrt(3)/M overflows any unrenormalized horizon-50 product.
+3. The tangential cocycle X(t) depends on the orbit only through theta(t),
+   a periodic one-degree-of-freedom motion of period P.  Hence
+   X(t + P) = X(t) X(P), and one period of (u, X) gives X at every time
+   of either sign: X(t) = X(t mod P) M^floor(t/P), with M = X(P).
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from . import kerr
@@ -133,6 +144,7 @@ class ReducedFamily:
         self.bump = bump
         self.epsilon = epsilon if bump is not None else 0.0
         self._saddles: dict[float, tuple[float, float]] = {}
+        self._bumps: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- radial structure -------------------------------------------------
 
@@ -231,15 +243,23 @@ class ReducedFamily:
             self.params, y6[0], y6[1], y6[3], y6[4], y6[5]
         )
         if self.epsilon != 0.0:
-            bx, bxi = self.bump.gradient(y6[0], y6[3])
-            g[0] += self.epsilon * bx
-            g[3] += self.epsilon * bxi
-            hxx, hxy, hyy = self.bump.hessian(y6[0], y6[3])
-            H[0, 0] += self.epsilon * hxx
-            H[0, 3] += self.epsilon * hxy
-            H[3, 0] += self.epsilon * hxy
-            H[3, 3] += self.epsilon * hyy
+            bg, bH = self._bump_terms(y6[0], y6[3])
+            g, H = g + bg, H + bH
         return g, H
+
+    def _bump_terms(self, r: float, xi: float):
+        """epsilon * (gradient, Hessian) of the bump, embedded in six dimensions.
+
+        Memoized per (r, xi): a shell orbit pins the radial pair at its
+        saddle, so every field evaluation along it asks for the same point.
+        """
+        if (r, xi) not in self._bumps:
+            g, H = np.zeros(6), np.zeros((6, 6))
+            g[0], g[3] = self.bump.gradient(r, xi)
+            hxx, hxy, hyy = self.bump.hessian(r, xi)
+            H[0, 0], H[0, 3], H[3, 0], H[3, 3] = hxx, hxy, hxy, hyy
+            self._bumps[r, xi] = (self.epsilon * g, self.epsilon * H)
+        return self._bumps[r, xi]
 
     def value6(self, y6: np.ndarray) -> float:
         val = float(kerr.symbol_p(PhaseState.from_array(y6), self.params))
@@ -284,101 +304,45 @@ class ShellOrbit:
                 f"beta={beta:g} admits no shell orbit on the lambda={lam:g} shell"
             )
         self.u0 = np.asarray([theta0, phi0, math.sqrt(disc), beta])
-        self._precompute_constants()
 
-    def _precompute_constants(self):
-        """Freeze every radial Hessian entry: (r, xi) never moves on the shell.
+    def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
+        """Field of (u, intrinsic 4x4 Jacobian X): the one shell-orbit RHS."""
+        du, _, M = self.blocks(z[:4])
+        return np.concatenate([du, (M @ z[4:].reshape(4, 4)).ravel()])
 
-        Only the theta-trig entries vary along the orbit, so the joint
-        variational RHS reduces to a handful of scalar operations.
+    def tangent_cocycle(self, horizon: float, tol: float = 1e-10):
+        """Intrinsic Jacobian t -> X(t) for any real t, from one theta-period.
+
+        The period P is the first upward return of theta to its start; the
+        integration of (u, X) stops there, and X(t) = X(t mod P) M^floor(t/P)
+        with the monodromy M = X(P).  Raises InvalidHorizon when theta does
+        not return within `horizon`.
         """
-        params = self.family.params
-        a = params.spin
-        beta = self.beta
-        probe = self.embed(np.asarray([1.0, 0.0, 0.0, beta]))
-        _, H = self.family.grad_hess6(probe)
-        self._c_H00 = H[0, 0]
-        self._c_H03 = H[0, 3]
-        self._c_H05 = H[0, 5]
-        self._c_H33 = H[3, 3]
-        # radial parts of p_beta and p_beta_beta; q^2 adds the theta parts
-        _, _, _, _, v_b, _, v_bb = kerr.radial_terms(params, beta, self.r_s)
-        self._c_H55_r = v_bb
-        self._c_g5_r = v_b - 2.0 * a
-        self._a2 = a * a
-        self._be = beta
-        self._be2 = beta * beta
-        self._dr_dbeta = self.embed_diff[0, 3]
+        theta0 = self.u0[0]
 
-    def _theta_entries(self, theta: float):
-        """(g1, g5, H11, H15, H55) at the pinned radius."""
-        s = math.sin(theta)
-        c = math.cos(theta)
-        csc2 = 1.0 / (s * s)
-        cot = c / s
-        g1 = -2.0 * self._be2 * c * csc2 / s + 2.0 * self._a2 * s * c
-        g5 = 2.0 * self._be * csc2 + self._c_g5_r
-        H11 = 2.0 * self._be2 * (csc2 * csc2 + 2.0 * cot * cot * csc2) \
-            + 2.0 * self._a2 * (c * c - s * s)
-        H15 = -4.0 * self._be * cot * csc2
-        H55 = 2.0 * csc2 + self._c_H55_r
-        return g1, g5, H11, H15, H55
+        def crossing(t, z):
+            return z[0] - theta0
 
-    def fast_joint_rhs(self, z: np.ndarray) -> np.ndarray:
-        """RHS of (u, normal 6-vector, intrinsic 4x3 frame); scalar hot path."""
-        g1, g5, H11, H15, H55 = self._theta_entries(z[0])
-        out = np.empty(22)
-        out[0] = 2.0 * z[2]
-        out[1] = g5
-        out[2] = -g1
-        out[3] = 0.0
-        w0, w1, w3, w4, w5 = z[4], z[5], z[7], z[8], z[9]
-        out[4] = self._c_H03 * w0 + self._c_H33 * w3
-        out[5] = 2.0 * w4
-        out[6] = self._c_H05 * w0 + H15 * w1 + H55 * w5
-        out[7] = -(self._c_H00 * w0 + self._c_H03 * w3 + self._c_H05 * w5)
-        out[8] = -(H11 * w1 + H15 * w5)
-        out[9] = 0.0
-        W = z[10:22].reshape(4, 3)
-        mix = H55 + self._dr_dbeta * self._c_H05
-        out[10:13] = 2.0 * W[2]
-        out[13:16] = H15 * W[0] + mix * W[3]
-        out[16:19] = -H11 * W[0] - H15 * W[3]
-        out[19:22] = 0.0
-        return out
+        crossing.direction = 1.0
+        crossing.terminal = 2  # the first root is the start itself, t = 0
+        z0 = np.concatenate([self.u0, np.eye(4).ravel()])
+        sol = solve_ivp(self.rhs, (0.0, horizon), z0, method="DOP853",
+                        rtol=tol, atol=tol * 1e-2, events=crossing,
+                        dense_output=True)
+        if sol.status != 1:
+            raise InvalidHorizon(
+                f"no theta-period within horizon {horizon:g} at "
+                f"beta={self.beta:g}: {sol.message}"
+            )
+        period = float(sol.t_events[0][-1])
+        monodromy = sol.y_events[0][-1][4:].reshape(4, 4)
 
-    def fast_vec_rhs(self, z: np.ndarray) -> np.ndarray:
-        """RHS of (u, normal 6-vector) for re-seeded invariance runs."""
-        g1, g5, H11, H15, H55 = self._theta_entries(z[0])
-        out = np.empty(10)
-        out[0] = 2.0 * z[2]
-        out[1] = g5
-        out[2] = -g1
-        out[3] = 0.0
-        w0, w1, w3, w4, w5 = z[4], z[5], z[7], z[8], z[9]
-        out[4] = self._c_H03 * w0 + self._c_H33 * w3
-        out[5] = 2.0 * w4
-        out[6] = self._c_H05 * w0 + H15 * w1 + H55 * w5
-        out[7] = -(self._c_H00 * w0 + self._c_H03 * w3 + self._c_H05 * w5)
-        out[8] = -(H11 * w1 + H15 * w5)
-        out[9] = 0.0
-        return out
+        def jacobian(t: float) -> np.ndarray:
+            m, s = divmod(t, period)
+            X = sol.sol(s)[4:].reshape(4, 4)
+            return X @ np.linalg.matrix_power(monodromy, int(m))
 
-    def fast_orbit_var_rhs(self, z: np.ndarray) -> np.ndarray:
-        """RHS of (u, intrinsic 4x4 Jacobian) for conservation runs."""
-        g1, g5, H11, H15, H55 = self._theta_entries(z[0])
-        out = np.empty(20)
-        out[0] = 2.0 * z[2]
-        out[1] = g5
-        out[2] = -g1
-        out[3] = 0.0
-        V = z[4:20].reshape(4, 4)
-        mix = H55 + self._dr_dbeta * self._c_H05
-        out[4:8] = 2.0 * V[2]
-        out[8:12] = H15 * V[0] + mix * V[3]
-        out[12:16] = -H11 * V[0] - H15 * V[3]
-        out[16:20] = 0.0
-        return out
+        return jacobian
 
     def embed(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(
@@ -396,10 +360,6 @@ class ShellOrbit:
         M[1, :] = HE[5, :]
         M[2, :] = -HE[1, :]
         return du, A6, M
-
-    def intrinsic_rhs(self, u: np.ndarray) -> np.ndarray:
-        g = self.family.grad6(self.embed(u))
-        return np.asarray([g[4], g[5], -g[1], 0.0])
 
     def normal_seeds(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit 6-vectors seeding the expanding/contracting normal bundles."""
@@ -419,7 +379,7 @@ class ShellOrbit:
         """Orthonormal intrinsic 4x3 frame spanning the shell-tangent kernel of dp."""
         g = self.family.grad6(self.embed(self.u0))
         p_th, p_al, p_be = g[1], g[4], g[5]
-        flow = self.intrinsic_rhs(self.u0)
+        flow = self.blocks(self.u0)[0]
         b_phi = np.asarray([0.0, 1.0, 0.0, 0.0])
         if abs(p_al) > 1e-12:
             b_mix = np.asarray([0.0, 0.0, -p_be / p_al, 1.0])
@@ -429,85 +389,22 @@ class ShellOrbit:
         return frame
 
 
-@dataclass
-class _RunRecord:
-    times: np.ndarray
-    log_normal: np.ndarray  # cumulative log-growth of the normal seed
-    sigma_tangential: np.ndarray  # embedded top singular value of the frame
-    orbit_points: list  # intrinsic u at chunk ends
-    normal_dirs: list  # unit 6-vectors of the propagated normal seed
+def _normal_growth(step: np.ndarray, seed6: np.ndarray, n: int):
+    """Renormalized chunk loop w_k = step^k seed6, k = 1..n.
 
-
-def _propagate(orbit: ShellOrbit, seed6: np.ndarray, frame4: np.ndarray,
-               horizon: float, sign: int, tol: float = 1e-10,
-               chunk: float = CHUNK_TIME) -> _RunRecord:
-    """Chunked joint propagation of orbit + normal vector + tangential frame."""
-    n_chunks = max(1, int(round(horizon / chunk)))
-    tau = horizon / n_chunks
-
-    def rhs(t, z):
-        return orbit.fast_joint_rhs(z)
-
-    u = orbit.u0.copy()
-    w = seed6.copy()
-    Q = frame4.copy()
-    P = np.eye(3)
+    Returns the cumulative log-growth series and the unit directions.
+    """
+    w = seed6
     log_w = 0.0
-    times, logs, sigmas, points, dirs = [], [], [], [], []
-    L = orbit.embed_diff
-    for k in range(1, n_chunks + 1):
-        z0 = np.concatenate([u, w, Q.ravel()])
-        sol = solve_ivp(
-            rhs, (0.0, sign * tau), z0, method="DOP853",
-            rtol=tol, atol=tol * 1e-2,
-        )
-        if sol.status != 0:
-            raise InvalidHorizon(f"shell propagation failed: {sol.message}")
-        z = sol.y[:, -1]
-        u = z[:4]
-        w = z[4:10]
-        W = z[10:].reshape(4, 3)
+    logs, dirs = [], []
+    for _ in range(n):
+        w = step @ w
         nw = np.linalg.norm(w)
         log_w += math.log(nw)
         w = w / nw
-        Q, R = np.linalg.qr(W)
-        P = R @ P
-        times.append(k * tau)
         logs.append(log_w)
-        sigmas.append(float(np.linalg.svd((L @ Q) @ P, compute_uv=False)[0]))
-        points.append(u.copy())
-        dirs.append(w.copy())
-    return _RunRecord(
-        times=np.asarray(times),
-        log_normal=np.asarray(logs),
-        sigma_tangential=np.asarray(sigmas),
-        orbit_points=points,
-        normal_dirs=dirs,
-    )
-
-
-def _invariance_angle(orbit: ShellOrbit, record: _RunRecord, seed6: np.ndarray,
-                      sign: int, k_from: int, k_to: int,
-                      tol: float = 1e-10) -> float:
-    """Angle between the aligned bundle direction and a re-seeded propagation."""
-    u_start = record.orbit_points[k_from - 1]
-    tau = record.times[0]
-    span = (k_to - k_from) * tau
-
-    def rhs(t, z):
-        return orbit.fast_vec_rhs(z)
-
-    w = seed6.copy()
-    u = u_start.copy()
-    steps = k_to - k_from
-    for _ in range(steps):
-        sol = solve_ivp(rhs, (0.0, sign * span / steps),
-                        np.concatenate([u, w]), method="DOP853",
-                        rtol=tol, atol=tol * 1e-2)
-        z = sol.y[:, -1]
-        u, w = z[:4], z[4:]
-        w = w / np.linalg.norm(w)
-    return _line_angle(record.normal_dirs[k_to - 1], w)
+        dirs.append(w)
+    return np.asarray(logs), dirs
 
 
 def _line_angle(ref: np.ndarray, w: np.ndarray) -> float:
@@ -608,40 +505,59 @@ def certify(
 ) -> TrapCertificate:
     """Certify r-normal hyperbolicity of the trapped set on one energy shell.
 
-    Per sampled beta: normal rates are measured from renormalized variational
-    propagation along the pinned shell orbit (expanding bundle forward,
+    Per sampled beta, on the pinned shell orbit: normal rates from powers of
+    the constant chunk propagator exp(+-tau*A6) (expanding bundle forward,
     contracting bundle under time reversal), tangential growth from the
-    intrinsic cocycle, and the bundle-invariance angle from re-seeded runs.
-    The r-normality ratio inequalities are then evaluated on the sampled
+    one-period Floquet form of the intrinsic cocycle, and the
+    bundle-invariance angle from a seed re-started at a later chunk.  The
+    r-normality ratio inequalities are then evaluated on the sampled
     sup/inf envelopes for r = 1..r_max.
     """
     if horizon <= 0.0:
         raise InvalidHorizon(f"horizon must be positive, got {horizon}")
+    n_chunks = max(1, int(round(horizon / CHUNK_TIME)))
+    tau = horizon / n_chunks
+    times = tau * np.arange(1, n_chunks + 1)
+    # the invariance check re-seeds at chunk k_from and compares at k_to;
+    # k_to > k_from also leaves at least two points in every slope fit
+    k_from = max(2, int(round(2.0 / tau)))
+    k_to = min(n_chunks, k_from + 2)
+    if k_to <= k_from:
+        raise InvalidHorizon(
+            f"horizon {horizon:g} is too short to certify: the invariance "
+            f"check needs {k_from + 1} chunks of length {tau:g}, it holds {n_chunks}"
+        )
+    late = times >= 0.5 * times[-1]
+    tangent = times >= max(tau, horizon / 5.0)
+    log_t = np.log(times[tangent])
+
     fam = family or ReducedFamily(params)
     lo, hi = equatorial_beta_range(lam, params, fam)
     betas = _beta_grid(lo, hi, n_beta)
 
     samples: list[BetaSample] = []
     reasons: list[str] = []
-    fwd_records, bwd_records = [], []
+    logs_fwd, logs_bwd, sigmas_fwd, sigmas_bwd = [], [], [], []
     for beta in betas:
         chart = fam.chart(float(beta))
         orbit = ShellOrbit(fam, float(beta), lam)
-        seed_plus, seed_minus = orbit.normal_seeds()
+        A6 = orbit.blocks(orbit.u0)[1]
+        cocycle = orbit.tangent_cocycle(horizon, tol)
         frame = orbit.tangential_frame()
-        fwd = _propagate(orbit, seed_plus, frame, horizon, sign=+1, tol=tol)
-        bwd = _propagate(orbit, seed_minus, frame, horizon, sign=-1, tol=tol)
-        late = fwd.times >= 0.5 * fwd.times[-1]
-        rate_plus = fit_slope(fwd.times[late], fwd.log_normal[late])[0]
-        rate_minus = fit_slope(bwd.times[late], bwd.log_normal[late])[0]
-        tangent = fwd.times >= max(fwd.times[0], horizon / 5.0)
-        log_t = np.log(fwd.times[tangent])
-        slope_fwd = fit_slope(log_t, np.log(fwd.sigma_tangential[tangent]))[0]
-        slope_bwd = fit_slope(log_t, np.log(bwd.sigma_tangential[tangent]))[0]
-        k_from = max(2, int(round(2.0 / fwd.times[0])))
-        k_to = min(len(fwd.times), k_from + 2)
-        angle_f = _invariance_angle(orbit, fwd, seed_plus, +1, k_from, k_to)
-        angle_b = _invariance_angle(orbit, bwd, seed_minus, -1, k_from, k_to)
+        logs, sigmas, angles = {}, {}, []
+        for sign, seed in zip((1, -1), orbit.normal_seeds()):
+            step = expm(sign * tau * A6)
+            logs[sign], dirs = _normal_growth(step, seed, n_chunks)
+            reseeded = _normal_growth(step, seed, k_to - k_from)[1][-1]
+            angles.append(_line_angle(dirs[k_to - 1], reseeded))
+            sigmas[sign] = np.asarray([
+                np.linalg.norm(orbit.embed_diff @ cocycle(sign * t) @ frame, 2)
+                for t in times
+            ])
+        rate_plus = fit_slope(times[late], logs[1][late])[0]
+        rate_minus = fit_slope(times[late], logs[-1][late])[0]
+        slope_fwd = fit_slope(log_t, np.log(sigmas[1][tangent]))[0]
+        slope_bwd = fit_slope(log_t, np.log(sigmas[-1][tangent]))[0]
         sample = BetaSample(
             chart=chart,
             xi_saddle=fam.saddle(float(beta))[1],
@@ -649,11 +565,13 @@ def certify(
             rate_minus=rate_minus,
             tangential_slope_fwd=slope_fwd,
             tangential_slope_bwd=slope_bwd,
-            invariance_angle=max(angle_f, angle_b),
+            invariance_angle=max(angles),
         )
         samples.append(sample)
-        fwd_records.append(fwd)
-        bwd_records.append(bwd)
+        logs_fwd.append(logs[1])
+        logs_bwd.append(logs[-1])
+        sigmas_fwd.append(sigmas[1])
+        sigmas_bwd.append(sigmas[-1])
         if not sample.passed():
             reasons.append(
                 f"beta={beta:.6g}: rates ({rate_plus:.4g}, {rate_minus:.4g}) "
@@ -661,12 +579,10 @@ def certify(
                 f"angle {sample.invariance_angle:.2e}"
             )
 
-    times = fwd_records[0].times
-    late = times >= 0.5 * times[-1]
-    sup_T_fwd = np.max([r.sigma_tangential for r in fwd_records], axis=0)
-    sup_T_bwd = np.max([r.sigma_tangential for r in bwd_records], axis=0)
-    sup_logU = np.max([r.log_normal for r in fwd_records], axis=0)
-    inf_logD = np.min([r.log_normal for r in bwd_records], axis=0)
+    sup_T_fwd = np.max(sigmas_fwd, axis=0)
+    sup_T_bwd = np.max(sigmas_bwd, axis=0)
+    sup_logU = np.max(logs_fwd, axis=0)
+    inf_logD = np.min(logs_bwd, axis=0)
 
     ratio_checks: list[RatioCheck] = []
     for r in range(1, r_max + 1):
@@ -891,18 +807,14 @@ def integrate_shell_orbit(
     fam = family or ReducedFamily(params)
     orbit = ShellOrbit(fam, beta, lam, theta0=theta0)
 
-    def rhs(t, z):
-        return orbit.fast_orbit_var_rhs(z)
-
     z0 = np.concatenate([orbit.u0, np.eye(4).ravel()])
     ts = np.linspace(0.0, time, DRIFT_SAMPLES_SHELL)
     rtol = step_tolerance(tol, time)
-    sol = solve_ivp(rhs, (0.0, time), z0, method="DOP853",
+    sol = solve_ivp(orbit.rhs, (0.0, time), z0, method="DOP853",
                     rtol=rtol, atol=rtol * 1e-2, t_eval=ts)
     if sol.status != 0:
         raise InvalidHorizon(f"shell orbit integration failed: {sol.message}")
 
-    a = params.spin
     y0 = orbit.embed(orbit.u0)
     state0 = PhaseState.from_array(y0)
     ref = kerr.conserved(state0, params)

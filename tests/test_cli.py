@@ -191,6 +191,14 @@ class TestFlowIntegrate:
         assert failures and failures[0]["type"] == "ChartExit"
         assert not (out / "orbit.csv").exists()
 
+    @pytest.mark.parametrize("key", ["orbit.theta = 0", "orbit.r = 2.0000001"])
+    def test_start_outside_chart_is_config_error(self, tmp_path, key):
+        code, out = run_cli(
+            tmp_path, "flow-integrate", f"{key}\norbit.time = 2\n"
+        )
+        assert code == 2
+        assert not (out / "orbit.csv").exists()
+
 
 class TestSpectrumGap:
     def test_sweep_artifacts_and_exit(self, tmp_path, capsys):
@@ -281,6 +289,14 @@ class TestCertifyAndPerturb:
         assert cert["spin"] == 0.0
         rates = [s["normal_exponent"] for s in cert["beta_samples"]]
         assert min(rates) > 0.0
+
+    def test_too_short_horizon_is_config_error(self, tmp_path, capsys):
+        code, out = run_cli(
+            tmp_path, "trap-certify", "horizon = 0.1\na_list = 0.0\n"
+        )
+        assert code == 2
+        assert "too short" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
 
     def test_perturb_short_horizon(self, tmp_path, capsys):
         code, out = run_cli(

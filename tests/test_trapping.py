@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from nhtrap import trapping
+from nhtrap import flow, models, trapping
 from nhtrap.errors import (
     DegenerateCritical,
     DomainError,
@@ -129,43 +130,28 @@ class TestFamilyAndShell:
             g_eq = fam.grad6(orbit.embed(u_eq))
             assert abs(g_eq[0]) < 1e-9
 
-    def test_fast_rhs_matches_generic_blocks(self):
-        for spin, eps in ((0.35, 0.0), (0.2, 0.01)):
-            bump = None
-            if eps:
-                from nhtrap.models import BumpPattern
-
-                bump = BumpPattern(3, (3.0, 0.0), span=0.6)
-            fam = trapping.ReducedFamily(KerrParams(1.0, spin), bump, eps)
-            orbit = trapping.ShellOrbit(fam, 1.7, 0.0)
-            rng = np.random.default_rng(13)
-            for _ in range(6):
-                u = np.asarray(
-                    [
-                        rng.uniform(1.0, np.pi - 1.0),
-                        rng.uniform(0, 2 * np.pi),
-                        rng.uniform(-2, 2),
-                        orbit.beta,
-                    ]
-                )
-                w = rng.standard_normal(6)
-                W = rng.standard_normal((4, 3))
-                V = rng.standard_normal((4, 4))
-                du, A6, M4 = orbit.blocks(u)
-                ref = np.concatenate([du, A6 @ w, (M4 @ W).ravel()])
-                fast = orbit.fast_joint_rhs(np.concatenate([u, w, W.ravel()]))
-                assert np.max(np.abs(fast - ref)) < 1e-11 * (
-                    1 + np.max(np.abs(ref))
-                )
-                ref_v = np.concatenate([du, (M4 @ V).ravel()])
-                fast_v = orbit.fast_orbit_var_rhs(np.concatenate([u, V.ravel()]))
-                assert np.max(np.abs(fast_v - ref_v)) < 1e-11 * (
-                    1 + np.max(np.abs(ref_v))
-                )
-                fast_w = orbit.fast_vec_rhs(np.concatenate([u, w]))
-                assert np.max(np.abs(fast_w - ref[:10])) < 1e-11 * (
-                    1 + np.max(np.abs(ref))
-                )
+    def test_exact_structure_matches_full_flow(self):
+        # independent oracle: the six-dimensional variational flow of the
+        # full Kerr model from the embedded start, past one theta-period
+        params = KerrParams(1.0, 0.35)
+        orbit = trapping.ShellOrbit(trapping.ReducedFamily(params), 1.7, 0.0)
+        cocycle = orbit.tangent_cocycle(1.5, tol=1e-12)
+        A6 = orbit.blocks(orbit.u0)[1]
+        seed_plus, seed_minus = orbit.normal_seeds()
+        L = orbit.embed_diff
+        model = models.full_kerr_model(params)
+        for t in (0.4, 0.9, 1.5, -0.7, -1.5):
+            J6 = flow.tangent_flow(model, orbit.embed(orbit.u0), t, tol=1e-12)
+            diff = np.abs(J6 @ L - L @ cocycle(t))
+            assert np.max(diff[:, :3]) < 1e-10
+            # the beta column carries the difference-quotient saddle
+            # derivative, whose rounding the normal flow amplifies
+            assert np.max(diff[:, 3]) < 1e-10 * np.linalg.norm(expm(t * A6), 2)
+            seed = seed_plus if t > 0 else seed_minus
+            exact = np.linalg.norm(expm(t * A6) @ seed)
+            assert math.log(np.linalg.norm(J6 @ seed)) == pytest.approx(
+                math.log(exact), abs=1e-9
+            )
 
     def test_long_orbit_conservation(self):
         drift, jac, end = trapping.integrate_shell_orbit(
@@ -193,8 +179,10 @@ class TestCertify:
             assert s.invariance_angle <= trapping.INVARIANCE_ANGLE_MAX
 
     def test_bad_horizon(self):
-        with pytest.raises(InvalidHorizon):
-            trapping.certify(0.0, KerrParams(), horizon=0.0)
+        # 0.1 and 2.0 leave no room for the invariance re-seed
+        for horizon in (0.0, 0.1, 2.0):
+            with pytest.raises(InvalidHorizon):
+                trapping.certify(0.0, KerrParams(), horizon=horizon)
 
     def test_certificate_dict_schema(self):
         cert = trapping.certify(0.0, KerrParams(), horizon=4.0, n_beta=2)
