@@ -12,7 +12,7 @@ import numpy as np
 FLOAT_FORMAT = "%.12g"
 
 GAPS_HEADER = ("h", "gap", "nu", "norm_axis_z0", "runtime_s")
-EIGENVALUES_HEADER = ("h", "re_z", "im_z", "residual")
+EIGENVALUES_HEADER = ("h", "re_z", "im_z", "residual", "condition")
 ORBIT_HEADER = (
     "t",
     "r",

@@ -4,9 +4,20 @@ Builds discretized operators A = P - i*diag(W) where P is the symmetric
 finite-difference realization of (h D) m(x) (h D) + v(x) with Dirichlet
 ends, W is a smooth absorber supported near the ends, and v has a
 nondegenerate barrier top inside the absorber-free region.  Provides the
-non-self-adjoint spectrum near the barrier energy, the spectral gap and
-its h-sweeps, resolvent norms on and near the real axis, and semigroup
-decay demos.
+non-self-adjoint spectrum near the barrier energy, the spectral gap,
+resolvent norms on and near the real axis, and semigroup decay demos.
+
+Every solve works on the banded sparse matrix.  Eigenvalues come from a
+box |Re z| < window, bottom < Im z <= 0, covered by cells (strips of Re z
+with shifts on the mid-line when the box is wider than deep); each cell
+runs ARPACK shift-invert from the shift at its centre through one sparse
+LU and is accepted once its nearest eigenvalues reach past the cell's
+far corner, so no eigenvalue in the box is missed and none is counted
+twice.  Since A is complex symmetric (A^T = A), the left
+eigenvector of a right eigenvector r is conj(r), and each eigenvalue's
+condition number ||r||^2 / |r^T r| comes with it at no extra solve.  The
+resolvent norm 1/sigma_min(A - z) is the top eigenvalue of the Hermitian
+(A - z)^{-H} (A - z)^{-1}, found by ``eigsh`` through one sparse LU.
 
 Three model kinds are built in: ``toy_sech2`` (v = sech^2 x - 1, flat
 mass), ``schw_radial`` (v = k*Delta/r^4 - 1, m = Delta^2/r^4, the
@@ -40,9 +51,9 @@ MODEL_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
 
 DEFAULT_WINDOW = 0.3  # half-width of the real-part window around z = 0
 FLOOR_FACTOR = -1.0  # reported-list floor, in units of h below the axis
-DENSE_CAP = 4000  # largest matrix sent to the dense eigensolver
 RESIDUAL_TOL = 1e-8
-SHIFT_COUNT = 12  # shift-invert probes across the window above the cap
+K_START = 16  # nearest eigenvalues first asked of each shift
+K_CAP = 64  # most asked of one shift before its cell splits
 RESOLUTION_FACTOR = 3.0  # grid points per semiclassical radian
 DISSIPATIVITY_TOL = 1e-9
 
@@ -144,9 +155,10 @@ class CapProblem:
 class SpectrumReport:
     """Windowed spectrum of one absorbing-barrier problem.
 
-    ``eigenvalues`` holds the floor-filtered list for reporting; ``gap``
-    is computed from every window eigenvalue before the floor is applied,
-    and ``nu`` = gap/h.  ``resolvent_axis`` pairs each probed real z with
+    ``eigenvalues`` holds the floor-filtered list for reporting, with
+    residuals and condition numbers; ``gap`` is the distance from the
+    axis to the top window eigenvalue, above the floor or not, and
+    ``nu`` = gap/h.  ``resolvent_axis`` pairs each probed real z with
     the discrete resolvent norm there.
     """
 
@@ -157,6 +169,7 @@ class SpectrumReport:
     floor: float
     eigenvalues: np.ndarray
     residuals: np.ndarray
+    conditions: np.ndarray
     gap: float
     nu: float
     resolvent_axis: tuple
@@ -668,84 +681,133 @@ def _assemble(problem: CapProblem):
     return a_real, problem.absorber.copy()
 
 
-def discretize(problem: CapProblem) -> np.ndarray:
-    """Dense complex matrix A = P - i*diag(W), structurally dissipative."""
-    if problem.n_points > 6000:
-        raise DomainError(
-            f"{problem.n_points} points is too large for a dense matrix; "
-            "use discretize_sparse"
-        )
-    a_real, absorber = _assemble(problem)
-    matrix = a_real.toarray().astype(complex)
-    matrix[np.diag_indices_from(matrix)] -= 1j * absorber
-    return matrix
-
-
 def discretize_sparse(problem: CapProblem) -> sp.csc_matrix:
-    """Sparse counterpart of :func:`discretize` (banded, csc)."""
+    """Banded complex matrix A = P - i*diag(W), structurally dissipative."""
     a_real, absorber = _assemble(problem)
     return (a_real.astype(complex) - 1j * sp.diags(absorber)).tocsc()
 
 
 def _certify(matrix, zs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Relative eigenpair residuals ||A v - z v|| / ||v||, vectorized."""
-    if zs.size == 0:
-        return np.zeros(0)
     residual = matrix @ vecs - vecs * zs[None, :]
     return np.linalg.norm(residual, axis=0) / np.linalg.norm(vecs, axis=0)
 
 
-def _eig_dense(matrix: np.ndarray, window: float):
-    zs, vecs = sla.eig(matrix)
-    worst = float(np.max(zs.imag)) if zs.size else 0.0
-    if worst > DISSIPATIVITY_TOL:
+def _conditions(vecs: np.ndarray) -> np.ndarray:
+    """Eigenvalue condition numbers ||r||^2 / |r^T r|, one per column.
+
+    A is complex symmetric, so the left eigenvector of r is conj(r).
+    """
+    return np.linalg.norm(vecs, axis=0) ** 2 / np.abs(np.sum(vecs * vecs, axis=0))
+
+
+def _range_bottom(matrix) -> float:
+    """Lowest Im z of the numerical range: min Im diag(A) = -max W."""
+    return float(np.min(matrix.diagonal().imag))
+
+
+def _require_dissipative(zs: np.ndarray) -> None:
+    if np.max(zs.imag) > DISSIPATIVITY_TOL:
         raise ConvergenceFailure(
-            f"eigenvalue with Im z = {worst:.3e} > 0 breaks dissipativity"
+            f"eigenvalue with Im z = {np.max(zs.imag):.3e} > 0 breaks dissipativity"
         )
-    keep = np.abs(zs.real) < window
-    zs = zs[keep]
-    residuals = _certify(matrix, zs, vecs[:, keep])
-    return zs, residuals
 
 
-def _eig_shift_invert(matrix: sp.csc_matrix, window: float, k_per_shift: int):
+def _dense_eigenpairs(matrix, window: float, bottom: float):
+    zs, vecs = sla.eig(matrix.toarray())
+    _require_dissipative(zs)
+    keep = (np.abs(zs.real) < window) & (zs.imag > bottom)
+    return zs[keep], vecs[:, keep]
+
+
+def _box_eigenpairs(matrix, window: float, bottom: float):
+    """Every eigenpair with |Re z| < window and bottom < Im z <= 0.
+
+    The box is covered by cells, at first the whole box.  Each cell runs
+    ARPACK shift-invert from one shift at its centre through one sparse
+    LU.  The k eigenvalues nearest the shift are all the eigenvalues in
+    the disk out to the k-th of them, so once that disk reaches past the
+    cell's far corner, none in the cell is missed.  Until then k doubles
+    up to K_CAP.  A cell that stays uncovered, or owns an eigenpair whose
+    residual misses the certification tolerance, splits its longer side
+    in two.  A box wider than it is deep thus splits into strips of Re z
+    with their shifts on its mid-line.  Each cell keeps only the
+    eigenvalues it owns, so none is reported twice.
+    """
     n = matrix.shape[0]
-    k = min(k_per_shift, n - 2)
-    shifts = np.linspace(-window, window, SHIFT_COUNT)
+    k_cap = min(K_CAP, n - 2)
+    identity = sp.identity(n, dtype=complex, format="csc")
     # fixed start vector: keeps repeated solves bit-reproducible across
     # processes and thread schedules
     rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cells = [(-window, window, bottom, DISSIPATIVITY_TOL)]
     found_z, found_v = [], []
-    for shift in shifts:
+    while cells:
+        lo, hi, bot, top = cells.pop()
+        shift = complex(0.5 * (lo + hi), 0.5 * (bot + top))
+        corner = math.hypot(0.5 * (hi - lo), 0.5 * (top - bot))
         try:
-            zs, vecs = spla.eigs(
-                matrix, k=k, sigma=complex(shift), which="LM", v0=v0
-            )
-        except (spla.ArpackError, spla.ArpackNoConvergence, RuntimeError) as exc:
+            lu = spla.splu((matrix - shift * identity).tocsc())
+        except RuntimeError as exc:
             raise ConvergenceFailure(
-                f"shift-invert failed at shift {shift:g}: {exc}", shift=shift
+                f"shift {shift:.6g} is an eigenvalue", shift=shift
             ) from exc
-        found_z.append(zs)
-        found_v.append(vecs)
-    zs = np.concatenate(found_z)
-    vecs = np.concatenate(found_v, axis=1)
-    worst = float(np.max(zs.imag)) if zs.size else 0.0
-    if worst > DISSIPATIVITY_TOL:
-        raise ConvergenceFailure(
-            f"eigenvalue with Im z = {worst:.3e} > 0 breaks dissipativity"
+        inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+        k = min(K_START, k_cap)
+        while True:
+            try:
+                zs, vecs = spla.eigs(
+                    matrix, k=k, sigma=shift, OPinv=inverse, v0=v0
+                )
+            except spla.ArpackError as exc:
+                raise ConvergenceFailure(
+                    f"shift-invert failed at shift {shift:.6g}: {exc}",
+                    shift=shift,
+                ) from exc
+            _require_dissipative(zs)
+            covered = float(np.max(np.abs(zs - shift))) > corner
+            if covered or k == k_cap:
+                break
+            k = min(2 * k, k_cap)
+        own = (
+            (zs.real >= lo)
+            & (zs.real < hi)
+            & (np.abs(zs.real) < window)
+            & (zs.imag > bot)
+            & (zs.imag <= top)
         )
-    keep = np.abs(zs.real) < window
-    zs, vecs = zs[keep], vecs[:, keep]
-    # collapse duplicates found from neighboring shifts
-    order = np.lexsort((zs.imag, zs.real))
-    zs, vecs = zs[order], vecs[:, order]
-    unique = np.ones(zs.size, dtype=bool)
-    for i in range(1, zs.size):
-        if abs(zs[i] - zs[i - 1]) < 1e-9 * max(1.0, abs(zs[i])):
-            unique[i] = False
-    zs, vecs = zs[unique], vecs[:, unique]
-    return zs, _certify(matrix, zs, vecs)
+        zs, vecs = zs[own], vecs[:, own]
+        if covered and np.all(_certify(matrix, zs, vecs) < RESIDUAL_TOL):
+            found_z.append(zs)
+            found_v.append(vecs)
+            continue
+        if corner < 1e-6 * window:
+            raise ConvergenceFailure(
+                f"no certified eigenpairs from {k} near shift {shift:.6g}",
+                shift=shift,
+            )
+        if hi - lo >= top - bot:
+            mid = 0.5 * (lo + hi)
+            cells += [(mid, hi, bot, top), (lo, mid, bot, top)]
+        else:
+            mid = 0.5 * (bot + top)
+            cells += [(lo, hi, mid, top), (lo, hi, bot, mid)]
+    return np.concatenate(found_z), np.concatenate(found_v, axis=1)
+
+
+def _eigenpairs(matrix, window: float, floor: float | None, method: str):
+    """Window eigenpairs of a csc matrix above ``floor``, by descending
+    imaginary part."""
+    # no eigenvalue lies below the numerical range; the slack mirrors the
+    # dissipativity tolerance above the axis
+    bottom = _range_bottom(matrix) - DISSIPATIVITY_TOL
+    if floor is not None:
+        bottom = max(bottom, floor)
+    solve = _box_eigenpairs if method == "box" else _dense_eigenpairs
+    zs, vecs = solve(matrix, window, bottom)
+    order = np.lexsort((zs.real, -zs.imag))
+    return zs[order], vecs[:, order]
 
 
 def eigenvalues(
@@ -753,38 +815,45 @@ def eigenvalues(
     window: float = DEFAULT_WINDOW,
     floor: float | None = None,
     *,
-    method: str = "auto",
-    k_per_shift: int = 60,
+    method: str = "box",
 ):
-    """Certified eigenvalues with |Re z| < window (and Im z > floor if set).
+    """Certified eigenvalues with |Re z| < window and Im z > floor.
 
-    Dense solve up to the size cap, shift-invert probing above it; every
-    returned eigenvalue carries a relative residual, and any residual at
-    or above the certification tolerance raises ConvergenceFailure.
-    Returns (values, residuals) sorted by descending imaginary part.
+    ``floor=None`` means the bottom of the numerical range, below which
+    no eigenvalue lies.  The box path works on the sparse matrix;
+    ``method="dense"`` solves the same box densely in O(n^3) and is kept
+    as a test oracle at small n.  Every returned eigenvalue carries a
+    relative residual, and any residual at or above the certification
+    tolerance raises ConvergenceFailure.  Returns (values, residuals,
+    condition numbers) sorted by descending imaginary part.
     """
-    if method not in ("auto", "dense", "shift_invert"):
+    if method not in ("box", "dense"):
         raise DomainError(f"unknown eigensolve method {method!r}")
-    n = matrix.shape[0]
     if matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"matrix is not square: {matrix.shape}")
-    dense = method == "dense" or (method == "auto" and n <= DENSE_CAP)
-    if dense:
-        full = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-        zs, residuals = _eig_dense(full.astype(complex), window)
-    else:
-        sparse = matrix if sp.issparse(matrix) else sp.csc_matrix(matrix)
-        zs, residuals = _eig_shift_invert(sparse.tocsc(), window, k_per_shift)
-    if floor is not None:
-        keep = zs.imag > floor
-        zs, residuals = zs[keep], residuals[keep]
+    matrix = sp.csc_matrix(matrix, dtype=complex)
+    zs, vecs = _eigenpairs(matrix, window, floor, method)
+    residuals = _certify(matrix, zs, vecs)
     if zs.size and np.max(residuals) >= RESIDUAL_TOL:
         i = int(np.argmax(residuals))
         raise ConvergenceFailure(
             f"eigenpair at z = {zs[i]:.6g} has residual {residuals[i]:.3e}"
         )
-    order = np.lexsort((zs.real, -zs.imag))
-    return zs[order], residuals[order]
+    return zs, residuals, _conditions(vecs)
+
+
+def _shallowest(search, floor: float, matrix):
+    """``search(bottom)`` from ``floor`` down, doubling the depth while it
+    finds nothing, until the box holds the whole numerical range."""
+    lowest = _range_bottom(matrix)
+    bottom = floor
+    while True:
+        found = search(bottom)
+        if found[0].size:
+            return found
+        if bottom <= lowest:
+            raise ConvergenceFailure("no window eigenvalue below the axis")
+        bottom *= 2.0
 
 
 def spectral_gap(
@@ -793,27 +862,25 @@ def spectral_gap(
     window: float = DEFAULT_WINDOW,
     floor_factor: float = FLOOR_FACTOR,
     axis_points=(0.0,),
-    method: str = "auto",
 ) -> SpectrumReport:
     """Windowed spectrum report with gap, nu = gap/h, and axis norms.
 
-    The gap is the distance from the axis to the closest window
-    eigenvalue; the floor (floor_factor * h below the axis) only trims
-    the reported eigenvalue list, never the gap computation.
+    The box search starts at the floor (floor_factor * h below the axis)
+    and doubles its depth while it finds nothing, so the gap is always
+    the distance from the axis to the top window eigenvalue; the floor
+    only trims the reported eigenvalue list.
     """
     start = time.perf_counter()
-    n = problem.n_points
-    if n <= DENSE_CAP and method != "shift_invert":
-        matrix = discretize(problem)
-    else:
-        matrix = discretize_sparse(problem)
-    zs, residuals = eigenvalues(matrix, window=window, floor=None, method=method)
-    if zs.size == 0:
-        raise ConvergenceFailure(
-            f"no eigenvalues inside |Re z| < {window:g} at h={problem.h:g}"
-        )
-    gap = float(-np.max(zs.imag))
     floor = floor_factor * problem.h
+    if not floor < 0.0:
+        raise DomainError(f"floor factor must be negative, got {floor_factor:g}")
+    matrix = discretize_sparse(problem)
+    zs, residuals, conditions = _shallowest(
+        lambda bottom: eigenvalues(matrix, window=window, floor=bottom),
+        floor,
+        matrix,
+    )
+    gap = float(-zs[0].imag)
     keep = zs.imag > floor
     axis = tuple(
         (float(z), resolvent_norm(problem, float(z))) for z in axis_points
@@ -821,94 +888,17 @@ def spectral_gap(
     return SpectrumReport(
         kind=problem.kind,
         h=problem.h,
-        n_points=n,
+        n_points=problem.n_points,
         window=window,
         floor=floor,
         eigenvalues=zs[keep],
         residuals=residuals[keep],
+        conditions=conditions[keep],
         gap=gap,
         nu=gap / problem.h,
         resolvent_axis=axis,
         runtime_s=time.perf_counter() - start,
     )
-
-
-def gap_sweep(
-    kind: str,
-    params=None,
-    h_list=(0.1, 0.05, 0.025, 0.0125),
-    *,
-    order: int = 4,
-    window: float = DEFAULT_WINDOW,
-    floor_factor: float = FLOOR_FACTOR,
-    resolution_factor: float = RESOLUTION_FACTOR,
-    profile: str | None = None,
-    ramps=None,
-    margins=None,
-    axis_points=(0.0,),
-) -> dict:
-    """Gap and nu across a strictly descending h list, one problem per h.
-
-    Returns row dicts (h, gap, nu, norm_axis_z0, runtime_s, n_points)
-    plus the sweep summary: the empirical rate floor min(nu), the
-    relative nu spread of the two smallest h, and a pass flag requiring
-    every gap positive and that spread at most 15%.
-    """
-    h_list = [float(h) for h in h_list]
-    if len(h_list) < 1:
-        raise DomainError("empty h list")
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise DomainError(f"h list must be strictly descending: {h_list}")
-    rows = []
-    reports = []
-    for h in h_list:
-        problem = build_model(
-            kind,
-            params,
-            h,
-            order=order,
-            profile=profile,
-            ramps=ramps,
-            margins=margins,
-            resolution_factor=resolution_factor,
-        )
-        report = spectral_gap(
-            problem,
-            window=window,
-            floor_factor=floor_factor,
-            axis_points=axis_points,
-        )
-        reports.append(report)
-        norm_z0 = next(
-            (norm for z, norm in report.resolvent_axis if z == 0.0),
-            report.resolvent_axis[0][1] if report.resolvent_axis else float("nan"),
-        )
-        rows.append(
-            {
-                "h": h,
-                "gap": report.gap,
-                "nu": report.nu,
-                "norm_axis_z0": norm_z0,
-                "runtime_s": report.runtime_s,
-                "n_points": report.n_points,
-            }
-        )
-    nus = [row["nu"] for row in rows]
-    consistency = None
-    if len(nus) >= 2:
-        consistency = abs(nus[-1] - nus[-2]) / abs(nus[-2])
-    passed = all(row["gap"] > 0.0 for row in rows) and (
-        consistency is None or consistency <= 0.15
-    )
-    return {
-        "kind": kind,
-        "order": order,
-        "rows": rows,
-        "reports": reports,
-        "nu_floor": min(nus),
-        "nu_consistency": consistency,
-        "passed": passed,
-    }
 
 
 def resolvent_norm(
@@ -920,37 +910,42 @@ def resolvent_norm(
 ) -> float:
     """Discrete resolvent norm 1/sigma_min(A - z).
 
-    Power iteration on (A - z)^{-H} (A - z)^{-1} through a sparse LU
-    factorization; the estimate approaches the true norm from below, so
-    an under-converged value can never overstate the norm.  An exactly
+    ``eigsh`` (k = 1) finds the top eigenvalue 1/sigma_min^2 of the
+    Hermitian (A - z)^{-H} (A - z)^{-1}, applied through one sparse LU;
+    ``tol`` is ARPACK's relative tolerance and ``max_iter`` its limit on
+    restarts, past which ConvergenceFailure is raised.  An exactly
     singular shift reports +inf.
     """
+    n = problem.n_points
     matrix = discretize_sparse(problem) - complex(z) * sp.identity(
-        problem.n_points, dtype=complex, format="csc"
+        n, dtype=complex, format="csc"
     )
     try:
         lu = spla.splu(matrix.tocsc())
     except RuntimeError:
         return float("inf")
+    gram_inverse = spla.LinearOperator(
+        (n, n), matvec=lambda v: lu.solve(lu.solve(v), trans="H"), dtype=complex
+    )
     rng = np.random.default_rng(1234)
-    vec = rng.standard_normal(problem.n_points) + 0.25
-    vec = vec / np.linalg.norm(vec)
-    sigma_sq = 0.0
-    for _ in range(max_iter):
-        forward = lu.solve(vec)
-        back = lu.solve(forward, trans="H")
-        new_sigma_sq = float(np.real(np.vdot(vec, back)))
-        norm = np.linalg.norm(back)
-        if norm == 0.0 or not math.isfinite(norm):
-            return float("inf")
-        vec = back / norm
-        if abs(new_sigma_sq - sigma_sq) <= tol * abs(new_sigma_sq):
-            sigma_sq = new_sigma_sq
-            break
-        sigma_sq = new_sigma_sq
-    if sigma_sq <= 0.0:
-        return float("inf")
-    return math.sqrt(sigma_sq)
+    v0 = (rng.standard_normal(n) + 0.25).astype(complex)
+    try:
+        top = spla.eigsh(
+            gram_inverse,
+            k=1,
+            v0=v0,
+            tol=tol,
+            maxiter=max_iter,
+            return_eigenvectors=False,
+        )
+    except spla.ArpackError as exc:
+        raise ConvergenceFailure(
+            f"resolvent norm at z = {complex(z):.6g} failed to converge "
+            f"in {max_iter} restarts: {exc}",
+            shift=complex(z),
+        ) from exc
+    sigma_sq = float(top[0])
+    return math.sqrt(sigma_sq) if sigma_sq > 0.0 else float("inf")
 
 
 def saddle_generator(problem: CapProblem) -> np.ndarray:
@@ -991,16 +986,13 @@ def gaussian_state(
 
 def slowest_mode(problem: CapProblem, *, window: float = DEFAULT_WINDOW):
     """Window eigenpair closest to the axis, as (z, unit eigenvector)."""
-    if problem.n_points > DENSE_CAP:
-        raise DomainError("slowest-mode extraction needs a dense-size grid")
-    matrix = discretize(problem)
-    zs, vecs = sla.eig(matrix)
-    keep = np.flatnonzero(np.abs(zs.real) < window)
-    if keep.size == 0:
-        raise ConvergenceFailure(f"no eigenvalues inside |Re z| < {window:g}")
-    best = keep[np.argmax(zs.imag[keep])]
-    vec = vecs[:, best]
-    return complex(zs[best]), vec / np.linalg.norm(vec)
+    matrix = discretize_sparse(problem)
+    zs, vecs = _shallowest(
+        lambda bottom: _eigenpairs(matrix, window, bottom, "box"),
+        FLOOR_FACTOR * problem.h,
+        matrix,
+    )
+    return complex(zs[0]), vecs[:, 0] / np.linalg.norm(vecs[:, 0])
 
 
 def evolve_norms(

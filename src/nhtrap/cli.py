@@ -222,6 +222,12 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
     return out
 
 
+def _eigenvalue_rows(report) -> list:
+    zs = report.eigenvalues
+    columns = (zs.real, zs.imag, report.residuals, report.conditions)
+    return [(report.h, *row) for row in zip(*columns)]
+
+
 def _gap_job(cfg: RunConfig, h: float):
     problem = capspec.build_model(
         cfg.model, _spectrum_params(cfg), h=h
@@ -241,8 +247,7 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
         gap_rows.append(
             (report.h, report.gap, report.nu, norm_z0, report.runtime_s)
         )
-        for z, residual in zip(report.eigenvalues, report.residuals):
-            eig_rows.append((report.h, z.real, z.imag, residual))
+        eig_rows += _eigenvalue_rows(report)
         out.summaries.append(
             f"spectrum-gap {cfg.model} h={report.h:g}: "
             f"gap={report.gap:.6g}, nu={report.nu:.6g}, "
@@ -275,19 +280,21 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
     return out
 
 
+def uhp_samples(window: float, seed: int) -> list:
+    """The seeded upper-half-plane points spectrum-resolvent probes."""
+    rng = np.random.default_rng(seed)
+    return [
+        complex(rng.uniform(-window, window), window * (1.0 - rng.uniform()))
+        for _ in range(UHP_SAMPLES)
+    ]
+
+
 def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
     problem = capspec.build_model(
         cfg.model, _spectrum_params(cfg), h=cfg.h
     )
     report = capspec.spectral_gap(problem, window=cfg.window)
-    rng = np.random.default_rng(cfg.seed)
-    samples = [
-        complex(
-            rng.uniform(-cfg.window, cfg.window),
-            cfg.window * (1.0 - rng.uniform(0.0, 1.0)),
-        )
-        for _ in range(UHP_SAMPLES)
-    ]
+    samples = uhp_samples(cfg.window, cfg.seed)
     norms = _run_jobs(
         [partial(capspec.resolvent_norm, problem, z) for z in samples],
         workers,
@@ -318,10 +325,7 @@ def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
     )
     out.csvs["eigenvalues.csv"] = (
         artifacts.EIGENVALUES_HEADER,
-        [
-            (report.h, z.real, z.imag, residual)
-            for z, residual in zip(report.eigenvalues, report.residuals)
-        ],
+        _eigenvalue_rows(report),
     )
     return out
 
@@ -357,15 +361,14 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
         )
 
     def integrate():
-        rows = [row_at(start, 0.0)]
-        state = start
+        # integrate_flow checks the chart before any row evaluates p
+        states = [start]
         for t_prev, t_next in zip(times, times[1:]):
             result = integrate_flow(
-                model, state, t_next - t_prev, tol=tol, with_jacobian=False
+                model, states[-1], t_next - t_prev, tol=tol, with_jacobian=False
             )
-            state = result.end_state
-            rows.append(row_at(state, float(t_next)))
-        return rows
+            states.append(result.end_state)
+        return [row_at(state, float(t)) for state, t in zip(states, times)]
 
     rows = _run_jobs([integrate], workers)[0]
     out = Outcome()

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from nhtrap import capspec, trapping
+from nhtrap import capspec, cli, trapping
 from nhtrap.errors import (
     ConvergenceFailure,
     DomainError,
@@ -23,7 +24,7 @@ def toy_problem():
 
 @pytest.fixture(scope="module")
 def toy_window(toy_problem):
-    matrix = capspec.discretize(toy_problem)
+    matrix = capspec.discretize_sparse(toy_problem)
     return capspec.eigenvalues(matrix, window=0.3, floor=None)
 
 
@@ -140,7 +141,7 @@ class TestBuildModel:
 class TestDiscretization:
     def test_order2_exact_discrete_spectrum(self):
         ref = capspec.laplacian_reference(h=0.1, n_points=160, order=2)
-        matrix = capspec.discretize(ref)
+        matrix = capspec.discretize_sparse(ref).toarray()
         vals = np.sort(np.linalg.eigvalsh(matrix.real))
         n, dx, h = ref.n_points, ref.dx, ref.h
         j = np.arange(1, n + 1)
@@ -153,18 +154,19 @@ class TestDiscretization:
         errs = []
         for n in (100, 200, 400):
             ref = capspec.laplacian_reference(h=0.1, n_points=n, order=4)
-            vals = np.sort(np.linalg.eigvalsh(capspec.discretize(ref).real))
+            matrix = capspec.discretize_sparse(ref).toarray()
+            vals = np.sort(np.linalg.eigvalsh(matrix.real))
             exact = (0.1 * np.arange(1, 4)) ** 2
             errs.append(np.max(np.abs(vals[:3] - exact)))
         rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(rates) > 3.5
 
     def test_matrix_symmetry(self, toy_problem):
-        matrix = capspec.discretize(toy_problem)
-        assert np.max(np.abs(matrix - matrix.T)) == 0.0
+        matrix = capspec.discretize_sparse(toy_problem)
+        assert abs(matrix - matrix.T).max() == 0.0
 
     def test_numerical_range_identity(self, toy_problem):
-        matrix = capspec.discretize(toy_problem)
+        matrix = capspec.discretize_sparse(toy_problem)
         rng = np.random.default_rng(7)
         for _ in range(6):
             u = rng.standard_normal(toy_problem.n_points) + 1j * rng.standard_normal(
@@ -178,7 +180,9 @@ class TestDiscretization:
 
     def test_absorber_free_is_self_adjoint(self):
         p = capspec.build_model("toy_sech2", h=0.1, absorber_scale=0.0)
-        vals, _ = capspec.eigenvalues(capspec.discretize(p), window=0.3, floor=None)
+        vals, _, _ = capspec.eigenvalues(
+            capspec.discretize_sparse(p), window=0.3, floor=None
+        )
         assert np.max(np.abs(vals.imag)) < 1e-10
 
 
@@ -186,7 +190,7 @@ class TestEigenvalues:
     def test_toy_string_oracle(self, toy_window):
         # barrier-top string of the exactly solvable flat-well twin:
         # z_n = -h^2(1/4+(n+1/2)^2) - i(2n+1)h*sqrt(1-h^2/4)
-        zs, _ = toy_window
+        zs, _, _ = toy_window
         h = 0.05
         tols = (1e-4, 5e-3, 5e-2)
         for n, tol in enumerate(tols):
@@ -197,15 +201,15 @@ class TestEigenvalues:
             assert np.min(np.abs(zs - zexp)) < tol
 
     def test_residual_certification(self, toy_window):
-        _, residuals = toy_window
+        _, residuals, _ = toy_window
         assert residuals.size > 0
         assert np.max(residuals) < capspec.RESIDUAL_TOL
 
     def test_dense_matches_shift_invert(self):
         p = capspec.build_model("toy_sech2", h=0.1, grid=(-4.0, 4.0, 1000))
         matrix = capspec.discretize_sparse(p)
-        zd, _ = capspec.eigenvalues(matrix, method="dense")
-        zi, _ = capspec.eigenvalues(matrix, method="shift_invert")
+        zd, _, _ = capspec.eigenvalues(matrix, method="dense")
+        zi, _, _ = capspec.eigenvalues(matrix)
         top_d = zd[np.argmax(zd.imag)]
         top_i = zi[np.argmax(zi.imag)]
         assert abs(top_d - top_i) < 1e-8
@@ -215,18 +219,52 @@ class TestEigenvalues:
         tops = []
         for n in (2000, 4000):
             p = capspec.build_model("toy_sech2", h=0.1, grid=(-4.0, 4.0, n))
-            zs, _ = capspec.eigenvalues(
-                capspec.discretize_sparse(p), method="shift_invert"
-            )
+            zs, _, _ = capspec.eigenvalues(capspec.discretize_sparse(p))
             tops.append(zs[np.argmax(zs.imag)])
         assert abs(tops[0] - tops[1]) < 1e-6
 
     def test_method_validation(self, toy_problem):
-        matrix = capspec.discretize(toy_problem)
+        matrix = capspec.discretize_sparse(toy_problem)
         with pytest.raises(DomainError):
-            capspec.eigenvalues(matrix, method="arnoldi")
+            capspec.eigenvalues(matrix, method="shift_invert")
         with pytest.raises(DomainError):
             capspec.eigenvalues(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize(
+        "kind, params, scale",
+        [
+            ("toy_sech2", None, 1.0),
+            ("toy_sech2", None, 0.0),
+            ("schw_radial", None, 1.0),
+            ("kerr_equatorial", {"spin": 0.5}, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("floor_factor", [-1.0, -6.0, None])
+    def test_box_matches_dense_oracle(self, kind, params, scale, floor_factor):
+        # absorber_scale = 0 is the absorber-free, all-real case
+        p = capspec.build_model(kind, params, h=0.1, absorber_scale=scale)
+        matrix = capspec.discretize_sparse(p)
+        floor = None if floor_factor is None else floor_factor * p.h
+        zd, rd, kd = capspec.eigenvalues(matrix, floor=floor, method="dense")
+        zb, rb, _ = capspec.eigenvalues(matrix, floor=floor)
+        assert zb.size == zd.size > 0
+        match = np.argmin(np.abs(zd[:, None] - zb[None, :]), axis=1)
+        assert np.unique(match).size == zb.size  # one-to-one, no duplicates
+        # an eigenvalue is only determined to its first-order perturbation
+        # bound kappa * residual; 1e-9 on top of that
+        assert np.all(np.abs(zd - zb[match]) <= 1e-9 + kd * (rd + rb[match]))
+
+    def test_condition_numbers_match_left_eigenvectors(self):
+        p = capspec.build_model("schw_radial", h=0.1)
+        matrix = capspec.discretize_sparse(p)
+        zs, _, kappa = capspec.eigenvalues(matrix, floor=-6.0 * p.h)
+        vals, left, right = sla.eig(matrix.toarray(), left=True)
+        for z, k in zip(zs, kappa):
+            i = int(np.argmin(np.abs(vals - z)))
+            y, r = left[:, i], right[:, i]
+            expected = np.linalg.norm(y) * np.linalg.norm(r) / abs(np.vdot(y, r))
+            assert k == pytest.approx(expected, rel=1e-6)
+        assert np.all(kappa >= 1.0 - 1e-12)
 
 
 class TestSpectralGap:
@@ -239,6 +277,8 @@ class TestSpectralGap:
         assert np.all(rep.eigenvalues.imag > rep.floor)
         assert np.all(np.abs(rep.eigenvalues.real) < rep.window)
         assert rep.resolvent_axis[0][0] == 0.0
+        with pytest.raises(DomainError):
+            capspec.spectral_gap(toy_problem, floor_factor=0.0)
 
     def test_floor_trims_list_not_gap(self, toy_problem):
         rep = capspec.spectral_gap(toy_problem)
@@ -261,29 +301,6 @@ class TestSpectralGap:
         refined = capspec.spectral_gap(p2)
         assert abs(refined.gap - base.gap) / base.gap < 0.01
 
-    def test_sweep_validation(self):
-        with pytest.raises(DomainError):
-            capspec.gap_sweep("toy_sech2", h_list=())
-        with pytest.raises(DomainError):
-            capspec.gap_sweep("toy_sech2", h_list=(0.05, 0.1))
-
-    def test_short_toy_sweep(self):
-        sweep = capspec.gap_sweep("toy_sech2", h_list=(0.1, 0.05))
-        assert sweep["passed"]
-        assert sweep["nu_floor"] > 0.9
-        assert sweep["nu_consistency"] < 0.15
-        for row in sweep["rows"]:
-            assert set(row) == {
-                "h",
-                "gap",
-                "nu",
-                "norm_axis_z0",
-                "runtime_s",
-                "n_points",
-            }
-            assert row["gap"] > 0.0
-            assert row["norm_axis_z0"] > 0.0
-
 
 class TestResolvent:
     def test_lower_bound_spectrum_distance(self, schw_problem):
@@ -303,9 +320,22 @@ class TestResolvent:
         assert capspec.resolvent_norm(toy_problem, -2.0) < 2.0
 
     def test_near_eigenvalue_blowup(self, toy_problem, toy_window):
-        zs, _ = toy_window
+        zs, _, _ = toy_window
         z0 = zs[np.argmax(zs.imag)]
         assert capspec.resolvent_norm(toy_problem, complex(z0)) > 1e5
+
+    def test_lanczos_matches_dense_svd(self, toy_problem):
+        # every fifth of the spectrum-resolvent samples at seed 1
+        matrix = capspec.discretize_sparse(toy_problem).toarray()
+        eye = np.eye(toy_problem.n_points)
+        for z in cli.uhp_samples(0.3, 1)[::5]:
+            exact = 1.0 / sla.svdvals(matrix - z * eye)[-1]
+            norm = capspec.resolvent_norm(toy_problem, z)
+            assert norm == pytest.approx(exact, rel=1e-10)
+
+    def test_nonconvergence_raises(self, toy_problem):
+        with pytest.raises(ConvergenceFailure):
+            capspec.resolvent_norm(toy_problem, complex(0.1, 0.3), max_iter=1)
 
 
 class TestSemigroup:

@@ -191,6 +191,7 @@ class TestFlowIntegrate:
         assert failures and failures[0]["type"] == "ChartExit"
         assert not (out / "orbit.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("key", ["orbit.theta = 0", "orbit.r = 2.0000001"])
     def test_start_outside_chart_is_config_error(self, tmp_path, key):
         code, out = run_cli(
@@ -216,12 +217,14 @@ class TestSpectrumGap:
         for line in gaps[1:]:
             h, gap, nu, norm_z0, _ = (float(c) for c in line.split(","))
             assert gap > 0.0 and norm_z0 > 0.0
+            assert nu > 0.9  # the toy's barrier-top string has nu -> 1
             # nu and gap are each rounded to 12 significant digits
             tol = 0.5 * last_digit(nu) + 0.5 * last_digit(gap) / h
             assert abs(nu - gap / h) <= tol + 1e-15 * nu
         eigs = (out / "eigenvalues.csv").read_text().splitlines()
-        assert eigs[0] == "h,re_z,im_z,residual"
+        assert eigs[0] == "h,re_z,im_z,residual,condition"
         assert all(float(line.split(",")[3]) < 1e-8 for line in eigs[1:])
+        assert all(float(line.split(",")[4]) >= 1.0 for line in eigs[1:])
         assert read_failures(out) == []
         assert not list(out.glob("*.tmp"))
 

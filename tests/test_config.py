@@ -148,6 +148,8 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             parse_config("command = spectrum-gap\nh_list = 0.1, -0.05\n")
         assert err.value.key == "h_list"
+        with pytest.raises(ParseError):
+            parse_config("command = spectrum-gap\nh_list =\n")
 
     def test_every_tolerance_positive(self):
         for name in DEFAULT_TOLERANCES:
