@@ -301,6 +301,19 @@ class TestSpectralGap:
         refined = capspec.spectral_gap(p2)
         assert abs(refined.gap - base.gap) / base.gap < 0.01
 
+    def test_short_toy_sweep(self):
+        reports = [
+            capspec.spectral_gap(capspec.build_model("toy_sech2", h=h))
+            for h in (0.1, 0.05)
+        ]
+        for rep in reports:
+            assert rep.gap > 0.0
+            assert rep.resolvent_axis[0][0] == 0.0
+            assert rep.resolvent_axis[0][1] > 0.0
+        nus = [rep.nu for rep in reports]
+        assert min(nus) > 0.9
+        assert abs(nus[1] - nus[0]) / abs(nus[0]) < 0.15
+
 
 class TestResolvent:
     def test_lower_bound_spectrum_distance(self, schw_problem):
