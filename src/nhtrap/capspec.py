@@ -20,10 +20,12 @@ resolvent norm 1/sigma_min(A - z) is the top eigenvalue of the Hermitian
 (A - z)^{-H} (A - z)^{-1}, found by ``eigsh`` through one sparse LU.
 
 Three model kinds are built in: ``toy_sech2`` (v = sech^2 x - 1, flat
-mass), ``schw_radial`` (v = k*Delta/r^4 - 1, m = Delta^2/r^4, the
-conformally rescaled radial barrier outside a nonrotating horizon), and
-``kerr_equatorial`` (same rescaling of the equatorial radial barrier at
-the critical angular momentum of a rotating exterior).
+mass), and two barriers built from ``kerr``: ``kerr_equatorial`` is the
+equatorial radial function V = v_beta(r) + (beta - a)^2 of a rotating
+exterior, at the beta of its prograde circular null orbit (closed form),
+rescaled to v = V*Delta/r^4 with mass weight m = Delta^2/r^4, and
+``schw_radial`` is the same barrier outside a nonrotating horizon (a = 0,
+where v = 27 M^2 Delta/r^4 - 1).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.integrate as integrate
@@ -39,13 +42,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .errors import (
-    ConvergenceFailure,
-    DomainError,
-    NewtonDiverged,
-    StepFailure,
-    UnderResolved,
-)
+from . import kerr
+from .errors import ConvergenceFailure, DomainError, StepFailure, UnderResolved
 
 MODEL_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
 
@@ -95,13 +93,10 @@ DEFAULT_MARGINS = {
 
 _DEFAULT_PARAMS = {
     "toy_sech2": {},
-    "schw_radial": {"mass": 1.0, "k_ang": 27.0},
-    "kerr_equatorial": {"mass": 1.0, "spin": 0.0, "branch": "prograde"},
+    "schw_radial": {"mass": 1.0},
+    "kerr_equatorial": {"mass": 1.0, "spin": 0.0},
 }
 
-_NEWTON_TOL = 1e-13
-_NEWTON_MAX_ITER = 80
-_CURV_STEP = 1e-3  # stencil step for numeric barrier curvature
 _MAX_AUTO_POINTS = 60_000
 
 
@@ -114,6 +109,8 @@ class CapProblem:
     n_points + 1 cell midpoints the flux stencils difference across.
     ``flat_lo``/``flat_hi`` bound the absorber-free region, and
     ``exponent`` is the barrier-top normal rate sqrt(2 m |v''|).
+    ``matrix`` is the operator A, assembled on first use and then shared
+    by every solve on the problem.
     """
 
     kind: str
@@ -150,6 +147,10 @@ class CapProblem:
     def flat_region(self) -> tuple:
         return (self.flat_lo, self.flat_hi)
 
+    @cached_property
+    def matrix(self) -> sp.csc_matrix:
+        return discretize_sparse(self)
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -157,9 +158,10 @@ class SpectrumReport:
 
     ``eigenvalues`` holds the floor-filtered list for reporting, with
     residuals and condition numbers; ``gap`` is the distance from the
-    axis to the top window eigenvalue, above the floor or not, and
-    ``nu`` = gap/h.  ``resolvent_axis`` pairs each probed real z with
-    the discrete resolvent norm there.
+    axis to the top window eigenvalue, above the floor or not,
+    ``nu`` = gap/h, and ``nu_ratio`` = nu/(mu/2) compares it with the
+    barrier-top rate mu (the problem's ``exponent``).  ``resolvent_axis``
+    pairs each probed real z with the discrete resolvent norm there.
     """
 
     kind: str
@@ -172,6 +174,7 @@ class SpectrumReport:
     conditions: np.ndarray
     gap: float
     nu: float
+    nu_ratio: float
     resolvent_axis: tuple
     runtime_s: float
 
@@ -260,71 +263,33 @@ def _depth_profile(
     return scale * w
 
 
-def _horizon_radius(mass: float, spin: float) -> float:
-    return mass + math.sqrt(mass * mass - spin * spin)
+def _kerr_params(params: dict) -> kerr.KerrParams:
+    """Black hole of a barrier kind; validates 0 <= spin < mass."""
+    return kerr.KerrParams(mass=params["mass"], spin=params.get("spin", 0.0))
 
 
-def _equatorial_critical(mass: float, spin: float, branch: str):
-    """Radius and angular momentum of the circular equatorial null orbit.
+def _critical_orbit(params: kerr.KerrParams):
+    """Radius r* and beta* = -b* of the prograde circular equatorial null orbit.
 
-    Solves V = V' = 0 for the radial function
-    V(r, b) = (b - a)^2 - ((r^2 + a^2) - a b)^2 / Delta,
-    seeded by the closed-form orbit radius, refined by a damped Newton
-    step on (V, V') with a finite-difference Jacobian.
+    Closed form: r* = 2M(1 + cos(2/3 acos(-a/M))) and
+    b* = a + 2 r* sqrt(Delta*) / (r* - M).  There V = V' = 0 for the
+    equatorial radial function V = v_beta(r) + (beta - a)^2.
     """
-    a = spin
-    sign = 1.0 if branch == "prograde" else -1.0
-
-    def val_and_slope(r: float, b: float):
-        delta = r * r - 2.0 * mass * r + a * a
-        u = (r * r + a * a) - a * b
-        val = (b - a) ** 2 - u * u / delta
-        slope = u * (2.0 * (r - mass) * u - 4.0 * r * delta) / delta**2
-        return val, slope
-
-    # closed-form seed; exact at a = 0 where the orbit sits at r = 3M
-    r0 = 2.0 * mass * (1.0 + math.cos((2.0 / 3.0) * math.acos(-sign * a / mass)))
-    delta0 = r0 * r0 - 2.0 * mass * r0 + a * a
-    u0 = 2.0 * r0 * delta0 / (r0 - mass)
-    b0 = a + sign * u0 / math.sqrt(delta0)
-
-    y = np.array([r0, b0])
-    for _ in range(_NEWTON_MAX_ITER):
-        f = np.array(val_and_slope(y[0], y[1]))
-        if np.hypot(f[0], f[1]) < _NEWTON_TOL * max(1.0, y[0] ** 2):
-            return float(y[0]), float(y[1])
-        jac = np.empty((2, 2))
-        for j in range(2):
-            step = 1e-7 * max(1.0, abs(y[j]))
-            yp = y.copy()
-            yp[j] += step
-            ym = y.copy()
-            ym[j] -= step
-            fp = np.array(val_and_slope(yp[0], yp[1]))
-            fm = np.array(val_and_slope(ym[0], ym[1]))
-            jac[:, j] = (fp - fm) / (2.0 * step)
-        try:
-            dy = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular orbit jacobian at {y}") from exc
-        if not np.all(np.isfinite(dy)):
-            raise NewtonDiverged(f"orbit step lost finiteness at {y}")
-        y = y - dy
-    raise NewtonDiverged(
-        f"circular-orbit solve stalled at r={y[0]:.6g}, b={y[1]:.6g}"
-    )
-
-
-def _stencil_curvature(func, x0: float, step: float = _CURV_STEP) -> float:
-    """Second derivative by the 5-point central stencil."""
-    f = [func(x0 + k * step) for k in (-2, -1, 0, 1, 2)]
-    return (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (
-        12.0 * step * step
-    )
+    m, a = params.mass, params.spin
+    r_star = 2.0 * m * (1.0 + math.cos((2.0 / 3.0) * math.acos(-a / m)))
+    b_star = a + 2.0 * r_star * math.sqrt(kerr.delta(params, r_star)) / (r_star - m)
+    return r_star, -b_star
 
 
 def _model_functions(kind: str, params: dict):
-    """Closed-form (v, m, top, m_top, v_curv, default_domain) per kind."""
+    """Closed-form (v, m, top, m_top, v_curv, default_domain) per kind.
+
+    The barrier kinds share one path through ``kerr``: at the critical
+    orbit, v = (v_beta(r) + (beta - a)^2) * Delta/r^4 and m = Delta^2/r^4,
+    the equatorial radial function rescaled by Delta/r^4; ``schw_radial``
+    is the same path at a = 0.  Since V = V' = 0 at r*, the top curvature
+    is exactly v''(r*) = v_rr(r*) * Delta*/r*^4.
+    """
     if kind == "toy_sech2":
 
         def v_func(r):
@@ -336,57 +301,32 @@ def _model_functions(kind: str, params: dict):
 
         return v_func, m_func, 0.0, 1.0, -2.0, (-6.0, 6.0)
 
-    if kind == "schw_radial":
-        mass, k_ang = params["mass"], params["k_ang"]
-        if mass <= 0.0:
-            raise DomainError(f"mass must be positive, got {mass:g}")
-        if k_ang <= 0.0:
-            raise DomainError(f"k_ang must be positive, got {k_ang:g}")
+    black_hole = _kerr_params(params)
+    r_star, beta = _critical_orbit(black_hole)
+    shift = (beta - black_hole.spin) ** 2
 
-        def v_func(r):
-            r = np.asarray(r, dtype=float)
-            return k_ang * (r - 2.0 * mass) / r**3 - 1.0
+    def v_func(r):
+        r = np.asarray(r, dtype=float)
+        v_beta = kerr.radial_potential(black_hole, beta, r)
+        return (v_beta + shift) * kerr.delta(black_hole, r) / r**4
 
-        def m_func(r):
-            r = np.asarray(r, dtype=float)
-            return (1.0 - 2.0 * mass / r) ** 2
+    def m_func(r):
+        r = np.asarray(r, dtype=float)
+        return kerr.delta(black_hole, r) ** 2 / r**4
 
-        top = 3.0 * mass
-        m_top = 1.0 / 9.0
-        v_curv = -2.0 * k_ang / (81.0 * mass**4)
-        domain = (2.1 * mass, 6.8 * mass)
-        return v_func, m_func, top, m_top, v_curv, domain
-
-    if kind == "kerr_equatorial":
-        mass, spin, branch = params["mass"], params["spin"], params["branch"]
-        if mass <= 0.0:
-            raise DomainError(f"mass must be positive, got {mass:g}")
-        if not 0.0 <= spin < mass:
-            raise DomainError(f"spin must lie in [0, mass), got {spin:g}")
-        if branch not in ("prograde", "retrograde"):
-            raise DomainError(f"unknown orbit branch {branch!r}")
-        r_star, b_star = _equatorial_critical(mass, spin, branch)
-        a = spin
-
-        def v_func(r):
-            r = np.asarray(r, dtype=float)
-            delta = r * r - 2.0 * mass * r + a * a
-            u = (r * r + a * a) - a * b_star
-            return ((b_star - a) ** 2 - u * u / delta) * delta / r**4
-
-        def m_func(r):
-            r = np.asarray(r, dtype=float)
-            delta = r * r - 2.0 * mass * r + a * a
-            return delta * delta / r**4
-
-        m_top = float(m_func(r_star))
-        v_curv = _stencil_curvature(lambda r: float(v_func(r)), r_star)
-        r_h = _horizon_radius(mass, spin)
-        span = r_star - r_h
-        domain = (r_h + 0.10 * span, r_star + 3.8 * span)
-        return v_func, m_func, r_star, m_top, v_curv, domain
-
-    raise DomainError(f"unknown model kind {kind!r}")
+    delta_star = kerr.delta(black_hole, r_star)
+    v_rr = kerr.radial_terms(black_hole, beta, r_star)[2]
+    r_h = float(kerr.horizon_radius(black_hole))
+    span = r_star - r_h
+    domain = (r_h + 0.10 * span, r_star + 3.8 * span)
+    return (
+        v_func,
+        m_func,
+        r_star,
+        delta_star**2 / r_star**4,
+        v_rr * delta_star / r_star**4,
+        domain,
+    )
 
 
 def _merge_params(kind: str, params) -> dict:
@@ -474,10 +414,8 @@ def build_model(
         x_min, x_max, n_points = float(grid[0]), float(grid[1]), int(grid[2])
     if not x_min < x_max:
         raise DomainError(f"empty domain [{x_min:g}, {x_max:g}]")
-    if kind in ("schw_radial", "kerr_equatorial"):
-        r_h = _horizon_radius(
-            merged["mass"], merged.get("spin", 0.0)
-        )
+    if kind != "toy_sech2":
+        r_h = kerr.horizon_radius(_kerr_params(merged))
         if x_min <= r_h:
             raise DomainError(
                 f"inner wall {x_min:g} does not clear the horizon {r_h:g}"
@@ -646,27 +584,21 @@ def _derivative_matrix(n: int, dx: float, order: int) -> sp.csr_matrix:
     extension), which reproduces the interior stencil exactly for
     odd-extendable data and keeps the Gram form's transpose consistent.
     """
-    rows, cols, vals = [], [], []
-
-    def add_row(m: int, ext_idx, weights):
-        for e, w in zip(ext_idx, weights):
-            if e < 1:
-                e, w = 2 * 0 - e, -w  # fold across the left wall (ext 0)
-            elif e > n:
-                e, w = 2 * (n + 1) - e, -w  # fold across the right wall
-            if 1 <= e <= n:
-                rows.append(m)
-                cols.append(e - 1)
-                vals.append(w / dx)
-
     if order == 2:
-        for m in range(n + 1):
-            add_row(m, (m, m + 1), (-1.0, 1.0))
+        offsets, weights = np.arange(0, 2), np.array([-1.0, 1.0])
     else:
-        interior = np.array([1.0, -27.0, 27.0, -1.0]) / 24.0
-        for m in range(n + 1):
-            add_row(m, range(m - 1, m + 3), interior)
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n + 1, n), dtype=float)
+        offsets, weights = np.arange(-1, 3), np.array([1.0, -27.0, 27.0, -1.0]) / 24.0
+    rows = np.repeat(np.arange(n + 1), offsets.size)
+    ext = rows + np.tile(offsets, n + 1)  # extended-grid node of each entry
+    vals = np.tile(weights, n + 1)
+    # fold across the left wall (ext 0) and the right wall (ext n+1)
+    folded = (ext < 1) | (ext > n)
+    ext = np.where(ext < 1, -ext, np.where(ext > n, 2 * (n + 1) - ext, ext))
+    vals = np.where(folded, -vals, vals)
+    keep = (ext >= 1) & (ext <= n)
+    coo = sp.coo_matrix(
+        (vals[keep] / dx, (rows[keep], ext[keep] - 1)), shape=(n + 1, n), dtype=float
+    )
     return coo.tocsr()
 
 
@@ -874,17 +806,16 @@ def spectral_gap(
     floor = floor_factor * problem.h
     if not floor < 0.0:
         raise DomainError(f"floor factor must be negative, got {floor_factor:g}")
-    matrix = discretize_sparse(problem)
+    matrix = problem.matrix
     zs, residuals, conditions = _shallowest(
         lambda bottom: eigenvalues(matrix, window=window, floor=bottom),
         floor,
         matrix,
     )
     gap = float(-zs[0].imag)
+    nu = gap / problem.h
     keep = zs.imag > floor
-    axis = tuple(
-        (float(z), resolvent_norm(problem, float(z))) for z in axis_points
-    )
+    axis = tuple((float(z), resolvent_norm(matrix, float(z))) for z in axis_points)
     return SpectrumReport(
         kind=problem.kind,
         h=problem.h,
@@ -895,20 +826,21 @@ def spectral_gap(
         residuals=residuals[keep],
         conditions=conditions[keep],
         gap=gap,
-        nu=gap / problem.h,
+        nu=nu,
+        nu_ratio=nu / (0.5 * problem.exponent),
         resolvent_axis=axis,
         runtime_s=time.perf_counter() - start,
     )
 
 
 def resolvent_norm(
-    problem: CapProblem,
+    matrix,
     z: complex,
     *,
     tol: float = 1e-10,
     max_iter: int = 5000,
 ) -> float:
-    """Discrete resolvent norm 1/sigma_min(A - z).
+    """Discrete resolvent norm 1/sigma_min(A - z) of a sparse matrix A.
 
     ``eigsh`` (k = 1) finds the top eigenvalue 1/sigma_min^2 of the
     Hermitian (A - z)^{-H} (A - z)^{-1}, applied through one sparse LU;
@@ -916,12 +848,10 @@ def resolvent_norm(
     restarts, past which ConvergenceFailure is raised.  An exactly
     singular shift reports +inf.
     """
-    n = problem.n_points
-    matrix = discretize_sparse(problem) - complex(z) * sp.identity(
-        n, dtype=complex, format="csc"
-    )
+    n = matrix.shape[0]
+    shifted = matrix - complex(z) * sp.identity(n, dtype=complex, format="csc")
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(shifted.tocsc())
     except RuntimeError:
         return float("inf")
     gram_inverse = spla.LinearOperator(
@@ -986,7 +916,7 @@ def gaussian_state(
 
 def slowest_mode(problem: CapProblem, *, window: float = DEFAULT_WINDOW):
     """Window eigenpair closest to the axis, as (z, unit eigenvector)."""
-    matrix = discretize_sparse(problem)
+    matrix = problem.matrix
     zs, vecs = _shallowest(
         lambda bottom: _eigenpairs(matrix, window, bottom, "box"),
         FLOOR_FACTOR * problem.h,
@@ -1008,23 +938,15 @@ def evolve_norms(
     Integrates the real/imaginary stacking with the banded sparse
     operator; adaptive high-order explicit stepping.
     """
-    a_real, absorber = _assemble(problem)
-    h = problem.h
+    n = problem.n_points
     initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (problem.n_points,):
-        raise DomainError(
-            f"initial state has shape {initial.shape}, "
-            f"expected ({problem.n_points},)"
-        )
+    if initial.shape != (n,):
+        raise DomainError(f"initial state has shape {initial.shape}, expected ({n},)")
+    matrix, h = problem.matrix, problem.h
 
     def rhs(_t, y):
-        re, im = np.split(y, 2)
-        return np.concatenate(
-            [
-                (a_real @ im - absorber * re) / h,
-                (-(a_real @ re) - absorber * im) / h,
-            ]
-        )
+        du = (-1j / h) * (matrix @ (y[:n] + 1j * y[n:]))
+        return np.concatenate([du.real, du.imag])
 
     times = np.asarray(times, dtype=float)
     y0 = np.concatenate([initial.real, initial.imag])

@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 import tempfile
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -222,6 +223,11 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
     return out
 
 
+def _gap_row(report) -> tuple:
+    norm_z0 = report.resolvent_axis[0][1]
+    return (report.h, report.gap, report.nu, norm_z0, report.runtime_s, report.nu_ratio)
+
+
 def _eigenvalue_rows(report) -> list:
     zs = report.eigenvalues
     columns = (zs.real, zs.imag, report.residuals, report.conditions)
@@ -243,10 +249,7 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
     out = Outcome()
     gap_rows, eig_rows = [], []
     for report in reports:
-        norm_z0 = report.resolvent_axis[0][1]
-        gap_rows.append(
-            (report.h, report.gap, report.nu, norm_z0, report.runtime_s)
-        )
+        gap_rows.append(_gap_row(report))
         eig_rows += _eigenvalue_rows(report)
         out.summaries.append(
             f"spectrum-gap {cfg.model} h={report.h:g}: "
@@ -296,7 +299,7 @@ def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
     report = capspec.spectral_gap(problem, window=cfg.window)
     samples = uhp_samples(cfg.window, cfg.seed)
     norms = _run_jobs(
-        [partial(capspec.resolvent_norm, problem, z) for z in samples],
+        [partial(capspec.resolvent_norm, problem.matrix, z) for z in samples],
         workers,
     )
     out = Outcome()
@@ -319,10 +322,7 @@ def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
         f"norm_axis_z0={norm_z0:.6g}, "
         f"uhp_violations={violations}/{UHP_SAMPLES}"
     )
-    out.csvs["gaps.csv"] = (
-        artifacts.GAPS_HEADER,
-        [(report.h, report.gap, report.nu, norm_z0, report.runtime_s)],
-    )
+    out.csvs["gaps.csv"] = (artifacts.GAPS_HEADER, [_gap_row(report)])
     out.csvs["eigenvalues.csv"] = (
         artifacts.EIGENVALUES_HEADER,
         _eigenvalue_rows(report),
@@ -523,18 +523,14 @@ def main(argv=None) -> int:
     except _CONFIG_FAULTS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except NhtrapError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        artifacts.write_failures(
-            cfg.output_dir,
-            [
-                {
-                    "check": "run",
-                    "error": str(exc),
-                    "type": type(exc).__name__,
-                }
-            ],
-        )
+    except Exception as exc:  # exit 3 with a failures.json entry, no traceback
+        failure = {"check": "run", "error": str(exc), "type": type(exc).__name__}
+        if isinstance(exc, NhtrapError):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+        else:
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failure["traceback"] = traceback.format_exc()
+        artifacts.write_failures(cfg.output_dir, [failure])
         return EXIT_NUMERICAL_FAILURE
 
     _write_outcome(cfg.output_dir, outcome)

@@ -26,11 +26,10 @@ from .errors import (
     DomainError,
     GridTooCoarse,
     InvalidNesting,
-    NewtonDiverged,
     NotHyperbolic,
     Unbounded,
 )
-from .models import HamiltonianModel
+from .models import HamiltonianModel, newton_saddle
 
 DEFAULT_HTILDE = 0.25
 DEFAULT_M_CONST = 5.0
@@ -40,31 +39,12 @@ CHI1_RADII = (0.6, 0.9)
 G1_RADII = (0.2, 0.5)
 SMOOTHSTEP_ORDER = 5
 
-NEWTON_TOL = 1e-14
-NEWTON_MAX_ITER = 60
 TAYLOR_STENCIL = 3e-3
 GRAD_STENCIL = 1e-4
 STENCIL_AGREE_TOL = 1e-6
 ORDER_C_CAP = 100.0
 ORDER_N_MAX = 8
 HP_G1_NEGATIVE_TOL = 1e-6
-
-
-def _newton_saddle(model: HamiltonianModel, guess) -> np.ndarray:
-    y = np.asarray(guess, dtype=float).copy()
-    for _ in range(NEWTON_MAX_ITER):
-        g = model.gradient(y)
-        if max(abs(g[0]), abs(g[1])) < NEWTON_TOL:
-            return y
-        H = model.hessian(y)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular hessian at {y}") from exc
-        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1.0:
-            raise NewtonDiverged(f"newton step blew up at {y}")
-        y = y + step
-    raise NewtonDiverged(f"saddle search stalled near {y}")
 
 
 def _third_directional(model: HamiltonianModel, saddle, gamma: float) -> float:
@@ -248,7 +228,7 @@ def build_defining_pair(
     """
     if chart is not None and hasattr(chart, "trapped_radius"):
         saddle_guess = (float(chart.trapped_radius), 0.0)
-    saddle = _newton_saddle(model, saddle_guess)
+    saddle = newton_saddle(model, saddle_guess)
     H = model.hessian(saddle)
     det = H[0, 0] * H[1, 1] - H[0, 1] * H[0, 1]
     if det >= 0.0:

@@ -15,10 +15,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import kerr
+from .errors import NewtonDiverged
 from .kerr import KerrParams, PhaseState, radial_potential, radial_potential_derivs
 
 CHART_CAP_TOY = 1e6
 CHART_CAP_KERR_R = 200.0
+SADDLE_STEP_TOL = 1e-13
+SADDLE_MAX_ITER = 60
 
 
 @dataclass
@@ -46,6 +49,34 @@ class HamiltonianModel:
         H = self.hessian(y)
         d = self.dimension // 2
         return np.vstack([H[d:, :], -H[:d, :]])
+
+
+def newton_saddle(model: HamiltonianModel, guess) -> np.ndarray:
+    """Critical point of a two-dimensional symbol near ``guess``.
+
+    Newton on the gradient, each step halved until |grad p| decreases.
+    The search ends with the first step shorter than SADDLE_STEP_TOL *
+    max(1, |y|), taken in full: near the root |grad p| is rounding noise,
+    which no damping can reduce.
+    """
+    y = np.asarray(guess, dtype=float)
+    for _ in range(SADDLE_MAX_ITER):
+        g = model.gradient(y)
+        try:
+            step = np.linalg.solve(model.hessian(y), -g)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDiverged(f"singular Hessian at {y}") from exc
+        if not np.all(np.isfinite(step)):
+            raise NewtonDiverged(f"Newton step lost finiteness at {y}")
+        if np.linalg.norm(step) < SADDLE_STEP_TOL * max(1.0, np.linalg.norm(y)):
+            return y + step
+        g_norm, lam = np.linalg.norm(g), 1.0
+        while np.linalg.norm(model.gradient(y + lam * step)) >= g_norm:
+            lam *= 0.5
+            if lam < 1e-6:
+                raise NewtonDiverged(f"damping stalled at {y}")
+        y = y + lam * step
+    raise NewtonDiverged(f"saddle search stalled near {y}")
 
 
 class BumpPattern:

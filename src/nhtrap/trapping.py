@@ -37,20 +37,17 @@ from .errors import (
     DegenerateCritical,
     DomainError,
     InvalidHorizon,
-    NewtonDiverged,
     NoBracket,
     NotHyperbolic,
 )
 from .kerr import KerrParams, PhaseState, radial_potential, radial_potential_derivs
-from .models import BumpPattern, reduced_kerr_model
+from .models import BumpPattern, newton_saddle, reduced_kerr_model
 
 RNORM_DEFAULT = 4
 CHUNK_TIME = 1.0
 RATE_FLOOR_FRACTION = 0.9
 TANGENTIAL_SLOPE_MAX = 1.2
 INVARIANCE_ANGLE_MAX = 1e-4
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
 
 
 def potential_v(r, beta: float, params: KerrParams):
@@ -161,36 +158,10 @@ class ReducedFamily:
         r0 = trapped_radius(beta, self.params)
         point = (r0, 0.0)
         if self.epsilon != 0.0:
-            point = self._newton_saddle(beta, np.asarray(point))
+            r_s, xi_s = newton_saddle(self.reduced_model(beta), point)
+            point = (float(r_s), float(xi_s))
         self._saddles[key] = point
         return point
-
-    def _newton_saddle(self, beta: float, guess: np.ndarray):
-        model = self.reduced_model(beta)
-        y = guess.astype(float).copy()
-        scale = max(1.0, float(np.linalg.norm(model.gradient(guess))))
-        for _ in range(NEWTON_MAX_ITER):
-            g = model.gradient(y)
-            if np.linalg.norm(g) < NEWTON_TOL * scale:
-                return (float(y[0]), float(y[1]))
-            H = model.hessian(y)
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonDiverged(f"singular Hessian at beta={beta:g}") from exc
-            lam = 1.0
-            g0 = np.linalg.norm(g)
-            while lam > 1e-6:
-                cand = y + lam * step
-                if np.linalg.norm(model.gradient(cand)) < g0:
-                    break
-                lam *= 0.5
-            else:
-                raise NewtonDiverged(f"damping stalled at beta={beta:g}")
-            y = y + lam * step
-        raise NewtonDiverged(
-            f"no convergence in {NEWTON_MAX_ITER} iterations at beta={beta:g}"
-        )
 
     def saddle_derivative(self, beta: float, step: float = 1e-5):
         """(dr_s/dbeta, dxi_s/dbeta) by central differences of the saddle map."""

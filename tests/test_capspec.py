@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from nhtrap import capspec, cli, trapping
+from nhtrap import capspec, cli, kerr, trapping
 from nhtrap.errors import (
     ConvergenceFailure,
     DomainError,
@@ -63,8 +65,8 @@ class TestBuildModel:
         assert p.absorber[i_top] == 0.0
 
     def test_schw_barrier_top_values(self, schw_problem):
-        # v(3M) = 0, v'(3M) = 0 and m(3M) = 1/9 for the k_ang = 27 normalization
-        assert schw_problem.params == {"mass": 1.0, "k_ang": 27.0}
+        # v(3M) = 0, v'(3M) = 0 and m(3M) = 1/9 at the critical b^2 = 27 M^2
+        assert schw_problem.params == {"mass": 1.0}
         v_func, m_func, top, m_top, _, _ = capspec._model_functions(
             "schw_radial", schw_problem.params
         )
@@ -77,12 +79,12 @@ class TestBuildModel:
         assert m_top == schw_problem.mass_top == pytest.approx(1.0 / 9.0, abs=1e-15)
 
     def test_exponent_identity(self, schw_problem):
+        # the rescaling by Delta/r^4 divides the shell's rate by r*^4/Delta* = 27
         chart = trapping.linearization(0.0, KerrParams())
-        k_ang = schw_problem.params["k_ang"]
         assert schw_problem.exponent == pytest.approx(
-            chart.normal_exponent / k_ang, abs=1e-8
+            chart.normal_exponent / 27.0, abs=1e-13
         )
-        assert schw_problem.exponent == pytest.approx(MU_EFF, abs=1e-8)
+        assert schw_problem.exponent == pytest.approx(MU_EFF, abs=1e-13)
 
     def test_kerr_static_reduces_to_schw(self, schw_problem):
         pk = capspec.build_model(
@@ -97,7 +99,36 @@ class TestBuildModel:
         assert np.max(np.abs(pk.potential - ps.potential)) < 1e-14
         assert np.max(np.abs(pk.mass_weight - ps.mass_weight)) < 1e-14
         assert np.max(np.abs(pk.absorber - ps.absorber)) < 1e-13
-        assert pk.exponent == pytest.approx(ps.exponent, abs=1e-10)
+        assert pk.exponent == pytest.approx(ps.exponent, abs=1e-13)
+        static = capspec.build_model("kerr_equatorial", {"spin": 0.0})
+        assert static.exponent == pytest.approx(MU_EFF, abs=1e-14)
+
+    @pytest.mark.parametrize("spin", [0.0, 0.3, 0.5, 0.9, 0.99])
+    def test_critical_orbit_closed_form(self, spin):
+        # the closed-form orbit is a double root of V = v_beta + (beta - a)^2;
+        # V' is held relative to v_rr, because rounding the inputs to double
+        # moves it by v_rr * dr (1.3e-12 at a = 0.99, where v_rr = -997)
+        params = KerrParams(mass=1.0, spin=spin)
+        r_star, beta = capspec._critical_orbit(params)
+        v, v_r, v_rr = kerr.radial_terms(params, beta, r_star)[:3]
+        assert abs(v + (beta - spin) ** 2) < 1e-12
+        assert abs(v_r) < 1e-12 * max(1.0, abs(v_rr))
+        # against the double root solved at 40 digits (M = 1)
+        a = mpmath.mpf(spin)
+
+        def big_v(r, b):
+            n = a * a * b * b + 4 * a * r * b + (r * r + a * a) ** 2
+            return 2 * a * b - n / (r * r - 2 * r + a * a) + (b - a) ** 2
+
+        with mpmath.workdps(40):
+            root = mpmath.findroot(
+                [big_v, lambda r, b: mpmath.diff(lambda x: big_v(x, b), r)],
+                (mpmath.mpf(r_star), mpmath.mpf(beta)),
+            )
+        assert abs(r_star - float(root[0])) < 1e-14 * r_star
+        assert abs(beta - float(root[1])) < 1e-14 * max(1.0, abs(beta))
+        problem = capspec.build_model("kerr_equatorial", {"spin": spin}, h=0.1)
+        assert problem.barrier_top == r_star
 
     def test_kerr_spinning_domain(self):
         p = capspec.build_model(
@@ -132,13 +163,50 @@ class TestBuildModel:
             capspec.build_model("toy_sech2", grid=(4.0, -4.0, 500))
         with pytest.raises(DomainError):
             capspec.build_model("no_such_model")
+        for kind, params in (
+            ("kerr_equatorial", {"spin": 1.0}),
+            ("kerr_equatorial", {"spin": -0.1}),
+            ("schw_radial", {"mass": 0.0}),
+            ("schw_radial", {"k_ang": 27.0}),
+            ("kerr_equatorial", {"branch": "prograde"}),
+        ):
+            with pytest.raises(DomainError):
+                capspec.build_model(kind, params)
 
     def test_absorber_scale_zero(self):
         p = capspec.build_model("toy_sech2", h=0.1, absorber_scale=0.0)
         assert np.all(p.absorber == 0.0)
 
 
+def _loop_derivative_matrix(n, dx, order):
+    """Row-by-row reference for the wall-folded stencil."""
+    offsets = (0, 1) if order == 2 else (-1, 0, 1, 2)
+    weights = (-1.0, 1.0) if order == 2 else np.array([1.0, -27.0, 27.0, -1.0]) / 24.0
+    rows, cols, vals = [], [], []
+    for m in range(n + 1):
+        for off, w in zip(offsets, weights):
+            e = m + off
+            if e < 1:
+                e, w = -e, -w
+            elif e > n:
+                e, w = 2 * (n + 1) - e, -w
+            if 1 <= e <= n:
+                rows.append(m)
+                cols.append(e - 1)
+                vals.append(w / dx)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n + 1, n), dtype=float).tocsr()
+
+
 class TestDiscretization:
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_derivative_matrix_matches_loop(self, order):
+        for n, dx in ((8, 0.1), (9, 1.0 / 3.0), (57, 0.0123456789)):
+            fast = capspec._derivative_matrix(n, dx, order)
+            loop = _loop_derivative_matrix(n, dx, order)
+            assert np.array_equal(fast.indptr, loop.indptr)
+            assert np.array_equal(fast.indices, loop.indices)
+            assert np.array_equal(fast.data, loop.data)
+
     def test_order2_exact_discrete_spectrum(self):
         ref = capspec.laplacian_reference(h=0.1, n_points=160, order=2)
         matrix = capspec.discretize_sparse(ref).toarray()
@@ -318,7 +386,7 @@ class TestSpectralGap:
 class TestResolvent:
     def test_lower_bound_spectrum_distance(self, schw_problem):
         rep = capspec.spectral_gap(schw_problem)
-        norm = capspec.resolvent_norm(schw_problem, 0.0)
+        norm = capspec.resolvent_norm(schw_problem.matrix, 0.0)
         dist = float(np.min(np.abs(rep.eigenvalues - 0.0)))
         assert norm >= (1.0 / dist) * (1.0 - 1e-6)
 
@@ -326,16 +394,16 @@ class TestResolvent:
         rng = np.random.default_rng(20)
         for _ in range(8):
             z = complex(rng.uniform(-0.2, 0.2), rng.uniform(0.01, 0.3))
-            norm = capspec.resolvent_norm(toy_problem, z)
+            norm = capspec.resolvent_norm(toy_problem.matrix, z)
             assert norm <= (1.0 / z.imag) * (1.0 + 1e-10)
 
     def test_elliptic_region_is_tame(self, toy_problem):
-        assert capspec.resolvent_norm(toy_problem, -2.0) < 2.0
+        assert capspec.resolvent_norm(toy_problem.matrix, -2.0) < 2.0
 
     def test_near_eigenvalue_blowup(self, toy_problem, toy_window):
         zs, _, _ = toy_window
         z0 = zs[np.argmax(zs.imag)]
-        assert capspec.resolvent_norm(toy_problem, complex(z0)) > 1e5
+        assert capspec.resolvent_norm(toy_problem.matrix, complex(z0)) > 1e5
 
     def test_lanczos_matches_dense_svd(self, toy_problem):
         # every fifth of the spectrum-resolvent samples at seed 1
@@ -343,12 +411,12 @@ class TestResolvent:
         eye = np.eye(toy_problem.n_points)
         for z in cli.uhp_samples(0.3, 1)[::5]:
             exact = 1.0 / sla.svdvals(matrix - z * eye)[-1]
-            norm = capspec.resolvent_norm(toy_problem, z)
+            norm = capspec.resolvent_norm(toy_problem.matrix, z)
             assert norm == pytest.approx(exact, rel=1e-10)
 
     def test_nonconvergence_raises(self, toy_problem):
         with pytest.raises(ConvergenceFailure):
-            capspec.resolvent_norm(toy_problem, complex(0.1, 0.3), max_iter=1)
+            capspec.resolvent_norm(toy_problem.matrix, complex(0.1, 0.3), max_iter=1)
 
 
 class TestSemigroup:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nhtrap import cli
+from nhtrap import capspec, cli
 
 TRAP_FIND_LINE = "r(beta)=3.000000000000, exponent=10.392304845413"
 
@@ -127,6 +127,20 @@ class TestConfigErrors:
         )
         assert code == 2
 
+    def test_handler_crash_exits_three(self, tmp_path, monkeypatch, capsys):
+        def crash(cfg, workers):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "trap-find", crash)
+        code, out = run_cli(tmp_path, "trap-find", "kerr.spin = 0.0\n")
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        failures = read_failures(out)
+        assert len(failures) == 1
+        assert failures[0]["type"] == "ValueError"
+        assert failures[0]["error"] == "boom"
+        assert "in crash" in failures[0]["traceback"]
+
     def test_bad_workers_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NHTRAP_WORKERS", "three")
         code, _ = run_cli(tmp_path, "trap-find", "command = trap-find\n")
@@ -212,15 +226,20 @@ class TestSpectrumGap:
         stdout = capsys.readouterr().out
         assert "nu_floor=" in stdout and "(PASS)" in stdout
         gaps = (out / "gaps.csv").read_text().splitlines()
-        assert gaps[0] == "h,gap,nu,norm_axis_z0,runtime_s"
+        assert gaps[0] == "h,gap,nu,norm_axis_z0,runtime_s,nu_ratio"
         assert len(gaps) == 3
         for line in gaps[1:]:
-            h, gap, nu, norm_z0, _ = (float(c) for c in line.split(","))
+            h, gap, nu, norm_z0, _, nu_ratio = (float(c) for c in line.split(","))
             assert gap > 0.0 and norm_z0 > 0.0
             assert nu > 0.9  # the toy's barrier-top string has nu -> 1
             # nu and gap are each rounded to 12 significant digits
             tol = 0.5 * last_digit(nu) + 0.5 * last_digit(gap) / h
             assert abs(nu - gap / h) <= tol + 1e-15 * nu
+            half_mu = 0.5 * capspec.build_model("toy_sech2", h=h).exponent
+            tol = 0.5 * last_digit(nu_ratio) + 0.5 * last_digit(nu) / half_mu
+            assert abs(nu_ratio - nu / half_mu) <= tol + 1e-15 * nu_ratio
+            if h == 0.05:
+                assert abs(nu_ratio - 1.0) < 0.15
         eigs = (out / "eigenvalues.csv").read_text().splitlines()
         assert eigs[0] == "h,re_z,im_z,residual,condition"
         assert all(float(line.split(",")[3]) < 1e-8 for line in eigs[1:])
@@ -249,6 +268,28 @@ class TestSpectrumGap:
         assert code == 1
         failures = read_failures(out)
         assert failures[0]["check"] == "nu_consistency"
+
+
+@pytest.mark.parametrize(
+    "command, text, problems",
+    [
+        ("spectrum-resolvent", "model = toy_sech2\nh = 0.1\nseed = 3\n", 1),
+        ("spectrum-gap", "model = toy_sech2\nh_list = 0.1, 0.05\n", 2),
+    ],
+    ids=["spectrum-resolvent", "spectrum-gap"],
+)
+def test_one_assembly_per_problem(tmp_path, monkeypatch, command, text, problems):
+    calls = []
+    assemble = capspec._assemble
+
+    def counting(problem):
+        calls.append(problem.h)
+        return assemble(problem)
+
+    monkeypatch.setattr(capspec, "_assemble", counting)
+    code, _ = run_cli(tmp_path, command, text)
+    assert code == 0
+    assert len(calls) == problems
 
 
 class TestSpectrumResolvent:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nhtrap import models
+from nhtrap import models, trapping
 from nhtrap.kerr import KerrParams
 
 
@@ -108,6 +108,36 @@ class TestReducedModel:
         assert m.conserved_list["energy"](y) == pytest.approx(
             m.evaluate(y), abs=1e-14
         )
+
+
+class TestNewtonSaddle:
+    @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9])
+    def test_reduced_kerr_saddle(self, spin):
+        # from the static radius 3M to the spinning saddle at beta = 0
+        params = KerrParams(mass=1.0, spin=spin)
+        model = models.reduced_kerr_model(params, beta=0.0)
+        r_s, xi_s = models.newton_saddle(model, (3.0, 0.0))
+        assert xi_s == 0.0
+        assert r_s == pytest.approx(trapping.trapped_radius(0.0, params), abs=1e-13)
+        assert np.max(np.abs(model.gradient(np.array([r_s, xi_s])))) < 1e-13
+
+    def test_damping_recovers_from_overshoot(self):
+        # p = xi^2 - (x atan x - log(1 + x^2)/2) has grad (-atan x, 2 xi);
+        # undamped Newton from x = 2 overshoots to ever larger |x|
+        def evaluate(y):
+            return y[1] ** 2 - y[0] * np.arctan(y[0]) + 0.5 * np.log1p(y[0] ** 2)
+
+        def hessian(y):
+            return np.array([[-1.0 / (1.0 + y[0] ** 2), 0.0], [0.0, 2.0]])
+
+        model = models.HamiltonianModel(
+            dimension=2,
+            evaluate=evaluate,
+            gradient=lambda y: np.array([-np.arctan(y[0]), 2.0 * y[1]]),
+            hessian=hessian,
+        )
+        x, xi = models.newton_saddle(model, (2.0, 0.3))
+        assert abs(x) < 1e-15 and abs(xi) < 1e-15
 
 
 class TestFullModel:
