@@ -5,7 +5,7 @@ finite-difference realization of (h D) m(x) (h D) + v(x) with Dirichlet
 ends, W is a smooth absorber supported near the ends, and v has a
 nondegenerate barrier top inside the absorber-free region.  Provides the
 non-self-adjoint spectrum near the barrier energy, the spectral gap,
-resolvent norms on and near the real axis, and semigroup decay demos.
+and resolvent norms on and near the real axis.
 
 Every solve works on the banded sparse matrix.  Eigenvalues come from a
 box |Re z| < window, bottom < Im z <= 0, covered by cells (strips of Re z
@@ -40,10 +40,9 @@ import scipy.integrate as integrate
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from . import kerr
-from .errors import ConvergenceFailure, DomainError, StepFailure, UnderResolved
+from .errors import ConvergenceFailure, DomainError, UnderResolved
 
 MODEL_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
 
@@ -536,45 +535,6 @@ def build_model(
     )
 
 
-def laplacian_reference(
-    h: float = 0.1,
-    length: float = math.pi,
-    n_points: int = 200,
-    order: int = 4,
-) -> CapProblem:
-    """Absorber-free flat problem (v = 0, m = 1) with known spectrum.
-
-    The continuum eigenvalues are h^2 (j pi / length)^2; the order-2
-    discretization has the exact discrete counterpart
-    (4 h^2/dx^2) sin^2(j pi / (2 (n+1))).  Calibration only.
-    """
-    dx = length / (n_points + 1)
-    x = dx * np.arange(1, n_points + 1)
-    return CapProblem(
-        kind="reference",
-        h=h,
-        x_min=0.0,
-        x_max=length,
-        n_points=n_points,
-        order=order,
-        x=x,
-        potential=np.zeros(n_points),
-        mass_weight=np.ones(n_points),
-        mass_mid=np.ones(n_points + 1),
-        absorber=np.zeros(n_points),
-        barrier_top=0.5 * length,
-        mass_top=1.0,
-        potential_curvature=0.0,
-        exponent=0.0,
-        flat_lo=0.0,
-        flat_hi=length,
-        ramps=(0.0, 0.0),
-        margins=(0.0, 0.0),
-        profile="band",
-        params={},
-    )
-
-
 def _derivative_matrix(n: int, dx: float, order: int) -> sp.csr_matrix:
     """Node-to-midpoint derivative over the extended grid with zero walls.
 
@@ -876,137 +836,3 @@ def resolvent_norm(
         ) from exc
     sigma_sq = float(top[0])
     return math.sqrt(sigma_sq) if sigma_sq > 0.0 else float("inf")
-
-
-def saddle_generator(problem: CapProblem) -> np.ndarray:
-    """Barrier-top linearization [[0, 2m], [-v'', 0]] of the flow field.
-
-    Its positive eigenvalue sqrt(2 m |v''|) is the problem's normal
-    expansion rate (the ``exponent`` field).
-    """
-    return np.array(
-        [
-            [0.0, 2.0 * problem.mass_top],
-            [-problem.potential_curvature, 0.0],
-        ]
-    )
-
-
-def gaussian_state(
-    problem: CapProblem, center: float | None = None, width: float | None = None
-) -> np.ndarray:
-    """Unit-norm Gaussian node vector, by default at the barrier top with
-    the barrier's natural width sqrt(h / exponent), narrowed when needed
-    so the tails stay inside the absorber-free window."""
-    if center is None:
-        center = problem.barrier_top
-    if width is None:
-        if problem.exponent > 0.0:
-            width = math.sqrt(problem.h / problem.exponent)
-        else:
-            width = 0.1 * problem.length
-        # keep 4 sigma inside the flat window on both sides
-        room = min(center - problem.flat_lo, problem.flat_hi - center)
-        if room > 0.0:
-            width = min(width, 0.25 * room)
-    state = np.exp(-((problem.x - center) ** 2) / (2.0 * width * width))
-    state = state.astype(complex)
-    return state / np.linalg.norm(state)
-
-
-def slowest_mode(problem: CapProblem, *, window: float = DEFAULT_WINDOW):
-    """Window eigenpair closest to the axis, as (z, unit eigenvector)."""
-    matrix = problem.matrix
-    zs, vecs = _shallowest(
-        lambda bottom: _eigenpairs(matrix, window, bottom, "box"),
-        FLOOR_FACTOR * problem.h,
-        matrix,
-    )
-    return complex(zs[0]), vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-
-
-def evolve_norms(
-    problem: CapProblem,
-    initial: np.ndarray,
-    times: np.ndarray,
-    *,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-) -> np.ndarray:
-    """Norm history of u' = -(i/h) A u from ``initial`` at the given times.
-
-    Integrates the real/imaginary stacking with the banded sparse
-    operator; adaptive high-order explicit stepping.
-    """
-    n = problem.n_points
-    initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (n,):
-        raise DomainError(f"initial state has shape {initial.shape}, expected ({n},)")
-    matrix, h = problem.matrix, problem.h
-
-    def rhs(_t, y):
-        du = (-1j / h) * (matrix @ (y[:n] + 1j * y[n:]))
-        return np.concatenate([du.real, du.imag])
-
-    times = np.asarray(times, dtype=float)
-    y0 = np.concatenate([initial.real, initial.imag])
-    sol = solve_ivp(
-        rhs,
-        (float(times[0]), float(times[-1])),
-        y0,
-        method="DOP853",
-        t_eval=times,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise StepFailure(f"semigroup integration failed: {sol.message}")
-    re, im = np.split(sol.y, 2, axis=0)
-    return np.sqrt(np.sum(re * re + im * im, axis=0))
-
-
-def semigroup_decay(
-    problem: CapProblem,
-    initial: np.ndarray | None = None,
-    t_final: float = 10.0,
-    *,
-    fit_start: float = 0.5,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    support_tol: float | None = 1e-2,
-) -> float:
-    """Fitted exponential decay rate of the absorbed evolution.
-
-    Evolves the state, then fits the slope of log||u|| on the trailing
-    [fit_start * t_final, t_final] window.  Localized initial data must
-    sit in the absorber-free region (relative mass outside below
-    ``support_tol``); pass ``support_tol=None`` for states with genuine
-    exterior tails such as computed eigenvectors.
-    """
-    if t_final <= 0.0:
-        raise DomainError(f"final time must be positive, got {t_final:g}")
-    if initial is None:
-        initial = gaussian_state(problem)
-    initial = np.asarray(initial, dtype=complex)
-    total = np.linalg.norm(initial)
-    if total == 0.0:
-        raise DomainError("initial state is zero")
-    if support_tol is not None:
-        outside = (problem.x < problem.flat_lo) | (problem.x > problem.flat_hi)
-        if np.linalg.norm(initial[outside]) > support_tol * total:
-            raise DomainError(
-                "initial state leaks into the absorber region beyond "
-                f"{support_tol:g} relative mass"
-            )
-    times = np.linspace(0.0, t_final, 161)
-    norms = evolve_norms(problem, initial, times, rtol=rtol, atol=atol)
-    mask = (times >= fit_start * t_final) & (norms > 1e-280)
-    if np.count_nonzero(mask) < 8:
-        raise ConvergenceFailure(
-            "decay fit window has too few usable samples; shorten t_final"
-        )
-    slope = float(np.polyfit(times[mask], np.log(norms[mask]), 1)[0])
-    alpha = -slope
-    if alpha < -1e-8:
-        raise ConvergenceFailure(f"fitted rate {alpha:.3e} is negative")
-    return max(alpha, 0.0)

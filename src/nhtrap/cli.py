@@ -149,7 +149,7 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
         out.summaries.append(
             f"trap-certify a={spin:g}: {verdict} "
             f"(theta_rate={cert.theta_rate:.6g}, "
-            f"tangential_slope={cert.tangential_slope:.6g})"
+            f"tangential_degree={cert.tangential_degree})"
         )
         entry = trapping.certificate_to_dict(cert)
         entry["spin"] = spin

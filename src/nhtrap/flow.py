@@ -127,73 +127,3 @@ def tangent_flow(
 ) -> np.ndarray:
     """Jacobian dphi^time along the orbit through `start`."""
     return integrate_flow(model, start, time, tol, with_jacobian=True).jacobian
-
-
-def finite_time_exponents(
-    model: HamiltonianModel,
-    start: np.ndarray,
-    horizon: float,
-    samples: int = 40,
-    frame: np.ndarray | None = None,
-    tol: float = 1e-12,
-):
-    """Log singular values of dphi^t (optionally restricted to a frame).
-
-    Returns a list of (t, log-singular-value array) at `samples` times.
-    Growth rates come from `growth_slope` on the largest exponent.
-    """
-    if horizon <= 0:
-        raise InvalidHorizon(f"horizon must be positive, got {horizon}")
-    _check_tol(tol)
-    start = np.asarray(start, dtype=float)
-    d = model.dimension
-    z0 = np.concatenate([start, np.eye(d).ravel()])
-    ts = np.linspace(0.0, horizon, samples + 1)[1:]
-
-    sol = solve_ivp(
-        _joint_rhs(model, True),
-        (0.0, horizon),
-        z0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        t_eval=ts,
-        dense_output=False,
-    )
-    if sol.status != 0:
-        raise StepFailure(f"exponent run failed: {sol.message}")
-
-    out = []
-    for i, t in enumerate(sol.t):
-        V = sol.y[d:, i].reshape(d, d)
-        if frame is not None:
-            V = V @ frame
-        sv = np.linalg.svd(V, compute_uv=False)
-        out.append((float(t), np.log(sv)))
-    return out
-
-
-def fit_slope(x: np.ndarray, y: np.ndarray):
-    """Least-squares line through (x, y): (slope, rms residual of the fit)."""
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0]), float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-
-
-def growth_slope(series, tail: float = 0.5):
-    """Least-squares slope of the top log-singular-value over the tail window.
-
-    Returns (slope, rms residual of the fit).
-    """
-    ts = np.asarray([t for t, _ in series])
-    tops = np.asarray([lv[0] for _, lv in series])
-    cut = ts >= ts[-1] * (1.0 - tail)
-    return fit_slope(ts[cut], tops[cut])
-
-
-def loglog_slope(series, t_min: float, t_max: float):
-    """Slope of log(top singular value) against log t on [t_min, t_max]."""
-    ts = np.asarray([t for t, _ in series])
-    tops = np.asarray([lv[0] for _, lv in series])
-    cut = (ts >= t_min) & (ts <= t_max) & (tops > -np.inf)
-    return fit_slope(np.log(ts[cut]), tops[cut])[0]

@@ -11,13 +11,16 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
 2. Along a pinned orbit the subspace w_theta = w_alpha = w_beta = 0 is
    invariant under A6 = J*Hess(p), and the (r, phi, xi) block of A6 on it
    does not depend on theta (a perturbation bump depends on (r, xi) only).
-   Normal growth over a chunk of length tau is therefore the constant
-   matrix exp(+-tau*A6), applied with renormalization because the exponent
-   ~ 6*sqrt(3)/M overflows any unrenormalized horizon-50 product.
+   Its eigenvalues are lambda_+, 0 and -lambda_- (phi is cyclic), so the
+   eigenvectors for +-lambda are the normal bundles, and they grow exactly
+   like exp(lambda_+ t) forward and exp(lambda_- |t|) backward.
 3. The tangential cocycle X(t) depends on the orbit only through theta(t),
    a periodic one-degree-of-freedom motion of period P.  Hence
-   X(t + P) = X(t) X(P), and one period of (u, X) gives X at every time
-   of either sign: X(t) = X(t mod P) M^floor(t/P), with M = X(P).
+   X(t + P) = X(t) M with the monodromy M = X(P) = I + N, and N^2 = 0:
+   M shears along the flow (the period depends on the energy) and along
+   phi (which is cyclic), and fixes both directions.  So
+   X(s + mP) = X(s) (I + mN) for every integer m, and tangential growth is
+   polynomial of degree 0 (N vanishes on the shell-tangent frame) or 1.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
-from scipy.optimize import brentq
+from scipy.integrate import OdeSolution, solve_ivp
+from scipy.optimize import brentq, minimize_scalar
 
 from . import kerr
-from .flow import fit_slope, step_tolerance
+from .flow import step_tolerance
 from .errors import (
     Degenerate,
     DegenerateCritical,
@@ -44,10 +46,12 @@ from .kerr import KerrParams, PhaseState, radial_potential, radial_potential_der
 from .models import BumpPattern, newton_saddle, reduced_kerr_model
 
 RNORM_DEFAULT = 4
-CHUNK_TIME = 1.0
 RATE_FLOOR_FRACTION = 0.9
-TANGENTIAL_SLOPE_MAX = 1.2
 INVARIANCE_ANGLE_MAX = 1e-4
+TANGENTIAL_DEGREE_MAX = 1
+# grid over one theta-period locating the sup of the tangential envelope
+ENVELOPE_SAMPLES = 256
+DRIFT_SAMPLES_SHELL = 41
 
 
 def potential_v(r, beta: float, params: KerrParams):
@@ -66,9 +70,11 @@ def trapped_radius(
     """Radius of the trapped sphere at angular momentum beta.
 
     Safeguarded root of v' (bracket scan + brentq), confirmed a maximum.
+    The scan starts just outside r+: as a -> M the prograde photon orbit
+    approaches the horizon (r = 1.1676 against r+ = 1.1411 at a = 0.99).
     """
     rp = kerr.horizon_radius(params)
-    lo = rp + 0.05 * params.mass
+    lo = rp + 1e-3 * params.mass
     hi = r_hi if r_hi is not None else 8.0 * params.mass
     grid = np.linspace(lo, hi, 400)
     vals = radial_potential_derivs(params, beta, grid)[1]
@@ -163,19 +169,23 @@ class ReducedFamily:
         self._saddles[key] = point
         return point
 
-    def saddle_derivative(self, beta: float, step: float = 1e-5):
-        """(dr_s/dbeta, dxi_s/dbeta) by central differences of the saddle map."""
-        lo = self.saddle(beta - step)
-        hi = self.saddle(beta + step)
-        return (
-            (hi[0] - lo[0]) / (2.0 * step),
-            (hi[1] - lo[1]) / (2.0 * step),
-        )
+    def saddle_hessian(self, beta: float) -> np.ndarray:
+        """Hessian of the reduced symbol in (r, xi) at the saddle."""
+        return self.reduced_model(beta).hessian(np.asarray(self.saddle(beta)))
+
+    def saddle_derivative(self, beta: float) -> np.ndarray:
+        """(dr_s/dbeta, dxi_s/dbeta) by the implicit function theorem.
+
+        The saddle solves grad p(r, xi; beta) = 0.  Of p only v_beta(r)
+        depends on beta (Delta*xi^2 and the bump do not), so
+        d(grad p)/dbeta = (v_rb, 0) and d(r_s, xi_s)/dbeta = -H^-1 (v_rb, 0).
+        """
+        v_rb = kerr.radial_terms(self.params, beta, self.saddle(beta)[0])[5]
+        return -np.linalg.solve(self.saddle_hessian(beta), [v_rb, 0.0])
 
     def normal_generator(self, beta: float) -> np.ndarray:
         """2x2 full-field generator J*Hess at the saddle."""
-        model = self.reduced_model(beta)
-        H = model.hessian(np.asarray(self.saddle(beta)))
+        H = self.saddle_hessian(beta)
         return np.asarray([[H[1, 0], H[1, 1]], [-H[0, 0], -H[0, 1]]])
 
     def exponent(self, beta: float) -> float:
@@ -194,12 +204,11 @@ class ReducedFamily:
         if self.epsilon == 0.0:
             return linearization(beta, self.params)
         r_s, _ = self.saddle(beta)
-        gen = self.normal_generator(beta)
-        curv = self.reduced_model(beta).hessian(np.asarray(self.saddle(beta)))[0, 0]
+        curv = self.saddle_hessian(beta)[0, 0]
         return TrappedOrbitChart(
             beta=beta,
             trapped_radius=r_s,
-            lin_matrix=gen / 2.0,
+            lin_matrix=self.normal_generator(beta) / 2.0,
             normal_exponent=self.exponent(beta),
             potential_curvature=float(curv),
         )
@@ -281,13 +290,12 @@ class ShellOrbit:
         du, _, M = self.blocks(z[:4])
         return np.concatenate([du, (M @ z[4:].reshape(4, 4)).ravel()])
 
-    def tangent_cocycle(self, horizon: float, tol: float = 1e-10):
+    def tangent_cocycle(self, horizon: float, tol: float = 1e-10) -> TangentCocycle:
         """Intrinsic Jacobian t -> X(t) for any real t, from one theta-period.
 
         The period P is the first upward return of theta to its start; the
-        integration of (u, X) stops there, and X(t) = X(t mod P) M^floor(t/P)
-        with the monodromy M = X(P).  Raises InvalidHorizon when theta does
-        not return within `horizon`.
+        integration of (u, X) stops there.  Raises InvalidHorizon when theta
+        does not return within `horizon`.
         """
         theta0 = self.u0[0]
 
@@ -302,18 +310,15 @@ class ShellOrbit:
                         dense_output=True)
         if sol.status != 1:
             raise InvalidHorizon(
-                f"no theta-period within horizon {horizon:g} at "
-                f"beta={self.beta:g}: {sol.message}"
+                f"horizon {horizon:g} is too short: theta does not return "
+                f"within it at beta={self.beta:g} ({sol.message})"
             )
-        period = float(sol.t_events[0][-1])
         monodromy = sol.y_events[0][-1][4:].reshape(4, 4)
-
-        def jacobian(t: float) -> np.ndarray:
-            m, s = divmod(t, period)
-            X = sol.sol(s)[4:].reshape(4, 4)
-            return X @ np.linalg.matrix_power(monodromy, int(m))
-
-        return jacobian
+        return TangentCocycle(
+            period=float(sol.t_events[0][-1]),
+            shear=monodromy - np.eye(4),
+            one_period=sol.sol,
+        )
 
     def embed(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(
@@ -332,18 +337,21 @@ class ShellOrbit:
         M[2, :] = -HE[1, :]
         return du, A6, M
 
-    def normal_seeds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit 6-vectors seeding the expanding/contracting normal bundles."""
-        gen = self.family.normal_generator(self.beta)
-        eigvals, eigvecs = np.linalg.eig(gen)
-        order = np.argsort(eigvals.real)
-        v_minus = eigvecs[:, order[0]].real
-        v_plus = eigvecs[:, order[-1]].real
+    def normal_bundles(self):
+        """Normal rates and unit bundle 6-vectors, ((lambda_+, e_+), (lambda_-, e_-)).
+
+        The eigenpairs of A6 on its invariant (r, phi, xi) block (fact 2),
+        so exp(t*A6) e_+ = exp(lambda_+ t) e_+ and
+        exp(-t*A6) e_- = exp(lambda_- t) e_-.
+        """
+        block = [0, 2, 3]
+        A6 = self.blocks(self.u0)[1]
+        eigvals, eigvecs = np.linalg.eig(A6[np.ix_(block, block)])
         out = []
-        for v in (v_plus, v_minus):
-            w = np.zeros(6)
-            w[0], w[3] = v[0], v[1]
-            out.append(w / np.linalg.norm(w))
+        for i in (np.argmax(eigvals.real), np.argmin(eigvals.real)):
+            e = np.zeros(6)
+            e[block] = eigvecs[:, i].real
+            out.append((abs(float(eigvals[i].real)), e / np.linalg.norm(e)))
         return out[0], out[1]
 
     def tangential_frame(self) -> np.ndarray:
@@ -360,26 +368,29 @@ class ShellOrbit:
         return frame
 
 
-def _normal_growth(step: np.ndarray, seed6: np.ndarray, n: int):
-    """Renormalized chunk loop w_k = step^k seed6, k = 1..n.
+@dataclass(frozen=True)
+class TangentCocycle:
+    """X(t) = X(s) (I + mN) for t = s + mP, s in [0, P) (fact 3).
 
-    Returns the cumulative log-growth series and the unit directions.
+    The monodromy is never raised to a power: integration error of size
+    tol splits its 2x2 Jordan blocks into eigenvalues about sqrt(tol) off
+    the unit circle, which powers would amplify.
     """
-    w = seed6
-    log_w = 0.0
-    logs, dirs = [], []
-    for _ in range(n):
-        w = step @ w
-        nw = np.linalg.norm(w)
-        log_w += math.log(nw)
-        w = w / nw
-        logs.append(log_w)
-        dirs.append(w)
-    return np.asarray(logs), dirs
+
+    period: float
+    shear: np.ndarray  # N = X(P) - I, with N^2 = 0 up to integration error
+    one_period: OdeSolution  # s -> (u, X) on [0, P]
+
+    def __call__(self, t):
+        """X(t) as a 4x4 matrix, or a stack of them for an array of times."""
+        m, s = np.divmod(t, self.period)
+        X = self.one_period(s)[4:].reshape(4, 4, *np.shape(s))
+        X = np.moveaxis(X, (0, 1), (-2, -1))
+        return X @ (np.eye(4) + np.multiply.outer(m, self.shear))
 
 
 def _line_angle(ref: np.ndarray, w: np.ndarray) -> float:
-    """Angle between the lines spanned by unit vectors ref and w.
+    """Angle between the lines spanned by the unit vector ref and w != 0.
 
     atan2 of the rejection and projection keeps small angles exact, where
     acos of the projection loses them below about 1e-8.
@@ -407,8 +418,10 @@ class BetaSample:
     xi_saddle: float
     rate_plus: float
     rate_minus: float
-    tangential_slope_fwd: float
-    tangential_slope_bwd: float
+    period: float
+    tangential_degree: int
+    # (a, b): sigma(t) <= a + b*t forward and a + b*(t + period) backward
+    envelope: tuple[float, float]
     invariance_angle: float
 
     def passed(self) -> bool:
@@ -426,7 +439,7 @@ class TrapCertificate:
     beta_samples: list[BetaSample]
     theta_rate: float
     ratio_checks: list[RatioCheck]
-    tangential_slope: float
+    tangential_degree: int
     passed: bool
     reasons: list[str] = field(default_factory=list)
 
@@ -465,6 +478,65 @@ def _beta_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return grid
 
 
+def _beta_sample(
+    fam: ReducedFamily, beta: float, lam: float, horizon: float, tol: float
+) -> BetaSample:
+    """Normal rates, bundle invariance and tangential envelope at one beta.
+
+    sigma(t) = ||L X(t) F|| on the shell-tangent frame F.  With
+    t = s + mP, X(t) F = X(s) (F + mNF + C(m, 2) N^2 F + ...), so the degree
+    of growth is the first power k with N^k F = 0, less one.  The zero test
+    is ||L N^k F|| <= sqrt(tol), decades above the integration error.  The
+    shear grows like the spin (0.02 at a = 0.1), so it reads as degree 0
+    only below a ~ 5e-5, and the envelope slope b is measured either way.
+    """
+    chart = fam.chart(beta)
+    orbit = ShellOrbit(fam, beta, lam)
+    A6 = orbit.blocks(orbit.u0)[1]
+    (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
+    cocycle = orbit.tangent_cocycle(horizon, tol)
+    period, N = cocycle.period, cocycle.shear
+    L, F = orbit.embed_diff, orbit.tangential_frame()
+    degree, NkF = 0, N @ F
+    while degree <= TANGENTIAL_DEGREE_MAX and np.linalg.norm(L @ NkF, 2) > math.sqrt(tol):
+        degree, NkF = degree + 1, N @ NkF
+    grid = np.linspace(0.0, period, ENVELOPE_SAMPLES)
+
+    def sup(Y):
+        """sup over s in [0, P] of ||L X(s) Y||: grid argmax, then polished."""
+        def norm(s):
+            return np.linalg.norm(L @ cocycle(s) @ Y, 2, axis=(-2, -1))
+
+        values = norm(grid)
+        i = int(np.argmax(values))
+        bounds = (grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
+        peak = minimize_scalar(lambda s: -norm(s), bounds=bounds,
+                               method="bounded", options={"xatol": 1e-9})
+        return max(float(values[i]), -float(peak.fun))
+
+    return BetaSample(
+        chart=chart,
+        xi_saddle=orbit.xi_s,
+        rate_plus=rate_plus,
+        rate_minus=rate_minus,
+        period=period,
+        tangential_degree=degree,
+        envelope=(sup(F), sup(N @ F) / period),
+        invariance_angle=max(_line_angle(e, A6 @ e) for e in (e_plus, e_minus)),
+    )
+
+
+def _ratio_sup(r: int, a: float, b: float, k: float) -> float:
+    """sup over t >= 0 of (a + b*t)^r exp(-k*t), for a > 0, b >= 0, k > 0.
+
+    The log is concave in t, so the sup sits at t = 0 unless the stationary
+    point t* = r/k - a/b, where a + b*t* = r*b/k, is positive.
+    """
+    if r * b <= k * a:
+        return a**r
+    return (r * b / k) ** r * math.exp(k * a / b - r)
+
+
 def certify(
     lam: float,
     params: KerrParams,
@@ -476,118 +548,60 @@ def certify(
 ) -> TrapCertificate:
     """Certify r-normal hyperbolicity of the trapped set on one energy shell.
 
-    Per sampled beta, on the pinned shell orbit: normal rates from powers of
-    the constant chunk propagator exp(+-tau*A6) (expanding bundle forward,
-    contracting bundle under time reversal), tangential growth from the
-    one-period Floquet form of the intrinsic cocycle, and the
-    bundle-invariance angle from a seed re-started at a later chunk.  The
-    r-normality ratio inequalities are then evaluated on the sampled
-    sup/inf envelopes for r = 1..r_max.
+    Per sampled beta, on the pinned shell orbit: the normal rates and
+    bundles are the eigenpairs of A6 on its invariant block (fact 2), and
+    the invariance angle is the line angle between each bundle vector and
+    its image under A6.  One theta-period of the tangential cocycle gives
+    the degree of tangential growth and the envelope a + b*t (fact 3).  For
+    r = 1..r_max the ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t)
+    over t >= 0 in closed form, forward with lambda_+ and backward with
+    lambda_-; they hold when the degree is at most 1.  `horizon` only
+    bounds the search for the theta-period: no number depends on it.
     """
     if horizon <= 0.0:
         raise InvalidHorizon(f"horizon must be positive, got {horizon}")
-    n_chunks = max(1, int(round(horizon / CHUNK_TIME)))
-    tau = horizon / n_chunks
-    times = tau * np.arange(1, n_chunks + 1)
-    # the invariance check re-seeds at chunk k_from and compares at k_to;
-    # k_to > k_from also leaves at least two points in every slope fit
-    k_from = max(2, int(round(2.0 / tau)))
-    k_to = min(n_chunks, k_from + 2)
-    if k_to <= k_from:
-        raise InvalidHorizon(
-            f"horizon {horizon:g} is too short to certify: the invariance "
-            f"check needs {k_from + 1} chunks of length {tau:g}, it holds {n_chunks}"
-        )
-    late = times >= 0.5 * times[-1]
-    tangent = times >= max(tau, horizon / 5.0)
-    log_t = np.log(times[tangent])
-
     fam = family or ReducedFamily(params)
     lo, hi = equatorial_beta_range(lam, params, fam)
-    betas = _beta_grid(lo, hi, n_beta)
+    samples = [
+        _beta_sample(fam, float(beta), lam, horizon, tol)
+        for beta in _beta_grid(lo, hi, n_beta)
+    ]
+    reasons = [
+        f"beta={s.chart.beta:.6g}: rates ({s.rate_plus:.4g}, {s.rate_minus:.4g}) "
+        f"vs exponent {s.chart.normal_exponent:.4g}, "
+        f"angle {s.invariance_angle:.2e}"
+        for s in samples
+        if not s.passed()
+    ]
+    degree = max(s.tangential_degree for s in samples)
+    if degree > TANGENTIAL_DEGREE_MAX:
+        reasons.append(f"tangential degree {degree} > {TANGENTIAL_DEGREE_MAX}")
 
-    samples: list[BetaSample] = []
-    reasons: list[str] = []
-    logs_fwd, logs_bwd, sigmas_fwd, sigmas_bwd = [], [], [], []
-    for beta in betas:
-        chart = fam.chart(float(beta))
-        orbit = ShellOrbit(fam, float(beta), lam)
-        A6 = orbit.blocks(orbit.u0)[1]
-        cocycle = orbit.tangent_cocycle(horizon, tol)
-        frame = orbit.tangential_frame()
-        logs, sigmas, angles = {}, {}, []
-        for sign, seed in zip((1, -1), orbit.normal_seeds()):
-            step = expm(sign * tau * A6)
-            logs[sign], dirs = _normal_growth(step, seed, n_chunks)
-            reseeded = _normal_growth(step, seed, k_to - k_from)[1][-1]
-            angles.append(_line_angle(dirs[k_to - 1], reseeded))
-            sigmas[sign] = np.asarray([
-                np.linalg.norm(orbit.embed_diff @ cocycle(sign * t) @ frame, 2)
-                for t in times
-            ])
-        rate_plus = fit_slope(times[late], logs[1][late])[0]
-        rate_minus = fit_slope(times[late], logs[-1][late])[0]
-        slope_fwd = fit_slope(log_t, np.log(sigmas[1][tangent]))[0]
-        slope_bwd = fit_slope(log_t, np.log(sigmas[-1][tangent]))[0]
-        sample = BetaSample(
-            chart=chart,
-            xi_saddle=fam.saddle(float(beta))[1],
-            rate_plus=rate_plus,
-            rate_minus=rate_minus,
-            tangential_slope_fwd=slope_fwd,
-            tangential_slope_bwd=slope_bwd,
-            invariance_angle=max(angles),
+    rate_fwd = min(s.rate_plus for s in samples)
+    rate_bwd = min(s.rate_minus for s in samples)
+    theta0 = 0.9 * min(rate_fwd, rate_bwd)
+    b = max(s.envelope[1] for s in samples)
+    a_fwd = max(s.envelope[0] for s in samples)
+    a_bwd = max(s.envelope[0] + s.envelope[1] * s.period for s in samples)
+    ratio_checks = [
+        RatioCheck(
+            r=r,
+            theta0=theta0,
+            C=max(_ratio_sup(r, a_fwd, b, rate_fwd - theta0),
+                  _ratio_sup(r, a_bwd, b, rate_bwd - theta0)),
+            slope_forward=-rate_fwd,
+            slope_backward=-rate_bwd,
+            passed=degree <= TANGENTIAL_DEGREE_MAX,
         )
-        samples.append(sample)
-        logs_fwd.append(logs[1])
-        logs_bwd.append(logs[-1])
-        sigmas_fwd.append(sigmas[1])
-        sigmas_bwd.append(sigmas[-1])
-        if not sample.passed():
-            reasons.append(
-                f"beta={beta:.6g}: rates ({rate_plus:.4g}, {rate_minus:.4g}) "
-                f"vs exponent {chart.normal_exponent:.4g}, "
-                f"angle {sample.invariance_angle:.2e}"
-            )
-
-    sup_T_fwd = np.max(sigmas_fwd, axis=0)
-    sup_T_bwd = np.max(sigmas_bwd, axis=0)
-    sup_logU = np.max(logs_fwd, axis=0)
-    inf_logD = np.min(logs_bwd, axis=0)
-
-    ratio_checks: list[RatioCheck] = []
-    for r in range(1, r_max + 1):
-        y1 = r * np.log(sup_T_fwd) - sup_logU
-        y2 = r * np.log(sup_T_bwd) - inf_logD
-        s1 = fit_slope(times[late], y1[late])[0]
-        s2 = fit_slope(times[late], y2[late])[0]
-        ok = s1 < 0.0 and s2 < 0.0
-        theta0 = 0.9 * min(-s1, -s2) if ok else 0.0
-        C = float(np.exp(max(np.max(y1 + theta0 * times),
-                             np.max(y2 + theta0 * times))))
-        ratio_checks.append(
-            RatioCheck(r=r, theta0=theta0, C=C, slope_forward=s1,
-                       slope_backward=s2, passed=ok)
-        )
-        if not ok:
-            reasons.append(f"ratio check r={r}: slopes ({s1:.4g}, {s2:.4g})")
-
-    tangential_slope = max(
-        max(s.tangential_slope_fwd for s in samples),
-        max(s.tangential_slope_bwd for s in samples),
-    )
-    if tangential_slope > TANGENTIAL_SLOPE_MAX:
-        reasons.append(f"tangential slope {tangential_slope:.4g} > 1.2")
-
-    theta_rate = min(min(s.rate_plus, s.rate_minus) for s in samples)
-    passed = not reasons
+        for r in range(1, r_max + 1)
+    ]
     return TrapCertificate(
         lam=lam,
         beta_samples=samples,
-        theta_rate=theta_rate,
+        theta_rate=min(rate_fwd, rate_bwd),
         ratio_checks=ratio_checks,
-        tangential_slope=tangential_slope,
-        passed=passed,
+        tangential_degree=degree,
+        passed=not reasons,
         reasons=reasons,
     )
 
@@ -733,8 +747,9 @@ def certificate_to_dict(cert: TrapCertificate) -> dict:
                 "potential_curvature": s.chart.potential_curvature,
                 "rate_plus": s.rate_plus,
                 "rate_minus": s.rate_minus,
-                "tangential_slope_fwd": s.tangential_slope_fwd,
-                "tangential_slope_bwd": s.tangential_slope_bwd,
+                "period": s.period,
+                "tangential_degree": s.tangential_degree,
+                "envelope": list(s.envelope),
                 "invariance_angle": s.invariance_angle,
             }
             for s in cert.beta_samples
@@ -751,7 +766,7 @@ def certificate_to_dict(cert: TrapCertificate) -> dict:
             }
             for c in cert.ratio_checks
         ],
-        "tangential_slope": cert.tangential_slope,
+        "tangential_degree": cert.tangential_degree,
         "passed": cert.passed,
         "reasons": list(cert.reasons),
     }
@@ -800,5 +815,3 @@ def integrate_shell_orbit(
     jac = sol.y[4:, -1].reshape(4, 4)
     return drift, jac, orbit.embed(sol.y[:4, -1])
 
-
-DRIFT_SAMPLES_SHELL = 41

@@ -1,4 +1,4 @@
-"""Absorbing-barrier spectrum tests: stencils, strings, gaps, semigroup."""
+"""Absorbing-barrier spectrum tests: stencils, strings, gaps, resolvents."""
 
 import math
 
@@ -17,6 +17,40 @@ from nhtrap.errors import (
 from nhtrap.kerr import KerrParams
 
 MU_EFF = 2.0 * math.sqrt(3.0) / 9.0
+
+
+def laplacian_reference(h: float, n_points: int, order: int,
+                        length: float = math.pi) -> capspec.CapProblem:
+    """Absorber-free flat problem (v = 0, m = 1) with known spectrum.
+
+    The continuum eigenvalues are h^2 (j pi / length)^2; the order-2
+    discretization has the exact discrete counterpart
+    (4 h^2/dx^2) sin^2(j pi / (2 (n+1))).
+    """
+    dx = length / (n_points + 1)
+    return capspec.CapProblem(
+        kind="reference",
+        h=h,
+        x_min=0.0,
+        x_max=length,
+        n_points=n_points,
+        order=order,
+        x=dx * np.arange(1, n_points + 1),
+        potential=np.zeros(n_points),
+        mass_weight=np.ones(n_points),
+        mass_mid=np.ones(n_points + 1),
+        absorber=np.zeros(n_points),
+        barrier_top=0.5 * length,
+        mass_top=1.0,
+        potential_curvature=0.0,
+        exponent=0.0,
+        flat_lo=0.0,
+        flat_hi=length,
+        ramps=(0.0, 0.0),
+        margins=(0.0, 0.0),
+        profile="band",
+        params={},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +78,10 @@ class TestBuildModel:
         assert p.flat_lo < p.barrier_top < p.flat_hi
         assert p.x.shape == (p.n_points,)
         assert p.dx == pytest.approx(p.length / (p.n_points + 1))
+        # barrier top of sech^2 x - 1: m = 1, v'' = -2, rate sqrt(2 m |v''|) = 2
+        assert p.mass_top == 1.0
+        assert p.potential_curvature == pytest.approx(-2.0, abs=1e-12)
+        assert p.exponent == pytest.approx(2.0, abs=1e-12)
 
     def test_absorber_range_and_margins(self, toy_problem, schw_problem):
         for p in (toy_problem, schw_problem):
@@ -208,7 +246,7 @@ class TestDiscretization:
             assert np.array_equal(fast.data, loop.data)
 
     def test_order2_exact_discrete_spectrum(self):
-        ref = capspec.laplacian_reference(h=0.1, n_points=160, order=2)
+        ref = laplacian_reference(h=0.1, n_points=160, order=2)
         matrix = capspec.discretize_sparse(ref).toarray()
         vals = np.sort(np.linalg.eigvalsh(matrix.real))
         n, dx, h = ref.n_points, ref.dx, ref.h
@@ -221,7 +259,7 @@ class TestDiscretization:
     def test_order4_convergence_rate(self):
         errs = []
         for n in (100, 200, 400):
-            ref = capspec.laplacian_reference(h=0.1, n_points=n, order=4)
+            ref = laplacian_reference(h=0.1, n_points=n, order=4)
             matrix = capspec.discretize_sparse(ref).toarray()
             vals = np.sort(np.linalg.eigvalsh(matrix.real))
             exact = (0.1 * np.arange(1, 4)) ** 2
@@ -417,58 +455,3 @@ class TestResolvent:
     def test_nonconvergence_raises(self, toy_problem):
         with pytest.raises(ConvergenceFailure):
             capspec.resolvent_norm(toy_problem.matrix, complex(0.1, 0.3), max_iter=1)
-
-
-class TestSemigroup:
-    def test_saddle_generator_toy(self, toy_problem):
-        gen = capspec.saddle_generator(toy_problem)
-        assert np.max(np.abs(gen - np.array([[0.0, 2.0], [2.0, 0.0]]))) < 1e-12
-        rate = float(np.max(np.linalg.eigvals(gen).real))
-        assert rate == pytest.approx(toy_problem.exponent, abs=1e-12)
-
-    def test_gaussian_state_support(self, toy_problem, schw_problem):
-        for p in (toy_problem, schw_problem):
-            state = capspec.gaussian_state(p)
-            assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
-            outside = (p.x < p.flat_lo) | (p.x > p.flat_hi)
-            assert np.linalg.norm(state[outside]) < 1e-2
-
-    def test_absorber_free_evolution_is_unitary(self):
-        p = capspec.build_model("toy_sech2", h=0.1, absorber_scale=0.0)
-        norms = capspec.evolve_norms(
-            p, capspec.gaussian_state(p), np.linspace(0.0, 2.0, 9)
-        )
-        assert np.max(np.abs(norms - norms[0])) < 1e-10
-
-    def test_eigenvector_decay_matches_eigenvalue(self, toy_problem):
-        z, vec = capspec.slowest_mode(toy_problem)
-        alpha = capspec.semigroup_decay(
-            toy_problem, vec, t_final=6.0, support_tol=None
-        )
-        assert alpha == pytest.approx(-z.imag / toy_problem.h, rel=0.02)
-
-    def test_gaussian_decay_within_factor_two(self, toy_problem):
-        rep = capspec.spectral_gap(toy_problem)
-        alpha = capspec.semigroup_decay(toy_problem, t_final=6.0)
-        ratio = alpha / rep.nu
-        assert 0.5 <= ratio <= 2.0
-
-    def test_support_guard(self):
-        p = capspec.build_model("schw_radial", h=0.1)
-        _, vec = capspec.slowest_mode(p)
-        with pytest.raises(DomainError):
-            capspec.semigroup_decay(p, vec)
-        alpha = capspec.semigroup_decay(p, vec, t_final=6.0, support_tol=None)
-        assert alpha > 0.0
-
-    def test_evolution_validation(self, toy_problem):
-        with pytest.raises(DomainError):
-            capspec.evolve_norms(
-                toy_problem, np.ones(3, dtype=complex), np.linspace(0.0, 1.0, 5)
-            )
-        with pytest.raises(DomainError):
-            capspec.semigroup_decay(toy_problem, t_final=-1.0)
-        with pytest.raises(DomainError):
-            capspec.semigroup_decay(
-                toy_problem, np.zeros(toy_problem.n_points, dtype=complex)
-            )

@@ -334,6 +334,14 @@ class TestCertifyAndPerturb:
         rates = [s["normal_exponent"] for s in cert["beta_samples"]]
         assert min(rates) > 0.0
 
+    def test_trap_certify_default_horizon(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "trap-certify", "kerr.spin = 0.5\n")
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+        cert = json.loads((out / "certificate.json").read_text())["certificates"][0]
+        assert cert["passed"] is True
+        assert cert["tangential_degree"] == 1
+
     def test_too_short_horizon_is_config_error(self, tmp_path, capsys):
         code, out = run_cli(
             tmp_path, "trap-certify", "horizon = 0.1\na_list = 0.0\n"

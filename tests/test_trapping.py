@@ -31,9 +31,10 @@ class TestTrappedRadius:
         from nhtrap.models import radial_potential_derivs
 
         rng = np.random.default_rng(31)
-        for _ in range(12):
-            a = rng.uniform(0.0, 0.85)
-            beta = rng.uniform(-4.5, 4.5)
+        cases = [(rng.uniform(0.0, 0.85), rng.uniform(-4.5, 4.5)) for _ in range(12)]
+        # near extremal spin the prograde orbit hugs the horizon
+        cases += [(0.95, -2.2), (0.99, -2.378), (0.99, 0.7)]
+        for a, beta in cases:
             p = KerrParams(1.0, a)
             r0 = trapping.trapped_radius(beta, p)
             _, v1, v2, _ = radial_potential_derivs(p, beta, r0)
@@ -137,21 +138,31 @@ class TestFamilyAndShell:
         orbit = trapping.ShellOrbit(trapping.ReducedFamily(params), 1.7, 0.0)
         cocycle = orbit.tangent_cocycle(1.5, tol=1e-12)
         A6 = orbit.blocks(orbit.u0)[1]
-        seed_plus, seed_minus = orbit.normal_seeds()
+        (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
         L = orbit.embed_diff
         model = models.full_kerr_model(params)
         for t in (0.4, 0.9, 1.5, -0.7, -1.5):
             J6 = flow.tangent_flow(model, orbit.embed(orbit.u0), t, tol=1e-12)
             diff = np.abs(J6 @ L - L @ cocycle(t))
             assert np.max(diff[:, :3]) < 1e-10
-            # the beta column carries the difference-quotient saddle
-            # derivative, whose rounding the normal flow amplifies
+            # the beta column moves the saddle, so the normal flow
+            # amplifies the rounding of its saddle derivative
             assert np.max(diff[:, 3]) < 1e-10 * np.linalg.norm(expm(t * A6), 2)
-            seed = seed_plus if t > 0 else seed_minus
-            exact = np.linalg.norm(expm(t * A6) @ seed)
-            assert math.log(np.linalg.norm(J6 @ seed)) == pytest.approx(
-                math.log(exact), abs=1e-9
+            rate, bundle = (rate_plus, e_plus) if t > 0 else (rate_minus, e_minus)
+            assert math.log(np.linalg.norm(J6 @ bundle)) == pytest.approx(
+                rate * abs(t), abs=1e-9
             )
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    def test_saddle_derivative_matches_difference_quotient(self, epsilon):
+        bump = models.BumpPattern(3, (3.0, 0.0), span=0.6)
+        fam = trapping.ReducedFamily(KerrParams(1.0, 0.5), bump=bump, epsilon=epsilon)
+        step = 1e-5
+        for beta in (-3.0, -1.2, 0.8, 2.5):
+            lo, hi = np.asarray(fam.saddle(beta - step)), np.asarray(fam.saddle(beta + step))
+            quotient = (hi - lo) / (2.0 * step)
+            exact = fam.saddle_derivative(beta)
+            assert np.max(np.abs(exact - quotient)) < 1e-7 * max(1.0, abs(quotient[0]))
 
     def test_long_orbit_conservation(self):
         drift, jac, end = trapping.integrate_shell_orbit(
@@ -168,19 +179,70 @@ class TestCertify:
         cert = trapping.certify(0.0, KerrParams(), horizon=6.0, n_beta=3)
         assert cert.passed
         assert cert.reasons == []
-        assert cert.theta_rate == pytest.approx(MU0, rel=1e-6)
+        assert cert.theta_rate == pytest.approx(MU0, rel=1e-12)
         assert len(cert.ratio_checks) == trapping.RNORM_DEFAULT
         assert all(c.passed for c in cert.ratio_checks)
         assert all(c.theta0 > 0 for c in cert.ratio_checks)
-        assert cert.tangential_slope <= trapping.TANGENTIAL_SLOPE_MAX
+        assert cert.tangential_degree == 0
         for s in cert.beta_samples:
-            assert s.rate_plus >= 0.9 * s.chart.normal_exponent
-            assert s.rate_minus >= 0.9 * s.chart.normal_exponent
+            assert s.rate_plus == pytest.approx(MU0, rel=1e-12)
+            assert s.rate_minus == pytest.approx(MU0, rel=1e-12)
             assert s.invariance_angle <= trapping.INVARIANCE_ANGLE_MAX
 
+    @pytest.mark.parametrize("spin", [0.5, 0.9, 0.95, 0.99])
+    def test_rates_are_the_normal_exponent(self, spin):
+        cert = trapping.certify(0.0, KerrParams(1.0, spin), horizon=5.0, n_beta=3)
+        assert cert.passed, cert.reasons
+        for s in cert.beta_samples:
+            assert s.rate_plus == pytest.approx(s.chart.normal_exponent, rel=1e-12)
+            assert s.rate_minus == pytest.approx(s.chart.normal_exponent, rel=1e-12)
+
+    @pytest.mark.parametrize("spin, degree", [(0.0, 0), (0.5, 1), (0.9, 1)])
+    def test_tangential_degree_matches_dense_envelope(self, spin, degree):
+        params = KerrParams(1.0, spin)
+        cert = trapping.certify(0.0, params, horizon=5.0, n_beta=3)
+        assert cert.tangential_degree == degree
+        fam = trapping.ReducedFamily(params)
+        for s in cert.beta_samples:
+            assert s.tangential_degree == degree
+            orbit = trapping.ShellOrbit(fam, s.chart.beta, 0.0)
+            cocycle = orbit.tangent_cocycle(5.0)
+            L, F, P = orbit.embed_diff, orbit.tangential_frame(), cocycle.period
+
+            def sigma(t):
+                return np.linalg.norm(L @ cocycle(t) @ F, 2, axis=(-2, -1))
+
+            # the per-period maximum grows like m^degree
+            def period_max(m):
+                return np.max(sigma((m + np.linspace(0.0, 1.0, 601)) * P))
+
+            growth = math.log2(period_max(20000) / period_max(10000))
+            assert growth == pytest.approx(degree, abs=1e-3)
+            # the certified envelope bounds a dense grid of 30 periods
+            a, b = s.envelope
+            t = np.linspace(0.0, 30.0 * P, 18001)
+            assert np.all(sigma(t) <= (a + b * t) * (1.0 + 1e-9))
+            assert np.all(sigma(-t) <= (a + b * (t + P)) * (1.0 + 1e-9))
+
+    def test_ratio_constant_is_the_sup(self):
+        t = np.linspace(0.0, 20.0, 400001)
+        for r, a, b, k in ((1, 5.0, 0.0, 1.0), (2, 5.0, 0.1, 3.0), (4, 8.0, 6.0, 0.6)):
+            dense = np.max((a + b * t) ** r * np.exp(-k * t))
+            assert trapping._ratio_sup(r, a, b, k) == pytest.approx(dense, rel=1e-9)
+
+    def test_certificate_does_not_depend_on_horizon(self):
+        params = KerrParams(1.0, 0.5)
+        docs = [
+            trapping.certificate_to_dict(
+                trapping.certify(0.0, params, horizon=horizon, n_beta=2)
+            )
+            for horizon in (1.0, 50.0)
+        ]
+        assert docs[0] == docs[1]
+
     def test_bad_horizon(self):
-        # 0.1 and 2.0 leave no room for the invariance re-seed
-        for horizon in (0.0, 0.1, 2.0):
+        # 0.1 is shorter than the theta-period
+        for horizon in (0.0, 0.1):
             with pytest.raises(InvalidHorizon):
                 trapping.certify(0.0, KerrParams(), horizon=horizon)
 
@@ -192,7 +254,7 @@ class TestCertify:
             "beta_samples",
             "theta_rate",
             "ratio_checks",
-            "tangential_slope",
+            "tangential_degree",
             "passed",
             "reasons",
         }
@@ -204,6 +266,9 @@ class TestCertify:
             "normal_exponent",
             "rate_plus",
             "rate_minus",
+            "period",
+            "tangential_degree",
+            "envelope",
             "invariance_angle",
         } <= set(sample)
         check = d["ratio_checks"][0]
