@@ -78,10 +78,6 @@ class TestBuildModel:
         assert p.flat_lo < p.barrier_top < p.flat_hi
         assert p.x.shape == (p.n_points,)
         assert p.dx == pytest.approx(p.length / (p.n_points + 1))
-        # barrier top of sech^2 x - 1: m = 1, v'' = -2, rate sqrt(2 m |v''|) = 2
-        assert p.mass_top == 1.0
-        assert p.potential_curvature == pytest.approx(-2.0, abs=1e-12)
-        assert p.exponent == pytest.approx(2.0, abs=1e-12)
 
     def test_absorber_range_and_margins(self, toy_problem, schw_problem):
         for p in (toy_problem, schw_problem):
@@ -233,6 +229,18 @@ def _loop_derivative_matrix(n, dx, order):
                 cols.append(e - 1)
                 vals.append(w / dx)
     return sp.coo_matrix((vals, (rows, cols)), shape=(n + 1, n), dtype=float).tocsr()
+
+
+class TestSemigroup:
+    def test_saddle_generator_toy(self, toy_problem):
+        # barrier-top linearization [[0, 2m], [-v'', 0]] of the flow field;
+        # for sech^2 x - 1 (m = 1, v'' = -2) its positive eigenvalue
+        # sqrt(2 m |v''|) = 2 is the problem's exponent
+        p = toy_problem
+        gen = np.array([[0.0, 2.0 * p.mass_top], [-p.potential_curvature, 0.0]])
+        assert np.max(np.abs(gen - np.array([[0.0, 2.0], [2.0, 0.0]]))) < 1e-12
+        rate = float(np.max(np.linalg.eigvals(gen).real))
+        assert rate == pytest.approx(p.exponent, abs=1e-12)
 
 
 class TestDiscretization:
