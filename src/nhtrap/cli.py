@@ -176,8 +176,8 @@ def _escape_one(model, saddle_guess, h: float, seed: int) -> dict:
         pair = escape.build_defining_pair(model)
     else:
         pair = escape.build_defining_pair(model, saddle_guess=saddle_guess)
-    spec, _ = escape.make_escape_spec(pair, h=h)
-    return escape.escape_report(model, pair, spec, seed=seed)
+    spec = escape.make_escape_spec(pair, h=h)
+    return escape.escape_report(pair, spec, seed=seed)
 
 
 def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:

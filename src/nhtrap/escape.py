@@ -8,10 +8,15 @@ assembles the log-flattened escape function G, and evaluates the
 positive-commutator quantity whose grid minimum certifies the bound
 phi_tilde >= c1 * htilde with c1 > 0.
 
-Conventions.  Phase points are arrays (x, xi).  The Poisson bracket is
-{f, g} = f_xi g_x - f_x g_xi, and H_p f = {p, f}.  The defining functions
-are normalized so their xi-derivative is 1 at the saddle; radii are
-measured in the saddle-adapted metric s^2 = kappa^2 dx^2 + dxi^2 with
+Conventions.  Phase points are arrays (x, xi) of shape (2, *batch): every
+function of a point also takes a whole batch and returns values of shape
+batch and gradients of shape (2, *batch), so each grid is evaluated as one
+array expression.  Point lists (grids, samples) are stored as (n, 2) and
+transposed on the way in.  Every derivative is in closed form, built from
+the model's gradient, Hessian and third-derivative tensor.  The Poisson
+bracket is {f, g} = f_xi g_x - f_x g_xi, and H_p f = {p, f}.  The defining
+functions are normalized so their xi-derivative is 1 at the saddle; radii
+are measured in the saddle-adapted metric s^2 = kappa^2 dx^2 + dxi^2 with
 kappa the slope magnitude of the invariant graphs.
 """
 
@@ -37,27 +42,15 @@ DEFAULT_C1_CONST = 10.0
 CHI_RADII = (0.2, 0.5)
 CHI1_RADII = (0.6, 0.9)
 G1_RADII = (0.2, 0.5)
-SMOOTHSTEP_ORDER = 5
 
-TAYLOR_STENCIL = 3e-3
-GRAD_STENCIL = 1e-4
-STENCIL_AGREE_TOL = 1e-6
+GRID_N = 41               # points per axis of the saddle grids
+VERIFY_RADIUS = 0.05      # adapted radius of the sign-relation grid
+PHI_TUBE = 1e-3           # sign relations are checked where |phi| exceeds this
+ORDER_PAIRS = 2000        # sample pairs of the report's order-function check
+ORDER_SPREAD_CAP = 2.0    # largest accepted spread of C_N across an h sweep
 ORDER_C_CAP = 100.0
 ORDER_N_MAX = 8
 HP_G1_NEGATIVE_TOL = 1e-6
-
-
-def _third_directional(model: HamiltonianModel, saddle, gamma: float) -> float:
-    """d^3/ds^3 of p along (1, gamma), via a 5-point stencil on the hessian
-    quadratic form: exact for symbols whose hessian is quadratic in s."""
-    d = np.asarray([1.0, gamma])
-    h = TAYLOR_STENCIL * max(1.0, abs(saddle[0]))
-
-    def q(s: float) -> float:
-        H = model.hessian(saddle + s * d)
-        return float(d @ H @ d)
-
-    return (q(-2 * h) - 8 * q(-h) + 8 * q(h) - q(2 * h)) / (12 * h)
 
 
 @dataclass(frozen=True)
@@ -85,18 +78,18 @@ class DefiningPair:
     c_scale_minus: float = 1.0
 
     # -- raw graph polynomials (normalization-free) ------------------------
-    def _raw(self, rho, gamma: float, quad: float) -> float:
+    def _raw(self, rho, gamma: float, quad: float):
         dx = rho[0] - self.saddle[0]
         return (rho[1] - self.saddle[1]) - gamma * dx - 0.5 * quad * dx * dx
 
     def _raw_grad(self, rho, gamma: float, quad: float) -> np.ndarray:
-        dx = rho[0] - self.saddle[0]
-        return np.asarray([-gamma - quad * dx, 1.0])
+        g0 = -gamma - quad * (rho[0] - self.saddle[0])
+        return np.stack([g0, np.ones_like(g0)])
 
-    def phi_plus(self, rho) -> float:
+    def phi_plus(self, rho):
         return self.scale_plus * self._raw(rho, self.gamma_plus, self.quad_plus)
 
-    def phi_minus(self, rho) -> float:
+    def phi_minus(self, rho):
         return self.scale_minus * self._raw(
             rho, self.gamma_minus, self.quad_minus
         )
@@ -111,50 +104,68 @@ class DefiningPair:
             rho, self.gamma_minus, self.quad_minus
         )
 
-    def hp_phi_plus(self, rho) -> float:
+    def hp_phi_plus(self, rho):
         g = self.model.gradient(rho)
         gp = self.grad_phi_plus(rho)
         return g[1] * gp[0] - g[0] * gp[1]
 
-    def hp_phi_minus(self, rho) -> float:
+    def hp_phi_minus(self, rho):
         g = self.model.gradient(rho)
         gm = self.grad_phi_minus(rho)
         return g[1] * gm[0] - g[0] * gm[1]
 
     # -- rate fields -------------------------------------------------------
-    def _c2_field(self, rho, sign: float, gamma: float, quad: float) -> float:
-        """Smooth rate field: the directional derivative of H_p phi along
-        grad phi over |grad phi|^2.
+    def _c2_field(self, rho, side: int, with_grad: bool = False):
+        """Smooth rate field c^2 of one graph (side +1 or -1): the
+        directional derivative of H_p phi along grad phi over |grad phi|^2.
 
         On the graphs this is the removable-singularity limit of
         -sign * H_p phi / phi; elsewhere it extends that quotient smoothly,
         avoiding the blow-up the raw ratio inherits from the quadratic
         construction's cubic residual when phi is small at finite distance
-        from the saddle."""
+        from the saddle.  With g0 = -gamma - quad dx the field is
+        -sign * num / (g0^2 + 1), num = (H01 g0 - quad p_xi - H00) g0
+        + H11 g0 - H01; `with_grad` also returns its gradient, from the
+        third-derivative tensor and grad g0 = (-quad, 0)."""
+        if side > 0:
+            sign, gamma, quad = 1.0, self.gamma_plus, self.quad_plus
+            scale2 = self.c_scale_plus**2
+        else:
+            sign, gamma, quad = -1.0, self.gamma_minus, self.quad_minus
+            scale2 = self.c_scale_minus**2
         rho = np.asarray(rho, dtype=float)
-        gp = self._raw_grad(rho, gamma, quad)
+        g0 = -gamma - quad * (rho[0] - self.saddle[0])
         g = self.model.gradient(rho)
         H = self.model.hessian(rho)
-        num_x = H[0, 1] * gp[0] + g[1] * (-quad) - H[0, 0]
-        num_xi = H[1, 1] * gp[0] - H[0, 1]
-        num = num_x * gp[0] + num_xi * gp[1]
-        return -sign * num / (gp[0] * gp[0] + gp[1] * gp[1])
+        lead = H[0, 1] * g0 - quad * g[1] - H[0, 0]
+        num = lead * g0 + (H[1, 1] * g0 - H[0, 1])
+        den = g0 * g0 + 1.0
+        c2 = -sign * num / den
+        if not with_grad:
+            return scale2 * c2
+        T = self.model.third(rho)
+        # H, T and p_xi vary along both axes; g0 only along x
+        dnum = (T[0, 1] * g0 - quad * H[1] - T[0, 0]) * g0 + (
+            T[1, 1] * g0 - T[0, 1]
+        )
+        dnum[0] -= quad * (lead + H[0, 1] * g0 + H[1, 1])
+        dc2 = -sign * dnum / den
+        dc2[0] += c2 * (2.0 * quad * g0 / den)
+        return scale2 * c2, scale2 * dc2
 
-    def c2_plus(self, rho) -> float:
-        raw = self._c2_field(rho, +1.0, self.gamma_plus, self.quad_plus)
-        return self.c_scale_plus**2 * raw
+    def c2_plus(self, rho):
+        return self._c2_field(rho, +1)
 
-    def c2_minus(self, rho) -> float:
-        raw = self._c2_field(rho, -1.0, self.gamma_minus, self.quad_minus)
-        return self.c_scale_minus**2 * raw
+    def c2_minus(self, rho):
+        return self._c2_field(rho, -1)
 
-    def c_plus(self, rho) -> float:
-        return math.sqrt(self.c2_plus(rho))
+    def c_plus(self, rho):
+        return np.sqrt(self.c2_plus(rho))
 
-    def c_minus(self, rho) -> float:
-        return math.sqrt(self.c2_minus(rho))
+    def c_minus(self, rho):
+        return np.sqrt(self.c2_minus(rho))
 
-    def bracket(self, rho) -> float:
+    def bracket(self, rho):
         """{phi+, phi-}, analytic from the stored polynomials."""
         dx = rho[0] - self.saddle[0]
         raw = (self.gamma_plus - self.gamma_minus) + (
@@ -163,10 +174,10 @@ class DefiningPair:
         return self.scale_plus * self.scale_minus * raw
 
     # -- geometry ----------------------------------------------------------
-    def adapted_radius(self, rho) -> float:
+    def adapted_radius(self, rho):
         dx = rho[0] - self.saddle[0]
         dxi = rho[1] - self.saddle[1]
-        return math.hypot(self.kappa * dx, dxi)
+        return np.hypot(self.kappa * dx, dxi)
 
     def rescaled(self, factor: float) -> "DefiningPair":
         """Scale both phi by `factor` and both c by its inverse."""
@@ -244,12 +255,16 @@ def build_defining_pair(
                 "saddle rate disagrees with the supplied chart: "
                 f"{mu:.9f} vs {chart.normal_exponent:.9f}"
             )
+    if model.third is None:
+        raise DomainError(f"{model.name} has no closed-form third derivatives")
     # invariance at second order: quad = -D3 / (3 (p_xxi + gamma p_xixi)),
-    # where D3 is the third derivative of p along (1, gamma)
+    # where D3 = T.d.d.d is the third derivative of p along d = (1, gamma)
+    T = model.third(saddle)
     quads = []
     for gamma in (gamma_plus, gamma_minus):
-        d3 = _third_directional(model, saddle, gamma)
-        quads.append(-d3 / (3.0 * (H[0, 1] + gamma * H[1, 1])))
+        d = np.asarray([1.0, gamma])
+        d3 = np.einsum("ijk,i,j,k->", T, d, d, d)
+        quads.append(float(-d3 / (3.0 * (H[0, 1] + gamma * H[1, 1]))))
     kappa = math.sqrt(-H[0, 0] / H[1, 1])
     return DefiningPair(
         model=model,
@@ -300,7 +315,7 @@ def manifold_samples(
     t_end = sol.t[-1]
     ts = np.linspace(0.0, t_end, 400)
     pts = sol.sol(ts).T
-    radii = np.asarray([pair.adapted_radius(p) for p in pts])
+    radii = pair.adapted_radius(pts.T)
     keep = (radii > 10 * seed_size) & (radii <= s_max)
     pts = pts[keep]
     if len(pts) < n_points:
@@ -309,62 +324,48 @@ def manifold_samples(
     return pts[idx]
 
 
-def verify_defG_relations(
-    pair: DefiningPair,
-    model: HamiltonianModel,
-    samples: np.ndarray,
-    phi_tube: float = 1e-3,
-) -> dict:
+def verify_defG_relations(pair: DefiningPair, samples: np.ndarray) -> dict:
     """Check the sign relations and the bracket floor on sample points.
 
-    Where |phi| exceeds `phi_tube` the ratio H_p phi / phi must carry the
+    Where |phi| exceeds PHI_TUBE the ratio H_p phi / phi must carry the
     decaying sign for phi+ and the growing sign for phi-; the bracket
     {phi+, phi-} is tracked everywhere.  Failures become report entries,
-    not exceptions.
+    point by point with plus before minus, not exceptions.
     """
-    violations = []
-    min_bracket = math.inf
-    for rho in np.asarray(samples, dtype=float):
-        br = pair.bracket(rho)
-        min_bracket = min(min_bracket, br)
-        fp = pair.phi_plus(rho)
-        if abs(fp) > phi_tube:
-            ratio = pair.hp_phi_plus(rho) / fp
-            if ratio >= 0.0:
-                violations.append(
-                    {"point": rho.tolist(), "side": "plus", "ratio": ratio}
-                )
-        fm = pair.phi_minus(rho)
-        if abs(fm) > phi_tube:
-            ratio = pair.hp_phi_minus(rho) / fm
-            if ratio <= 0.0:
-                violations.append(
-                    {"point": rho.tolist(), "side": "minus", "ratio": ratio}
-                )
+    samples = np.asarray(samples, dtype=float)
+    rho = samples.T
+    # columns: the plus side, then the minus side
+    phi = np.stack([pair.phi_plus(rho), pair.phi_minus(rho)], axis=-1)
+    hp = np.stack([pair.hp_phi_plus(rho), pair.hp_phi_minus(rho)], axis=-1)
+    tube = np.abs(phi) > PHI_TUBE
+    ratio = hp / np.where(tube, phi, 1.0)
+    bad = tube & (ratio * [1.0, -1.0] >= 0.0)
+    violations = [
+        {
+            "point": samples[i].tolist(),
+            "side": ("plus", "minus")[k],
+            "ratio": float(ratio[i, k]),
+        }
+        for i, k in np.argwhere(bad)
+    ]
+    min_bracket = float(np.min(pair.bracket(rho), initial=math.inf))
     return {
         "n_samples": int(len(samples)),
         "violations": violations,
         "n_violations": len(violations),
-        "min_bracket": float(min_bracket),
+        "min_bracket": min_bracket,
         "passed": not violations and min_bracket > 0.0,
     }
 
 
-def _smoothstep(u: float, order: int) -> float:
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    if order == 3:
-        return u * u * (3.0 - 2.0 * u)
+def _smoothstep(u):
+    """Quintic ramp: 0 for u <= 0, 1 for u >= 1, C^2 in between."""
+    u = np.clip(u, 0.0, 1.0)
     return u**3 * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def _smoothstep_deriv(u: float, order: int) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    if order == 3:
-        return 6.0 * u * (1.0 - u)
+def _smoothstep_deriv(u):
+    u = np.clip(u, 0.0, 1.0)
     return 30.0 * u * u * (1.0 - u) ** 2
 
 
@@ -376,7 +377,6 @@ class Cutoff:
     kappa: float
     inner: float
     outer: float
-    order: int = SMOOTHSTEP_ORDER
 
     def __post_init__(self):
         if not 0.0 < self.inner < self.outer:
@@ -384,86 +384,80 @@ class Cutoff:
                 f"cutoff radii must satisfy 0 < inner < outer, "
                 f"got ({self.inner}, {self.outer})"
             )
-        if self.order not in (3, 5):
-            raise DomainError(f"unsupported smoothstep order {self.order}")
 
-    def radius(self, rho) -> float:
+    def radius(self, rho):
         dx = rho[0] - self.center[0]
         dxi = rho[1] - self.center[1]
-        return math.hypot(self.kappa * dx, dxi)
+        return np.hypot(self.kappa * dx, dxi)
 
-    def value(self, rho) -> float:
-        s = self.radius(rho)
-        u = (s - self.inner) / (self.outer - self.inner)
-        return 1.0 - _smoothstep(u, self.order)
+    def value(self, rho):
+        u = (self.radius(rho) - self.inner) / (self.outer - self.inner)
+        return 1.0 - _smoothstep(u)
 
     def gradient(self, rho) -> np.ndarray:
         s = self.radius(rho)
-        if s <= self.inner or s >= self.outer or s == 0.0:
-            return np.zeros(2)
-        u = (s - self.inner) / (self.outer - self.inner)
-        du = -_smoothstep_deriv(u, self.order) / (self.outer - self.inner)
+        width = self.outer - self.inner
+        du = -_smoothstep_deriv((s - self.inner) / width) / width
         dx = rho[0] - self.center[0]
         dxi = rho[1] - self.center[1]
-        return du / s * np.asarray([self.kappa**2 * dx, dxi])
+        # du vanishes for s <= inner, so the floor only keeps s = 0 finite
+        return du / np.maximum(s, self.inner) * np.stack(
+            [self.kappa**2 * dx, dxi]
+        )
 
 
+@dataclass(frozen=True)
 class G1Function:
-    """Exterior escape term: position-momentum pairing gated off near K."""
+    """Exterior escape term: position-momentum pairing gated off near K.
 
-    def __init__(self, pair: DefiningPair, r_inner: float, r_outer: float,
-                 scale: float, order: int = SMOOTHSTEP_ORDER):
-        self.pair = pair
-        self.r_inner = r_inner
-        self.r_outer = r_outer
-        self.scale = scale
-        self.order = order
+    `report` holds the floors and ceiling measured by build_G1."""
 
-    def _ramp(self, s: float) -> float:
-        u = (s - self.r_inner) / (self.r_outer - self.r_inner)
-        return _smoothstep(u, self.order)
+    pair: DefiningPair
+    r_inner: float
+    r_outer: float
+    scale: float
+    report: dict | None = None
 
-    def __call__(self, rho) -> float:
+    def _ramp_u(self, rho):
+        s = self.pair.adapted_radius(rho)
+        return s, (s - self.r_inner) / (self.r_outer - self.r_inner)
+
+    def __call__(self, rho):
         dx = rho[0] - self.pair.saddle[0]
         dxi = rho[1] - self.pair.saddle[1]
-        s = self.pair.adapted_radius(rho)
-        return self.scale * self._ramp(s) * dx * dxi
+        _, u = self._ramp_u(rho)
+        return self.scale * _smoothstep(u) * dx * dxi
 
     def gradient(self, rho) -> np.ndarray:
         dx = rho[0] - self.pair.saddle[0]
         dxi = rho[1] - self.pair.saddle[1]
-        s = self.pair.adapted_radius(rho)
-        w = self._ramp(s)
-        grad = w * np.asarray([dxi, dx])
-        if self.r_inner < s < self.r_outer:
-            u = (s - self.r_inner) / (self.r_outer - self.r_inner)
-            dw = _smoothstep_deriv(u, self.order) / (
-                self.r_outer - self.r_inner
-            )
-            grad = grad + (dw * dx * dxi / s) * np.asarray(
-                [self.pair.kappa**2 * dx, dxi]
-            )
+        s, u = self._ramp_u(rho)
+        dw = _smoothstep_deriv(u) / (self.r_outer - self.r_inner)
+        # dw vanishes for s <= r_inner, so the floor only keeps s = 0 finite
+        grad = _smoothstep(u) * np.stack([dxi, dx]) + (
+            dw * dx * dxi / np.maximum(s, self.r_inner)
+        ) * np.stack([self.pair.kappa**2 * dx, dxi])
         return self.scale * grad
 
-    def hp(self, rho) -> float:
+    def hp(self, rho):
         g = self.pair.model.gradient(rho)
         gg = self.gradient(rho)
         return g[1] * gg[0] - g[0] * gg[1]
 
 
 def build_G1(
-    model: HamiltonianModel,
     pair: DefiningPair,
     r_inner: float = G1_RADII[0],
     r_outer: float = G1_RADII[1],
     n_grid: int = 61,
-) -> tuple[G1Function, dict]:
+) -> G1Function:
     """Construct the exterior escape function and verify its monotonicity.
 
     The function is w(s) * dx * dxi with w a smoothstep vanishing for
     s <= r_inner and equal to 1 for s >= r_outer; it is rescaled so the
     directional derivative H_p G1 is >= 1 on the band between r_outer and
-    2 r_outer.  The report carries the measured floors and ceiling.
+    2 r_outer.  The returned function's report carries the measured floors
+    and ceiling.
     """
     if not 0.0 < r_inner < r_outer:
         raise InvalidNesting(
@@ -473,66 +467,37 @@ def build_G1(
 
     band = 2.0 * r_outer
     xs = np.linspace(-band, band, n_grid)
-    floor_raw = math.inf
-    ceiling_raw = -math.inf
-    min_everywhere = math.inf
-    max_on_core = 0.0
-    x_s, xi_s = pair.saddle
-    for ax in xs:
-        for axi in xs:
-            s = math.hypot(ax, axi)
-            if s > band:
-                continue
-            rho = np.asarray([x_s + ax / pair.kappa, xi_s + axi])
-            hp = raw.hp(rho)
-            min_everywhere = min(min_everywhere, hp)
-            ceiling_raw = max(ceiling_raw, hp)
-            if s > r_outer:
-                floor_raw = min(floor_raw, hp)
-            if s <= r_inner:
-                max_on_core = max(max_on_core, abs(raw(rho)))
-    # stencil cross-check of the analytic H_p G1 at a few points
-    h = GRAD_STENCIL
-    for ax, axi in ((0.7 * band, 0.1), (-0.3, 0.5 * band), (0.4, -0.4)):
-        rho = np.asarray([x_s + ax / pair.kappa, xi_s + axi])
-        g = model.gradient(rho)
-        num = np.zeros(2)
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            num[k] = (
-                raw(rho - 2 * e) - 8 * raw(rho - e)
-                + 8 * raw(rho + e) - raw(rho + 2 * e)
-            ) / (12 * h)
-        hp_fd = g[1] * num[0] - g[0] * num[1]
-        if abs(hp_fd - raw.hp(rho)) > STENCIL_AGREE_TOL * max(
-            1.0, abs(raw.hp(rho))
-        ):
-            raise GridTooCoarse(
-                "analytic and stencil directional derivatives disagree"
-            )
+    ax, axi = (m.ravel() for m in np.meshgrid(xs, xs, indexing="ij"))
+    s = np.hypot(ax, axi)
+    disc = s <= band
+    s = s[disc]
+    rho = np.stack(
+        [pair.saddle[0] + ax[disc] / pair.kappa, pair.saddle[1] + axi[disc]]
+    )
+    hp = raw.hp(rho)
+    floor_raw = float(np.min(hp[s > r_outer], initial=math.inf))
+    ceiling_raw = float(np.max(hp))
+    min_everywhere = float(np.min(hp))
+    max_on_core = float(np.max(np.abs(raw(rho[:, s <= r_inner])), initial=0.0))
     if floor_raw <= 0.0:
         raise GridTooCoarse(
             f"no positive floor on the exterior band (min {floor_raw:.3e})"
         )
     scale = max(1.0, 1.0 / floor_raw)
-    g1 = G1Function(pair, r_inner, r_outer, scale=scale)
-    g1.report = None
     report = {
-        "floor_raw": float(floor_raw),
+        "floor_raw": floor_raw,
         "scale": float(scale),
-        "g1_floor": float(floor_raw * scale),
-        "ceiling": float(ceiling_raw * scale),
-        "min_everywhere": float(min_everywhere * scale),
-        "max_abs_on_core": float(max_on_core * scale),
+        "g1_floor": floor_raw * scale,
+        "ceiling": ceiling_raw * scale,
+        "min_everywhere": min_everywhere * scale,
+        "max_abs_on_core": max_on_core * scale,
         "passed": (
             floor_raw * scale >= 1.0 - 1e-12
             and min_everywhere * scale >= -HP_G1_NEGATIVE_TOL
             and max_on_core <= 1e-10
         ),
     }
-    g1.report = report
-    return g1, report
+    return G1Function(pair, r_inner, r_outer, scale, report)
 
 
 @dataclass(frozen=True)
@@ -575,21 +540,14 @@ def make_escape_spec(
     C1: float = DEFAULT_C1_CONST,
     M_const: float = DEFAULT_M_CONST,
     with_g1: bool = True,
-    chi_radii: tuple[float, float] = CHI_RADII,
-    chi1_radii: tuple[float, float] = CHI1_RADII,
-    g1_radii: tuple[float, float] = G1_RADII,
-) -> tuple[EscapeSpec, dict | None]:
-    """Assemble an EscapeSpec with default cutoffs centred on the saddle."""
+) -> EscapeSpec:
+    """Assemble an EscapeSpec with the default cutoffs centred on the saddle."""
     center = (float(pair.saddle[0]), float(pair.saddle[1]))
-    chi = Cutoff(center, pair.kappa, *chi_radii)
-    chi1 = Cutoff(center, pair.kappa, *chi1_radii)
-    g1 = None
-    g1_report = None
-    if with_g1:
-        g1, g1_report = build_G1(pair.model, pair, *g1_radii)
-    spec = EscapeSpec(h=h, htilde=htilde, chi=chi, chi1=chi1, C1=C1,
+    chi = Cutoff(center, pair.kappa, *CHI_RADII)
+    chi1 = Cutoff(center, pair.kappa, *CHI1_RADII)
+    g1 = build_G1(pair, *G1_RADII) if with_g1 else None
+    return EscapeSpec(h=h, htilde=htilde, chi=chi, chi1=chi1, C1=C1,
                       G1=g1, M_const=M_const)
-    return spec, g1_report
 
 
 class EscapeFunction:
@@ -599,16 +557,14 @@ class EscapeFunction:
         self.spec = spec
         self.pair = pair
 
-    def __call__(self, rho) -> float:
+    def __call__(self, rho):
         spec = self.spec
         eta = spec.eta
         fp = self.pair.phi_plus(rho)
         fm = self.pair.phi_minus(rho)
-        val = spec.chi.value(rho) * math.log(
-            (fm * fm + eta) / (fp * fp + eta)
-        )
+        val = spec.chi.value(rho) * np.log((fm * fm + eta) / (fp * fp + eta))
         if spec.G1 is not None:
-            val += spec.C1 * math.log(1.0 / spec.h) * spec.chi1.value(
+            val = val + spec.C1 * math.log(1.0 / spec.h) * spec.chi1.value(
                 rho
             ) * spec.G1(rho)
         return val
@@ -620,7 +576,7 @@ class EscapeFunction:
         fm = self.pair.phi_minus(rho)
         gp = self.pair.grad_phi_plus(rho)
         gm = self.pair.grad_phi_minus(rho)
-        quot = math.log((fm * fm + eta) / (fp * fp + eta))
+        quot = np.log((fm * fm + eta) / (fp * fp + eta))
         grad = spec.chi.gradient(rho) * quot + spec.chi.value(rho) * (
             2.0 * fm * gm / (fm * fm + eta) - 2.0 * fp * gp / (fp * fp + eta)
         )
@@ -642,49 +598,31 @@ def build_escape(spec: EscapeSpec, pair: DefiningPair) -> EscapeFunction:
 
 
 def _hatted(pair: DefiningPair, spec: EscapeSpec, rho, side: int):
-    """phi_hat = c phi / sqrt(phi^2 + eta) with its analytic gradient.
+    """phi_hat = c phi / sqrt(phi^2 + eta) with its gradient, both closed-form.
 
-    The rate gradient is a 5-point stencil of the smooth rate field; all
-    other factors are differentiated in closed form. The pair is reduced
-    to its unit-gradient representative first, so hatted quantities do not
-    depend on the (phi, c) scaling convention.
+    The pair is reduced to its unit-gradient representative first, so
+    hatted quantities do not depend on the (phi, c) scaling convention.
     """
     pair = pair.normalized()
+    rho = np.asarray(rho, dtype=float)
     eta = spec.eta
     if side > 0:
         phi, grad = pair.phi_plus(rho), pair.grad_phi_plus(rho)
-        c2f = pair.c2_plus
     else:
         phi, grad = pair.phi_minus(rho), pair.grad_phi_minus(rho)
-        c2f = pair.c2_minus
-    c2 = c2f(rho)
-    if c2 <= 0.0:
-        raise DomainError(
-            f"rate field lost positivity at {np.asarray(rho).tolist()}"
-        )
-    c = math.sqrt(c2)
-    w = math.sqrt(phi * phi + eta)
+    c2, dc2 = pair._c2_field(rho, side, with_grad=True)
+    lost = np.ravel(c2 <= 0.0)
+    if lost.any():
+        where = rho.reshape(2, -1)[:, np.argmax(lost)]
+        raise DomainError(f"rate field lost positivity at {where.tolist()}")
+    c = np.sqrt(c2)
+    w = np.sqrt(phi * phi + eta)
     val = c * phi / w
-    h = GRAD_STENCIL
-    dc2 = np.zeros(2)
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        dc2[k] = (
-            c2f(rho - 2 * e) - 8 * c2f(rho - e)
-            + 8 * c2f(rho + e) - c2f(rho + 2 * e)
-        ) / (12 * h)
     gradient = (c * eta / w**3) * grad + (phi / w) * (dc2 / (2.0 * c))
     return val, gradient
 
 
-def hatted_bracket(pair: DefiningPair, spec: EscapeSpec, rho) -> float:
-    _, gp = _hatted(pair, spec, rho, +1)
-    _, gm = _hatted(pair, spec, rho, -1)
-    return gp[1] * gm[0] - gp[0] * gm[1]
-
-
-def phi_tilde(pair: DefiningPair, spec: EscapeSpec, rho) -> float:
+def phi_tilde(pair: DefiningPair, spec: EscapeSpec, rho):
     """M htilde (phi_hat+^2 + phi_hat-^2) + h {phi_hat+, phi_hat-}."""
     vp, gp = _hatted(pair, spec, rho, +1)
     vm, gm = _hatted(pair, spec, rho, -1)
@@ -701,65 +639,27 @@ def saddle_commutator_value(pair: DefiningPair, spec: EscapeSpec) -> float:
     return cp * cm * pair.bracket(rho)
 
 
-def saddle_grid(pair: DefiningPair, radius: float, n: int = 41) -> np.ndarray:
-    """Square grid in adapted coordinates clipped to the disc, saddle first."""
-    pts = [pair.saddle.copy()]
+def saddle_grid(pair: DefiningPair, radius: float, n: int = GRID_N) -> np.ndarray:
+    """Square grid in adapted coordinates clipped to the disc, saddle first,
+    as an (n, 2) point list in row order of the x offset."""
     ax = np.linspace(-radius, radius, n)
+    a, b = (m.ravel() for m in np.meshgrid(ax, ax, indexing="ij"))
+    keep = (np.hypot(a, b) <= radius) & ((a != 0.0) | (b != 0.0))
     x_s, xi_s = pair.saddle
-    for a in ax:
-        for b in ax:
-            if a == 0.0 and b == 0.0:
-                continue
-            if math.hypot(a, b) > radius:
-                continue
-            pts.append(np.asarray([x_s + a / pair.kappa, xi_s + b]))
-    return np.asarray(pts)
+    ring = np.column_stack([x_s + a[keep] / pair.kappa, xi_s + b[keep]])
+    return np.vstack([pair.saddle, ring])
 
 
 def commutator_lower_bound(
     spec: EscapeSpec,
     pair: DefiningPair,
-    model: HamiltonianModel,
     grid: np.ndarray,
 ) -> float:
-    """Minimum of phi_tilde / htilde over the grid.
-
-    Cross-checks the analytic hatted bracket against full 5-point stencils
-    at a handful of grid points; disagreement beyond the tolerance means
-    the stencil scale is noise-dominated and raises GridTooCoarse.
-    """
+    """Minimum of phi_tilde / htilde over an (n, 2) grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != 2 or len(grid) == 0:
         raise DomainError("grid must be a nonempty (n, 2) array")
-    check_idx = np.linspace(0, len(grid) - 1, min(5, len(grid))).astype(int)
-    h = GRAD_STENCIL
-    for i in check_idx:
-        rho = grid[i]
-        grads = []
-        for side in (+1, -1):
-            num = np.zeros(2)
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = h
-                vals = [
-                    _hatted(pair, spec, rho + m * e, side)[0]
-                    for m in (-2, -1, 1, 2)
-                ]
-                num[k] = (
-                    vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]
-                ) / (12 * h)
-            grads.append(num)
-        fd = grads[0][1] * grads[1][0] - grads[0][0] * grads[1][1]
-        an = hatted_bracket(pair, spec, rho)
-        if abs(fd - an) > STENCIL_AGREE_TOL * max(1.0, abs(an)):
-            raise GridTooCoarse(
-                f"hatted bracket stencil mismatch at {rho.tolist()}: "
-                f"{fd:.9e} vs {an:.9e}"
-            )
-    best = math.inf
-    for rho in grid:
-        best = min(best, phi_tilde(pair, spec, rho) / spec.htilde)
-    return float(best)
+    return float(np.min(phi_tilde(pair, spec, grid.T) / spec.htilde))
 
 
 # ---------------------------------------------------------------------------
@@ -772,18 +672,21 @@ def sample_disc_pairs(
     n_pairs: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Uniform point pairs in the adapted disc around the saddle, (n,2,2)."""
-    out = np.empty((n_pairs, 2, 2))
+    """Uniform point pairs in the adapted disc around the saddle, (n,2,2).
+
+    Candidates are drawn from the square in blocks and accepted in order,
+    which takes the same points from `rng` as drawing one candidate at a
+    time until it lands in the disc."""
+    need = 2 * n_pairs
+    accepted = np.empty((0, 2))
+    while len(accepted) < need:
+        block = rng.uniform(-radius, radius, size=(2 * (need - len(accepted)) + 8, 2))
+        inside = np.hypot(block[:, 0], block[:, 1]) <= radius
+        accepted = np.concatenate([accepted, block[inside]])
+    a, b = accepted[:need].T
     x_s, xi_s = pair.saddle
-    for i in range(n_pairs):
-        for j in range(2):
-            while True:
-                a, b = rng.uniform(-radius, radius, size=2)
-                if math.hypot(a, b) <= radius:
-                    break
-            out[i, j, 0] = x_s + a / pair.kappa
-            out[i, j, 1] = xi_s + b
-    return out
+    out = np.stack([x_s + a / pair.kappa, xi_s + b], axis=-1)
+    return out.reshape(n_pairs, 2, 2)
 
 
 def _order_statistics(
@@ -796,19 +699,24 @@ def _order_statistics(
     if escape is None:
         escape = build_escape(spec, pair)
     pairs = np.asarray(sample_pairs, dtype=float)
-    sqrt_eta = math.sqrt(spec.eta)
-    gaps = np.empty(len(pairs))
-    log_brackets = np.empty(len(pairs))
-    kappa = pair.kappa
-    for i, (rho_a, rho_b) in enumerate(pairs):
-        gaps[i] = abs(escape(rho_a) - escape(rho_b))
-        # separation in the saddle-adapted chart; a fixed linear change of
-        # coordinates only renormalizes the constant, and it removes the
-        # kappa anisotropy between models
-        t = float(np.hypot(kappa * (rho_a[0] - rho_b[0]), rho_a[1] - rho_b[1]))
-        t /= sqrt_eta
-        log_brackets[i] = 0.5 * math.log1p(t * t)
-    return gaps, log_brackets
+    rho_a, rho_b = pairs[:, 0].T, pairs[:, 1].T
+    gaps = np.broadcast_to(np.abs(escape(rho_a) - escape(rho_b)), len(pairs))
+    # separation in the saddle-adapted chart; a fixed linear change of
+    # coordinates only renormalizes the constant, and it removes the
+    # kappa anisotropy between models
+    t = np.hypot(pair.kappa * (rho_a[0] - rho_b[0]), rho_a[1] - rho_b[1])
+    t /= math.sqrt(spec.eta)
+    return gaps, 0.5 * np.log1p(t * t)
+
+
+def _smallest_order(gaps: np.ndarray, log_brackets: np.ndarray):
+    """(log C, N) for the smallest N whose tight constant C stays under
+    ORDER_C_CAP, or None when no N up to ORDER_N_MAX does."""
+    for n_exp in range(ORDER_N_MAX + 1):
+        log_c = float(np.max(gaps - n_exp * log_brackets))
+        if log_c <= math.log(ORDER_C_CAP):
+            return log_c, n_exp
+    return None
 
 
 def order_function_check(
@@ -819,16 +727,13 @@ def order_function_check(
 ) -> tuple[float, int]:
     """Smallest N with exp G(rho)/exp G(rho') <= C <(rho-rho')/sqrt(eta)>^N
     and C below the cap, over all sampled pairs; C is the tight constant."""
-    gaps, log_brackets = _order_statistics(spec, pair, sample_pairs, escape)
-    log_cap = math.log(ORDER_C_CAP)
-    for n_exp in range(ORDER_N_MAX + 1):
-        log_c = float(np.max(gaps - n_exp * log_brackets))
-        if log_c <= log_cap:
-            return math.exp(log_c), n_exp
-    raise Unbounded(
-        "no admissible polynomial order up to "
-        f"{ORDER_N_MAX}; the escape construction is defective"
-    )
+    found = _smallest_order(*_order_statistics(spec, pair, sample_pairs, escape))
+    if found is None:
+        raise Unbounded(
+            "no admissible polynomial order up to "
+            f"{ORDER_N_MAX}; the escape construction is defective"
+        )
+    return math.exp(found[0]), found[1]
 
 
 def order_function_sweep(
@@ -839,13 +744,12 @@ def order_function_sweep(
     n_pairs: int = 10_000,
     seed: int = 0,
     with_g1: bool = True,
-    spread_cap: float = 2.0,
 ) -> dict:
     """Order-function constants across an h sweep, with shared samples.
 
     For each candidate exponent N the tight constant C_N(h) is computed
     per h; the reported N is the smallest one whose constants stay under
-    the cap for every h and vary by less than `spread_cap` across the
+    the cap for every h and vary by less than ORDER_SPREAD_CAP across the
     sweep.  Raises Unbounded when even N = ORDER_N_MAX breaks the cap.
     """
     rng = np.random.default_rng(seed)
@@ -854,19 +758,13 @@ def order_function_sweep(
     stats = []
     per_h = []
     for h in h_list:
-        spec, _ = make_escape_spec(pair, h=h, htilde=htilde, with_g1=with_g1)
+        spec = make_escape_spec(pair, h=h, htilde=htilde, with_g1=with_g1)
         gaps, log_brackets = _order_statistics(spec, pair, pairs)
         stats.append((gaps, log_brackets))
-        log_c = None
-        n_single = None
-        for n_exp in range(ORDER_N_MAX + 1):
-            log_c = float(np.max(gaps - n_exp * log_brackets))
-            if log_c <= log_cap:
-                n_single = n_exp
-                break
-        if n_single is None:
+        found = _smallest_order(gaps, log_brackets)
+        if found is None:
             raise Unbounded(f"order constant exceeds the cap at h={h}")
-        per_h.append({"h": float(h), "C": math.exp(log_c), "N": n_single})
+        per_h.append({"h": float(h), "C": math.exp(found[0]), "N": found[1]})
     chosen = None
     for n_exp in range(ORDER_N_MAX + 1):
         log_cs = [
@@ -878,7 +776,7 @@ def order_function_sweep(
         spread = math.exp(max(log_cs) - min(log_cs))
         if chosen is None:
             chosen = (n_exp, log_cs, spread)  # cap-only fallback
-        if spread <= spread_cap:
+        if spread <= ORDER_SPREAD_CAP:
             chosen = (n_exp, log_cs, spread)
             break
     if chosen is None:
@@ -891,29 +789,20 @@ def order_function_sweep(
         "C": float(max(consts)),
         "C_values": consts,
         "C_spread": float(spread),
-        "passed": n_star <= 4 and spread <= spread_cap,
+        "passed": n_star <= 4 and spread <= ORDER_SPREAD_CAP,
     }
 
 
-def escape_report(
-    model: HamiltonianModel,
-    pair: DefiningPair,
-    spec: EscapeSpec,
-    verify_radius: float = 0.05,
-    c1_radius: float = CHI_RADII[0],
-    n_grid: int = 41,
-    n_pairs: int = 2000,
-    seed: int = 0,
-) -> dict:
+def escape_report(pair: DefiningPair, spec: EscapeSpec, seed: int = 0) -> dict:
     """One-stop summary: sign relations, commutator floor, order function."""
     verify = verify_defG_relations(
-        pair, model, saddle_grid(pair, verify_radius, n_grid)
+        pair, saddle_grid(pair, VERIFY_RADIUS, GRID_N)
     )
     c1 = commutator_lower_bound(
-        spec, pair, model, saddle_grid(pair, c1_radius, n_grid)
+        spec, pair, saddle_grid(pair, CHI_RADII[0], GRID_N)
     )
     rng = np.random.default_rng(seed)
-    pairs = sample_disc_pairs(pair, spec.chi.inner, n_pairs, rng)
+    pairs = sample_disc_pairs(pair, spec.chi.inner, ORDER_PAIRS, rng)
     c_val, n_exp = order_function_check(spec, pair, pairs)
     report = {
         "c1": float(c1),
@@ -921,10 +810,9 @@ def escape_report(
         "N": int(n_exp),
         "bracket_min": verify["min_bracket"],
         "violations": verify["violations"],
-        "saddle_value": saddle_commutator_value(pair, spec),
+        "saddle_value": float(saddle_commutator_value(pair, spec)),
     }
     if spec.G1 is not None:
         report["g1_scale"] = float(spec.G1.scale)
-        if getattr(spec.G1, "report", None) is not None:
-            report["g1_floor"] = spec.G1.report["g1_floor"]
+        report["g1_floor"] = spec.G1.report["g1_floor"]
     return report

@@ -4,6 +4,14 @@ A model packages a smooth symbol on R^{2n} (positions first, momenta second)
 with analytic gradient/Hessian and the conserved quantities the integrator
 monitors.  Charts are encoded as a margin function: positive inside,
 nonpositive at exit.
+
+The two-dimensional models also carry `third`, the symmetric 2x2x2 tensor
+T_ijk = d^3 p / dy_i dy_j dy_k of third derivatives, where it is known in
+closed form (the toy and the unbumped reduced Kerr model); otherwise it is
+None.  Their `gradient`, `hessian` and `third` take y of shape (2, *batch)
+and return (2, *batch), (2, 2, *batch) and (2, 2, 2, *batch), so a whole
+grid is one call; a single point of shape (2,) gives plain vectors and
+matrices.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ class HamiltonianModel:
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
+    third: Callable[[np.ndarray], np.ndarray] | None = None
     conserved_list: dict[str, Callable[[np.ndarray], float]] = field(
         default_factory=dict
     )
@@ -167,7 +176,11 @@ def toy_barrier_model() -> HamiltonianModel:
         return np.asarray([-2.0 * y[0], 2.0 * y[1]])
 
     def hessian(y):
-        return np.asarray([[-2.0, 0.0], [0.0, 2.0]])
+        zero = np.zeros(np.shape(y[0]))
+        return np.asarray([[zero - 2.0, zero], [zero, zero + 2.0]])
+
+    def third(y):
+        return np.zeros((2, 2, 2) + np.shape(y[0]))
 
     def margin(y):
         return CHART_CAP_TOY - max(abs(y[0]), abs(y[1]))
@@ -177,6 +190,7 @@ def toy_barrier_model() -> HamiltonianModel:
         evaluate=evaluate,
         gradient=gradient,
         hessian=hessian,
+        third=third,
         conserved_list={"energy": evaluate},
         chart_margin=margin,
         name="toy_barrier",
@@ -193,14 +207,16 @@ def reduced_kerr_model(
 
     The full flow's (r, xi) block closes on itself, and the reduced conserved
     quantity (carter - p of the full system) equals -p here.  An optional
-    bump perturbation epsilon*dp(r, xi) models symbol perturbations.
+    bump perturbation epsilon*dp(r, xi) models symbol perturbations; the
+    bumped model carries no `third`.
     """
     rp = kerr.horizon_radius(params)
+    bumped = bump is not None and epsilon != 0.0
 
     def evaluate(y):
         r, xi = y[0], y[1]
         val = kerr.delta(params, r) * xi**2 + radial_potential(params, beta, r)
-        if bump is not None and epsilon != 0.0:
+        if bumped:
             val = val + epsilon * bump.value(r, xi)
         return val
 
@@ -211,7 +227,7 @@ def reduced_kerr_model(
         _, v1, _, _ = radial_potential_derivs(params, beta, r)
         gr = dl1 * xi**2 + v1
         gxi = 2.0 * dl * xi
-        if bump is not None and epsilon != 0.0:
+        if bumped:
             bx, bxi = bump.gradient(r, xi)
             gr = gr + epsilon * bx
             gxi = gxi + epsilon * bxi
@@ -225,10 +241,20 @@ def reduced_kerr_model(
         H = np.asarray(
             [[2.0 * xi**2 + v2, 2.0 * dl1 * xi], [2.0 * dl1 * xi, 2.0 * dl]]
         )
-        if bump is not None and epsilon != 0.0:
+        if bumped:
             hxx, hxy, hyy = bump.hessian(r, xi)
             H = H + epsilon * np.asarray([[hxx, hxy], [hxy, hyy]])
         return H
+
+    def third(y):
+        # p_rrr = v_rrr, p_rrxi = 2 Delta'' xi, p_rxixi = 2 Delta', p_xixixi = 0
+        r, xi = y[0], y[1]
+        _, _, _, v3 = radial_potential_derivs(params, beta, r)
+        T = np.zeros((2, 2, 2) + np.shape(r + xi))
+        T[0, 0, 0] = v3
+        T[0, 0, 1] = T[0, 1, 0] = T[1, 0, 0] = 4.0 * xi
+        T[0, 1, 1] = T[1, 0, 1] = T[1, 1, 0] = 4.0 * (r - params.mass)
+        return T
 
     def margin(y):
         return min(y[0] - (rp + kerr.DEFAULT_R_MARGIN), CHART_CAP_KERR_R - y[0])
@@ -238,6 +264,7 @@ def reduced_kerr_model(
         evaluate=evaluate,
         gradient=gradient,
         hessian=hessian,
+        third=None if bumped else third,
         conserved_list={"energy": evaluate},
         chart_margin=margin,
         name=f"reduced_kerr(beta={beta:g})",

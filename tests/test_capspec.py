@@ -302,11 +302,12 @@ class TestDiscretization:
 
 class TestEigenvalues:
     def test_toy_string_oracle(self, toy_window):
-        # barrier-top string of the exactly solvable flat-well twin:
-        # z_n = -h^2(1/4+(n+1/2)^2) - i(2n+1)h*sqrt(1-h^2/4)
+        # the toy potential v = sech^2 x - 1 is exactly Poschl-Teller, whose
+        # resonances are z_n = -h^2(1/4+(n+1/2)^2) - i(2n+1)h*sqrt(1-h^2/4);
+        # the CAP eigenvalues match them to 9.3e-6 (n = 0) and 8.4e-4 (n = 1)
         zs, _, _ = toy_window
         h = 0.05
-        tols = (1e-4, 5e-3, 5e-2)
+        tols = (2e-5, 2e-3, 5e-2)
         for n, tol in enumerate(tols):
             zexp = complex(
                 -h * h * (0.25 + (n + 0.5) ** 2),

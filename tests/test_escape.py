@@ -23,6 +23,8 @@ from nhtrap.models import (
 )
 
 ROOT3 = math.sqrt(3.0)
+# min phi_tilde / htilde at a = 0, h = 1e-2 over the 41-point disc of radius 0.2
+KERR_FLOOR_H1EM2 = 31.973346619
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +89,9 @@ class TestBuildDefiningPair:
         assert p.kappa == pytest.approx(ROOT3, abs=1e-12)
         assert p.gamma_plus == pytest.approx(ROOT3, abs=1e-12)
         assert p.gamma_minus == pytest.approx(-ROOT3, abs=1e-12)
-        assert p.quad_plus == pytest.approx(-3.849001511564, abs=1e-9)
-        assert p.quad_minus == pytest.approx(3.849001511564, abs=1e-9)
+        # exact graph curvature at a = 0: quad+- = -+20/(3 sqrt 3)
+        assert p.quad_plus == pytest.approx(-20.0 / (3.0 * ROOT3), abs=1e-12)
+        assert p.quad_minus == pytest.approx(20.0 / (3.0 * ROOT3), abs=1e-12)
         assert p.c0 == pytest.approx(2.0 * ROOT3, abs=1e-12)
         assert p.bracket(p.saddle) == pytest.approx(2.0 * ROOT3, abs=1e-12)
 
@@ -188,6 +191,61 @@ class TestBuildDefiningPair:
             kerr_pair.rescaled(0.0)
 
 
+def assert_batched_matches_pointwise(f, grid):
+    """f on the (2, n) batch of an (n, 2) grid equals f point by point, up
+    to rounding on the scale of its values."""
+    pointwise = np.stack([np.asarray(f(q)) for q in grid], axis=-1)
+    scale = np.max(np.abs(pointwise))
+    np.testing.assert_allclose(f(grid.T), pointwise, rtol=0.0, atol=1e-13 * scale)
+
+
+def stencil_gradient(f, y, h=1e-4):
+    """Five-point central differences of a scalar field at one point."""
+    out = np.zeros(2)
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = h
+        out[k] = (f(y - 2 * e) - 8 * f(y - e) + 8 * f(y + e) - f(y + 2 * e)) / (
+            12 * h
+        )
+    return out
+
+
+class TestClosedFormRateGradients:
+    """The closed-form gradients of c^2 and of the hatted functions
+    against five-point stencils, on toy and Kerr grids."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, toy_pair, kerr_pair):
+        spinning = reduced_kerr_model(KerrParams(mass=1.0, spin=0.5), beta=0.0)
+        return [
+            toy_pair,
+            kerr_pair,
+            esc.build_defining_pair(spinning, saddle_guess=(3.0, 0.0)),
+        ]
+
+    def test_rate_gradient(self, pairs):
+        for pair in pairs:
+            grid = esc.saddle_grid(pair, 0.2, 9)
+            for side in (+1, -1):
+                _, dc2 = pair._c2_field(grid.T, side, with_grad=True)
+                for q, got in zip(grid, dc2.T):
+                    fd = stencil_gradient(lambda y: pair._c2_field(y, side), q)
+                    assert np.max(np.abs(got - fd)) < 1e-9 * (1.0 + np.max(np.abs(fd)))
+
+    def test_hatted_gradient(self, pairs):
+        for pair in pairs:
+            spec = esc.make_escape_spec(pair, h=1e-2)
+            grid = esc.saddle_grid(pair, 0.2, 9)
+            for side in (+1, -1):
+                _, grads = esc._hatted(pair, spec, grid.T, side)
+                for q, got in zip(grid, grads.T):
+                    fd = stencil_gradient(
+                        lambda y: esc._hatted(pair, spec, y, side)[0], q
+                    )
+                    assert np.max(np.abs(got - fd)) < 1e-9 * (1.0 + np.max(np.abs(fd)))
+
+
 class TestManifoldsAndVerify:
     def test_toy_manifolds_are_exact_lines(self, toy_pair):
         for side in (+1, -1):
@@ -205,29 +263,46 @@ class TestManifoldsAndVerify:
         with pytest.raises(GridTooCoarse):
             esc.manifold_samples(toy_pair, +1, n_points=100_000)
 
-    def test_verify_toy(self, toy, toy_pair):
+    def test_verify_toy(self, toy_pair):
         report = esc.verify_defG_relations(
-            toy_pair, toy, esc.saddle_grid(toy_pair, 0.3, 31)
+            toy_pair, esc.saddle_grid(toy_pair, 0.3, 31)
         )
         assert report["n_violations"] == 0
         assert report["min_bracket"] == pytest.approx(2.0, abs=1e-14)
         assert report["passed"]
 
-    def test_verify_kerr_bracket_floor(self, kerr, kerr_pair):
+    def test_verify_kerr_bracket_floor(self, kerr_pair):
         report = esc.verify_defG_relations(
-            kerr_pair, kerr, esc.saddle_grid(kerr_pair, 0.05, 41)
+            kerr_pair, esc.saddle_grid(kerr_pair, 0.05, 41)
         )
         assert report["n_violations"] == 0
         assert report["min_bracket"] >= 0.9 * 2.0 * ROOT3
         assert report["passed"]
 
-    def test_verify_flags_sign_flip(self, toy, toy_pair):
+    def test_verify_flags_sign_flip(self, toy_pair):
         report = esc.verify_defG_relations(
-            toy_pair.swapped(), toy, esc.saddle_grid(toy_pair, 0.3, 21)
+            toy_pair.swapped(), esc.saddle_grid(toy_pair, 0.3, 21)
         )
         assert not report["passed"]
         assert report["min_bracket"] < 0.0
         assert report["n_violations"] > 0
+
+    def test_verify_batched_matches_pointwise(self, toy_pair, kerr_pair):
+        # violations come point by point, plus before minus
+        for pair in (toy_pair.swapped(), kerr_pair.swapped()):
+            grid = esc.saddle_grid(pair, 0.3, 21)
+            report = esc.verify_defG_relations(pair, grid)
+            pieces = [
+                esc.verify_defG_relations(pair, grid[i : i + 1])
+                for i in range(len(grid))
+            ]
+            assert report["violations"] == [
+                v for piece in pieces for v in piece["violations"]
+            ]
+            assert report["n_violations"] > 0
+            assert report["min_bracket"] == min(
+                piece["min_bracket"] for piece in pieces
+            )
 
     def test_flow_monotonicity_of_phi_squares(self, kerr, kerr_pair):
         # forward flow drains phi+^2 and feeds phi-^2 wherever the rates
@@ -286,8 +361,6 @@ class TestCutoffsAndSpec:
     def test_cutoff_bad_inputs(self):
         with pytest.raises(DomainError):
             esc.Cutoff((0.0, 0.0), 1.0, 0.5, 0.2)
-        with pytest.raises(DomainError):
-            esc.Cutoff((0.0, 0.0), 1.0, 0.2, 0.5, order=4)
 
     def test_spec_guards(self, toy_pair):
         chi = esc.Cutoff((0.0, 0.0), 1.0, 0.2, 0.5)
@@ -304,8 +377,9 @@ class TestCutoffsAndSpec:
 
 
 class TestG1:
-    def test_toy_report(self, toy, toy_pair):
-        g1, report = esc.build_G1(toy, toy_pair)
+    def test_toy_report(self, toy_pair):
+        g1 = esc.build_G1(toy_pair)
+        report = g1.report
         assert report["passed"]
         assert report["g1_floor"] >= 1.0 - 1e-12
         assert report["floor_raw"] >= 0.5
@@ -317,34 +391,42 @@ class TestG1:
             g1.scale * 2.0 * (y[0] ** 2 + y[1] ** 2), rel=1e-12
         )
 
-    def test_kerr_report(self, kerr, kerr_pair):
-        _, report = esc.build_G1(kerr, kerr_pair)
+    def test_kerr_report(self, kerr_pair):
+        report = esc.build_G1(kerr_pair).report
         assert report["passed"]
         assert report["scale"] == 1.0
         assert report["g1_floor"] == pytest.approx(1.0934, abs=2e-3)
 
-    def test_nesting_guard(self, toy, toy_pair):
+    def test_nesting_guard(self, toy_pair):
         with pytest.raises(InvalidNesting):
-            esc.build_G1(toy, toy_pair, r_inner=0.5, r_outer=0.2)
+            esc.build_G1(toy_pair, r_inner=0.5, r_outer=0.2)
 
-    def test_gradient_stencil(self, kerr, kerr_pair):
-        g1, _ = esc.build_G1(kerr, kerr_pair)
+    def test_gradient_stencil(self, toy_pair, kerr_pair):
         rng = np.random.default_rng(23)
-        for _ in range(5):
-            y = kerr_pair.saddle + rng.uniform(-0.6, 0.6, 2)
-            fd = fd_gradient(g1, y)
-            assert np.max(np.abs(g1.gradient(y) - fd)) < 1e-7
+        for pair in (toy_pair, kerr_pair):
+            g1 = esc.build_G1(pair)
+            for _ in range(5):
+                y = pair.saddle + rng.uniform(-0.6, 0.6, 2)
+                fd = fd_gradient(g1, y)
+                assert np.max(np.abs(g1.gradient(y) - fd)) < 1e-7
+
+    def test_batched_matches_pointwise(self, toy_pair, kerr_pair):
+        for pair in (toy_pair, kerr_pair):
+            g1 = esc.build_G1(pair)
+            grid = esc.saddle_grid(pair, 1.0, 21)
+            for f in (g1, g1.gradient, g1.hp):
+                assert_batched_matches_pointwise(f, grid)
 
 
 class TestEscapeFunction:
     def test_vanishes_at_saddle(self, toy_pair, kerr_pair):
         for pair in (toy_pair, kerr_pair):
-            spec, _ = esc.make_escape_spec(pair, h=1e-2)
+            spec = esc.make_escape_spec(pair, h=1e-2)
             G = esc.build_escape(spec, pair)
             assert abs(G(pair.saddle)) < 1e-14
 
     def test_toy_log_quotient_value(self, toy_pair):
-        spec, _ = esc.make_escape_spec(toy_pair, h=1e-2)
+        spec = esc.make_escape_spec(toy_pair, h=1e-2)
         G = esc.build_escape(spec, toy_pair)
         # on the unstable graph at (0.1, 0.1): phi+ = 0, phi- = 0.2
         assert G(np.asarray([0.1, 0.1])) == pytest.approx(
@@ -353,7 +435,7 @@ class TestEscapeFunction:
 
     def test_log_of_h_bound(self, kerr_pair):
         for h in (1e-2, 1e-3):
-            spec, _ = esc.make_escape_spec(kerr_pair, h=h)
+            spec = esc.make_escape_spec(kerr_pair, h=h)
             G = esc.build_escape(spec, kerr_pair)
             grid = esc.saddle_grid(kerr_pair, 1.0, 41)
             sup_g1 = max(
@@ -365,14 +447,21 @@ class TestEscapeFunction:
             assert max(abs(G(q)) for q in grid) <= bound + 1e-9
 
     def test_odd_under_swap_in_the_core(self, kerr_pair):
-        spec, _ = esc.make_escape_spec(kerr_pair, h=1e-2)
+        spec = esc.make_escape_spec(kerr_pair, h=1e-2)
         G = esc.build_escape(spec, kerr_pair)
         G_sw = esc.build_escape(spec, kerr_pair.swapped())
         for q in esc.saddle_grid(kerr_pair, 0.19, 15):
             assert G_sw(q) == pytest.approx(-G(q), abs=1e-13)
 
+    def test_batched_matches_pointwise(self, toy_pair, kerr_pair):
+        for pair in (toy_pair, kerr_pair):
+            G = esc.build_escape(esc.make_escape_spec(pair, h=1e-2), pair)
+            grid = esc.saddle_grid(pair, 1.0, 21)
+            for f in (G, G.gradient):
+                assert_batched_matches_pointwise(f, grid)
+
     def test_gradient_stencil(self, kerr_pair):
-        spec, _ = esc.make_escape_spec(kerr_pair, h=1e-2)
+        spec = esc.make_escape_spec(kerr_pair, h=1e-2)
         G = esc.build_escape(spec, kerr_pair)
         # probe the quotient core, the chi ramp, and the chi1 ramp
         for s, ang in ((0.1, 0.3), (0.35, 2.0), (0.75, 4.0)):
@@ -386,7 +475,7 @@ class TestEscapeFunction:
 
 class TestCommutatorBound:
     def test_saddle_value_toy(self, toy_pair):
-        spec, _ = esc.make_escape_spec(toy_pair, h=1e-2)
+        spec = esc.make_escape_spec(toy_pair, h=1e-2)
         assert esc.saddle_commutator_value(toy_pair, spec) == pytest.approx(
             4.0, abs=1e-10
         )
@@ -395,59 +484,64 @@ class TestCommutatorBound:
             == pytest.approx(4.0, abs=1e-10)
 
     def test_saddle_value_kerr(self, kerr_pair):
-        spec, _ = esc.make_escape_spec(kerr_pair, h=1e-2)
+        spec = esc.make_escape_spec(kerr_pair, h=1e-2)
         assert esc.saddle_commutator_value(kerr_pair, spec) == pytest.approx(
             36.0, abs=1e-8
         )
         assert esc.phi_tilde(kerr_pair, spec, kerr_pair.saddle) / spec.htilde \
             == pytest.approx(36.0, abs=1e-10)
 
-    def test_toy_floor_and_stability(self, toy, toy_pair):
+    def test_toy_floor_and_stability(self, toy_pair):
         grid = esc.saddle_grid(toy_pair, 0.3, 41)
         vals = []
         for h in (1e-2, 1e-3, 1e-4):
-            spec, _ = esc.make_escape_spec(toy_pair, h=h)
+            spec = esc.make_escape_spec(toy_pair, h=h)
             vals.append(
-                esc.commutator_lower_bound(spec, toy_pair, toy, grid)
+                esc.commutator_lower_bound(spec, toy_pair, grid)
             )
         assert vals[0] >= 1.0
         for v in vals:
             assert v == pytest.approx(4.0, abs=1e-9)
 
-    def test_kerr_floor_and_stability(self, kerr, kerr_pair):
+    def test_kerr_floor_and_stability(self, kerr_pair):
         grid = esc.saddle_grid(kerr_pair, 0.2, 41)
         vals = []
         for h in (1e-2, 1e-3, 1e-4):
-            spec, _ = esc.make_escape_spec(kerr_pair, h=h)
+            spec = esc.make_escape_spec(kerr_pair, h=h)
             vals.append(
-                esc.commutator_lower_bound(spec, kerr_pair, kerr, grid)
+                esc.commutator_lower_bound(spec, kerr_pair, grid)
             )
         assert all(v > 0.0 for v in vals)
         mean = sum(vals) / len(vals)
         assert max(abs(v - mean) / mean for v in vals) < 0.10
-        assert vals[0] == pytest.approx(31.973347189273, rel=1e-9)
+        assert vals[0] == pytest.approx(KERR_FLOOR_H1EM2, rel=1e-9)
         assert vals[2] == pytest.approx(36.0, abs=1e-9)
 
-    def test_invariance_under_pair_rescaling(self, toy, toy_pair, kerr,
-                                             kerr_pair):
+    def test_invariance_under_pair_rescaling(self, toy_pair, kerr_pair):
         cases = [
-            (toy, toy_pair, esc.saddle_grid(toy_pair, 0.3, 21)),
-            (kerr, kerr_pair, esc.saddle_grid(kerr_pair, 0.2, 21)),
+            (toy_pair, esc.saddle_grid(toy_pair, 0.3, 21)),
+            (kerr_pair, esc.saddle_grid(kerr_pair, 0.2, 21)),
         ]
-        for model, pair, grid in cases:
-            spec, _ = esc.make_escape_spec(pair, h=1e-2)
-            base = esc.commutator_lower_bound(spec, pair, model, grid)
+        for pair, grid in cases:
+            spec = esc.make_escape_spec(pair, h=1e-2)
+            base = esc.commutator_lower_bound(spec, pair, grid)
             for s in (0.5, 2.0):
                 scaled = esc.commutator_lower_bound(
-                    spec, pair.rescaled(s), model, grid
+                    spec, pair.rescaled(s), grid
                 )
                 assert scaled == pytest.approx(base, rel=1e-12)
 
-    def test_grid_validation(self, toy, toy_pair):
-        spec, _ = esc.make_escape_spec(toy_pair, h=1e-2)
+    def test_grid_validation(self, toy_pair):
+        spec = esc.make_escape_spec(toy_pair, h=1e-2)
         with pytest.raises(DomainError):
-            esc.commutator_lower_bound(
-                spec, toy_pair, toy, np.zeros((0, 2))
+            esc.commutator_lower_bound(spec, toy_pair, np.zeros((0, 2)))
+
+    def test_phi_tilde_batched_matches_pointwise(self, toy_pair, kerr_pair):
+        for pair in (toy_pair, kerr_pair):
+            spec = esc.make_escape_spec(pair, h=1e-2)
+            assert_batched_matches_pointwise(
+                lambda y: esc.phi_tilde(pair, spec, y),
+                esc.saddle_grid(pair, 0.2, 21),
             )
 
     def test_saddle_grid_shape(self, kerr_pair):
@@ -455,11 +549,20 @@ class TestCommutatorBound:
         assert np.allclose(grid[0], kerr_pair.saddle)
         radii = [kerr_pair.adapted_radius(q) for q in grid]
         assert max(radii) <= 0.2 + 1e-12
+        # same points, in the same order, as the nested loop over offsets
+        ax = np.linspace(-0.2, 0.2, 21)
+        ref = [kerr_pair.saddle] + [
+            kerr_pair.saddle + np.asarray([a / kerr_pair.kappa, b])
+            for a in ax
+            for b in ax
+            if (a, b) != (0.0, 0.0) and math.hypot(a, b) <= 0.2
+        ]
+        assert np.array_equal(grid, np.asarray(ref))
 
 
 class TestOrderFunction:
     def test_identically_zero_escape(self, toy_pair):
-        spec, _ = esc.make_escape_spec(toy_pair, h=1e-3)
+        spec = esc.make_escape_spec(toy_pair, h=1e-3)
         rng = np.random.default_rng(0)
         pairs = esc.sample_disc_pairs(toy_pair, 0.2, 500, rng)
         C, N = esc.order_function_check(
@@ -468,7 +571,7 @@ class TestOrderFunction:
         assert (C, N) == (1.0, 0)
 
     def test_toy_quotient_only_growth(self, toy_pair):
-        spec, _ = esc.make_escape_spec(toy_pair, h=1e-3, with_g1=False)
+        spec = esc.make_escape_spec(toy_pair, h=1e-3, with_g1=False)
         rng = np.random.default_rng(0)
         pairs = esc.sample_disc_pairs(toy_pair, 0.2, 10_000, rng)
         _, N = esc.order_function_check(spec, toy_pair, pairs)
@@ -485,8 +588,22 @@ class TestOrderFunction:
             for row in report["per_h"]:
                 assert row["N"] <= 4
 
+    def test_samples_match_one_at_a_time_draws(self, kerr_pair):
+        # block draws accept the same candidates as drawing one at a time
+        for seed in (0, 1, 7):
+            rng = np.random.default_rng(seed)
+            ref = []
+            while len(ref) < 2 * 300:
+                a, b = rng.uniform(-0.2, 0.2, size=2)
+                if math.hypot(a, b) <= 0.2:
+                    ref.append(kerr_pair.saddle + [a / kerr_pair.kappa, b])
+            got = esc.sample_disc_pairs(
+                kerr_pair, 0.2, 300, np.random.default_rng(seed)
+            )
+            assert np.array_equal(got, np.reshape(ref, (300, 2, 2)))
+
     def test_unbounded_flags_defects(self, toy_pair):
-        spec, _ = esc.make_escape_spec(toy_pair, h=1e-3)
+        spec = esc.make_escape_spec(toy_pair, h=1e-3)
         rng = np.random.default_rng(0)
         pairs = esc.sample_disc_pairs(toy_pair, 0.2, 200, rng)
         with pytest.raises(Unbounded):
@@ -496,25 +613,25 @@ class TestOrderFunction:
 
 
 class TestEscapeReport:
-    def test_toy_report_contents(self, toy, toy_pair):
-        spec, _ = esc.make_escape_spec(toy_pair, h=1e-2)
-        report = esc.escape_report(toy, toy_pair, spec)
+    def test_toy_report_contents(self, toy_pair):
+        spec = esc.make_escape_spec(toy_pair, h=1e-2)
+        report = esc.escape_report(toy_pair, spec)
         for key in ("c1", "C", "N", "bracket_min", "g1_floor", "violations"):
             assert key in report
         assert report["c1"] == pytest.approx(4.0, abs=1e-9)
         assert report["violations"] == []
         assert report["saddle_value"] == pytest.approx(4.0, abs=1e-10)
 
-    def test_kerr_report_contents(self, kerr, kerr_pair):
-        spec, _ = esc.make_escape_spec(kerr_pair, h=1e-2)
-        report = esc.escape_report(kerr, kerr_pair, spec)
+    def test_kerr_report_contents(self, kerr_pair):
+        spec = esc.make_escape_spec(kerr_pair, h=1e-2)
+        report = esc.escape_report(kerr_pair, spec)
         assert report["c1"] > 0.0
         assert report["bracket_min"] >= 0.9 * 2.0 * ROOT3
         assert report["violations"] == []
         assert report["N"] <= 4
 
-    def test_report_without_g1(self, toy, toy_pair):
-        spec, _ = esc.make_escape_spec(toy_pair, h=1e-2, with_g1=False)
-        report = esc.escape_report(toy, toy_pair, spec)
+    def test_report_without_g1(self, toy_pair):
+        spec = esc.make_escape_spec(toy_pair, h=1e-2, with_g1=False)
+        report = esc.escape_report(toy_pair, spec)
         assert "g1_scale" not in report
         assert report["c1"] == pytest.approx(4.0, abs=1e-9)

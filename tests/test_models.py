@@ -110,6 +110,69 @@ class TestReducedModel:
         )
 
 
+class TestThirdDerivatives:
+    """The closed-form third-derivative tensors and the batched calls."""
+
+    def test_toy_third_is_zero(self):
+        m = models.toy_barrier_model()
+        assert np.array_equal(m.third(np.asarray([1.5, -0.7])), np.zeros((2, 2, 2)))
+        assert np.array_equal(m.third(np.ones((2, 4, 3))), np.zeros((2, 2, 2, 4, 3)))
+
+    @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9])
+    def test_reduced_kerr_matches_sympy(self, spin):
+        sp = pytest.importorskip("sympy")
+        import mpmath
+
+        r, xi, be = sp.symbols("r xi beta", real=True)
+        a = sp.nsimplify(spin)
+        dl = r**2 - 2 * r + a**2
+        p = dl * xi**2 + 2 * a * be - (
+            a**2 * be**2 + 4 * a * r * be + (r**2 + a**2) ** 2
+        ) / dl
+        coords = (r, xi)
+        tensor = [
+            [[sp.diff(p, ci, cj, ck) for ck in coords] for cj in coords]
+            for ci in coords
+        ]
+        exact = sp.lambdify((r, xi, be), tensor, modules="mpmath")
+        rng = np.random.default_rng(29)
+        r_lo = models.kerr.horizon_radius(KerrParams(1.0, spin)) + 0.2
+        ys = np.stack(
+            [
+                rng.uniform(r_lo, 8.0, 5),
+                rng.uniform(0.2, 1.5, 5) * rng.choice([-1.0, 1.0], 5),
+            ]
+        )
+        for beta in (0.0, 2.0, -2.0):
+            m = models.reduced_kerr_model(KerrParams(1.0, spin), beta)
+            got = m.third(ys)
+            for n in range(ys.shape[1]):
+                with mpmath.workdps(30):
+                    ref = np.asarray(
+                        exact(*[mpmath.mpf(float(v)) for v in (*ys[:, n], beta)]),
+                        dtype=float,
+                    )
+                assert np.max(np.abs(got[..., n] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_batched_matches_pointwise(self):
+        rng = np.random.default_rng(31)
+        ys = np.stack([rng.uniform(2.5, 6.0, 7), rng.uniform(-1.0, 1.0, 7)])
+        for m in (
+            models.toy_barrier_model(),
+            models.reduced_kerr_model(KerrParams(1.0, 0.5), 2.0),
+        ):
+            for f in (m.gradient, m.hessian, m.third):
+                batched = f(ys)
+                for n in range(ys.shape[1]):
+                    assert np.array_equal(batched[..., n], f(ys[:, n]))
+
+    def test_third_absent_without_closed_form(self):
+        bump = models.BumpPattern(3, (3.0, 0.0), span=0.6)
+        bumped = models.reduced_kerr_model(KerrParams(), 0.0, bump=bump, epsilon=0.01)
+        assert bumped.third is None
+        assert models.full_kerr_model(KerrParams()).third is None
+
+
 class TestNewtonSaddle:
     @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9])
     def test_reduced_kerr_saddle(self, spin):
