@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     ConvergenceFailure,
     Degenerate,
-    DegenerateCritical,
     DomainError,
     GridTooCoarse,
     InvalidHorizon,
@@ -42,7 +41,6 @@ __all__ = [
     "Degenerate",
     "NotHyperbolic",
     "InvalidHorizon",
-    "DegenerateCritical",
     "NewtonDiverged",
     "GridTooCoarse",
     "InvalidNesting",

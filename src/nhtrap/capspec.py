@@ -26,6 +26,11 @@ exterior, at the beta of its prograde circular null orbit (closed form),
 rescaled to v = V*Delta/r^4 with mass weight m = Delta^2/r^4, and
 ``schw_radial`` is the same barrier outside a nonrotating horizon (a = 0,
 where v = 27 M^2 Delta/r^4 - 1).
+
+The absorber shape is fixed per kind.  Both shapes saturate on the outer
+MARGINS fractions of the domain.  The toy ramps down over the fixed
+fractions TOY_RAMPS next to them; the barrier kinds key the ramp to the
+barrier depth -v, so slow waves near the top meet no absorber.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.integrate as integrate
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -54,16 +58,13 @@ K_CAP = 64  # most asked of one shift before its cell splits
 RESOLUTION_FACTOR = 3.0  # grid points per semiclassical radian
 DISSIPATIVITY_TOL = 1e-9
 
-# band profile: (inner, outer) ramp fractions of the domain length; only
-# consulted when the problem is built with profile="band"
-DEFAULT_RAMPS = {
-    "toy_sech2": (0.30, 0.30),
-    "schw_radial": (0.055, 0.25),
-    "kerr_equatorial": (0.055, 0.25),
-}
+# (inner, outer) saturated-absorber fractions of the domain, every kind
+MARGINS = (0.10, 0.10)
+# toy band ramps: (inner, outer) fractions of the domain, next to the margins
+TOY_RAMPS = (0.30, 0.30)
 
-# depth profile: the ramp is a quintic smoothstep in barrier depth -v,
-# switching on at D(h) = DEPTH_FLAT + DEPTH_SLOPE*h and saturating at
+# barrier depth profile: the ramp is a quintic smoothstep in barrier depth
+# -v, switching on at D(h) = DEPTH_FLAT + DEPTH_SLOPE*h and saturating at
 # DEPTH_SAT = (inner, outer); turn-on keyed to depth stays gentle exactly
 # where emitted waves are still slow, at every h.  A narrow quintic seam
 # of width SEAM_FRACTION*length extends each saturated margin so the
@@ -72,23 +73,6 @@ DEPTH_FLAT = 0.015
 DEPTH_SLOPE = 0.2
 DEPTH_SAT = (0.25, 0.45)
 SEAM_FRACTION = 0.015
-
-# flat toy wells keep the banded ramps; barrier kinds need the depth-keyed
-# turn-on or slow near-top waves reflect off the absorber as h shrinks
-DEFAULT_PROFILES = {
-    "toy_sech2": "band",
-    "schw_radial": "depth",
-    "kerr_equatorial": "depth",
-}
-
-# (inner, outer) saturated-absorber fractions; at least 10% of the domain
-# must stay saturated at each end
-MIN_MARGIN = 0.10
-DEFAULT_MARGINS = {
-    "toy_sech2": (0.10, 0.10),
-    "schw_radial": (0.10, 0.10),
-    "kerr_equatorial": (0.10, 0.10),
-}
 
 _DEFAULT_PARAMS = {
     "toy_sech2": {},
@@ -129,9 +113,6 @@ class CapProblem:
     exponent: float
     flat_lo: float
     flat_hi: float
-    ramps: tuple
-    margins: tuple
-    profile: str
     params: dict
 
     @property
@@ -141,10 +122,6 @@ class CapProblem:
     @property
     def length(self) -> float:
         return self.x_max - self.x_min
-
-    @property
-    def flat_region(self) -> tuple:
-        return (self.flat_lo, self.flat_hi)
 
     @cached_property
     def matrix(self) -> sp.csc_matrix:
@@ -184,79 +161,53 @@ def _smoothstep5(t):
     return t * t * t * (10.0 + t * (6.0 * t - 15.0))
 
 
-def _absorber_profile(x, slowness, x_min, x_max, margins, ramps, scale):
-    """Absorber W: saturated margins, quintic ramps, flat-zero middle.
+def _band_profile(x, x_min, x_max, scale):
+    """Toy absorber W: saturated margins, quintic ramps, flat-zero middle.
 
-    Band edges are fractions of the domain in x, but each ramp's interior
-    shape follows the unit-speed coordinate ``slowness`` (cumulative
-    integral of 1/sqrt(m)), so the turn-on stays adiabatic for waves that
-    slow down where the mass weight degenerates.  Linear in x when m = 1.
+    Margin and ramp edges are the fixed fractions MARGINS and TOY_RAMPS of
+    the domain, and each ramp is a quintic smoothstep in x.
     """
     length = x_max - x_min
-    (margin_lo, margin_hi), (ramp_lo, ramp_hi) = margins, ramps
+    (margin_lo, margin_hi), (ramp_lo, ramp_hi) = MARGINS, TOY_RAMPS
     lo_start = x_min + margin_lo * length  # ramp-down begins
     lo_end = lo_start + ramp_lo * length
     hi_end = x_max - margin_hi * length  # ramp-up ends
     hi_start = hi_end - ramp_hi * length
-    s_of = lambda pos: float(np.interp(pos, x, slowness))
-    w = np.zeros_like(x)
-    if ramp_lo > 0.0:
-        t = (slowness - s_of(lo_start)) / (s_of(lo_end) - s_of(lo_start))
-        w = np.maximum(w, 1.0 - _smoothstep5(t))
-    else:
-        w = np.maximum(w, np.where(x <= lo_start, 1.0, 0.0))
-    if ramp_hi > 0.0:
-        t = (slowness - s_of(hi_start)) / (s_of(hi_end) - s_of(hi_start))
-        w = np.maximum(w, _smoothstep5(t))
-    else:
-        w = np.maximum(w, np.where(x >= hi_end, 1.0, 0.0))
+    w = np.maximum(
+        1.0 - _smoothstep5((x - lo_start) / (lo_end - lo_start)),
+        _smoothstep5((x - hi_start) / (hi_end - hi_start)),
+    )
     return scale * w
 
 
-def _depth_profile(
-    x,
-    potential,
-    barrier_top,
-    x_min,
-    x_max,
-    margins,
-    flat_depth,
-    saturation,
-    seam,
-    scale,
-):
-    """Absorber W keyed to barrier depth: quintic smoothstep of -v.
+def _depth_profile(x, potential, barrier_top, x_min, x_max, h, scale):
+    """Barrier absorber W keyed to depth: quintic smoothstep of -v.
 
     The turn-on tracks how far the potential has fallen below the barrier
     top, so waves emitted near the top meet no absorber until they have
-    accelerated; ``flat_depth`` must scale with h because the emitted
-    wavelength does.  Saturation at ``saturation = (inner, outer)`` depth
-    on each side of the top.  A quintic seam of width ``seam*length``
-    carries the ramp the rest of the way to 1 at each margin edge, so the
-    saturated margins continue without a grid-scale jump.
+    accelerated; the turn-on depth DEPTH_FLAT + DEPTH_SLOPE*h scales with h
+    because the emitted wavelength does.  Saturation at DEPTH_SAT =
+    (inner, outer) depth on each side of the top.  A quintic seam of width
+    SEAM_FRACTION*length carries the ramp the rest of the way to 1 at each
+    margin edge, so the saturated margins continue without a grid-scale
+    jump.
     """
     length = x_max - x_min
-    margin_lo, margin_hi = margins
-    sat_in, sat_out = saturation
-    if flat_depth >= min(sat_in, sat_out):
-        raise DomainError(
-            f"flat depth {flat_depth:g} swallows the absorber saturation "
-            f"{min(sat_in, sat_out):g}"
-        )
-    lo_edge = x_min + margin_lo * length
-    hi_edge = x_max - margin_hi * length
+    flat_depth = DEPTH_FLAT + DEPTH_SLOPE * h
+    sat_in, sat_out = DEPTH_SAT
+    lo_edge = x_min + MARGINS[0] * length
+    hi_edge = x_max - MARGINS[1] * length
     depth = np.maximum(-potential, 0.0)
     w = np.empty_like(x)
     inner = x < barrier_top
     w[inner] = _smoothstep5((depth[inner] - flat_depth) / (sat_in - flat_depth))
     w[~inner] = _smoothstep5((depth[~inner] - flat_depth) / (sat_out - flat_depth))
-    if seam > 0.0:
-        bw = seam * length
-        w = w + np.maximum(
-            _smoothstep5((lo_edge + bw - x) / bw),
-            _smoothstep5((x - hi_edge + bw) / bw),
-        )
-        np.minimum(w, 1.0, out=w)
+    bw = SEAM_FRACTION * length
+    w = w + np.maximum(
+        _smoothstep5((lo_edge + bw - x) / bw),
+        _smoothstep5((x - hi_edge + bw) / bw),
+    )
+    np.minimum(w, 1.0, out=w)
     w[x <= lo_edge] = 1.0
     w[x >= hi_edge] = 1.0
     return scale * w
@@ -340,15 +291,11 @@ def _merge_params(kind: str, params) -> dict:
     return merged
 
 
-def required_points(
-    length: float,
-    h: float,
-    xi_max: float,
-    factor: float = RESOLUTION_FACTOR,
-) -> int:
-    """Wavelength rule: at least ``factor`` grid points per radian of the
-    fastest window-energy oscillation (phase rate xi/h per unit length)."""
-    return int(math.ceil(factor * length * max(1.0, xi_max) / h))
+def required_points(length: float, h: float, xi_max: float) -> int:
+    """Wavelength rule: at least RESOLUTION_FACTOR grid points per radian
+    of the fastest window-energy oscillation (phase rate xi/h per unit
+    length)."""
+    return int(math.ceil(RESOLUTION_FACTOR * length * max(1.0, xi_max) / h))
 
 
 def build_model(
@@ -357,55 +304,30 @@ def build_model(
     h: float = 0.05,
     grid=None,
     *,
-    order: int = 4,
-    profile: str | None = None,
-    ramps=None,
-    margins=None,
-    resolution_factor: float = RESOLUTION_FACTOR,
     absorber_scale: float = 1.0,
+    window: float = DEFAULT_WINDOW,
 ) -> CapProblem:
     """Sample one absorbing-barrier problem onto a uniform Dirichlet grid.
 
     ``grid`` is an optional (x_min, x_max, n_points) override; when absent
     the kind's default domain is used and n_points is set by the
-    wavelength rule.  An explicit n_points below that rule raises
-    UnderResolved.  ``profile`` picks the absorber shape ("band" ramps in
-    fixed domain fractions, "depth" keys the ramp to barrier depth -v);
-    each kind has a tested default.  ``absorber_scale=0`` builds the
-    absorber-free reference problem (self-adjoint, for calibration),
-    skipping the saturated-margin check that would otherwise fail.
+    wavelength rule at the fastest oscillation of energies up to
+    ``window``, the half-width of the real-part window the spectrum is
+    searched in.  An explicit n_points below that rule raises
+    UnderResolved.  The absorber shape is fixed per kind: the toy ramps
+    over the fixed domain fractions TOY_RAMPS, and the barrier kinds key
+    the ramp to barrier depth -v; both saturate on the MARGINS fractions
+    at the ends.  ``absorber_scale`` multiplies the absorber, and 0 builds
+    the absorber-free reference problem (self-adjoint, for calibration).
     """
     if not 0.0 < h < 0.5:
         raise DomainError(f"h must lie in (0, 0.5), got {h:g}")
-    if order not in (2, 4):
-        raise DomainError(f"stencil order must be 2 or 4, got {order}")
     if not 0.0 <= absorber_scale <= 1.0:
         raise DomainError(f"absorber scale must lie in [0, 1], got {absorber_scale:g}")
     merged = _merge_params(kind, params)
     v_func, m_func, top, m_top, v_curv, default_domain = _model_functions(
         kind, merged
     )
-    if profile is None:
-        profile = DEFAULT_PROFILES.get(kind, "band")
-    if profile not in ("band", "depth"):
-        raise DomainError(f"unknown absorber profile '{profile}'")
-    if ramps is None:
-        ramp_lo, ramp_hi = DEFAULT_RAMPS[kind]
-    else:
-        ramp_lo, ramp_hi = float(ramps[0]), float(ramps[1])
-    if margins is None:
-        margin_lo, margin_hi = DEFAULT_MARGINS[kind]
-    else:
-        margin_lo, margin_hi = float(margins[0]), float(margins[1])
-    if min(ramp_lo, ramp_hi) < 0.0 or min(margin_lo, margin_hi) < MIN_MARGIN or (
-        max(margin_lo + ramp_lo, margin_hi + ramp_hi) > 0.5
-    ):
-        raise DomainError(
-            f"absorber fractions (margins ({margin_lo:g}, {margin_hi:g}), "
-            f"ramps ({ramp_lo:g}, {ramp_hi:g})) out of range: margins must "
-            f"cover at least {MIN_MARGIN:g} of the domain at each end"
-        )
-
     if grid is None:
         x_min, x_max = default_domain
         n_points = None
@@ -430,12 +352,12 @@ def build_model(
         raise DomainError("model functions lost finiteness on the domain")
     if np.min(m_probe) <= 0.0:
         raise DomainError("mass weight lost positivity on the domain")
-    live = (probe >= x_min + margin_lo * length) & (
-        probe <= x_max - margin_hi * length
+    live = (probe >= x_min + MARGINS[0] * length) & (
+        probe <= x_max - MARGINS[1] * length
     )
-    xi_sq = (DEFAULT_WINDOW - v_probe[live]) / m_probe[live]
+    xi_sq = (window - v_probe[live]) / m_probe[live]
     xi_max = math.sqrt(max(np.max(xi_sq), 0.0))
-    n_rule = required_points(length, h, xi_max, resolution_factor)
+    n_rule = required_points(length, h, xi_max)
     if n_rule > _MAX_AUTO_POINTS:
         raise DomainError(
             f"wavelength rule wants {n_rule} points; narrow the domain"
@@ -456,37 +378,15 @@ def build_model(
     potential = np.asarray(v_func(x), dtype=float)
     mass_weight = np.asarray(m_func(x), dtype=float)
     mass_mid = np.asarray(m_func(x_mid), dtype=float)
-    if profile == "band":
-        # unit-speed coordinate of the m-weighted principal part; ramps
-        # shaped in it stay adiabatic where waves slow down near a
-        # degenerate wall
-        s_probe = np.concatenate(
-            ([0.0], integrate.cumulative_trapezoid(1.0 / np.sqrt(m_probe), probe))
-        )
-        slowness = np.interp(x, probe, s_probe)
-        absorber = _absorber_profile(
-            x,
-            slowness,
-            x_min,
-            x_max,
-            (margin_lo, margin_hi),
-            (ramp_lo, ramp_hi),
-            absorber_scale,
-        )
-        flat_lo = x_min + (margin_lo + ramp_lo) * length
-        flat_hi = x_max - (margin_hi + ramp_hi) * length
+    # flat toy wells keep the banded ramps; barrier kinds need the depth-keyed
+    # turn-on or slow near-top waves reflect off the absorber as h shrinks
+    if kind == "toy_sech2":
+        absorber = _band_profile(x, x_min, x_max, absorber_scale)
+        flat_lo = x_min + (MARGINS[0] + TOY_RAMPS[0]) * length
+        flat_hi = x_max - (MARGINS[1] + TOY_RAMPS[1]) * length
     else:
         absorber = _depth_profile(
-            x,
-            potential,
-            top,
-            x_min,
-            x_max,
-            (margin_lo, margin_hi),
-            DEPTH_FLAT + DEPTH_SLOPE * h,
-            DEPTH_SAT,
-            SEAM_FRACTION,
-            absorber_scale,
+            x, potential, top, x_min, x_max, h, absorber_scale
         )
         zero = np.flatnonzero(absorber == 0.0)
         if zero.size == 0:
@@ -500,15 +400,6 @@ def build_model(
             f"barrier top {top:g} leaves the absorber-free region "
             f"({flat_lo:g}, {flat_hi:g})"
         )
-    if absorber_scale > 0.0:
-        margin_nodes = x <= x_min + margin_lo * length
-        if not np.all(absorber[margin_nodes] == absorber_scale):
-            raise DomainError("absorber fails to saturate on the inner margin")
-        margin_nodes = x >= x_max - margin_hi * length
-        if not np.all(absorber[margin_nodes] == absorber_scale):
-            raise DomainError("absorber fails to saturate on the outer margin")
-    if np.min(absorber) < 0.0 or np.max(absorber) > 1.0:
-        raise DomainError("absorber left the [0, 1] range")
 
     return CapProblem(
         kind=kind,
@@ -516,7 +407,7 @@ def build_model(
         x_min=x_min,
         x_max=x_max,
         n_points=n_points,
-        order=order,
+        order=4,
         x=x,
         potential=potential,
         mass_weight=mass_weight,
@@ -528,9 +419,6 @@ def build_model(
         exponent=math.sqrt(2.0 * m_top * max(-v_curv, 0.0)),
         flat_lo=flat_lo,
         flat_hi=flat_hi,
-        ramps=(ramp_lo, ramp_hi) if profile == "band" else (0.0, 0.0),
-        margins=(margin_lo, margin_hi),
-        profile=profile,
         params=merged,
     )
 

@@ -172,10 +172,7 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
 
 
 def _escape_one(model, saddle_guess, h: float, seed: int) -> dict:
-    if saddle_guess is None:
-        pair = escape.build_defining_pair(model)
-    else:
-        pair = escape.build_defining_pair(model, saddle_guess=saddle_guess)
+    pair = escape.build_defining_pair(model, saddle_guess=saddle_guess)
     spec = escape.make_escape_spec(pair, h=h)
     return escape.escape_report(pair, spec, seed=seed)
 
@@ -183,7 +180,7 @@ def _escape_one(model, saddle_guess, h: float, seed: int) -> dict:
 def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
     jobs = [
         partial(
-            _escape_one, models.toy_barrier_model(), None, cfg.h, cfg.seed
+            _escape_one, models.toy_barrier_model(), (0.0, 0.0), cfg.h, cfg.seed
         ),
         partial(
             _escape_one,
@@ -236,7 +233,7 @@ def _eigenvalue_rows(report) -> list:
 
 def _gap_job(cfg: RunConfig, h: float):
     problem = capspec.build_model(
-        cfg.model, _spectrum_params(cfg), h=h
+        cfg.model, _spectrum_params(cfg), h=h, window=cfg.window
     )
     return capspec.spectral_gap(problem, window=cfg.window)
 
@@ -294,7 +291,7 @@ def uhp_samples(window: float, seed: int) -> list:
 
 def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
     problem = capspec.build_model(
-        cfg.model, _spectrum_params(cfg), h=cfg.h
+        cfg.model, _spectrum_params(cfg), h=cfg.h, window=cfg.window
     )
     report = capspec.spectral_gap(problem, window=cfg.window)
     samples = uhp_samples(cfg.window, cfg.seed)
@@ -407,6 +404,7 @@ def _cmd_perturb(cfg: RunConfig, workers: int) -> Outcome:
                 cfg.seed,
                 horizon=cfg.horizon,
                 r_max=cfg.r_max,
+                tol=cfg.tolerances["flow"],
             )
         ],
         workers,

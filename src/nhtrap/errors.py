@@ -43,10 +43,6 @@ class InvalidHorizon(NhtrapError):
     """Nonpositive or otherwise unusable certification horizon."""
 
 
-class DegenerateCritical(NhtrapError):
-    """Critical-manifold Hessian is singular beyond tolerance."""
-
-
 class NewtonDiverged(NhtrapError):
     """Damped Newton iteration failed to converge."""
 

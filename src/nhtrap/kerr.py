@@ -83,12 +83,6 @@ class PhaseState:
     alpha: float
     beta: float
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(
-            [self.r, self.theta, self.phi, self.xi, self.alpha, self.beta],
-            dtype=float,
-        )
-
     @staticmethod
     def from_array(y) -> "PhaseState":
         y = np.asarray(y, dtype=float)
@@ -112,22 +106,6 @@ def horizon_radius(params: KerrParams) -> float:
 def delta(params: KerrParams, r):
     """Horizon function Delta = r^2 - 2*M*r + a^2; vanishes at r+."""
     return r * r - 2.0 * params.mass * r + params.spin**2
-
-
-def validate_state(
-    state: PhaseState,
-    params: KerrParams,
-    theta_margin: float = DEFAULT_THETA_MARGIN,
-    r_margin: float = DEFAULT_R_MARGIN,
-) -> None:
-    """Raise DomainError unless the state sits strictly inside the chart."""
-    rp = horizon_radius(params)
-    r = np.asarray(state.r, dtype=float)
-    th = np.asarray(state.theta, dtype=float)
-    if np.any(r <= rp + r_margin):
-        raise DomainError(f"r must exceed r+ + margin = {rp + r_margin}")
-    if np.any(th < theta_margin) or np.any(th > np.pi - theta_margin):
-        raise DomainError("theta outside the axis-free band")
 
 
 def _require_exterior(params: KerrParams, r) -> None:
@@ -230,20 +208,6 @@ def _grad_p(params: KerrParams, r, theta, xi, alpha, beta):
     return _grad_hess(params, r, theta, xi, alpha, beta)[0]
 
 
-def hamilton_field(state: PhaseState, params: KerrParams) -> np.ndarray:
-    """Hamilton vector field of p, components ordered like the state.
-
-    This is the full field H (twice the half-field that makes the radial
-    block read xi*Delta*d_r + ... ); positions move by +dp/dmomentum,
-    momenta by -dp/dposition.
-    """
-    _require_exterior(params, state.r)
-    p_r, p_th, p_ph, p_xi, p_al, p_be = _grad_p(
-        params, state.r, state.theta, state.xi, state.alpha, state.beta
-    )
-    return np.asarray([p_xi, p_al, p_be, -p_r, -p_th, -p_ph])
-
-
 def hessian_p(state: PhaseState, params: KerrParams) -> np.ndarray:
     """6x6 Hessian of p at a (scalar) state, order (r, theta, phi, xi, alpha, beta)."""
     _require_exterior(params, state.r)
@@ -285,25 +249,26 @@ def conserved(state: PhaseState, params: KerrParams) -> ConservedTriple:
 def symbol_q(state: PhaseState, params: KerrParams):
     """Principal symbol of the conjugating weight at a state.
 
-    At a = 0 this reduces to 2*r^4/Delta.
+    sigma(Q) = 2*a*beta - 2*v_beta + beta*d_beta v_beta - 2*a^2*sin^2(theta),
+    which is 2*((r^2+a^2)^2/Delta - a^2*sin^2(theta)) + 4*M*a*r*beta/Delta
+    written out.  At a = 0 this reduces to 2*r^4/Delta.
     """
     _require_exterior(params, state.r)
-    m, a = params.mass, params.spin
-    r, theta, beta = state.r, state.theta, state.beta
-    dl = delta(params, r)
-    return (
-        2.0 * ((r**2 + a**2) ** 2 / dl - a**2 * np.sin(theta) ** 2)
-        + (4.0 * m * a * r / dl) * beta
-    )
+    a, beta = params.spin, state.beta
+    terms = radial_terms(params, beta, state.r)
+    v, v_b = terms[0], terms[4]
+    return 2.0 * (a * beta - v - a**2 * np.sin(state.theta) ** 2) + beta * v_b
 
 
 def q_lower_bound(params: KerrParams, r, beta):
-    """Closed-form lower bound for sigma(Q) + p at xi = alpha = 0."""
-    m, a = params.mass, params.spin
-    dl = delta(params, r)
-    return (r**4 + a**2 * r**2 + 2.0 * m * a**2 * r) / dl + beta**2 * (
-        r**2 - 2.0 * m * r
-    ) / dl
+    """Closed-form lower bound for sigma(Q) + p at xi = alpha = 0.
+
+    There sigma(Q) + p = beta*d_beta v_beta - v_beta + beta^2/sin^2(theta)
+    - a^2*sin^2(theta), least at sin(theta) = 1.
+    """
+    terms = radial_terms(params, beta, r)
+    v, v_b = terms[0], terms[4]
+    return beta * v_b - v + beta**2 - params.spin**2
 
 
 def q_positivity_margin(

@@ -33,16 +33,14 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 from . import kerr
-from .flow import step_tolerance
 from .errors import (
     Degenerate,
-    DegenerateCritical,
     DomainError,
     InvalidHorizon,
     NoBracket,
     NotHyperbolic,
 )
-from .kerr import KerrParams, PhaseState, radial_potential, radial_potential_derivs
+from .kerr import KerrParams, PhaseState, radial_potential_derivs
 from .models import BumpPattern, newton_saddle, reduced_kerr_model
 
 RNORM_DEFAULT = 4
@@ -51,14 +49,6 @@ INVARIANCE_ANGLE_MAX = 1e-4
 TANGENTIAL_DEGREE_MAX = 1
 # grid over one theta-period locating the sup of the tangential envelope
 ENVELOPE_SAMPLES = 256
-DRIFT_SAMPLES_SHELL = 41
-
-
-def potential_v(r, beta: float, params: KerrParams):
-    """Radial potential whose maximum locates the trapped sphere radius."""
-    if np.any(np.asarray(r) <= kerr.horizon_radius(params)):
-        raise DomainError("potential evaluated at r <= r+")
-    return radial_potential(params, beta, r)
 
 
 def trapped_radius(
@@ -606,69 +596,6 @@ def certify(
     )
 
 
-# -- equatorial critical manifold -------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    beta: float
-    hessian: np.ndarray  # d2(beta) in (alpha, theta) on the shell
-
-
-def beta_critical_points(
-    lam: float, params: KerrParams, family: ReducedFamily | None = None,
-    det_floor: float = 1e-6,
-) -> list[CriticalPoint]:
-    """Equatorial extrema of beta on the shell, with transverse Hessians.
-
-    beta is solved implicitly from the shell equation as a function of
-    (alpha, theta) near each critical value; the Hessian comes from 5-point
-    stencils of that implicit solution.
-    """
-    fam = family or ReducedFamily(params)
-    lo, hi = equatorial_beta_range(lam, params, fam)
-    out = []
-    for beta_star in (hi, lo):
-        def beta_at(alpha: float, theta: float) -> float:
-            def shell(beta):
-                r_s, xi_s = fam.saddle(beta)
-                y6 = np.asarray([r_s, theta, 0.0, xi_s, alpha, beta])
-                return fam.value6(y6) - lam
-
-            span = 0.35 * max(abs(beta_star), 1.0)
-            sgn = 1.0 if beta_star > 0 else -1.0
-            a_br, b_br = beta_star - sgn * span, beta_star + sgn * 0.02 * span
-            lo_br, hi_br = min(a_br, b_br), max(a_br, b_br)
-            return brentq(shell, lo_br, hi_br, xtol=1e-14)
-
-        h_a = 1e-3
-        h_t = 1e-3
-        th0 = np.pi / 2.0
-
-        def d2(f, h):
-            return (
-                -f(2 * h) + 16.0 * f(h) - 30.0 * f(0.0) + 16.0 * f(-h) - f(-2 * h)
-            ) / (12.0 * h * h)
-
-        b_aa = d2(lambda s: beta_at(s, th0), h_a)
-        b_tt = d2(lambda s: beta_at(0.0, th0 + s), h_t)
-
-        def mixed(sa, st):
-            return beta_at(sa, th0 + st)
-
-        b_at = (
-            mixed(h_a, h_t) - mixed(h_a, -h_t) - mixed(-h_a, h_t)
-            + mixed(-h_a, -h_t)
-        ) / (4.0 * h_a * h_t)
-        H = np.asarray([[b_aa, b_at], [b_at, b_tt]])
-        if abs(np.linalg.det(H)) < det_floor:
-            raise DegenerateCritical(
-                f"critical Hessian at beta={beta_star:g} is singular"
-            )
-        out.append(CriticalPoint(beta=float(beta_star), hessian=H))
-    return out
-
-
 # -- perturbation ------------------------------------------------------------
 
 
@@ -690,12 +617,14 @@ def perturb_and_recertify(
     horizon: float = 20.0,
     n_beta: int = 6,
     r_max: int = RNORM_DEFAULT,
+    tol: float = 1e-10,
 ) -> PerturbReport:
     """Perturb the symbol by a seeded bump, relocate saddles, recertify.
 
     Saddle relocation is damped Newton on the reduced fixed-point equations;
-    the certificate is recomputed for the perturbed family.  Displacement is
-    reported relative to epsilon.
+    the certificate is recomputed for the perturbed family, with the
+    one-period integration at tolerance ``tol`` as in `certify`.
+    Displacement is reported relative to epsilon.
     """
     if not (0.0 <= epsilon <= 0.05):
         raise DomainError(f"epsilon={epsilon} outside the certified regime [0, 0.05]")
@@ -718,7 +647,8 @@ def perturb_and_recertify(
         shift = max(shift, abs(mu1 - mu0) / mu0)
 
     cert = certify(
-        lam, params, horizon=horizon, n_beta=n_beta, r_max=r_max, family=fam
+        lam, params, horizon=horizon, n_beta=n_beta, r_max=r_max, family=fam,
+        tol=tol,
     )
     return PerturbReport(
         certificate=cert,
@@ -770,48 +700,3 @@ def certificate_to_dict(cert: TrapCertificate) -> dict:
         "passed": cert.passed,
         "reasons": list(cert.reasons),
     }
-
-
-# -- shell-orbit conservation helper (long-time integrator checks) ----------
-
-
-def integrate_shell_orbit(
-    params: KerrParams,
-    beta: float,
-    lam: float,
-    time: float,
-    tol: float = 1e-10,
-    theta0: float = np.pi / 2.0,
-    family: ReducedFamily | None = None,
-):
-    """Integrate a shell orbit for `time` with the intrinsic Jacobian.
-
-    Returns (drift dict over p/beta/carter, intrinsic jacobian 4x4,
-    end 6-state).  The intrinsic flow is volume-preserving, so det = 1 is a
-    sharp integrator check; conserved drift is evaluated in the embedding.
-    """
-    fam = family or ReducedFamily(params)
-    orbit = ShellOrbit(fam, beta, lam, theta0=theta0)
-
-    z0 = np.concatenate([orbit.u0, np.eye(4).ravel()])
-    ts = np.linspace(0.0, time, DRIFT_SAMPLES_SHELL)
-    rtol = step_tolerance(tol, time)
-    sol = solve_ivp(orbit.rhs, (0.0, time), z0, method="DOP853",
-                    rtol=rtol, atol=rtol * 1e-2, t_eval=ts)
-    if sol.status != 0:
-        raise InvalidHorizon(f"shell orbit integration failed: {sol.message}")
-
-    y0 = orbit.embed(orbit.u0)
-    state0 = PhaseState.from_array(y0)
-    ref = kerr.conserved(state0, params)
-    drift = {"p": 0.0, "beta": 0.0, "carter": 0.0}
-    for i in range(len(sol.t)):
-        u = sol.y[:4, i]
-        st = PhaseState.from_array(orbit.embed(u))
-        val = kerr.conserved(st, params)
-        drift["p"] = max(drift["p"], abs(val.p - ref.p))
-        drift["beta"] = max(drift["beta"], abs(val.beta - ref.beta))
-        drift["carter"] = max(drift["carter"], abs(val.carter - ref.carter))
-    jac = sol.y[4:, -1].reshape(4, 4)
-    return drift, jac, orbit.embed(sol.y[:4, -1])
-

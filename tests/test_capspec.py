@@ -46,9 +46,6 @@ def laplacian_reference(h: float, n_points: int, order: int,
         exponent=0.0,
         flat_lo=0.0,
         flat_hi=length,
-        ramps=(0.0, 0.0),
-        margins=(0.0, 0.0),
-        profile="band",
         params={},
     )
 
@@ -73,9 +70,10 @@ class TestBuildModel:
     def test_toy_defaults(self, toy_problem):
         p = toy_problem
         assert p.kind == "toy_sech2"
-        assert p.profile == "band"
+        assert p.order == 4
         assert p.x_min == -6.0 and p.x_max == 6.0
-        assert p.flat_lo < p.barrier_top < p.flat_hi
+        # band ramps: 10% margins, then 30% ramps, at each end
+        assert (p.flat_lo, p.flat_hi) == pytest.approx((-1.2, 1.2), abs=1e-14)
         assert p.x.shape == (p.n_points,)
         assert p.dx == pytest.approx(p.length / (p.n_points + 1))
 
@@ -83,8 +81,8 @@ class TestBuildModel:
         for p in (toy_problem, schw_problem):
             w = p.absorber
             assert w.min() >= 0.0 and w.max() <= 1.0
-            lo = p.x <= p.x_min + p.margins[0] * p.length
-            hi = p.x >= p.x_max - p.margins[1] * p.length
+            lo = p.x <= p.x_min + capspec.MARGINS[0] * p.length
+            hi = p.x >= p.x_max - capspec.MARGINS[1] * p.length
             assert np.all(w[lo] == 1.0)
             assert np.all(w[hi] == 1.0)
             flat = (p.x >= p.flat_lo) & (p.x <= p.flat_hi)
@@ -92,7 +90,6 @@ class TestBuildModel:
 
     def test_schw_depth_profile(self, schw_problem):
         p = schw_problem
-        assert p.profile == "depth"
         assert p.flat_lo < 3.0 < p.flat_hi
         # absorber vanishes at the barrier top node
         i_top = int(np.argmin(np.abs(p.x - 3.0)))
@@ -175,20 +172,18 @@ class TestBuildModel:
     def test_wavelength_rule(self):
         with pytest.raises(UnderResolved):
             capspec.build_model("toy_sech2", h=0.05, grid=(-4.0, 4.0, 100))
-        n_rule = capspec.required_points(8.0, 0.05, 1.2, 3.0)
-        assert n_rule >= 3.0 * 8.0 * 1.2 / 0.05
+        n_rule = capspec.required_points(8.0, 0.05, 1.2)
+        assert n_rule >= capspec.RESOLUTION_FACTOR * 8.0 * 1.2 / 0.05
+        # the rule resolves the fastest oscillation up to the window edge
+        narrow = capspec.build_model("toy_sech2", h=0.05)
+        wide = capspec.build_model("toy_sech2", h=0.05, window=1.0)
+        assert wide.n_points > narrow.n_points
 
     def test_validation_errors(self):
         with pytest.raises(DomainError):
             capspec.build_model("toy_sech2", h=0.0)
         with pytest.raises(DomainError):
             capspec.build_model("toy_sech2", h=0.6)
-        with pytest.raises(DomainError):
-            capspec.build_model("toy_sech2", order=3)
-        with pytest.raises(DomainError):
-            capspec.build_model("toy_sech2", profile="taper")
-        with pytest.raises(DomainError):
-            capspec.build_model("toy_sech2", margins=(0.05, 0.10))
         with pytest.raises(DomainError):
             capspec.build_model("toy_sech2", absorber_scale=2.0)
         with pytest.raises(DomainError):

@@ -269,6 +269,17 @@ class TestSpectrumGap:
         failures = read_failures(out)
         assert failures[0]["check"] == "nu_consistency"
 
+    def test_window_sets_grid(self, tmp_path, capsys):
+        # the wavelength rule resolves the searched window out to its edge
+        points = []
+        for name, extra in (("narrow", ""), ("wide", "window = 1\n")):
+            code, _ = run_cli(
+                tmp_path, "spectrum-gap", "h_list = 0.1\n" + extra, name=name
+            )
+            assert code == 0
+            points.append(int(capsys.readouterr().out.split("n=")[1].split()[0]))
+        assert points[1] > points[0]
+
 
 @pytest.mark.parametrize(
     "command, text, problems",
@@ -362,3 +373,16 @@ class TestCertifyAndPerturb:
         assert payload["displacement_factor"] <= 5.0
         assert payload["exponent_shift"] <= 0.05
         assert payload["certificate"]["passed"] is True
+
+    def test_perturb_flow_tolerance(self, tmp_path):
+        # tol.flow reaches the recertification's one-period integration
+        certs = []
+        for name, extra in (("default", ""), ("loose", "tol.flow = 1e-8\n")):
+            code, out = run_cli(
+                tmp_path, "perturb", "horizon = 5\nseed = 2\n" + extra, name=name
+            )
+            assert code == 0
+            payload = json.loads((out / "certificate.json").read_text())
+            certs.append(payload["certificate"])
+        assert certs[0]["passed"] and certs[1]["passed"]
+        assert certs[0] != certs[1]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nhtrap import kerr
+from nhtrap import kerr, models
 from nhtrap.errors import DomainError
 from nhtrap.kerr import ConservedTriple, KerrParams, PhaseState
 
@@ -201,6 +201,32 @@ class TestSympyOracle:
             # the third derivative decays at large r, below its own terms
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
+    def test_weight_and_its_floor(self):
+        # sigma(Q) and the floor of sigma(Q) + p, written out in r
+        sp, names, dl = self.symbols()
+        r, th, be, m, a = names[0], names[1], names[5], names[6], names[7]
+        s2 = sp.sin(th) ** 2
+        weight = 2 * ((r**2 + a**2) ** 2 / dl - a**2 * s2) + (4 * m * a * r / dl) * be
+        floor = (
+            (r**4 + a**2 * r**2 + 2 * m * a**2 * r) / dl
+            + be**2 * (r**2 - 2 * m * r) / dl
+        )
+        rng = np.random.default_rng(14)
+        rows = []
+        for spin in rng.uniform(0.0, 0.95, 100):
+            r_lo = kerr.horizon_radius(KerrParams(1.0, spin)) + 0.05
+            rows.append(
+                [rng.uniform(r_lo, 10.0), rng.uniform(0.1, np.pi - 0.1),
+                 rng.uniform(-6.0, 6.0), 1.0, spin]
+            )
+        refs = self.evaluate(sp, (r, th, be, m, a), [weight, floor], rows)
+        for (radius, theta, beta, _, spin), (w_ref, f_ref) in zip(rows, refs):
+            p = KerrParams(1.0, spin)
+            state = PhaseState(radius, theta, 0.0, 0.0, 0.0, beta)
+            assert abs(kerr.symbol_q(state, p) - w_ref) <= 1e-12 * max(1.0, abs(w_ref))
+            floor_got = kerr.q_lower_bound(p, radius, beta)
+            assert abs(floor_got - f_ref) <= 1e-12 * max(1.0, abs(f_ref))
+
 
 class TestConserved:
     def test_triple_at_critical_sphere(self):
@@ -218,8 +244,9 @@ class TestConserved:
         h = 1e-6
         for spin in (0.0, 0.2, 0.6):
             p = KerrParams(1.0, spin)
+            model = models.full_kerr_model(p)
             for y in random_states(rng, 20):
-                field = kerr.hamilton_field(PhaseState.from_array(y), p)
+                field = model.hamilton_rhs(y)
 
                 def along(f, s):
                     st = PhaseState.from_array(y + s * field)
@@ -260,14 +287,6 @@ class TestWeight:
 
 
 class TestChart:
-    def test_validate_state(self):
-        p = KerrParams()
-        kerr.validate_state(PhaseState(3.0, 1.0, 0.0, 0.0, 0.0, 0.0), p)
-        with pytest.raises(DomainError):
-            kerr.validate_state(PhaseState(2.0, 1.0, 0.0, 0.0, 0.0, 0.0), p)
-        with pytest.raises(DomainError):
-            kerr.validate_state(PhaseState(3.0, 0.01, 0.0, 0.0, 0.0, 0.0), p)
-
     def test_ergosphere_indicator(self):
         p = KerrParams(1.0, 0.6)
         rp = kerr.horizon_radius(p)
