@@ -46,9 +46,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import kerr
+from .config import MODEL_KINDS
 from .errors import ConvergenceFailure, DomainError, UnderResolved
-
-MODEL_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
 
 DEFAULT_WINDOW = 0.3  # half-width of the real-part window around z = 0
 FLOOR_FACTOR = -1.0  # reported-list floor, in units of h below the axis

@@ -1,4 +1,15 @@
-"""Command-line orchestrator: job fan-out, checks, artifact emission."""
+"""Command-line orchestrator: job fan-out, checks, artifact emission.
+
+Every command runs in its own process, so the imports at the top of this
+module are paid by every run.  They stay light: numpy and the modules
+that pull in no scipy (``config``, ``errors``, ``artifacts``).  Each
+handler imports the numerical layer it runs as its first statement, in
+the main thread before ``_run_jobs`` fans out, and never inside a job:
+``capspec`` for the spectrum commands, ``escape`` and ``models`` for
+escape-check, ``trapping`` for trap-find, trap-certify and perturb, and
+``flow`` and ``models`` for flow-integrate.  Jobs call the layer through
+its module attributes.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artifacts, capspec, escape, models, trapping
+from . import artifacts
 from .config import COMMANDS, RunConfig, parse_config
 from .errors import (
     ConfigError,
@@ -24,8 +35,6 @@ from .errors import (
     UnderResolved,
     ValidationError,
 )
-from .flow import integrate_flow
-from .kerr import KerrParams
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -99,6 +108,8 @@ def _spectrum_params(cfg: RunConfig):
 
 
 def _cmd_trap_find(cfg: RunConfig, workers: int) -> Outcome:
+    from . import trapping
+
     betas = tuple(cfg.beta_list if cfg.beta_list is not None else (0.0,))
     kerr = cfg.kerr
     charts = _run_jobs(
@@ -129,6 +140,9 @@ def _cmd_trap_find(cfg: RunConfig, workers: int) -> Outcome:
 
 
 def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
+    from . import trapping
+    from .kerr import KerrParams
+
     spins = tuple(cfg.a_list if cfg.a_list is not None else (cfg.kerr_spin,))
     jobs = [
         partial(
@@ -171,23 +185,20 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
     return out
 
 
-def _escape_one(model, saddle_guess, h: float, seed: int) -> dict:
-    pair = escape.build_defining_pair(model, saddle_guess=saddle_guess)
-    spec = escape.make_escape_spec(pair, h=h)
-    return escape.escape_report(pair, spec, seed=seed)
-
-
 def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
+    from . import escape, models
+
+    def escape_one(model, saddle_guess) -> dict:
+        pair = escape.build_defining_pair(model, saddle_guess=saddle_guess)
+        spec = escape.make_escape_spec(pair, h=cfg.h)
+        return escape.escape_report(pair, spec, seed=cfg.seed)
+
     jobs = [
+        partial(escape_one, models.toy_barrier_model(), (0.0, 0.0)),
         partial(
-            _escape_one, models.toy_barrier_model(), (0.0, 0.0), cfg.h, cfg.seed
-        ),
-        partial(
-            _escape_one,
+            escape_one,
             models.reduced_kerr_model(cfg.kerr, beta=0.0),
             (3.0 * cfg.kerr_mass, 0.0),
-            cfg.h,
-            cfg.seed,
         ),
     ]
     names = ("toy", "reduced_kerr")
@@ -231,18 +242,17 @@ def _eigenvalue_rows(report) -> list:
     return [(report.h, *row) for row in zip(*columns)]
 
 
-def _gap_job(cfg: RunConfig, h: float):
-    problem = capspec.build_model(
-        cfg.model, _spectrum_params(cfg), h=h, window=cfg.window
-    )
-    return capspec.spectral_gap(problem, window=cfg.window)
-
-
 def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
+    from . import capspec
+
+    def gap_job(h: float):
+        problem = capspec.build_model(
+            cfg.model, _spectrum_params(cfg), h=h, window=cfg.window
+        )
+        return capspec.spectral_gap(problem, window=cfg.window)
+
     h_list = tuple(cfg.h_list if cfg.h_list is not None else DEFAULT_H_LIST)
-    reports = _run_jobs(
-        [partial(_gap_job, cfg, h) for h in h_list], workers
-    )
+    reports = _run_jobs([partial(gap_job, h) for h in h_list], workers)
     out = Outcome()
     gap_rows, eig_rows = [], []
     for report in reports:
@@ -290,6 +300,8 @@ def uhp_samples(window: float, seed: int) -> list:
 
 
 def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
+    from . import capspec
+
     problem = capspec.build_model(
         cfg.model, _spectrum_params(cfg), h=cfg.h, window=cfg.window
     )
@@ -328,6 +340,8 @@ def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
 
 
 def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
+    from . import flow, models
+
     model = models.full_kerr_model(cfg.kerr)
     start = np.array(
         [
@@ -361,7 +375,7 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
         # integrate_flow checks the chart before any row evaluates p
         states = [start]
         for t_prev, t_next in zip(times, times[1:]):
-            result = integrate_flow(
+            result = flow.integrate_flow(
                 model, states[-1], t_next - t_prev, tol=tol, with_jacobian=False
             )
             states.append(result.end_state)
@@ -394,6 +408,8 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
 
 
 def _cmd_perturb(cfg: RunConfig, workers: int) -> Outcome:
+    from . import trapping
+
     report = _run_jobs(
         [
             partial(

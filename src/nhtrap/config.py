@@ -7,7 +7,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .capspec import MODEL_KINDS
 from .errors import ParseError, ValidationError
 
 COMMANDS = (
@@ -19,6 +18,9 @@ COMMANDS = (
     "flow-integrate",
     "perturb",
 )
+
+# CAP operator kinds that capspec.build_model accepts
+MODEL_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
 
 DEFAULT_TOLERANCES = {
     "flow": 1e-10,

@@ -47,7 +47,6 @@ GRID_N = 41               # points per axis of the saddle grids
 VERIFY_RADIUS = 0.05      # adapted radius of the sign-relation grid
 PHI_TUBE = 1e-3           # sign relations are checked where |phi| exceeds this
 ORDER_PAIRS = 2000        # sample pairs of the report's order-function check
-ORDER_SPREAD_CAP = 2.0    # largest accepted spread of C_N across an h sweep
 ORDER_C_CAP = 100.0
 ORDER_N_MAX = 8
 HP_G1_NEGATIVE_TOL = 1e-6
@@ -734,63 +733,6 @@ def order_function_check(
             f"{ORDER_N_MAX}; the escape construction is defective"
         )
     return math.exp(found[0]), found[1]
-
-
-def order_function_sweep(
-    pair: DefiningPair,
-    h_list,
-    htilde: float = DEFAULT_HTILDE,
-    radius: float = CHI_RADII[0],
-    n_pairs: int = 10_000,
-    seed: int = 0,
-    with_g1: bool = True,
-) -> dict:
-    """Order-function constants across an h sweep, with shared samples.
-
-    For each candidate exponent N the tight constant C_N(h) is computed
-    per h; the reported N is the smallest one whose constants stay under
-    the cap for every h and vary by less than ORDER_SPREAD_CAP across the
-    sweep.  Raises Unbounded when even N = ORDER_N_MAX breaks the cap.
-    """
-    rng = np.random.default_rng(seed)
-    pairs = sample_disc_pairs(pair, radius, n_pairs, rng)
-    log_cap = math.log(ORDER_C_CAP)
-    stats = []
-    per_h = []
-    for h in h_list:
-        spec = make_escape_spec(pair, h=h, htilde=htilde, with_g1=with_g1)
-        gaps, log_brackets = _order_statistics(spec, pair, pairs)
-        stats.append((gaps, log_brackets))
-        found = _smallest_order(gaps, log_brackets)
-        if found is None:
-            raise Unbounded(f"order constant exceeds the cap at h={h}")
-        per_h.append({"h": float(h), "C": math.exp(found[0]), "N": found[1]})
-    chosen = None
-    for n_exp in range(ORDER_N_MAX + 1):
-        log_cs = [
-            float(np.max(gaps - n_exp * log_brackets))
-            for gaps, log_brackets in stats
-        ]
-        if max(log_cs) > log_cap:
-            continue
-        spread = math.exp(max(log_cs) - min(log_cs))
-        if chosen is None:
-            chosen = (n_exp, log_cs, spread)  # cap-only fallback
-        if spread <= ORDER_SPREAD_CAP:
-            chosen = (n_exp, log_cs, spread)
-            break
-    if chosen is None:
-        raise Unbounded("order constants exceed the cap at every exponent")
-    n_star, log_cs, spread = chosen
-    consts = [math.exp(v) for v in log_cs]
-    return {
-        "per_h": per_h,
-        "N": int(n_star),
-        "C": float(max(consts)),
-        "C_values": consts,
-        "C_spread": float(spread),
-        "passed": n_star <= 4 and spread <= ORDER_SPREAD_CAP,
-    }
 
 
 def escape_report(pair: DefiningPair, spec: EscapeSpec, seed: int = 0) -> dict:

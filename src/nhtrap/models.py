@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kerr
 from .errors import NewtonDiverged
@@ -112,6 +111,9 @@ class BumpPattern:
         grid = np.abs(self.value(xs[:, None], ys[None, :]))
         peak = float(np.max(grid))
         if peak > 0:
+            # only perturb builds a pattern; other commands skip scipy.optimize
+            from scipy.optimize import minimize
+
             # polish the grid argmax so sup|pattern| = 1 holds off-grid too
             i, j = np.unravel_index(np.argmax(grid), grid.shape)
             res = minimize(
@@ -271,12 +273,7 @@ def reduced_kerr_model(
     )
 
 
-def full_kerr_model(
-    params: KerrParams,
-    theta_margin: float = kerr.DEFAULT_THETA_MARGIN,
-    r_margin: float = kerr.DEFAULT_R_MARGIN,
-    r_cap: float = CHART_CAP_KERR_R,
-) -> HamiltonianModel:
+def full_kerr_model(params: KerrParams) -> HamiltonianModel:
     """Six-dimensional exterior model carrying (p, beta, carter)."""
     rp = kerr.horizon_radius(params)
 
@@ -295,10 +292,10 @@ def full_kerr_model(
 
     def margin(y):
         return min(
-            y[0] - (rp + r_margin),
-            r_cap - y[0],
-            y[1] - theta_margin,
-            np.pi - theta_margin - y[1],
+            y[0] - (rp + kerr.DEFAULT_R_MARGIN),
+            CHART_CAP_KERR_R - y[0],
+            y[1] - kerr.DEFAULT_THETA_MARGIN,
+            np.pi - kerr.DEFAULT_THETA_MARGIN - y[1],
         )
 
     return HamiltonianModel(

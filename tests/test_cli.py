@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,64 @@ class TestTrapFind:
         )
         assert proc.returncode == 0
         assert proc.stdout == TRAP_FIND_LINE + "\n"
+
+
+# run in a fresh interpreter: import the CLI, run one command if given,
+# and print the exit code and the loaded module names as the last line
+_FOOTPRINT_PROBE = """
+import json, sys
+from nhtrap import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text, absent, present",
+    [
+        (None, "", ("scipy",), ("nhtrap.cli",)),
+        ("escape-check", "seed = 1\n", ("scipy",), ("nhtrap.escape",)),
+        (
+            "spectrum-gap",
+            "model = toy_sech2\nh_list = 0.1\n",
+            ("scipy.optimize", "scipy.integrate"),
+            ("scipy.sparse.linalg",),
+        ),
+        (
+            "spectrum-resolvent",
+            "model = toy_sech2\nh = 0.1\nseed = 3\n",
+            ("scipy.optimize", "scipy.integrate"),
+            ("scipy.sparse.linalg",),
+        ),
+    ],
+    ids=["import", "escape-check", "spectrum-gap", "spectrum-resolvent"],
+)
+def test_import_footprint(tmp_path, command, text, absent, present):
+    """Each command loads only the layer it runs; the CLI itself loads no scipy."""
+    argv = []
+    if command is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    loaded = set(modules)
+    assert set(present) <= loaded
+    leaked = sorted(
+        name
+        for name in loaded
+        for prefix in absent
+        if name == prefix or name.startswith(prefix + ".")
+    )
+    assert leaked == []
 
 
 class TestConfigErrors:

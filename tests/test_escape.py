@@ -577,17 +577,6 @@ class TestOrderFunction:
         _, N = esc.order_function_check(spec, toy_pair, pairs)
         assert N <= 2
 
-    def test_sweeps_bounded_and_stable(self, toy_pair, kerr_pair):
-        for pair in (toy_pair, kerr_pair):
-            report = esc.order_function_sweep(
-                pair, [1e-2, 1e-3, 1e-4], n_pairs=10_000, seed=0
-            )
-            assert report["passed"]
-            assert report["N"] <= 4
-            assert report["C_spread"] < 2.0
-            for row in report["per_h"]:
-                assert row["N"] <= 4
-
     def test_samples_match_one_at_a_time_draws(self, kerr_pair):
         # block draws accept the same candidates as drawing one at a time
         for seed in (0, 1, 7):
