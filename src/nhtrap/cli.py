@@ -8,7 +8,8 @@ the main thread before ``_run_jobs`` fans out, and never inside a job:
 ``capspec`` for the spectrum commands, ``escape`` and ``models`` for
 escape-check, ``trapping`` for trap-find, trap-certify and perturb, and
 ``flow`` and ``models`` for flow-integrate.  Jobs call the layer through
-its module attributes.
+its module attributes.  Only the spectrum commands load scipy (through
+``capspec``): the other layers integrate and find roots with ``ode``.
 """
 
 from __future__ import annotations

@@ -64,7 +64,10 @@ class UnderResolved(NhtrapError):
 
 
 class ConvergenceFailure(NhtrapError):
-    """Eigenvalue solve failed to certify; carries the failing shift."""
+    """An iterative solve failed to converge or certify.
+
+    Eigenvalue solves carry the failing shift; root searches carry none.
+    """
 
     def __init__(self, message: str, shift=None):
         super().__init__(message)

@@ -35,6 +35,7 @@ from .errors import (
     Unbounded,
 )
 from .models import HamiltonianModel, newton_saddle
+from .ode import solve_ivp
 
 DEFAULT_HTILDE = 0.25
 DEFAULT_M_CONST = 5.0
@@ -288,8 +289,6 @@ def manifold_samples(
     """Points on the true invariant graph, by integrating the Hamilton flow
     from an eigenvector seed.  side=+1 follows the unstable graph (where
     phi_plus vanishes), side=-1 the stable one, grown backward in time."""
-    from scipy.integrate import solve_ivp
-
     gamma = pair.gamma_plus if side > 0 else pair.gamma_minus
     direction = np.asarray([1.0, gamma])
     direction = direction / np.linalg.norm(direction)
@@ -305,11 +304,10 @@ def manifold_samples(
         lambda t, y: pair.model.hamilton_rhs(y),
         (0.0, tf),
         y0,
-        method="DOP853",
         rtol=1e-12,
         atol=1e-16,
         dense_output=True,
-        events=outside,
+        event=outside,
     )
     t_end = sol.t[-1]
     ts = np.linspace(0.0, t_end, 400)

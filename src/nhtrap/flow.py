@@ -2,7 +2,8 @@
 
 The integrator advances the state together with the full Jacobian dphi^t
 (an extra d^2 components), so symplecticity is measurable on every run.
-Tolerances feed an adaptive RK853 pair.
+Tolerances feed the adaptive DOP853 of `nhtrap.ode`, whose terminal
+chart-exit event stops an orbit at the chart margin.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ChartExit, DomainError, InvalidHorizon, StepFailure
 from .models import HamiltonianModel
+from .ode import solve_ivp
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 
@@ -83,24 +84,20 @@ def integrate_flow(
     if with_jacobian:
         z0 = np.concatenate([start, np.eye(d).ravel()])
 
-    events = []
-    if model.chart_margin is not None:
-        def exit_event(t, z):
-            return model.chart_margin(z[:d])
+    def exit_event(t, z):
+        return model.chart_margin(z[:d])
 
-        exit_event.terminal = True
-        exit_event.direction = -1
-        events.append(exit_event)
+    exit_event.terminal = True
+    exit_event.direction = -1
 
     rtol = step_tolerance(tol, time)
     sol = solve_ivp(
         _joint_rhs(model, with_jacobian),
         (0.0, time),
         z0,
-        method="DOP853",
         rtol=rtol,
         atol=rtol * 1e-2,
-        events=events or None,
+        event=exit_event if model.chart_margin is not None else None,
     )
     if sol.status == -1:
         raise StepFailure(f"integrator failed at t={sol.t[-1]}: {sol.message}")

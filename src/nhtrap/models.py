@@ -104,26 +104,36 @@ class BumpPattern:
         amps = rng.uniform(0.5, 1.0, size=n_bumps) * rng.choice(
             [-1.0, 1.0], size=n_bumps
         )
-        # normalize: sup over a probe grid of the raw sum
+        # normalize: sup over a probe grid of the raw sum, polished off-grid
         self.amps = amps
         xs = np.linspace(center[0] - 2 * span, center[0] + 2 * span, 201)
         ys = np.linspace(center[1] - 2 * span, center[1] + 2 * span, 201)
         grid = np.abs(self.value(xs[:, None], ys[None, :]))
-        peak = float(np.max(grid))
+        i, j = np.unravel_index(np.argmax(grid), grid.shape)
+        self.peak_point = np.asarray([xs[i], ys[j]])
+        try:
+            # the grid argmax sits within a step of a smooth extremum
+            self.peak_point = newton_saddle(self._critical_model(), self.peak_point)
+        except NewtonDiverged:
+            pass
+        peak = max(float(grid[i, j]), abs(float(self.value(*self.peak_point))))
         if peak > 0:
-            # only perturb builds a pattern; other commands skip scipy.optimize
-            from scipy.optimize import minimize
-
-            # polish the grid argmax so sup|pattern| = 1 holds off-grid too
-            i, j = np.unravel_index(np.argmax(grid), grid.shape)
-            res = minimize(
-                lambda z: -abs(float(self.value(z[0], z[1]))),
-                np.asarray([xs[i], ys[j]]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-14},
-            )
-            peak = max(peak, -float(res.fun))
             self.amps = amps / peak
+
+    def _critical_model(self) -> HamiltonianModel:
+        """The pattern as a two-dimensional symbol, for `newton_saddle`."""
+
+        def hessian(z):
+            hxx, hxy, hyy = self.hessian(*z)
+            return np.asarray([[hxx, hxy], [hxy, hyy]])
+
+        return HamiltonianModel(
+            dimension=2,
+            evaluate=lambda z: self.value(*z),
+            gradient=lambda z: np.asarray(self.gradient(*z)),
+            hessian=hessian,
+            name="bump_pattern",
+        )
 
     @staticmethod
     def _profile(u):

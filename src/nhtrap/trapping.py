@@ -21,6 +21,11 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    phi (which is cyclic), and fixes both directions.  So
    X(s + mP) = X(s) (I + mN) for every integer m, and tangential growth is
    polynomial of degree 0 (N vanishes on the shell-tangent frame) or 1.
+
+The one period is integrated by the in-house DOP853 of `nhtrap.ode`, whose
+dense output and count-aware terminal event give the period, the monodromy
+and X(s) on [0, P).  Roots (trapped radii, extremal beta values) come from
+its bracketed `brentq`.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from . import kerr
 from .errors import (
@@ -42,6 +45,7 @@ from .errors import (
 )
 from .kerr import KerrParams, PhaseState, radial_potential_derivs
 from .models import BumpPattern, newton_saddle, reduced_kerr_model
+from .ode import DenseSolution, brentq, solve_ivp
 
 RNORM_DEFAULT = 4
 RATE_FLOOR_FRACTION = 0.9
@@ -49,6 +53,9 @@ INVARIANCE_ANGLE_MAX = 1e-4
 TANGENTIAL_DEGREE_MAX = 1
 # grid over one theta-period locating the sup of the tangential envelope
 ENVELOPE_SAMPLES = 256
+# the golden-section polish of that sup stops on brackets this short
+ENVELOPE_XTOL = 1e-9
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def trapped_radius(
@@ -59,7 +66,7 @@ def trapped_radius(
 ) -> float:
     """Radius of the trapped sphere at angular momentum beta.
 
-    Safeguarded root of v' (bracket scan + brentq), confirmed a maximum.
+    Bracketed root of v' (sign-change scan, then brentq), confirmed a maximum.
     The scan starts just outside r+: as a -> M the prograde photon orbit
     approaches the horizon (r = 1.1676 against r+ = 1.1411 at a = 0.99).
     """
@@ -276,9 +283,18 @@ class ShellOrbit:
         self.u0 = np.asarray([theta0, phi0, math.sqrt(disc), beta])
 
     def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
-        """Field of (u, intrinsic 4x4 Jacobian X): the one shell-orbit RHS."""
-        du, _, M = self.blocks(z[:4])
-        return np.concatenate([du, (M @ z[4:].reshape(4, 4)).ravel()])
+        """Field of (u, intrinsic 4x4 Jacobian X): the one shell-orbit RHS.
+
+        The intrinsic variational matrix is M = (H_alpha, H_beta, -H_theta, 0) L
+        with L the embedding differential: beta is conserved, so only its
+        first three rows are formed, and the last row of X' is zero.
+        """
+        g, H = self.family.grad_hess6(self.embed(z[:4]))
+        M = H[[4, 5, 1]] @ self.embed_diff
+        M[2] = -M[2]
+        return np.concatenate(
+            [_velocity(g), (M @ z[4:].reshape(4, 4)).ravel(), np.zeros(4)]
+        )
 
     def tangent_cocycle(self, horizon: float, tol: float = 1e-10) -> TangentCocycle:
         """Intrinsic Jacobian t -> X(t) for any real t, from one theta-period.
@@ -295,17 +311,16 @@ class ShellOrbit:
         crossing.direction = 1.0
         crossing.terminal = 2  # the first root is the start itself, t = 0
         z0 = np.concatenate([self.u0, np.eye(4).ravel()])
-        sol = solve_ivp(self.rhs, (0.0, horizon), z0, method="DOP853",
-                        rtol=tol, atol=tol * 1e-2, events=crossing,
-                        dense_output=True)
+        sol = solve_ivp(self.rhs, (0.0, horizon), z0, rtol=tol, atol=tol * 1e-2,
+                        event=crossing, dense_output=True)
         if sol.status != 1:
             raise InvalidHorizon(
                 f"horizon {horizon:g} is too short: theta does not return "
                 f"within it at beta={self.beta:g} ({sol.message})"
             )
-        monodromy = sol.y_events[0][-1][4:].reshape(4, 4)
+        monodromy = sol.y_events[-1][4:].reshape(4, 4)
         return TangentCocycle(
-            period=float(sol.t_events[0][-1]),
+            period=float(sol.t_events[-1]),
             shear=monodromy - np.eye(4),
             one_period=sol.sol,
         )
@@ -316,16 +331,9 @@ class ShellOrbit:
         )
 
     def blocks(self, u: np.ndarray):
-        """(intrinsic rhs, 6D variational, intrinsic variational), one eval."""
+        """(intrinsic rhs, 6D variational matrix A6 = J Hess p), one eval."""
         g, H = self.family.grad_hess6(self.embed(u))
-        du = np.asarray([g[4], g[5], -g[1], 0.0])
-        A6 = np.vstack([H[3:, :], -H[:3, :]])
-        HE = H @ self.embed_diff  # 6x4
-        M = np.zeros((4, 4))
-        M[0, :] = HE[4, :]
-        M[1, :] = HE[5, :]
-        M[2, :] = -HE[1, :]
-        return du, A6, M
+        return _velocity(g), np.vstack([H[3:, :], -H[:3, :]])
 
     def normal_bundles(self):
         """Normal rates and unit bundle 6-vectors, ((lambda_+, e_+), (lambda_-, e_-)).
@@ -358,6 +366,11 @@ class ShellOrbit:
         return frame
 
 
+def _velocity(g: np.ndarray) -> np.ndarray:
+    """Intrinsic shell velocity (theta, phi, alpha, beta)' from the 6D gradient."""
+    return np.asarray([g[4], g[5], -g[1], 0.0])
+
+
 @dataclass(frozen=True)
 class TangentCocycle:
     """X(t) = X(s) (I + mN) for t = s + mP, s in [0, P) (fact 3).
@@ -369,7 +382,7 @@ class TangentCocycle:
 
     period: float
     shear: np.ndarray  # N = X(P) - I, with N^2 = 0 up to integration error
-    one_period: OdeSolution  # s -> (u, X) on [0, P]
+    one_period: DenseSolution  # s -> (u, X) on [0, P]
 
     def __call__(self, t):
         """X(t) as a 4x4 matrix, or a stack of them for an array of times."""
@@ -499,10 +512,8 @@ def _beta_sample(
 
         values = norm(grid)
         i = int(np.argmax(values))
-        bounds = (grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
-        peak = minimize_scalar(lambda s: -norm(s), bounds=bounds,
-                               method="bounded", options={"xatol": 1e-9})
-        return max(float(values[i]), -float(peak.fun))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        return max(float(values[i]), _golden_max(norm, lo, hi, ENVELOPE_XTOL))
 
     return BetaSample(
         chart=chart,
@@ -514,6 +525,26 @@ def _beta_sample(
         envelope=(sup(F), sup(N @ F) / period),
         invariance_angle=max(_line_angle(e, A6 @ e) for e in (e_plus, e_minus)),
     )
+
+
+def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
+    """Largest value of f on [lo, hi] by golden-section search.
+
+    It converges to the max when f is unimodal on the bracket; otherwise it
+    still returns a value of f, which never overstates the sup.
+    """
+    x1, x2 = hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo)
+    f1, f2 = float(f(x1)), float(f(x2))
+    while hi - lo > xtol:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - INVPHI * (hi - lo)
+            f1 = float(f(x1))
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + INVPHI * (hi - lo)
+            f2 = float(f(x2))
+    return max(f1, f2)
 
 
 def _ratio_sup(r: int, a: float, b: float, k: float) -> float:

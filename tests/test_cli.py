@@ -112,11 +112,35 @@ print(json.dumps([code, sorted(sys.modules)]))
             ("scipy.optimize", "scipy.integrate"),
             ("scipy.sparse.linalg",),
         ),
+        ("trap-find", "beta_list = 1\n", ("scipy",), ("nhtrap.trapping", "nhtrap.ode")),
+        (
+            "trap-certify",
+            "a_list = 0.5\nhorizon = 20\n",
+            ("scipy",),
+            ("nhtrap.trapping", "nhtrap.ode"),
+        ),
+        (
+            "perturb",
+            "epsilon = 0.01\nhorizon = 20\n",
+            ("scipy",),
+            ("nhtrap.trapping", "nhtrap.ode"),
+        ),
+        (
+            "flow-integrate",
+            "kerr.spin = 0.5\norbit.r = 8\norbit.theta = 1.2\n"
+            "orbit.xi = -1.047452885827\norbit.alpha = 3.923213879343\n"
+            "orbit.beta = 4\norbit.time = 1.0\n",
+            ("scipy",),
+            ("nhtrap.flow", "nhtrap.ode"),
+        ),
     ],
-    ids=["import", "escape-check", "spectrum-gap", "spectrum-resolvent"],
+    ids=[
+        "import", "escape-check", "spectrum-gap", "spectrum-resolvent",
+        "trap-find", "trap-certify", "perturb", "flow-integrate",
+    ],
 )
 def test_import_footprint(tmp_path, command, text, absent, present):
-    """Each command loads only the layer it runs; the CLI itself loads no scipy."""
+    """Each command loads only the layer it runs; only the spectrum commands load scipy."""
     argv = []
     if command is not None:
         cfg = tmp_path / "run.cfg"

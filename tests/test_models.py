@@ -246,6 +246,16 @@ class TestBumpPattern:
         assert float(np.max(vals)) <= 1.0 + 1e-12
         assert float(np.max(vals)) > 0.8  # sup-normalized
 
+    @pytest.mark.parametrize("seed", [1, 4, 12])
+    def test_polished_peak(self, seed):
+        b = models.BumpPattern(seed=seed, center=(3.0, 0.0), span=0.6)
+        x, y = b.peak_point
+        assert np.max(np.abs(b.gradient(x, y))) < 1e-12
+        assert abs(b.value(x, y)) == pytest.approx(1.0, abs=1e-15)
+        xs = np.linspace(3.0 - 1.2, 3.0 + 1.2, 801)
+        ys = np.linspace(-1.2, 1.2, 801)
+        assert float(np.max(np.abs(b.value(xs[:, None], ys[None, :])))) <= 1.0 + 1e-12
+
     def test_seed_determinism(self):
         b1 = models.BumpPattern(seed=12, center=(3.0, 0.0), span=0.6)
         b2 = models.BumpPattern(seed=12, center=(3.0, 0.0), span=0.6)
