@@ -1,9 +1,10 @@
 """Normally hyperbolic trapping toolkit for Kerr exterior null dynamics.
 
 Geometry and flow symbol (`kerr`), Hamiltonian model wrappers (`models`),
-symplectic-structure-aware integration (`flow`), trapped-set location and
-certification (`trapping`), escape-function construction (`escape`), and
-complex-absorbing-potential spectra (`capspec`), with a config-driven CLI.
+orbit integration (`flow`) on an in-house DOP853 (`ode`), trapped-set
+location and certification (`trapping`), escape-function construction
+(`escape`), and complex-absorbing-potential spectra (`capspec`), with a
+config-driven CLI (`cli`).
 """
 
 from .errors import (

@@ -23,7 +23,7 @@ Three model kinds are built in: ``toy_sech2`` (v = sech^2 x - 1, flat
 mass), and two barriers built from ``kerr``: ``kerr_equatorial`` is the
 equatorial radial function V = v_beta(r) + (beta - a)^2 of a rotating
 exterior, at the beta of its prograde circular null orbit (closed form),
-rescaled to v = V*Delta/r^4 with mass weight m = Delta^2/r^4, and
+scaled to v = V*Delta/r^4 with mass weight m = Delta^2/r^4, and
 ``schw_radial`` is the same barrier outside a nonrotating horizon (a = 0,
 where v = 27 M^2 Delta/r^4 - 1).
 
@@ -41,7 +41,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+# no solve here is dense; the benchmark tracer (perfbench/tracer.py) reads
+# and wraps ``capspec.sla.eig``, so the module keeps the name
+import scipy.linalg as sla  # noqa: F401
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -100,7 +102,6 @@ class CapProblem:
     x_min: float
     x_max: float
     n_points: int
-    order: int
     x: np.ndarray
     potential: np.ndarray
     mass_weight: np.ndarray
@@ -117,10 +118,6 @@ class CapProblem:
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points + 1)
-
-    @property
-    def length(self) -> float:
-        return self.x_max - self.x_min
 
     @cached_property
     def matrix(self) -> sp.csc_matrix:
@@ -235,7 +232,7 @@ def _model_functions(kind: str, params: dict):
 
     The barrier kinds share one path through ``kerr``: at the critical
     orbit, v = (v_beta(r) + (beta - a)^2) * Delta/r^4 and m = Delta^2/r^4,
-    the equatorial radial function rescaled by Delta/r^4; ``schw_radial``
+    the equatorial radial function scaled by Delta/r^4; ``schw_radial``
     is the same path at a = 0.  Since V = V' = 0 at r*, the top curvature
     is exactly v''(r*) = v_rr(r*) * Delta*/r*^4.
     """
@@ -406,7 +403,6 @@ def build_model(
         x_min=x_min,
         x_max=x_max,
         n_points=n_points,
-        order=4,
         x=x,
         potential=potential,
         mass_weight=mass_weight,
@@ -422,19 +418,17 @@ def build_model(
     )
 
 
-def _derivative_matrix(n: int, dx: float, order: int) -> sp.csr_matrix:
-    """Node-to-midpoint derivative over the extended grid with zero walls.
+def _derivative_matrix(n: int, dx: float) -> sp.csr_matrix:
+    """Fourth-order node-to-midpoint derivative over the extended grid with
+    zero walls.
 
     Rows are the n+1 cell midpoints; columns the n interior nodes.  Wall
     samples are exact zeros, so their stencil columns are dropped.  The
-    wide stencils close at the walls by odd reflection (the Dirichlet
+    wide stencil closes at the walls by odd reflection (the Dirichlet
     extension), which reproduces the interior stencil exactly for
     odd-extendable data and keeps the Gram form's transpose consistent.
     """
-    if order == 2:
-        offsets, weights = np.arange(0, 2), np.array([-1.0, 1.0])
-    else:
-        offsets, weights = np.arange(-1, 3), np.array([1.0, -27.0, 27.0, -1.0]) / 24.0
+    offsets, weights = np.arange(-1, 3), np.array([1.0, -27.0, 27.0, -1.0]) / 24.0
     rows = np.repeat(np.arange(n + 1), offsets.size)
     ext = rows + np.tile(offsets, n + 1)  # extended-grid node of each entry
     vals = np.tile(weights, n + 1)
@@ -452,7 +446,7 @@ def _derivative_matrix(n: int, dx: float, order: int) -> sp.csr_matrix:
 def _assemble(problem: CapProblem):
     """Real-symmetric part (sparse) and absorber diagonal of the operator."""
     n = problem.n_points
-    deriv = _derivative_matrix(n, problem.dx, problem.order)
+    deriv = _derivative_matrix(n, problem.dx)
     weighted = deriv.multiply(problem.mass_mid[:, None]).tocsr()
     kinetic = (problem.h**2) * (deriv.T @ weighted)
     kinetic = 0.5 * (kinetic + kinetic.T)  # Gram form; kill roundoff skew
@@ -490,13 +484,6 @@ def _require_dissipative(zs: np.ndarray) -> None:
         raise ConvergenceFailure(
             f"eigenvalue with Im z = {np.max(zs.imag):.3e} > 0 breaks dissipativity"
         )
-
-
-def _dense_eigenpairs(matrix, window: float, bottom: float):
-    zs, vecs = sla.eig(matrix.toarray())
-    _require_dissipative(zs)
-    keep = (np.abs(zs.real) < window) & (zs.imag > bottom)
-    return zs[keep], vecs[:, keep]
 
 
 def _box_eigenpairs(matrix, window: float, bottom: float):
@@ -575,7 +562,7 @@ def _box_eigenpairs(matrix, window: float, bottom: float):
     return np.concatenate(found_z), np.concatenate(found_v, axis=1)
 
 
-def _eigenpairs(matrix, window: float, floor: float | None, method: str):
+def _eigenpairs(matrix, window: float, floor: float | None):
     """Window eigenpairs of a csc matrix above ``floor``, by descending
     imaginary part."""
     # no eigenvalue lies below the numerical range; the slack mirrors the
@@ -583,35 +570,26 @@ def _eigenpairs(matrix, window: float, floor: float | None, method: str):
     bottom = _range_bottom(matrix) - DISSIPATIVITY_TOL
     if floor is not None:
         bottom = max(bottom, floor)
-    solve = _box_eigenpairs if method == "box" else _dense_eigenpairs
-    zs, vecs = solve(matrix, window, bottom)
+    zs, vecs = _box_eigenpairs(matrix, window, bottom)
     order = np.lexsort((zs.real, -zs.imag))
     return zs[order], vecs[:, order]
 
 
-def eigenvalues(
-    matrix,
-    window: float = DEFAULT_WINDOW,
-    floor: float | None = None,
-    *,
-    method: str = "box",
-):
+def eigenvalues(matrix, window: float = DEFAULT_WINDOW, floor: float | None = None):
     """Certified eigenvalues with |Re z| < window and Im z > floor.
 
     ``floor=None`` means the bottom of the numerical range, below which
-    no eigenvalue lies.  The box path works on the sparse matrix;
-    ``method="dense"`` solves the same box densely in O(n^3) and is kept
-    as a test oracle at small n.  Every returned eigenvalue carries a
-    relative residual, and any residual at or above the certification
-    tolerance raises ConvergenceFailure.  Returns (values, residuals,
-    condition numbers) sorted by descending imaginary part.
+    no eigenvalue lies.  The box is searched on the sparse matrix by
+    shift-invert cells (``_box_eigenpairs``); nothing is solved densely.
+    Every returned eigenvalue carries a relative residual, and any
+    residual at or above the certification tolerance raises
+    ConvergenceFailure.  Returns (values, residuals, condition numbers)
+    sorted by descending imaginary part.
     """
-    if method not in ("box", "dense"):
-        raise DomainError(f"unknown eigensolve method {method!r}")
     if matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"matrix is not square: {matrix.shape}")
     matrix = sp.csc_matrix(matrix, dtype=complex)
-    zs, vecs = _eigenpairs(matrix, window, floor, method)
+    zs, vecs = _eigenpairs(matrix, window, floor)
     residuals = _certify(matrix, zs, vecs)
     if zs.size and np.max(residuals) >= RESIDUAL_TOL:
         i = int(np.argmax(residuals))

@@ -376,9 +376,7 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
         # integrate_flow checks the chart before any row evaluates p
         states = [start]
         for t_prev, t_next in zip(times, times[1:]):
-            result = flow.integrate_flow(
-                model, states[-1], t_next - t_prev, tol=tol, with_jacobian=False
-            )
+            result = flow.integrate_flow(model, states[-1], t_next - t_prev, tol=tol)
             states.append(result.end_state)
         return [row_at(state, float(t)) for state, t in zip(states, times)]
 

@@ -4,9 +4,11 @@ A hyperbolic saddle of a 2D Hamiltonian symbol carries a pair of invariant
 graphs (the stable and unstable manifolds).  This module constructs local
 defining functions phi+/- for those graphs by solving the invariance
 equation to quadratic order, extracts the contraction/expansion rates c+/-,
-assembles the log-flattened escape function G, and evaluates the
-positive-commutator quantity whose grid minimum certifies the bound
-phi_tilde >= c1 * htilde with c1 > 0.
+assembles the log-flattened escape function G with its exterior term G1,
+and evaluates the positive-commutator quantity whose grid minimum
+certifies the bound phi_tilde >= c1 * htilde with c1 > 0.  The coarse
+scale htilde and the weights M and C1 are the constants HTILDE, M_CONST
+and C1_CONST; a spec varies only with h.
 
 Conventions.  Phase points are arrays (x, xi) of shape (2, *batch): every
 function of a point also takes a whole batch and returns values of shape
@@ -14,16 +16,17 @@ batch and gradients of shape (2, *batch), so each grid is evaluated as one
 array expression.  Point lists (grids, samples) are stored as (n, 2) and
 transposed on the way in.  Every derivative is in closed form, built from
 the model's gradient, Hessian and third-derivative tensor.  The Poisson
-bracket is {f, g} = f_xi g_x - f_x g_xi, and H_p f = {p, f}.  The defining
-functions are normalized so their xi-derivative is 1 at the saddle; radii
-are measured in the saddle-adapted metric s^2 = kappa^2 dx^2 + dxi^2 with
+bracket is {f, g} = f_xi g_x - f_x g_xi (`_poisson`), and H_p f = {p, f}.
+Each defining function is the graph polynomial itself, with xi-derivative
+identically 1, and each rate field c^2 is used as constructed; radii are
+measured in the saddle-adapted metric s^2 = kappa^2 dx^2 + dxi^2 with
 kappa the slope magnitude of the invariant graphs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +38,10 @@ from .errors import (
     Unbounded,
 )
 from .models import HamiltonianModel, newton_saddle
-from .ode import solve_ivp
 
-DEFAULT_HTILDE = 0.25
-DEFAULT_M_CONST = 5.0
-DEFAULT_C1_CONST = 10.0
+HTILDE = 0.25             # the coarse semiclassical scale of every spec
+M_CONST = 5.0             # weight M of the hatted squares in phi_tilde
+C1_CONST = 10.0           # weight C1 of the log(1/h) chi1 G1 term of G
 CHI_RADII = (0.2, 0.5)
 CHI1_RADII = (0.6, 0.9)
 G1_RADII = (0.2, 0.5)
@@ -51,6 +53,12 @@ ORDER_PAIRS = 2000        # sample pairs of the report's order-function check
 ORDER_C_CAP = 100.0
 ORDER_N_MAX = 8
 HP_G1_NEGATIVE_TOL = 1e-6
+
+
+def _poisson(df, dg):
+    """{f, g} = f_xi g_x - f_x g_xi from the gradients of f and g; with f = p
+    it is H_p g."""
+    return df[1] * dg[0] - df[0] * dg[1]
 
 
 @dataclass(frozen=True)
@@ -72,47 +80,33 @@ class DefiningPair:
     mu: float                 # saddle expansion rate; c+-^2 at the saddle
     kappa: float              # adapted-metric slope scale
     c0: float                 # {phi+, phi-} at the saddle
-    scale_plus: float = 1.0
-    scale_minus: float = 1.0
-    c_scale_plus: float = 1.0
-    c_scale_minus: float = 1.0
 
-    # -- raw graph polynomials (normalization-free) ------------------------
-    def _raw(self, rho, gamma: float, quad: float):
+    # -- graph polynomials --------------------------------------------------
+    def _phi(self, rho, gamma: float, quad: float):
         dx = rho[0] - self.saddle[0]
         return (rho[1] - self.saddle[1]) - gamma * dx - 0.5 * quad * dx * dx
 
-    def _raw_grad(self, rho, gamma: float, quad: float) -> np.ndarray:
+    def _grad_phi(self, rho, gamma: float, quad: float) -> np.ndarray:
         g0 = -gamma - quad * (rho[0] - self.saddle[0])
         return np.stack([g0, np.ones_like(g0)])
 
     def phi_plus(self, rho):
-        return self.scale_plus * self._raw(rho, self.gamma_plus, self.quad_plus)
+        return self._phi(rho, self.gamma_plus, self.quad_plus)
 
     def phi_minus(self, rho):
-        return self.scale_minus * self._raw(
-            rho, self.gamma_minus, self.quad_minus
-        )
+        return self._phi(rho, self.gamma_minus, self.quad_minus)
 
     def grad_phi_plus(self, rho) -> np.ndarray:
-        return self.scale_plus * self._raw_grad(
-            rho, self.gamma_plus, self.quad_plus
-        )
+        return self._grad_phi(rho, self.gamma_plus, self.quad_plus)
 
     def grad_phi_minus(self, rho) -> np.ndarray:
-        return self.scale_minus * self._raw_grad(
-            rho, self.gamma_minus, self.quad_minus
-        )
+        return self._grad_phi(rho, self.gamma_minus, self.quad_minus)
 
     def hp_phi_plus(self, rho):
-        g = self.model.gradient(rho)
-        gp = self.grad_phi_plus(rho)
-        return g[1] * gp[0] - g[0] * gp[1]
+        return _poisson(self.model.gradient(rho), self.grad_phi_plus(rho))
 
     def hp_phi_minus(self, rho):
-        g = self.model.gradient(rho)
-        gm = self.grad_phi_minus(rho)
-        return g[1] * gm[0] - g[0] * gm[1]
+        return _poisson(self.model.gradient(rho), self.grad_phi_minus(rho))
 
     # -- rate fields -------------------------------------------------------
     def _c2_field(self, rho, side: int, with_grad: bool = False):
@@ -129,10 +123,8 @@ class DefiningPair:
         third-derivative tensor and grad g0 = (-quad, 0)."""
         if side > 0:
             sign, gamma, quad = 1.0, self.gamma_plus, self.quad_plus
-            scale2 = self.c_scale_plus**2
         else:
             sign, gamma, quad = -1.0, self.gamma_minus, self.quad_minus
-            scale2 = self.c_scale_minus**2
         rho = np.asarray(rho, dtype=float)
         g0 = -gamma - quad * (rho[0] - self.saddle[0])
         g = self.model.gradient(rho)
@@ -142,7 +134,7 @@ class DefiningPair:
         den = g0 * g0 + 1.0
         c2 = -sign * num / den
         if not with_grad:
-            return scale2 * c2
+            return c2
         T = self.model.third(rho)
         # H, T and p_xi vary along both axes; g0 only along x
         dnum = (T[0, 1] * g0 - quad * H[1] - T[0, 0]) * g0 + (
@@ -151,7 +143,7 @@ class DefiningPair:
         dnum[0] -= quad * (lead + H[0, 1] * g0 + H[1, 1])
         dc2 = -sign * dnum / den
         dc2[0] += c2 * (2.0 * quad * g0 / den)
-        return scale2 * c2, scale2 * dc2
+        return c2, dc2
 
     def c2_plus(self, rho):
         return self._c2_field(rho, +1)
@@ -168,60 +160,15 @@ class DefiningPair:
     def bracket(self, rho):
         """{phi+, phi-}, analytic from the stored polynomials."""
         dx = rho[0] - self.saddle[0]
-        raw = (self.gamma_plus - self.gamma_minus) + (
+        return (self.gamma_plus - self.gamma_minus) + (
             self.quad_plus - self.quad_minus
         ) * dx
-        return self.scale_plus * self.scale_minus * raw
 
     # -- geometry ----------------------------------------------------------
     def adapted_radius(self, rho):
         dx = rho[0] - self.saddle[0]
         dxi = rho[1] - self.saddle[1]
         return np.hypot(self.kappa * dx, dxi)
-
-    def rescaled(self, factor: float) -> "DefiningPair":
-        """Scale both phi by `factor` and both c by its inverse."""
-        if factor <= 0.0:
-            raise DomainError("rescale factor must be positive")
-        return replace(
-            self,
-            scale_plus=self.scale_plus * factor,
-            scale_minus=self.scale_minus * factor,
-            c_scale_plus=self.c_scale_plus / factor,
-            c_scale_minus=self.c_scale_minus / factor,
-        )
-
-    def normalized(self) -> "DefiningPair":
-        """Reduce to the unit-gradient representative.
-
-        The geometric content of a pair lives in the products c+-phi+- and
-        in c+c-{phi+, phi-}; both are unchanged when the phi scales are
-        folded into the rate scales. Estimators normalize their input so
-        their output does not depend on the representative chosen."""
-        if self.scale_plus == 1.0 and self.scale_minus == 1.0:
-            return self
-        return replace(
-            self,
-            scale_plus=1.0,
-            scale_minus=1.0,
-            c_scale_plus=self.c_scale_plus * self.scale_plus,
-            c_scale_minus=self.c_scale_minus * self.scale_minus,
-        )
-
-    def swapped(self) -> "DefiningPair":
-        """Exchange the roles of phi+ and phi-."""
-        return replace(
-            self,
-            gamma_plus=self.gamma_minus,
-            gamma_minus=self.gamma_plus,
-            quad_plus=self.quad_minus,
-            quad_minus=self.quad_plus,
-            scale_plus=self.scale_minus,
-            scale_minus=self.scale_plus,
-            c_scale_plus=self.c_scale_minus,
-            c_scale_minus=self.c_scale_plus,
-            c0=-self.c0,
-        )
 
 
 def build_defining_pair(
@@ -277,48 +224,6 @@ def build_defining_pair(
         kappa=kappa,
         c0=gamma_plus - gamma_minus,
     )
-
-
-def manifold_samples(
-    pair: DefiningPair,
-    side: int,
-    s_max: float = 5e-4,
-    seed_size: float = 1e-7,
-    n_points: int = 24,
-) -> np.ndarray:
-    """Points on the true invariant graph, by integrating the Hamilton flow
-    from an eigenvector seed.  side=+1 follows the unstable graph (where
-    phi_plus vanishes), side=-1 the stable one, grown backward in time."""
-    gamma = pair.gamma_plus if side > 0 else pair.gamma_minus
-    direction = np.asarray([1.0, gamma])
-    direction = direction / np.linalg.norm(direction)
-    y0 = pair.saddle + seed_size * direction
-    span = 1.5 * math.log(2.0 * s_max / seed_size) / pair.mu
-    tf = span if side > 0 else -span
-
-    def outside(t, y):
-        return pair.adapted_radius(y) - 2.0 * s_max
-
-    outside.terminal = True
-    sol = solve_ivp(
-        lambda t, y: pair.model.hamilton_rhs(y),
-        (0.0, tf),
-        y0,
-        rtol=1e-12,
-        atol=1e-16,
-        dense_output=True,
-        event=outside,
-    )
-    t_end = sol.t[-1]
-    ts = np.linspace(0.0, t_end, 400)
-    pts = sol.sol(ts).T
-    radii = pair.adapted_radius(pts.T)
-    keep = (radii > 10 * seed_size) & (radii <= s_max)
-    pts = pts[keep]
-    if len(pts) < n_points:
-        raise GridTooCoarse("too few manifold samples inside the window")
-    idx = np.linspace(0, len(pts) - 1, n_points).astype(int)
-    return pts[idx]
 
 
 def verify_defG_relations(pair: DefiningPair, samples: np.ndarray) -> dict:
@@ -437,9 +342,7 @@ class G1Function:
         return self.scale * grad
 
     def hp(self, rho):
-        g = self.pair.model.gradient(rho)
-        gg = self.gradient(rho)
-        return g[1] * gg[0] - g[0] * gg[1]
+        return _poisson(self.pair.model.gradient(rho), self.gradient(rho))
 
 
 def build_G1(
@@ -451,7 +354,7 @@ def build_G1(
     """Construct the exterior escape function and verify its monotonicity.
 
     The function is w(s) * dx * dxi with w a smoothstep vanishing for
-    s <= r_inner and equal to 1 for s >= r_outer; it is rescaled so the
+    s <= r_inner and equal to 1 for s >= r_outer; it is scaled so the
     directional derivative H_p G1 is >= 1 on the band between r_outer and
     2 r_outer.  The returned function's report carries the measured floors
     and ceiling.
@@ -505,9 +408,7 @@ class EscapeSpec:
     htilde: float
     chi: Cutoff
     chi1: Cutoff
-    C1: float = DEFAULT_C1_CONST
-    G1: G1Function | None = None
-    M_const: float = DEFAULT_M_CONST
+    G1: G1Function
 
     def __post_init__(self):
         if not 0.0 < self.h < 1.0:
@@ -530,21 +431,13 @@ class EscapeSpec:
         return self.h / self.htilde
 
 
-def make_escape_spec(
-    pair: DefiningPair,
-    h: float,
-    htilde: float = DEFAULT_HTILDE,
-    C1: float = DEFAULT_C1_CONST,
-    M_const: float = DEFAULT_M_CONST,
-    with_g1: bool = True,
-) -> EscapeSpec:
-    """Assemble an EscapeSpec with the default cutoffs centred on the saddle."""
+def make_escape_spec(pair: DefiningPair, h: float) -> EscapeSpec:
+    """The EscapeSpec at scale h: htilde = HTILDE, the cutoffs on the
+    CHI_RADII and CHI1_RADII centred on the saddle, and G1 from build_G1."""
     center = (float(pair.saddle[0]), float(pair.saddle[1]))
     chi = Cutoff(center, pair.kappa, *CHI_RADII)
     chi1 = Cutoff(center, pair.kappa, *CHI1_RADII)
-    g1 = build_G1(pair, *G1_RADII) if with_g1 else None
-    return EscapeSpec(h=h, htilde=htilde, chi=chi, chi1=chi1, C1=C1,
-                      G1=g1, M_const=M_const)
+    return EscapeSpec(h=h, htilde=HTILDE, chi=chi, chi1=chi1, G1=build_G1(pair))
 
 
 class EscapeFunction:
@@ -560,11 +453,8 @@ class EscapeFunction:
         fp = self.pair.phi_plus(rho)
         fm = self.pair.phi_minus(rho)
         val = spec.chi.value(rho) * np.log((fm * fm + eta) / (fp * fp + eta))
-        if spec.G1 is not None:
-            val = val + spec.C1 * math.log(1.0 / spec.h) * spec.chi1.value(
-                rho
-            ) * spec.G1(rho)
-        return val
+        amp = C1_CONST * math.log(1.0 / spec.h)
+        return val + amp * spec.chi1.value(rho) * spec.G1(rho)
 
     def gradient(self, rho) -> np.ndarray:
         spec = self.spec
@@ -577,17 +467,11 @@ class EscapeFunction:
         grad = spec.chi.gradient(rho) * quot + spec.chi.value(rho) * (
             2.0 * fm * gm / (fm * fm + eta) - 2.0 * fp * gp / (fp * fp + eta)
         )
-        if spec.G1 is not None:
-            amp = spec.C1 * math.log(1.0 / spec.h)
-            grad = grad + amp * (
-                spec.chi1.gradient(rho) * spec.G1(rho)
-                + spec.chi1.value(rho) * spec.G1.gradient(rho)
-            )
-        return grad
-
-
-def build_escape(spec: EscapeSpec, pair: DefiningPair) -> EscapeFunction:
-    return EscapeFunction(spec, pair)
+        amp = C1_CONST * math.log(1.0 / spec.h)
+        return grad + amp * (
+            spec.chi1.gradient(rho) * spec.G1(rho)
+            + spec.chi1.value(rho) * spec.G1.gradient(rho)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +479,7 @@ def build_escape(spec: EscapeSpec, pair: DefiningPair) -> EscapeFunction:
 
 
 def _hatted(pair: DefiningPair, spec: EscapeSpec, rho, side: int):
-    """phi_hat = c phi / sqrt(phi^2 + eta) with its gradient, both closed-form.
-
-    The pair is reduced to its unit-gradient representative first, so
-    hatted quantities do not depend on the (phi, c) scaling convention.
-    """
-    pair = pair.normalized()
+    """phi_hat = c phi / sqrt(phi^2 + eta) with its gradient, both closed-form."""
     rho = np.asarray(rho, dtype=float)
     eta = spec.eta
     if side > 0:
@@ -623,8 +502,7 @@ def phi_tilde(pair: DefiningPair, spec: EscapeSpec, rho):
     """M htilde (phi_hat+^2 + phi_hat-^2) + h {phi_hat+, phi_hat-}."""
     vp, gp = _hatted(pair, spec, rho, +1)
     vm, gm = _hatted(pair, spec, rho, -1)
-    br = gp[1] * gm[0] - gp[0] * gm[1]
-    return spec.M_const * spec.htilde * (vp * vp + vm * vm) + spec.h * br
+    return M_CONST * spec.htilde * (vp * vp + vm * vm) + spec.h * _poisson(gp, gm)
 
 
 def saddle_commutator_value(pair: DefiningPair, spec: EscapeSpec) -> float:
@@ -692,9 +570,9 @@ def _order_statistics(
     sample_pairs: np.ndarray,
     escape: EscapeFunction | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair |G gap| and log of the rescaled separation bracket."""
+    """Per-pair |G gap| and log of the eta-scaled separation bracket."""
     if escape is None:
-        escape = build_escape(spec, pair)
+        escape = EscapeFunction(spec, pair)
     pairs = np.asarray(sample_pairs, dtype=float)
     rho_a, rho_b = pairs[:, 0].T, pairs[:, 1].T
     gaps = np.broadcast_to(np.abs(escape(rho_a) - escape(rho_b)), len(pairs))
@@ -744,15 +622,13 @@ def escape_report(pair: DefiningPair, spec: EscapeSpec, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     pairs = sample_disc_pairs(pair, spec.chi.inner, ORDER_PAIRS, rng)
     c_val, n_exp = order_function_check(spec, pair, pairs)
-    report = {
+    return {
         "c1": float(c1),
         "C": float(c_val),
         "N": int(n_exp),
         "bracket_min": verify["min_bracket"],
         "violations": verify["violations"],
         "saddle_value": float(saddle_commutator_value(pair, spec)),
+        "g1_scale": float(spec.G1.scale),
+        "g1_floor": spec.G1.report["g1_floor"],
     }
-    if spec.G1 is not None:
-        report["g1_scale"] = float(spec.G1.scale)
-        report["g1_floor"] = spec.G1.report["g1_floor"]
-    return report

@@ -1,4 +1,4 @@
-"""Rotating-black-hole phase space: exterior chart, rescaled flow symbol, conserved set.
+"""Rotating-black-hole phase space: exterior chart, scaled flow symbol, conserved set.
 
 Geometric units G = c = 1 throughout; `mass` and `spin` are the usual (M, a)
 with 0 <= a < M.  Phase coordinates are (r, theta, phi, xi, alpha, beta)
@@ -9,7 +9,7 @@ The flow symbol is
     p = Delta*xi^2 + alpha^2 + (1/sin^2(theta) - a^2/Delta)*beta^2
         - (4*M*a*r/Delta)*beta - ((r^2+a^2)^2/Delta - a^2*sin^2(theta)),
 
-the null-geodesic symbol rescaled by r^2 + a^2*cos^2(theta) and with the
+the null-geodesic symbol multiplied by r^2 + a^2*cos^2(theta) and with the
 time momentum frozen at -1.  It separates into a radial potential and the
 Carter constant carter = alpha^2 + q^2:
 
@@ -22,8 +22,10 @@ This form is the single source of p and its derivatives.  The value,
 the conserved triple, the radial potential and the gradient and Hessian
 (`_grad_hess`, with `_grad_p`, `hessian_p` and `grad_hess_raw` as views)
 are all assembled from `radial_terms` (v_beta and its derivatives) and
-`_angular_terms` (q and its derivatives).  The r-derivatives of the
-quotient f = N/Delta come from the Leibniz rule for N = f*Delta,
+`_angular_terms` (q and its derivatives); `angular_derivs` turns the
+latter into the derivatives of the angular half alpha^2 + q^2.  The
+r-derivatives of the quotient f = N/Delta come from the Leibniz rule for
+N = f*Delta,
 
     f^(k) = (N^(k) - sum_{j<k} C(k, j) * Delta^(k-j) * f^(j)) / Delta,
 
@@ -172,6 +174,24 @@ def _angular_terms(params: KerrParams, theta, beta):
     return q, q_t, q_tt, q_b, q_tb
 
 
+def angular_derivs(params: KerrParams, theta, alpha, beta):
+    """Derivatives of the angular half alpha^2 + q^2 of p.
+
+    Returns (p_t, p_a, p_b, p_tt, p_tb, p_bb) in theta (t), alpha (a) and
+    beta (b); p_aa = 2 and the alpha cross terms vanish.  The radial half
+    Delta*xi^2 + v_beta(r) adds v_b to p_b and v_bb to p_bb.
+    """
+    q, q_t, q_tt, q_b, q_tb = _angular_terms(params, theta, beta)
+    return (
+        2.0 * q * q_t,
+        2.0 * alpha,
+        2.0 * q * q_b,
+        2.0 * (q_t**2 + q * q_tt),
+        2.0 * (q_b * q_t + q * q_tb),
+        2.0 * q_b**2,
+    )
+
+
 def _grad_hess(params: KerrParams, r, theta, xi, alpha, beta):
     """Gradient (6, *batch) and Hessian (6, 6, *batch) of p.
 
@@ -181,25 +201,25 @@ def _grad_hess(params: KerrParams, r, theta, xi, alpha, beta):
     shape is the trailing batch shape.
     """
     _, v_r, v_rr, _, v_b, v_rb, v_bb = radial_terms(params, beta, r)
-    q, q_t, q_tt, q_b, q_tb = _angular_terms(params, theta, beta)
+    p_t, p_a, p_b, p_tt, p_tb, p_bb = angular_derivs(params, theta, alpha, beta)
     dl = delta(params, r)
     dl1 = 2.0 * (r - params.mass)
-    batch = np.shape(dl + q + xi + alpha)
+    batch = np.shape(dl + p_t + xi + alpha)
     g = np.zeros((6,) + batch)
     g[0] = dl1 * xi**2 + v_r
-    g[1] = 2.0 * q * q_t
+    g[1] = p_t
     g[3] = 2.0 * dl * xi
-    g[4] = 2.0 * alpha
-    g[5] = v_b + 2.0 * q * q_b
+    g[4] = p_a
+    g[5] = v_b + p_b
     H = np.zeros((6, 6) + batch)
     H[0, 0] = 2.0 * xi**2 + v_rr
     H[0, 3] = H[3, 0] = 2.0 * dl1 * xi
     H[0, 5] = H[5, 0] = v_rb
-    H[1, 1] = 2.0 * (q_t**2 + q * q_tt)
-    H[1, 5] = H[5, 1] = 2.0 * (q_b * q_t + q * q_tb)
+    H[1, 1] = p_tt
+    H[1, 5] = H[5, 1] = p_tb
     H[3, 3] = 2.0 * dl
     H[4, 4] = 2.0
-    H[5, 5] = v_bb + 2.0 * q_b**2
+    H[5, 5] = v_bb + p_bb
     return g, H
 
 
@@ -244,64 +264,3 @@ def conserved(state: PhaseState, params: KerrParams) -> ConservedTriple:
         beta=state.beta,
         carter=carter(params, state.theta, state.alpha, state.beta),
     )
-
-
-def symbol_q(state: PhaseState, params: KerrParams):
-    """Principal symbol of the conjugating weight at a state.
-
-    sigma(Q) = 2*a*beta - 2*v_beta + beta*d_beta v_beta - 2*a^2*sin^2(theta),
-    which is 2*((r^2+a^2)^2/Delta - a^2*sin^2(theta)) + 4*M*a*r*beta/Delta
-    written out.  At a = 0 this reduces to 2*r^4/Delta.
-    """
-    _require_exterior(params, state.r)
-    a, beta = params.spin, state.beta
-    terms = radial_terms(params, beta, state.r)
-    v, v_b = terms[0], terms[4]
-    return 2.0 * (a * beta - v - a**2 * np.sin(state.theta) ** 2) + beta * v_b
-
-
-def q_lower_bound(params: KerrParams, r, beta):
-    """Closed-form lower bound for sigma(Q) + p at xi = alpha = 0.
-
-    There sigma(Q) + p = beta*d_beta v_beta - v_beta + beta^2/sin^2(theta)
-    - a^2*sin^2(theta), least at sin(theta) = 1.
-    """
-    terms = radial_terms(params, beta, r)
-    v, v_b = terms[0], terms[4]
-    return beta * v_b - v + beta**2 - params.spin**2
-
-
-def q_positivity_margin(
-    params: KerrParams,
-    r_range: tuple[float, float],
-    theta_range: tuple[float, float],
-    beta_range: tuple[float, float],
-    n: int = 25,
-) -> float:
-    """Minimum of sigma(Q) + p minus its closed-form floor over a grid.
-
-    Evaluated at xi = alpha = 0, the worst case: both enter p as
-    nonnegative squares.  A nonnegative return certifies the weight's
-    positivity on the region.
-    """
-    _require_exterior(params, r_range[0])
-    r = np.linspace(*r_range, n)[:, None, None]
-    theta = np.linspace(*theta_range, n)[None, :, None]
-    beta = np.linspace(*beta_range, n)[None, None, :]
-    zero = np.zeros_like(r + theta + beta)
-    state = PhaseState(r + zero, theta + zero, 0.0, 0.0, 0.0, beta + zero)
-    total = symbol_q(state, params) + symbol_p(state, params)
-    return float(np.min(total - q_lower_bound(params, state.r, state.beta)))
-
-
-def ergosphere_indicator(state: PhaseState, params: KerrParams) -> bool:
-    """True where the angular-momentum quadratic coefficient turns negative.
-
-    The sign of 1/sin^2(theta) - a^2/Delta controls it; inside the
-    ergoregion trapped-set arguments need the q-weight positivity above.
-    """
-    _require_exterior(params, state.r)
-    value = 1.0 / np.sin(state.theta) ** 2 - params.spin**2 / delta(
-        params, state.r
-    )
-    return bool(np.all(value < 0.0))

@@ -91,7 +91,7 @@ class BumpPattern:
     """Deterministic sum of smooth compactly-supported bumps on the (x, xi) plane.
 
     Centers, widths, and signed amplitudes are drawn once from the seed and
-    frozen; sup|pattern| is normalized to 1 on its support.  Values and the
+    frozen; sup|pattern| is scaled to 1 on its support.  Values and the
     first two derivative tensors are analytic (the classic exp(1 - 1/(1-u^2))
     profile), so perturbed symbols keep exact gradients/Hessians.
     """

@@ -1,13 +1,12 @@
 """Adaptive Dormand-Prince 8(5,3) integration, dense output and events.
 
-One explicit Runge-Kutta integrator serves the shell cocycle (`trapping`),
-the joint flow (`flow`) and the invariant-graph samples (`escape`).  It
-follows the DOP853 code of Hairer, Norsett and Wanner step for step, as
-scipy's ``solve_ivp(method="DOP853")`` does: the same tableau, the same
-initial-step rule, the E3/E5 error norm, and step factors bounded by
-SAFETY, MIN_FACTOR and MAX_FACTOR.  It takes the same steps, makes the
-same number of field evaluations and returns the same numbers, without
-importing scipy.
+One explicit Runge-Kutta integrator serves the shell cocycle (`trapping`)
+and the orbit segments of `flow`.  It follows the DOP853 code of Hairer,
+Norsett and Wanner step for step, as scipy's ``solve_ivp`` does with its
+DOP853 method: the same tableau, the same initial-step rule, the E3/E5
+error norm, and step factors bounded by SAFETY, MIN_FACTOR and
+MAX_FACTOR.  It takes the same steps, makes the same number of field
+evaluations and returns the same numbers, without importing scipy.
 
 Events follow the same contract: an event function g(t, y) may carry
 ``direction`` (only crossings of that sign count) and ``terminal`` (True,

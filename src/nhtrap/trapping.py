@@ -144,7 +144,6 @@ class ReducedFamily:
         self.bump = bump
         self.epsilon = epsilon if bump is not None else 0.0
         self._saddles: dict[float, tuple[float, float]] = {}
-        self._bumps: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- radial structure -------------------------------------------------
 
@@ -220,23 +219,13 @@ class ReducedFamily:
             self.params, y6[0], y6[1], y6[3], y6[4], y6[5]
         )
         if self.epsilon != 0.0:
-            bg, bH = self._bump_terms(y6[0], y6[3])
-            g, H = g + bg, H + bH
+            # epsilon * (gradient, Hessian) of the bump, embedded in six dimensions
+            bg, bH = np.zeros(6), np.zeros((6, 6))
+            bg[0], bg[3] = self.bump.gradient(y6[0], y6[3])
+            hxx, hxy, hyy = self.bump.hessian(y6[0], y6[3])
+            bH[0, 0], bH[0, 3], bH[3, 0], bH[3, 3] = hxx, hxy, hxy, hyy
+            g, H = g + self.epsilon * bg, H + self.epsilon * bH
         return g, H
-
-    def _bump_terms(self, r: float, xi: float):
-        """epsilon * (gradient, Hessian) of the bump, embedded in six dimensions.
-
-        Memoized per (r, xi): a shell orbit pins the radial pair at its
-        saddle, so every field evaluation along it asks for the same point.
-        """
-        if (r, xi) not in self._bumps:
-            g, H = np.zeros(6), np.zeros((6, 6))
-            g[0], g[3] = self.bump.gradient(r, xi)
-            hxx, hxy, hyy = self.bump.hessian(r, xi)
-            H[0, 0], H[0, 3], H[3, 0], H[3, 3] = hxx, hxy, hxy, hyy
-            self._bumps[r, xi] = (self.epsilon * g, self.epsilon * H)
-        return self._bumps[r, xi]
 
     def value6(self, y6: np.ndarray) -> float:
         val = float(kerr.symbol_p(PhaseState.from_array(y6), self.params))
@@ -273,6 +262,10 @@ class ShellOrbit:
         E[0, 3] = dr
         E[3, 3] = dxi
         self.embed_diff = E
+        # the radial half of p, Delta*xi^2 + v_beta(r) + bump, is pinned with
+        # (r, xi): of its derivatives `rhs` reads only (v_b, v_rb, v_bb), and
+        # the bump, a function of (r, xi) alone, enters none of them
+        self._radial = kerr.radial_terms(family.params, self.beta, r_s)[4:]
 
         rest = family.value6(self.embed(np.asarray([theta0, phi0, 0.0, beta])))
         disc = lam - rest
@@ -287,13 +280,24 @@ class ShellOrbit:
 
         The intrinsic variational matrix is M = (H_alpha, H_beta, -H_theta, 0) L
         with L the embedding differential: beta is conserved, so only its
-        first three rows are formed, and the last row of X' is zero.
+        first three rows are formed, and the last row of X' is zero.  They
+        and the velocity add the orbit's radial constants to the angular
+        half at theta, entry by entry as `kerr._grad_hess` does.
         """
-        g, H = self.family.grad_hess6(self.embed(z[:4]))
-        M = H[[4, 5, 1]] @ self.embed_diff
+        theta, _, alpha, beta = z[:4]
+        p_t, p_a, p_b, p_tt, p_tb, p_bb = kerr.angular_derivs(
+            self.family.params, theta, alpha, beta
+        )
+        v_b, v_rb, v_bb = self._radial
+        rows = np.zeros((3, 6))  # the alpha, beta and theta rows of Hess p
+        rows[0, 4] = 2.0
+        rows[1, 0], rows[1, 1], rows[1, 5] = v_rb, p_tb, v_bb + p_bb
+        rows[2, 1], rows[2, 5] = p_tt, p_tb
+        M = rows @ self.embed_diff
         M[2] = -M[2]
+        velocity = [p_a, v_b + p_b, -p_t, 0.0]
         return np.concatenate(
-            [_velocity(g), (M @ z[4:].reshape(4, 4)).ravel(), np.zeros(4)]
+            [velocity, (M @ z[4:].reshape(4, 4)).ravel(), np.zeros(4)]
         )
 
     def tangent_cocycle(self, horizon: float, tol: float = 1e-10) -> TangentCocycle:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from oracles import dense_eigenvalues
 
 from nhtrap import capspec, cli, kerr, trapping
 from nhtrap.errors import (
@@ -19,13 +20,11 @@ from nhtrap.kerr import KerrParams
 MU_EFF = 2.0 * math.sqrt(3.0) / 9.0
 
 
-def laplacian_reference(h: float, n_points: int, order: int,
+def laplacian_reference(h: float, n_points: int,
                         length: float = math.pi) -> capspec.CapProblem:
     """Absorber-free flat problem (v = 0, m = 1) with known spectrum.
 
-    The continuum eigenvalues are h^2 (j pi / length)^2; the order-2
-    discretization has the exact discrete counterpart
-    (4 h^2/dx^2) sin^2(j pi / (2 (n+1))).
+    The continuum eigenvalues are h^2 (j pi / length)^2.
     """
     dx = length / (n_points + 1)
     return capspec.CapProblem(
@@ -34,7 +33,6 @@ def laplacian_reference(h: float, n_points: int, order: int,
         x_min=0.0,
         x_max=length,
         n_points=n_points,
-        order=order,
         x=dx * np.arange(1, n_points + 1),
         potential=np.zeros(n_points),
         mass_weight=np.ones(n_points),
@@ -70,19 +68,19 @@ class TestBuildModel:
     def test_toy_defaults(self, toy_problem):
         p = toy_problem
         assert p.kind == "toy_sech2"
-        assert p.order == 4
         assert p.x_min == -6.0 and p.x_max == 6.0
         # band ramps: 10% margins, then 30% ramps, at each end
         assert (p.flat_lo, p.flat_hi) == pytest.approx((-1.2, 1.2), abs=1e-14)
         assert p.x.shape == (p.n_points,)
-        assert p.dx == pytest.approx(p.length / (p.n_points + 1))
+        assert p.dx == pytest.approx((p.x_max - p.x_min) / (p.n_points + 1))
 
     def test_absorber_range_and_margins(self, toy_problem, schw_problem):
         for p in (toy_problem, schw_problem):
             w = p.absorber
             assert w.min() >= 0.0 and w.max() <= 1.0
-            lo = p.x <= p.x_min + capspec.MARGINS[0] * p.length
-            hi = p.x >= p.x_max - capspec.MARGINS[1] * p.length
+            length = p.x_max - p.x_min
+            lo = p.x <= p.x_min + capspec.MARGINS[0] * length
+            hi = p.x >= p.x_max - capspec.MARGINS[1] * length
             assert np.all(w[lo] == 1.0)
             assert np.all(w[hi] == 1.0)
             flat = (p.x >= p.flat_lo) & (p.x <= p.flat_hi)
@@ -207,10 +205,10 @@ class TestBuildModel:
         assert np.all(p.absorber == 0.0)
 
 
-def _loop_derivative_matrix(n, dx, order):
-    """Row-by-row reference for the wall-folded stencil."""
-    offsets = (0, 1) if order == 2 else (-1, 0, 1, 2)
-    weights = (-1.0, 1.0) if order == 2 else np.array([1.0, -27.0, 27.0, -1.0]) / 24.0
+def _loop_derivative_matrix(n, dx):
+    """Row-by-row reference for the wall-folded fourth-order stencil."""
+    offsets = (-1, 0, 1, 2)
+    weights = np.array([1.0, -27.0, 27.0, -1.0]) / 24.0
     rows, cols, vals = [], [], []
     for m in range(n + 1):
         for off, w in zip(offsets, weights):
@@ -239,30 +237,18 @@ class TestSemigroup:
 
 
 class TestDiscretization:
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_derivative_matrix_matches_loop(self, order):
+    def test_derivative_matrix_matches_loop(self):
         for n, dx in ((8, 0.1), (9, 1.0 / 3.0), (57, 0.0123456789)):
-            fast = capspec._derivative_matrix(n, dx, order)
-            loop = _loop_derivative_matrix(n, dx, order)
+            fast = capspec._derivative_matrix(n, dx)
+            loop = _loop_derivative_matrix(n, dx)
             assert np.array_equal(fast.indptr, loop.indptr)
             assert np.array_equal(fast.indices, loop.indices)
             assert np.array_equal(fast.data, loop.data)
 
-    def test_order2_exact_discrete_spectrum(self):
-        ref = laplacian_reference(h=0.1, n_points=160, order=2)
-        matrix = capspec.discretize_sparse(ref).toarray()
-        vals = np.sort(np.linalg.eigvalsh(matrix.real))
-        n, dx, h = ref.n_points, ref.dx, ref.h
-        j = np.arange(1, n + 1)
-        exact = (4.0 * h * h / (dx * dx)) * np.sin(
-            j * math.pi / (2.0 * (n + 1))
-        ) ** 2
-        assert np.max(np.abs(vals - exact)) < 1e-12
-
     def test_order4_convergence_rate(self):
         errs = []
         for n in (100, 200, 400):
-            ref = laplacian_reference(h=0.1, n_points=n, order=4)
+            ref = laplacian_reference(h=0.1, n_points=n)
             matrix = capspec.discretize_sparse(ref).toarray()
             vals = np.sort(np.linalg.eigvalsh(matrix.real))
             exact = (0.1 * np.arange(1, 4)) ** 2
@@ -318,7 +304,7 @@ class TestEigenvalues:
     def test_dense_matches_shift_invert(self):
         p = capspec.build_model("toy_sech2", h=0.1, grid=(-4.0, 4.0, 1000))
         matrix = capspec.discretize_sparse(p)
-        zd, _, _ = capspec.eigenvalues(matrix, method="dense")
+        zd, _, _ = dense_eigenvalues(matrix)
         zi, _, _ = capspec.eigenvalues(matrix)
         top_d = zd[np.argmax(zd.imag)]
         top_i = zi[np.argmax(zi.imag)]
@@ -333,10 +319,7 @@ class TestEigenvalues:
             tops.append(zs[np.argmax(zs.imag)])
         assert abs(tops[0] - tops[1]) < 1e-6
 
-    def test_method_validation(self, toy_problem):
-        matrix = capspec.discretize_sparse(toy_problem)
-        with pytest.raises(DomainError):
-            capspec.eigenvalues(matrix, method="shift_invert")
+    def test_method_validation(self):
         with pytest.raises(DomainError):
             capspec.eigenvalues(np.zeros((3, 4)))
 
@@ -355,7 +338,7 @@ class TestEigenvalues:
         p = capspec.build_model(kind, params, h=0.1, absorber_scale=scale)
         matrix = capspec.discretize_sparse(p)
         floor = None if floor_factor is None else floor_factor * p.h
-        zd, rd, kd = capspec.eigenvalues(matrix, floor=floor, method="dense")
+        zd, rd, kd = dense_eigenvalues(matrix, floor=floor)
         zb, rb, _ = capspec.eigenvalues(matrix, floor=floor)
         assert zb.size == zd.size > 0
         match = np.argmin(np.abs(zd[:, None] - zb[None, :]), axis=1)

@@ -99,7 +99,7 @@ print(json.dumps([code, sorted(sys.modules)]))
     "command, text, absent, present",
     [
         (None, "", ("scipy",), ("nhtrap.cli",)),
-        ("escape-check", "seed = 1\n", ("scipy",), ("nhtrap.escape",)),
+        ("escape-check", "seed = 1\n", ("scipy", "nhtrap.ode"), ("nhtrap.escape",)),
         (
             "spectrum-gap",
             "model = toy_sech2\nh_list = 0.1\n",

@@ -1,12 +1,17 @@
-"""Flow-integration tests against closed-form and matrix-exponential oracles."""
+"""Flow-integration tests against closed-form and matrix-exponential oracles.
+
+The Jacobians come from `oracles.tangent_flow`, which integrates the
+variational equation next to the orbit with `integrate_flow`'s step rule.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import joint_flow, tangent_flow
 from scipy.linalg import expm
 
-from nhtrap import flow, models
+from nhtrap import flow, models, ode
 from nhtrap.errors import ChartExit, InvalidHorizon
 from nhtrap.kerr import KerrParams
 
@@ -23,7 +28,7 @@ class TestToyClosedForm:
 
     def test_jacobian_hyperbolic_rotation(self):
         for t in (0.3, 1.0, 2.0):
-            J = flow.tangent_flow(TOY, np.asarray([0.2, 0.5]), t, tol=1e-12)
+            J = tangent_flow(TOY, np.asarray([0.2, 0.5]), t, tol=1e-12)
             expected = np.asarray(
                 [
                     [math.cosh(2 * t), math.sinh(2 * t)],
@@ -47,7 +52,7 @@ class TestStructure:
 
     def test_symplectic_jacobian(self):
         m = models.reduced_kerr_model(KerrParams(1.0, 0.3), 1.5)
-        J = flow.tangent_flow(m, np.asarray([3.1, 0.05]), 0.3, tol=1e-12)
+        J = tangent_flow(m, np.asarray([3.1, 0.05]), 0.3, tol=1e-12)
         O = self.omega(1)
         assert np.max(np.abs(J.T @ O @ J - O)) < 1e-8
         assert np.linalg.det(J) == pytest.approx(1.0, abs=1e-8)
@@ -64,10 +69,10 @@ class TestStructure:
         m = models.reduced_kerr_model(KerrParams(), 0.5)
         y0 = np.asarray([3.02, -0.01])
         t1, t2 = 0.25, 0.2
-        r1 = flow.integrate_flow(m, y0, t1, tol=1e-12)
-        J2 = flow.tangent_flow(m, r1.end_state, t2, tol=1e-12)
-        J12 = flow.tangent_flow(m, y0, t1 + t2, tol=1e-12)
-        assert np.max(np.abs(J2 @ r1.jacobian - J12)) < 1e-5 * np.max(
+        end1, J1 = joint_flow(m, y0, t1, tol=1e-12)
+        J2 = tangent_flow(m, end1, t2, tol=1e-12)
+        J12 = tangent_flow(m, y0, t1 + t2, tol=1e-12)
+        assert np.max(np.abs(J2 @ J1 - J12)) < 1e-5 * np.max(
             np.abs(J12)
         )
 
@@ -76,7 +81,7 @@ class TestStructure:
         y0 = np.asarray([3.0, 0.0])  # exact saddle: variational flow is linear
         A = m.variational_matrix(y0)
         for t in (0.01, 0.1, 1.0):
-            J = flow.tangent_flow(m, y0, t, tol=1e-12)
+            J = tangent_flow(m, y0, t, tol=1e-12)
             assert np.max(np.abs(J - expm(t * A))) < 1e-6 * np.max(
                 np.abs(expm(t * A))
             )
@@ -104,13 +109,19 @@ class TestChartExitAndValidation:
         with pytest.raises(InvalidHorizon):
             flow.integrate_flow(TOY, np.asarray([0.1, 0.1]), 1.0, tol=1e-14)
 
+    def test_step_tolerance_floor(self):
+        # long horizons tighten the step tolerance down to the integrator's
+        # own floor and no further
+        assert flow.step_tolerance(1e-10, 100.0) == 5e-13
+        assert flow.step_tolerance(1e-13, 100.0) == ode.RTOL_MIN
+
 
 class TestExponents:
     @staticmethod
     def rate(model, start, t1, t2):
         """Growth rate of ||dphi^t|| between t1 and t2."""
         n1, n2 = (
-            np.linalg.norm(flow.tangent_flow(model, start, t, tol=1e-12), 2)
+            np.linalg.norm(tangent_flow(model, start, t, tol=1e-12), 2)
             for t in (t1, t2)
         )
         return math.log(n2 / n1) / (t2 - t1)

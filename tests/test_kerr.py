@@ -201,32 +201,6 @@ class TestSympyOracle:
             # the third derivative decays at large r, below its own terms
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
-    def test_weight_and_its_floor(self):
-        # sigma(Q) and the floor of sigma(Q) + p, written out in r
-        sp, names, dl = self.symbols()
-        r, th, be, m, a = names[0], names[1], names[5], names[6], names[7]
-        s2 = sp.sin(th) ** 2
-        weight = 2 * ((r**2 + a**2) ** 2 / dl - a**2 * s2) + (4 * m * a * r / dl) * be
-        floor = (
-            (r**4 + a**2 * r**2 + 2 * m * a**2 * r) / dl
-            + be**2 * (r**2 - 2 * m * r) / dl
-        )
-        rng = np.random.default_rng(14)
-        rows = []
-        for spin in rng.uniform(0.0, 0.95, 100):
-            r_lo = kerr.horizon_radius(KerrParams(1.0, spin)) + 0.05
-            rows.append(
-                [rng.uniform(r_lo, 10.0), rng.uniform(0.1, np.pi - 0.1),
-                 rng.uniform(-6.0, 6.0), 1.0, spin]
-            )
-        refs = self.evaluate(sp, (r, th, be, m, a), [weight, floor], rows)
-        for (radius, theta, beta, _, spin), (w_ref, f_ref) in zip(rows, refs):
-            p = KerrParams(1.0, spin)
-            state = PhaseState(radius, theta, 0.0, 0.0, 0.0, beta)
-            assert abs(kerr.symbol_q(state, p) - w_ref) <= 1e-12 * max(1.0, abs(w_ref))
-            floor_got = kerr.q_lower_bound(p, radius, beta)
-            assert abs(floor_got - f_ref) <= 1e-12 * max(1.0, abs(f_ref))
-
 
 class TestConserved:
     def test_triple_at_critical_sphere(self):
@@ -263,36 +237,3 @@ class TestConserved:
                     d = (along(f, h) - along(f, -h)) / (2.0 * h)
                     scale = 1.0 + float(np.linalg.norm(field)) ** 2
                     assert abs(d) < 1e-6 * scale, (name, spin, d)
-
-
-class TestWeight:
-    def test_static_weight_closed_form(self):
-        p = KerrParams()
-        for r in (2.5, 3.0, 5.0):
-            s = PhaseState(r, 1.1, 0.0, 0.0, 0.0, 2.0)
-            expected = 2.0 * r**4 / kerr.delta(p, r)
-            assert kerr.symbol_q(s, p) == pytest.approx(expected, rel=1e-13)
-
-    def test_weight_lower_bound_margin(self):
-        for spin in (0.0, 0.3, 0.6):
-            p = KerrParams(1.0, spin)
-            margin = kerr.q_positivity_margin(
-                p,
-                r_range=(kerr.horizon_radius(p) + 0.05, 12.0),
-                theta_range=(0.2, np.pi - 0.2),
-                beta_range=(-6.0, 6.0),
-                n=21,
-            )
-            assert margin >= -1e-12
-
-
-class TestChart:
-    def test_ergosphere_indicator(self):
-        p = KerrParams(1.0, 0.6)
-        rp = kerr.horizon_radius(p)
-        near = PhaseState(rp + 1e-3, np.pi / 2, 0.0, 0.0, 0.0, 1.0)
-        far = PhaseState(10.0, np.pi / 2, 0.0, 0.0, 0.0, 1.0)
-        assert kerr.ergosphere_indicator(near, p) is True
-        assert kerr.ergosphere_indicator(far, p) is False
-        static = PhaseState(2.1, np.pi / 2, 0.0, 0.0, 0.0, 1.0)
-        assert kerr.ergosphere_indicator(static, KerrParams()) is False
