@@ -54,6 +54,7 @@ from .errors import ConvergenceFailure, DomainError, UnderResolved
 DEFAULT_WINDOW = 0.3  # half-width of the real-part window around z = 0
 FLOOR_FACTOR = -1.0  # reported-list floor, in units of h below the axis
 RESIDUAL_TOL = 1e-8
+RESOLVENT_TOL = 1e-10  # ARPACK's relative tolerance on the resolvent norm
 K_START = 16  # nearest eigenvalues first asked of each shift
 K_CAP = 64  # most asked of one shift before its cell splits
 RESOLUTION_FACTOR = 3.0  # grid points per semiclassical radian
@@ -132,8 +133,8 @@ class SpectrumReport:
     residuals and condition numbers; ``gap`` is the distance from the
     axis to the top window eigenvalue, above the floor or not,
     ``nu`` = gap/h, and ``nu_ratio`` = nu/(mu/2) compares it with the
-    barrier-top rate mu (the problem's ``exponent``).  ``resolvent_axis``
-    pairs each probed real z with the discrete resolvent norm there.
+    barrier-top rate mu (the problem's ``exponent``).  ``norm_axis_z0``
+    is the discrete resolvent norm at z = 0.
     """
 
     kind: str
@@ -147,7 +148,7 @@ class SpectrumReport:
     gap: float
     nu: float
     nu_ratio: float
-    resolvent_axis: tuple
+    norm_axis_z0: float
     runtime_s: float
 
 
@@ -614,23 +615,17 @@ def _shallowest(search, floor: float, matrix):
 
 
 def spectral_gap(
-    problem: CapProblem,
-    *,
-    window: float = DEFAULT_WINDOW,
-    floor_factor: float = FLOOR_FACTOR,
-    axis_points=(0.0,),
+    problem: CapProblem, *, window: float = DEFAULT_WINDOW
 ) -> SpectrumReport:
-    """Windowed spectrum report with gap, nu = gap/h, and axis norms.
+    """Windowed spectrum report with gap, nu = gap/h, and the norm at z = 0.
 
-    The box search starts at the floor (floor_factor * h below the axis)
+    The box search starts at the floor (FLOOR_FACTOR * h below the axis)
     and doubles its depth while it finds nothing, so the gap is always
     the distance from the axis to the top window eigenvalue; the floor
     only trims the reported eigenvalue list.
     """
     start = time.perf_counter()
-    floor = floor_factor * problem.h
-    if not floor < 0.0:
-        raise DomainError(f"floor factor must be negative, got {floor_factor:g}")
+    floor = FLOOR_FACTOR * problem.h
     matrix = problem.matrix
     zs, residuals, conditions = _shallowest(
         lambda bottom: eigenvalues(matrix, window=window, floor=bottom),
@@ -640,7 +635,6 @@ def spectral_gap(
     gap = float(-zs[0].imag)
     nu = gap / problem.h
     keep = zs.imag > floor
-    axis = tuple((float(z), resolvent_norm(matrix, float(z))) for z in axis_points)
     return SpectrumReport(
         kind=problem.kind,
         h=problem.h,
@@ -653,7 +647,7 @@ def spectral_gap(
         gap=gap,
         nu=nu,
         nu_ratio=nu / (0.5 * problem.exponent),
-        resolvent_axis=axis,
+        norm_axis_z0=resolvent_norm(matrix, 0.0),
         runtime_s=time.perf_counter() - start,
     )
 
@@ -662,15 +656,14 @@ def resolvent_norm(
     matrix,
     z: complex,
     *,
-    tol: float = 1e-10,
     max_iter: int = 5000,
 ) -> float:
     """Discrete resolvent norm 1/sigma_min(A - z) of a sparse matrix A.
 
     ``eigsh`` (k = 1) finds the top eigenvalue 1/sigma_min^2 of the
-    Hermitian (A - z)^{-H} (A - z)^{-1}, applied through one sparse LU;
-    ``tol`` is ARPACK's relative tolerance and ``max_iter`` its limit on
-    restarts, past which ConvergenceFailure is raised.  An exactly
+    Hermitian (A - z)^{-H} (A - z)^{-1}, applied through one sparse LU,
+    to ARPACK's relative tolerance RESOLVENT_TOL; ``max_iter`` is its
+    limit on restarts, past which ConvergenceFailure is raised.  An exactly
     singular shift reports +inf.
     """
     n = matrix.shape[0]
@@ -689,7 +682,7 @@ def resolvent_norm(
             gram_inverse,
             k=1,
             v0=v0,
-            tol=tol,
+            tol=RESOLVENT_TOL,
             maxiter=max_iter,
             return_eigenvectors=False,
         )

@@ -189,10 +189,12 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
 def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
     from . import escape, models
 
-    def escape_one(model, saddle_guess) -> dict:
+    def escape_one(model, saddle_guess) -> tuple[dict, bool]:
+        """The model's report and build_G1's monotonicity verdict."""
         pair = escape.build_defining_pair(model, saddle_guess=saddle_guess)
         spec = escape.make_escape_spec(pair, h=cfg.h)
-        return escape.escape_report(pair, spec, seed=cfg.seed)
+        report = escape.escape_report(pair, spec, seed=cfg.seed)
+        return report, spec.G1.report["passed"]
 
     jobs = [
         partial(escape_one, models.toy_barrier_model(), (0.0, 0.0)),
@@ -203,9 +205,9 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
         ),
     ]
     names = ("toy", "reduced_kerr")
-    reports = _run_jobs(jobs, workers)
+    reports, g1_verdicts = zip(*_run_jobs(jobs, workers))
     out = Outcome()
-    for name, report in zip(names, reports):
+    for name, report, g1_passed in zip(names, reports, g1_verdicts):
         n_violations = len(report["violations"])
         out.summaries.append(
             f"escape-check {name}: c1={report['c1']:.6g}, "
@@ -218,6 +220,7 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
             ("sign_violations", n_violations != 0),
             ("order_exponent", report["N"] > 4),
             ("bracket_positive", not report["bracket_min"] > 0.0),
+            ("g1_monotone", not g1_passed),
         ):
             if bad:
                 out.failures.append(
@@ -233,8 +236,10 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
 
 
 def _gap_row(report) -> tuple:
-    norm_z0 = report.resolvent_axis[0][1]
-    return (report.h, report.gap, report.nu, norm_z0, report.runtime_s, report.nu_ratio)
+    return (
+        report.h, report.gap, report.nu, report.norm_axis_z0, report.runtime_s,
+        report.nu_ratio,
+    )
 
 
 def _eigenvalue_rows(report) -> list:
@@ -326,10 +331,9 @@ def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
                     "bound": 1.0 / z.imag,
                 }
             )
-    norm_z0 = report.resolvent_axis[0][1]
     out.summaries.append(
         f"spectrum-resolvent {cfg.model} h={cfg.h:g}: "
-        f"norm_axis_z0={norm_z0:.6g}, "
+        f"norm_axis_z0={report.norm_axis_z0:.6g}, "
         f"uhp_violations={violations}/{UHP_SAMPLES}"
     )
     out.csvs["gaps.csv"] = (artifacts.GAPS_HEADER, [_gap_row(report)])

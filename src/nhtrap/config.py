@@ -28,6 +28,9 @@ DEFAULT_TOLERANCES = {
     "consistency": 0.15,
 }
 
+# accepted range of tol.flow, the end-to-end tolerance of every integration
+FLOW_TOL_RANGE = (1e-13, 1e-6)
+
 # equatorial photon circle of the static hole: r = 3, carter = 27
 DEFAULT_ORBIT = {
     "r": 3.0,
@@ -186,6 +189,12 @@ def _validate(cfg: RunConfig) -> None:
         )
     for name, value in cfg.tolerances.items():
         _require_positive(f"tol.{name}", value)
+    lo, hi = FLOW_TOL_RANGE
+    if not lo <= cfg.tolerances["flow"] <= hi:
+        raise ValidationError(
+            f"must lie in [{lo:g}, {hi:g}], got {cfg.tolerances['flow']!r}",
+            key="tol.flow",
+        )
     _require_positive("h", cfg.h)
     _require_positive("window", cfg.window)
     _require_positive("horizon", cfg.horizon)
@@ -263,36 +272,18 @@ def parse_config(
             key="command",
         )
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for name in DEFAULT_TOLERANCES:
-        if f"tol.{name}" in typed:
-            tolerances[name] = typed[f"tol.{name}"]
-    orbit = dict(DEFAULT_ORBIT)
-    for name in DEFAULT_ORBIT:
-        if f"orbit.{name}" in typed:
-            orbit[name] = typed[f"orbit.{name}"]
-
-    cfg = RunConfig(
-        command=typed["command"],
-        kerr_mass=typed.get("kerr.mass", 1.0),
-        kerr_spin=typed.get("kerr.spin", 0.0),
-        model=typed.get("model", "toy_sech2"),
-        h=typed.get("h", 0.05),
-        h_list=typed.get("h_list"),
-        beta_list=typed.get("beta_list"),
-        a_list=typed.get("a_list"),
-        window=typed.get("window", 0.3),
-        lam=typed.get("lam", 0.0),
-        horizon=typed.get("horizon", 50.0),
-        r_max=typed.get("r_max", 4),
-        epsilon=typed.get("epsilon", 0.01),
-        orbit=orbit,
-        orbit_time=typed.get("orbit.time", 100.0),
-        orbit_samples=typed.get("orbit.samples", 201),
-        tolerances=tolerances,
-        seed=typed.get("seed", 0),
-        workers=typed.get("workers"),
-        output_dir=typed.get("output_dir", Path("out")),
-    )
+    # tol.<name> and orbit.<coordinate> fill the two dicts; every other
+    # key sets the RunConfig field of its name, dots read as underscores
+    tolerances, orbit = dict(DEFAULT_TOLERANCES), dict(DEFAULT_ORBIT)
+    fields: dict[str, object] = {}
+    for key, value in typed.items():
+        group, _, name = key.partition(".")
+        if group == "tol":
+            tolerances[name] = value
+        elif group == "orbit" and name in DEFAULT_ORBIT:
+            orbit[name] = value
+        else:
+            fields[key.replace(".", "_")] = value
+    cfg = RunConfig(**fields, orbit=orbit, tolerances=tolerances)
     _validate(cfg)
     return cfg

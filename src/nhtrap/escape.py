@@ -7,16 +7,19 @@ equation to quadratic order, extracts the contraction/expansion rates c+/-,
 assembles the log-flattened escape function G with its exterior term G1,
 and evaluates the positive-commutator quantity whose grid minimum
 certifies the bound phi_tilde >= c1 * htilde with c1 > 0.  The coarse
-scale htilde and the weights M and C1 are the constants HTILDE, M_CONST
-and C1_CONST; a spec varies only with h.
+scale htilde, the weights M and C1, the cutoff and G1 radii and every
+grid size are module constants; a spec varies only with h.
 
 Conventions.  Phase points are arrays (x, xi) of shape (2, *batch): every
 function of a point also takes a whole batch and returns values of shape
 batch and gradients of shape (2, *batch), so each grid is evaluated as one
 array expression.  Point lists (grids, samples) are stored as (n, 2) and
 transposed on the way in.  Every derivative is in closed form, built from
-the model's gradient, Hessian and third-derivative tensor.  The Poisson
-bracket is {f, g} = f_xi g_x - f_x g_xi (`_poisson`), and H_p f = {p, f}.
+the model's gradient, Hessian and third-derivative tensor.  G itself is
+only evaluated (the order-function check compares its values): the
+commutator floor differentiates the hatted defining functions, and the
+G1 check differentiates G1.  The Poisson bracket is
+{f, g} = f_xi g_x - f_x g_xi (`_poisson`), and H_p f = {p, f}.
 Each defining function is the graph polynomial itself, with xi-derivative
 identically 1, and each rate field c^2 is used as constructed; radii are
 measured in the saddle-adapted metric s^2 = kappa^2 dx^2 + dxi^2 with
@@ -45,6 +48,7 @@ C1_CONST = 10.0           # weight C1 of the log(1/h) chi1 G1 term of G
 CHI_RADII = (0.2, 0.5)
 CHI1_RADII = (0.6, 0.9)
 G1_RADII = (0.2, 0.5)
+G1_GRID_N = 61            # points per axis of the G1 monotonicity grid
 
 GRID_N = 41               # points per axis of the saddle grids
 VERIFY_RADIUS = 0.05      # adapted radius of the sign-relation grid
@@ -172,20 +176,15 @@ class DefiningPair:
 
 
 def build_defining_pair(
-    model: HamiltonianModel,
-    chart=None,
-    saddle_guess=(0.0, 0.0),
+    model: HamiltonianModel, saddle_guess=(0.0, 0.0)
 ) -> DefiningPair:
     """Solve the graph-invariance equation at a saddle to quadratic order.
 
-    `chart` may supply the saddle location (any object with a
-    trapped_radius attribute); otherwise `saddle_guess` seeds the Newton
-    polish.  The linear slopes come from the characteristic equation
+    `saddle_guess` seeds the Newton polish of the saddle.  The linear
+    slopes come from the characteristic equation
     p_xixi g^2 + 2 p_xxi g + p_xx = 0; the quadratic terms from the next
     order of the same expansion.
     """
-    if chart is not None and hasattr(chart, "trapped_radius"):
-        saddle_guess = (float(chart.trapped_radius), 0.0)
     saddle = newton_saddle(model, saddle_guess)
     H = model.hessian(saddle)
     det = H[0, 0] * H[1, 1] - H[0, 1] * H[0, 1]
@@ -196,12 +195,6 @@ def build_defining_pair(
     mu = math.sqrt(-det)
     gamma_plus = (-H[0, 1] + mu) / H[1, 1]
     gamma_minus = (-H[0, 1] - mu) / H[1, 1]
-    if chart is not None and hasattr(chart, "normal_exponent"):
-        if abs(mu - chart.normal_exponent) > 1e-6 * mu:
-            raise NotHyperbolic(
-                "saddle rate disagrees with the supplied chart: "
-                f"{mu:.9f} vs {chart.normal_exponent:.9f}"
-            )
     if model.third is None:
         raise DomainError(f"{model.name} has no closed-form third derivatives")
     # invariance at second order: quad = -D3 / (3 (p_xxi + gamma p_xixi)),
@@ -296,17 +289,6 @@ class Cutoff:
         u = (self.radius(rho) - self.inner) / (self.outer - self.inner)
         return 1.0 - _smoothstep(u)
 
-    def gradient(self, rho) -> np.ndarray:
-        s = self.radius(rho)
-        width = self.outer - self.inner
-        du = -_smoothstep_deriv((s - self.inner) / width) / width
-        dx = rho[0] - self.center[0]
-        dxi = rho[1] - self.center[1]
-        # du vanishes for s <= inner, so the floor only keeps s = 0 finite
-        return du / np.maximum(s, self.inner) * np.stack(
-            [self.kappa**2 * dx, dxi]
-        )
-
 
 @dataclass(frozen=True)
 class G1Function:
@@ -345,28 +327,21 @@ class G1Function:
         return _poisson(self.pair.model.gradient(rho), self.gradient(rho))
 
 
-def build_G1(
-    pair: DefiningPair,
-    r_inner: float = G1_RADII[0],
-    r_outer: float = G1_RADII[1],
-    n_grid: int = 61,
-) -> G1Function:
+def build_G1(pair: DefiningPair) -> G1Function:
     """Construct the exterior escape function and verify its monotonicity.
 
     The function is w(s) * dx * dxi with w a smoothstep vanishing for
-    s <= r_inner and equal to 1 for s >= r_outer; it is scaled so the
-    directional derivative H_p G1 is >= 1 on the band between r_outer and
-    2 r_outer.  The returned function's report carries the measured floors
-    and ceiling.
+    s <= r_inner and equal to 1 for s >= r_outer, the G1_RADII; it is
+    scaled so the directional derivative H_p G1 is >= 1 on the band
+    between r_outer and 2 r_outer, sampled on a G1_GRID_N-point grid per
+    axis.  The returned function's report carries the measured floors
+    and ceiling, and its "passed" verdict.
     """
-    if not 0.0 < r_inner < r_outer:
-        raise InvalidNesting(
-            f"need 0 < r_inner < r_outer, got ({r_inner}, {r_outer})"
-        )
+    r_inner, r_outer = G1_RADII
     raw = G1Function(pair, r_inner, r_outer, scale=1.0)
 
     band = 2.0 * r_outer
-    xs = np.linspace(-band, band, n_grid)
+    xs = np.linspace(-band, band, G1_GRID_N)
     ax, axi = (m.ravel() for m in np.meshgrid(xs, xs, indexing="ij"))
     s = np.hypot(ax, axi)
     disc = s <= band
@@ -455,23 +430,6 @@ class EscapeFunction:
         val = spec.chi.value(rho) * np.log((fm * fm + eta) / (fp * fp + eta))
         amp = C1_CONST * math.log(1.0 / spec.h)
         return val + amp * spec.chi1.value(rho) * spec.G1(rho)
-
-    def gradient(self, rho) -> np.ndarray:
-        spec = self.spec
-        eta = spec.eta
-        fp = self.pair.phi_plus(rho)
-        fm = self.pair.phi_minus(rho)
-        gp = self.pair.grad_phi_plus(rho)
-        gm = self.pair.grad_phi_minus(rho)
-        quot = np.log((fm * fm + eta) / (fp * fp + eta))
-        grad = spec.chi.gradient(rho) * quot + spec.chi.value(rho) * (
-            2.0 * fm * gm / (fm * fm + eta) - 2.0 * fp * gp / (fp * fp + eta)
-        )
-        amp = C1_CONST * math.log(1.0 / spec.h)
-        return grad + amp * (
-            spec.chi1.gradient(rho) * spec.G1(rho)
-            + spec.chi1.value(rho) * spec.G1.gradient(rho)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +523,10 @@ def sample_disc_pairs(
 
 
 def _order_statistics(
-    spec: EscapeSpec,
-    pair: DefiningPair,
-    sample_pairs: np.ndarray,
-    escape: EscapeFunction | None = None,
+    spec: EscapeSpec, pair: DefiningPair, sample_pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair |G gap| and log of the eta-scaled separation bracket."""
-    if escape is None:
-        escape = EscapeFunction(spec, pair)
+    escape = EscapeFunction(spec, pair)
     pairs = np.asarray(sample_pairs, dtype=float)
     rho_a, rho_b = pairs[:, 0].T, pairs[:, 1].T
     gaps = np.broadcast_to(np.abs(escape(rho_a) - escape(rho_b)), len(pairs))
@@ -595,14 +549,11 @@ def _smallest_order(gaps: np.ndarray, log_brackets: np.ndarray):
 
 
 def order_function_check(
-    spec: EscapeSpec,
-    pair: DefiningPair,
-    sample_pairs: np.ndarray,
-    escape: EscapeFunction | None = None,
+    spec: EscapeSpec, pair: DefiningPair, sample_pairs: np.ndarray
 ) -> tuple[float, int]:
     """Smallest N with exp G(rho)/exp G(rho') <= C <(rho-rho')/sqrt(eta)>^N
     and C below the cap, over all sampled pairs; C is the tight constant."""
-    found = _smallest_order(*_order_statistics(spec, pair, sample_pairs, escape))
+    found = _smallest_order(*_order_statistics(spec, pair, sample_pairs))
     if found is None:
         raise Unbounded(
             "no admissible polynomial order up to "

@@ -22,8 +22,9 @@ This form is the single source of p and its derivatives.  The value,
 the conserved triple, the radial potential and the gradient and Hessian
 (`_grad_hess`, with `_grad_p`, `hessian_p` and `grad_hess_raw` as views)
 are all assembled from `radial_terms` (v_beta and its derivatives) and
-`_angular_terms` (q and its derivatives); `angular_derivs` turns the
-latter into the derivatives of the angular half alpha^2 + q^2.  The
+`_angular_terms` (q and its derivatives); `radial_half` and
+`angular_derivs` turn them into the derivatives of the radial half
+Delta*xi^2 + v_beta(r) and of the angular half alpha^2 + q^2.  The
 r-derivatives of the quotient f = N/Delta come from the Leibniz rule for
 N = f*Delta,
 
@@ -158,6 +159,21 @@ def radial_terms(params: KerrParams, beta, r):
     return 2.0 * a * beta - f0, -f1, -f2, -f3, 2.0 * a - fb, -frb, -fbb
 
 
+def radial_half(params: KerrParams, beta, r, xi):
+    """Derivatives of the radial half Delta*xi^2 + v_beta(r) of p.
+
+    Returns the gradient (p_r, p_xi, p_b) and the Hessian entries
+    (p_rr, p_rxi, p_xixi, p_rb, p_bb) in r, xi and beta (b); p_xib = 0.
+    The reduced (r, xi) model and `_grad_hess` both take them from here.
+    """
+    _, v_r, v_rr, _, v_b, v_rb, v_bb = radial_terms(params, beta, r)
+    dl = delta(params, r)
+    dl1 = 2.0 * (r - params.mass)
+    gradient = (dl1 * xi**2 + v_r, 2.0 * dl * xi, v_b)
+    hessian = (2.0 * xi**2 + v_rr, 2.0 * dl1 * xi, 2.0 * dl, v_rb, v_bb)
+    return gradient, hessian
+
+
 def _angular_terms(params: KerrParams, theta, beta):
     """q = beta/sin(theta) - a*sin(theta) with its derivatives.
 
@@ -200,26 +216,26 @@ def _grad_hess(params: KerrParams, r, theta, xi, alpha, beta):
     beta); the arguments broadcast against each other, and their common
     shape is the trailing batch shape.
     """
-    _, v_r, v_rr, _, v_b, v_rb, v_bb = radial_terms(params, beta, r)
+    (r_r, r_xi, r_b), (r_rr, r_rxi, r_xixi, r_rb, r_bb) = radial_half(
+        params, beta, r, xi
+    )
     p_t, p_a, p_b, p_tt, p_tb, p_bb = angular_derivs(params, theta, alpha, beta)
-    dl = delta(params, r)
-    dl1 = 2.0 * (r - params.mass)
-    batch = np.shape(dl + p_t + xi + alpha)
+    batch = np.shape(r_xixi + p_t + xi + alpha)
     g = np.zeros((6,) + batch)
-    g[0] = dl1 * xi**2 + v_r
+    g[0] = r_r
     g[1] = p_t
-    g[3] = 2.0 * dl * xi
+    g[3] = r_xi
     g[4] = p_a
-    g[5] = v_b + p_b
+    g[5] = r_b + p_b
     H = np.zeros((6, 6) + batch)
-    H[0, 0] = 2.0 * xi**2 + v_rr
-    H[0, 3] = H[3, 0] = 2.0 * dl1 * xi
-    H[0, 5] = H[5, 0] = v_rb
+    H[0, 0] = r_rr
+    H[0, 3] = H[3, 0] = r_rxi
+    H[0, 5] = H[5, 0] = r_rb
     H[1, 1] = p_tt
     H[1, 5] = H[5, 1] = p_tb
-    H[3, 3] = 2.0 * dl
+    H[3, 3] = r_xixi
     H[4, 4] = 2.0
-    H[5, 5] = v_bb + p_bb
+    H[5, 5] = r_bb + p_bb
     return g, H
 
 

@@ -29,6 +29,7 @@ CHART_CAP_TOY = 1e6
 CHART_CAP_KERR_R = 200.0
 SADDLE_STEP_TOL = 1e-13
 SADDLE_MAX_ITER = 60
+N_BUMPS = 3  # bumps in each BumpPattern
 
 
 @dataclass
@@ -96,13 +97,12 @@ class BumpPattern:
     profile), so perturbed symbols keep exact gradients/Hessians.
     """
 
-    def __init__(self, seed: int, center: tuple[float, float], span: float,
-                 n_bumps: int = 3):
+    def __init__(self, seed: int, center: tuple[float, float], span: float):
         rng = np.random.default_rng(seed)
-        self.centers = center + span * rng.uniform(-0.7, 0.7, size=(n_bumps, 2))
-        self.widths = span * rng.uniform(0.5, 0.9, size=(n_bumps, 2))
-        amps = rng.uniform(0.5, 1.0, size=n_bumps) * rng.choice(
-            [-1.0, 1.0], size=n_bumps
+        self.centers = center + span * rng.uniform(-0.7, 0.7, size=(N_BUMPS, 2))
+        self.widths = span * rng.uniform(0.5, 0.9, size=(N_BUMPS, 2))
+        amps = rng.uniform(0.5, 1.0, size=N_BUMPS) * rng.choice(
+            [-1.0, 1.0], size=N_BUMPS
         )
         # normalize: sup over a probe grid of the raw sum, polished off-grid
         self.amps = amps
@@ -234,11 +234,7 @@ def reduced_kerr_model(
 
     def gradient(y):
         r, xi = y[0], y[1]
-        dl = kerr.delta(params, r)
-        dl1 = 2.0 * (r - params.mass)
-        _, v1, _, _ = radial_potential_derivs(params, beta, r)
-        gr = dl1 * xi**2 + v1
-        gxi = 2.0 * dl * xi
+        (gr, gxi, _), _ = kerr.radial_half(params, beta, r, xi)
         if bumped:
             bx, bxi = bump.gradient(r, xi)
             gr = gr + epsilon * bx
@@ -247,12 +243,8 @@ def reduced_kerr_model(
 
     def hessian(y):
         r, xi = y[0], y[1]
-        dl = kerr.delta(params, r)
-        dl1 = 2.0 * (r - params.mass)
-        _, _, v2, _ = radial_potential_derivs(params, beta, r)
-        H = np.asarray(
-            [[2.0 * xi**2 + v2, 2.0 * dl1 * xi], [2.0 * dl1 * xi, 2.0 * dl]]
-        )
+        _, (h_rr, h_rxi, h_xixi, _, _) = kerr.radial_half(params, beta, r, xi)
+        H = np.asarray([[h_rr, h_rxi], [h_rxi, h_xixi]])
         if bumped:
             hxx, hxy, hyy = bump.hessian(r, xi)
             H = H + epsilon * np.asarray([[hxx, hxy], [hxy, hyy]])

@@ -29,6 +29,7 @@ from .errors import ConvergenceFailure, NoBracket
 EPS = np.finfo(float).eps
 RTOL_MIN = 100 * EPS  # tighter relative tolerances are raised to this
 EVENT_TOL = 4 * EPS  # xtol and rtol of the event-time root
+BRENTQ_MAXITER = 100  # iterations before brentq gives up, as in scipy
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2  # smallest step-size decrease
@@ -216,8 +217,7 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
 # -- scalar roots --------------------------------------------------------------
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = EVENT_TOL,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = EVENT_TOL) -> float:
     """Root of f in the bracket [a, b] by Brent's method.
 
     Inverse quadratic interpolation, falling back to bisection whenever a
@@ -234,7 +234,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = EVENT_TOL,
     if np.signbit(fpre) == np.signbit(fcur):
         raise NoBracket(f"f has one sign at both ends of [{a:.17g}, {b:.17g}]")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENTQ_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and np.signbit(fpre) != np.signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -261,7 +261,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = EVENT_TOL,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = float(f(xcur))
-    raise ConvergenceFailure(f"no root within {maxiter} iterations on [{a:g}, {b:g}]")
+    raise ConvergenceFailure(f"no root within {BRENTQ_MAXITER} iterations on [{a:g}, {b:g}]")
 
 
 # -- dense output ----------------------------------------------------------------

@@ -48,6 +48,13 @@ from .models import BumpPattern, newton_saddle, reduced_kerr_model
 from .ode import DenseSolution, brentq, solve_ivp
 
 RNORM_DEFAULT = 4
+N_BETA = 6  # beta samples of each certificate
+# trapped_radius scans v' on (r+ + 1e-3 M, RADIUS_SCAN_HI * M) and polishes
+# the root with brentq to RADIUS_XTOL
+RADIUS_SCAN_HI = 8.0
+RADIUS_XTOL = 1e-14
+# every shell orbit starts on the equator at phi = 0
+SHELL_START = (np.pi / 2.0, 0.0)
 RATE_FLOOR_FRACTION = 0.9
 INVARIANCE_ANGLE_MAX = 1e-4
 TANGENTIAL_DEGREE_MAX = 1
@@ -58,12 +65,7 @@ ENVELOPE_XTOL = 1e-9
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def trapped_radius(
-    beta: float,
-    params: KerrParams,
-    xtol: float = 1e-14,
-    r_hi: float | None = None,
-) -> float:
+def trapped_radius(beta: float, params: KerrParams) -> float:
     """Radius of the trapped sphere at angular momentum beta.
 
     Bracketed root of v' (sign-change scan, then brentq), confirmed a maximum.
@@ -72,7 +74,7 @@ def trapped_radius(
     """
     rp = kerr.horizon_radius(params)
     lo = rp + 1e-3 * params.mass
-    hi = r_hi if r_hi is not None else 8.0 * params.mass
+    hi = RADIUS_SCAN_HI * params.mass
     grid = np.linspace(lo, hi, 400)
     vals = radial_potential_derivs(params, beta, grid)[1]
     sign = np.sign(vals)
@@ -86,7 +88,7 @@ def trapped_radius(
         lambda r: radial_potential_derivs(params, beta, r)[1],
         grid[i],
         grid[i + 1],
-        xtol=xtol,
+        xtol=RADIUS_XTOL,
         rtol=8.9e-16,
     )
     curv = radial_potential_derivs(params, beta, root)[2]
@@ -185,15 +187,13 @@ class ReducedFamily:
         return np.asarray([[H[1, 0], H[1, 1]], [-H[0, 0], -H[0, 1]]])
 
     def exponent(self, beta: float) -> float:
-        """Normal expansion rate: positive eigenvalue of the generator."""
+        """Normal expansion rate: the larger eigenvalue tr/2 + sqrt(disc) of
+        the 2x2 generator, real exactly when its discriminant is positive."""
         gen = self.normal_generator(beta)
         disc = gen[0, 1] * gen[1, 0] + ((gen[0, 0] - gen[1, 1]) / 2.0) ** 2
         if disc <= 0.0:
             raise NotHyperbolic(f"complex normal spectrum at beta={beta:g}")
-        eigs = np.linalg.eigvals(gen)
-        if np.max(np.abs(eigs.imag)) > 1e-10 * np.max(np.abs(eigs)):
-            raise NotHyperbolic(f"complex normal spectrum at beta={beta:g}")
-        return float(np.max(eigs.real))
+        return float((gen[0, 0] + gen[1, 1]) / 2.0 + math.sqrt(disc))
 
     def chart(self, beta: float) -> TrappedOrbitChart:
         """Half-field chart; reduces to `linearization` when unperturbed."""
@@ -245,8 +245,7 @@ class ShellOrbit:
     system is the tangential cocycle, free of hyperbolic contamination.
     """
 
-    def __init__(self, family: ReducedFamily, beta: float, lam: float,
-                 theta0: float = np.pi / 2.0, phi0: float = 0.0):
+    def __init__(self, family: ReducedFamily, beta: float, lam: float):
         self.family = family
         self.beta = float(beta)
         self.lam = float(lam)
@@ -267,6 +266,7 @@ class ShellOrbit:
         # the bump, a function of (r, xi) alone, enters none of them
         self._radial = kerr.radial_terms(family.params, self.beta, r_s)[4:]
 
+        theta0, phi0 = SHELL_START
         rest = family.value6(self.embed(np.asarray([theta0, phi0, 0.0, beta])))
         disc = lam - rest
         if disc <= 0.0:
@@ -566,20 +566,19 @@ def certify(
     lam: float,
     params: KerrParams,
     horizon: float = 50.0,
-    n_beta: int = 6,
     r_max: int = RNORM_DEFAULT,
     family: ReducedFamily | None = None,
     tol: float = 1e-10,
 ) -> TrapCertificate:
     """Certify r-normal hyperbolicity of the trapped set on one energy shell.
 
-    Per sampled beta, on the pinned shell orbit: the normal rates and
-    bundles are the eigenpairs of A6 on its invariant block (fact 2), and
-    the invariance angle is the line angle between each bundle vector and
-    its image under A6.  One theta-period of the tangential cocycle gives
-    the degree of tangential growth and the envelope a + b*t (fact 3).  For
-    r = 1..r_max the ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t)
-    over t >= 0 in closed form, forward with lambda_+ and backward with
+    At each of the N_BETA sampled betas, on the pinned shell orbit: the
+    normal rates and bundles are the eigenpairs of A6 on its invariant
+    block (fact 2), and the invariance angle is the line angle between
+    each bundle vector and its image under A6.  One theta-period of the
+    tangential cocycle gives the degree of tangential growth and the
+    envelope a + b*t (fact 3).  For r = 1..r_max the ratio checks bound
+    (a + b*t)^r exp(-(lambda - theta0) t) over t >= 0 in closed form, forward with lambda_+ and backward with
     lambda_-; they hold when the degree is at most 1.  `horizon` only
     bounds the search for the theta-period: no number depends on it.
     """
@@ -589,7 +588,7 @@ def certify(
     lo, hi = equatorial_beta_range(lam, params, fam)
     samples = [
         _beta_sample(fam, float(beta), lam, horizon, tol)
-        for beta in _beta_grid(lo, hi, n_beta)
+        for beta in _beta_grid(lo, hi, N_BETA)
     ]
     reasons = [
         f"beta={s.chart.beta:.6g}: rates ({s.rate_plus:.4g}, {s.rate_minus:.4g}) "
@@ -650,7 +649,6 @@ def perturb_and_recertify(
     epsilon: float,
     seed: int,
     horizon: float = 20.0,
-    n_beta: int = 6,
     r_max: int = RNORM_DEFAULT,
     tol: float = 1e-10,
 ) -> PerturbReport:
@@ -668,7 +666,7 @@ def perturb_and_recertify(
     fam = ReducedFamily(params, bump=bump, epsilon=epsilon)
 
     lo, hi = equatorial_beta_range(lam, params, fam)
-    betas = _beta_grid(lo, hi, n_beta)
+    betas = _beta_grid(lo, hi, N_BETA)
     displacement = 0.0
     shift = 0.0
     for beta in betas:
@@ -681,10 +679,7 @@ def perturb_and_recertify(
         mu0, mu1 = base.exponent(b), fam.exponent(b)
         shift = max(shift, abs(mu1 - mu0) / mu0)
 
-    cert = certify(
-        lam, params, horizon=horizon, n_beta=n_beta, r_max=r_max, family=fam,
-        tol=tol,
-    )
+    cert = certify(lam, params, horizon=horizon, r_max=r_max, family=fam, tol=tol)
     return PerturbReport(
         certificate=cert,
         epsilon=epsilon,

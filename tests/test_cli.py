@@ -413,6 +413,32 @@ class TestEscapeCheck:
         assert models["reduced_kerr"]["N"] <= 4
         assert read_failures(out) == []
 
+    def test_failing_g1_verdict_is_a_check_failure(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from nhtrap import escape
+
+        code, passing = run_cli(tmp_path, "escape-check", "seed = 1\n", name="passing")
+        assert code == 0
+        build_G1 = escape.build_G1
+
+        def failing(pair):
+            g1 = build_G1(pair)
+            return replace(g1, report={**g1.report, "passed": False})
+
+        monkeypatch.setattr(escape, "build_G1", failing)
+        code, out = run_cli(tmp_path, "escape-check", "seed = 1\n", name="failing")
+        assert code == 1
+        failures = read_failures(out)
+        assert [(f["check"], f["model"]) for f in failures] == [
+            ("g1_monotone", "toy"),
+            ("g1_monotone", "reduced_kerr"),
+        ]
+        # the verdict is checked, not reported: the report is unchanged
+        assert (out / "escape_report.json").read_bytes() == (
+            passing / "escape_report.json"
+        ).read_bytes()
+
 
 class TestCertifyAndPerturb:
     def test_trap_certify_short_horizon(self, tmp_path, capsys):
@@ -456,6 +482,13 @@ class TestCertifyAndPerturb:
         assert payload["displacement_factor"] <= 5.0
         assert payload["exponent_shift"] <= 0.05
         assert payload["certificate"]["passed"] is True
+
+    @pytest.mark.parametrize("command", ["flow-integrate", "trap-certify", "perturb"])
+    def test_flow_tolerance_out_of_range_is_config_error(self, tmp_path, capsys, command):
+        code, out = run_cli(tmp_path, command, "tol.flow = 1e-4\n")
+        assert code == 2
+        assert "tol.flow" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_perturb_flow_tolerance(self, tmp_path):
         # tol.flow reaches the recertification's one-period integration

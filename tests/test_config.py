@@ -8,6 +8,7 @@ import pytest
 from nhtrap.config import (
     COMMANDS,
     DEFAULT_TOLERANCES,
+    FLOW_TOL_RANGE,
     KNOWN_KEYS,
     RunConfig,
     parse_config,
@@ -29,6 +30,9 @@ class TestParsing:
         assert cfg.output_dir == Path("out")
         assert cfg.tolerances == DEFAULT_TOLERANCES
         assert cfg.h_list is None and cfg.beta_list is None
+
+    def test_defaults_come_from_run_config(self):
+        assert parse_config("command = trap-find") == RunConfig(command="trap-find")
 
     def test_comments_and_blank_lines(self):
         text = (
@@ -156,6 +160,16 @@ class TestValidation:
             with pytest.raises(ValidationError) as err:
                 parse_config(f"command = trap-find\ntol.{name} = 0\n")
             assert err.value.key == f"tol.{name}"
+
+    def test_flow_tolerance_range(self):
+        lo, hi = FLOW_TOL_RANGE
+        for value in (lo, hi):
+            cfg = parse_config(f"command = perturb\ntol.flow = {value!r}\n")
+            assert cfg.tolerances["flow"] == value
+        for value in (1e-4, 1e-15):
+            with pytest.raises(ValidationError) as err:
+                parse_config(f"command = perturb\ntol.flow = {value!r}\n")
+            assert err.value.key == "tol.flow"
 
     def test_a_list_subextremal(self):
         with pytest.raises(ValidationError) as err:

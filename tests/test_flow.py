@@ -12,7 +12,7 @@ from oracles import joint_flow, tangent_flow
 from scipy.linalg import expm
 
 from nhtrap import flow, models, ode
-from nhtrap.errors import ChartExit, InvalidHorizon
+from nhtrap.errors import ChartExit
 from nhtrap.kerr import KerrParams
 
 TOY = models.toy_barrier_model()
@@ -102,12 +102,6 @@ class TestChartExitAndValidation:
         with pytest.raises(ChartExit) as exc:
             flow.integrate_flow(m, start, 50.0, tol=1e-10)
         assert 0.0 < exc.value.exit_time < 50.0
-
-    def test_tolerance_window(self):
-        with pytest.raises(InvalidHorizon):
-            flow.integrate_flow(TOY, np.asarray([0.1, 0.1]), 1.0, tol=1e-3)
-        with pytest.raises(InvalidHorizon):
-            flow.integrate_flow(TOY, np.asarray([0.1, 0.1]), 1.0, tol=1e-14)
 
     def test_step_tolerance_floor(self):
         # long horizons tighten the step tolerance down to the integrator's

@@ -1,4 +1,4 @@
-"""Guard against code that only the tests reach.
+"""Guard against code and knobs that only the tests reach.
 
 Every function, method and property defined in ``src/nhtrap`` must be
 referenced somewhere in ``src/nhtrap`` outside its own definition.  The
@@ -7,12 +7,23 @@ name anywhere in the package counts for every definition called ``name``.
 A few names are used from outside the package and are listed in
 ``ALLOWED`` with the reason; each of them must still be defined and
 otherwise unreferenced, so the list cannot go stale.
+
+Every settable value, a parameter or dataclass field with a default, must
+be passed by some call in ``src/nhtrap``.  Calls resolve by name as above:
+``name(...)``, ``obj.name(...)`` and ``functools.partial(name, ...)`` all
+call every function, method or class called ``name``, and a value counts
+as passed by keyword or by position (a ``*args`` fills every position
+from its own on).  A ``**mapping`` passes nothing the guard can see.  The
+values set only from outside the package are in ``ALLOWED_SETTABLE``,
+which is held to the same rule as ``ALLOWED``.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import nhtrap
+from nhtrap.config import KNOWN_KEYS, RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nhtrap"
@@ -23,6 +34,28 @@ ALLOWED = {
     "variational_matrix": "wrapped by the benchmark tracer (perfbench/tracer.py)",
     "conserved": "wrapped by the benchmark tracer (perfbench/tracer.py)",
 }
+
+# "owner.value" set only from outside src/nhtrap, with the reason each stays
+ALLOWED_SETTABLE = {
+    "build_model.grid": "the tests' fixed-n references for the grid convergence check",
+    "build_model.absorber_scale": "the tests' absorber-free calibration; "
+    "ROADMAP item 1 needs it too",
+    "resolvent_norm.max_iter": "the benchmark tracer reads its default (perfbench/tracer.py)",
+    "main.argv": "the console entry point calls main() with none",
+    **{
+        f"Outcome.{name}": "an accumulator each handler appends to"
+        for name in ("summaries", "csvs", "jsons", "failures")
+    },
+    **{
+        f"RunConfig.{field}": "parse_config passes the config keys the text sets as **fields"
+        for field in {key.replace(".", "_") for key in KNOWN_KEYS}
+        & {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+    },
+}
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
 
 
 def _definitions(tree):
@@ -46,7 +79,7 @@ def _references(tree):
 
 
 def _unreferenced():
-    modules = {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+    modules = _modules()
     refs = {name: _references(tree) for name, tree in modules.items()}
     missing = set()
     for module, tree in modules.items():
@@ -66,6 +99,103 @@ def _exempt(name: str) -> bool:
     return dunder or name in nhtrap.__all__  # the package's public exports
 
 
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        _name(deco.func if isinstance(deco, ast.Call) else deco) == "dataclass"
+        for deco in node.decorator_list
+    )
+
+
+def _signature(func, is_method: bool):
+    """(parameter names in call order, names of those with a default)."""
+    args = func.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    with_default = set(positional[len(positional) - len(args.defaults):])
+    with_default |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    static = any(_name(deco) == "staticmethod" for deco in func.decorator_list)
+    if is_method and not static:
+        positional = positional[1:]  # self
+    return positional, with_default
+
+
+def _settable(tree):
+    """{"owner.value": (owner, value, position or None)} of every parameter and
+    dataclass field with a default; the owner of a field or of an
+    ``__init__`` parameter is its class."""
+    found = {}
+
+    def add(owner, positional, with_default):
+        for name in with_default:
+            index = positional.index(name) if name in positional else None
+            found[f"{owner}.{name}"] = (owner, name, index)
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields = [s for s in child.body if isinstance(s, ast.AnnAssign)]
+                    add(
+                        child.name,
+                        [f.target.id for f in fields],
+                        {f.target.id for f in fields if f.value is not None},
+                    )
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                positional, with_default = _signature(child, cls is not None)
+                owner = cls.name if cls is not None and child.name == "__init__" else child.name
+                add(owner, positional, with_default)
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(tree)
+    return found
+
+
+def _calls(tree):
+    """(callee name, positional argument nodes, keyword names) of every call."""
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee, args = _name(node.func), node.args
+        if callee == "partial" and args:
+            callee, args = _name(args[0]), args[1:]
+        calls.append((callee, args, {kw.arg for kw in node.keywords if kw.arg is not None}))
+    return calls
+
+
+def _passes(call, name: str, index) -> bool:
+    _, args, keywords = call
+    if name in keywords:
+        return True
+    if index is None:
+        return False
+    starred = [i for i, arg in enumerate(args) if isinstance(arg, ast.Starred)]
+    return index < len(args) or (bool(starred) and index >= starred[0])
+
+
+def _unset():
+    modules = _modules()
+    settable = {}
+    for tree in modules.values():
+        settable.update(_settable(tree))
+    calls = [call for tree in modules.values() for call in _calls(tree)]
+    return {
+        key
+        for key, (owner, name, index) in settable.items()
+        if not any(call[0] == owner and _passes(call, name, index) for call in calls)
+    }
+
+
 def test_every_definition_is_referenced_in_the_package():
     missing = {name for name in _unreferenced() if not _exempt(name)}
     assert missing == set(ALLOWED)
@@ -75,3 +205,7 @@ def test_allowlisted_names_are_wrapped_by_the_tracer():
     tracer = TRACER.read_text()
     for name in ALLOWED:
         assert f'"{name}"' in tracer or f".{name}" in tracer, name
+
+
+def test_every_settable_value_is_set_in_the_package():
+    assert _unset() == set(ALLOWED_SETTABLE)

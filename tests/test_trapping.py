@@ -48,8 +48,9 @@ class TestTrappedRadius:
         assert r_plus > 3.0 > r_minus
 
     def test_no_bracket(self):
+        # v' keeps one sign on the whole scan range at this beta
         with pytest.raises(NoBracket):
-            trapping.trapped_radius(0.0, KerrParams(), r_hi=2.5)
+            trapping.trapped_radius(-100.0, KerrParams(1.0, 0.9))
 
 
 class TestLinearization:
@@ -91,6 +92,16 @@ class TestFamilyAndShell:
     def test_spin_breaks_symmetry(self):
         lo, hi = trapping.equatorial_beta_range(0.0, KerrParams(1.0, 0.4))
         assert abs(hi) != pytest.approx(abs(lo), abs=1e-3)
+
+    def test_exponent_is_the_top_eigenvalue(self):
+        # the closed form tr/2 + sqrt(disc) against a general 2x2 eigensolve,
+        # on a perturbed family, whose saddle Hessian has an off-diagonal term
+        params = KerrParams(1.0, 0.5)
+        bump = models.BumpPattern(2, (3.0, 0.0), span=0.6)
+        fam = trapping.ReducedFamily(params, bump=bump, epsilon=0.01)
+        for beta in (-2.0, 0.5, 3.0):
+            top = np.max(np.linalg.eigvals(fam.normal_generator(beta)).real)
+            assert fam.exponent(beta) == pytest.approx(top, rel=1e-14)
 
     def test_orbit_on_shell(self):
         fam = trapping.ReducedFamily(KerrParams(1.0, 0.2))
@@ -180,7 +191,7 @@ class TestFamilyAndShell:
 
 class TestCertify:
     def test_static_certificate(self):
-        cert = trapping.certify(0.0, KerrParams(), horizon=6.0, n_beta=3)
+        cert = trapping.certify(0.0, KerrParams(), horizon=6.0)
         assert cert.passed
         assert cert.reasons == []
         assert cert.theta_rate == pytest.approx(MU0, rel=1e-12)
@@ -195,7 +206,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("spin", [0.5, 0.9, 0.95, 0.99])
     def test_rates_are_the_normal_exponent(self, spin):
-        cert = trapping.certify(0.0, KerrParams(1.0, spin), horizon=5.0, n_beta=3)
+        cert = trapping.certify(0.0, KerrParams(1.0, spin), horizon=5.0)
         assert cert.passed, cert.reasons
         for s in cert.beta_samples:
             assert s.rate_plus == pytest.approx(s.chart.normal_exponent, rel=1e-12)
@@ -204,7 +215,7 @@ class TestCertify:
     @pytest.mark.parametrize("spin, degree", [(0.0, 0), (0.5, 1), (0.9, 1)])
     def test_tangential_degree_matches_dense_envelope(self, spin, degree):
         params = KerrParams(1.0, spin)
-        cert = trapping.certify(0.0, params, horizon=5.0, n_beta=3)
+        cert = trapping.certify(0.0, params, horizon=5.0)
         assert cert.tangential_degree == degree
         fam = trapping.ReducedFamily(params)
         for s in cert.beta_samples:
@@ -238,7 +249,7 @@ class TestCertify:
         params = KerrParams(1.0, 0.5)
         docs = [
             trapping.certificate_to_dict(
-                trapping.certify(0.0, params, horizon=horizon, n_beta=2)
+                trapping.certify(0.0, params, horizon=horizon)
             )
             for horizon in (1.0, 50.0)
         ]
@@ -251,7 +262,7 @@ class TestCertify:
                 trapping.certify(0.0, KerrParams(), horizon=horizon)
 
     def test_certificate_dict_schema(self):
-        cert = trapping.certify(0.0, KerrParams(), horizon=4.0, n_beta=2)
+        cert = trapping.certify(0.0, KerrParams(), horizon=4.0)
         d = trapping.certificate_to_dict(cert)
         assert set(d) == {
             "lambda",
@@ -297,7 +308,7 @@ class TestPerturbation:
 
     def test_small_perturbation_certificate(self):
         rep = trapping.perturb_and_recertify(
-            KerrParams(), 0.0, 0.005, seed=3, horizon=5.0, n_beta=3
+            KerrParams(), 0.0, 0.005, seed=3, horizon=5.0
         )
         assert rep.certificate.passed
         assert rep.displacement <= 5.0 * rep.epsilon
@@ -308,7 +319,7 @@ class TestPerturbation:
 
     def test_zero_perturbation_is_identity(self):
         rep = trapping.perturb_and_recertify(
-            KerrParams(), 0.0, 0.0, seed=9, horizon=4.0, n_beta=2
+            KerrParams(), 0.0, 0.0, seed=9, horizon=4.0
         )
         assert rep.displacement == pytest.approx(0.0, abs=1e-10)
         assert rep.exponent_shift == pytest.approx(0.0, abs=1e-10)
