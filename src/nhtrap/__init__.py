@@ -11,7 +11,6 @@ from .errors import (
     ChartExit,
     ConfigError,
     ConvergenceFailure,
-    Degenerate,
     DomainError,
     GridTooCoarse,
     InvalidHorizon,
@@ -39,7 +38,6 @@ __all__ = [
     "ChartExit",
     "StepFailure",
     "NoBracket",
-    "Degenerate",
     "NotHyperbolic",
     "InvalidHorizon",
     "NewtonDiverged",

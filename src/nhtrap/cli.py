@@ -376,15 +376,12 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
             model.conserved_list["carter"](state),
         )
 
-    def integrate():
-        # integrate_flow checks the chart before any row evaluates p
-        states = [start]
-        for t_prev, t_next in zip(times, times[1:]):
-            result = flow.integrate_flow(model, states[-1], t_next - t_prev, tol=tol)
-            states.append(result.end_state)
-        return [row_at(state, float(t)) for state, t in zip(states, times)]
-
-    rows = _run_jobs([integrate], workers)[0]
+    # integrate_flow checks the chart before any row evaluates p
+    states = [start]
+    for t_prev, t_next in zip(times, times[1:]):
+        result = flow.integrate_flow(model, states[-1], t_next - t_prev, tol=tol)
+        states.append(result.end_state)
+    rows = [row_at(state, float(t)) for state, t in zip(states, times)]
     out = Outcome()
     drift = {
         name: max(abs(row[col] - rows[0][col]) for row in rows)
@@ -413,21 +410,15 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
 def _cmd_perturb(cfg: RunConfig, workers: int) -> Outcome:
     from . import trapping
 
-    report = _run_jobs(
-        [
-            partial(
-                trapping.perturb_and_recertify,
-                cfg.kerr,
-                cfg.lam,
-                cfg.epsilon,
-                cfg.seed,
-                horizon=cfg.horizon,
-                r_max=cfg.r_max,
-                tol=cfg.tolerances["flow"],
-            )
-        ],
-        workers,
-    )[0]
+    report = trapping.perturb_and_recertify(
+        cfg.kerr,
+        cfg.lam,
+        cfg.epsilon,
+        cfg.seed,
+        horizon=cfg.horizon,
+        r_max=cfg.r_max,
+        tol=cfg.tolerances["flow"],
+    )
     out = Outcome()
     out.summaries.append(
         f"perturb eps={cfg.epsilon:g} seed={cfg.seed}: "

@@ -28,11 +28,7 @@ class StepFailure(NhtrapError):
 
 
 class NoBracket(NhtrapError):
-    """Root bracketing failed on the scanned interval."""
-
-
-class Degenerate(NhtrapError):
-    """A critical point failed the curvature test."""
+    """No root, or no bracket of one, where a root was sought."""
 
 
 class NotHyperbolic(NhtrapError):

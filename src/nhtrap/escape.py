@@ -562,7 +562,7 @@ def order_function_check(
     return math.exp(found[0]), found[1]
 
 
-def escape_report(pair: DefiningPair, spec: EscapeSpec, seed: int = 0) -> dict:
+def escape_report(pair: DefiningPair, spec: EscapeSpec, seed: int) -> dict:
     """One-stop summary: sign relations, commutator floor, order function."""
     verify = verify_defG_relations(
         pair, saddle_grid(pair, VERIFY_RADIUS, GRID_N)

@@ -41,7 +41,7 @@ def integrate_flow(
     model: HamiltonianModel,
     start: np.ndarray,
     time: float,
-    tol: float = 1e-10,
+    tol: float,
 ) -> FlowResult:
     """Flow `start` for `time` (may be negative) along the Hamilton field.
 

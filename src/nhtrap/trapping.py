@@ -24,8 +24,8 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
 
 The one period is integrated by the in-house DOP853 of `nhtrap.ode`, whose
 dense output and count-aware terminal event give the period, the monodromy
-and X(s) on [0, P).  Roots (trapped radii, extremal beta values) come from
-its bracketed `brentq`.
+and X(s) on [0, P).  Trapped radii are closed-form roots of v' (see
+`trapped_radius`); the extremal beta values come from its bracketed `brentq`.
 """
 
 from __future__ import annotations
@@ -36,23 +36,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kerr
-from .errors import (
-    Degenerate,
-    DomainError,
-    InvalidHorizon,
-    NoBracket,
-    NotHyperbolic,
-)
+from .errors import DomainError, InvalidHorizon, NoBracket, NotHyperbolic
 from .kerr import KerrParams, PhaseState, radial_potential_derivs
 from .models import BumpPattern, newton_saddle, reduced_kerr_model
 from .ode import DenseSolution, brentq, solve_ivp
 
-RNORM_DEFAULT = 4
 N_BETA = 6  # beta samples of each certificate
-# trapped_radius scans v' on (r+ + 1e-3 M, RADIUS_SCAN_HI * M) and polishes
-# the root with brentq to RADIUS_XTOL
-RADIUS_SCAN_HI = 8.0
-RADIUS_XTOL = 1e-14
+# equatorial_beta_range brackets each extremal beta between +-BETA_NEAR and
+# +-BETA_FAR * M, doubling the far end at most BETA_DOUBLINGS times
+BETA_NEAR = 1e-3
+BETA_FAR = 7.0
+BETA_DOUBLINGS = 8
 # every shell orbit starts on the equator at phi = 0
 SHELL_START = (np.pi / 2.0, 0.0)
 RATE_FLOOR_FRACTION = 0.9
@@ -68,33 +62,26 @@ INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def trapped_radius(beta: float, params: KerrParams) -> float:
     """Radius of the trapped sphere at angular momentum beta.
 
-    Bracketed root of v' (sign-change scan, then brentq), confirmed a maximum.
-    The scan starts just outside r+: as a -> M the prograde photon orbit
-    approaches the horizon (r = 1.1676 against r+ = 1.1411 at a = 0.99).
+    With N = a^2 beta^2 + 4 M a beta r + (r^2 + a^2)^2, the potential
+    v_beta = 2 a beta - N/Delta has v' = -(N' Delta - N Delta')/Delta^2, and
+
+        N' Delta - N Delta' = 2 (r^2 + a^2 + a beta)
+                              * (r^3 - 3 M r^2 + a (a - beta) r + a M (a + beta)).
+
+    So v' vanishes exactly at the real roots of the cubic (Teo's spherical
+    photon orbits) and, when a (a + beta) < 0, at r = sqrt(-a (a + beta)).
+    The trapped radius is the first of them outside r+ where v'' < 0.
     """
+    m, a = params.mass, params.spin
+    cubic = np.roots([1.0, -3.0 * m, a * (a - beta), a * m * (a + beta)])
+    radii = [float(z.real) for z in cubic if z.imag == 0.0]
+    if a * (a + beta) < 0.0:
+        radii.append(math.sqrt(-a * (a + beta)))
     rp = kerr.horizon_radius(params)
-    lo = rp + 1e-3 * params.mass
-    hi = RADIUS_SCAN_HI * params.mass
-    grid = np.linspace(lo, hi, 400)
-    vals = radial_potential_derivs(params, beta, grid)[1]
-    sign = np.sign(vals)
-    flips = np.nonzero(np.diff(sign) < 0)[0]  # + to -: a maximum
-    if flips.size == 0:
-        raise NoBracket(
-            f"no sign change of v' on [{lo:.6g}, {hi:.6g}] at beta={beta:g}"
-        )
-    i = flips[0]
-    root = brentq(
-        lambda r: radial_potential_derivs(params, beta, r)[1],
-        grid[i],
-        grid[i + 1],
-        xtol=RADIUS_XTOL,
-        rtol=8.9e-16,
-    )
-    curv = radial_potential_derivs(params, beta, root)[2]
-    if not (curv < 0.0):
-        raise Degenerate(f"v'' = {curv:g} >= 0 at candidate radius {root:g}")
-    return float(root)
+    for r in sorted(radii):
+        if r > rp and radial_potential_derivs(params, beta, r)[2] < 0.0:
+            return r
+    raise NoBracket(f"v' has no maximum outside r+ = {rp:.6g} at beta={beta:g}")
 
 
 @dataclass(frozen=True)
@@ -103,29 +90,9 @@ class TrappedOrbitChart:
 
     beta: float
     trapped_radius: float
-    lin_matrix: np.ndarray  # [[0, Delta], [B', 0]], B' = -v''/2, half-field generator
-    normal_exponent: float  # 2*sqrt(Delta*B'), full-field rate
-    potential_curvature: float  # v'' < 0
-
-
-def linearization(beta: float, params: KerrParams) -> TrappedOrbitChart:
-    """Normal linearization at the trapped radius.
-
-    The momentum equation's forcing is B = -v'/2, so B' = -v''/2.
-    """
-    r0 = trapped_radius(beta, params)
-    dl = kerr.delta(params, r0)
-    curv = radial_potential_derivs(params, beta, r0)[2]
-    bp = -curv / 2.0
-    if not (dl * bp > 0.0):
-        raise NotHyperbolic(f"Delta*B' = {dl * bp:g} <= 0 at r={r0:g}")
-    return TrappedOrbitChart(
-        beta=beta,
-        trapped_radius=r0,
-        lin_matrix=np.asarray([[0.0, dl], [bp, 0.0]]),
-        normal_exponent=2.0 * math.sqrt(dl * bp),
-        potential_curvature=float(curv),
-    )
+    lin_matrix: np.ndarray  # half-field generator; [[0, Delta], [B', 0]] unperturbed
+    normal_exponent: float  # full-field rate; 2*sqrt(Delta*B') unperturbed
+    potential_curvature: float  # p_rr at the saddle; v'' < 0 unperturbed
 
 
 class ReducedFamily:
@@ -196,15 +163,16 @@ class ReducedFamily:
         return float((gen[0, 0] + gen[1, 1]) / 2.0 + math.sqrt(disc))
 
     def chart(self, beta: float) -> TrappedOrbitChart:
-        """Half-field chart; reduces to `linearization` when unperturbed."""
-        if self.epsilon == 0.0:
-            return linearization(beta, self.params)
+        """Half-field chart at the saddle.  Unperturbed, xi_s = 0 and the
+        halved generator is [[0, Delta], [B', 0]] with B' = -v''/2."""
         r_s, _ = self.saddle(beta)
         curv = self.saddle_hessian(beta)[0, 0]
         return TrappedOrbitChart(
             beta=beta,
             trapped_radius=r_s,
-            lin_matrix=self.normal_generator(beta) / 2.0,
+            # + 0.0 turns the -0.0 that -H[0, 1] gives at xi_s = 0 into +0.0,
+            # which the artifacts print as 0, not -0
+            lin_matrix=self.normal_generator(beta) / 2.0 + 0.0,
             normal_exponent=self.exponent(beta),
             potential_curvature=float(curv),
         )
@@ -232,6 +200,11 @@ class ReducedFamily:
         if self.epsilon != 0.0:
             val += self.epsilon * float(self.bump.value(y6[0], y6[3]))
         return val
+
+
+def linearization(beta: float, params: KerrParams) -> TrappedOrbitChart:
+    """Normal chart of the unperturbed family at one beta."""
+    return ReducedFamily(params).chart(beta)
 
 
 # -- photon-shell orbits (pinned radial pair) -------------------------------
@@ -300,7 +273,7 @@ class ShellOrbit:
             [velocity, (M @ z[4:].reshape(4, 4)).ravel(), np.zeros(4)]
         )
 
-    def tangent_cocycle(self, horizon: float, tol: float = 1e-10) -> TangentCocycle:
+    def tangent_cocycle(self, horizon: float, tol: float) -> TangentCocycle:
         """Intrinsic Jacobian t -> X(t) for any real t, from one theta-period.
 
         The period P is the first upward return of theta to its start; the
@@ -452,26 +425,33 @@ class TrapCertificate:
 
 
 def equatorial_beta_range(
-    lam: float, params: KerrParams, family: ReducedFamily | None = None
+    lam: float, params: KerrParams, family: ReducedFamily
 ) -> tuple[float, float]:
-    """Extremal equatorial beta values on the lambda shell of the trapped set."""
-    fam = family or ReducedFamily(params)
+    """Extremal equatorial beta values on the lambda shell of the trapped set.
+
+    On each side the far end of the bracket starts at BETA_FAR * M and
+    doubles until it brackets; at a = 0 the ends are +-sqrt(27 M^2 + lambda).
+    """
 
     def shell_value(beta):
-        r_s, xi_s = fam.saddle(beta)
+        r_s, xi_s = family.saddle(beta)
         y6 = np.asarray([r_s, np.pi / 2.0, 0.0, xi_s, 0.0, beta])
-        return fam.value6(y6) - lam
+        return family.value6(y6) - lam
 
-    hi = 7.0 * params.mass
-    eps = 1e-3
     roots = []
-    for lo_b, hi_b in ((eps, hi), (-hi, -eps)):
-        flo, fhi = shell_value(lo_b), shell_value(hi_b)
-        if flo * fhi > 0:
+    for side in (1.0, -1.0):
+        near = side * BETA_NEAR
+        f_near = shell_value(near)
+        fars = [
+            side * BETA_FAR * params.mass * 2.0**k for k in range(BETA_DOUBLINGS + 1)
+        ]
+        far = next((b for b in fars if f_near * shell_value(b) <= 0.0), None)
+        if far is None:
             raise NoBracket(
-                f"no equatorial critical beta in [{lo_b:g}, {hi_b:g}]"
+                f"no equatorial critical beta between {near:g} and {fars[-1]:g}"
             )
-        roots.append(brentq(shell_value, lo_b, hi_b, xtol=1e-13))
+        lo, hi = sorted((near, far))
+        roots.append(brentq(shell_value, lo, hi, xtol=1e-13))
     plus, minus = roots
     return float(minus), float(plus)
 
@@ -565,10 +545,10 @@ def _ratio_sup(r: int, a: float, b: float, k: float) -> float:
 def certify(
     lam: float,
     params: KerrParams,
-    horizon: float = 50.0,
-    r_max: int = RNORM_DEFAULT,
+    horizon: float,
+    r_max: int,
+    tol: float,
     family: ReducedFamily | None = None,
-    tol: float = 1e-10,
 ) -> TrapCertificate:
     """Certify r-normal hyperbolicity of the trapped set on one energy shell.
 
@@ -648,9 +628,9 @@ def perturb_and_recertify(
     lam: float,
     epsilon: float,
     seed: int,
-    horizon: float = 20.0,
-    r_max: int = RNORM_DEFAULT,
-    tol: float = 1e-10,
+    horizon: float,
+    r_max: int,
+    tol: float,
 ) -> PerturbReport:
     """Perturb the symbol by a seeded bump, relocate saddles, recertify.
 

@@ -64,6 +64,12 @@ class TestTrapFind:
         lines = capsys.readouterr().out.splitlines()
         assert lines == [TRAP_FIND_LINE] * 3
 
+    def test_far_counterrotating_sphere(self, tmp_path, capsys):
+        # the maximum of v_beta lies beyond 8 M at this beta
+        code, _ = run_cli(tmp_path, "trap-find", "kerr.spin = 0.9\nbeta_list = -100\n")
+        assert code == 0
+        assert capsys.readouterr().out == "r(beta)=9.444045743218, exponent=37.776182972873\n"
+
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "tf.cfg"
         cfg.write_text("command = trap-find\n")
@@ -461,6 +467,19 @@ class TestCertifyAndPerturb:
         cert = json.loads((out / "certificate.json").read_text())["certificates"][0]
         assert cert["passed"] is True
         assert cert["tangential_degree"] == 1
+
+    def test_trap_certify_large_lambda(self, tmp_path, capsys):
+        # at a = 0 the equatorial beta range is +-sqrt(27 + lambda) = +-sqrt(57),
+        # and the outermost samples sit 5% of its width inside it
+        code, out = run_cli(tmp_path, "trap-certify", "lam = 30\n")
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+        samples = json.loads((out / "certificate.json").read_text())["certificates"][0][
+            "beta_samples"
+        ]
+        edge = 0.9 * math.sqrt(57.0)
+        assert samples[0]["beta"] == pytest.approx(-edge, abs=last_digit(edge))
+        assert samples[-1]["beta"] == pytest.approx(edge, abs=last_digit(edge))
 
     def test_too_short_horizon_is_config_error(self, tmp_path, capsys):
         code, out = run_cli(

@@ -9,6 +9,7 @@ from oracles import manifold_samples
 from scipy.integrate import solve_ivp
 
 from nhtrap import escape as esc
+from nhtrap.config import RunConfig
 from nhtrap.errors import (
     DomainError,
     GridTooCoarse,
@@ -549,7 +550,7 @@ class TestOrderFunction:
 class TestEscapeReport:
     def test_toy_report_contents(self, toy_pair):
         spec = esc.make_escape_spec(toy_pair, h=1e-2)
-        report = esc.escape_report(toy_pair, spec)
+        report = esc.escape_report(toy_pair, spec, seed=RunConfig(command="escape-check").seed)
         for key in ("c1", "C", "N", "bracket_min", "g1_floor", "violations"):
             assert key in report
         assert report["c1"] == pytest.approx(4.0, abs=1e-9)
@@ -558,7 +559,7 @@ class TestEscapeReport:
 
     def test_kerr_report_contents(self, kerr_pair):
         spec = esc.make_escape_spec(kerr_pair, h=1e-2)
-        report = esc.escape_report(kerr_pair, spec)
+        report = esc.escape_report(kerr_pair, spec, seed=RunConfig(command="escape-check").seed)
         assert report["c1"] > 0.0
         assert report["bracket_min"] >= 0.9 * 2.0 * ROOT3
         assert report["violations"] == []

@@ -7,7 +7,8 @@ import pytest
 from oracles import tangent_flow
 from scipy.linalg import expm
 
-from nhtrap import kerr, models, trapping
+from nhtrap import capspec, kerr, models, trapping
+from nhtrap.config import RunConfig
 from nhtrap.errors import (
     DomainError,
     InvalidHorizon,
@@ -17,6 +18,15 @@ from nhtrap.kerr import KerrParams, PhaseState
 
 SQRT27 = math.sqrt(27.0)
 MU0 = 6.0 * math.sqrt(3.0)
+# the CLI's defaults for the values certify and perturb take
+CLI = RunConfig(command="trap-certify")
+R_MAX, TOL = CLI.r_max, CLI.tolerances["flow"]
+
+
+def horizon_beta(params: KerrParams) -> float:
+    """beta_h = -(r+^2 + a^2)/a, where the sphere r^2 = -a(a + beta) is r+."""
+    rp = kerr.horizon_radius(params)
+    return -(rp**2 + params.spin**2) / params.spin
 
 
 class TestTrappedRadius:
@@ -34,11 +44,23 @@ class TestTrappedRadius:
         cases = [(rng.uniform(0.0, 0.85), rng.uniform(-4.5, 4.5)) for _ in range(12)]
         # near extremal spin the prograde orbit hugs the horizon
         cases += [(0.95, -2.2), (0.99, -2.378), (0.99, 0.7)]
+        # a maximum on the sphere r^2 = -a(a + beta) instead of the cubic
+        cases += [(0.999, -4.0)]
         for a, beta in cases:
             p = KerrParams(1.0, a)
             r0 = trapping.trapped_radius(beta, p)
             _, v1, v2, _ = radial_potential_derivs(p, beta, r0)
             assert abs(v1) < 1e-10
+            assert v2 < 0.0
+        # at beta_h +- 1e-3 that sphere lies 3e-4 M outside r+, where v'
+        # carries 1/Delta^2 and rounds at ~1e-8: the root is checked by its
+        # Newton step v'/v'' instead
+        p = KerrParams(1.0, 0.9)
+        for beta in (horizon_beta(p) - 1e-3, horizon_beta(p) + 1e-3):
+            r0 = trapping.trapped_radius(beta, p)
+            _, v1, v2, _ = radial_potential_derivs(p, beta, r0)
+            assert r0 - kerr.horizon_radius(p) < 1e-3
+            assert abs(v1 / v2) < 1e-12
             assert v2 < 0.0
 
     def test_corotating_counterrotating_split(self):
@@ -48,9 +70,37 @@ class TestTrappedRadius:
         assert r_plus > 3.0 > r_minus
 
     def test_no_bracket(self):
-        # v' keeps one sign on the whole scan range at this beta
+        # at beta_h the only candidate maximum is the horizon itself
+        p = KerrParams(1.0, 0.9)
         with pytest.raises(NoBracket):
-            trapping.trapped_radius(-100.0, KerrParams(1.0, 0.9))
+            trapping.trapped_radius(horizon_beta(p), p)
+
+    def test_far_counterrotating_sphere(self):
+        p = KerrParams(1.0, 0.9)
+        r0 = trapping.trapped_radius(-100.0, p)
+        assert r0 == pytest.approx(9.444045743218, abs=1e-12)
+        _, v1, v2, _ = models.radial_potential_derivs(p, -100.0, r0)
+        assert abs(v1) < 1e-10 * abs(v2)
+        assert v2 < 0.0
+
+    @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9, 0.99])
+    def test_prograde_closed_form(self, spin):
+        # capspec's closed-form prograde equatorial orbit lies on the shell
+        p = KerrParams(1.0, spin)
+        r_star, beta_star = capspec._critical_orbit(p)
+        assert trapping.trapped_radius(beta_star, p) == pytest.approx(r_star, abs=1e-12)
+
+    def test_numerator_factorization(self):
+        sp = pytest.importorskip("sympy")
+        r, m, a, b = sp.symbols("r M a beta", real=True)
+        n = a**2 * b**2 + 4 * m * a * b * r + (r**2 + a**2) ** 2
+        dl = r**2 - 2 * m * r + a**2
+        cubic = r**3 - 3 * m * r**2 + a * (a - b) * r + a * m * (a + b)
+        factored = 2 * (r**2 + a**2 + a * b) * cubic
+        assert sp.expand(sp.diff(n, r) * dl - n * sp.diff(dl, r) - factored) == 0
+        # and v' = -(N' Delta - N Delta')/Delta^2 for v = 2 a beta - N/Delta
+        v = 2 * a * b - n / dl
+        assert sp.simplify(sp.diff(v, r) + factored / dl**2) == 0
 
 
 class TestLinearization:
@@ -83,14 +133,19 @@ class TestLinearization:
 
 class TestFamilyAndShell:
     def test_equatorial_range_static(self):
-        lo, hi = trapping.equatorial_beta_range(0.0, KerrParams())
+        fam = trapping.ReducedFamily(KerrParams())
+        lo, hi = trapping.equatorial_beta_range(0.0, KerrParams(), fam)
         assert hi == pytest.approx(SQRT27, abs=1e-10)
         assert lo == pytest.approx(-SQRT27, abs=1e-10)
-        lo5, hi5 = trapping.equatorial_beta_range(5.0, KerrParams())
+        lo5, hi5 = trapping.equatorial_beta_range(5.0, KerrParams(), fam)
         assert hi5 == pytest.approx(math.sqrt(32.0), abs=1e-10)
+        # +-sqrt(57) lies beyond the first far end, 7 M
+        lo30, hi30 = trapping.equatorial_beta_range(30.0, KerrParams(), fam)
+        assert (lo30, hi30) == pytest.approx((-math.sqrt(57.0), math.sqrt(57.0)), abs=1e-10)
 
     def test_spin_breaks_symmetry(self):
-        lo, hi = trapping.equatorial_beta_range(0.0, KerrParams(1.0, 0.4))
+        params = KerrParams(1.0, 0.4)
+        lo, hi = trapping.equatorial_beta_range(0.0, params, trapping.ReducedFamily(params))
         assert abs(hi) != pytest.approx(abs(lo), abs=1e-3)
 
     def test_exponent_is_the_top_eigenvalue(self):
@@ -191,11 +246,11 @@ class TestFamilyAndShell:
 
 class TestCertify:
     def test_static_certificate(self):
-        cert = trapping.certify(0.0, KerrParams(), horizon=6.0)
+        cert = trapping.certify(0.0, KerrParams(), horizon=6.0, r_max=R_MAX, tol=TOL)
         assert cert.passed
         assert cert.reasons == []
         assert cert.theta_rate == pytest.approx(MU0, rel=1e-12)
-        assert len(cert.ratio_checks) == trapping.RNORM_DEFAULT
+        assert len(cert.ratio_checks) == R_MAX
         assert all(c.passed for c in cert.ratio_checks)
         assert all(c.theta0 > 0 for c in cert.ratio_checks)
         assert cert.tangential_degree == 0
@@ -206,7 +261,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("spin", [0.5, 0.9, 0.95, 0.99])
     def test_rates_are_the_normal_exponent(self, spin):
-        cert = trapping.certify(0.0, KerrParams(1.0, spin), horizon=5.0)
+        cert = trapping.certify(0.0, KerrParams(1.0, spin), horizon=5.0, r_max=R_MAX, tol=TOL)
         assert cert.passed, cert.reasons
         for s in cert.beta_samples:
             assert s.rate_plus == pytest.approx(s.chart.normal_exponent, rel=1e-12)
@@ -215,13 +270,13 @@ class TestCertify:
     @pytest.mark.parametrize("spin, degree", [(0.0, 0), (0.5, 1), (0.9, 1)])
     def test_tangential_degree_matches_dense_envelope(self, spin, degree):
         params = KerrParams(1.0, spin)
-        cert = trapping.certify(0.0, params, horizon=5.0)
+        cert = trapping.certify(0.0, params, horizon=5.0, r_max=R_MAX, tol=TOL)
         assert cert.tangential_degree == degree
         fam = trapping.ReducedFamily(params)
         for s in cert.beta_samples:
             assert s.tangential_degree == degree
             orbit = trapping.ShellOrbit(fam, s.chart.beta, 0.0)
-            cocycle = orbit.tangent_cocycle(5.0)
+            cocycle = orbit.tangent_cocycle(5.0, TOL)
             L, F, P = orbit.embed_diff, orbit.tangential_frame(), cocycle.period
 
             def sigma(t):
@@ -249,7 +304,7 @@ class TestCertify:
         params = KerrParams(1.0, 0.5)
         docs = [
             trapping.certificate_to_dict(
-                trapping.certify(0.0, params, horizon=horizon)
+                trapping.certify(0.0, params, horizon=horizon, r_max=R_MAX, tol=TOL)
             )
             for horizon in (1.0, 50.0)
         ]
@@ -259,10 +314,10 @@ class TestCertify:
         # 0.1 is shorter than the theta-period
         for horizon in (0.0, 0.1):
             with pytest.raises(InvalidHorizon):
-                trapping.certify(0.0, KerrParams(), horizon=horizon)
+                trapping.certify(0.0, KerrParams(), horizon=horizon, r_max=R_MAX, tol=TOL)
 
     def test_certificate_dict_schema(self):
-        cert = trapping.certify(0.0, KerrParams(), horizon=4.0)
+        cert = trapping.certify(0.0, KerrParams(), horizon=4.0, r_max=R_MAX, tol=TOL)
         d = trapping.certificate_to_dict(cert)
         assert set(d) == {
             "lambda",
@@ -304,11 +359,13 @@ class TestInvarianceAngle:
 class TestPerturbation:
     def test_epsilon_bound(self):
         with pytest.raises(DomainError):
-            trapping.perturb_and_recertify(KerrParams(), 0.0, 0.2, seed=1)
+            trapping.perturb_and_recertify(
+                KerrParams(), 0.0, 0.2, seed=1, horizon=CLI.horizon, r_max=R_MAX, tol=TOL
+            )
 
     def test_small_perturbation_certificate(self):
         rep = trapping.perturb_and_recertify(
-            KerrParams(), 0.0, 0.005, seed=3, horizon=5.0
+            KerrParams(), 0.0, 0.005, seed=3, horizon=5.0, r_max=R_MAX, tol=TOL
         )
         assert rep.certificate.passed
         assert rep.displacement <= 5.0 * rep.epsilon
@@ -319,7 +376,7 @@ class TestPerturbation:
 
     def test_zero_perturbation_is_identity(self):
         rep = trapping.perturb_and_recertify(
-            KerrParams(), 0.0, 0.0, seed=9, horizon=4.0
+            KerrParams(), 0.0, 0.0, seed=9, horizon=4.0, r_max=R_MAX, tol=TOL
         )
         assert rep.displacement == pytest.approx(0.0, abs=1e-10)
         assert rep.exponent_shift == pytest.approx(0.0, abs=1e-10)
