@@ -20,12 +20,17 @@ resolvent norm 1/sigma_min(A - z) is the top eigenvalue of the Hermitian
 (A - z)^{-H} (A - z)^{-1}, found by ``eigsh`` through one sparse LU.
 
 Three model kinds are built in: ``toy_sech2`` (v = sech^2 x - 1, flat
-mass), and two barriers built from ``kerr``: ``kerr_equatorial`` is the
-equatorial radial function V = v_beta(r) + (beta - a)^2 of a rotating
-exterior, at the beta of its prograde circular null orbit (closed form),
-scaled to v = V*Delta/r^4 with mass weight m = Delta^2/r^4, and
-``schw_radial`` is the same barrier outside a nonrotating horizon (a = 0,
-where v = 27 M^2 Delta/r^4 - 1).
+mass), and two barriers built from the run's black hole (a ``KerrParams``):
+``kerr_equatorial`` is the equatorial radial function
+V = v_beta(r) + (beta - a)^2 of the rotating exterior, at the beta of its
+prograde circular null orbit (closed form), scaled to v = V*Delta/r^4 with
+mass weight m = Delta^2/r^4, and ``schw_radial`` is the same barrier
+outside a nonrotating horizon of the same mass (the spin is dropped, a = 0,
+where v = 27 M^2 Delta/r^4 - 1).  The toy ignores the black hole.
+
+A problem carries the half-width ``window`` of the real-part window its
+grid is sized for, and ``spectral_gap`` searches that window, so a grid
+and the box searched on it always agree.
 
 The absorber shape is fixed per kind.  Both shapes saturate on the outer
 MARGINS fractions of the domain.  The toy ramps down over the fixed
@@ -48,8 +53,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import kerr
-from .config import MODEL_KINDS
 from .errors import ConvergenceFailure, DomainError, UnderResolved
+from .kerr import KerrParams
 
 DEFAULT_WINDOW = 0.3  # half-width of the real-part window around z = 0
 FLOOR_FACTOR = -1.0  # reported-list floor, in units of h below the axis
@@ -76,12 +81,6 @@ DEPTH_SLOPE = 0.2
 DEPTH_SAT = (0.25, 0.45)
 SEAM_FRACTION = 0.015
 
-_DEFAULT_PARAMS = {
-    "toy_sech2": {},
-    "schw_radial": {"mass": 1.0},
-    "kerr_equatorial": {"mass": 1.0, "spin": 0.0},
-}
-
 _MAX_AUTO_POINTS = 60_000
 
 
@@ -92,10 +91,11 @@ class CapProblem:
     Node samples live on the uniform interior grid of ``(x_min, x_max)``
     with Dirichlet walls at both ends; ``mass_mid`` is sampled at the
     n_points + 1 cell midpoints the flux stencils difference across.
-    ``flat_lo``/``flat_hi`` bound the absorber-free region, and
-    ``exponent`` is the barrier-top normal rate sqrt(2 m |v''|).
-    ``matrix`` is the operator A, assembled on first use and then shared
-    by every solve on the problem.
+    ``window`` is the half-width of the real-part window the grid is
+    sized for and the spectrum is searched in, and ``exponent`` is the
+    barrier-top normal rate sqrt(2 m |v''|).  ``matrix`` is the operator
+    A, assembled on first use and then shared by every solve on the
+    problem.
     """
 
     kind: str
@@ -103,18 +103,11 @@ class CapProblem:
     x_min: float
     x_max: float
     n_points: int
-    x: np.ndarray
+    window: float
     potential: np.ndarray
-    mass_weight: np.ndarray
     mass_mid: np.ndarray
     absorber: np.ndarray
-    barrier_top: float
-    mass_top: float
-    potential_curvature: float
     exponent: float
-    flat_lo: float
-    flat_hi: float
-    params: dict
 
     @property
     def dx(self) -> float:
@@ -122,7 +115,7 @@ class CapProblem:
 
     @cached_property
     def matrix(self) -> sp.csc_matrix:
-        return discretize_sparse(self)
+        return _assemble(self)
 
 
 @dataclass(frozen=True)
@@ -210,12 +203,7 @@ def _depth_profile(x, potential, barrier_top, x_min, x_max, h, scale):
     return scale * w
 
 
-def _kerr_params(params: dict) -> kerr.KerrParams:
-    """Black hole of a barrier kind; validates 0 <= spin < mass."""
-    return kerr.KerrParams(mass=params["mass"], spin=params.get("spin", 0.0))
-
-
-def _critical_orbit(params: kerr.KerrParams):
+def _critical_orbit(params: KerrParams):
     """Radius r* and beta* = -b* of the prograde circular equatorial null orbit.
 
     Closed form: r* = 2M(1 + cos(2/3 acos(-a/M))) and
@@ -228,14 +216,16 @@ def _critical_orbit(params: kerr.KerrParams):
     return r_star, -b_star
 
 
-def _model_functions(kind: str, params: dict):
-    """Closed-form (v, m, top, m_top, v_curv, default_domain) per kind.
+def _model_functions(kind: str, black_hole: KerrParams):
+    """Closed-form (v, m, top, exponent, default_domain) per kind.
 
-    The barrier kinds share one path through ``kerr``: at the critical
-    orbit, v = (v_beta(r) + (beta - a)^2) * Delta/r^4 and m = Delta^2/r^4,
-    the equatorial radial function scaled by Delta/r^4; ``schw_radial``
-    is the same path at a = 0.  Since V = V' = 0 at r*, the top curvature
-    is exactly v''(r*) = v_rr(r*) * Delta*/r*^4.
+    The exponent is the barrier-top normal rate sqrt(2 m |v''|); the toy's
+    is sqrt(2*1*2) = 2.  The barrier kinds share one path through
+    ``kerr``: at the critical orbit of ``black_hole``,
+    v = (v_beta(r) + (beta - a)^2) * Delta/r^4 and m = Delta^2/r^4, the
+    equatorial radial function scaled by Delta/r^4; ``build_model`` hands
+    ``schw_radial`` the black hole without its spin.  Since V = V' = 0 at
+    r*, the top curvature is exactly v''(r*) = v_rr(r*) * Delta*/r*^4.
     """
     if kind == "toy_sech2":
 
@@ -246,9 +236,10 @@ def _model_functions(kind: str, params: dict):
         def m_func(r):
             return np.ones_like(np.asarray(r, dtype=float))
 
-        return v_func, m_func, 0.0, 1.0, -2.0, (-6.0, 6.0)
+        return v_func, m_func, 0.0, 2.0, (-6.0, 6.0)
+    if kind not in ("schw_radial", "kerr_equatorial"):
+        raise DomainError(f"unknown model kind {kind!r}")
 
-    black_hole = _kerr_params(params)
     r_star, beta = _critical_orbit(black_hole)
     shift = (beta - black_hole.spin) ** 2
 
@@ -262,30 +253,12 @@ def _model_functions(kind: str, params: dict):
         return kerr.delta(black_hole, r) ** 2 / r**4
 
     delta_star = kerr.delta(black_hole, r_star)
-    v_rr = kerr.radial_terms(black_hole, beta, r_star)[2]
+    m_top = delta_star**2 / r_star**4
+    v_curv = kerr.radial_terms(black_hole, beta, r_star)[2] * delta_star / r_star**4
     r_h = float(kerr.horizon_radius(black_hole))
     span = r_star - r_h
     domain = (r_h + 0.10 * span, r_star + 3.8 * span)
-    return (
-        v_func,
-        m_func,
-        r_star,
-        delta_star**2 / r_star**4,
-        v_rr * delta_star / r_star**4,
-        domain,
-    )
-
-
-def _merge_params(kind: str, params) -> dict:
-    defaults = _DEFAULT_PARAMS.get(kind)
-    if defaults is None:
-        raise DomainError(f"unknown model kind {kind!r}")
-    merged = dict(defaults)
-    for key, value in dict(params or {}).items():
-        if key not in defaults:
-            raise DomainError(f"unknown parameter {key!r} for kind {kind!r}")
-        merged[key] = value
-    return merged
+    return v_func, m_func, r_star, math.sqrt(2.0 * m_top * max(-v_curv, 0.0)), domain
 
 
 def required_points(length: float, h: float, xi_max: float) -> int:
@@ -297,7 +270,7 @@ def required_points(length: float, h: float, xi_max: float) -> int:
 
 def build_model(
     kind: str,
-    params=None,
+    black_hole: KerrParams = KerrParams(),
     h: float = 0.05,
     grid=None,
     *,
@@ -306,25 +279,29 @@ def build_model(
 ) -> CapProblem:
     """Sample one absorbing-barrier problem onto a uniform Dirichlet grid.
 
-    ``grid`` is an optional (x_min, x_max, n_points) override; when absent
-    the kind's default domain is used and n_points is set by the
-    wavelength rule at the fastest oscillation of energies up to
-    ``window``, the half-width of the real-part window the spectrum is
-    searched in.  An explicit n_points below that rule raises
-    UnderResolved.  The absorber shape is fixed per kind: the toy ramps
-    over the fixed domain fractions TOY_RAMPS, and the barrier kinds key
-    the ramp to barrier depth -v; both saturate on the MARGINS fractions
-    at the ends.  ``absorber_scale`` multiplies the absorber, and 0 builds
-    the absorber-free reference problem (self-adjoint, for calibration).
+    ``black_hole`` is the run's ``KerrParams``: ``kerr_equatorial`` uses it
+    whole, ``schw_radial`` only its mass, and the toy ignores it.
+    ``window`` is the half-width of the real-part window the spectrum is
+    searched in; the problem carries it, so ``spectral_gap`` searches the
+    window the grid was sized for.  ``grid`` is an optional
+    (x_min, x_max, n_points) override; when absent the kind's default
+    domain is used and n_points is set by the wavelength rule at the
+    fastest oscillation of energies up to ``window``.  An explicit
+    n_points below that rule raises UnderResolved.  The absorber shape is
+    fixed per kind: the toy ramps over the fixed domain fractions
+    TOY_RAMPS, and the barrier kinds key the ramp to barrier depth -v;
+    both saturate on the MARGINS fractions at the ends, and the barrier
+    top must lie among the absorber-free nodes.  ``absorber_scale``
+    multiplies the absorber, and 0 builds the absorber-free reference
+    problem (self-adjoint, for calibration).
     """
     if not 0.0 < h < 0.5:
         raise DomainError(f"h must lie in (0, 0.5), got {h:g}")
     if not 0.0 <= absorber_scale <= 1.0:
         raise DomainError(f"absorber scale must lie in [0, 1], got {absorber_scale:g}")
-    merged = _merge_params(kind, params)
-    v_func, m_func, top, m_top, v_curv, default_domain = _model_functions(
-        kind, merged
-    )
+    if kind == "schw_radial":
+        black_hole = KerrParams(mass=black_hole.mass)
+    v_func, m_func, top, exponent, default_domain = _model_functions(kind, black_hole)
     if grid is None:
         x_min, x_max = default_domain
         n_points = None
@@ -333,7 +310,7 @@ def build_model(
     if not x_min < x_max:
         raise DomainError(f"empty domain [{x_min:g}, {x_max:g}]")
     if kind != "toy_sech2":
-        r_h = kerr.horizon_radius(_kerr_params(merged))
+        r_h = kerr.horizon_radius(black_hole)
         if x_min <= r_h:
             raise DomainError(
                 f"inner wall {x_min:g} does not clear the horizon {r_h:g}"
@@ -373,29 +350,22 @@ def build_model(
     x = x_min + dx * np.arange(1, n_points + 1)
     x_mid = x_min + dx * (np.arange(n_points + 1) + 0.5)
     potential = np.asarray(v_func(x), dtype=float)
-    mass_weight = np.asarray(m_func(x), dtype=float)
     mass_mid = np.asarray(m_func(x_mid), dtype=float)
     # flat toy wells keep the banded ramps; barrier kinds need the depth-keyed
     # turn-on or slow near-top waves reflect off the absorber as h shrinks
     if kind == "toy_sech2":
         absorber = _band_profile(x, x_min, x_max, absorber_scale)
-        flat_lo = x_min + (MARGINS[0] + TOY_RAMPS[0]) * length
-        flat_hi = x_max - (MARGINS[1] + TOY_RAMPS[1]) * length
     else:
         absorber = _depth_profile(
             x, potential, top, x_min, x_max, h, absorber_scale
         )
-        zero = np.flatnonzero(absorber == 0.0)
-        if zero.size == 0:
-            raise DomainError("absorber leaves no absorber-free region")
-        flat_lo = float(x[zero[0]])
-        flat_hi = float(x[zero[-1]])
-    if not flat_lo < flat_hi:
-        raise DomainError("absorber ramps leave no absorber-free region")
-    if not flat_lo <= top <= flat_hi:
+    free = x[absorber == 0.0]
+    if free.size < 2:
+        raise DomainError("absorber leaves no absorber-free region")
+    if not free[0] <= top <= free[-1]:
         raise DomainError(
             f"barrier top {top:g} leaves the absorber-free region "
-            f"({flat_lo:g}, {flat_hi:g})"
+            f"({free[0]:g}, {free[-1]:g})"
         )
 
     return CapProblem(
@@ -404,18 +374,11 @@ def build_model(
         x_min=x_min,
         x_max=x_max,
         n_points=n_points,
-        x=x,
+        window=window,
         potential=potential,
-        mass_weight=mass_weight,
         mass_mid=mass_mid,
         absorber=absorber,
-        barrier_top=top,
-        mass_top=m_top,
-        potential_curvature=v_curv,
-        exponent=math.sqrt(2.0 * m_top * max(-v_curv, 0.0)),
-        flat_lo=flat_lo,
-        flat_hi=flat_hi,
-        params=merged,
+        exponent=exponent,
     )
 
 
@@ -444,21 +407,15 @@ def _derivative_matrix(n: int, dx: float) -> sp.csr_matrix:
     return coo.tocsr()
 
 
-def _assemble(problem: CapProblem):
-    """Real-symmetric part (sparse) and absorber diagonal of the operator."""
+def _assemble(problem: CapProblem) -> sp.csc_matrix:
+    """Banded complex matrix A = P - i*diag(W), structurally dissipative."""
     n = problem.n_points
     deriv = _derivative_matrix(n, problem.dx)
     weighted = deriv.multiply(problem.mass_mid[:, None]).tocsr()
     kinetic = (problem.h**2) * (deriv.T @ weighted)
     kinetic = 0.5 * (kinetic + kinetic.T)  # Gram form; kill roundoff skew
     a_real = (kinetic + sp.diags(problem.potential)).tocsr()
-    return a_real, problem.absorber.copy()
-
-
-def discretize_sparse(problem: CapProblem) -> sp.csc_matrix:
-    """Banded complex matrix A = P - i*diag(W), structurally dissipative."""
-    a_real, absorber = _assemble(problem)
-    return (a_real.astype(complex) - 1j * sp.diags(absorber)).tocsc()
+    return (a_real.astype(complex) - 1j * sp.diags(problem.absorber)).tocsc()
 
 
 def _certify(matrix, zs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -488,7 +445,8 @@ def _require_dissipative(zs: np.ndarray) -> None:
 
 
 def _box_eigenpairs(matrix, window: float, bottom: float):
-    """Every eigenpair with |Re z| < window and bottom < Im z <= 0.
+    """Every eigenpair with |Re z| < window and bottom < Im z <= 0, and the
+    residuals it was accepted with.
 
     The box is covered by cells, at first the whole box.  Each cell runs
     ARPACK shift-invert from one shift at its centre through one sparse
@@ -509,7 +467,7 @@ def _box_eigenpairs(matrix, window: float, bottom: float):
     rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     cells = [(-window, window, bottom, DISSIPATIVITY_TOL)]
-    found_z, found_v = [], []
+    found_z, found_v, found_r = [], [], []
     while cells:
         lo, hi, bot, top = cells.pop()
         shift = complex(0.5 * (lo + hi), 0.5 * (bot + top))
@@ -545,9 +503,11 @@ def _box_eigenpairs(matrix, window: float, bottom: float):
             & (zs.imag <= top)
         )
         zs, vecs = zs[own], vecs[:, own]
-        if covered and np.all(_certify(matrix, zs, vecs) < RESIDUAL_TOL):
+        residuals = _certify(matrix, zs, vecs) if covered else None
+        if covered and np.all(residuals < RESIDUAL_TOL):
             found_z.append(zs)
             found_v.append(vecs)
+            found_r.append(residuals)
             continue
         if corner < 1e-6 * window:
             raise ConvergenceFailure(
@@ -560,20 +520,11 @@ def _box_eigenpairs(matrix, window: float, bottom: float):
         else:
             mid = 0.5 * (bot + top)
             cells += [(lo, hi, mid, top), (lo, hi, bot, mid)]
-    return np.concatenate(found_z), np.concatenate(found_v, axis=1)
-
-
-def _eigenpairs(matrix, window: float, floor: float | None):
-    """Window eigenpairs of a csc matrix above ``floor``, by descending
-    imaginary part."""
-    # no eigenvalue lies below the numerical range; the slack mirrors the
-    # dissipativity tolerance above the axis
-    bottom = _range_bottom(matrix) - DISSIPATIVITY_TOL
-    if floor is not None:
-        bottom = max(bottom, floor)
-    zs, vecs = _box_eigenpairs(matrix, window, bottom)
-    order = np.lexsort((zs.real, -zs.imag))
-    return zs[order], vecs[:, order]
+    return (
+        np.concatenate(found_z),
+        np.concatenate(found_v, axis=1),
+        np.concatenate(found_r),
+    )
 
 
 def eigenvalues(matrix, window: float = DEFAULT_WINDOW, floor: float | None = None):
@@ -582,56 +533,48 @@ def eigenvalues(matrix, window: float = DEFAULT_WINDOW, floor: float | None = No
     ``floor=None`` means the bottom of the numerical range, below which
     no eigenvalue lies.  The box is searched on the sparse matrix by
     shift-invert cells (``_box_eigenpairs``); nothing is solved densely.
-    Every returned eigenvalue carries a relative residual, and any
-    residual at or above the certification tolerance raises
-    ConvergenceFailure.  Returns (values, residuals, condition numbers)
-    sorted by descending imaginary part.
+    Every returned eigenvalue carries the relative residual its cell was
+    accepted with, below the certification tolerance RESIDUAL_TOL.
+    Returns (values, residuals, condition numbers) sorted by descending
+    imaginary part.
     """
     if matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"matrix is not square: {matrix.shape}")
     matrix = sp.csc_matrix(matrix, dtype=complex)
-    zs, vecs = _eigenpairs(matrix, window, floor)
-    residuals = _certify(matrix, zs, vecs)
-    if zs.size and np.max(residuals) >= RESIDUAL_TOL:
-        i = int(np.argmax(residuals))
-        raise ConvergenceFailure(
-            f"eigenpair at z = {zs[i]:.6g} has residual {residuals[i]:.3e}"
-        )
-    return zs, residuals, _conditions(vecs)
+    # no eigenvalue lies below the numerical range; the slack mirrors the
+    # dissipativity tolerance above the axis
+    bottom = _range_bottom(matrix) - DISSIPATIVITY_TOL
+    if floor is not None:
+        bottom = max(bottom, floor)
+    zs, vecs, residuals = _box_eigenpairs(matrix, window, bottom)
+    order = np.lexsort((zs.real, -zs.imag))
+    return zs[order], residuals[order], _conditions(vecs[:, order])
 
 
-def _shallowest(search, floor: float, matrix):
-    """``search(bottom)`` from ``floor`` down, doubling the depth while it
-    finds nothing, until the box holds the whole numerical range."""
-    lowest = _range_bottom(matrix)
-    bottom = floor
-    while True:
-        found = search(bottom)
-        if found[0].size:
-            return found
-        if bottom <= lowest:
-            raise ConvergenceFailure("no window eigenvalue below the axis")
-        bottom *= 2.0
-
-
-def spectral_gap(
-    problem: CapProblem, *, window: float = DEFAULT_WINDOW
-) -> SpectrumReport:
-    """Windowed spectrum report with gap, nu = gap/h, and the norm at z = 0.
+def spectral_gap(problem: CapProblem) -> SpectrumReport:
+    """Spectrum report in the problem's window: gap, nu = gap/h, and the
+    norm at z = 0.
 
     The box search starts at the floor (FLOOR_FACTOR * h below the axis)
-    and doubles its depth while it finds nothing, so the gap is always
-    the distance from the axis to the top window eigenvalue; the floor
-    only trims the reported eigenvalue list.
+    and doubles its depth while it finds nothing, until the box holds the
+    whole numerical range, so the gap is always the distance from the
+    axis to the top window eigenvalue; the floor only trims the reported
+    eigenvalue list.
     """
     start = time.perf_counter()
     floor = FLOOR_FACTOR * problem.h
     matrix = problem.matrix
-    zs, residuals, conditions = _shallowest(
-        lambda bottom: eigenvalues(matrix, window=window, floor=bottom),
-        floor,
-        matrix,
-    )
+    lowest = _range_bottom(matrix)
+    bottom = floor
+    while True:
+        zs, residuals, conditions = eigenvalues(
+            matrix, window=problem.window, floor=bottom
+        )
+        if zs.size:
+            break
+        if bottom <= lowest:
+            raise ConvergenceFailure("no window eigenvalue below the axis")
+        bottom *= 2.0
     gap = float(-zs[0].imag)
     nu = gap / problem.h
     keep = zs.imag > floor
@@ -639,7 +582,7 @@ def spectral_gap(
         kind=problem.kind,
         h=problem.h,
         n_points=problem.n_points,
-        window=window,
+        window=problem.window,
         floor=floor,
         eigenvalues=zs[keep],
         residuals=residuals[keep],

@@ -86,7 +86,7 @@ def _check_writable(directory: Path) -> None:
         directory.mkdir(parents=True, exist_ok=True)
         with tempfile.NamedTemporaryFile(dir=directory, prefix=".probe."):
             pass
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ValidationError(
             f"not writable: {exc}", key="output_dir"
         ) from exc
@@ -98,14 +98,6 @@ def _run_jobs(jobs, workers: int):
         return [job() for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return [future.result() for future in [pool.submit(j) for j in jobs]]
-
-
-def _spectrum_params(cfg: RunConfig):
-    if cfg.model == "toy_sech2":
-        return None
-    if cfg.model == "schw_radial":
-        return {"mass": cfg.kerr_mass}
-    return {"mass": cfg.kerr_mass, "spin": cfg.kerr_spin}
 
 
 def _cmd_trap_find(cfg: RunConfig, workers: int) -> Outcome:
@@ -252,10 +244,8 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
     from . import capspec
 
     def gap_job(h: float):
-        problem = capspec.build_model(
-            cfg.model, _spectrum_params(cfg), h=h, window=cfg.window
-        )
-        return capspec.spectral_gap(problem, window=cfg.window)
+        problem = capspec.build_model(cfg.model, cfg.kerr, h=h, window=cfg.window)
+        return capspec.spectral_gap(problem)
 
     h_list = tuple(cfg.h_list if cfg.h_list is not None else DEFAULT_H_LIST)
     reports = _run_jobs([partial(gap_job, h) for h in h_list], workers)
@@ -308,10 +298,8 @@ def uhp_samples(window: float, seed: int) -> list:
 def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
     from . import capspec
 
-    problem = capspec.build_model(
-        cfg.model, _spectrum_params(cfg), h=cfg.h, window=cfg.window
-    )
-    report = capspec.spectral_gap(problem, window=cfg.window)
+    problem = capspec.build_model(cfg.model, cfg.kerr, h=cfg.h, window=cfg.window)
+    report = capspec.spectral_gap(problem)
     samples = uhp_samples(cfg.window, cfg.seed)
     norms = _run_jobs(
         [partial(capspec.resolvent_norm, problem.matrix, z) for z in samples],
@@ -505,7 +493,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.config.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         print(f"config error: cannot read {args.config}: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -384,7 +384,7 @@ class _Stepper:
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step fails too
                 return False
             t_new = t + h_abs * self.direction
             if self.direction * (t_new - self.t_bound) > 0:

@@ -535,11 +535,22 @@ def _ratio_sup(r: int, a: float, b: float, k: float) -> float:
     """sup over t >= 0 of (a + b*t)^r exp(-k*t), for a > 0, b >= 0, k > 0.
 
     The log is concave in t, so the sup sits at t = 0 unless the stationary
-    point t* = r/k - a/b, where a + b*t* = r*b/k, is positive.
+    point t* = r/k - a/b, where a + b*t* = r*b/k, is positive.  A sup past
+    the float range raises DomainError, since r runs up to the config's
+    r_max.
     """
-    if r * b <= k * a:
-        return a**r
-    return (r * b / k) ** r * math.exp(k * a / b - r)
+    try:
+        if r * b <= k * a:
+            value = a**r
+        else:
+            value = (r * b / k) ** r * math.exp(k * a / b - r)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise DomainError(
+            f"r_max is too large: the ratio bound overflows a float at r = {r}"
+        )
+    return value
 
 
 def certify(

@@ -26,26 +26,28 @@ def laplacian_reference(h: float, n_points: int,
 
     The continuum eigenvalues are h^2 (j pi / length)^2.
     """
-    dx = length / (n_points + 1)
     return capspec.CapProblem(
         kind="reference",
         h=h,
         x_min=0.0,
         x_max=length,
         n_points=n_points,
-        x=dx * np.arange(1, n_points + 1),
+        window=capspec.DEFAULT_WINDOW,
         potential=np.zeros(n_points),
-        mass_weight=np.ones(n_points),
         mass_mid=np.ones(n_points + 1),
         absorber=np.zeros(n_points),
-        barrier_top=0.5 * length,
-        mass_top=1.0,
-        potential_curvature=0.0,
         exponent=0.0,
-        flat_lo=0.0,
-        flat_hi=length,
-        params={},
     )
+
+
+def nodes(p: capspec.CapProblem) -> np.ndarray:
+    """The interior grid nodes the problem is sampled on."""
+    return p.x_min + p.dx * np.arange(1, p.n_points + 1)
+
+
+def absorber_free(p: capspec.CapProblem) -> np.ndarray:
+    """The nodes where the absorber vanishes."""
+    return nodes(p)[p.absorber == 0.0]
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +57,7 @@ def toy_problem():
 
 @pytest.fixture(scope="module")
 def toy_window(toy_problem):
-    matrix = capspec.discretize_sparse(toy_problem)
-    return capspec.eigenvalues(matrix, window=0.3, floor=None)
+    return capspec.eigenvalues(toy_problem.matrix, window=0.3, floor=None)
 
 
 @pytest.fixture(scope="module")
@@ -69,43 +70,56 @@ class TestBuildModel:
         p = toy_problem
         assert p.kind == "toy_sech2"
         assert p.x_min == -6.0 and p.x_max == 6.0
-        # band ramps: 10% margins, then 30% ramps, at each end
-        assert (p.flat_lo, p.flat_hi) == pytest.approx((-1.2, 1.2), abs=1e-14)
-        assert p.x.shape == (p.n_points,)
+        assert p.window == capspec.DEFAULT_WINDOW
+        assert p.potential.shape == p.absorber.shape == (p.n_points,)
+        assert p.mass_mid.shape == (p.n_points + 1,)
         assert p.dx == pytest.approx((p.x_max - p.x_min) / (p.n_points + 1))
+        # band ramps: 10% margins, then 30% ramps, at each end
+        free = absorber_free(p)
+        assert -1.2 <= free[0] < -1.2 + p.dx
+        assert 1.2 - p.dx < free[-1] <= 1.2
 
     def test_absorber_range_and_margins(self, toy_problem, schw_problem):
         for p in (toy_problem, schw_problem):
-            w = p.absorber
+            w, x = p.absorber, nodes(p)
             assert w.min() >= 0.0 and w.max() <= 1.0
             length = p.x_max - p.x_min
-            lo = p.x <= p.x_min + capspec.MARGINS[0] * length
-            hi = p.x >= p.x_max - capspec.MARGINS[1] * length
+            lo = x <= p.x_min + capspec.MARGINS[0] * length
+            hi = x >= p.x_max - capspec.MARGINS[1] * length
             assert np.all(w[lo] == 1.0)
             assert np.all(w[hi] == 1.0)
-            flat = (p.x >= p.flat_lo) & (p.x <= p.flat_hi)
-            assert np.all(w[flat] == 0.0)
+            # the absorber-free nodes form one unbroken stretch
+            flat = np.flatnonzero(w == 0.0)
+            assert flat.size > 1 and np.all(np.diff(flat) == 1)
 
     def test_schw_depth_profile(self, schw_problem):
         p = schw_problem
-        assert p.flat_lo < 3.0 < p.flat_hi
+        free = absorber_free(p)
+        assert free[0] < 3.0 < free[-1]
         # absorber vanishes at the barrier top node
-        i_top = int(np.argmin(np.abs(p.x - 3.0)))
+        i_top = int(np.argmin(np.abs(nodes(p) - 3.0)))
         assert p.absorber[i_top] == 0.0
 
-    def test_schw_barrier_top_values(self, schw_problem):
+    def test_schw_barrier_top_values(self):
         # v(3M) = 0, v'(3M) = 0 and m(3M) = 1/9 at the critical b^2 = 27 M^2
-        assert schw_problem.params == {"mass": 1.0}
-        v_func, m_func, top, m_top, _, _ = capspec._model_functions(
-            "schw_radial", schw_problem.params
+        v_func, m_func, top, exponent, _ = capspec._model_functions(
+            "schw_radial", KerrParams()
         )
-        assert top == schw_problem.barrier_top == 3.0
+        assert top == 3.0
         assert v_func(3.0) == pytest.approx(0.0, abs=1e-13)
         h = 1e-5
         slope = (v_func(3.0 + h) - v_func(3.0 - h)) / (2.0 * h)
         assert slope == pytest.approx(0.0, abs=1e-9)
         assert m_func(3.0) == pytest.approx(1.0 / 9.0, abs=1e-15)
-        assert m_top == schw_problem.mass_top == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert exponent == pytest.approx(MU_EFF, abs=1e-13)
+
+    def test_schw_ignores_spin(self, schw_problem):
+        spinning = capspec.build_model("schw_radial", KerrParams(spin=0.7), h=0.05)
+        assert np.array_equal(spinning.potential, schw_problem.potential)
+        assert np.array_equal(spinning.absorber, schw_problem.absorber)
+        assert spinning.exponent == schw_problem.exponent
+        heavy = capspec.build_model("schw_radial", KerrParams(mass=2.0), h=0.05)
+        assert heavy.x_min == pytest.approx(2.0 * schw_problem.x_min, rel=1e-15)
 
     def test_exponent_identity(self, schw_problem):
         # the rescaling by Delta/r^4 divides the shell's rate by r*^4/Delta* = 27
@@ -116,9 +130,7 @@ class TestBuildModel:
         assert schw_problem.exponent == pytest.approx(MU_EFF, abs=1e-13)
 
     def test_kerr_static_reduces_to_schw(self, schw_problem):
-        pk = capspec.build_model(
-            "kerr_equatorial", {"mass": 1.0, "spin": 0.0}, h=0.05
-        )
+        pk = capspec.build_model("kerr_equatorial", KerrParams(), h=0.05)
         ps = schw_problem
         assert (pk.x_min, pk.x_max, pk.n_points) == (
             ps.x_min,
@@ -126,10 +138,10 @@ class TestBuildModel:
             ps.n_points,
         )
         assert np.max(np.abs(pk.potential - ps.potential)) < 1e-14
-        assert np.max(np.abs(pk.mass_weight - ps.mass_weight)) < 1e-14
+        assert np.max(np.abs(pk.mass_mid - ps.mass_mid)) < 1e-14
         assert np.max(np.abs(pk.absorber - ps.absorber)) < 1e-13
         assert pk.exponent == pytest.approx(ps.exponent, abs=1e-13)
-        static = capspec.build_model("kerr_equatorial", {"spin": 0.0})
+        static = capspec.build_model("kerr_equatorial")
         assert static.exponent == pytest.approx(MU_EFF, abs=1e-14)
 
     @pytest.mark.parametrize("spin", [0.0, 0.3, 0.5, 0.9, 0.99])
@@ -156,16 +168,15 @@ class TestBuildModel:
             )
         assert abs(r_star - float(root[0])) < 1e-14 * r_star
         assert abs(beta - float(root[1])) < 1e-14 * max(1.0, abs(beta))
-        problem = capspec.build_model("kerr_equatorial", {"spin": spin}, h=0.1)
-        assert problem.barrier_top == r_star
+        assert capspec._model_functions("kerr_equatorial", params)[2] == r_star
 
     def test_kerr_spinning_domain(self):
-        p = capspec.build_model(
-            "kerr_equatorial", {"mass": 1.0, "spin": 0.4}, h=0.1
-        )
+        params = KerrParams(mass=1.0, spin=0.4)
+        p = capspec.build_model("kerr_equatorial", params, h=0.1)
         horizon = 1.0 + math.sqrt(1.0 - 0.16)
         assert p.x_min > horizon
-        assert p.flat_lo < p.barrier_top < p.flat_hi
+        free = absorber_free(p)
+        assert free[0] < capspec._critical_orbit(params)[0] < free[-1]
 
     def test_wavelength_rule(self):
         with pytest.raises(UnderResolved):
@@ -190,15 +201,6 @@ class TestBuildModel:
             capspec.build_model("toy_sech2", grid=(4.0, -4.0, 500))
         with pytest.raises(DomainError):
             capspec.build_model("no_such_model")
-        for kind, params in (
-            ("kerr_equatorial", {"spin": 1.0}),
-            ("kerr_equatorial", {"spin": -0.1}),
-            ("schw_radial", {"mass": 0.0}),
-            ("schw_radial", {"k_ang": 27.0}),
-            ("kerr_equatorial", {"branch": "prograde"}),
-        ):
-            with pytest.raises(DomainError):
-                capspec.build_model(kind, params)
 
     def test_absorber_scale_zero(self):
         p = capspec.build_model("toy_sech2", h=0.1, absorber_scale=0.0)
@@ -229,11 +231,14 @@ class TestSemigroup:
         # barrier-top linearization [[0, 2m], [-v'', 0]] of the flow field;
         # for sech^2 x - 1 (m = 1, v'' = -2) its positive eigenvalue
         # sqrt(2 m |v''|) = 2 is the problem's exponent
-        p = toy_problem
-        gen = np.array([[0.0, 2.0 * p.mass_top], [-p.potential_curvature, 0.0]])
-        assert np.max(np.abs(gen - np.array([[0.0, 2.0], [2.0, 0.0]]))) < 1e-12
+        v_func, m_func, top, _, _ = capspec._model_functions("toy_sech2", KerrParams())
+        step = 1e-4
+        v_curv = (v_func(top + step) - 2.0 * v_func(top) + v_func(top - step)) / step**2
+        gen = np.array([[0.0, 2.0 * m_func(top)], [-v_curv, 0.0]])
+        assert np.max(np.abs(gen - np.array([[0.0, 2.0], [2.0, 0.0]]))) < 1e-6
         rate = float(np.max(np.linalg.eigvals(gen).real))
-        assert rate == pytest.approx(p.exponent, abs=1e-12)
+        assert rate == pytest.approx(toy_problem.exponent, abs=1e-6)
+        assert toy_problem.exponent == 2.0
 
 
 class TestDiscretization:
@@ -249,7 +254,7 @@ class TestDiscretization:
         errs = []
         for n in (100, 200, 400):
             ref = laplacian_reference(h=0.1, n_points=n)
-            matrix = capspec.discretize_sparse(ref).toarray()
+            matrix = ref.matrix.toarray()
             vals = np.sort(np.linalg.eigvalsh(matrix.real))
             exact = (0.1 * np.arange(1, 4)) ** 2
             errs.append(np.max(np.abs(vals[:3] - exact)))
@@ -257,11 +262,11 @@ class TestDiscretization:
         assert min(rates) > 3.5
 
     def test_matrix_symmetry(self, toy_problem):
-        matrix = capspec.discretize_sparse(toy_problem)
+        matrix = toy_problem.matrix
         assert abs(matrix - matrix.T).max() == 0.0
 
     def test_numerical_range_identity(self, toy_problem):
-        matrix = capspec.discretize_sparse(toy_problem)
+        matrix = toy_problem.matrix
         rng = np.random.default_rng(7)
         for _ in range(6):
             u = rng.standard_normal(toy_problem.n_points) + 1j * rng.standard_normal(
@@ -275,9 +280,7 @@ class TestDiscretization:
 
     def test_absorber_free_is_self_adjoint(self):
         p = capspec.build_model("toy_sech2", h=0.1, absorber_scale=0.0)
-        vals, _, _ = capspec.eigenvalues(
-            capspec.discretize_sparse(p), window=0.3, floor=None
-        )
+        vals, _, _ = capspec.eigenvalues(p.matrix, window=0.3, floor=None)
         assert np.max(np.abs(vals.imag)) < 1e-10
 
 
@@ -303,7 +306,7 @@ class TestEigenvalues:
 
     def test_dense_matches_shift_invert(self):
         p = capspec.build_model("toy_sech2", h=0.1, grid=(-4.0, 4.0, 1000))
-        matrix = capspec.discretize_sparse(p)
+        matrix = p.matrix
         zd, _, _ = dense_eigenvalues(matrix)
         zi, _, _ = capspec.eigenvalues(matrix)
         top_d = zd[np.argmax(zd.imag)]
@@ -315,7 +318,7 @@ class TestEigenvalues:
         tops = []
         for n in (2000, 4000):
             p = capspec.build_model("toy_sech2", h=0.1, grid=(-4.0, 4.0, n))
-            zs, _, _ = capspec.eigenvalues(capspec.discretize_sparse(p))
+            zs, _, _ = capspec.eigenvalues(p.matrix)
             tops.append(zs[np.argmax(zs.imag)])
         assert abs(tops[0] - tops[1]) < 1e-6
 
@@ -329,14 +332,17 @@ class TestEigenvalues:
             ("toy_sech2", None, 1.0),
             ("toy_sech2", None, 0.0),
             ("schw_radial", None, 1.0),
-            ("kerr_equatorial", {"spin": 0.5}, 1.0),
+            ("kerr_equatorial", KerrParams(spin=0.5), 1.0),
         ],
     )
     @pytest.mark.parametrize("floor_factor", [-1.0, -6.0, None])
     def test_box_matches_dense_oracle(self, kind, params, scale, floor_factor):
-        # absorber_scale = 0 is the absorber-free, all-real case
-        p = capspec.build_model(kind, params, h=0.1, absorber_scale=scale)
-        matrix = capspec.discretize_sparse(p)
+        # absorber_scale = 0 is the absorber-free, all-real case; None is
+        # the default black hole
+        p = capspec.build_model(
+            kind, params or KerrParams(), h=0.1, absorber_scale=scale
+        )
+        matrix = p.matrix
         floor = None if floor_factor is None else floor_factor * p.h
         zd, rd, kd = dense_eigenvalues(matrix, floor=floor)
         zb, rb, _ = capspec.eigenvalues(matrix, floor=floor)
@@ -349,7 +355,7 @@ class TestEigenvalues:
 
     def test_condition_numbers_match_left_eigenvectors(self):
         p = capspec.build_model("schw_radial", h=0.1)
-        matrix = capspec.discretize_sparse(p)
+        matrix = p.matrix
         zs, _, kappa = capspec.eigenvalues(matrix, floor=-6.0 * p.h)
         vals, left, right = sla.eig(matrix.toarray(), left=True)
         for z, k in zip(zs, kappa):
@@ -378,6 +384,13 @@ class TestSpectralGap:
         )
         assert -deep[0].imag == pytest.approx(rep.gap, rel=1e-12)
         assert deep.size > rep.eigenvalues.size
+
+    def test_searches_the_problem_window(self):
+        p = capspec.build_model("toy_sech2", h=0.1, window=0.6)
+        rep = capspec.spectral_gap(p)
+        assert rep.window == p.window == 0.6
+        wide, _, _ = capspec.eigenvalues(p.matrix, window=0.6, floor=rep.floor)
+        assert np.array_equal(rep.eigenvalues, wide)
 
     def test_toy_gap_tracks_string(self, toy_problem):
         rep = capspec.spectral_gap(toy_problem)
@@ -431,7 +444,7 @@ class TestResolvent:
 
     def test_lanczos_matches_dense_svd(self, toy_problem):
         # every fifth of the spectrum-resolvent samples at seed 1
-        matrix = capspec.discretize_sparse(toy_problem).toarray()
+        matrix = toy_problem.matrix.toarray()
         eye = np.eye(toy_problem.n_points)
         for z in cli.uhp_samples(0.3, 1)[::5]:
             exact = 1.0 / sla.svdvals(matrix - z * eye)[-1]

@@ -174,11 +174,13 @@ def test_import_footprint(tmp_path, command, text, absent, present):
 
 
 class TestConfigErrors:
-    def test_missing_config_file(self, tmp_path):
-        code = cli.main(
-            ["trap-find", "--config", str(tmp_path / "absent.cfg")]
-        )
-        assert code == 2
+    def test_missing_config_file(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin.cfg"
+        not_utf8.write_bytes(b"command = trap-find\n\xff\xfe\n")
+        for cfg in (tmp_path / "absent.cfg", not_utf8):
+            code = cli.main(["trap-find", "--config", str(cfg)])
+            assert code == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_unknown_key(self, tmp_path):
         code, _ = run_cli(tmp_path, "trap-find", "warp_factor = 9\n")
@@ -200,21 +202,23 @@ class TestConfigErrors:
         )
         assert code == 2
 
-    def test_unwritable_output_dir(self, tmp_path):
+    def test_unwritable_output_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory\n")
         cfg = tmp_path / "c.cfg"
         cfg.write_text("command = trap-find\n")
-        code = cli.main(
-            [
-                "trap-find",
-                "--config",
-                str(cfg),
-                "--out",
-                str(blocker / "sub"),
-            ]
-        )
-        assert code == 2
+        for out in (blocker / "sub", tmp_path / "nul\x00byte"):
+            code = cli.main(
+                [
+                    "trap-find",
+                    "--config",
+                    str(cfg),
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert code == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_handler_crash_exits_three(self, tmp_path, monkeypatch, capsys):
         def crash(cfg, workers):
@@ -293,6 +297,23 @@ class TestFlowIntegrate:
         failures = read_failures(out)
         assert failures and failures[0]["type"] == "ChartExit"
         assert not (out / "orbit.csv").exists()
+
+    def test_overflowing_field_is_numerical_failure(self, tmp_path):
+        # the field overflows at the start, so the first step size is NaN;
+        # a fresh interpreter with a timeout fails the test instead of hanging
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("orbit.beta = 1e300\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhtrap.cli", "flow-integrate",
+             "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 3
+        assert "StepFailure" in (tmp_path / "out" / "failures.json").read_text()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("key", ["orbit.theta = 0", "orbit.r = 2.0000001"])
@@ -487,6 +508,14 @@ class TestCertifyAndPerturb:
         )
         assert code == 2
         assert "too short" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
+    def test_overflowing_ratio_bound_is_config_error(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "trap-certify", "kerr.spin = 0.9\nr_max = 90\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "r_max" in err and "r = 85" in err
+        assert "internal error" not in err
         assert not (out / "certificate.json").exists()
 
     def test_perturb_short_horizon(self, tmp_path, capsys):

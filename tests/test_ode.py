@@ -1,6 +1,10 @@
 """The in-house DOP853 against scipy's solve_ivp(method="DOP853") as oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,26 @@ class TestFlowStatuses:
         assert ours.t[-1] == pytest.approx(math.log(5.0) / 2.0, abs=1e-6)
         with pytest.raises(StepFailure):
             flow.integrate_flow(model, y0, 2.0, tol=1e-10)
+
+    def test_nan_field_fails_without_hanging(self):
+        # a NaN first step size once passed the too-small test forever; a
+        # fresh interpreter with a timeout fails the test instead of hanging
+        probe = (
+            "import numpy as np\n"
+            "from nhtrap import ode\n"
+            "result = ode.solve_ivp(lambda t, y: np.full(2, np.nan), (0.0, 1.0), [1.0, 0.0])\n"
+            "print(result.status)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["-1"]
 
 
 class TestBrentq:
