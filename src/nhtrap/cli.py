@@ -7,9 +7,10 @@ handler imports the numerical layer it runs as its first statement, in
 the main thread before ``_run_jobs`` fans out, and never inside a job:
 ``capspec`` for the spectrum commands, ``escape`` and ``models`` for
 escape-check, ``trapping`` for trap-find, trap-certify and perturb, and
-``flow`` and ``models`` for flow-integrate.  Jobs call the layer through
-its module attributes.  Only the spectrum commands load scipy (through
-``capspec``): the other layers integrate and find roots with ``ode``.
+``flow``, ``kerr`` (the Carter column) and ``models`` for flow-integrate.
+Jobs call the layer through its module attributes.  Only the spectrum
+commands load scipy (through ``capspec``): the other layers integrate and
+find roots with ``ode``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from . import artifacts
 from .config import COMMANDS, RunConfig, parse_config
 from .errors import (
+    ChartExit,
     ConfigError,
     DomainError,
     InvalidHorizon,
@@ -333,9 +335,10 @@ def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
 
 
 def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
-    from . import flow, models
+    from . import flow, kerr, models
 
-    model = models.full_kerr_model(cfg.kerr)
+    params = cfg.kerr
+    model = models.full_kerr_model(params)
     start = np.array(
         [
             cfg.orbit["r"],
@@ -361,13 +364,17 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
             state[5],
             model.evaluate(state),
             beta_ref,
-            model.conserved_list["carter"](state),
+            float(kerr.carter(params, state[1], state[4], state[5])),
         )
 
     # integrate_flow checks the chart before any row evaluates p
     states = [start]
     for t_prev, t_next in zip(times, times[1:]):
-        result = flow.integrate_flow(model, states[-1], t_next - t_prev, tol=tol)
+        try:
+            result = flow.integrate_flow(model, states[-1], t_next - t_prev, tol=tol)
+        except ChartExit as exc:  # its exit time counts from t_prev
+            t_exit = float(t_prev) + exc.exit_time
+            raise ChartExit(f"orbit left the chart at t={t_exit}", t_exit, exc.partial)
         states.append(result.end_state)
     rows = [row_at(state, float(t)) for state, t in zip(states, times)]
     out = Outcome()
@@ -516,18 +523,19 @@ def main(argv=None) -> int:
 
     try:
         outcome = _HANDLERS[cfg.command](cfg, workers)
-    except _CONFIG_FAULTS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except Exception as exc:  # exit 3 with a failures.json entry, no traceback
+    except Exception as exc:  # exit 2 or 3 with a failures.json entry, no traceback
         failure = {"check": "run", "error": str(exc), "type": type(exc).__name__}
-        if isinstance(exc, NhtrapError):
+        code = EXIT_NUMERICAL_FAILURE
+        if isinstance(exc, _CONFIG_FAULTS):
+            print(f"config error: {exc}", file=sys.stderr)
+            failure["check"], code = "config", EXIT_CONFIG_ERROR
+        elif isinstance(exc, NhtrapError):
             print(f"numerical failure: {exc}", file=sys.stderr)
         else:
             print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
             failure["traceback"] = traceback.format_exc()
         artifacts.write_failures(cfg.output_dir, [failure])
-        return EXIT_NUMERICAL_FAILURE
+        return code
 
     _write_outcome(cfg.output_dir, outcome)
     for line in outcome.summaries:

@@ -21,9 +21,11 @@ commutator floor differentiates the hatted defining functions, and the
 G1 check differentiates G1.  The Poisson bracket is
 {f, g} = f_xi g_x - f_x g_xi (`_poisson`), and H_p f = {p, f}.
 Each defining function is the graph polynomial itself, with xi-derivative
-identically 1, and each rate field c^2 is used as constructed; radii are
-measured in the saddle-adapted metric s^2 = kappa^2 dx^2 + dxi^2 with
-kappa the slope magnitude of the invariant graphs.
+identically 1, and each rate field c^2 is used as constructed.  The pair
+says each of them once, indexed by side (+1 for phi+, -1 for phi-).  It
+also owns the saddle-adapted chart (x_s + a/kappa, xi_s + b), with kappa
+the slope magnitude of the invariant graphs: every grid, sample disc and
+cutoff radius is laid out in (a, b), where s^2 = a^2 + b^2.
 """
 
 from __future__ import annotations
@@ -69,10 +71,13 @@ def _poisson(df, dg):
 class DefiningPair:
     """Quadratic-order defining functions of the two invariant graphs.
 
-    phi_plus vanishes on the unstable graph (decays forward under H_p),
-    phi_minus on the stable one.  c_plus/c_minus are the smooth rate
-    fields with -H_p phi_+ = c_+^2 phi_+ and H_p phi_- = c_-^2 phi_-
-    up to the cubic construction error.
+    Every method takes the side: +1 for phi+, which vanishes on the
+    unstable graph (decays forward under H_p), -1 for phi-, which vanishes
+    on the stable one.  c2 is the smooth rate field with
+    -H_p phi_+ = c_+^2 phi_+ and H_p phi_- = c_-^2 phi_- up to the cubic
+    construction error.  The pair also owns the saddle-adapted chart
+    (x, xi) = (x_s + a/kappa, xi_s + b): `point` maps (a, b) to phase
+    space and `adapted_radius` is hypot(a, b).
     """
 
     model: HamiltonianModel
@@ -85,52 +90,41 @@ class DefiningPair:
     kappa: float              # adapted-metric slope scale
     c0: float                 # {phi+, phi-} at the saddle
 
-    # -- graph polynomials --------------------------------------------------
-    def _phi(self, rho, gamma: float, quad: float):
+    def _graph(self, side: int) -> tuple[float, float]:
+        """(gamma, quad) of the graph polynomial on this side."""
+        if side > 0:
+            return self.gamma_plus, self.quad_plus
+        return self.gamma_minus, self.quad_minus
+
+    def phi(self, rho, side: int):
+        gamma, quad = self._graph(side)
         dx = rho[0] - self.saddle[0]
         return (rho[1] - self.saddle[1]) - gamma * dx - 0.5 * quad * dx * dx
 
-    def _grad_phi(self, rho, gamma: float, quad: float) -> np.ndarray:
+    def grad_phi(self, rho, side: int) -> np.ndarray:
+        gamma, quad = self._graph(side)
         g0 = -gamma - quad * (rho[0] - self.saddle[0])
         return np.stack([g0, np.ones_like(g0)])
 
-    def phi_plus(self, rho):
-        return self._phi(rho, self.gamma_plus, self.quad_plus)
+    def hp_phi(self, rho, side: int):
+        return _poisson(self.model.gradient(rho), self.grad_phi(rho, side))
 
-    def phi_minus(self, rho):
-        return self._phi(rho, self.gamma_minus, self.quad_minus)
-
-    def grad_phi_plus(self, rho) -> np.ndarray:
-        return self._grad_phi(rho, self.gamma_plus, self.quad_plus)
-
-    def grad_phi_minus(self, rho) -> np.ndarray:
-        return self._grad_phi(rho, self.gamma_minus, self.quad_minus)
-
-    def hp_phi_plus(self, rho):
-        return _poisson(self.model.gradient(rho), self.grad_phi_plus(rho))
-
-    def hp_phi_minus(self, rho):
-        return _poisson(self.model.gradient(rho), self.grad_phi_minus(rho))
-
-    # -- rate fields -------------------------------------------------------
-    def _c2_field(self, rho, side: int, with_grad: bool = False):
-        """Smooth rate field c^2 of one graph (side +1 or -1): the
-        directional derivative of H_p phi along grad phi over |grad phi|^2.
+    def c2(self, rho, side: int, with_grad: bool = False):
+        """Smooth rate field c^2 of one side: the directional derivative of
+        H_p phi along grad phi over |grad phi|^2.
 
         On the graphs this is the removable-singularity limit of
-        -sign * H_p phi / phi; elsewhere it extends that quotient smoothly,
+        -side * H_p phi / phi; elsewhere it extends that quotient smoothly,
         avoiding the blow-up the raw ratio inherits from the quadratic
         construction's cubic residual when phi is small at finite distance
         from the saddle.  With g0 = -gamma - quad dx the field is
-        -sign * num / (g0^2 + 1), num = (H01 g0 - quad p_xi - H00) g0
+        -side * num / (g0^2 + 1), num = (H01 g0 - quad p_xi - H00) g0
         + H11 g0 - H01; `with_grad` also returns its gradient, from the
         third-derivative tensor and grad g0 = (-quad, 0)."""
-        if side > 0:
-            sign, gamma, quad = 1.0, self.gamma_plus, self.quad_plus
-        else:
-            sign, gamma, quad = -1.0, self.gamma_minus, self.quad_minus
+        sign = 1.0 if side > 0 else -1.0
+        _, quad = self._graph(side)
         rho = np.asarray(rho, dtype=float)
-        g0 = -gamma - quad * (rho[0] - self.saddle[0])
+        g0 = self.grad_phi(rho, side)[0]
         g = self.model.gradient(rho)
         H = self.model.hessian(rho)
         lead = H[0, 1] * g0 - quad * g[1] - H[0, 0]
@@ -149,18 +143,6 @@ class DefiningPair:
         dc2[0] += c2 * (2.0 * quad * g0 / den)
         return c2, dc2
 
-    def c2_plus(self, rho):
-        return self._c2_field(rho, +1)
-
-    def c2_minus(self, rho):
-        return self._c2_field(rho, -1)
-
-    def c_plus(self, rho):
-        return np.sqrt(self.c2_plus(rho))
-
-    def c_minus(self, rho):
-        return np.sqrt(self.c2_minus(rho))
-
     def bracket(self, rho):
         """{phi+, phi-}, analytic from the stored polynomials."""
         dx = rho[0] - self.saddle[0]
@@ -168,7 +150,11 @@ class DefiningPair:
             self.quad_plus - self.quad_minus
         ) * dx
 
-    # -- geometry ----------------------------------------------------------
+    # -- the saddle-adapted chart -------------------------------------------
+    def point(self, a, b) -> np.ndarray:
+        """The phase point(s) (x_s + a/kappa, xi_s + b), shape (2, *batch)."""
+        return np.stack([self.saddle[0] + a / self.kappa, self.saddle[1] + b])
+
     def adapted_radius(self, rho):
         dx = rho[0] - self.saddle[0]
         dxi = rho[1] - self.saddle[1]
@@ -185,7 +171,7 @@ def build_defining_pair(
     p_xixi g^2 + 2 p_xxi g + p_xx = 0; the quadratic terms from the next
     order of the same expansion.
     """
-    saddle = newton_saddle(model, saddle_guess)
+    saddle = newton_saddle(model.gradient, model.hessian, saddle_guess)
     H = model.hessian(saddle)
     det = H[0, 0] * H[1, 1] - H[0, 1] * H[0, 1]
     if det >= 0.0:
@@ -196,7 +182,7 @@ def build_defining_pair(
     gamma_plus = (-H[0, 1] + mu) / H[1, 1]
     gamma_minus = (-H[0, 1] - mu) / H[1, 1]
     if model.third is None:
-        raise DomainError(f"{model.name} has no closed-form third derivatives")
+        raise DomainError("the model has no closed-form third derivatives")
     # invariance at second order: quad = -D3 / (3 (p_xxi + gamma p_xixi)),
     # where D3 = T.d.d.d is the third derivative of p along d = (1, gamma)
     T = model.third(saddle)
@@ -230,8 +216,8 @@ def verify_defG_relations(pair: DefiningPair, samples: np.ndarray) -> dict:
     samples = np.asarray(samples, dtype=float)
     rho = samples.T
     # columns: the plus side, then the minus side
-    phi = np.stack([pair.phi_plus(rho), pair.phi_minus(rho)], axis=-1)
-    hp = np.stack([pair.hp_phi_plus(rho), pair.hp_phi_minus(rho)], axis=-1)
+    phi = np.stack([pair.phi(rho, side) for side in (1, -1)], axis=-1)
+    hp = np.stack([pair.hp_phi(rho, side) for side in (1, -1)], axis=-1)
     tube = np.abs(phi) > PHI_TUBE
     ratio = hp / np.where(tube, phi, 1.0)
     bad = tube & (ratio * [1.0, -1.0] >= 0.0)
@@ -266,10 +252,9 @@ def _smoothstep_deriv(u):
 
 @dataclass(frozen=True)
 class Cutoff:
-    """Radial cutoff in the saddle-adapted metric: 1 inside, 0 outside."""
+    """Radial cutoff in the pair's adapted chart: 1 inside, 0 outside."""
 
-    center: tuple[float, float]
-    kappa: float
+    pair: DefiningPair
     inner: float
     outer: float
 
@@ -280,13 +265,8 @@ class Cutoff:
                 f"got ({self.inner}, {self.outer})"
             )
 
-    def radius(self, rho):
-        dx = rho[0] - self.center[0]
-        dxi = rho[1] - self.center[1]
-        return np.hypot(self.kappa * dx, dxi)
-
     def value(self, rho):
-        u = (self.radius(rho) - self.inner) / (self.outer - self.inner)
+        u = (self.pair.adapted_radius(rho) - self.inner) / (self.outer - self.inner)
         return 1.0 - _smoothstep(u)
 
 
@@ -346,9 +326,7 @@ def build_G1(pair: DefiningPair) -> G1Function:
     s = np.hypot(ax, axi)
     disc = s <= band
     s = s[disc]
-    rho = np.stack(
-        [pair.saddle[0] + ax[disc] / pair.kappa, pair.saddle[1] + axi[disc]]
-    )
+    rho = pair.point(ax[disc], axi[disc])
     hp = raw.hp(rho)
     floor_raw = float(np.min(hp[s > r_outer], initial=math.inf))
     ceiling_raw = float(np.max(hp))
@@ -409,27 +387,18 @@ class EscapeSpec:
 def make_escape_spec(pair: DefiningPair, h: float) -> EscapeSpec:
     """The EscapeSpec at scale h: htilde = HTILDE, the cutoffs on the
     CHI_RADII and CHI1_RADII centred on the saddle, and G1 from build_G1."""
-    center = (float(pair.saddle[0]), float(pair.saddle[1]))
-    chi = Cutoff(center, pair.kappa, *CHI_RADII)
-    chi1 = Cutoff(center, pair.kappa, *CHI1_RADII)
+    chi = Cutoff(pair, *CHI_RADII)
+    chi1 = Cutoff(pair, *CHI1_RADII)
     return EscapeSpec(h=h, htilde=HTILDE, chi=chi, chi1=chi1, G1=build_G1(pair))
 
 
-class EscapeFunction:
+def escape_function(spec: EscapeSpec, pair: DefiningPair, rho):
     """G = chi log((phi-^2 + eta)/(phi+^2 + eta)) + C1 log(1/h) chi1 G1."""
-
-    def __init__(self, spec: EscapeSpec, pair: DefiningPair):
-        self.spec = spec
-        self.pair = pair
-
-    def __call__(self, rho):
-        spec = self.spec
-        eta = spec.eta
-        fp = self.pair.phi_plus(rho)
-        fm = self.pair.phi_minus(rho)
-        val = spec.chi.value(rho) * np.log((fm * fm + eta) / (fp * fp + eta))
-        amp = C1_CONST * math.log(1.0 / spec.h)
-        return val + amp * spec.chi1.value(rho) * spec.G1(rho)
+    eta = spec.eta
+    fp, fm = pair.phi(rho, 1), pair.phi(rho, -1)
+    val = spec.chi.value(rho) * np.log((fm * fm + eta) / (fp * fp + eta))
+    amp = C1_CONST * math.log(1.0 / spec.h)
+    return val + amp * spec.chi1.value(rho) * spec.G1(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +409,8 @@ def _hatted(pair: DefiningPair, spec: EscapeSpec, rho, side: int):
     """phi_hat = c phi / sqrt(phi^2 + eta) with its gradient, both closed-form."""
     rho = np.asarray(rho, dtype=float)
     eta = spec.eta
-    if side > 0:
-        phi, grad = pair.phi_plus(rho), pair.grad_phi_plus(rho)
-    else:
-        phi, grad = pair.phi_minus(rho), pair.grad_phi_minus(rho)
-    c2, dc2 = pair._c2_field(rho, side, with_grad=True)
+    phi, grad = pair.phi(rho, side), pair.grad_phi(rho, side)
+    c2, dc2 = pair.c2(rho, side, with_grad=True)
     lost = np.ravel(c2 <= 0.0)
     if lost.any():
         where = rho.reshape(2, -1)[:, np.argmax(lost)]
@@ -467,9 +433,7 @@ def saddle_commutator_value(pair: DefiningPair, spec: EscapeSpec) -> float:
     """phi_tilde / htilde exactly at the saddle: the h/htilde factors
     cancel and the value reduces to c+ c- {phi+, phi-}."""
     rho = pair.saddle
-    cp = pair.c_plus(rho)
-    cm = pair.c_minus(rho)
-    return cp * cm * pair.bracket(rho)
+    return np.sqrt(pair.c2(rho, 1)) * np.sqrt(pair.c2(rho, -1)) * pair.bracket(rho)
 
 
 def saddle_grid(pair: DefiningPair, radius: float, n: int = GRID_N) -> np.ndarray:
@@ -478,9 +442,7 @@ def saddle_grid(pair: DefiningPair, radius: float, n: int = GRID_N) -> np.ndarra
     ax = np.linspace(-radius, radius, n)
     a, b = (m.ravel() for m in np.meshgrid(ax, ax, indexing="ij"))
     keep = (np.hypot(a, b) <= radius) & ((a != 0.0) | (b != 0.0))
-    x_s, xi_s = pair.saddle
-    ring = np.column_stack([x_s + a[keep] / pair.kappa, xi_s + b[keep]])
-    return np.vstack([pair.saddle, ring])
+    return np.vstack([pair.saddle, pair.point(a[keep], b[keep]).T])
 
 
 def commutator_lower_bound(
@@ -516,20 +478,17 @@ def sample_disc_pairs(
         block = rng.uniform(-radius, radius, size=(2 * (need - len(accepted)) + 8, 2))
         inside = np.hypot(block[:, 0], block[:, 1]) <= radius
         accepted = np.concatenate([accepted, block[inside]])
-    a, b = accepted[:need].T
-    x_s, xi_s = pair.saddle
-    out = np.stack([x_s + a / pair.kappa, xi_s + b], axis=-1)
-    return out.reshape(n_pairs, 2, 2)
+    return pair.point(*accepted[:need].T).T.reshape(n_pairs, 2, 2)
 
 
 def _order_statistics(
     spec: EscapeSpec, pair: DefiningPair, sample_pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair |G gap| and log of the eta-scaled separation bracket."""
-    escape = EscapeFunction(spec, pair)
     pairs = np.asarray(sample_pairs, dtype=float)
     rho_a, rho_b = pairs[:, 0].T, pairs[:, 1].T
-    gaps = np.broadcast_to(np.abs(escape(rho_a) - escape(rho_b)), len(pairs))
+    G_a, G_b = (escape_function(spec, pair, rho) for rho in (rho_a, rho_b))
+    gaps = np.broadcast_to(np.abs(G_a - G_b), len(pairs))
     # separation in the saddle-adapted chart; a fixed linear change of
     # coordinates only renormalizes the constant, and it removes the
     # kappa anisotropy between models

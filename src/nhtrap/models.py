@@ -1,9 +1,10 @@
 """Hamiltonian model instances shared by the flow, certification, and spectral code.
 
 A model packages a smooth symbol on R^{2n} (positions first, momenta second)
-with analytic gradient/Hessian and the conserved quantities the integrator
-monitors.  Charts are encoded as a margin function: positive inside,
-nonpositive at exit.
+with its analytic gradient and Hessian and the chart it lives on.  Charts
+are encoded as a margin function: positive inside, nonpositive at exit.
+A model keeps no conserved set: flow-integrate takes p from the model and
+the Carter constant from `kerr`.
 
 The two-dimensional models also carry `third`, the symmetric 2x2x2 tensor
 T_ijk = d^3 p / dy_i dy_j dy_k of third derivatives, where it is known in
@@ -16,7 +17,7 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,18 +35,14 @@ N_BUMPS = 3  # bumps in each BumpPattern
 
 @dataclass
 class HamiltonianModel:
-    """Symbol + derivatives + conserved set, on a 2- or 6-dimensional phase space."""
+    """Symbol + derivatives + chart, on a 2- or 6-dimensional phase space."""
 
     dimension: int
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray] | None = None
-    conserved_list: dict[str, Callable[[np.ndarray], float]] = field(
-        default_factory=dict
-    )
     chart_margin: Callable[[np.ndarray], float] | None = None
-    name: str = "model"
 
     def hamilton_rhs(self, y: np.ndarray) -> np.ndarray:
         """Symplectic gradient: x' = dp/dxi, xi' = -dp/dx."""
@@ -60,8 +57,8 @@ class HamiltonianModel:
         return np.vstack([H[d:, :], -H[:d, :]])
 
 
-def newton_saddle(model: HamiltonianModel, guess) -> np.ndarray:
-    """Critical point of a two-dimensional symbol near ``guess``.
+def newton_saddle(gradient, hessian, guess) -> np.ndarray:
+    """Critical point near ``guess`` of a 2D symbol with this gradient and Hessian.
 
     Newton on the gradient, each step halved until |grad p| decreases.
     The search ends with the first step shorter than SADDLE_STEP_TOL *
@@ -70,9 +67,9 @@ def newton_saddle(model: HamiltonianModel, guess) -> np.ndarray:
     """
     y = np.asarray(guess, dtype=float)
     for _ in range(SADDLE_MAX_ITER):
-        g = model.gradient(y)
+        g = gradient(y)
         try:
-            step = np.linalg.solve(model.hessian(y), -g)
+            step = np.linalg.solve(hessian(y), -g)
         except np.linalg.LinAlgError as exc:
             raise NewtonDiverged(f"singular Hessian at {y}") from exc
         if not np.all(np.isfinite(step)):
@@ -80,7 +77,7 @@ def newton_saddle(model: HamiltonianModel, guess) -> np.ndarray:
         if np.linalg.norm(step) < SADDLE_STEP_TOL * max(1.0, np.linalg.norm(y)):
             return y + step
         g_norm, lam = np.linalg.norm(g), 1.0
-        while np.linalg.norm(model.gradient(y + lam * step)) >= g_norm:
+        while np.linalg.norm(gradient(y + lam * step)) >= g_norm:
             lam *= 0.5
             if lam < 1e-6:
                 raise NewtonDiverged(f"damping stalled at {y}")
@@ -113,27 +110,21 @@ class BumpPattern:
         self.peak_point = np.asarray([xs[i], ys[j]])
         try:
             # the grid argmax sits within a step of a smooth extremum
-            self.peak_point = newton_saddle(self._critical_model(), self.peak_point)
+            self.peak_point = newton_saddle(
+                lambda z: np.asarray(self.gradient(*z)),
+                self._hessian_matrix,
+                self.peak_point,
+            )
         except NewtonDiverged:
             pass
         peak = max(float(grid[i, j]), abs(float(self.value(*self.peak_point))))
         if peak > 0:
             self.amps = amps / peak
 
-    def _critical_model(self) -> HamiltonianModel:
-        """The pattern as a two-dimensional symbol, for `newton_saddle`."""
-
-        def hessian(z):
-            hxx, hxy, hyy = self.hessian(*z)
-            return np.asarray([[hxx, hxy], [hxy, hyy]])
-
-        return HamiltonianModel(
-            dimension=2,
-            evaluate=lambda z: self.value(*z),
-            gradient=lambda z: np.asarray(self.gradient(*z)),
-            hessian=hessian,
-            name="bump_pattern",
-        )
+    def _hessian_matrix(self, z) -> np.ndarray:
+        """The 2x2 Hessian at the point z, for `newton_saddle`."""
+        hxx, hxy, hyy = self.hessian(*z)
+        return np.asarray([[hxx, hxy], [hxy, hyy]])
 
     @staticmethod
     def _profile(u):
@@ -203,9 +194,7 @@ def toy_barrier_model() -> HamiltonianModel:
         gradient=gradient,
         hessian=hessian,
         third=third,
-        conserved_list={"energy": evaluate},
         chart_margin=margin,
-        name="toy_barrier",
     )
 
 
@@ -269,14 +258,12 @@ def reduced_kerr_model(
         gradient=gradient,
         hessian=hessian,
         third=None if bumped else third,
-        conserved_list={"energy": evaluate},
         chart_margin=margin,
-        name=f"reduced_kerr(beta={beta:g})",
     )
 
 
 def full_kerr_model(params: KerrParams) -> HamiltonianModel:
-    """Six-dimensional exterior model carrying (p, beta, carter)."""
+    """Six-dimensional exterior model of p on the (r, theta) chart."""
     rp = kerr.horizon_radius(params)
 
     def evaluate(y):
@@ -288,9 +275,6 @@ def full_kerr_model(params: KerrParams) -> HamiltonianModel:
 
     def hessian(y):
         return kerr.hessian_p(PhaseState.from_array(y), params)
-
-    def carter(y):
-        return float(kerr.carter(params, y[1], y[4], y[5]))
 
     def margin(y):
         return min(
@@ -305,11 +289,5 @@ def full_kerr_model(params: KerrParams) -> HamiltonianModel:
         evaluate=evaluate,
         gradient=gradient,
         hessian=hessian,
-        conserved_list={
-            "p": evaluate,
-            "beta": lambda y: float(y[5]),
-            "carter": carter,
-        },
         chart_margin=margin,
-        name=f"full_kerr(M={params.mass:g},a={params.spin:g})",
     )

@@ -13,7 +13,8 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    does not depend on theta (a perturbation bump depends on (r, xi) only).
    Its eigenvalues are lambda_+, 0 and -lambda_- (phi is cyclic), so the
    eigenvectors for +-lambda are the normal bundles, and they grow exactly
-   like exp(lambda_+ t) forward and exp(lambda_- |t|) backward.
+   like exp(lambda_+ t) forward and exp(lambda_- |t|) backward.  So each
+   shell orbit forms A6 once, at its start point (`ShellOrbit.A6`).
 3. The tangential cocycle X(t) depends on the orbit only through theta(t),
    a periodic one-degree-of-freedom motion of period P.  Hence
    X(t + P) = X(t) M with the monodromy M = X(P) = I + N, and N^2 = 0:
@@ -129,7 +130,8 @@ class ReducedFamily:
         r0 = trapped_radius(beta, self.params)
         point = (r0, 0.0)
         if self.epsilon != 0.0:
-            r_s, xi_s = newton_saddle(self.reduced_model(beta), point)
+            model = self.reduced_model(beta)
+            r_s, xi_s = newton_saddle(model.gradient, model.hessian, point)
             point = (float(r_s), float(xi_s))
         self._saddles[key] = point
         return point
@@ -178,9 +180,6 @@ class ReducedFamily:
         )
 
     # -- six-dimensional symbol -------------------------------------------
-
-    def grad6(self, y6: np.ndarray) -> np.ndarray:
-        return self.grad_hess6(y6)[0]
 
     def grad_hess6(self, y6: np.ndarray):
         g, H = kerr.grad_hess_raw(
@@ -247,6 +246,9 @@ class ShellOrbit:
                 f"beta={beta:g} admits no shell orbit on the lambda={lam:g} shell"
             )
         self.u0 = np.asarray([theta0, phi0, math.sqrt(disc), beta])
+        # A6 = J Hess p at the start point, the one 6D Hessian of the orbit
+        H = family.grad_hess6(self.embed(self.u0))[1]
+        self.A6 = np.vstack([H[3:, :], -H[:3, :]])
 
     def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
         """Field of (u, intrinsic 4x4 Jacobian X): the one shell-orbit RHS.
@@ -307,11 +309,6 @@ class ShellOrbit:
             [self.r_s, u[0], u[1], self.xi_s, u[2], u[3]], dtype=float
         )
 
-    def blocks(self, u: np.ndarray):
-        """(intrinsic rhs, 6D variational matrix A6 = J Hess p), one eval."""
-        g, H = self.family.grad_hess6(self.embed(u))
-        return _velocity(g), np.vstack([H[3:, :], -H[:3, :]])
-
     def normal_bundles(self):
         """Normal rates and unit bundle 6-vectors, ((lambda_+, e_+), (lambda_-, e_-)).
 
@@ -320,8 +317,7 @@ class ShellOrbit:
         exp(-t*A6) e_- = exp(lambda_- t) e_-.
         """
         block = [0, 2, 3]
-        A6 = self.blocks(self.u0)[1]
-        eigvals, eigvecs = np.linalg.eig(A6[np.ix_(block, block)])
+        eigvals, eigvecs = np.linalg.eig(self.A6[np.ix_(block, block)])
         out = []
         for i in (np.argmax(eigvals.real), np.argmin(eigvals.real)):
             e = np.zeros(6)
@@ -330,10 +326,14 @@ class ShellOrbit:
         return out[0], out[1]
 
     def tangential_frame(self) -> np.ndarray:
-        """Orthonormal intrinsic 4x3 frame spanning the shell-tangent kernel of dp."""
-        g = self.family.grad6(self.embed(self.u0))
-        p_th, p_al, p_be = g[1], g[4], g[5]
-        flow = self.blocks(self.u0)[0]
+        """Orthonormal intrinsic 4x3 frame spanning the shell-tangent kernel of dp.
+
+        Its first column is the start velocity (p_alpha, p_beta, -p_theta, 0)
+        from `rhs`; phi and a beta-alpha (or beta-theta) mix complete the
+        kernel of dp = (p_theta, 0, p_alpha, p_beta).
+        """
+        flow = self.rhs(0.0, np.concatenate([self.u0, np.eye(4).ravel()]))[:4]
+        p_al, p_be, p_th = flow[0], flow[1], -flow[2]
         b_phi = np.asarray([0.0, 1.0, 0.0, 0.0])
         if abs(p_al) > 1e-12:
             b_mix = np.asarray([0.0, 0.0, -p_be / p_al, 1.0])
@@ -341,11 +341,6 @@ class ShellOrbit:
             b_mix = np.asarray([-p_be / p_th, 0.0, 0.0, 1.0])
         frame, _ = np.linalg.qr(np.column_stack([flow, b_phi, b_mix]))
         return frame
-
-
-def _velocity(g: np.ndarray) -> np.ndarray:
-    """Intrinsic shell velocity (theta, phi, alpha, beta)' from the 6D gradient."""
-    return np.asarray([g[4], g[5], -g[1], 0.0])
 
 
 @dataclass(frozen=True)
@@ -479,7 +474,6 @@ def _beta_sample(
     """
     chart = fam.chart(beta)
     orbit = ShellOrbit(fam, beta, lam)
-    A6 = orbit.blocks(orbit.u0)[1]
     (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
     cocycle = orbit.tangent_cocycle(horizon, tol)
     period, N = cocycle.period, cocycle.shear
@@ -507,7 +501,7 @@ def _beta_sample(
         period=period,
         tangential_degree=degree,
         envelope=(sup(F), sup(N @ F) / period),
-        invariance_angle=max(_line_angle(e, A6 @ e) for e in (e_plus, e_minus)),
+        invariance_angle=max(_line_angle(e, orbit.A6 @ e) for e in (e_plus, e_minus)),
     )
 
 

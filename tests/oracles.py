@@ -72,7 +72,7 @@ def manifold_samples(
 ) -> np.ndarray:
     """Points on the true invariant graph, by integrating the Hamilton flow
     from an eigenvector seed.  side=+1 follows the unstable graph (where
-    phi_plus vanishes), side=-1 the stable one, grown backward in time."""
+    phi+ vanishes), side=-1 the stable one, grown backward in time."""
     gamma = pair.gamma_plus if side > 0 else pair.gamma_minus
     direction = np.asarray([1.0, gamma])
     direction = direction / np.linalg.norm(direction)

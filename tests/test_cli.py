@@ -298,6 +298,33 @@ class TestFlowIntegrate:
         assert failures and failures[0]["type"] == "ChartExit"
         assert not (out / "orbit.csv").exists()
 
+    def test_chart_exit_time_counts_from_the_orbit_start(self, tmp_path, capsys):
+        # the orbit leaves the chart in the 12th sampling interval; its exit
+        # time is the one a single run of the whole orbit gives
+        from nhtrap import flow, models
+        from nhtrap.errors import ChartExit
+        from nhtrap.kerr import KerrParams
+
+        code, out = run_cli(
+            tmp_path,
+            "flow-integrate",
+            "kerr.spin = 0.7\norbit.r = 6\norbit.theta = 1.0\norbit.xi = 0.3\n"
+            "orbit.alpha = 2\norbit.beta = 3\norbit.time = -3\n",
+        )
+        assert code == 3
+        failures = read_failures(out)
+        assert failures[0]["type"] == "ChartExit"
+        prefix = "orbit left the chart at t="
+        assert failures[0]["error"].startswith(prefix)
+        reported = float(failures[0]["error"][len(prefix):])
+        assert f"at t={reported!r}" in capsys.readouterr().err
+        model = models.full_kerr_model(KerrParams(1.0, 0.7))
+        start = [6.0, 1.0, 0.0, 0.3, 2.0, 3.0]
+        with pytest.raises(ChartExit) as one_run:
+            flow.integrate_flow(model, start, -3.0, tol=1e-10)
+        assert -0.17 < one_run.value.exit_time < -0.165
+        assert reported == pytest.approx(one_run.value.exit_time, abs=1e-6)
+
     def test_overflowing_field_is_numerical_failure(self, tmp_path):
         # the field overflows at the start, so the first step size is NaN;
         # a fresh interpreter with a timeout fails the test instead of hanging
@@ -323,6 +350,11 @@ class TestFlowIntegrate:
         )
         assert code == 2
         assert not (out / "orbit.csv").exists()
+        # a fault raised inside the handler leaves a structured failure
+        (failure,) = read_failures(out)
+        assert failure["check"] == "config"
+        assert failure["type"] == "DomainError"
+        assert "outside the chart" in failure["error"]
 
 
 class TestSpectrumGap:
@@ -517,6 +549,10 @@ class TestCertifyAndPerturb:
         assert "r_max" in err and "r = 85" in err
         assert "internal error" not in err
         assert not (out / "certificate.json").exists()
+        (failure,) = read_failures(out)
+        assert failure["check"] == "config"
+        assert failure["type"] == "DomainError"
+        assert "r = 85" in failure["error"]
 
     def test_perturb_short_horizon(self, tmp_path, capsys):
         code, out = run_cli(

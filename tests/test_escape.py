@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -84,8 +85,8 @@ class TestBuildDefiningPair:
         assert p.quad_minus == 0.0
         assert p.c0 == pytest.approx(2.0, abs=1e-14)
         y = np.asarray([0.3, -0.4])
-        assert p.phi_plus(y) == pytest.approx(-0.4 - 0.3, abs=1e-15)
-        assert p.phi_minus(y) == pytest.approx(-0.4 + 0.3, abs=1e-15)
+        assert p.phi(y, 1) == pytest.approx(-0.4 - 0.3, abs=1e-15)
+        assert p.phi(y, -1) == pytest.approx(-0.4 + 0.3, abs=1e-15)
 
     def test_toy_rates_and_bracket_exact(self, toy_pair):
         pts = [
@@ -93,8 +94,8 @@ class TestBuildDefiningPair:
             for q in [(0.0, 0.0), (0.3, -0.2), (-0.45, 0.45), (0.2, 0.2001)]
         ]
         for q in pts:
-            assert toy_pair.c2_plus(q) == 2.0
-            assert toy_pair.c2_minus(q) == 2.0
+            assert toy_pair.c2(q, 1) == 2.0
+            assert toy_pair.c2(q, -1) == 2.0
             assert toy_pair.bracket(q) == 2.0
 
     def test_kerr_frozen_values(self, kerr_pair):
@@ -116,23 +117,16 @@ class TestBuildDefiningPair:
         for pair in (toy_pair, kerr_pair):
             for _ in range(6):
                 y = pair.saddle + rng.uniform(-0.2, 0.2, 2)
-                for val, grad in (
-                    (pair.phi_plus, pair.grad_phi_plus),
-                    (pair.phi_minus, pair.grad_phi_minus),
-                ):
-                    fd = fd_gradient(val, y)
-                    assert np.max(np.abs(grad(y) - fd)) < 2e-9
+                for side in (1, -1):
+                    fd = fd_gradient(lambda q: pair.phi(q, side), y)
+                    assert np.max(np.abs(pair.grad_phi(y, side) - fd)) < 2e-9
 
     def test_rate_relation_residual_quadratic(self, kerr_pair):
         def max_resid(radius):
             worst = 0.0
             for rho in esc.saddle_grid(kerr_pair, radius, 41):
-                rp = kerr_pair.hp_phi_plus(rho) + kerr_pair.c2_plus(
-                    rho
-                ) * kerr_pair.phi_plus(rho)
-                rm = kerr_pair.hp_phi_minus(rho) - kerr_pair.c2_minus(
-                    rho
-                ) * kerr_pair.phi_minus(rho)
+                rp = kerr_pair.hp_phi(rho, 1) + kerr_pair.c2(rho, 1) * kerr_pair.phi(rho, 1)
+                rm = kerr_pair.hp_phi(rho, -1) - kerr_pair.c2(rho, -1) * kerr_pair.phi(rho, -1)
                 worst = max(worst, abs(rp), abs(rm))
             return worst
 
@@ -143,8 +137,8 @@ class TestBuildDefiningPair:
 
     def test_toy_rate_relation_exact(self, toy_pair):
         for rho in esc.saddle_grid(toy_pair, 0.1, 21):
-            assert toy_pair.hp_phi_plus(rho) == pytest.approx(
-                -2.0 * toy_pair.phi_plus(rho), abs=1e-15
+            assert toy_pair.hp_phi(rho, 1) == pytest.approx(
+                -2.0 * toy_pair.phi(rho, 1), abs=1e-15
             )
 
     def test_not_hyperbolic_at_a_minimum(self):
@@ -153,7 +147,6 @@ class TestBuildDefiningPair:
             evaluate=lambda y: y[1] ** 2 + y[0] ** 2,
             gradient=lambda y: np.asarray([2.0 * y[0], 2.0 * y[1]]),
             hessian=lambda y: np.asarray([[2.0, 0.0], [0.0, 2.0]]),
-            name="bowl",
         )
         with pytest.raises(NotHyperbolic):
             esc.build_defining_pair(bowl)
@@ -164,10 +157,22 @@ class TestBuildDefiningPair:
             evaluate=lambda y: y[1] ** 2 + y[0],
             gradient=lambda y: np.asarray([1.0, 2.0 * y[1]]),
             hessian=lambda y: np.asarray([[0.0, 0.0], [0.0, 2.0]]),
-            name="slope",
         )
         with pytest.raises(NewtonDiverged):
             esc.build_defining_pair(slope)
+
+    def test_adapted_chart_round_trip(self, toy_pair, kerr_pair):
+        # point maps adapted coordinates (a, b) to phase space, and
+        # adapted_radius reads hypot(a, b) back from the phase point
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(-0.5, 0.5, (2, 20))
+        for pair in (toy_pair, kerr_pair):
+            rho = pair.point(a, b)
+            assert rho.shape == (2, 20)
+            np.testing.assert_allclose(pair.adapted_radius(rho), np.hypot(a, b), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(pair.kappa * (rho[0] - pair.saddle[0]), a, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(rho[1] - pair.saddle[1], b, rtol=0, atol=1e-14)
+            assert np.array_equal(pair.point(0.0, 0.0), pair.saddle)
 
     def test_antisymmetry_under_swap(self, kerr_pair):
         rng = np.random.default_rng(3)
@@ -214,9 +219,9 @@ class TestClosedFormRateGradients:
         for pair in pairs:
             grid = esc.saddle_grid(pair, 0.2, 9)
             for side in (+1, -1):
-                _, dc2 = pair._c2_field(grid.T, side, with_grad=True)
+                _, dc2 = pair.c2(grid.T, side, with_grad=True)
                 for q, got in zip(grid, dc2.T):
-                    fd = stencil_gradient(lambda y: pair._c2_field(y, side), q)
+                    fd = stencil_gradient(lambda y: pair.c2(y, side), q)
                     assert np.max(np.abs(got - fd)) < 1e-9 * (1.0 + np.max(np.abs(fd)))
 
     def test_hatted_gradient(self, pairs):
@@ -236,14 +241,12 @@ class TestManifoldsAndVerify:
     def test_toy_manifolds_are_exact_lines(self, toy_pair):
         for side in (+1, -1):
             pts = manifold_samples(toy_pair, side)
-            phi = toy_pair.phi_plus if side > 0 else toy_pair.phi_minus
-            assert max(abs(phi(q)) for q in pts) < 1e-12
+            assert max(abs(toy_pair.phi(q, side)) for q in pts) < 1e-12
 
     def test_kerr_manifold_residuals(self, kerr_pair):
         for side in (+1, -1):
             pts = manifold_samples(kerr_pair, side)
-            phi = kerr_pair.phi_plus if side > 0 else kerr_pair.phi_minus
-            assert max(abs(phi(q)) for q in pts) < 1e-8
+            assert max(abs(kerr_pair.phi(q, side)) for q in pts) < 1e-8
 
     def test_too_many_points_requested(self, toy_pair):
         with pytest.raises(GridTooCoarse):
@@ -297,12 +300,12 @@ class TestManifoldsAndVerify:
         checked = 0
         for _ in range(40):
             y = kerr_pair.saddle + rng.uniform(-0.15, 0.15, 2)
-            fp = kerr_pair.phi_plus(y)
-            fm = kerr_pair.phi_minus(y)
+            fp = kerr_pair.phi(y, 1)
+            fm = kerr_pair.phi(y, -1)
             if abs(fp) < 1e-3 or abs(fm) < 1e-3:
                 continue
-            assert 2.0 * fp * kerr_pair.hp_phi_plus(y) < 0.0
-            assert 2.0 * fm * kerr_pair.hp_phi_minus(y) > 0.0
+            assert 2.0 * fp * kerr_pair.hp_phi(y, 1) < 0.0
+            assert 2.0 * fm * kerr_pair.hp_phi(y, -1) > 0.0
             checked += 1
         assert checked > 20
 
@@ -317,17 +320,15 @@ class TestManifoldsAndVerify:
             atol=1e-13,
         )
         traj = sol.y.T
-        fp2 = [toy_pair.phi_plus(q) ** 2 for q in traj]
-        fm2 = [toy_pair.phi_minus(q) ** 2 for q in traj]
+        fp2 = [toy_pair.phi(q, 1) ** 2 for q in traj]
+        fm2 = [toy_pair.phi(q, -1) ** 2 for q in traj]
         assert fp2[-1] < fp2[0]
         assert fm2[-1] > fm2[0]
 
 
 class TestCutoffsAndSpec:
     def test_cutoff_plateaus_and_monotone(self, kerr_pair):
-        cut = esc.Cutoff(
-            (float(kerr_pair.saddle[0]), 0.0), kerr_pair.kappa, 0.2, 0.5
-        )
+        cut = esc.Cutoff(kerr_pair, 0.2, 0.5)
         inside = np.asarray([kerr_pair.saddle[0] + 0.05 / ROOT3, 0.05])
         outside = np.asarray([kerr_pair.saddle[0], 0.6])
         assert cut.value(inside) == 1.0
@@ -338,13 +339,13 @@ class TestCutoffsAndSpec:
         ]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_cutoff_bad_inputs(self):
+    def test_cutoff_bad_inputs(self, toy_pair):
         with pytest.raises(DomainError):
-            esc.Cutoff((0.0, 0.0), 1.0, 0.5, 0.2)
+            esc.Cutoff(toy_pair, 0.5, 0.2)
 
     def test_spec_guards(self, toy_pair):
-        chi = esc.Cutoff((0.0, 0.0), 1.0, 0.2, 0.5)
-        chi1 = esc.Cutoff((0.0, 0.0), 1.0, 0.6, 0.9)
+        chi = esc.Cutoff(toy_pair, 0.2, 0.5)
+        chi1 = esc.Cutoff(toy_pair, 0.6, 0.9)
         g1 = esc.build_G1(toy_pair)
         esc.EscapeSpec(h=1e-2, htilde=0.25, chi=chi, chi1=chi1, G1=g1)
         with pytest.raises(DomainError):
@@ -352,7 +353,7 @@ class TestCutoffsAndSpec:
         with pytest.raises(DomainError):
             esc.EscapeSpec(h=0.0, htilde=0.25, chi=chi, chi1=chi1, G1=g1)
         # chi ramp must finish before the chi1 plateau ends
-        tight = esc.Cutoff((0.0, 0.0), 1.0, 0.3, 0.7)
+        tight = esc.Cutoff(toy_pair, 0.3, 0.7)
         with pytest.raises(InvalidNesting):
             esc.EscapeSpec(h=1e-2, htilde=0.25, chi=tight, chi1=chi1, G1=g1)
 
@@ -399,21 +400,18 @@ class TestEscapeFunction:
     def test_vanishes_at_saddle(self, toy_pair, kerr_pair):
         for pair in (toy_pair, kerr_pair):
             spec = esc.make_escape_spec(pair, h=1e-2)
-            G = esc.EscapeFunction(spec, pair)
-            assert abs(G(pair.saddle)) < 1e-14
+            assert abs(esc.escape_function(spec, pair, pair.saddle)) < 1e-14
 
     def test_toy_log_quotient_value(self, toy_pair):
         spec = esc.make_escape_spec(toy_pair, h=1e-2)
-        G = esc.EscapeFunction(spec, toy_pair)
         # on the unstable graph at (0.1, 0.1): phi+ = 0, phi- = 0.2
-        assert G(np.asarray([0.1, 0.1])) == pytest.approx(
+        assert esc.escape_function(spec, toy_pair, np.asarray([0.1, 0.1])) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
     def test_log_of_h_bound(self, kerr_pair):
         for h in (1e-2, 1e-3):
             spec = esc.make_escape_spec(kerr_pair, h=h)
-            G = esc.EscapeFunction(spec, kerr_pair)
             grid = esc.saddle_grid(kerr_pair, 1.0, 41)
             sup_g1 = max(
                 abs(spec.chi1.value(q) * spec.G1(q)) for q in grid
@@ -421,19 +419,22 @@ class TestEscapeFunction:
             bound = math.log(spec.htilde / h) + esc.C1_CONST * math.log(
                 1.0 / h
             ) * sup_g1
+            G = partial(esc.escape_function, spec, kerr_pair)
             assert max(abs(G(q)) for q in grid) <= bound + 1e-9
 
     def test_odd_under_swap_in_the_core(self, kerr_pair):
         spec = esc.make_escape_spec(kerr_pair, h=1e-2)
-        G = esc.EscapeFunction(spec, kerr_pair)
-        G_sw = esc.EscapeFunction(spec, swapped(kerr_pair))
+        G = partial(esc.escape_function, spec, kerr_pair)
+        G_sw = partial(esc.escape_function, spec, swapped(kerr_pair))
         for q in esc.saddle_grid(kerr_pair, 0.19, 15):
             assert G_sw(q) == pytest.approx(-G(q), abs=1e-13)
 
     def test_batched_matches_pointwise(self, toy_pair, kerr_pair):
         for pair in (toy_pair, kerr_pair):
-            G = esc.EscapeFunction(esc.make_escape_spec(pair, h=1e-2), pair)
-            assert_batched_matches_pointwise(G, esc.saddle_grid(pair, 1.0, 21))
+            spec = esc.make_escape_spec(pair, h=1e-2)
+            assert_batched_matches_pointwise(
+                partial(esc.escape_function, spec, pair), esc.saddle_grid(pair, 1.0, 21)
+            )
 
 
 class TestCommutatorBound:

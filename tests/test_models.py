@@ -101,14 +101,6 @@ class TestReducedModel:
             )
             check_model_consistency(m, pts)
 
-    def test_energy_conserved_matches_symbol(self):
-        m = models.reduced_kerr_model(KerrParams(), 1.0)
-        y = np.asarray([3.3, 0.2])
-        assert "energy" in m.conserved_list
-        assert m.conserved_list["energy"](y) == pytest.approx(
-            m.evaluate(y), abs=1e-14
-        )
-
 
 class TestThirdDerivatives:
     """The closed-form third-derivative tensors and the batched calls."""
@@ -179,7 +171,7 @@ class TestNewtonSaddle:
         # from the static radius 3M to the spinning saddle at beta = 0
         params = KerrParams(mass=1.0, spin=spin)
         model = models.reduced_kerr_model(params, beta=0.0)
-        r_s, xi_s = models.newton_saddle(model, (3.0, 0.0))
+        r_s, xi_s = models.newton_saddle(model.gradient, model.hessian, (3.0, 0.0))
         assert xi_s == 0.0
         assert r_s == pytest.approx(trapping.trapped_radius(0.0, params), abs=1e-13)
         assert np.max(np.abs(model.gradient(np.array([r_s, xi_s])))) < 1e-13
@@ -187,19 +179,13 @@ class TestNewtonSaddle:
     def test_damping_recovers_from_overshoot(self):
         # p = xi^2 - (x atan x - log(1 + x^2)/2) has grad (-atan x, 2 xi);
         # undamped Newton from x = 2 overshoots to ever larger |x|
-        def evaluate(y):
-            return y[1] ** 2 - y[0] * np.arctan(y[0]) + 0.5 * np.log1p(y[0] ** 2)
+        def gradient(y):
+            return np.array([-np.arctan(y[0]), 2.0 * y[1]])
 
         def hessian(y):
             return np.array([[-1.0 / (1.0 + y[0] ** 2), 0.0], [0.0, 2.0]])
 
-        model = models.HamiltonianModel(
-            dimension=2,
-            evaluate=evaluate,
-            gradient=lambda y: np.array([-np.arctan(y[0]), 2.0 * y[1]]),
-            hessian=hessian,
-        )
-        x, xi = models.newton_saddle(model, (2.0, 0.3))
+        x, xi = models.newton_saddle(gradient, hessian, (2.0, 0.3))
         assert abs(x) < 1e-15 and abs(xi) < 1e-15
 
 
@@ -226,10 +212,6 @@ class TestFullModel:
         outside = np.asarray([2.0, np.pi / 2, 0.0, 0.0, 0.0, 0.0])
         assert m.chart_margin(inside) > 0.0
         assert m.chart_margin(outside) <= 0.0
-
-    def test_conserved_triple_registered(self):
-        m = models.full_kerr_model(KerrParams(1.0, 0.2))
-        assert set(m.conserved_list) == {"p", "beta", "carter"}
 
 
 class TestBumpPattern:

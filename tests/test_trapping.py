@@ -184,14 +184,30 @@ class TestFamilyAndShell:
                     orbit.beta,
                 ]
             )
-            g = fam.grad6(orbit.embed(u))
+            g = fam.grad_hess6(orbit.embed(u))[0]
             assert abs(g[3]) < 1e-10  # r-dot = dp/dxi
             # xi-dot = -dp/dr varies with theta only through terms that
             # vanish at the saddle radius
             u_eq = u.copy()
             u_eq[0] = np.pi / 2
-            g_eq = fam.grad6(orbit.embed(u_eq))
+            g_eq = fam.grad_hess6(orbit.embed(u_eq))[0]
             assert abs(g_eq[0]) < 1e-9
+
+    def test_start_blocks_match_grad_hess6(self):
+        # A6 and the frame's start velocity are the 6D gradient and Hessian
+        # at the start point, bit for bit, also with a bump
+        bump = models.BumpPattern(3, (3.0, 0.0), span=0.6)
+        fam = trapping.ReducedFamily(KerrParams(1.0, 0.5), bump=bump, epsilon=0.01)
+        for beta in (-2.5, 1.2):
+            orbit = trapping.ShellOrbit(fam, beta, 0.0)
+            g, H = fam.grad_hess6(orbit.embed(orbit.u0))
+            assert np.array_equal(orbit.A6, np.vstack([H[3:, :], -H[:3, :]]))
+            z0 = np.concatenate([orbit.u0, np.eye(4).ravel()])
+            velocity = orbit.rhs(0.0, z0)[:4]
+            assert np.array_equal(velocity, [g[4], g[5], -g[1], 0.0])
+            frame = orbit.tangential_frame()
+            direction = velocity / np.linalg.norm(velocity)
+            assert abs(abs(frame[:, 0] @ direction) - 1.0) < 1e-14
 
     def test_exact_structure_matches_full_flow(self):
         # independent oracle: the six-dimensional variational flow of the
@@ -199,7 +215,7 @@ class TestFamilyAndShell:
         params = KerrParams(1.0, 0.35)
         orbit = trapping.ShellOrbit(trapping.ReducedFamily(params), 1.7, 0.0)
         cocycle = orbit.tangent_cocycle(1.5, tol=1e-12)
-        A6 = orbit.blocks(orbit.u0)[1]
+        A6 = orbit.A6
         (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
         L = orbit.embed_diff
         model = models.full_kerr_model(params)
