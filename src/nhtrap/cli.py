@@ -62,7 +62,12 @@ class Outcome:
 
 
 def resolve_workers(cfg: RunConfig) -> int:
-    """NHTRAP_WORKERS env wins, then the config key, then logical cores."""
+    """NHTRAP_WORKERS env wins, then the config key, then one thread.
+
+    One thread is the default because the jobs gain nothing from more: the
+    shell-orbit RHS holds the GIL, and the spectrum sweeps ran no faster
+    on two threads than on one.
+    """
     env = os.environ.get("NHTRAP_WORKERS")
     if env is not None:
         try:
@@ -80,7 +85,7 @@ def resolve_workers(cfg: RunConfig) -> int:
         return workers
     if cfg.workers is not None:
         return cfg.workers
-    return os.cpu_count() or 1
+    return 1
 
 
 def _check_writable(directory: Path) -> None:

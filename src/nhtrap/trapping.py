@@ -2,7 +2,7 @@
 
 The trapped set is a beta-family of saddles of the autonomous (r, xi)
 subsystem, crossed with invariant angular tori.  Certification rests on
-three exact facts about the separable symbol
+four exact facts about the separable symbol
 p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
 
 1. The (r, xi) block closes on itself, so shell orbits keep the radial pair
@@ -22,11 +22,28 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    phi (which is cyclic), and fixes both directions.  So
    X(s + mP) = X(s) (I + mN) for every integer m, and tangential growth is
    polynomial of degree 0 (N vanishes on the shell-tangent frame) or 1.
+4. A quarter period fixes the rest.  The intrinsic field is
+   theta' = 2 alpha, phi' = v_b + p_b(theta, beta), alpha' = -p_theta,
+   beta' = 0, and q(pi - theta) = q(theta), so p_b and p_theta are even and
+   odd about the equator.  The reflection (theta, phi, alpha, beta) ->
+   (pi - theta, phi, -alpha, beta), with differential S = diag(-1, 1, -1, 1),
+   commutes with the flow; the reversal (theta, phi, alpha, beta) ->
+   (theta, -phi, -alpha, beta) with t -> -t, differential
+   R = diag(1, -1, -1, 1), reverses it.  An orbit that starts on the
+   equator with alpha > 0 first turns (alpha = 0) at t_q = P/4, and with
+   X_q = X(t_q)
+       X(t_q + s) = R X(t_q - s) X_q^-1 R X_q,
+       X(P/2 + s) = S X(s) S X(P/2),
+   so X(P/2) = R X_q^-1 R X_q and M = X(P) = S X(P/2) S X(P/2).  The state
+   follows the same maps: u(t_q + s) = (theta, 2 phi_q - phi, -alpha, beta)
+   at time t_q - s, and u(P/2 + s) = (pi - theta, phi(P/2) - phi_0 + phi,
+   -alpha, beta) at time s.
 
-The one period is integrated by the in-house DOP853 of `nhtrap.ode`, whose
-dense output and count-aware terminal event give the period, the monodromy
-and X(s) on [0, P).  Trapped radii are closed-form roots of v' (see
-`trapped_radius`); the extremal beta values come from its bracketed `brentq`.
+The quarter period is integrated by the in-house DOP853 of `nhtrap.ode`,
+whose dense output and terminal event give t_q and X(s) on [0, t_q]; fact 4
+rebuilds the period, the monodromy and X(s) on [0, P].  Trapped radii are
+closed-form roots of v' (see `trapped_radius`); the extremal beta values
+come from its bracketed `brentq`.
 """
 
 from __future__ import annotations
@@ -43,21 +60,26 @@ from .models import BumpPattern, newton_saddle, reduced_kerr_model
 from .ode import DenseSolution, brentq, solve_ivp
 
 N_BETA = 6  # beta samples of each certificate
-# equatorial_beta_range brackets each extremal beta between +-BETA_NEAR and
-# +-BETA_FAR * M, doubling the far end at most BETA_DOUBLINGS times
+# equatorial_beta_range brackets each extremal beta between +-BETA_NEAR * M
+# and +-BETA_FAR * M, doubling the far end at most BETA_DOUBLINGS times
 BETA_NEAR = 1e-3
 BETA_FAR = 7.0
 BETA_DOUBLINGS = 8
-# every shell orbit starts on the equator at phi = 0
+# every shell orbit starts on the equator at phi = 0, which fact 4 needs
 SHELL_START = (np.pi / 2.0, 0.0)
+# the diagonals of S and R, the differentials of the equatorial reflection
+# and the time reversal (fact 4)
+REFLECT = np.asarray([-1.0, 1.0, -1.0, 1.0])
+REVERSE = np.asarray([1.0, -1.0, -1.0, 1.0])
 RATE_FLOOR_FRACTION = 0.9
 INVARIANCE_ANGLE_MAX = 1e-4
 TANGENTIAL_DEGREE_MAX = 1
 # grid over one theta-period locating the sup of the tangential envelope
 ENVELOPE_SAMPLES = 256
-# the golden-section polish of that sup stops on brackets this short
+# each polish round of that sup evaluates this many points across the
+# bracket around the argmax, and the rounds stop on brackets this short
+ENVELOPE_REFINE = 17
 ENVELOPE_XTOL = 1e-9
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def trapped_radius(beta: float, params: KerrParams) -> float:
@@ -276,33 +298,28 @@ class ShellOrbit:
         )
 
     def tangent_cocycle(self, horizon: float, tol: float) -> TangentCocycle:
-        """Intrinsic Jacobian t -> X(t) for any real t, from one theta-period.
+        """Intrinsic Jacobian t -> X(t) for any real t, from a quarter theta-period.
 
-        The period P is the first upward return of theta to its start; the
-        integration of (u, X) stops there.  Raises InvalidHorizon when theta
-        does not return within `horizon`.
+        The orbit starts on the equator with alpha > 0, so theta first turns,
+        where alpha falls through 0, at t_q = P/4 (fact 4); the integration
+        of (u, X) stops there.  Raises InvalidHorizon when the period 4 t_q
+        exceeds `horizon`.
         """
-        theta0 = self.u0[0]
 
-        def crossing(t, z):
-            return z[0] - theta0
+        def turn(t, z):
+            return z[2]
 
-        crossing.direction = 1.0
-        crossing.terminal = 2  # the first root is the start itself, t = 0
+        turn.direction = -1.0
+        turn.terminal = 1
         z0 = np.concatenate([self.u0, np.eye(4).ravel()])
-        sol = solve_ivp(self.rhs, (0.0, horizon), z0, rtol=tol, atol=tol * 1e-2,
-                        event=crossing, dense_output=True)
+        sol = solve_ivp(self.rhs, (0.0, horizon / 4.0), z0, rtol=tol,
+                        atol=tol * 1e-2, event=turn, dense_output=True)
         if sol.status != 1:
             raise InvalidHorizon(
                 f"horizon {horizon:g} is too short: theta does not return "
                 f"within it at beta={self.beta:g} ({sol.message})"
             )
-        monodromy = sol.y_events[-1][4:].reshape(4, 4)
-        return TangentCocycle(
-            period=float(sol.t_events[-1]),
-            shear=monodromy - np.eye(4),
-            one_period=sol.sol,
-        )
+        return TangentCocycle(float(sol.t_events[-1]), sol.sol)
 
     def embed(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(
@@ -343,18 +360,55 @@ class ShellOrbit:
         return frame
 
 
-@dataclass(frozen=True)
 class TangentCocycle:
-    """X(t) = X(s) (I + mN) for t = s + mP, s in [0, P) (fact 3).
+    """X(t) = X(s) (I + mN) for t = s + mP, s in [0, P) (fact 3), with X(s)
+    rebuilt from the first quarter period (fact 4).
+
+    Each s in [0, P] lies in a quarter j = 0..3 and is the image of a time
+    sigma in [0, t_q]: s = sigma, 2 t_q - sigma, 2 t_q + sigma or
+    4 t_q - sigma.  With D_j = I, R, S, SR there,
+    u(s) = c_j + D_j u(sigma) and X(s) = D_j X(sigma) B_j, where
+    B_1 = X_q^-1 R X_q, B_2 = S X(P/2) and B_3 = B_1 B_2, so that
+    X(P/2) = R B_1 and M = X(P) = B_2^2.
 
     The monodromy is never raised to a power: integration error of size
     tol splits its 2x2 Jordan blocks into eigenvalues about sqrt(tol) off
     the unit circle, which powers would amplify.
     """
 
-    period: float
-    shear: np.ndarray  # N = X(P) - I, with N^2 = 0 up to integration error
-    one_period: DenseSolution  # s -> (u, X) on [0, P]
+    def __init__(self, quarter_time: float, quarter: DenseSolution):
+        self.quarter_time = quarter_time  # t_q, where theta first turns
+        self.quarter = quarter  # sigma -> (u, X) on [0, t_q]
+        self.period = 4.0 * quarter_time
+        u0, end = quarter(0.0), quarter(quarter_time)
+        X_q = end[4:].reshape(4, 4)
+        B1 = np.linalg.solve(X_q, REVERSE[:, None] * X_q)
+        B2 = (REFLECT * REVERSE)[:, None] * B1
+        self._flips = np.asarray([np.ones(4), REVERSE, REFLECT, REFLECT * REVERSE])
+        self._post = np.asarray([np.eye(4), B1, B2, B1 @ B2])
+        # phi advances by 2 (phi_q - phi_0) over each half period
+        phi_q, half = end[1], 2.0 * (end[1] - u0[1])
+        self._shifts = np.asarray([
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 2.0 * phi_q, 0.0, 0.0],
+            [np.pi, half, 0.0, 0.0],
+            [np.pi, half + 2.0 * phi_q, 0.0, 0.0],
+        ])
+        self.shear = B2 @ B2 - np.eye(4)  # N = X(P) - I, N^2 = 0 up to integration error
+
+    def one_period(self, s):
+        """(u, X) at s in [0, P], flattened as the integrated state
+        (u, X.ravel()): shape (20,) for a scalar s, (20, n) for n times."""
+        s = np.asarray(s, dtype=float)
+        j = np.clip((s // self.quarter_time).astype(int), 0, 3)
+        # the time in [0, t_q] that quarter j repeats or reverses
+        h = s - 2.0 * self.quarter_time * (j // 2)
+        sigma = np.where(j % 2 == 0, h, 2.0 * self.quarter_time - h)
+        z = np.moveaxis(self.quarter(sigma), 0, -1)  # (..., 20)
+        flips = self._flips[j]
+        u = self._shifts[j] + flips * z[..., :4]
+        X = flips[..., :, None] * z[..., 4:].reshape(*s.shape, 4, 4) @ self._post[j]
+        return np.moveaxis(np.concatenate([u, X.reshape(*s.shape, 16)], axis=-1), -1, 0)
 
     def __call__(self, t):
         """X(t) as a 4x4 matrix, or a stack of them for an array of times."""
@@ -424,8 +478,9 @@ def equatorial_beta_range(
 ) -> tuple[float, float]:
     """Extremal equatorial beta values on the lambda shell of the trapped set.
 
-    On each side the far end of the bracket starts at BETA_FAR * M and
-    doubles until it brackets; at a = 0 the ends are +-sqrt(27 M^2 + lambda).
+    On each side the bracket runs from BETA_NEAR * M to a far end that
+    starts at BETA_FAR * M and doubles until it brackets; at a = 0 the ends
+    are +-sqrt(27 M^2 + lambda).
     """
 
     def shell_value(beta):
@@ -435,7 +490,7 @@ def equatorial_beta_range(
 
     roots = []
     for side in (1.0, -1.0):
-        near = side * BETA_NEAR
+        near = side * BETA_NEAR * params.mass
         f_near = shell_value(near)
         fars = [
             side * BETA_FAR * params.mass * 2.0**k for k in range(BETA_DOUBLINGS + 1)
@@ -446,7 +501,7 @@ def equatorial_beta_range(
                 f"no equatorial critical beta between {near:g} and {fars[-1]:g}"
             )
         lo, hi = sorted((near, far))
-        roots.append(brentq(shell_value, lo, hi, xtol=1e-13))
+        roots.append(brentq(shell_value, lo, hi, xtol=1e-13 * params.mass))
     plus, minus = roots
     return float(minus), float(plus)
 
@@ -481,17 +536,12 @@ def _beta_sample(
     degree, NkF = 0, N @ F
     while degree <= TANGENTIAL_DEGREE_MAX and np.linalg.norm(L @ NkF, 2) > math.sqrt(tol):
         degree, NkF = degree + 1, N @ NkF
-    grid = np.linspace(0.0, period, ENVELOPE_SAMPLES)
 
     def sup(Y):
-        """sup over s in [0, P] of ||L X(s) Y||: grid argmax, then polished."""
-        def norm(s):
-            return np.linalg.norm(L @ cocycle(s) @ Y, 2, axis=(-2, -1))
-
-        values = norm(grid)
-        i = int(np.argmax(values))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-        return max(float(values[i]), _golden_max(norm, lo, hi, ENVELOPE_XTOL))
+        """sup over s in [0, P] of ||L X(s) Y||."""
+        return _envelope_sup(
+            lambda s: np.linalg.norm(L @ cocycle(s) @ Y, 2, axis=(-2, -1)), period
+        )
 
     return BetaSample(
         chart=chart,
@@ -505,24 +555,25 @@ def _beta_sample(
     )
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
-    """Largest value of f on [lo, hi] by golden-section search.
+def _envelope_sup(f, period: float) -> float:
+    """sup over s in [0, period] of f, which maps an array of times to values.
 
-    It converges to the max when f is unimodal on the bracket; otherwise it
-    still returns a value of f, which never overstates the sup.
+    The argmax of an ENVELOPE_SAMPLES grid is refined on ENVELOPE_REFINE
+    point grids across the bracket of its neighbours, one call of f each,
+    until the bracket is shorter than ENVELOPE_XTOL (or than a few float
+    spacings of s, for a very long period).  The largest value evaluated
+    is returned, so the sup is never overstated.
     """
-    x1, x2 = hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo)
-    f1, f2 = float(f(x1)), float(f(x2))
-    while hi - lo > xtol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - INVPHI * (hi - lo)
-            f1 = float(f(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + INVPHI * (hi - lo)
-            f2 = float(f(x2))
-    return max(f1, f2)
+    s = np.linspace(0.0, period, ENVELOPE_SAMPLES)
+    best = -math.inf
+    while True:
+        values = f(s)
+        i = int(np.argmax(values))
+        best = max(best, float(values[i]))
+        lo, hi = s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]
+        if hi - lo <= max(ENVELOPE_XTOL, 4.0 * np.spacing(hi)):
+            return best
+        s = np.linspace(lo, hi, ENVELOPE_REFINE)
 
 
 def _ratio_sup(r: int, a: float, b: float, k: float) -> float:
@@ -561,9 +612,10 @@ def certify(
     normal rates and bundles are the eigenpairs of A6 on its invariant
     block (fact 2), and the invariance angle is the line angle between
     each bundle vector and its image under A6.  One theta-period of the
-    tangential cocycle gives the degree of tangential growth and the
-    envelope a + b*t (fact 3).  For r = 1..r_max the ratio checks bound
-    (a + b*t)^r exp(-(lambda - theta0) t) over t >= 0 in closed form, forward with lambda_+ and backward with
+    tangential cocycle, rebuilt from its first quarter (fact 4), gives the
+    degree of tangential growth and the envelope a + b*t (fact 3).  For
+    r = 1..r_max the ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t)
+    over t >= 0 in closed form, forward with lambda_+ and backward with
     lambda_-; they hold when the degree is at most 1.  `horizon` only
     bounds the search for the theta-period: no number depends on it.
     """
@@ -641,7 +693,7 @@ def perturb_and_recertify(
 
     Saddle relocation is damped Newton on the reduced fixed-point equations;
     the certificate is recomputed for the perturbed family, with the
-    one-period integration at tolerance ``tol`` as in `certify`.
+    quarter-period integration at tolerance ``tol`` as in `certify`.
     Displacement is reported relative to epsilon.
     """
     if not (0.0 <= epsilon <= 0.05):

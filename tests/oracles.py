@@ -3,8 +3,9 @@
 Each oracle takes the slow, direct route to a quantity the package
 computes another way: a dense eigensolve of the whole CAP matrix, the
 Jacobian of the flow by integrating the variational equation next to the
-orbit, and points on an invariant graph by following the flow out of the
-saddle.  None of them is reached from the CLI.
+orbit, a shell orbit's tangential cocycle over one whole theta-period, and
+points on an invariant graph by following the flow out of the saddle.
+None of them is reached from the CLI.
 """
 
 from __future__ import annotations
@@ -61,6 +62,24 @@ def joint_flow(model, start, time: float, tol: float = 1e-10):
 def tangent_flow(model, start, time: float, tol: float = 1e-10) -> np.ndarray:
     """Jacobian dphi^time along the orbit through `start`."""
     return joint_flow(model, start, time, tol)[1]
+
+
+def full_period_cocycle(orbit, horizon: float, tol: float):
+    """(period, monodromy X(P), dense s -> (u, X) on [0, P]) of a shell
+    orbit by integrating one whole theta-period directly: the first upward
+    return of theta to its start, with no use of the quarter symmetries."""
+    theta0 = orbit.u0[0]
+
+    def crossing(t, z):
+        return z[0] - theta0
+
+    crossing.direction = 1.0
+    crossing.terminal = 2  # the first root is the start itself, t = 0
+    z0 = np.concatenate([orbit.u0, np.eye(4).ravel()])
+    sol = solve_ivp(orbit.rhs, (0.0, horizon), z0, rtol=tol, atol=tol * 1e-2,
+                    event=crossing, dense_output=True)
+    assert sol.status == 1, sol.message
+    return float(sol.t_events[-1]), sol.y_events[-1][4:].reshape(4, 4), sol.sol
 
 
 def manifold_samples(

@@ -250,12 +250,12 @@ class TestWorkers:
         monkeypatch.setenv("NHTRAP_WORKERS", "5")
         assert cli.resolve_workers(cfg) == 5
 
-    def test_default_is_cpu_count(self, monkeypatch):
+    def test_default_is_one(self, monkeypatch):
         from nhtrap.config import parse_config
 
         monkeypatch.delenv("NHTRAP_WORKERS", raising=False)
         cfg = parse_config("command = trap-find\n")
-        assert cli.resolve_workers(cfg) >= 1
+        assert cli.resolve_workers(cfg) == 1
 
 
 class TestFlowIntegrate:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import tangent_flow
+from oracles import full_period_cocycle, tangent_flow
 from scipy.linalg import expm
 
 from nhtrap import capspec, kerr, models, trapping
@@ -260,6 +260,77 @@ class TestFamilyAndShell:
             assert abs(now.carter - start.carter) < 1e-10
 
 
+def _family(spin: float, epsilon: float) -> trapping.ReducedFamily:
+    bump = models.BumpPattern(1, (3.0, 0.0), span=0.6) if epsilon else None
+    return trapping.ReducedFamily(KerrParams(1.0, spin), bump=bump, epsilon=epsilon)
+
+
+class TestQuarterPeriod:
+    """The period, monodromy and (u, X) on [0, P] rebuilt from a quarter
+    period by the reflection and reversal symmetries, against one whole
+    period integrated directly."""
+
+    @pytest.mark.parametrize("spin, epsilon", [(0.5, 0.0), (0.9, 0.0), (0.5, 0.01)])
+    def test_matches_full_period(self, spin, epsilon):
+        fam = _family(spin, epsilon)
+        lo, hi = trapping.equatorial_beta_range(0.0, fam.params, fam)
+        for beta in (0.8 * lo, 0.3 * lo, 0.5 * hi):
+            orbit = trapping.ShellOrbit(fam, beta, 0.0)
+            cocycle = orbit.tangent_cocycle(CLI.horizon, tol=1e-12)
+            period, monodromy, dense = full_period_cocycle(orbit, CLI.horizon, tol=1e-12)
+            assert cocycle.period == pytest.approx(period, rel=1e-11)
+            assert np.max(np.abs(cocycle.shear + np.eye(4) - monodromy)) < 1e-8
+            # 97 points, 24 in each quarter, cover all four quarters
+            s = np.linspace(0.0, period, 97)
+            rebuilt, direct = cocycle.one_period(s), dense(s)
+            assert np.max(np.abs(rebuilt[:4] - direct[:4])) < 1e-8
+            assert np.max(np.abs(rebuilt[4:] - direct[4:])) < 1e-8
+            assert np.max(np.abs(cocycle(s) - np.moveaxis(
+                direct[4:].reshape(4, 4, -1), -1, 0))) < 1e-8
+
+    def test_horizon_bounds_the_period(self):
+        orbit = trapping.ShellOrbit(_family(0.5, 0.0), 1.2, 0.0)
+        period = orbit.tangent_cocycle(CLI.horizon, TOL).period
+        with pytest.raises(InvalidHorizon):
+            orbit.tangent_cocycle(0.99 * period, TOL)
+        # a bound this close clips the step that holds the turn, which moves
+        # the period in its last bits only
+        assert orbit.tangent_cocycle(1.01 * period, TOL).period == pytest.approx(
+            period, rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "spin, epsilon, beta", [(0.5, 0.0, -2.0), (0.9, 0.0, 1.5), (0.5, 0.01, -2.0)]
+    )
+    def test_envelope_sup(self, spin, epsilon, beta):
+        # sigma(s) = ||L X(s) Y|| for both envelope directions Y
+        orbit = trapping.ShellOrbit(_family(spin, epsilon), beta, 0.0)
+        cocycle = orbit.tangent_cocycle(CLI.horizon, TOL)
+        L, F, P = orbit.embed_diff, orbit.tangential_frame(), cocycle.period
+        for Y in (F, cocycle.shear @ F):
+
+            def sigma(s):
+                return np.linalg.norm(L @ cocycle(s) @ Y, 2, axis=(-2, -1))
+
+            sup = trapping._envelope_sup(sigma, P)
+            grid = np.linspace(0.0, P, trapping.ENVELOPE_SAMPLES)
+            values = sigma(grid)
+            assert sup >= np.max(values)
+            assert sup >= np.max(sigma(np.linspace(0.0, P, 100001))) * (1.0 - 1e-12)
+            # the sup lies in the bracket of the grid argmax, where 1e5
+            # points resolve it to far below 1e-12
+            i = int(np.argmax(values))
+            bracket = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 100001)
+            assert sup == pytest.approx(np.max(sigma(bracket)), rel=1e-12)
+
+    def test_envelope_sup_ends_on_long_periods(self):
+        # past P ~ 1e7 the float spacing of s exceeds ENVELOPE_XTOL (at
+        # M = 1e-8 the period is about 6e8), yet the refinement must end
+        period = 6e8
+        sup = trapping._envelope_sup(lambda s: np.cos(2.0 * np.pi * s / period - 1.0), period)
+        assert sup == pytest.approx(1.0, abs=1e-12)
+
+
 class TestCertify:
     def test_static_certificate(self):
         cert = trapping.certify(0.0, KerrParams(), horizon=6.0, r_max=R_MAX, tol=TOL)
@@ -309,6 +380,23 @@ class TestCertify:
             t = np.linspace(0.0, 30.0 * P, 18001)
             assert np.all(sigma(t) <= (a + b * t) * (1.0 + 1e-9))
             assert np.all(sigma(-t) <= (a + b * (t + P)) * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("mass", [1e-4, 1e3])
+    def test_mass_scaling(self, mass):
+        # rates and betas scale like M and periods like 1/M, so the beta
+        # bracket and its root tolerance must scale with M too
+        def scaled(m):
+            cert = trapping.certify(
+                0.0, KerrParams(m, m / 2.0), horizon=50.0 / m, r_max=R_MAX, tol=TOL
+            )
+            return (
+                cert.theta_rate / m,
+                np.asarray([s.period * m for s in cert.beta_samples]),
+                np.asarray([s.chart.beta / m for s in cert.beta_samples]),
+            )
+
+        for got, want in zip(scaled(mass), scaled(1.0)):
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_ratio_constant_is_the_sup(self):
         t = np.linspace(0.0, 20.0, 400001)
