@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     GridTooCoarse,
     InvalidHorizon,
-    InvalidNesting,
     NewtonDiverged,
     NhtrapError,
     NoBracket,
@@ -42,7 +41,6 @@ __all__ = [
     "InvalidHorizon",
     "NewtonDiverged",
     "GridTooCoarse",
-    "InvalidNesting",
     "Unbounded",
     "UnderResolved",
     "ConvergenceFailure",

@@ -192,7 +192,7 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
         """The model's report and build_G1's monotonicity verdict."""
         pair = escape.build_defining_pair(model, saddle_guess=saddle_guess)
         spec = escape.make_escape_spec(pair, h=cfg.h)
-        report = escape.escape_report(pair, spec, seed=cfg.seed)
+        report = escape.escape_report(spec, seed=cfg.seed)
         return report, spec.G1.report["passed"]
 
     jobs = [

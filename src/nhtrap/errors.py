@@ -47,10 +47,6 @@ class GridTooCoarse(NhtrapError):
     """Sampling grid does not resolve the required scale."""
 
 
-class InvalidNesting(NhtrapError):
-    """Inner cutoff region is not contained in the outer one."""
-
-
 class Unbounded(NhtrapError):
     """No admissible polynomial order bounds the sampled quotients."""
 

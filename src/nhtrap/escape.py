@@ -6,9 +6,10 @@ defining functions phi+/- for those graphs by solving the invariance
 equation to quadratic order, extracts the contraction/expansion rates c+/-,
 assembles the log-flattened escape function G with its exterior term G1,
 and evaluates the positive-commutator quantity whose grid minimum
-certifies the bound phi_tilde >= c1 * htilde with c1 > 0.  The coarse
-scale htilde, the weights M and C1, the cutoff and G1 radii and every
-grid size are module constants; a spec varies only with h.
+certifies the bound phi_tilde >= c1 * htilde with c1 > 0.  An escape
+spec is the defining pair at scale h, with its G1: the coarse scale
+htilde (HTILDE), the weights M and C1, the cutoff and G1 radii and every
+grid size are module constants, read where they are used.
 
 Conventions.  Phase points are arrays (x, xi) of shape (2, *batch): every
 function of a point also takes a whole batch and returns values of shape
@@ -35,18 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GridTooCoarse,
-    InvalidNesting,
-    NotHyperbolic,
-    Unbounded,
-)
-from .models import HamiltonianModel, newton_saddle
+from .errors import DomainError, GridTooCoarse, NotHyperbolic, Unbounded
+from .models import HamiltonianModel, newton_saddle, saddle_rate
 
 HTILDE = 0.25             # the coarse semiclassical scale of every spec
 M_CONST = 5.0             # weight M of the hatted squares in phi_tilde
 C1_CONST = 10.0           # weight C1 of the log(1/h) chi1 G1 term of G
+# (inner, outer) adapted radii of the cutoffs chi and chi1 and of the G1
+# ramp; the chi ramp ends inside the chi1 plateau
 CHI_RADII = (0.2, 0.5)
 CHI1_RADII = (0.6, 0.9)
 G1_RADII = (0.2, 0.5)
@@ -88,7 +85,6 @@ class DefiningPair:
     quad_minus: float
     mu: float                 # saddle expansion rate; c+-^2 at the saddle
     kappa: float              # adapted-metric slope scale
-    c0: float                 # {phi+, phi-} at the saddle
 
     def _graph(self, side: int) -> tuple[float, float]:
         """(gamma, quad) of the graph polynomial on this side."""
@@ -173,12 +169,9 @@ def build_defining_pair(
     """
     saddle = newton_saddle(model.gradient, model.hessian, saddle_guess)
     H = model.hessian(saddle)
-    det = H[0, 0] * H[1, 1] - H[0, 1] * H[0, 1]
-    if det >= 0.0:
-        raise NotHyperbolic(f"hessian determinant {det:.3e} >= 0 at saddle")
+    mu = saddle_rate(H, f"the saddle {saddle.tolist()}")
     if H[1, 1] <= 0.0:
         raise NotHyperbolic("graph construction needs p_xixi > 0")
-    mu = math.sqrt(-det)
     gamma_plus = (-H[0, 1] + mu) / H[1, 1]
     gamma_minus = (-H[0, 1] - mu) / H[1, 1]
     if model.third is None:
@@ -201,7 +194,6 @@ def build_defining_pair(
         quad_minus=quads[1],
         mu=mu,
         kappa=kappa,
-        c0=gamma_plus - gamma_minus,
     )
 
 
@@ -250,41 +242,28 @@ def _smoothstep_deriv(u):
     return 30.0 * u * u * (1.0 - u) ** 2
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """Radial cutoff in the pair's adapted chart: 1 inside, 0 outside."""
-
-    pair: DefiningPair
-    inner: float
-    outer: float
-
-    def __post_init__(self):
-        if not 0.0 < self.inner < self.outer:
-            raise DomainError(
-                f"cutoff radii must satisfy 0 < inner < outer, "
-                f"got ({self.inner}, {self.outer})"
-            )
-
-    def value(self, rho):
-        u = (self.pair.adapted_radius(rho) - self.inner) / (self.outer - self.inner)
-        return 1.0 - _smoothstep(u)
+def _cutoff(pair: DefiningPair, rho, radii):
+    """Radial cutoff in the pair's adapted chart: 1 inside radii[0], 0
+    outside radii[1]."""
+    inner, outer = radii
+    return 1.0 - _smoothstep((pair.adapted_radius(rho) - inner) / (outer - inner))
 
 
 @dataclass(frozen=True)
 class G1Function:
-    """Exterior escape term: position-momentum pairing gated off near K.
+    """Exterior escape term: position-momentum pairing gated off near K,
+    ramped on across the G1_RADII.
 
     `report` holds the floors and ceiling measured by build_G1."""
 
     pair: DefiningPair
-    r_inner: float
-    r_outer: float
     scale: float
     report: dict | None = None
 
     def _ramp_u(self, rho):
+        r_inner, r_outer = G1_RADII
         s = self.pair.adapted_radius(rho)
-        return s, (s - self.r_inner) / (self.r_outer - self.r_inner)
+        return s, (s - r_inner) / (r_outer - r_inner)
 
     def __call__(self, rho):
         dx = rho[0] - self.pair.saddle[0]
@@ -295,11 +274,12 @@ class G1Function:
     def gradient(self, rho) -> np.ndarray:
         dx = rho[0] - self.pair.saddle[0]
         dxi = rho[1] - self.pair.saddle[1]
+        r_inner, r_outer = G1_RADII
         s, u = self._ramp_u(rho)
-        dw = _smoothstep_deriv(u) / (self.r_outer - self.r_inner)
+        dw = _smoothstep_deriv(u) / (r_outer - r_inner)
         # dw vanishes for s <= r_inner, so the floor only keeps s = 0 finite
         grad = _smoothstep(u) * np.stack([dxi, dx]) + (
-            dw * dx * dxi / np.maximum(s, self.r_inner)
+            dw * dx * dxi / np.maximum(s, r_inner)
         ) * np.stack([self.pair.kappa**2 * dx, dxi])
         return self.scale * grad
 
@@ -318,7 +298,7 @@ def build_G1(pair: DefiningPair) -> G1Function:
     and ceiling, and its "passed" verdict.
     """
     r_inner, r_outer = G1_RADII
-    raw = G1Function(pair, r_inner, r_outer, scale=1.0)
+    raw = G1Function(pair, scale=1.0)
 
     band = 2.0 * r_outer
     xs = np.linspace(-band, band, G1_GRID_N)
@@ -350,65 +330,50 @@ def build_G1(pair: DefiningPair) -> G1Function:
             and max_on_core <= 1e-10
         ),
     }
-    return G1Function(pair, r_inner, r_outer, scale, report)
+    return G1Function(pair, scale, report)
 
 
 @dataclass(frozen=True)
 class EscapeSpec:
-    """Parameters of the two-scale escape function."""
+    """The defining pair at scale h, 0 < h < HTILDE, with its G1."""
 
+    pair: DefiningPair
     h: float
-    htilde: float
-    chi: Cutoff
-    chi1: Cutoff
     G1: G1Function
 
     def __post_init__(self):
-        if not 0.0 < self.h < 1.0:
-            raise DomainError(f"h must lie in (0, 1), got {self.h}")
-        if not 0.0 < self.htilde < 1.0:
-            raise DomainError(f"htilde must lie in (0, 1), got {self.htilde}")
-        if self.h >= self.htilde:
-            raise DomainError(
-                f"need h < htilde, got h={self.h}, htilde={self.htilde}"
-            )
-        # the gradient of chi must live where chi1 is still identically 1
-        if self.chi.outer > self.chi1.inner:
-            raise InvalidNesting(
-                f"chi ramp [{self.chi.inner}, {self.chi.outer}] must sit "
-                f"inside the chi1 plateau (radius {self.chi1.inner})"
-            )
+        if not self.h > 0.0:
+            raise DomainError(f"h must be positive, got {self.h}")
+        if self.h >= HTILDE:
+            raise DomainError(f"need h < htilde, got h={self.h}, htilde={HTILDE}")
 
     @property
     def eta(self) -> float:
-        return self.h / self.htilde
+        return self.h / HTILDE
 
 
 def make_escape_spec(pair: DefiningPair, h: float) -> EscapeSpec:
-    """The EscapeSpec at scale h: htilde = HTILDE, the cutoffs on the
-    CHI_RADII and CHI1_RADII centred on the saddle, and G1 from build_G1."""
-    chi = Cutoff(pair, *CHI_RADII)
-    chi1 = Cutoff(pair, *CHI1_RADII)
-    return EscapeSpec(h=h, htilde=HTILDE, chi=chi, chi1=chi1, G1=build_G1(pair))
+    """The EscapeSpec of the pair at scale h, with G1 from build_G1."""
+    return EscapeSpec(pair, h, build_G1(pair))
 
 
-def escape_function(spec: EscapeSpec, pair: DefiningPair, rho):
+def escape_function(spec: EscapeSpec, rho):
     """G = chi log((phi-^2 + eta)/(phi+^2 + eta)) + C1 log(1/h) chi1 G1."""
-    eta = spec.eta
+    pair, eta = spec.pair, spec.eta
     fp, fm = pair.phi(rho, 1), pair.phi(rho, -1)
-    val = spec.chi.value(rho) * np.log((fm * fm + eta) / (fp * fp + eta))
+    val = _cutoff(pair, rho, CHI_RADII) * np.log((fm * fm + eta) / (fp * fp + eta))
     amp = C1_CONST * math.log(1.0 / spec.h)
-    return val + amp * spec.chi1.value(rho) * spec.G1(rho)
+    return val + amp * _cutoff(pair, rho, CHI1_RADII) * spec.G1(rho)
 
 
 # ---------------------------------------------------------------------------
 # commutator bound
 
 
-def _hatted(pair: DefiningPair, spec: EscapeSpec, rho, side: int):
+def _hatted(spec: EscapeSpec, rho, side: int):
     """phi_hat = c phi / sqrt(phi^2 + eta) with its gradient, both closed-form."""
     rho = np.asarray(rho, dtype=float)
-    eta = spec.eta
+    pair, eta = spec.pair, spec.eta
     phi, grad = pair.phi(rho, side), pair.grad_phi(rho, side)
     c2, dc2 = pair.c2(rho, side, with_grad=True)
     lost = np.ravel(c2 <= 0.0)
@@ -422,21 +387,21 @@ def _hatted(pair: DefiningPair, spec: EscapeSpec, rho, side: int):
     return val, gradient
 
 
-def phi_tilde(pair: DefiningPair, spec: EscapeSpec, rho):
+def phi_tilde(spec: EscapeSpec, rho):
     """M htilde (phi_hat+^2 + phi_hat-^2) + h {phi_hat+, phi_hat-}."""
-    vp, gp = _hatted(pair, spec, rho, +1)
-    vm, gm = _hatted(pair, spec, rho, -1)
-    return M_CONST * spec.htilde * (vp * vp + vm * vm) + spec.h * _poisson(gp, gm)
+    vp, gp = _hatted(spec, rho, +1)
+    vm, gm = _hatted(spec, rho, -1)
+    return M_CONST * HTILDE * (vp * vp + vm * vm) + spec.h * _poisson(gp, gm)
 
 
-def saddle_commutator_value(pair: DefiningPair, spec: EscapeSpec) -> float:
+def saddle_commutator_value(pair: DefiningPair) -> float:
     """phi_tilde / htilde exactly at the saddle: the h/htilde factors
     cancel and the value reduces to c+ c- {phi+, phi-}."""
     rho = pair.saddle
     return np.sqrt(pair.c2(rho, 1)) * np.sqrt(pair.c2(rho, -1)) * pair.bracket(rho)
 
 
-def saddle_grid(pair: DefiningPair, radius: float, n: int = GRID_N) -> np.ndarray:
+def saddle_grid(pair: DefiningPair, radius: float, n: int) -> np.ndarray:
     """Square grid in adapted coordinates clipped to the disc, saddle first,
     as an (n, 2) point list in row order of the x offset."""
     ax = np.linspace(-radius, radius, n)
@@ -445,16 +410,12 @@ def saddle_grid(pair: DefiningPair, radius: float, n: int = GRID_N) -> np.ndarra
     return np.vstack([pair.saddle, pair.point(a[keep], b[keep]).T])
 
 
-def commutator_lower_bound(
-    spec: EscapeSpec,
-    pair: DefiningPair,
-    grid: np.ndarray,
-) -> float:
+def commutator_lower_bound(spec: EscapeSpec, grid: np.ndarray) -> float:
     """Minimum of phi_tilde / htilde over an (n, 2) grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != 2 or len(grid) == 0:
         raise DomainError("grid must be a nonempty (n, 2) array")
-    return float(np.min(phi_tilde(pair, spec, grid.T) / spec.htilde))
+    return float(np.min(phi_tilde(spec, grid.T) / HTILDE))
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +443,17 @@ def sample_disc_pairs(
 
 
 def _order_statistics(
-    spec: EscapeSpec, pair: DefiningPair, sample_pairs: np.ndarray
+    spec: EscapeSpec, sample_pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair |G gap| and log of the eta-scaled separation bracket."""
     pairs = np.asarray(sample_pairs, dtype=float)
     rho_a, rho_b = pairs[:, 0].T, pairs[:, 1].T
-    G_a, G_b = (escape_function(spec, pair, rho) for rho in (rho_a, rho_b))
+    G_a, G_b = (escape_function(spec, rho) for rho in (rho_a, rho_b))
     gaps = np.broadcast_to(np.abs(G_a - G_b), len(pairs))
     # separation in the saddle-adapted chart; a fixed linear change of
     # coordinates only renormalizes the constant, and it removes the
     # kappa anisotropy between models
-    t = np.hypot(pair.kappa * (rho_a[0] - rho_b[0]), rho_a[1] - rho_b[1])
+    t = np.hypot(spec.pair.kappa * (rho_a[0] - rho_b[0]), rho_a[1] - rho_b[1])
     t /= math.sqrt(spec.eta)
     return gaps, 0.5 * np.log1p(t * t)
 
@@ -508,11 +469,11 @@ def _smallest_order(gaps: np.ndarray, log_brackets: np.ndarray):
 
 
 def order_function_check(
-    spec: EscapeSpec, pair: DefiningPair, sample_pairs: np.ndarray
+    spec: EscapeSpec, sample_pairs: np.ndarray
 ) -> tuple[float, int]:
     """Smallest N with exp G(rho)/exp G(rho') <= C <(rho-rho')/sqrt(eta)>^N
     and C below the cap, over all sampled pairs; C is the tight constant."""
-    found = _smallest_order(*_order_statistics(spec, pair, sample_pairs))
+    found = _smallest_order(*_order_statistics(spec, sample_pairs))
     if found is None:
         raise Unbounded(
             "no admissible polynomial order up to "
@@ -521,24 +482,21 @@ def order_function_check(
     return math.exp(found[0]), found[1]
 
 
-def escape_report(pair: DefiningPair, spec: EscapeSpec, seed: int) -> dict:
+def escape_report(spec: EscapeSpec, seed: int) -> dict:
     """One-stop summary: sign relations, commutator floor, order function."""
-    verify = verify_defG_relations(
-        pair, saddle_grid(pair, VERIFY_RADIUS, GRID_N)
-    )
-    c1 = commutator_lower_bound(
-        spec, pair, saddle_grid(pair, CHI_RADII[0], GRID_N)
-    )
+    pair = spec.pair
+    verify = verify_defG_relations(pair, saddle_grid(pair, VERIFY_RADIUS, GRID_N))
+    c1 = commutator_lower_bound(spec, saddle_grid(pair, CHI_RADII[0], GRID_N))
     rng = np.random.default_rng(seed)
-    pairs = sample_disc_pairs(pair, spec.chi.inner, ORDER_PAIRS, rng)
-    c_val, n_exp = order_function_check(spec, pair, pairs)
+    pairs = sample_disc_pairs(pair, CHI_RADII[0], ORDER_PAIRS, rng)
+    c_val, n_exp = order_function_check(spec, pairs)
     return {
         "c1": float(c1),
         "C": float(c_val),
         "N": int(n_exp),
         "bracket_min": verify["min_bracket"],
         "violations": verify["violations"],
-        "saddle_value": float(saddle_commutator_value(pair, spec)),
+        "saddle_value": float(saddle_commutator_value(pair)),
         "g1_scale": float(spec.G1.scale),
         "g1_floor": spec.G1.report["g1_floor"],
     }

@@ -1,41 +1,47 @@
 """Hamiltonian model instances shared by the flow, certification, and spectral code.
 
 A model packages a smooth symbol on R^{2n} (positions first, momenta second)
-with its analytic gradient and Hessian and the chart it lives on.  Charts
-are encoded as a margin function: positive inside, nonpositive at exit.
-A model keeps no conserved set: flow-integrate takes p from the model and
-the Carter constant from `kerr`.
+with its analytic gradient and Hessian.  The full Kerr model, the one that
+flow-integrate flows, also carries its chart as a margin function: positive
+inside, nonpositive at exit.  A model keeps no conserved set: flow-integrate
+takes p from the model and the Carter constant from `kerr`.
 
-The two-dimensional models also carry `third`, the symmetric 2x2x2 tensor
-T_ijk = d^3 p / dy_i dy_j dy_k of third derivatives, where it is known in
-closed form (the toy and the unbumped reduced Kerr model); otherwise it is
-None.  Their `gradient`, `hessian` and `third` take y of shape (2, *batch)
-and return (2, *batch), (2, 2, *batch) and (2, 2, 2, *batch), so a whole
-grid is one call; a single point of shape (2,) gives plain vectors and
-matrices.
+The two-dimensional models have a hyperbolic saddle, whose rate
+sqrt(-det H) is `saddle_rate`: escape builds its defining pair there and
+trapping its normal chart.  Their `evaluate` only serves as the reference
+of the closed-form derivatives.  They also carry `third`, the symmetric
+2x2x2 tensor T_ijk = d^3 p / dy_i dy_j dy_k of third derivatives, where it
+is known in closed form (the toy and the unbumped reduced Kerr model);
+otherwise it is None.  Their `gradient`, `hessian` and `third` take y of
+shape (2, *batch) and return (2, *batch), (2, 2, *batch) and
+(2, 2, 2, *batch), so a whole grid is one call; a single point of shape
+(2,) gives plain vectors and matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import kerr
-from .errors import NewtonDiverged
+from .errors import NewtonDiverged, NotHyperbolic
 from .kerr import KerrParams, PhaseState, radial_potential, radial_potential_derivs
 
-CHART_CAP_TOY = 1e6
 CHART_CAP_KERR_R = 200.0
 SADDLE_STEP_TOL = 1e-13
 SADDLE_MAX_ITER = 60
 N_BUMPS = 3  # bumps in each BumpPattern
+# the (r, xi) box of every BumpPattern at M = 1
+BUMP_CENTER = (3.0, 0.0)
+BUMP_SPAN = 0.6
 
 
 @dataclass
 class HamiltonianModel:
-    """Symbol + derivatives + chart, on a 2- or 6-dimensional phase space."""
+    """Symbol + derivatives (+ chart), on a 2- or 6-dimensional phase space."""
 
     dimension: int
     evaluate: Callable[[np.ndarray], float]
@@ -55,6 +61,15 @@ class HamiltonianModel:
         H = self.hessian(y)
         d = self.dimension // 2
         return np.vstack([H[d:, :], -H[:d, :]])
+
+
+def saddle_rate(H, where) -> float:
+    """Expansion rate sqrt(-det H) of the Hamilton field J H at a 2D saddle
+    with symmetric Hessian H; NotHyperbolic, naming `where`, unless det H < 0."""
+    det = H[0, 0] * H[1, 1] - H[0, 1] * H[0, 1]
+    if not det < 0.0:
+        raise NotHyperbolic(f"hessian determinant {det:.3e} >= 0 at {where}")
+    return math.sqrt(-det)
 
 
 def newton_saddle(gradient, hessian, guess) -> np.ndarray:
@@ -86,25 +101,34 @@ def newton_saddle(gradient, hessian, guess) -> np.ndarray:
 
 
 class BumpPattern:
-    """Deterministic sum of smooth compactly-supported bumps on the (x, xi) plane.
+    """Deterministic sum of smooth compactly-supported bumps on the (r, xi) plane.
 
     Centers, widths, and signed amplitudes are drawn once from the seed and
-    frozen; sup|pattern| is scaled to 1 on its support.  Values and the
-    first two derivative tensors are analytic (the classic exp(1 - 1/(1-u^2))
+    frozen; sup|pattern| is scaled to M^2 on its support.  The box of
+    BUMP_CENTER and BUMP_SPAN is stretched by M along r only: under
+    (M, a, r, alpha, beta) -> s (M, a, r, alpha, beta), xi fixed, the Kerr
+    symbol scales by s^2, and so does the pattern.  Values and the first two
+    derivative tensors are analytic (the classic exp(1 - 1/(1-u^2))
     profile), so perturbed symbols keep exact gradients/Hessians.
     """
 
-    def __init__(self, seed: int, center: tuple[float, float], span: float):
+    def __init__(self, seed: int, mass: float):
         rng = np.random.default_rng(seed)
-        self.centers = center + span * rng.uniform(-0.7, 0.7, size=(N_BUMPS, 2))
-        self.widths = span * rng.uniform(0.5, 0.9, size=(N_BUMPS, 2))
+        stretch = np.asarray([mass, 1.0])
+        center = np.asarray(BUMP_CENTER)
+        self.centers = (
+            center + BUMP_SPAN * rng.uniform(-0.7, 0.7, size=(N_BUMPS, 2))
+        ) * stretch
+        self.widths = BUMP_SPAN * rng.uniform(0.5, 0.9, size=(N_BUMPS, 2)) * stretch
         amps = rng.uniform(0.5, 1.0, size=N_BUMPS) * rng.choice(
             [-1.0, 1.0], size=N_BUMPS
         )
         # normalize: sup over a probe grid of the raw sum, polished off-grid
         self.amps = amps
-        xs = np.linspace(center[0] - 2 * span, center[0] + 2 * span, 201)
-        ys = np.linspace(center[1] - 2 * span, center[1] + 2 * span, 201)
+        xs, ys = (
+            np.linspace(c - 2 * BUMP_SPAN, c + 2 * BUMP_SPAN, 201) * k
+            for c, k in zip(center, stretch)
+        )
         grid = np.abs(self.value(xs[:, None], ys[None, :]))
         i, j = np.unravel_index(np.argmax(grid), grid.shape)
         self.peak_point = np.asarray([xs[i], ys[j]])
@@ -118,8 +142,8 @@ class BumpPattern:
         except NewtonDiverged:
             pass
         peak = max(float(grid[i, j]), abs(float(self.value(*self.peak_point))))
-        if peak > 0:
-            self.amps = amps / peak
+        # the probe grid holds every centre, so the peak is positive
+        self.amps = amps / peak * mass**2
 
     def _hessian_matrix(self, z) -> np.ndarray:
         """The 2x2 Hessian at the point z, for `newton_saddle`."""
@@ -185,16 +209,12 @@ def toy_barrier_model() -> HamiltonianModel:
     def third(y):
         return np.zeros((2, 2, 2) + np.shape(y[0]))
 
-    def margin(y):
-        return CHART_CAP_TOY - max(abs(y[0]), abs(y[1]))
-
     return HamiltonianModel(
         dimension=2,
         evaluate=evaluate,
         gradient=gradient,
         hessian=hessian,
         third=third,
-        chart_margin=margin,
     )
 
 
@@ -211,7 +231,6 @@ def reduced_kerr_model(
     bump perturbation epsilon*dp(r, xi) models symbol perturbations; the
     bumped model carries no `third`.
     """
-    rp = kerr.horizon_radius(params)
     bumped = bump is not None and epsilon != 0.0
 
     def evaluate(y):
@@ -249,16 +268,12 @@ def reduced_kerr_model(
         T[0, 1, 1] = T[1, 0, 1] = T[1, 1, 0] = 4.0 * (r - params.mass)
         return T
 
-    def margin(y):
-        return min(y[0] - (rp + kerr.DEFAULT_R_MARGIN), CHART_CAP_KERR_R - y[0])
-
     return HamiltonianModel(
         dimension=2,
         evaluate=evaluate,
         gradient=gradient,
         hessian=hessian,
         third=None if bumped else third,
-        chart_margin=margin,
     )
 
 

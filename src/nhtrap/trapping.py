@@ -54,9 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kerr
-from .errors import DomainError, InvalidHorizon, NoBracket, NotHyperbolic
+from .errors import DomainError, InvalidHorizon, NoBracket
 from .kerr import KerrParams, PhaseState, radial_potential_derivs
-from .models import BumpPattern, newton_saddle, reduced_kerr_model
+from .models import BumpPattern, newton_saddle, reduced_kerr_model, saddle_rate
 from .ode import DenseSolution, brentq, solve_ivp
 
 N_BETA = 6  # beta samples of each certificate
@@ -113,6 +113,8 @@ class TrappedOrbitChart:
 
     beta: float
     trapped_radius: float
+    xi_saddle: float
+    hessian: np.ndarray  # of the reduced symbol in (r, xi) at the saddle
     lin_matrix: np.ndarray  # half-field generator; [[0, Delta], [B', 0]] unperturbed
     normal_exponent: float  # full-field rate; 2*sqrt(Delta*B') unperturbed
     potential_curvature: float  # p_rr at the saddle; v'' < 0 unperturbed
@@ -122,7 +124,7 @@ class ReducedFamily:
     """Beta-family of radial saddles for a (possibly perturbed) symbol.
 
     Wraps the exterior symbol plus an optional (r, xi) bump of size epsilon.
-    Provides saddle location/derivatives, the normal generator, and
+    Provides saddle location/derivatives, the normal chart, and
     gradient/Hessian of the six-dimensional symbol at embedded points.
     """
 
@@ -158,10 +160,6 @@ class ReducedFamily:
         self._saddles[key] = point
         return point
 
-    def saddle_hessian(self, beta: float) -> np.ndarray:
-        """Hessian of the reduced symbol in (r, xi) at the saddle."""
-        return self.reduced_model(beta).hessian(np.asarray(self.saddle(beta)))
-
     def saddle_derivative(self, beta: float) -> np.ndarray:
         """(dr_s/dbeta, dxi_s/dbeta) by the implicit function theorem.
 
@@ -170,35 +168,27 @@ class ReducedFamily:
         d(grad p)/dbeta = (v_rb, 0) and d(r_s, xi_s)/dbeta = -H^-1 (v_rb, 0).
         """
         v_rb = kerr.radial_terms(self.params, beta, self.saddle(beta)[0])[5]
-        return -np.linalg.solve(self.saddle_hessian(beta), [v_rb, 0.0])
-
-    def normal_generator(self, beta: float) -> np.ndarray:
-        """2x2 full-field generator J*Hess at the saddle."""
-        H = self.saddle_hessian(beta)
-        return np.asarray([[H[1, 0], H[1, 1]], [-H[0, 0], -H[0, 1]]])
-
-    def exponent(self, beta: float) -> float:
-        """Normal expansion rate: the larger eigenvalue tr/2 + sqrt(disc) of
-        the 2x2 generator, real exactly when its discriminant is positive."""
-        gen = self.normal_generator(beta)
-        disc = gen[0, 1] * gen[1, 0] + ((gen[0, 0] - gen[1, 1]) / 2.0) ** 2
-        if disc <= 0.0:
-            raise NotHyperbolic(f"complex normal spectrum at beta={beta:g}")
-        return float((gen[0, 0] + gen[1, 1]) / 2.0 + math.sqrt(disc))
+        return -np.linalg.solve(self.chart(beta).hessian, [v_rb, 0.0])
 
     def chart(self, beta: float) -> TrappedOrbitChart:
-        """Half-field chart at the saddle.  Unperturbed, xi_s = 0 and the
-        halved generator is [[0, Delta], [B', 0]] with B' = -v''/2."""
-        r_s, _ = self.saddle(beta)
-        curv = self.saddle_hessian(beta)[0, 0]
+        """Normal chart at the saddle, the one place the reduced Hessian H is
+        formed.  The full-field generator is J H = [[H10, H11], [-H00, -H01]],
+        whose top eigenvalue is `models.saddle_rate`; the chart keeps it
+        halved, which unperturbed (xi_s = 0) is [[0, Delta], [B', 0]] with
+        B' = -v''/2."""
+        r_s, xi_s = self.saddle(beta)
+        H = self.reduced_model(beta).hessian(np.asarray((r_s, xi_s)))
+        generator = np.asarray([[H[1, 0], H[1, 1]], [-H[0, 0], -H[0, 1]]])
         return TrappedOrbitChart(
             beta=beta,
             trapped_radius=r_s,
+            xi_saddle=xi_s,
+            hessian=H,
             # + 0.0 turns the -0.0 that -H[0, 1] gives at xi_s = 0 into +0.0,
             # which the artifacts print as 0, not -0
-            lin_matrix=self.normal_generator(beta) / 2.0 + 0.0,
-            normal_exponent=self.exponent(beta),
-            potential_curvature=float(curv),
+            lin_matrix=generator / 2.0 + 0.0,
+            normal_exponent=saddle_rate(H, f"beta={beta:g}"),
+            potential_curvature=float(H[0, 0]),
         )
 
     # -- six-dimensional symbol -------------------------------------------
@@ -444,7 +434,6 @@ class RatioCheck:
 @dataclass
 class BetaSample:
     chart: TrappedOrbitChart
-    xi_saddle: float
     rate_plus: float
     rate_minus: float
     period: float
@@ -522,10 +511,15 @@ def _beta_sample(
 
     sigma(t) = ||L X(t) F|| on the shell-tangent frame F.  With
     t = s + mP, X(t) F = X(s) (F + mNF + C(m, 2) N^2 F + ...), so the degree
-    of growth is the first power k with N^k F = 0, less one.  The zero test
-    is ||L N^k F|| <= sqrt(tol), decades above the integration error.  The
-    shear grows like the spin (0.02 at a = 0.1), so it reads as degree 0
-    only below a ~ 5e-5, and the envelope slope b is measured either way.
+    of growth is the first power k with N^k F = 0, less one.  N carries
+    units (alpha and beta scale like M, theta and phi do not), so the zero
+    test runs on the dimensionless D^-1 N D, D = diag(1, 1, M, M).  F spans
+    a D-invariant space (at the equatorial start p_theta = 0, so the flow
+    has no alpha part), hence (D^-1 N D)^k F vanishes exactly when N^k F
+    does.  The test is ||(D^-1 N D)^k F|| <= sqrt(tol), decades above the
+    integration error.  The shear grows like a/M (0.02 at a = 0.1 M), so it
+    reads as degree 0 only below a ~ 5e-5 M, and the envelope slope b is
+    measured either way.
     """
     chart = fam.chart(beta)
     orbit = ShellOrbit(fam, beta, lam)
@@ -533,9 +527,11 @@ def _beta_sample(
     cocycle = orbit.tangent_cocycle(horizon, tol)
     period, N = cocycle.period, cocycle.shear
     L, F = orbit.embed_diff, orbit.tangential_frame()
-    degree, NkF = 0, N @ F
-    while degree <= TANGENTIAL_DEGREE_MAX and np.linalg.norm(L @ NkF, 2) > math.sqrt(tol):
-        degree, NkF = degree + 1, N @ NkF
+    units = np.asarray([1.0, 1.0, fam.params.mass, fam.params.mass])
+    N_hat = N * units / units[:, None]  # D^-1 N D
+    degree, NkF = 0, N_hat @ F
+    while degree <= TANGENTIAL_DEGREE_MAX and np.linalg.norm(NkF, 2) > math.sqrt(tol):
+        degree, NkF = degree + 1, N_hat @ NkF
 
     def sup(Y):
         """sup over s in [0, P] of ||L X(s) Y||."""
@@ -545,7 +541,6 @@ def _beta_sample(
 
     return BetaSample(
         chart=chart,
-        xi_saddle=orbit.xi_s,
         rate_plus=rate_plus,
         rate_minus=rate_minus,
         period=period,
@@ -694,13 +689,13 @@ def perturb_and_recertify(
     Saddle relocation is damped Newton on the reduced fixed-point equations;
     the certificate is recomputed for the perturbed family, with the
     quarter-period integration at tolerance ``tol`` as in `certify`.
-    Displacement is reported relative to epsilon.
+    Displacement is hypot(dr/M, dxi), reported relative to epsilon, so like
+    the exponent shift it does not depend on M.
     """
     if not (0.0 <= epsilon <= 0.05):
         raise DomainError(f"epsilon={epsilon} outside the certified regime [0, 0.05]")
     base = ReducedFamily(params)
-    bump = BumpPattern(seed, (3.0 * params.mass, 0.0), span=0.6 * params.mass)
-    fam = ReducedFamily(params, bump=bump, epsilon=epsilon)
+    fam = ReducedFamily(params, bump=BumpPattern(seed, params.mass), epsilon=epsilon)
 
     lo, hi = equatorial_beta_range(lam, params, fam)
     betas = _beta_grid(lo, hi, N_BETA)
@@ -711,9 +706,9 @@ def perturb_and_recertify(
         r0, xi0 = base.saddle(b)
         r1, xi1 = fam.saddle(b)
         displacement = max(
-            displacement, math.hypot(r1 - r0, xi1 - xi0)
+            displacement, math.hypot((r1 - r0) / params.mass, xi1 - xi0)
         )
-        mu0, mu1 = base.exponent(b), fam.exponent(b)
+        mu0, mu1 = base.chart(b).normal_exponent, fam.chart(b).normal_exponent
         shift = max(shift, abs(mu1 - mu0) / mu0)
 
     cert = certify(lam, params, horizon=horizon, r_max=r_max, family=fam, tol=tol)
@@ -738,7 +733,7 @@ def certificate_to_dict(cert: TrapCertificate) -> dict:
             {
                 "beta": s.chart.beta,
                 "trapped_radius": s.chart.trapped_radius,
-                "xi_saddle": s.xi_saddle,
+                "xi_saddle": s.chart.xi_saddle,
                 "lin_matrix": [list(row) for row in s.chart.lin_matrix],
                 "normal_exponent": s.chart.normal_exponent,
                 "potential_curvature": s.chart.potential_curvature,

@@ -567,6 +567,22 @@ class TestCertifyAndPerturb:
         assert payload["exponent_shift"] <= 0.05
         assert payload["certificate"]["passed"] is True
 
+    def test_small_mass_runs(self, tmp_path, capsys):
+        # the degree test and the perturbing bump scale with M, so small
+        # holes certify and perturb as M = 1 does (same perturb line)
+        code, _ = run_cli(
+            tmp_path, "trap-certify",
+            "kerr.mass = 1e-8\nkerr.spin = 5e-9\nhorizon = 1e10\n", name="certify",
+        )
+        assert code == 0
+        code, _ = run_cli(tmp_path, "perturb", "kerr.mass = 0.1\nkerr.spin = 0.05\n",
+                          name="perturb")
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "trap-certify a=5e-09: PASS (theta_rate=8.32788e-08, tangential_degree=1)",
+            "perturb eps=0.01 seed=0: displacement=0.007032 (0.703 eps), exponent_shift=0.01231",
+        ]
+
     @pytest.mark.parametrize("command", ["flow-integrate", "trap-certify", "perturb"])
     def test_flow_tolerance_out_of_range_is_config_error(self, tmp_path, capsys, command):
         code, out = run_cli(tmp_path, command, "tol.flow = 1e-4\n")

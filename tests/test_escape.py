@@ -14,7 +14,6 @@ from nhtrap.config import RunConfig
 from nhtrap.errors import (
     DomainError,
     GridTooCoarse,
-    InvalidNesting,
     NewtonDiverged,
     NotHyperbolic,
     Unbounded,
@@ -60,7 +59,6 @@ def swapped(pair):
         gamma_minus=pair.gamma_plus,
         quad_plus=pair.quad_minus,
         quad_minus=pair.quad_plus,
-        c0=-pair.c0,
     )
 
 
@@ -83,7 +81,7 @@ class TestBuildDefiningPair:
         assert p.gamma_minus == pytest.approx(-1.0, abs=1e-14)
         assert p.quad_plus == 0.0
         assert p.quad_minus == 0.0
-        assert p.c0 == pytest.approx(2.0, abs=1e-14)
+        assert p.bracket(p.saddle) == pytest.approx(2.0, abs=1e-14)
         y = np.asarray([0.3, -0.4])
         assert p.phi(y, 1) == pytest.approx(-0.4 - 0.3, abs=1e-15)
         assert p.phi(y, -1) == pytest.approx(-0.4 + 0.3, abs=1e-15)
@@ -109,7 +107,6 @@ class TestBuildDefiningPair:
         # exact graph curvature at a = 0: quad+- = -+20/(3 sqrt 3)
         assert p.quad_plus == pytest.approx(-20.0 / (3.0 * ROOT3), abs=1e-12)
         assert p.quad_minus == pytest.approx(20.0 / (3.0 * ROOT3), abs=1e-12)
-        assert p.c0 == pytest.approx(2.0 * ROOT3, abs=1e-12)
         assert p.bracket(p.saddle) == pytest.approx(2.0 * ROOT3, abs=1e-12)
 
     def test_phi_gradients_match_stencils(self, toy_pair, kerr_pair):
@@ -229,10 +226,10 @@ class TestClosedFormRateGradients:
             spec = esc.make_escape_spec(pair, h=1e-2)
             grid = esc.saddle_grid(pair, 0.2, 9)
             for side in (+1, -1):
-                _, grads = esc._hatted(pair, spec, grid.T, side)
+                _, grads = esc._hatted(spec, grid.T, side)
                 for q, got in zip(grid, grads.T):
                     fd = stencil_gradient(
-                        lambda y: esc._hatted(pair, spec, y, side)[0], q
+                        lambda y: esc._hatted(spec, y, side)[0], q
                     )
                     assert np.max(np.abs(got - fd)) < 1e-9 * (1.0 + np.max(np.abs(fd)))
 
@@ -328,34 +325,34 @@ class TestManifoldsAndVerify:
 
 class TestCutoffsAndSpec:
     def test_cutoff_plateaus_and_monotone(self, kerr_pair):
-        cut = esc.Cutoff(kerr_pair, 0.2, 0.5)
+        def cut(rho):
+            return esc._cutoff(kerr_pair, rho, (0.2, 0.5))
+
         inside = np.asarray([kerr_pair.saddle[0] + 0.05 / ROOT3, 0.05])
         outside = np.asarray([kerr_pair.saddle[0], 0.6])
-        assert cut.value(inside) == 1.0
-        assert cut.value(outside) == 0.0
+        assert cut(inside) == 1.0
+        assert cut(outside) == 0.0
         radii = np.linspace(0.2, 0.5, 30)
-        vals = [
-            cut.value(np.asarray([kerr_pair.saddle[0], r])) for r in radii
-        ]
+        vals = [cut(np.asarray([kerr_pair.saddle[0], r])) for r in radii]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_cutoff_bad_inputs(self, toy_pair):
-        with pytest.raises(DomainError):
-            esc.Cutoff(toy_pair, 0.5, 0.2)
+    def test_constants(self):
+        # what the spec once checked at run time: htilde in (0, 1), each
+        # radius pair ordered, and the chi ramp inside the chi1 plateau, so
+        # the gradient of chi lives where chi1 is identically 1
+        assert 0.0 < esc.HTILDE < 1.0
+        for inner, outer in (esc.CHI_RADII, esc.CHI1_RADII, esc.G1_RADII):
+            assert 0.0 < inner < outer
+        assert esc.CHI_RADII[1] <= esc.CHI1_RADII[0]
 
     def test_spec_guards(self, toy_pair):
-        chi = esc.Cutoff(toy_pair, 0.2, 0.5)
-        chi1 = esc.Cutoff(toy_pair, 0.6, 0.9)
         g1 = esc.build_G1(toy_pair)
-        esc.EscapeSpec(h=1e-2, htilde=0.25, chi=chi, chi1=chi1, G1=g1)
+        spec = esc.EscapeSpec(toy_pair, 1e-2, g1)
+        assert spec.eta == 1e-2 / esc.HTILDE
         with pytest.raises(DomainError):
-            esc.EscapeSpec(h=0.5, htilde=0.25, chi=chi, chi1=chi1, G1=g1)
+            esc.EscapeSpec(toy_pair, 0.5, g1)
         with pytest.raises(DomainError):
-            esc.EscapeSpec(h=0.0, htilde=0.25, chi=chi, chi1=chi1, G1=g1)
-        # chi ramp must finish before the chi1 plateau ends
-        tight = esc.Cutoff(toy_pair, 0.3, 0.7)
-        with pytest.raises(InvalidNesting):
-            esc.EscapeSpec(h=1e-2, htilde=0.25, chi=tight, chi1=chi1, G1=g1)
+            esc.EscapeSpec(toy_pair, 0.0, g1)
 
 
 class TestG1:
@@ -400,12 +397,12 @@ class TestEscapeFunction:
     def test_vanishes_at_saddle(self, toy_pair, kerr_pair):
         for pair in (toy_pair, kerr_pair):
             spec = esc.make_escape_spec(pair, h=1e-2)
-            assert abs(esc.escape_function(spec, pair, pair.saddle)) < 1e-14
+            assert abs(esc.escape_function(spec, pair.saddle)) < 1e-14
 
     def test_toy_log_quotient_value(self, toy_pair):
         spec = esc.make_escape_spec(toy_pair, h=1e-2)
         # on the unstable graph at (0.1, 0.1): phi+ = 0, phi- = 0.2
-        assert esc.escape_function(spec, toy_pair, np.asarray([0.1, 0.1])) == pytest.approx(
+        assert esc.escape_function(spec, np.asarray([0.1, 0.1])) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
@@ -414,18 +411,18 @@ class TestEscapeFunction:
             spec = esc.make_escape_spec(kerr_pair, h=h)
             grid = esc.saddle_grid(kerr_pair, 1.0, 41)
             sup_g1 = max(
-                abs(spec.chi1.value(q) * spec.G1(q)) for q in grid
+                abs(esc._cutoff(kerr_pair, q, esc.CHI1_RADII) * spec.G1(q)) for q in grid
             )
-            bound = math.log(spec.htilde / h) + esc.C1_CONST * math.log(
+            bound = math.log(esc.HTILDE / h) + esc.C1_CONST * math.log(
                 1.0 / h
             ) * sup_g1
-            G = partial(esc.escape_function, spec, kerr_pair)
+            G = partial(esc.escape_function, spec)
             assert max(abs(G(q)) for q in grid) <= bound + 1e-9
 
     def test_odd_under_swap_in_the_core(self, kerr_pair):
         spec = esc.make_escape_spec(kerr_pair, h=1e-2)
-        G = partial(esc.escape_function, spec, kerr_pair)
-        G_sw = partial(esc.escape_function, spec, swapped(kerr_pair))
+        G = partial(esc.escape_function, spec)
+        G_sw = partial(esc.escape_function, replace(spec, pair=swapped(kerr_pair)))
         for q in esc.saddle_grid(kerr_pair, 0.19, 15):
             assert G_sw(q) == pytest.approx(-G(q), abs=1e-13)
 
@@ -433,26 +430,26 @@ class TestEscapeFunction:
         for pair in (toy_pair, kerr_pair):
             spec = esc.make_escape_spec(pair, h=1e-2)
             assert_batched_matches_pointwise(
-                partial(esc.escape_function, spec, pair), esc.saddle_grid(pair, 1.0, 21)
+                partial(esc.escape_function, spec), esc.saddle_grid(pair, 1.0, 21)
             )
 
 
 class TestCommutatorBound:
     def test_saddle_value_toy(self, toy_pair):
         spec = esc.make_escape_spec(toy_pair, h=1e-2)
-        assert esc.saddle_commutator_value(toy_pair, spec) == pytest.approx(
+        assert esc.saddle_commutator_value(toy_pair) == pytest.approx(
             4.0, abs=1e-10
         )
         # the hatted route must collapse to the same product at the saddle
-        assert esc.phi_tilde(toy_pair, spec, toy_pair.saddle) / spec.htilde \
+        assert esc.phi_tilde(spec, toy_pair.saddle) / esc.HTILDE \
             == pytest.approx(4.0, abs=1e-10)
 
     def test_saddle_value_kerr(self, kerr_pair):
         spec = esc.make_escape_spec(kerr_pair, h=1e-2)
-        assert esc.saddle_commutator_value(kerr_pair, spec) == pytest.approx(
+        assert esc.saddle_commutator_value(kerr_pair) == pytest.approx(
             36.0, abs=1e-8
         )
-        assert esc.phi_tilde(kerr_pair, spec, kerr_pair.saddle) / spec.htilde \
+        assert esc.phi_tilde(spec, kerr_pair.saddle) / esc.HTILDE \
             == pytest.approx(36.0, abs=1e-10)
 
     def test_toy_floor_and_stability(self, toy_pair):
@@ -461,7 +458,7 @@ class TestCommutatorBound:
         for h in (1e-2, 1e-3, 1e-4):
             spec = esc.make_escape_spec(toy_pair, h=h)
             vals.append(
-                esc.commutator_lower_bound(spec, toy_pair, grid)
+                esc.commutator_lower_bound(spec, grid)
             )
         assert vals[0] >= 1.0
         for v in vals:
@@ -473,7 +470,7 @@ class TestCommutatorBound:
         for h in (1e-2, 1e-3, 1e-4):
             spec = esc.make_escape_spec(kerr_pair, h=h)
             vals.append(
-                esc.commutator_lower_bound(spec, kerr_pair, grid)
+                esc.commutator_lower_bound(spec, grid)
             )
         assert all(v > 0.0 for v in vals)
         mean = sum(vals) / len(vals)
@@ -484,13 +481,13 @@ class TestCommutatorBound:
     def test_grid_validation(self, toy_pair):
         spec = esc.make_escape_spec(toy_pair, h=1e-2)
         with pytest.raises(DomainError):
-            esc.commutator_lower_bound(spec, toy_pair, np.zeros((0, 2)))
+            esc.commutator_lower_bound(spec, np.zeros((0, 2)))
 
     def test_phi_tilde_batched_matches_pointwise(self, toy_pair, kerr_pair):
         for pair in (toy_pair, kerr_pair):
             spec = esc.make_escape_spec(pair, h=1e-2)
             assert_batched_matches_pointwise(
-                lambda y: esc.phi_tilde(pair, spec, y),
+                lambda y: esc.phi_tilde(spec, y),
                 esc.saddle_grid(pair, 0.2, 21),
             )
 
@@ -545,13 +542,13 @@ class TestOrderFunction:
         monkeypatch.setattr(esc, "_order_statistics", lambda *args: (gaps, log_brackets))
         spec = esc.make_escape_spec(toy_pair, h=1e-3)
         with pytest.raises(Unbounded):
-            esc.order_function_check(spec, toy_pair, np.zeros((50, 2, 2)))
+            esc.order_function_check(spec, np.zeros((50, 2, 2)))
 
 
 class TestEscapeReport:
     def test_toy_report_contents(self, toy_pair):
         spec = esc.make_escape_spec(toy_pair, h=1e-2)
-        report = esc.escape_report(toy_pair, spec, seed=RunConfig(command="escape-check").seed)
+        report = esc.escape_report(spec, seed=RunConfig(command="escape-check").seed)
         for key in ("c1", "C", "N", "bracket_min", "g1_floor", "violations"):
             assert key in report
         assert report["c1"] == pytest.approx(4.0, abs=1e-9)
@@ -560,7 +557,7 @@ class TestEscapeReport:
 
     def test_kerr_report_contents(self, kerr_pair):
         spec = esc.make_escape_spec(kerr_pair, h=1e-2)
-        report = esc.escape_report(kerr_pair, spec, seed=RunConfig(command="escape-check").seed)
+        report = esc.escape_report(spec, seed=RunConfig(command="escape-check").seed)
         assert report["c1"] > 0.0
         assert report["bracket_min"] >= 0.9 * 2.0 * ROOT3
         assert report["violations"] == []

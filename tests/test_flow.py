@@ -5,6 +5,7 @@ variational equation next to the orbit with `integrate_flow`'s step rule.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,8 +90,10 @@ class TestStructure:
 
 class TestChartExitAndValidation:
     def test_toy_chart_exit(self):
+        # the toy capped at max(|x|, |xi|) = 1e6
+        capped = replace(TOY, chart_margin=lambda y: 1e6 - max(abs(y[0]), abs(y[1])))
         with pytest.raises(ChartExit) as exc:
-            flow.integrate_flow(TOY, np.asarray([1.0, 1.0]), 10.0, tol=1e-10)
+            flow.integrate_flow(capped, np.asarray([1.0, 1.0]), 10.0, tol=1e-10)
         # x(t) = e^{2t} reaches the 1e6 cap at t = 3 ln 10
         assert exc.value.exit_time == pytest.approx(3.0 * math.log(10.0), abs=1e-5)
         assert exc.value.partial is not None

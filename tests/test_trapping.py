@@ -149,14 +149,16 @@ class TestFamilyAndShell:
         assert abs(hi) != pytest.approx(abs(lo), abs=1e-3)
 
     def test_exponent_is_the_top_eigenvalue(self):
-        # the closed form tr/2 + sqrt(disc) against a general 2x2 eigensolve,
-        # on a perturbed family, whose saddle Hessian has an off-diagonal term
+        # the closed form sqrt(-det H) against a general 2x2 eigensolve of
+        # the full-field generator, on a perturbed family, whose saddle
+        # Hessian has an off-diagonal term
         params = KerrParams(1.0, 0.5)
-        bump = models.BumpPattern(2, (3.0, 0.0), span=0.6)
+        bump = models.BumpPattern(2, 1.0)
         fam = trapping.ReducedFamily(params, bump=bump, epsilon=0.01)
         for beta in (-2.0, 0.5, 3.0):
-            top = np.max(np.linalg.eigvals(fam.normal_generator(beta)).real)
-            assert fam.exponent(beta) == pytest.approx(top, rel=1e-14)
+            chart = fam.chart(beta)
+            top = np.max(np.linalg.eigvals(2.0 * chart.lin_matrix).real)
+            assert chart.normal_exponent == pytest.approx(top, rel=1e-14)
 
     def test_orbit_on_shell(self):
         fam = trapping.ReducedFamily(KerrParams(1.0, 0.2))
@@ -196,7 +198,7 @@ class TestFamilyAndShell:
     def test_start_blocks_match_grad_hess6(self):
         # A6 and the frame's start velocity are the 6D gradient and Hessian
         # at the start point, bit for bit, also with a bump
-        bump = models.BumpPattern(3, (3.0, 0.0), span=0.6)
+        bump = models.BumpPattern(3, 1.0)
         fam = trapping.ReducedFamily(KerrParams(1.0, 0.5), bump=bump, epsilon=0.01)
         for beta in (-2.5, 1.2):
             orbit = trapping.ShellOrbit(fam, beta, 0.0)
@@ -233,7 +235,7 @@ class TestFamilyAndShell:
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.01])
     def test_saddle_derivative_matches_difference_quotient(self, epsilon):
-        bump = models.BumpPattern(3, (3.0, 0.0), span=0.6)
+        bump = models.BumpPattern(3, 1.0)
         fam = trapping.ReducedFamily(KerrParams(1.0, 0.5), bump=bump, epsilon=epsilon)
         step = 1e-5
         for beta in (-3.0, -1.2, 0.8, 2.5):
@@ -261,7 +263,7 @@ class TestFamilyAndShell:
 
 
 def _family(spin: float, epsilon: float) -> trapping.ReducedFamily:
-    bump = models.BumpPattern(1, (3.0, 0.0), span=0.6) if epsilon else None
+    bump = models.BumpPattern(1, 1.0) if epsilon else None
     return trapping.ReducedFamily(KerrParams(1.0, spin), bump=bump, epsilon=epsilon)
 
 
@@ -398,6 +400,17 @@ class TestCertify:
         for got, want in zip(scaled(mass), scaled(1.0)):
             assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("mass", [1e-8, 1e-6, 1e-5, 1e-4, 1.0, 1e2, 1e4])
+    def test_tangential_degree_is_mass_free(self, mass):
+        # the zero test of N^k F is dimensionless, so a = M/2 reads degree 1
+        # at every mass (the raw ||L N^k F|| read 2 below M = 1e-5 and 0 on a
+        # sample at M = 1e4)
+        cert = trapping.certify(
+            0.0, KerrParams(mass, mass / 2.0), horizon=50.0 / mass, r_max=R_MAX, tol=TOL
+        )
+        assert [s.tangential_degree for s in cert.beta_samples] == [1] * trapping.N_BETA
+        assert cert.passed, cert.reasons
+
     def test_ratio_constant_is_the_sup(self):
         t = np.linspace(0.0, 20.0, 400001)
         for r, a, b, k in ((1, 5.0, 0.0, 1.0), (2, 5.0, 0.1, 3.0), (4, 8.0, 6.0, 0.6)):
@@ -477,6 +490,20 @@ class TestPerturbation:
         assert rep.displacement_factor == pytest.approx(
             rep.displacement / rep.epsilon
         )
+
+    @pytest.mark.parametrize("mass", [0.1, 10.0])
+    def test_mass_scaling(self, mass):
+        # the bump scales with the symbol, and the displacement is measured
+        # in (r/M, xi), so neither reported ratio depends on M
+        def ratios(m):
+            rep = trapping.perturb_and_recertify(
+                KerrParams(m, m / 2.0), 0.0, 0.01, seed=1, horizon=20.0 / m,
+                r_max=R_MAX, tol=TOL,
+            )
+            assert rep.certificate.passed
+            return rep.exponent_shift, rep.displacement_factor
+
+        assert ratios(mass) == pytest.approx(ratios(1.0), rel=1e-10)
 
     def test_zero_perturbation_is_identity(self):
         rep = trapping.perturb_and_recertify(

@@ -1,0 +1,153 @@
+"""Run a fixed list of nhtrap CLI configs against two source trees and diff them.
+
+Usage:
+
+    python tools/compare_runs.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository; its ``src`` is the
+PYTHONPATH.  Every config runs once per tree, each side in a fresh
+temporary directory with the same relative ``output_dir``, with
+``OPENBLAS_NUM_THREADS=1``.  The exit code, stdout, stderr and the bytes
+of every artifact are compared; the ``runtime_s`` column of gaps.csv, a
+wall time, is blanked first.  Every difference is printed, and the exit
+status is 1 if any config differs, else 0.
+
+The list holds refactor checks across all seven commands at M = 1 (one of
+them the h >= htilde exit 2 of escape-check) and the eight workload
+commands of the benchmark at seed 1.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+OUTPUT_DIR = "out"
+QUICK_SURVEY_ORBIT = (
+    "kerr.spin = 0.5\norbit.r = 8\norbit.theta = 1.2\norbit.phi = 0\n"
+    "orbit.xi = -1.047452885827\norbit.alpha = 3.923213879343\norbit.beta = 4\n"
+    "orbit.time = 1.0\n"
+)
+
+# (name, command, config lines after command, workers and output_dir)
+CONFIGS = (
+    ("certify_spins", "trap-certify", "a_list = 0, 0.5, 0.9, 0.99\n"),
+    ("certify_lam30", "trap-certify", "lam = 30\n"),
+    ("perturb_s3", "perturb", "kerr.spin = 0.5\nseed = 3\n"),
+    ("perturb_a09_s5", "perturb", "kerr.spin = 0.9\nepsilon = 0.03\nseed = 5\n"),
+    ("find_a09", "trap-find", "kerr.spin = 0.9\nbeta_list = -2.8, -1, 0, 1, 4, 6\n"),
+    ("escape_defaults", "escape-check", ""),
+    ("escape_a05_h005", "escape-check", "kerr.spin = 0.5\nh = 0.05\n"),
+    ("escape_a09_h001", "escape-check", "kerr.spin = 0.9\nh = 0.01\nseed = 3\n"),
+    ("escape_m2", "escape-check", "kerr.mass = 2\nkerr.spin = 1.2\nh = 0.2\n"),
+    ("escape_h03", "escape-check", "h = 0.3\n"),
+    ("gap_toy", "spectrum-gap", "model = toy_sech2\n"),
+    # the benchmark's workload commands, seed 1
+    ("cap_fine_gap", "spectrum-gap", "model = schw_radial\nh_list = 0.05, 0.025\n"),
+    ("cap_fine_resolvent", "spectrum-resolvent", "model = toy_sech2\nh = 0.05\nseed = 1\n"),
+    ("shell_certify", "trap-certify", "a_list = 0, 0.9\nhorizon = 20\n"),
+    ("shell_perturb", "perturb",
+     "kerr.spin = 0.5\nhorizon = 20\nepsilon = 0.01\nseed = 1\n"),
+    ("survey_find", "trap-find", "kerr.spin = 0.5\nbeta_list = -4, -2, -1, 1, 2, 4\n"),
+    ("survey_escape", "escape-check", "kerr.spin = 0.5\nh = 0.05\nseed = 1\n"),
+    ("survey_flow", "flow-integrate", QUICK_SURVEY_ORBIT),
+    ("survey_gap", "spectrum-gap",
+     "kerr.spin = 0.5\nmodel = kerr_equatorial\nh_list = 0.1, 0.09, 0.08, 0.07, 0.06\n"),
+)
+
+
+def _blank_runtime(data: bytes) -> bytes:
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    column = rows[0].index("runtime_s")
+    for row in rows[1:]:
+        row[column] = ""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode()
+
+
+def run(tree: Path, command: str, body: str) -> dict:
+    """Exit code, stdout, stderr and {relative path: bytes} of one run."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree.resolve() / "src"))
+    env.pop("NHTRAP_WORKERS", None)
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work, "run.cfg")
+        config.write_text(
+            f"command = {command}\nworkers = 1\noutput_dir = {OUTPUT_DIR}\n{body}"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhtrap.cli", command, "--config", config.name],
+            cwd=work, env=env, capture_output=True,
+        )
+        files = {}
+        out = Path(work, OUTPUT_DIR)
+        for path in sorted(out.rglob("*")) if out.is_dir() else ():
+            if path.is_file():
+                data = path.read_bytes()
+                files[str(path.relative_to(out))] = (
+                    _blank_runtime(data) if path.name == "gaps.csv" else data
+                )
+    return {
+        "exit code": proc.returncode,
+        "stdout": proc.stdout,
+        "stderr": proc.stderr,
+        "files": files,
+    }
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    found = []
+    if parent["exit code"] != change["exit code"]:
+        found.append(f"exit code: {parent['exit code']} -> {change['exit code']}")
+    for stream in ("stdout", "stderr"):
+        if parent[stream] != change[stream]:
+            found.extend(_file_diff(stream, parent[stream], change[stream]))
+    for name in sorted(set(parent["files"]) | set(change["files"])):
+        a, b = parent["files"].get(name), change["files"].get(name)
+        if a is None or b is None:
+            found.append(f"{name}: only in the {'change' if a is None else 'parent'}")
+        elif a != b:
+            found.extend(_file_diff(name, a, b))
+    return found
+
+
+def _file_diff(name: str, a: bytes, b: bytes) -> list[str]:
+    """The lines of a text output that differ, with their line numbers."""
+    lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
+    found = [f"{name}: {len(lines_a)} -> {len(lines_b)} lines"] if len(lines_a) != len(lines_b) else []
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if x != y:
+            found.append(f"{name}:{i}: {x.strip()} -> {y.strip()}")
+    return found or [f"{name}: bytes differ"]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/compare_runs.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    parent_tree, change_tree = (Path(arg) for arg in argv)
+    for tree in (parent_tree, change_tree):
+        if not (tree / "src" / "nhtrap").is_dir():
+            print(f"{tree} holds no src/nhtrap", file=sys.stderr)
+            return 2
+    n_differ = 0
+    for name, command, body in CONFIGS:
+        parent, change = run(parent_tree, command, body), run(change_tree, command, body)
+        found = differences(parent, change)
+        status = "DIFFERS" if found else "same"
+        print(f"{name:20s} {command:18s} exit {parent['exit code']} -> "
+              f"{change['exit code']}, {len(change['files'])} artifacts: {status}")
+        for line in found:
+            print(f"    {line}")
+        n_differ += bool(found)
+    print(f"{n_differ} of {len(CONFIGS)} configs differ")
+    return 1 if n_differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
