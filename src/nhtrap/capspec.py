@@ -55,6 +55,7 @@ import scipy.sparse.linalg as spla
 from . import kerr
 from .errors import ConvergenceFailure, DomainError, UnderResolved
 from .kerr import KerrParams
+from .ramp import smoothstep5
 
 DEFAULT_WINDOW = 0.3  # half-width of the real-part window around z = 0
 FLOOR_FACTOR = -1.0  # reported-list floor, in units of h below the axis
@@ -145,12 +146,6 @@ class SpectrumReport:
     runtime_s: float
 
 
-def _smoothstep5(t):
-    """Quintic 0 -> 1 ramp with two flat derivatives at both ends."""
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (6.0 * t - 15.0))
-
-
 def _band_profile(x, x_min, x_max, scale):
     """Toy absorber W: saturated margins, quintic ramps, flat-zero middle.
 
@@ -164,8 +159,8 @@ def _band_profile(x, x_min, x_max, scale):
     hi_end = x_max - margin_hi * length  # ramp-up ends
     hi_start = hi_end - ramp_hi * length
     w = np.maximum(
-        1.0 - _smoothstep5((x - lo_start) / (lo_end - lo_start)),
-        _smoothstep5((x - hi_start) / (hi_end - hi_start)),
+        1.0 - smoothstep5((x - lo_start) / (lo_end - lo_start)),
+        smoothstep5((x - hi_start) / (hi_end - hi_start)),
     )
     return scale * w
 
@@ -190,12 +185,12 @@ def _depth_profile(x, potential, barrier_top, x_min, x_max, h, scale):
     depth = np.maximum(-potential, 0.0)
     w = np.empty_like(x)
     inner = x < barrier_top
-    w[inner] = _smoothstep5((depth[inner] - flat_depth) / (sat_in - flat_depth))
-    w[~inner] = _smoothstep5((depth[~inner] - flat_depth) / (sat_out - flat_depth))
+    w[inner] = smoothstep5((depth[inner] - flat_depth) / (sat_in - flat_depth))
+    w[~inner] = smoothstep5((depth[~inner] - flat_depth) / (sat_out - flat_depth))
     bw = SEAM_FRACTION * length
     w = w + np.maximum(
-        _smoothstep5((lo_edge + bw - x) / bw),
-        _smoothstep5((x - hi_edge + bw) / bw),
+        smoothstep5((lo_edge + bw - x) / bw),
+        smoothstep5((x - hi_edge + bw) / bw),
     )
     np.minimum(w, 1.0, out=w)
     w[x <= lo_edge] = 1.0

@@ -148,7 +148,7 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
         partial(
             trapping.certify,
             cfg.lam,
-            KerrParams(mass=cfg.kerr_mass, spin=spin),
+            trapping.ReducedFamily(KerrParams(mass=cfg.kerr_mass, spin=spin)),
             horizon=cfg.horizon,
             r_max=cfg.r_max,
             tol=cfg.tolerances["flow"],
@@ -321,7 +321,7 @@ def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
             out.failures.append(
                 {
                     "check": "upper_half_plane_bound",
-                    "z": {"re": z.real, "im": z.imag},
+                    "z": z,
                     "norm": norm,
                     "bound": 1.0 / z.imag,
                 }

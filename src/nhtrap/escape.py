@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NotHyperbolic, Unbounded
 from .models import HamiltonianModel, newton_saddle, saddle_rate
+from .ramp import smoothstep5
 
 HTILDE = 0.25             # the coarse semiclassical scale of every spec
 M_CONST = 5.0             # weight M of the hatted squares in phi_tilde
@@ -231,12 +232,6 @@ def verify_defG_relations(pair: DefiningPair, samples: np.ndarray) -> dict:
     }
 
 
-def _smoothstep(u):
-    """Quintic ramp: 0 for u <= 0, 1 for u >= 1, C^2 in between."""
-    u = np.clip(u, 0.0, 1.0)
-    return u**3 * (10.0 + u * (-15.0 + 6.0 * u))
-
-
 def _smoothstep_deriv(u):
     u = np.clip(u, 0.0, 1.0)
     return 30.0 * u * u * (1.0 - u) ** 2
@@ -246,7 +241,7 @@ def _cutoff(pair: DefiningPair, rho, radii):
     """Radial cutoff in the pair's adapted chart: 1 inside radii[0], 0
     outside radii[1]."""
     inner, outer = radii
-    return 1.0 - _smoothstep((pair.adapted_radius(rho) - inner) / (outer - inner))
+    return 1.0 - smoothstep5((pair.adapted_radius(rho) - inner) / (outer - inner))
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ class G1Function:
         dx = rho[0] - self.pair.saddle[0]
         dxi = rho[1] - self.pair.saddle[1]
         _, u = self._ramp_u(rho)
-        return self.scale * _smoothstep(u) * dx * dxi
+        return self.scale * smoothstep5(u) * dx * dxi
 
     def gradient(self, rho) -> np.ndarray:
         dx = rho[0] - self.pair.saddle[0]
@@ -278,7 +273,7 @@ class G1Function:
         s, u = self._ramp_u(rho)
         dw = _smoothstep_deriv(u) / (r_outer - r_inner)
         # dw vanishes for s <= r_inner, so the floor only keeps s = 0 finite
-        grad = _smoothstep(u) * np.stack([dxi, dx]) + (
+        grad = smoothstep5(u) * np.stack([dxi, dx]) + (
             dw * dx * dxi / np.maximum(s, r_inner)
         ) * np.stack([self.pair.kappa**2 * dx, dxi])
         return self.scale * grad

@@ -8,14 +8,15 @@ takes p from the model and the Carter constant from `kerr`.
 
 The two-dimensional models have a hyperbolic saddle, whose rate
 sqrt(-det H) is `saddle_rate`: escape builds its defining pair there and
-trapping its normal chart.  Their `evaluate` only serves as the reference
-of the closed-form derivatives.  They also carry `third`, the symmetric
-2x2x2 tensor T_ijk = d^3 p / dy_i dy_j dy_k of third derivatives, where it
-is known in closed form (the toy and the unbumped reduced Kerr model);
-otherwise it is None.  Their `gradient`, `hessian` and `third` take y of
-shape (2, *batch) and return (2, *batch), (2, 2, *batch) and
-(2, 2, 2, *batch), so a whole grid is one call; a single point of shape
-(2,) gives plain vectors and matrices.
+trapping its normal chart.  The reduced Kerr model's `evaluate` gives
+trapping the radial half of p on the photon shell; the toy's only serves
+as the reference of the closed-form derivatives.  They also carry `third`,
+the symmetric 2x2x2 tensor T_ijk = d^3 p / dy_i dy_j dy_k of third
+derivatives, where it is known in closed form (the toy and the unbumped
+reduced Kerr model); otherwise it is None.  Their `gradient`, `hessian`
+and `third` take y of shape (2, *batch) and return (2, *batch),
+(2, 2, *batch) and (2, 2, 2, *batch), so a whole grid is one call; a
+single point of shape (2,) gives plain vectors and matrices.
 """
 
 from __future__ import annotations
@@ -104,15 +105,16 @@ class BumpPattern:
     """Deterministic sum of smooth compactly-supported bumps on the (r, xi) plane.
 
     Centers, widths, and signed amplitudes are drawn once from the seed and
-    frozen; sup|pattern| is scaled to M^2 on its support.  The box of
-    BUMP_CENTER and BUMP_SPAN is stretched by M along r only: under
-    (M, a, r, alpha, beta) -> s (M, a, r, alpha, beta), xi fixed, the Kerr
-    symbol scales by s^2, and so does the pattern.  Values and the first two
-    derivative tensors are analytic (the classic exp(1 - 1/(1-u^2))
-    profile), so perturbed symbols keep exact gradients/Hessians.
+    frozen; sup|pattern| is scaled to size * M^2 on its support, so `size`
+    is the perturbation's epsilon.  The box of BUMP_CENTER and BUMP_SPAN is
+    stretched by M along r only: under (M, a, r, alpha, beta) ->
+    s (M, a, r, alpha, beta), xi fixed, the Kerr symbol scales by s^2, and
+    so does the pattern.  Values and the first two derivative tensors are
+    analytic (the classic exp(1 - 1/(1-u^2)) profile), so perturbed symbols
+    keep exact gradients/Hessians.
     """
 
-    def __init__(self, seed: int, mass: float):
+    def __init__(self, seed: int, mass: float, size: float):
         rng = np.random.default_rng(seed)
         stretch = np.asarray([mass, 1.0])
         center = np.asarray(BUMP_CENTER)
@@ -143,7 +145,7 @@ class BumpPattern:
             pass
         peak = max(float(grid[i, j]), abs(float(self.value(*self.peak_point))))
         # the probe grid holds every centre, so the peak is positive
-        self.amps = amps / peak * mass**2
+        self.amps = amps / peak * (size * mass**2)
 
     def _hessian_matrix(self, z) -> np.ndarray:
         """The 2x2 Hessian at the point z, for `newton_saddle`."""
@@ -219,25 +221,22 @@ def toy_barrier_model() -> HamiltonianModel:
 
 
 def reduced_kerr_model(
-    params: KerrParams,
-    beta: float,
-    bump: BumpPattern | None = None,
-    epsilon: float = 0.0,
+    params: KerrParams, beta: float, bump: BumpPattern | None = None
 ) -> HamiltonianModel:
     """Autonomous (r, xi) subsystem at fixed beta: p = Delta*xi^2 + v_beta(r).
 
     The full flow's (r, xi) block closes on itself, and the reduced conserved
     quantity (carter - p of the full system) equals -p here.  An optional
-    bump perturbation epsilon*dp(r, xi) models symbol perturbations; the
-    bumped model carries no `third`.
+    bump, whose size is the perturbation's epsilon, is added to p and models
+    symbol perturbations; the bumped model carries no `third`.
     """
-    bumped = bump is not None and epsilon != 0.0
+    bumped = bump is not None
 
     def evaluate(y):
         r, xi = y[0], y[1]
         val = kerr.delta(params, r) * xi**2 + radial_potential(params, beta, r)
         if bumped:
-            val = val + epsilon * bump.value(r, xi)
+            val = val + bump.value(r, xi)
         return val
 
     def gradient(y):
@@ -245,8 +244,8 @@ def reduced_kerr_model(
         (gr, gxi, _), _ = kerr.radial_half(params, beta, r, xi)
         if bumped:
             bx, bxi = bump.gradient(r, xi)
-            gr = gr + epsilon * bx
-            gxi = gxi + epsilon * bxi
+            gr = gr + bx
+            gxi = gxi + bxi
         return np.asarray([gr, gxi])
 
     def hessian(y):
@@ -255,7 +254,7 @@ def reduced_kerr_model(
         H = np.asarray([[h_rr, h_rxi], [h_rxi, h_xixi]])
         if bumped:
             hxx, hxy, hyy = bump.hessian(r, xi)
-            H = H + epsilon * np.asarray([[hxx, hxy], [hxy, hyy]])
+            H = H + np.asarray([[hxx, hxy], [hxy, hyy]])
         return H
 
     def third(y):

@@ -9,12 +9,18 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    pinned at the saddle exactly and live in the intrinsic coordinates
    u = (theta, phi, alpha, beta).
 2. Along a pinned orbit the subspace w_theta = w_alpha = w_beta = 0 is
-   invariant under A6 = J*Hess(p), and the (r, phi, xi) block of A6 on it
-   does not depend on theta (a perturbation bump depends on (r, xi) only).
-   Its eigenvalues are lambda_+, 0 and -lambda_- (phi is cyclic), so the
-   eigenvectors for +-lambda are the normal bundles, and they grow exactly
-   like exp(lambda_+ t) forward and exp(lambda_- |t|) backward.  So each
-   shell orbit forms A6 once, at its start point (`ShellOrbit.A6`).
+   invariant under J*Hess(p), and the (r, phi, xi) block of J*Hess(p) on
+   it does not depend on theta (a perturbation bump depends on (r, xi)
+   only).  With H the Hessian of the reduced (r, xi) symbol at the saddle
+   and v_rb = d^2 v_beta / dr dbeta, the block is
+
+       [[H10, 0, H11], [v_rb, 0, 0], [-H00, 0, -H01]],
+
+   so it is read off the reduced symbol, and no six-dimensional Hessian
+   is formed (`ShellOrbit.normal_block`).  Its eigenvalues are lambda_+, 0
+   and -lambda_- (phi is cyclic), so the eigenvectors for +-lambda are the
+   normal bundles, and they grow exactly like exp(lambda_+ t) forward and
+   exp(lambda_- |t|) backward.
 3. The tangential cocycle X(t) depends on the orbit only through theta(t),
    a periodic one-degree-of-freedom motion of period P.  Hence
    X(t + P) = X(t) M with the monodromy M = X(P) = I + N, and N^2 = 0:
@@ -41,9 +47,12 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
 
 The quarter period is integrated by the in-house DOP853 of `nhtrap.ode`,
 whose dense output and terminal event give t_q and X(s) on [0, t_q]; fact 4
-rebuilds the period, the monodromy and X(s) on [0, P].  Trapped radii are
-closed-form roots of v' (see `trapped_radius`); the extremal beta values
-come from its bracketed `brentq`.
+rebuilds the period, the monodromy and X(s) on [0, P].  The value of p on
+the pinned shell at the equator with alpha = 0 is the reduced symbol at
+the saddle plus the Carter constant q(pi/2, beta)^2
+(`ReducedFamily.shell_value`): it fixes each orbit's alpha and, through a
+bracketed `brentq`, the extremal beta values.  Trapped radii are
+closed-form roots of v' (see `trapped_radius`).
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import numpy as np
 
 from . import kerr
 from .errors import DomainError, InvalidHorizon, NoBracket
-from .kerr import KerrParams, PhaseState, radial_potential_derivs
+from .kerr import KerrParams, radial_potential_derivs
 from .models import BumpPattern, newton_saddle, reduced_kerr_model, saddle_rate
 from .ode import DenseSolution, brentq, solve_ivp
 
@@ -123,28 +132,18 @@ class TrappedOrbitChart:
 class ReducedFamily:
     """Beta-family of radial saddles for a (possibly perturbed) symbol.
 
-    Wraps the exterior symbol plus an optional (r, xi) bump of size epsilon.
-    Provides saddle location/derivatives, the normal chart, and
-    gradient/Hessian of the six-dimensional symbol at embedded points.
+    Wraps the exterior symbol plus an optional (r, xi) bump, whose size is
+    the perturbation's epsilon.  Provides saddle location/derivatives, the
+    normal chart and the value of p on the shell.
     """
 
-    def __init__(
-        self,
-        params: KerrParams,
-        bump: BumpPattern | None = None,
-        epsilon: float = 0.0,
-    ):
+    def __init__(self, params: KerrParams, bump: BumpPattern | None = None):
         self.params = params
         self.bump = bump
-        self.epsilon = epsilon if bump is not None else 0.0
         self._saddles: dict[float, tuple[float, float]] = {}
 
-    # -- radial structure -------------------------------------------------
-
     def reduced_model(self, beta: float):
-        return reduced_kerr_model(
-            self.params, beta, bump=self.bump, epsilon=self.epsilon
-        )
+        return reduced_kerr_model(self.params, beta, bump=self.bump)
 
     def saddle(self, beta: float) -> tuple[float, float]:
         """Fixed point (r_s, xi_s) of the reduced flow at this beta."""
@@ -153,7 +152,7 @@ class ReducedFamily:
             return self._saddles[key]
         r0 = trapped_radius(beta, self.params)
         point = (r0, 0.0)
-        if self.epsilon != 0.0:
+        if self.bump is not None:
             model = self.reduced_model(beta)
             r_s, xi_s = newton_saddle(model.gradient, model.hessian, point)
             point = (float(r_s), float(xi_s))
@@ -191,26 +190,12 @@ class ReducedFamily:
             potential_curvature=float(H[0, 0]),
         )
 
-    # -- six-dimensional symbol -------------------------------------------
-
-    def grad_hess6(self, y6: np.ndarray):
-        g, H = kerr.grad_hess_raw(
-            self.params, y6[0], y6[1], y6[3], y6[4], y6[5]
-        )
-        if self.epsilon != 0.0:
-            # epsilon * (gradient, Hessian) of the bump, embedded in six dimensions
-            bg, bH = np.zeros(6), np.zeros((6, 6))
-            bg[0], bg[3] = self.bump.gradient(y6[0], y6[3])
-            hxx, hxy, hyy = self.bump.hessian(y6[0], y6[3])
-            bH[0, 0], bH[0, 3], bH[3, 0], bH[3, 3] = hxx, hxy, hxy, hyy
-            g, H = g + self.epsilon * bg, H + self.epsilon * bH
-        return g, H
-
-    def value6(self, y6: np.ndarray) -> float:
-        val = float(kerr.symbol_p(PhaseState.from_array(y6), self.params))
-        if self.epsilon != 0.0:
-            val += self.epsilon * float(self.bump.value(y6[0], y6[3]))
-        return val
+    def shell_value(self, beta: float) -> float:
+        """p at the saddle on the equator with alpha = 0: the reduced symbol
+        plus the Carter constant q(pi/2, beta)^2."""
+        r_s, xi_s = self.saddle(beta)
+        radial = self.reduced_model(beta).evaluate(np.asarray((r_s, xi_s)))
+        return float(radial + kerr.carter(self.params, SHELL_START[0], 0.0, beta))
 
 
 def linearization(beta: float, params: KerrParams) -> TrappedOrbitChart:
@@ -227,14 +212,13 @@ class ShellOrbit:
     The embedding back into the six-dimensional chart pins (r, xi) at the
     saddle, which the flow preserves exactly; the intrinsic variational
     system is the tangential cocycle, free of hyperbolic contamination.
+    The normal directions are the (r, phi, xi) block of fact 2.
     """
 
     def __init__(self, family: ReducedFamily, beta: float, lam: float):
         self.family = family
         self.beta = float(beta)
         self.lam = float(lam)
-        r_s, xi_s = family.saddle(beta)
-        self.r_s, self.xi_s = r_s, xi_s
         dr, dxi = family.saddle_derivative(beta)
         # embedding differential: columns are d(embed)/d(theta, phi, alpha, beta)
         E = np.zeros((6, 4))
@@ -248,19 +232,23 @@ class ShellOrbit:
         # the radial half of p, Delta*xi^2 + v_beta(r) + bump, is pinned with
         # (r, xi): of its derivatives `rhs` reads only (v_b, v_rb, v_bb), and
         # the bump, a function of (r, xi) alone, enters none of them
+        r_s = family.saddle(beta)[0]
         self._radial = kerr.radial_terms(family.params, self.beta, r_s)[4:]
 
-        theta0, phi0 = SHELL_START
-        rest = family.value6(self.embed(np.asarray([theta0, phi0, 0.0, beta])))
-        disc = lam - rest
+        disc = lam - family.shell_value(beta)
         if disc <= 0.0:
             raise DomainError(
                 f"beta={beta:g} admits no shell orbit on the lambda={lam:g} shell"
             )
-        self.u0 = np.asarray([theta0, phi0, math.sqrt(disc), beta])
-        # A6 = J Hess p at the start point, the one 6D Hessian of the orbit
-        H = family.grad_hess6(self.embed(self.u0))[1]
-        self.A6 = np.vstack([H[3:, :], -H[:3, :]])
+        self.u0 = np.asarray([*SHELL_START, math.sqrt(disc), beta])
+        self.chart = family.chart(beta)
+        # the (r, phi, xi) block of J Hess p (fact 2), from the reduced Hessian
+        H = self.chart.hessian
+        self.normal_block = np.asarray([
+            [H[1, 0], 0.0, H[1, 1]],
+            [self._radial[1], 0.0, 0.0],
+            [-H[0, 0], 0.0, -H[0, 1]],
+        ])
 
     def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
         """Field of (u, intrinsic 4x4 Jacobian X): the one shell-orbit RHS.
@@ -311,24 +299,17 @@ class ShellOrbit:
             )
         return TangentCocycle(float(sol.t_events[-1]), sol.sol)
 
-    def embed(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            [self.r_s, u[0], u[1], self.xi_s, u[2], u[3]], dtype=float
-        )
-
     def normal_bundles(self):
-        """Normal rates and unit bundle 6-vectors, ((lambda_+, e_+), (lambda_-, e_-)).
+        """Normal rates and unit bundle vectors in (r, phi, xi),
+        ((lambda_+, e_+), (lambda_-, e_-)).
 
-        The eigenpairs of A6 on its invariant (r, phi, xi) block (fact 2),
-        so exp(t*A6) e_+ = exp(lambda_+ t) e_+ and
-        exp(-t*A6) e_- = exp(lambda_- t) e_-.
+        The eigenpairs of the normal block A (fact 2), so
+        exp(t*A) e_+ = exp(lambda_+ t) e_+ and exp(-t*A) e_- = exp(lambda_- t) e_-.
         """
-        block = [0, 2, 3]
-        eigvals, eigvecs = np.linalg.eig(self.A6[np.ix_(block, block)])
+        eigvals, eigvecs = np.linalg.eig(self.normal_block)
         out = []
         for i in (np.argmax(eigvals.real), np.argmin(eigvals.real)):
-            e = np.zeros(6)
-            e[block] = eigvecs[:, i].real
+            e = eigvecs[:, i].real
             out.append((abs(float(eigvals[i].real)), e / np.linalg.norm(e)))
         return out[0], out[1]
 
@@ -462,43 +443,40 @@ class TrapCertificate:
     reasons: list[str] = field(default_factory=list)
 
 
-def equatorial_beta_range(
-    lam: float, params: KerrParams, family: ReducedFamily
-) -> tuple[float, float]:
+def equatorial_beta_range(lam: float, family: ReducedFamily) -> tuple[float, float]:
     """Extremal equatorial beta values on the lambda shell of the trapped set.
 
-    On each side the bracket runs from BETA_NEAR * M to a far end that
-    starts at BETA_FAR * M and doubles until it brackets; at a = 0 the ends
-    are +-sqrt(27 M^2 + lambda).
+    They are the roots of `ReducedFamily.shell_value` - lambda.  On each
+    side the bracket runs from BETA_NEAR * M to a far end that starts at
+    BETA_FAR * M and doubles until it brackets; at a = 0 the ends are
+    +-sqrt(27 M^2 + lambda).
     """
+    mass = family.params.mass
 
-    def shell_value(beta):
-        r_s, xi_s = family.saddle(beta)
-        y6 = np.asarray([r_s, np.pi / 2.0, 0.0, xi_s, 0.0, beta])
-        return family.value6(y6) - lam
+    def excess(beta):
+        return family.shell_value(beta) - lam
 
     roots = []
     for side in (1.0, -1.0):
-        near = side * BETA_NEAR * params.mass
-        f_near = shell_value(near)
-        fars = [
-            side * BETA_FAR * params.mass * 2.0**k for k in range(BETA_DOUBLINGS + 1)
-        ]
-        far = next((b for b in fars if f_near * shell_value(b) <= 0.0), None)
+        near = side * BETA_NEAR * mass
+        f_near = excess(near)
+        fars = [side * BETA_FAR * mass * 2.0**k for k in range(BETA_DOUBLINGS + 1)]
+        far = next((b for b in fars if f_near * excess(b) <= 0.0), None)
         if far is None:
             raise NoBracket(
                 f"no equatorial critical beta between {near:g} and {fars[-1]:g}"
             )
         lo, hi = sorted((near, far))
-        roots.append(brentq(shell_value, lo, hi, xtol=1e-13 * params.mass))
+        roots.append(brentq(excess, lo, hi, xtol=1e-13 * mass))
     plus, minus = roots
     return float(minus), float(plus)
 
 
-def _beta_grid(lo: float, hi: float, n: int) -> np.ndarray:
+def _beta_grid(lo: float, hi: float) -> np.ndarray:
+    """N_BETA sample betas inside (lo, hi), moved off the equatorial beta = 0."""
     width = hi - lo
-    grid = np.linspace(lo + 0.05 * width, hi - 0.05 * width, n)
-    step = grid[1] - grid[0] if n > 1 else 0.1 * width
+    grid = np.linspace(lo + 0.05 * width, hi - 0.05 * width, N_BETA)
+    step = grid[1] - grid[0]
     # the equatorial sphere beta = 0 is excluded from sampling
     grid = np.where(np.abs(grid) < 0.02 * width, grid + 0.5 * step, grid)
     return grid
@@ -521,7 +499,6 @@ def _beta_sample(
     reads as degree 0 only below a ~ 5e-5 M, and the envelope slope b is
     measured either way.
     """
-    chart = fam.chart(beta)
     orbit = ShellOrbit(fam, beta, lam)
     (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
     cocycle = orbit.tangent_cocycle(horizon, tol)
@@ -540,13 +517,15 @@ def _beta_sample(
         )
 
     return BetaSample(
-        chart=chart,
+        chart=orbit.chart,
         rate_plus=rate_plus,
         rate_minus=rate_minus,
         period=period,
         tangential_degree=degree,
         envelope=(sup(F), sup(N @ F) / period),
-        invariance_angle=max(_line_angle(e, orbit.A6 @ e) for e in (e_plus, e_minus)),
+        invariance_angle=max(
+            _line_angle(e, orbit.normal_block @ e) for e in (e_plus, e_minus)
+        ),
     )
 
 
@@ -594,21 +573,18 @@ def _ratio_sup(r: int, a: float, b: float, k: float) -> float:
 
 
 def certify(
-    lam: float,
-    params: KerrParams,
-    horizon: float,
-    r_max: int,
-    tol: float,
-    family: ReducedFamily | None = None,
+    lam: float, family: ReducedFamily, horizon: float, r_max: int, tol: float
 ) -> TrapCertificate:
-    """Certify r-normal hyperbolicity of the trapped set on one energy shell.
+    """Certify r-normal hyperbolicity of the family's trapped set on one
+    energy shell.
 
-    At each of the N_BETA sampled betas, on the pinned shell orbit: the
-    normal rates and bundles are the eigenpairs of A6 on its invariant
-    block (fact 2), and the invariance angle is the line angle between
-    each bundle vector and its image under A6.  One theta-period of the
-    tangential cocycle, rebuilt from its first quarter (fact 4), gives the
-    degree of tangential growth and the envelope a + b*t (fact 3).  For
+    The N_BETA sampled betas lie inside `equatorial_beta_range`.  At each,
+    on the pinned shell orbit: the normal rates and bundles are the
+    eigenpairs of the (r, phi, xi) normal block (fact 2), and the
+    invariance angle is the line angle between each bundle vector and its
+    image under that block.  One theta-period of the tangential cocycle,
+    rebuilt from its first quarter (fact 4), gives the degree of
+    tangential growth and the envelope a + b*t (fact 3).  For
     r = 1..r_max the ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t)
     over t >= 0 in closed form, forward with lambda_+ and backward with
     lambda_-; they hold when the degree is at most 1.  `horizon` only
@@ -616,11 +592,10 @@ def certify(
     """
     if horizon <= 0.0:
         raise InvalidHorizon(f"horizon must be positive, got {horizon}")
-    fam = family or ReducedFamily(params)
-    lo, hi = equatorial_beta_range(lam, params, fam)
+    lo, hi = equatorial_beta_range(lam, family)
     samples = [
-        _beta_sample(fam, float(beta), lam, horizon, tol)
-        for beta in _beta_grid(lo, hi, N_BETA)
+        _beta_sample(family, float(beta), lam, horizon, tol)
+        for beta in _beta_grid(lo, hi)
     ]
     reasons = [
         f"beta={s.chart.beta:.6g}: rates ({s.rate_plus:.4g}, {s.rate_minus:.4g}) "
@@ -684,34 +659,30 @@ def perturb_and_recertify(
     r_max: int,
     tol: float,
 ) -> PerturbReport:
-    """Perturb the symbol by a seeded bump, relocate saddles, recertify.
+    """Perturb the symbol by a seeded bump of size epsilon, recertify, and
+    compare each certified saddle with the unperturbed one at its beta.
 
     Saddle relocation is damped Newton on the reduced fixed-point equations;
-    the certificate is recomputed for the perturbed family, with the
-    quarter-period integration at tolerance ``tol`` as in `certify`.
+    the certificate is computed for the perturbed family as in `certify`.
     Displacement is hypot(dr/M, dxi), reported relative to epsilon, so like
     the exponent shift it does not depend on M.
     """
     if not (0.0 <= epsilon <= 0.05):
         raise DomainError(f"epsilon={epsilon} outside the certified regime [0, 0.05]")
+    fam = ReducedFamily(params, bump=BumpPattern(seed, params.mass, epsilon))
+    cert = certify(lam, fam, horizon=horizon, r_max=r_max, tol=tol)
     base = ReducedFamily(params)
-    fam = ReducedFamily(params, bump=BumpPattern(seed, params.mass), epsilon=epsilon)
-
-    lo, hi = equatorial_beta_range(lam, params, fam)
-    betas = _beta_grid(lo, hi, N_BETA)
     displacement = 0.0
     shift = 0.0
-    for beta in betas:
-        b = float(beta)
-        r0, xi0 = base.saddle(b)
-        r1, xi1 = fam.saddle(b)
+    for sample in cert.beta_samples:
+        chart = sample.chart
+        r0, xi0 = base.saddle(chart.beta)
         displacement = max(
-            displacement, math.hypot((r1 - r0) / params.mass, xi1 - xi0)
+            displacement,
+            math.hypot((chart.trapped_radius - r0) / params.mass, chart.xi_saddle - xi0),
         )
-        mu0, mu1 = base.chart(b).normal_exponent, fam.chart(b).normal_exponent
-        shift = max(shift, abs(mu1 - mu0) / mu0)
-
-    cert = certify(lam, params, horizon=horizon, r_max=r_max, family=fam, tol=tol)
+        mu0 = base.chart(chart.beta).normal_exponent
+        shift = max(shift, abs(chart.normal_exponent - mu0) / mu0)
     return PerturbReport(
         certificate=cert,
         epsilon=epsilon,

@@ -3,9 +3,11 @@
 Each oracle takes the slow, direct route to a quantity the package
 computes another way: a dense eigensolve of the whole CAP matrix, the
 Jacobian of the flow by integrating the variational equation next to the
-orbit, a shell orbit's tangential cocycle over one whole theta-period, and
-points on an invariant graph by following the flow out of the saddle.
-None of them is reached from the CLI.
+orbit, a shell orbit's tangential cocycle over one whole theta-period,
+points on an invariant graph by following the flow out of the saddle, and
+the six-dimensional symbol of a (bumped) reduced family at a shell point,
+which the package reads off the reduced (r, xi) symbol instead.  None of
+them is reached from the CLI.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
-from nhtrap import capspec, flow
+from nhtrap import capspec, flow, kerr
 from nhtrap.errors import GridTooCoarse
+from nhtrap.kerr import PhaseState
 from nhtrap.ode import solve_ivp
 
 
@@ -80,6 +83,34 @@ def full_period_cocycle(orbit, horizon: float, tol: float):
                     event=crossing, dense_output=True)
     assert sol.status == 1, sol.message
     return float(sol.t_events[-1]), sol.y_events[-1][4:].reshape(4, 4), sol.sol
+
+
+def embed(orbit, u) -> np.ndarray:
+    """The six-dimensional point (r_s, theta, phi, xi_s, alpha, beta) of the
+    intrinsic u = (theta, phi, alpha, beta) on a shell orbit."""
+    r_s, xi_s = orbit.family.saddle(orbit.beta)
+    return np.asarray([r_s, u[0], u[1], xi_s, u[2], u[3]], dtype=float)
+
+
+def symbol_value(family, y6) -> float:
+    """The family's symbol at y6: the Kerr symbol plus its (r, xi) bump."""
+    value = float(kerr.symbol_p(PhaseState.from_array(y6), family.params))
+    if family.bump is not None:
+        value += float(family.bump.value(y6[0], y6[3]))
+    return value
+
+
+def symbol_grad_hess(family, y6):
+    """Gradient (6,) and Hessian (6, 6) of the family's symbol at y6:
+    `kerr._grad_hess` plus the bump embedded in the (r, xi) slots."""
+    g, H = kerr._grad_hess(family.params, y6[0], y6[1], y6[3], y6[4], y6[5])
+    if family.bump is not None:
+        bx, bxi = family.bump.gradient(y6[0], y6[3])
+        hxx, hxy, hyy = family.bump.hessian(y6[0], y6[3])
+        g[0], g[3] = g[0] + bx, g[3] + bxi
+        H[0, 0], H[3, 3] = H[0, 0] + hxx, H[3, 3] + hyy
+        H[0, 3] = H[3, 0] = H[0, 3] + hxy
+    return g, H
 
 
 def manifold_samples(

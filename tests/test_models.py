@@ -159,8 +159,8 @@ class TestThirdDerivatives:
                     assert np.array_equal(batched[..., n], f(ys[:, n]))
 
     def test_third_absent_without_closed_form(self):
-        bump = models.BumpPattern(3, 1.0)
-        bumped = models.reduced_kerr_model(KerrParams(), 0.0, bump=bump, epsilon=0.01)
+        bump = models.BumpPattern(3, 1.0, 0.01)
+        bumped = models.reduced_kerr_model(KerrParams(), 0.0, bump=bump)
         assert bumped.third is None
         assert models.full_kerr_model(KerrParams()).third is None
 
@@ -216,7 +216,7 @@ class TestFullModel:
 
 class TestBumpPattern:
     def test_support_and_normalization(self):
-        b = models.BumpPattern(4, 1.0)
+        b = models.BumpPattern(4, 1.0, 1.0)
         # bump centers sit within 0.7*span of the center, widths below
         # 0.9*span, so the support ends inside the 1.6*span box
         assert b.value(3.0 + 1.2, 0.0) == 0.0
@@ -230,7 +230,7 @@ class TestBumpPattern:
 
     @pytest.mark.parametrize("seed", [1, 4, 12])
     def test_polished_peak(self, seed):
-        b = models.BumpPattern(seed, 1.0)
+        b = models.BumpPattern(seed, 1.0, 1.0)
         x, y = b.peak_point
         assert np.max(np.abs(b.gradient(x, y))) < 1e-12
         assert abs(b.value(x, y)) == pytest.approx(1.0, abs=1e-15)
@@ -239,24 +239,27 @@ class TestBumpPattern:
         assert float(np.max(np.abs(b.value(xs[:, None], ys[None, :])))) <= 1.0 + 1e-12
 
     def test_seed_determinism(self):
-        b1 = models.BumpPattern(12, 1.0)
-        b2 = models.BumpPattern(12, 1.0)
-        b3 = models.BumpPattern(13, 1.0)
+        b1 = models.BumpPattern(12, 1.0, 1.0)
+        b2 = models.BumpPattern(12, 1.0, 1.0)
+        b3 = models.BumpPattern(13, 1.0, 1.0)
         assert b1.value(3.1, 0.05) == b2.value(3.1, 0.05)
         assert b1.value(3.1, 0.05) != b3.value(3.1, 0.05)
 
     @pytest.mark.parametrize("mass", [0.1, 10.0])
     def test_mass_scaling(self, mass):
-        # stretched by M along r only, and M^2 times as tall
-        unit, scaled = models.BumpPattern(5, 1.0), models.BumpPattern(5, mass)
+        # stretched by M along r only, and size * M^2 times as tall
+        unit = models.BumpPattern(5, 1.0, 1.0)
         rng = np.random.default_rng(5)
         r, xi = rng.uniform(1.8, 4.2, 50), rng.uniform(-1.2, 1.2, 50)
-        np.testing.assert_allclose(
-            scaled.value(mass * r, xi), mass**2 * unit.value(r, xi), rtol=1e-12, atol=1e-14 * mass**2
-        )
+        for size in (1.0, 0.01):
+            scaled = models.BumpPattern(5, mass, size)
+            np.testing.assert_allclose(
+                scaled.value(mass * r, xi), size * mass**2 * unit.value(r, xi),
+                rtol=1e-12, atol=1e-14 * mass**2,
+            )
 
     def test_gradient_hessian_stencils(self):
-        b = models.BumpPattern(8, 1.0)
+        b = models.BumpPattern(8, 1.0, 1.0)
         h = 1e-6
         for x, y in ((3.05, 0.02), (2.9, -0.1), (3.2, 0.15)):
             gx, gy = b.gradient(x, y)
@@ -279,10 +282,8 @@ class TestPerturbedModel:
 
     @staticmethod
     def perturbed(beta, epsilon, seed):
-        bump = models.BumpPattern(seed, 1.0)
-        return models.reduced_kerr_model(
-            KerrParams(), beta, bump=bump, epsilon=epsilon
-        )
+        bump = models.BumpPattern(seed, 1.0, epsilon)
+        return models.reduced_kerr_model(KerrParams(), beta, bump=bump)
 
     def test_reduces_to_base_at_zero(self):
         base = models.reduced_kerr_model(KerrParams(), 1.0)

@@ -24,8 +24,8 @@ def shell_problem():
     """(orbit, z0, crossing event) of one beta sample at a = 0.9."""
     params = KerrParams(1.0, 0.9)
     fam = trapping.ReducedFamily(params)
-    lo, hi = trapping.equatorial_beta_range(0.0, params, fam)
-    orbit = trapping.ShellOrbit(fam, float(trapping._beta_grid(lo, hi, 6)[1]), 0.0)
+    lo, hi = trapping.equatorial_beta_range(0.0, fam)
+    orbit = trapping.ShellOrbit(fam, float(trapping._beta_grid(lo, hi)[1]), 0.0)
     theta0 = orbit.u0[0]
 
     def crossing(t, z):

@@ -33,6 +33,7 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 ALLOWED = {
     "variational_matrix": "wrapped by the benchmark tracer (perfbench/tracer.py)",
     "conserved": "wrapped by the benchmark tracer (perfbench/tracer.py)",
+    "grad_hess_raw": "wrapped by the benchmark tracer (perfbench/tracer.py)",
 }
 
 # "owner.value" set only from outside src/nhtrap, with the reason each stays

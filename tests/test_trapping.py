@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import full_period_cocycle, tangent_flow
+from oracles import embed, full_period_cocycle, symbol_grad_hess, symbol_value, tangent_flow
 from scipy.linalg import expm
 
 from nhtrap import capspec, kerr, models, trapping
@@ -21,6 +21,13 @@ MU0 = 6.0 * math.sqrt(3.0)
 # the CLI's defaults for the values certify and perturb take
 CLI = RunConfig(command="trap-certify")
 R_MAX, TOL = CLI.r_max, CLI.tolerances["flow"]
+
+
+def _family(spin: float, epsilon: float, seed: int = 1) -> trapping.ReducedFamily:
+    """The M = 1 family at this spin, bumped by the seeded pattern of size
+    epsilon unless epsilon is 0."""
+    bump = models.BumpPattern(seed, 1.0, epsilon) if epsilon else None
+    return trapping.ReducedFamily(KerrParams(1.0, spin), bump=bump)
 
 
 def horizon_beta(params: KerrParams) -> float:
@@ -134,27 +141,25 @@ class TestLinearization:
 class TestFamilyAndShell:
     def test_equatorial_range_static(self):
         fam = trapping.ReducedFamily(KerrParams())
-        lo, hi = trapping.equatorial_beta_range(0.0, KerrParams(), fam)
+        lo, hi = trapping.equatorial_beta_range(0.0, fam)
         assert hi == pytest.approx(SQRT27, abs=1e-10)
         assert lo == pytest.approx(-SQRT27, abs=1e-10)
-        lo5, hi5 = trapping.equatorial_beta_range(5.0, KerrParams(), fam)
+        lo5, hi5 = trapping.equatorial_beta_range(5.0, fam)
         assert hi5 == pytest.approx(math.sqrt(32.0), abs=1e-10)
         # +-sqrt(57) lies beyond the first far end, 7 M
-        lo30, hi30 = trapping.equatorial_beta_range(30.0, KerrParams(), fam)
+        lo30, hi30 = trapping.equatorial_beta_range(30.0, fam)
         assert (lo30, hi30) == pytest.approx((-math.sqrt(57.0), math.sqrt(57.0)), abs=1e-10)
 
     def test_spin_breaks_symmetry(self):
         params = KerrParams(1.0, 0.4)
-        lo, hi = trapping.equatorial_beta_range(0.0, params, trapping.ReducedFamily(params))
+        lo, hi = trapping.equatorial_beta_range(0.0, trapping.ReducedFamily(params))
         assert abs(hi) != pytest.approx(abs(lo), abs=1e-3)
 
     def test_exponent_is_the_top_eigenvalue(self):
         # the closed form sqrt(-det H) against a general 2x2 eigensolve of
         # the full-field generator, on a perturbed family, whose saddle
         # Hessian has an off-diagonal term
-        params = KerrParams(1.0, 0.5)
-        bump = models.BumpPattern(2, 1.0)
-        fam = trapping.ReducedFamily(params, bump=bump, epsilon=0.01)
+        fam = _family(0.5, 0.01, seed=2)
         for beta in (-2.0, 0.5, 3.0):
             chart = fam.chart(beta)
             top = np.max(np.linalg.eigvals(2.0 * chart.lin_matrix).real)
@@ -163,7 +168,7 @@ class TestFamilyAndShell:
     def test_orbit_on_shell(self):
         fam = trapping.ReducedFamily(KerrParams(1.0, 0.2))
         orbit = trapping.ShellOrbit(fam, 1.5, 0.0)
-        assert fam.value6(orbit.embed(orbit.u0)) == pytest.approx(
+        assert symbol_value(fam, embed(orbit, orbit.u0)) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -186,24 +191,22 @@ class TestFamilyAndShell:
                     orbit.beta,
                 ]
             )
-            g = fam.grad_hess6(orbit.embed(u))[0]
+            g = symbol_grad_hess(fam, embed(orbit, u))[0]
             assert abs(g[3]) < 1e-10  # r-dot = dp/dxi
             # xi-dot = -dp/dr varies with theta only through terms that
             # vanish at the saddle radius
             u_eq = u.copy()
             u_eq[0] = np.pi / 2
-            g_eq = fam.grad_hess6(orbit.embed(u_eq))[0]
+            g_eq = symbol_grad_hess(fam, embed(orbit, u_eq))[0]
             assert abs(g_eq[0]) < 1e-9
 
     def test_start_blocks_match_grad_hess6(self):
-        # A6 and the frame's start velocity are the 6D gradient and Hessian
-        # at the start point, bit for bit, also with a bump
-        bump = models.BumpPattern(3, 1.0)
-        fam = trapping.ReducedFamily(KerrParams(1.0, 0.5), bump=bump, epsilon=0.01)
+        # the frame's start velocity is the 6D gradient at the start point,
+        # bit for bit, also with a bump
+        fam = _family(0.5, 0.01, seed=3)
         for beta in (-2.5, 1.2):
             orbit = trapping.ShellOrbit(fam, beta, 0.0)
-            g, H = fam.grad_hess6(orbit.embed(orbit.u0))
-            assert np.array_equal(orbit.A6, np.vstack([H[3:, :], -H[:3, :]]))
+            g, H = symbol_grad_hess(fam, embed(orbit, orbit.u0))
             z0 = np.concatenate([orbit.u0, np.eye(4).ravel()])
             velocity = orbit.rhs(0.0, z0)[:4]
             assert np.array_equal(velocity, [g[4], g[5], -g[1], 0.0])
@@ -211,32 +214,49 @@ class TestFamilyAndShell:
             direction = velocity / np.linalg.norm(velocity)
             assert abs(abs(frame[:, 0] @ direction) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    def test_normal_block_is_the_reference_block(self, epsilon):
+        # the block read off the reduced symbol is the (r, phi, xi) block of
+        # the six-dimensional J Hess p at the start point, bit for bit
+        fam = _family(0.5, epsilon, seed=3)
+        block = [0, 2, 3]
+        for beta in (-2.5, 1.2):
+            orbit = trapping.ShellOrbit(fam, beta, 0.0)
+            H = symbol_grad_hess(fam, embed(orbit, orbit.u0))[1]
+            A6 = np.vstack([H[3:, :], -H[:3, :]])
+            assert np.array_equal(orbit.normal_block, A6[np.ix_(block, block)])
+            # the other rows vanish on the block, which makes it invariant
+            rest = [1, 4, 5]
+            assert not np.any(A6[np.ix_(rest, block)])
+
     def test_exact_structure_matches_full_flow(self):
         # independent oracle: the six-dimensional variational flow of the
         # full Kerr model from the embedded start, past one theta-period
         params = KerrParams(1.0, 0.35)
         orbit = trapping.ShellOrbit(trapping.ReducedFamily(params), 1.7, 0.0)
         cocycle = orbit.tangent_cocycle(1.5, tol=1e-12)
-        A6 = orbit.A6
+        H = symbol_grad_hess(orbit.family, embed(orbit, orbit.u0))[1]
+        A6 = np.vstack([H[3:, :], -H[:3, :]])
         (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
         L = orbit.embed_diff
         model = models.full_kerr_model(params)
         for t in (0.4, 0.9, 1.5, -0.7, -1.5):
-            J6 = tangent_flow(model, orbit.embed(orbit.u0), t, tol=1e-12)
+            J6 = tangent_flow(model, embed(orbit, orbit.u0), t, tol=1e-12)
             diff = np.abs(J6 @ L - L @ cocycle(t))
             assert np.max(diff[:, :3]) < 1e-10
             # the beta column moves the saddle, so the normal flow
             # amplifies the rounding of its saddle derivative
             assert np.max(diff[:, 3]) < 1e-10 * np.linalg.norm(expm(t * A6), 2)
-            rate, bundle = (rate_plus, e_plus) if t > 0 else (rate_minus, e_minus)
+            rate, e = (rate_plus, e_plus) if t > 0 else (rate_minus, e_minus)
+            bundle = np.zeros(6)
+            bundle[[0, 2, 3]] = e  # the (r, phi, xi) slots
             assert math.log(np.linalg.norm(J6 @ bundle)) == pytest.approx(
                 rate * abs(t), abs=1e-9
             )
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.01])
     def test_saddle_derivative_matches_difference_quotient(self, epsilon):
-        bump = models.BumpPattern(3, 1.0)
-        fam = trapping.ReducedFamily(KerrParams(1.0, 0.5), bump=bump, epsilon=epsilon)
+        fam = _family(0.5, epsilon, seed=3)
         step = 1e-5
         for beta in (-3.0, -1.2, 0.8, 2.5):
             lo, hi = np.asarray(fam.saddle(beta - step)), np.asarray(fam.saddle(beta + step))
@@ -253,18 +273,13 @@ class TestFamilyAndShell:
         cocycle = orbit.tangent_cocycle(20.0, tol=1e-12)
         t = np.linspace(-20.0, 20.0, 41)
         assert np.max(np.abs(np.linalg.det(cocycle(t)) - 1.0)) < 1e-8
-        start = kerr.conserved(PhaseState.from_array(orbit.embed(orbit.u0)), params)
+        start = kerr.conserved(PhaseState.from_array(embed(orbit, orbit.u0)), params)
         for s in np.linspace(0.0, cocycle.period, 41):
             u = cocycle.one_period(s)[:4]
-            now = kerr.conserved(PhaseState.from_array(orbit.embed(u)), params)
+            now = kerr.conserved(PhaseState.from_array(embed(orbit, u)), params)
             assert abs(now.p - start.p) < 1e-10
             assert now.beta == start.beta
             assert abs(now.carter - start.carter) < 1e-10
-
-
-def _family(spin: float, epsilon: float) -> trapping.ReducedFamily:
-    bump = models.BumpPattern(1, 1.0) if epsilon else None
-    return trapping.ReducedFamily(KerrParams(1.0, spin), bump=bump, epsilon=epsilon)
 
 
 class TestQuarterPeriod:
@@ -275,7 +290,7 @@ class TestQuarterPeriod:
     @pytest.mark.parametrize("spin, epsilon", [(0.5, 0.0), (0.9, 0.0), (0.5, 0.01)])
     def test_matches_full_period(self, spin, epsilon):
         fam = _family(spin, epsilon)
-        lo, hi = trapping.equatorial_beta_range(0.0, fam.params, fam)
+        lo, hi = trapping.equatorial_beta_range(0.0, fam)
         for beta in (0.8 * lo, 0.3 * lo, 0.5 * hi):
             orbit = trapping.ShellOrbit(fam, beta, 0.0)
             cocycle = orbit.tangent_cocycle(CLI.horizon, tol=1e-12)
@@ -335,7 +350,7 @@ class TestQuarterPeriod:
 
 class TestCertify:
     def test_static_certificate(self):
-        cert = trapping.certify(0.0, KerrParams(), horizon=6.0, r_max=R_MAX, tol=TOL)
+        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=6.0, r_max=R_MAX, tol=TOL)
         assert cert.passed
         assert cert.reasons == []
         assert cert.theta_rate == pytest.approx(MU0, rel=1e-12)
@@ -350,7 +365,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("spin", [0.5, 0.9, 0.95, 0.99])
     def test_rates_are_the_normal_exponent(self, spin):
-        cert = trapping.certify(0.0, KerrParams(1.0, spin), horizon=5.0, r_max=R_MAX, tol=TOL)
+        cert = trapping.certify(0.0, _family(spin, 0.0), horizon=5.0, r_max=R_MAX, tol=TOL)
         assert cert.passed, cert.reasons
         for s in cert.beta_samples:
             assert s.rate_plus == pytest.approx(s.chart.normal_exponent, rel=1e-12)
@@ -359,9 +374,9 @@ class TestCertify:
     @pytest.mark.parametrize("spin, degree", [(0.0, 0), (0.5, 1), (0.9, 1)])
     def test_tangential_degree_matches_dense_envelope(self, spin, degree):
         params = KerrParams(1.0, spin)
-        cert = trapping.certify(0.0, params, horizon=5.0, r_max=R_MAX, tol=TOL)
-        assert cert.tangential_degree == degree
         fam = trapping.ReducedFamily(params)
+        cert = trapping.certify(0.0, fam, horizon=5.0, r_max=R_MAX, tol=TOL)
+        assert cert.tangential_degree == degree
         for s in cert.beta_samples:
             assert s.tangential_degree == degree
             orbit = trapping.ShellOrbit(fam, s.chart.beta, 0.0)
@@ -388,9 +403,8 @@ class TestCertify:
         # rates and betas scale like M and periods like 1/M, so the beta
         # bracket and its root tolerance must scale with M too
         def scaled(m):
-            cert = trapping.certify(
-                0.0, KerrParams(m, m / 2.0), horizon=50.0 / m, r_max=R_MAX, tol=TOL
-            )
+            fam = trapping.ReducedFamily(KerrParams(m, m / 2.0))
+            cert = trapping.certify(0.0, fam, horizon=50.0 / m, r_max=R_MAX, tol=TOL)
             return (
                 cert.theta_rate / m,
                 np.asarray([s.period * m for s in cert.beta_samples]),
@@ -405,9 +419,8 @@ class TestCertify:
         # the zero test of N^k F is dimensionless, so a = M/2 reads degree 1
         # at every mass (the raw ||L N^k F|| read 2 below M = 1e-5 and 0 on a
         # sample at M = 1e4)
-        cert = trapping.certify(
-            0.0, KerrParams(mass, mass / 2.0), horizon=50.0 / mass, r_max=R_MAX, tol=TOL
-        )
+        fam = trapping.ReducedFamily(KerrParams(mass, mass / 2.0))
+        cert = trapping.certify(0.0, fam, horizon=50.0 / mass, r_max=R_MAX, tol=TOL)
         assert [s.tangential_degree for s in cert.beta_samples] == [1] * trapping.N_BETA
         assert cert.passed, cert.reasons
 
@@ -418,10 +431,9 @@ class TestCertify:
             assert trapping._ratio_sup(r, a, b, k) == pytest.approx(dense, rel=1e-9)
 
     def test_certificate_does_not_depend_on_horizon(self):
-        params = KerrParams(1.0, 0.5)
         docs = [
             trapping.certificate_to_dict(
-                trapping.certify(0.0, params, horizon=horizon, r_max=R_MAX, tol=TOL)
+                trapping.certify(0.0, _family(0.5, 0.0), horizon=horizon, r_max=R_MAX, tol=TOL)
             )
             for horizon in (1.0, 50.0)
         ]
@@ -431,10 +443,12 @@ class TestCertify:
         # 0.1 is shorter than the theta-period
         for horizon in (0.0, 0.1):
             with pytest.raises(InvalidHorizon):
-                trapping.certify(0.0, KerrParams(), horizon=horizon, r_max=R_MAX, tol=TOL)
+                trapping.certify(
+                    0.0, _family(0.0, 0.0), horizon=horizon, r_max=R_MAX, tol=TOL
+                )
 
     def test_certificate_dict_schema(self):
-        cert = trapping.certify(0.0, KerrParams(), horizon=4.0, r_max=R_MAX, tol=TOL)
+        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=4.0, r_max=R_MAX, tol=TOL)
         d = trapping.certificate_to_dict(cert)
         assert set(d) == {
             "lambda",
@@ -504,6 +518,29 @@ class TestPerturbation:
             return rep.exponent_shift, rep.displacement_factor
 
         assert ratios(mass) == pytest.approx(ratios(1.0), rel=1e-10)
+
+    def test_one_beta_search(self, monkeypatch):
+        # the saddles perturb compares are the certified ones, so the run
+        # searches for the beta range once
+        searches, compared = [], set()
+        search, saddle = trapping.equatorial_beta_range, trapping.ReducedFamily.saddle
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        def recorded(family, beta):
+            if family.bump is None:
+                compared.add(beta)
+            return saddle(family, beta)
+
+        monkeypatch.setattr(trapping, "equatorial_beta_range", counted)
+        monkeypatch.setattr(trapping.ReducedFamily, "saddle", recorded)
+        rep = trapping.perturb_and_recertify(
+            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX, tol=TOL
+        )
+        assert len(searches) == 1
+        assert compared == {s.chart.beta for s in rep.certificate.beta_samples}
 
     def test_zero_perturbation_is_identity(self):
         rep = trapping.perturb_and_recertify(

@@ -12,9 +12,10 @@ of every artifact are compared; the ``runtime_s`` column of gaps.csv, a
 wall time, is blanked first.  Every difference is printed, and the exit
 status is 1 if any config differs, else 0.
 
-The list holds refactor checks across all seven commands at M = 1 (one of
-them the h >= htilde exit 2 of escape-check) and the eight workload
-commands of the benchmark at seed 1.
+The list holds refactor checks across all seven commands (one of them the
+h >= htilde exit 2 of escape-check; escape-check at M = 2 and perturb at
+M = 0.1, the rest at M = 1) and the eight workload commands of the
+benchmark at seed 1.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ CONFIGS = (
     ("certify_lam30", "trap-certify", "lam = 30\n"),
     ("perturb_s3", "perturb", "kerr.spin = 0.5\nseed = 3\n"),
     ("perturb_a09_s5", "perturb", "kerr.spin = 0.9\nepsilon = 0.03\nseed = 5\n"),
+    ("perturb_m01", "perturb", "kerr.mass = 0.1\nkerr.spin = 0.05\n"),
     ("find_a09", "trap-find", "kerr.spin = 0.9\nbeta_list = -2.8, -1, 0, 1, 4, 6\n"),
     ("escape_defaults", "escape-check", ""),
     ("escape_a05_h005", "escape-check", "kerr.spin = 0.5\nh = 0.05\n"),
