@@ -21,7 +21,6 @@ from .errors import (
     ParseError,
     StepFailure,
     Unbounded,
-    UnderResolved,
     ValidationError,
 )
 from .kerr import ConservedTriple, KerrParams, PhaseState
@@ -42,7 +41,6 @@ __all__ = [
     "NewtonDiverged",
     "GridTooCoarse",
     "Unbounded",
-    "UnderResolved",
     "ConvergenceFailure",
     "ConfigError",
     "ParseError",

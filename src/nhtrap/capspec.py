@@ -53,7 +53,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import kerr
-from .errors import ConvergenceFailure, DomainError, UnderResolved
+from .errors import ConvergenceFailure, DomainError
 from .kerr import KerrParams
 from .ramp import smoothstep5
 
@@ -212,7 +212,7 @@ def _critical_orbit(params: KerrParams):
 
 
 def _model_functions(kind: str, black_hole: KerrParams):
-    """Closed-form (v, m, top, exponent, default_domain) per kind.
+    """Closed-form (v, m, top, exponent, domain) per kind.
 
     The exponent is the barrier-top normal rate sqrt(2 m |v''|); the toy's
     is sqrt(2*1*2) = 2.  The barrier kinds share one path through
@@ -267,7 +267,6 @@ def build_model(
     kind: str,
     black_hole: KerrParams = KerrParams(),
     h: float = 0.05,
-    grid=None,
     *,
     absorber_scale: float = 1.0,
     window: float = DEFAULT_WINDOW,
@@ -278,17 +277,15 @@ def build_model(
     whole, ``schw_radial`` only its mass, and the toy ignores it.
     ``window`` is the half-width of the real-part window the spectrum is
     searched in; the problem carries it, so ``spectral_gap`` searches the
-    window the grid was sized for.  ``grid`` is an optional
-    (x_min, x_max, n_points) override; when absent the kind's default
-    domain is used and n_points is set by the wavelength rule at the
-    fastest oscillation of energies up to ``window``.  An explicit
-    n_points below that rule raises UnderResolved.  The absorber shape is
-    fixed per kind: the toy ramps over the fixed domain fractions
-    TOY_RAMPS, and the barrier kinds key the ramp to barrier depth -v;
-    both saturate on the MARGINS fractions at the ends, and the barrier
-    top must lie among the absorber-free nodes.  ``absorber_scale``
-    multiplies the absorber, and 0 builds the absorber-free reference
-    problem (self-adjoint, for calibration).
+    window the grid was sized for.  Every problem lives on its kind's own
+    domain, and n_points is set by the wavelength rule at the fastest
+    oscillation of energies up to ``window``.  The absorber shape is fixed
+    per kind: the toy ramps over the fixed domain fractions TOY_RAMPS, and
+    the barrier kinds key the ramp to barrier depth -v; both saturate on
+    the MARGINS fractions at the ends, and the barrier top must lie among
+    the absorber-free nodes.  ``absorber_scale`` multiplies the absorber,
+    and 0 builds the absorber-free reference problem (self-adjoint, for
+    calibration).
     """
     if not 0.0 < h < 0.5:
         raise DomainError(f"h must lie in (0, 0.5), got {h:g}")
@@ -296,48 +293,29 @@ def build_model(
         raise DomainError(f"absorber scale must lie in [0, 1], got {absorber_scale:g}")
     if kind == "schw_radial":
         black_hole = KerrParams(mass=black_hole.mass)
-    v_func, m_func, top, exponent, default_domain = _model_functions(kind, black_hole)
-    if grid is None:
-        x_min, x_max = default_domain
-        n_points = None
-    else:
-        x_min, x_max, n_points = float(grid[0]), float(grid[1]), int(grid[2])
-    if not x_min < x_max:
-        raise DomainError(f"empty domain [{x_min:g}, {x_max:g}]")
-    if kind != "toy_sech2":
-        r_h = kerr.horizon_radius(black_hole)
-        if x_min <= r_h:
-            raise DomainError(
-                f"inner wall {x_min:g} does not clear the horizon {r_h:g}"
-            )
+    v_func, m_func, top, exponent, (x_min, x_max) = _model_functions(kind, black_hole)
     length = x_max - x_min
 
     # fastest window-energy phase rate sets the grid rule; the saturated
     # margins are excluded since waves arrive there exponentially damped
     probe = np.linspace(x_min, x_max, 2001)[1:-1]
     v_probe = np.asarray(v_func(probe), dtype=float)
-    m_probe = np.asarray(m_func(probe), dtype=float)
-    if not np.all(np.isfinite(v_probe)) or not np.all(np.isfinite(m_probe)):
+    # within a few float spacings of extremal spin Delta rounds to 0 on the
+    # domain, and v with it to inf or nan
+    if not np.all(np.isfinite(v_probe)):
         raise DomainError("model functions lost finiteness on the domain")
-    if np.min(m_probe) <= 0.0:
-        raise DomainError("mass weight lost positivity on the domain")
     live = (probe >= x_min + MARGINS[0] * length) & (
         probe <= x_max - MARGINS[1] * length
     )
+    m_probe = np.asarray(m_func(probe), dtype=float)
     xi_sq = (window - v_probe[live]) / m_probe[live]
     xi_max = math.sqrt(max(np.max(xi_sq), 0.0))
-    n_rule = required_points(length, h, xi_max)
-    if n_rule > _MAX_AUTO_POINTS:
+    n_points = required_points(length, h, xi_max)
+    if n_points > _MAX_AUTO_POINTS:
         raise DomainError(
-            f"wavelength rule wants {n_rule} points; narrow the domain"
+            f"wavelength rule wants {n_points} points; raise h or narrow the window"
         )
-    if n_points is None:
-        n_points = n_rule
-    elif n_points < n_rule:
-        raise UnderResolved(
-            f"{n_points} points under-resolve the window wavelength; "
-            f"need at least {n_rule} on [{x_min:g}, {x_max:g}] at h={h:g}"
-        )
+    # a near-extremal barrier at large h and a tiny window wants fewer
     if n_points < 8:
         raise DomainError(f"need at least 8 grid points, got {n_points}")
 

@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     InvalidHorizon,
     NhtrapError,
-    UnderResolved,
     ValidationError,
 )
 
@@ -45,7 +44,7 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 # errors below are caused by inputs, not by the numerics
-_CONFIG_FAULTS = (ConfigError, DomainError, UnderResolved, InvalidHorizon)
+_CONFIG_FAULTS = (ConfigError, DomainError, InvalidHorizon)
 
 DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
 UHP_SAMPLES = 50

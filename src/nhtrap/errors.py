@@ -51,10 +51,6 @@ class Unbounded(NhtrapError):
     """No admissible polynomial order bounds the sampled quotients."""
 
 
-class UnderResolved(NhtrapError):
-    """Grid resolution is below the wavelength rule."""
-
-
 class ConvergenceFailure(NhtrapError):
     """An iterative solve failed to converge or certify.
 

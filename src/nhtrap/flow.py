@@ -1,8 +1,8 @@
 """Hamiltonian flow integration of one orbit segment.
 
 `integrate_flow` advances a state along the Hamilton field of a model
-with the adaptive DOP853 of `nhtrap.ode`, whose terminal chart-exit event
-stops an orbit at the chart margin.  Only the end state is transported;
+with the adaptive DOP853 of `nhtrap.ode`, whose event stops an orbit where
+the chart margin first falls to 0.  Only the end state is transported;
 the linearized flow of the photon shell comes from `trapping`'s exact
 cocycle, not from here.
 """
@@ -58,9 +58,6 @@ def integrate_flow(
 
     def exit_event(t, y):
         return model.chart_margin(y)
-
-    exit_event.terminal = True
-    exit_event.direction = -1
 
     rtol = step_tolerance(tol, time)
     sol = solve_ivp(

@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince 8(5,3) integration, dense output and events.
+"""Adaptive Dormand-Prince 8(5,3) integration, dense output and a stop event.
 
 One explicit Runge-Kutta integrator serves the shell cocycle (`trapping`)
 and the orbit segments of `flow`.  It follows the DOP853 code of Hairer,
@@ -8,10 +8,10 @@ error norm, and step factors bounded by SAFETY, MIN_FACTOR and
 MAX_FACTOR.  It takes the same steps, makes the same number of field
 evaluations and returns the same numbers, without importing scipy.
 
-Events follow the same contract: an event function g(t, y) may carry
-``direction`` (only crossings of that sign count) and ``terminal`` (True,
-or the count of crossings that ends the integration).  Crossing times are
-located by `brentq` on the step's dense output.
+One event function g(t, y) may end a run at its first downward zero, in
+the first step over which g falls from >= 0 to <= 0, located by `brentq`
+on the step's dense output: scipy's contract for one event with
+``direction = -1`` and ``terminal = True``.
 
 The tableau is transcribed from scipy's ``dop853_coefficients.py`` (BSD
 licence), which transcribes the Fortran DOP853 of E. Hairer and G. Wanner,
@@ -308,13 +308,11 @@ class DenseSolution:
 
 @dataclass
 class OdeResult:
-    t: np.ndarray  # accepted step times, ending at the terminal event if one fired
+    t: np.ndarray  # accepted step times, ending at the event time if it fired
     y: np.ndarray  # (n, len(t)) states at those times
     sol: DenseSolution | None  # with dense_output only
-    t_events: np.ndarray  # event times, empty without an event
-    y_events: np.ndarray  # (len(t_events), n) states at those times
     nfev: int
-    status: int  # 0 end reached, 1 terminal event, -1 step too small
+    status: int  # 0 end reached, 1 event zero reached, -1 step too small
     message: str
 
 
@@ -432,9 +430,10 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
 
     ``rtol`` below RTOL_MIN is raised to it; ``atol`` is a scalar.  Every
     call of ``fun``, those of the dense output included, counts in
-    ``nfev``.  ``event`` is one event function g(t, y) with the optional
-    ``direction`` and ``terminal`` attributes.  With ``dense_output`` the
-    result's ``sol`` interpolates the whole run.
+    ``nfev``.  ``event`` is an optional function g(t, y); the run ends at
+    its first downward zero with status 1, and then ``t[-1]`` is the zero.
+    A rise through 0 does nothing.  With ``dense_output`` the result's
+    ``sol`` interpolates the whole run.
     """
     t0, tf = map(float, t_span)
     if t0 == tf:
@@ -442,13 +441,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
     y0 = np.asarray(y0, dtype=float)
     stepper = _Stepper(fun, t0, y0, tf, max(rtol, RTOL_MIN), atol)
     ts, ys, steps = [t0], [y0], []
-    t_events, y_events = [], []
     if event is not None:
-        direction = getattr(event, "direction", 0)
-        terminal = getattr(event, "terminal", None)
-        if not (terminal is None or (int(terminal) == terminal and terminal >= 0)):
-            raise ValueError("an event's `terminal` must be a boolean or a positive integer")
-        max_events = int(terminal) if terminal else np.inf
         g = event(t0, y0)
 
     status = None
@@ -464,16 +457,12 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
             steps.append(step)
         if event is not None:
             g_new = event(t, y)
-            up, down = g <= 0 <= g_new, g_new <= 0 <= g
-            if up and direction >= 0 or down and direction <= 0:
+            if g_new <= 0 <= g:
                 sol = DenseSolution([t_old, t], [step or stepper.dense_step()])
-                root = brentq(lambda s: event(s, sol(s)), t_old, t,
-                              xtol=EVENT_TOL, rtol=EVENT_TOL)
-                t_events.append(root)
-                y_events.append(sol(root))
-                if len(t_events) >= max_events:
-                    status = 1
-                    t, y = root, y_events[-1]
+                t = brentq(lambda s: event(s, sol(s)), t_old, t,
+                           xtol=EVENT_TOL, rtol=EVENT_TOL)
+                y = sol(t)
+                status = 1
             g = g_new
         if dense_output and len(ts) > 1 and ts[-1] == t:
             steps.pop()
@@ -485,8 +474,6 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
         t=np.asarray(ts),
         y=np.vstack(ys).T,
         sol=DenseSolution(ts, steps) if dense_output and steps else None,
-        t_events=np.asarray(t_events),
-        y_events=np.asarray(y_events),
         nfev=stepper.nfev,
         status=status,
         message=MESSAGES[status],

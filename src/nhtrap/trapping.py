@@ -46,7 +46,7 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    -alpha, beta) at time s.
 
 The quarter period is integrated by the in-house DOP853 of `nhtrap.ode`,
-whose dense output and terminal event give t_q and X(s) on [0, t_q]; fact 4
+whose dense output and stop event give t_q and X(s) on [0, t_q]; fact 4
 rebuilds the period, the monodromy and X(s) on [0, P].  The value of p on
 the pinned shell at the equator with alpha = 0 is the reduced symbol at
 the saddle plus the Carter constant q(pi/2, beta)^2
@@ -212,6 +212,9 @@ class ShellOrbit:
     The embedding back into the six-dimensional chart pins (r, xi) at the
     saddle, which the flow preserves exactly; the intrinsic variational
     system is the tangential cocycle, free of hyperbolic contamination.
+    Its differential E has unit columns for theta, phi and alpha and the
+    orthogonal column (r_s', 0, 0, xi_s', 0, 1) for beta, so ||E Y|| equals
+    ||W Y|| with W = diag(`weight`) = diag(1, 1, 1, sqrt(1 + r_s'^2 + xi_s'^2)).
     The normal directions are the (r, phi, xi) block of fact 2.
     """
 
@@ -219,16 +222,8 @@ class ShellOrbit:
         self.family = family
         self.beta = float(beta)
         self.lam = float(lam)
-        dr, dxi = family.saddle_derivative(beta)
-        # embedding differential: columns are d(embed)/d(theta, phi, alpha, beta)
-        E = np.zeros((6, 4))
-        E[1, 0] = 1.0
-        E[2, 1] = 1.0
-        E[4, 2] = 1.0
-        E[5, 3] = 1.0
-        E[0, 3] = dr
-        E[3, 3] = dxi
-        self.embed_diff = E
+        self._dr, dxi = family.saddle_derivative(beta)
+        self.weight = np.asarray([1.0, 1.0, 1.0, math.hypot(1.0, self._dr, dxi)])
         # the radial half of p, Delta*xi^2 + v_beta(r) + bump, is pinned with
         # (r, xi): of its derivatives `rhs` reads only (v_b, v_rb, v_bb), and
         # the bump, a function of (r, xi) alone, enters none of them
@@ -253,10 +248,12 @@ class ShellOrbit:
     def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
         """Field of (u, intrinsic 4x4 Jacobian X): the one shell-orbit RHS.
 
-        The intrinsic variational matrix is M = (H_alpha, H_beta, -H_theta, 0) L
-        with L the embedding differential: beta is conserved, so only its
-        first three rows are formed, and the last row of X' is zero.  They
-        and the velocity add the orbit's radial constants to the angular
+        The intrinsic variational matrix is M = (H_alpha, H_beta, -H_theta, 0) E
+        with E the embedding differential: beta is conserved, so only its
+        first three rows are formed, and the last row of X' is zero.  Those
+        rows of Hess p hold p_aa = 2, (p_br, p_bt, p_bb) and (p_tt, p_tb)
+        only, and E's beta column weighs p_br by r_s'.  They and the
+        velocity add the orbit's radial constants to the angular
         half at theta, entry by entry as `kerr._grad_hess` does.
         """
         theta, _, alpha, beta = z[:4]
@@ -264,12 +261,11 @@ class ShellOrbit:
             self.family.params, theta, alpha, beta
         )
         v_b, v_rb, v_bb = self._radial
-        rows = np.zeros((3, 6))  # the alpha, beta and theta rows of Hess p
-        rows[0, 4] = 2.0
-        rows[1, 0], rows[1, 1], rows[1, 5] = v_rb, p_tb, v_bb + p_bb
-        rows[2, 1], rows[2, 5] = p_tt, p_tb
-        M = rows @ self.embed_diff
-        M[2] = -M[2]
+        M = np.asarray([
+            [0.0, 0.0, 2.0, 0.0],
+            [p_tb, 0.0, 0.0, v_rb * self._dr + (v_bb + p_bb)],
+            [-p_tt, 0.0, 0.0, -p_tb],
+        ])
         velocity = [p_a, v_b + p_b, -p_t, 0.0]
         return np.concatenate(
             [velocity, (M @ z[4:].reshape(4, 4)).ravel(), np.zeros(4)]
@@ -283,21 +279,15 @@ class ShellOrbit:
         of (u, X) stops there.  Raises InvalidHorizon when the period 4 t_q
         exceeds `horizon`.
         """
-
-        def turn(t, z):
-            return z[2]
-
-        turn.direction = -1.0
-        turn.terminal = 1
         z0 = np.concatenate([self.u0, np.eye(4).ravel()])
-        sol = solve_ivp(self.rhs, (0.0, horizon / 4.0), z0, rtol=tol,
-                        atol=tol * 1e-2, event=turn, dense_output=True)
+        sol = solve_ivp(self.rhs, (0.0, horizon / 4.0), z0, rtol=tol, atol=tol * 1e-2,
+                        event=lambda t, z: z[2], dense_output=True)
         if sol.status != 1:
             raise InvalidHorizon(
                 f"horizon {horizon:g} is too short: theta does not return "
                 f"within it at beta={self.beta:g} ({sol.message})"
             )
-        return TangentCocycle(float(sol.t_events[-1]), sol.sol)
+        return TangentCocycle(float(sol.t[-1]), sol.sol)
 
     def normal_bundles(self):
         """Normal rates and unit bundle vectors in (r, phi, xi),
@@ -487,7 +477,8 @@ def _beta_sample(
 ) -> BetaSample:
     """Normal rates, bundle invariance and tangential envelope at one beta.
 
-    sigma(t) = ||L X(t) F|| on the shell-tangent frame F.  With
+    sigma(t) = ||E X(t) F|| = ||W X(t) F|| on the shell-tangent frame F,
+    with E and W = `ShellOrbit.weight` as in `ShellOrbit`.  With
     t = s + mP, X(t) F = X(s) (F + mNF + C(m, 2) N^2 F + ...), so the degree
     of growth is the first power k with N^k F = 0, less one.  N carries
     units (alpha and beta scale like M, theta and phi do not), so the zero
@@ -503,7 +494,7 @@ def _beta_sample(
     (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
     cocycle = orbit.tangent_cocycle(horizon, tol)
     period, N = cocycle.period, cocycle.shear
-    L, F = orbit.embed_diff, orbit.tangential_frame()
+    W, F = orbit.weight[:, None], orbit.tangential_frame()
     units = np.asarray([1.0, 1.0, fam.params.mass, fam.params.mass])
     N_hat = N * units / units[:, None]  # D^-1 N D
     degree, NkF = 0, N_hat @ F
@@ -511,9 +502,9 @@ def _beta_sample(
         degree, NkF = degree + 1, N_hat @ NkF
 
     def sup(Y):
-        """sup over s in [0, P] of ||L X(s) Y||."""
+        """sup over s in [0, P] of ||W X(s) Y||."""
         return _envelope_sup(
-            lambda s: np.linalg.norm(L @ cocycle(s) @ Y, 2, axis=(-2, -1)), period
+            lambda s: np.linalg.norm(W * cocycle(s) @ Y, 2, axis=(-2, -1)), period
         )
 
     return BetaSample(

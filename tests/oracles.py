@@ -3,9 +3,10 @@
 Each oracle takes the slow, direct route to a quantity the package
 computes another way: a dense eigensolve of the whole CAP matrix, the
 Jacobian of the flow by integrating the variational equation next to the
-orbit, a shell orbit's tangential cocycle over one whole theta-period,
-points on an invariant graph by following the flow out of the saddle, and
-the six-dimensional symbol of a (bumped) reduced family at a shell point,
+orbit, a shell orbit's tangential cocycle over one whole theta-period
+(by scipy's DOP853), points on an invariant graph by following the flow
+out of the saddle, and the six-dimensional symbol of a (bumped) reduced
+family at a shell point and the embedding differential of a shell orbit,
 which the package reads off the reduced (r, xi) symbol instead.  None of
 them is reached from the CLI.
 """
@@ -16,6 +17,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from nhtrap import capspec, flow, kerr
 from nhtrap.errors import GridTooCoarse
@@ -69,8 +71,9 @@ def tangent_flow(model, start, time: float, tol: float = 1e-10) -> np.ndarray:
 
 def full_period_cocycle(orbit, horizon: float, tol: float):
     """(period, monodromy X(P), dense s -> (u, X) on [0, P]) of a shell
-    orbit by integrating one whole theta-period directly: the first upward
-    return of theta to its start, with no use of the quarter symmetries."""
+    orbit by integrating one whole theta-period directly with scipy's
+    DOP853: the first upward return of theta to its start, with no use of
+    the quarter symmetries."""
     theta0 = orbit.u0[0]
 
     def crossing(t, z):
@@ -79,10 +82,10 @@ def full_period_cocycle(orbit, horizon: float, tol: float):
     crossing.direction = 1.0
     crossing.terminal = 2  # the first root is the start itself, t = 0
     z0 = np.concatenate([orbit.u0, np.eye(4).ravel()])
-    sol = solve_ivp(orbit.rhs, (0.0, horizon), z0, rtol=tol, atol=tol * 1e-2,
-                    event=crossing, dense_output=True)
+    sol = scipy_solve_ivp(orbit.rhs, (0.0, horizon), z0, method="DOP853", rtol=tol,
+                          atol=tol * 1e-2, events=crossing, dense_output=True)
     assert sol.status == 1, sol.message
-    return float(sol.t_events[-1]), sol.y_events[-1][4:].reshape(4, 4), sol.sol
+    return float(sol.t_events[0][-1]), sol.y_events[0][-1][4:].reshape(4, 4), sol.sol
 
 
 def embed(orbit, u) -> np.ndarray:
@@ -90,6 +93,15 @@ def embed(orbit, u) -> np.ndarray:
     intrinsic u = (theta, phi, alpha, beta) on a shell orbit."""
     r_s, xi_s = orbit.family.saddle(orbit.beta)
     return np.asarray([r_s, u[0], u[1], xi_s, u[2], u[3]], dtype=float)
+
+
+def embed_diff(orbit) -> np.ndarray:
+    """The 6x4 differential of u -> `embed(orbit, u)`: unit columns for
+    theta, phi and alpha, and (r_s', 0, 0, xi_s', 0, 1) for beta."""
+    E = np.zeros((6, 4))
+    E[[1, 2, 4, 5], [0, 1, 2, 3]] = 1.0
+    E[[0, 3], 3] = orbit.family.saddle_derivative(orbit.beta)
+    return E
 
 
 def symbol_value(family, y6) -> float:
@@ -130,10 +142,9 @@ def manifold_samples(
     span = 1.5 * math.log(2.0 * s_max / seed_size) / pair.mu
     tf = span if side > 0 else -span
 
-    def outside(t, y):
-        return pair.adapted_radius(y) - 2.0 * s_max
+    def inside(t, y):
+        return 2.0 * s_max - pair.adapted_radius(y)
 
-    outside.terminal = True
     sol = solve_ivp(
         lambda t, y: pair.model.hamilton_rhs(y),
         (0.0, tf),
@@ -141,7 +152,7 @@ def manifold_samples(
         rtol=1e-12,
         atol=1e-16,
         dense_output=True,
-        event=outside,
+        event=inside,
     )
     t_end = sol.t[-1]
     ts = np.linspace(0.0, t_end, 400)

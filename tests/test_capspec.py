@@ -10,11 +10,7 @@ import scipy.sparse as sp
 from oracles import dense_eigenvalues
 
 from nhtrap import capspec, cli, kerr, trapping
-from nhtrap.errors import (
-    ConvergenceFailure,
-    DomainError,
-    UnderResolved,
-)
+from nhtrap.errors import ConvergenceFailure, DomainError
 from nhtrap.kerr import KerrParams
 
 MU_EFF = 2.0 * math.sqrt(3.0) / 9.0
@@ -179,8 +175,6 @@ class TestBuildModel:
         assert free[0] < capspec._critical_orbit(params)[0] < free[-1]
 
     def test_wavelength_rule(self):
-        with pytest.raises(UnderResolved):
-            capspec.build_model("toy_sech2", h=0.05, grid=(-4.0, 4.0, 100))
         n_rule = capspec.required_points(8.0, 0.05, 1.2)
         assert n_rule >= capspec.RESOLUTION_FACTOR * 8.0 * 1.2 / 0.05
         # the rule resolves the fastest oscillation up to the window edge
@@ -196,11 +190,18 @@ class TestBuildModel:
         with pytest.raises(DomainError):
             capspec.build_model("toy_sech2", absorber_scale=2.0)
         with pytest.raises(DomainError):
-            capspec.build_model("schw_radial", grid=(1.9, 6.8, 4000))
-        with pytest.raises(DomainError):
-            capspec.build_model("toy_sech2", grid=(4.0, -4.0, 500))
-        with pytest.raises(DomainError):
             capspec.build_model("no_such_model")
+
+    def test_near_extremal_limits(self):
+        # at large h and a tiny window the wavelength rule asks fewer than 8
+        # points of the near-extremal barrier
+        with pytest.raises(DomainError, match="at least 8 grid points"):
+            capspec.build_model("kerr_equatorial", KerrParams(1.0, 0.99), h=0.4999,
+                                window=1e-6)
+        # two float spacings below extremal spin, Delta rounds to 0 on the
+        # domain and the potential is no longer finite
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="finiteness"):
+            capspec.build_model("kerr_equatorial", KerrParams(1.0, 1.0 - 2.0**-52), h=0.1)
 
     def test_absorber_scale_zero(self):
         p = capspec.build_model("toy_sech2", h=0.1, absorber_scale=0.0)
@@ -304,8 +305,9 @@ class TestEigenvalues:
         assert residuals.size > 0
         assert np.max(residuals) < capspec.RESIDUAL_TOL
 
-    def test_dense_matches_shift_invert(self):
-        p = capspec.build_model("toy_sech2", h=0.1, grid=(-4.0, 4.0, 1000))
+    def test_dense_matches_shift_invert(self, monkeypatch):
+        monkeypatch.setattr(capspec, "RESOLUTION_FACTOR", 7.5)  # n = 1027
+        p = capspec.build_model("toy_sech2", h=0.1)
         matrix = p.matrix
         zd, _, _ = dense_eigenvalues(matrix)
         zi, _, _ = capspec.eigenvalues(matrix)
@@ -313,11 +315,12 @@ class TestEigenvalues:
         top_i = zi[np.argmax(zi.imag)]
         assert abs(top_d - top_i) < 1e-8
 
-    def test_grid_refinement_stability(self):
+    def test_grid_refinement_stability(self, monkeypatch):
         # eigenvalues near the axis stable to 1e-6 under n -> 2n
         tops = []
-        for n in (2000, 4000):
-            p = capspec.build_model("toy_sech2", h=0.1, grid=(-4.0, 4.0, n))
+        for factor in (15.0, 30.0):  # n = 2053 and 4105
+            monkeypatch.setattr(capspec, "RESOLUTION_FACTOR", factor)
+            p = capspec.build_model("toy_sech2", h=0.1)
             zs, _, _ = capspec.eigenvalues(p.matrix)
             tops.append(zs[np.argmax(zs.imag)])
         assert abs(tops[0] - tops[1]) < 1e-6
@@ -396,14 +399,12 @@ class TestSpectralGap:
         rep = capspec.spectral_gap(toy_problem)
         assert rep.nu == pytest.approx(1.0, rel=0.01)
 
-    def test_gap_grid_convergence(self, schw_problem):
+    def test_gap_grid_convergence(self, schw_problem, monkeypatch):
         # gap(n) vs gap(2n) differ by < 1% at the working resolution
         base = capspec.spectral_gap(schw_problem)
-        p2 = capspec.build_model(
-            "schw_radial",
-            h=0.05,
-            grid=(schw_problem.x_min, schw_problem.x_max, 2 * schw_problem.n_points),
-        )
+        monkeypatch.setattr(capspec, "RESOLUTION_FACTOR", 2.0 * capspec.RESOLUTION_FACTOR)
+        p2 = capspec.build_model("schw_radial", h=0.05)
+        assert p2.n_points in (2 * base.n_points - 1, 2 * base.n_points)
         refined = capspec.spectral_gap(p2)
         assert abs(refined.gap - base.gap) / base.gap < 0.01
 

@@ -21,19 +21,20 @@ FLOW_START = np.asarray([8.0, 1.2, 0.0, -1.047452885827, 3.923213879343, 4.0])
 
 
 def shell_problem():
-    """(orbit, z0, crossing event) of one beta sample at a = 0.9."""
+    """(orbit, z0, alpha-turn event) of one beta sample at a = 0.9: what
+    `ShellOrbit.tangent_cocycle` integrates.  The event's attributes are
+    read by scipy only; `ode` always stops at the first downward zero."""
     params = KerrParams(1.0, 0.9)
     fam = trapping.ReducedFamily(params)
     lo, hi = trapping.equatorial_beta_range(0.0, fam)
     orbit = trapping.ShellOrbit(fam, float(trapping._beta_grid(lo, hi)[1]), 0.0)
-    theta0 = orbit.u0[0]
 
-    def crossing(t, z):
-        return z[0] - theta0
+    def turn(t, z):
+        return z[2]
 
-    crossing.direction = 1.0
-    crossing.terminal = 2
-    return orbit, np.concatenate([orbit.u0, np.eye(4).ravel()]), crossing
+    turn.direction = -1.0
+    turn.terminal = True
+    return orbit, np.concatenate([orbit.u0, np.eye(4).ravel()]), turn
 
 
 def flow_problem():
@@ -88,23 +89,38 @@ class TestAgainstScipy:
                                      rtol=1e-16, atol=1e-18)
         assert_same_run(ours, theirs)
 
-    def test_dense_output_and_second_crossing(self):
-        orbit, z0, crossing = shell_problem()
+    def test_dense_output_and_alpha_turn(self):
+        orbit, z0, turn = shell_problem()
         ours, theirs = solve_both(orbit.rhs, (0.0, 20.0), z0, rtol=1e-10, atol=1e-12,
-                                  event=crossing, dense_output=True)
+                                  event=turn, dense_output=True)
         assert ours.status == theirs.status == 1
         assert ours.nfev == theirs.nfev
-        # the first crossing is the start itself; the second is the period
-        assert ours.t_events[0] == 0.0
-        period = ours.t_events[-1]
-        assert period == pytest.approx(theirs.t_events[0][-1], rel=1e-14, abs=0.0)
-        assert ours.t[-1] == period
-        s = np.linspace(0.0, period, 256)
+        # alpha starts positive and first falls through 0 a quarter period on
+        quarter = ours.t[-1]
+        assert quarter == pytest.approx(theirs.t_events[0][0], rel=1e-14, abs=0.0)
+        assert np.array_equal(ours.t[:-1], theirs.t[:-1])
+        s = np.linspace(0.0, quarter, 256)
         dense, ref = ours.sol(s), theirs.sol(s)
         assert dense.shape == ref.shape == (20, 256)
         assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(ours.sol(s[100]) - ref[:, 100])) <= 1e-13 * np.max(np.abs(ref))
-        assert np.max(np.abs(ours.y_events[-1] - theirs.y_events[0][-1])) <= 1e-13
+        assert np.max(np.abs(ours.y[:, -1] - theirs.y_events[0][0])) <= 1e-13
+
+    def test_rising_event_does_not_stop(self):
+        # -alpha rises through 0 where alpha first falls, a quarter period
+        # on, and falls again three quarters on: a run over half a period
+        # goes on to the end with the steps of a run without an event
+        orbit, z0, turn = shell_problem()
+        quarter = ode.solve_ivp(orbit.rhs, (0.0, 20.0), z0, event=turn).t[-1]
+        span = (0.0, 2.0 * quarter)
+        plain = ode.solve_ivp(orbit.rhs, span, z0, rtol=1e-10, atol=1e-12)
+        rising = ode.solve_ivp(orbit.rhs, span, z0, rtol=1e-10, atol=1e-12,
+                               event=lambda t, z: -z[2])
+        assert np.any(plain.y[2] < 0.0)
+        assert rising.status == plain.status == 0
+        assert rising.nfev == plain.nfev
+        assert np.array_equal(rising.t, plain.t)
+        assert np.array_equal(rising.y, plain.y)
 
     def test_backward_dense_output(self):
         orbit, z0, _ = shell_problem()

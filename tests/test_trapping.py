@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import embed, full_period_cocycle, symbol_grad_hess, symbol_value, tangent_flow
+from oracles import (
+    embed,
+    embed_diff,
+    full_period_cocycle,
+    symbol_grad_hess,
+    symbol_value,
+    tangent_flow,
+)
 from scipy.linalg import expm
 
 from nhtrap import capspec, kerr, models, trapping
@@ -229,6 +236,37 @@ class TestFamilyAndShell:
             rest = [1, 4, 5]
             assert not np.any(A6[np.ix_(rest, block)])
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    def test_rhs_is_the_embedded_reference(self, epsilon):
+        # the intrinsic rows of `rhs` are the alpha, beta and -theta rows of
+        # the six-dimensional Hess p times the embedding differential
+        fam = _family(0.5, epsilon, seed=3)
+        rng = np.random.default_rng(11)
+        for beta in (-2.5, 0.4, 1.2):
+            orbit = trapping.ShellOrbit(fam, beta, 0.0)
+            E = embed_diff(orbit)
+            for u in (orbit.u0, [1.1, 0.3, -0.4, beta], [2.0, -1.0, 0.7, beta]):
+                H = symbol_grad_hess(fam, embed(orbit, u))[1]
+                M = np.vstack([H[4], H[5], -H[1], np.zeros(6)]) @ E
+                X = rng.standard_normal((4, 4))
+                field = orbit.rhs(0.0, np.concatenate([u, X.ravel()]))[4:]
+                ref = M @ X
+                assert np.max(np.abs(field.reshape(4, 4) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    def test_weighted_norm_is_the_embedded_norm(self, epsilon):
+        # E^T E = W^2, so ||W Y|| = ||E Y|| for every Y, one at a time or stacked
+        fam = _family(0.5, epsilon, seed=3)
+        rng = np.random.default_rng(12)
+        for beta in (-2.5, 0.4, 1.2):
+            orbit = trapping.ShellOrbit(fam, beta, 0.0)
+            E, W = embed_diff(orbit), orbit.weight[:, None]
+            assert np.allclose(E.T @ E, np.diag(orbit.weight**2), rtol=1e-15, atol=0.0)
+            Y = rng.standard_normal((5, 4, 3))
+            assert np.linalg.norm(W * Y, 2, axis=(-2, -1)) == pytest.approx(
+                np.linalg.norm(E @ Y, 2, axis=(-2, -1)), rel=1e-14
+            )
+
     def test_exact_structure_matches_full_flow(self):
         # independent oracle: the six-dimensional variational flow of the
         # full Kerr model from the embedded start, past one theta-period
@@ -238,7 +276,7 @@ class TestFamilyAndShell:
         H = symbol_grad_hess(orbit.family, embed(orbit, orbit.u0))[1]
         A6 = np.vstack([H[3:, :], -H[:3, :]])
         (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
-        L = orbit.embed_diff
+        L = embed_diff(orbit)
         model = models.full_kerr_model(params)
         for t in (0.4, 0.9, 1.5, -0.7, -1.5):
             J6 = tangent_flow(model, embed(orbit, orbit.u0), t, tol=1e-12)
@@ -323,7 +361,7 @@ class TestQuarterPeriod:
         # sigma(s) = ||L X(s) Y|| for both envelope directions Y
         orbit = trapping.ShellOrbit(_family(spin, epsilon), beta, 0.0)
         cocycle = orbit.tangent_cocycle(CLI.horizon, TOL)
-        L, F, P = orbit.embed_diff, orbit.tangential_frame(), cocycle.period
+        L, F, P = embed_diff(orbit), orbit.tangential_frame(), cocycle.period
         for Y in (F, cocycle.shear @ F):
 
             def sigma(s):
@@ -381,7 +419,7 @@ class TestCertify:
             assert s.tangential_degree == degree
             orbit = trapping.ShellOrbit(fam, s.chart.beta, 0.0)
             cocycle = orbit.tangent_cocycle(5.0, TOL)
-            L, F, P = orbit.embed_diff, orbit.tangential_frame(), cocycle.period
+            L, F, P = embed_diff(orbit), orbit.tangential_frame(), cocycle.period
 
             def sigma(t):
                 return np.linalg.norm(L @ cocycle(t) @ F, 2, axis=(-2, -1))

@@ -12,10 +12,12 @@ of every artifact are compared; the ``runtime_s`` column of gaps.csv, a
 wall time, is blanked first.  Every difference is printed, and the exit
 status is 1 if any config differs, else 0.
 
-The list holds refactor checks across all seven commands (one of them the
-h >= htilde exit 2 of escape-check; escape-check at M = 2 and perturb at
-M = 0.1, the rest at M = 1) and the eight workload commands of the
-benchmark at seed 1.
+The list holds refactor checks across all seven commands (escape-check
+at M = 2 and perturb at M = 0.1, the rest at M = 1) and the eight
+workload commands of the benchmark at seed 1.  Three of the checks end
+in an error exit: the h >= htilde exit 2 of escape-check, a flow orbit
+that leaves the chart (exit 3) and a certify horizon shorter than one
+theta-period (exit 2).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ OUTPUT_DIR = "out"
 QUICK_SURVEY_ORBIT = (
     "kerr.spin = 0.5\norbit.r = 8\norbit.theta = 1.2\norbit.phi = 0\n"
     "orbit.xi = -1.047452885827\norbit.alpha = 3.923213879343\norbit.beta = 4\n"
-    "orbit.time = 1.0\n"
 )
 
 # (name, command, config lines after command, workers and output_dir)
@@ -49,6 +50,12 @@ CONFIGS = (
     ("escape_m2", "escape-check", "kerr.mass = 2\nkerr.spin = 1.2\nh = 0.2\n"),
     ("escape_h03", "escape-check", "h = 0.3\n"),
     ("gap_toy", "spectrum-gap", "model = toy_sech2\n"),
+    ("gap_kerr_a09", "spectrum-gap",
+     "kerr.spin = 0.9\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
+    # leaves the chart at t = 1.2757: exit 3
+    ("flow_chart_exit", "flow-integrate", QUICK_SURVEY_ORBIT + "orbit.time = 30\n"),
+    # shorter than one theta-period: exit 2
+    ("certify_horizon05", "trap-certify", "horizon = 0.5\n"),
     # the benchmark's workload commands, seed 1
     ("cap_fine_gap", "spectrum-gap", "model = schw_radial\nh_list = 0.05, 0.025\n"),
     ("cap_fine_resolvent", "spectrum-resolvent", "model = toy_sech2\nh = 0.05\nseed = 1\n"),
@@ -57,7 +64,7 @@ CONFIGS = (
      "kerr.spin = 0.5\nhorizon = 20\nepsilon = 0.01\nseed = 1\n"),
     ("survey_find", "trap-find", "kerr.spin = 0.5\nbeta_list = -4, -2, -1, 1, 2, 4\n"),
     ("survey_escape", "escape-check", "kerr.spin = 0.5\nh = 0.05\nseed = 1\n"),
-    ("survey_flow", "flow-integrate", QUICK_SURVEY_ORBIT),
+    ("survey_flow", "flow-integrate", QUICK_SURVEY_ORBIT + "orbit.time = 1.0\n"),
     ("survey_gap", "spectrum-gap",
      "kerr.spin = 0.5\nmodel = kerr_equatorial\nh_list = 0.1, 0.09, 0.08, 0.07, 0.06\n"),
 )
