@@ -248,6 +248,12 @@ def _model_functions(kind: str, black_hole: KerrParams):
         return kerr.delta(black_hole, r) ** 2 / r**4
 
     delta_star = kerr.delta(black_hole, r_star)
+    # at the last double below extremal spin Delta(r*) rounds to exactly 0
+    if not delta_star > 0.0:
+        raise DomainError(
+            f"Delta vanishes at the critical orbit r* = {r_star:g}: "
+            "spin too close to extremal"
+        )
     m_top = delta_star**2 / r_star**4
     v_curv = kerr.radial_terms(black_hole, beta, r_star)[2] * delta_star / r_star**4
     r_h = float(kerr.horizon_radius(black_hole))

@@ -10,17 +10,22 @@ escape-check, ``trapping`` for trap-find, trap-certify and perturb, and
 ``flow``, ``kerr`` (the Carter column) and ``models`` for flow-integrate.
 Jobs call the layer through its module attributes.  Only the spectrum
 commands load scipy (through ``capspec``): the other layers integrate and
-find roots with ``ode``.
+find roots with ``ode``.  Seeded numbers (the perturbing bump, escape's
+sample pairs, spectrum-resolvent's probe points) come from the stdlib
+``random.Random(seed)``, which every process loads anyway, and
+``_run_jobs`` imports its thread pool only when it runs more than one
+worker; so numpy.random and concurrent.futures are loaded by the spectrum
+commands alone, through scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 import tempfile
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -102,6 +107,8 @@ def _run_jobs(jobs, workers: int):
     """Execute pure jobs, preserving submission order in the results."""
     if workers <= 1 or len(jobs) <= 1:
         return [job() for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return [future.result() for future in [pool.submit(j) for j in jobs]]
 
@@ -294,9 +301,9 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
 
 def uhp_samples(window: float, seed: int) -> list:
     """The seeded upper-half-plane points spectrum-resolvent probes."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     return [
-        complex(rng.uniform(-window, window), window * (1.0 - rng.uniform()))
+        complex(rng.uniform(-window, window), window * (1.0 - rng.random()))
         for _ in range(UHP_SAMPLES)
     ]
 

@@ -32,6 +32,7 @@ cutoff radius is laid out in (a, b), where s^2 = a^2 + b^2.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,20 +422,19 @@ def sample_disc_pairs(
     pair: DefiningPair,
     radius: float,
     n_pairs: int,
-    rng: np.random.Generator,
+    rng: random.Random,
 ) -> np.ndarray:
     """Uniform point pairs in the adapted disc around the saddle, (n,2,2).
 
-    Candidates are drawn from the square in blocks and accepted in order,
-    which takes the same points from `rng` as drawing one candidate at a
-    time until it lands in the disc."""
-    need = 2 * n_pairs
-    accepted = np.empty((0, 2))
-    while len(accepted) < need:
-        block = rng.uniform(-radius, radius, size=(2 * (need - len(accepted)) + 8, 2))
-        inside = np.hypot(block[:, 0], block[:, 1]) <= radius
-        accepted = np.concatenate([accepted, block[inside]])
-    return pair.point(*accepted[:need].T).T.reshape(n_pairs, 2, 2)
+    Each candidate (a, b) is drawn from the square, a then b, by
+    ``rng.uniform`` and kept when it lands in the disc; consecutive kept
+    points form a pair."""
+    accepted = []
+    while len(accepted) < 2 * n_pairs:
+        a, b = rng.uniform(-radius, radius), rng.uniform(-radius, radius)
+        if math.hypot(a, b) <= radius:
+            accepted.append((a, b))
+    return pair.point(*np.transpose(accepted)).T.reshape(n_pairs, 2, 2)
 
 
 def _order_statistics(
@@ -482,8 +482,7 @@ def escape_report(spec: EscapeSpec, seed: int) -> dict:
     pair = spec.pair
     verify = verify_defG_relations(pair, saddle_grid(pair, VERIFY_RADIUS, GRID_N))
     c1 = commutator_lower_bound(spec, saddle_grid(pair, CHI_RADII[0], GRID_N))
-    rng = np.random.default_rng(seed)
-    pairs = sample_disc_pairs(pair, CHI_RADII[0], ORDER_PAIRS, rng)
+    pairs = sample_disc_pairs(pair, CHI_RADII[0], ORDER_PAIRS, random.Random(seed))
     c_val, n_exp = order_function_check(spec, pairs)
     return {
         "c1": float(c1),

@@ -22,6 +22,7 @@ single point of shape (2,) gives plain vectors and matrices.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,9 +105,11 @@ def newton_saddle(gradient, hessian, guess) -> np.ndarray:
 class BumpPattern:
     """Deterministic sum of smooth compactly-supported bumps on the (r, xi) plane.
 
-    Centers, widths, and signed amplitudes are drawn once from the seed and
-    frozen; sup|pattern| is scaled to size * M^2 on its support, so `size`
-    is the perturbation's epsilon.  The box of BUMP_CENTER and BUMP_SPAN is
+    Centers, widths, amplitudes and signs are drawn once, in that order
+    and row by row, from the stdlib ``random.Random(seed)`` (the stdlib
+    module is loaded anyway, numpy.random is not) and frozen; sup|pattern|
+    is scaled to size * M^2 on its support, so `size` is the
+    perturbation's epsilon.  The box of BUMP_CENTER and BUMP_SPAN is
     stretched by M along r only: under (M, a, r, alpha, beta) ->
     s (M, a, r, alpha, beta), xi fixed, the Kerr symbol scales by s^2, and
     so does the pattern.  Values and the first two derivative tensors are
@@ -115,15 +118,18 @@ class BumpPattern:
     """
 
     def __init__(self, seed: int, mass: float, size: float):
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
+
+        def uniform(lo, hi, *shape):
+            draws = [rng.uniform(lo, hi) for _ in range(math.prod(shape))]
+            return np.reshape(draws, shape)
+
         stretch = np.asarray([mass, 1.0])
         center = np.asarray(BUMP_CENTER)
-        self.centers = (
-            center + BUMP_SPAN * rng.uniform(-0.7, 0.7, size=(N_BUMPS, 2))
-        ) * stretch
-        self.widths = BUMP_SPAN * rng.uniform(0.5, 0.9, size=(N_BUMPS, 2)) * stretch
-        amps = rng.uniform(0.5, 1.0, size=N_BUMPS) * rng.choice(
-            [-1.0, 1.0], size=N_BUMPS
+        self.centers = (center + BUMP_SPAN * uniform(-0.7, 0.7, N_BUMPS, 2)) * stretch
+        self.widths = BUMP_SPAN * uniform(0.5, 0.9, N_BUMPS, 2) * stretch
+        amps = uniform(0.5, 1.0, N_BUMPS) * np.asarray(
+            [rng.choice((-1.0, 1.0)) for _ in range(N_BUMPS)]
         )
         # normalize: sup over a probe grid of the raw sum, polished off-grid
         self.amps = amps

@@ -99,13 +99,21 @@ from nhtrap import cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([code, sorted(sys.modules)]))
 """
+# seeded draws come from the stdlib generator and one worker runs its jobs
+# in line, so only the spectrum commands load these, through scipy
+_SPECTRUM_ONLY = ("numpy.random", "concurrent.futures")
 
 
 @pytest.mark.parametrize(
     "command, text, absent, present",
     [
-        (None, "", ("scipy",), ("nhtrap.cli",)),
-        ("escape-check", "seed = 1\n", ("scipy", "nhtrap.ode"), ("nhtrap.escape",)),
+        (None, "", ("scipy", *_SPECTRUM_ONLY), ("nhtrap.cli",)),
+        (
+            "escape-check",
+            "seed = 1\n",
+            ("scipy", "nhtrap.ode", *_SPECTRUM_ONLY),
+            ("nhtrap.escape",),
+        ),
         (
             "spectrum-gap",
             "model = toy_sech2\nh_list = 0.1\n",
@@ -118,17 +126,22 @@ print(json.dumps([code, sorted(sys.modules)]))
             ("scipy.optimize", "scipy.integrate"),
             ("scipy.sparse.linalg",),
         ),
-        ("trap-find", "beta_list = 1\n", ("scipy",), ("nhtrap.trapping", "nhtrap.ode")),
+        (
+            "trap-find",
+            "beta_list = 1\n",
+            ("scipy", *_SPECTRUM_ONLY),
+            ("nhtrap.trapping", "nhtrap.ode"),
+        ),
         (
             "trap-certify",
             "a_list = 0.5\nhorizon = 20\n",
-            ("scipy",),
+            ("scipy", *_SPECTRUM_ONLY),
             ("nhtrap.trapping", "nhtrap.ode"),
         ),
         (
             "perturb",
             "epsilon = 0.01\nhorizon = 20\n",
-            ("scipy",),
+            ("scipy", *_SPECTRUM_ONLY),
             ("nhtrap.trapping", "nhtrap.ode"),
         ),
         (
@@ -136,7 +149,7 @@ print(json.dumps([code, sorted(sys.modules)]))
             "kerr.spin = 0.5\norbit.r = 8\norbit.theta = 1.2\n"
             "orbit.xi = -1.047452885827\norbit.alpha = 3.923213879343\n"
             "orbit.beta = 4\norbit.time = 1.0\n",
-            ("scipy",),
+            ("scipy", *_SPECTRUM_ONLY),
             ("nhtrap.flow", "nhtrap.ode"),
         ),
     ],
@@ -146,7 +159,8 @@ print(json.dumps([code, sorted(sys.modules)]))
     ],
 )
 def test_import_footprint(tmp_path, command, text, absent, present):
-    """Each command loads only the layer it runs; only the spectrum commands load scipy."""
+    """Each command loads only the layer it runs; only the spectrum commands
+    load scipy, and with it numpy.random and concurrent.futures."""
     argv = []
     if command is not None:
         cfg = tmp_path / "run.cfg"
@@ -422,6 +436,21 @@ class TestSpectrumGap:
             points.append(int(capsys.readouterr().out.split("n=")[1].split()[0]))
         assert points[1] > points[0]
 
+    def test_extremal_spin_is_config_error(self, tmp_path, capsys):
+        # at the last double below M = 1, Delta(r*) rounds to exactly 0
+        code, out = run_cli(
+            tmp_path, "spectrum-gap",
+            "model = kerr_equatorial\nkerr.spin = 0.9999999999999999\n",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Delta vanishes" in err and "internal error" not in err
+        assert not (out / "gaps.csv").exists()
+        (failure,) = read_failures(out)
+        assert failure["check"] == "config"
+        assert failure["type"] == "DomainError"
+        assert "traceback" not in failure
+
 
 @pytest.mark.parametrize(
     "command, text, problems",
@@ -580,8 +609,22 @@ class TestCertifyAndPerturb:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == [
             "trap-certify a=5e-09: PASS (theta_rate=8.32788e-08, tangential_degree=1)",
-            "perturb eps=0.01 seed=0: displacement=0.007032 (0.703 eps), exponent_shift=0.01231",
+            "perturb eps=0.01 seed=0: displacement=0.004937 (0.494 eps), exponent_shift=0.02607",
         ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_perturbed_shell_recertifies_across_seeds(self, tmp_path, seed):
+        # r-normal hyperbolicity survives each seeded bump of size 0.01; the
+        # exponent_shift gate may still fail (exit 1), the recertify may not
+        code, out = run_cli(
+            tmp_path, "perturb", "kerr.spin = 0.5\nepsilon = 0.01\nhorizon = 20\n",
+            extra=("--seed", str(seed)),
+        )
+        assert code in (0, 1)
+        payload = json.loads((out / "certificate.json").read_text())
+        assert payload["seed"] == seed
+        assert payload["certificate"]["passed"] is True
+        assert "recertify" not in [f["check"] for f in read_failures(out)]
 
     @pytest.mark.parametrize("command", ["flow-integrate", "trap-certify", "perturb"])
     def test_flow_tolerance_out_of_range_is_config_error(self, tmp_path, capsys, command):
