@@ -20,13 +20,12 @@ resolvent norm 1/sigma_min(A - z) is the top eigenvalue of the Hermitian
 (A - z)^{-H} (A - z)^{-1}, found by ``eigsh`` through one sparse LU.
 
 Three model kinds are built in: ``toy_sech2`` (v = sech^2 x - 1, flat
-mass), and two barriers built from the run's black hole (a ``KerrParams``):
-``kerr_equatorial`` is the equatorial radial function
-V = v_beta(r) + (beta - a)^2 of the rotating exterior, at the beta of its
-prograde circular null orbit (closed form), scaled to v = V*Delta/r^4 with
-mass weight m = Delta^2/r^4, and ``schw_radial`` is the same barrier
-outside a nonrotating horizon of the same mass (the spin is dropped, a = 0,
-where v = 27 M^2 Delta/r^4 - 1).  The toy ignores the black hole.
+mass), and ``kerr_equatorial`` and ``schw_radial``, the prograde
+equatorial barrier of the run's black hole (a ``KerrParams``) scaled by
+Delta/r^4, and the same barrier with the spin dropped.  Each is a
+barrier symbol m(x)*xi^2 + v(x) that ``kerr.barrier`` states once, with
+closed-form derivatives, for this module and escape-check alike;
+``build_model`` samples v and m from its terms.
 
 A problem carries the half-width ``window`` of the real-part window its
 grid is sized for, and ``spectral_gap`` searches that window, so a grid
@@ -198,70 +197,6 @@ def _depth_profile(x, potential, barrier_top, x_min, x_max, h, scale):
     return scale * w
 
 
-def _critical_orbit(params: KerrParams):
-    """Radius r* and beta* = -b* of the prograde circular equatorial null orbit.
-
-    Closed form: r* = 2M(1 + cos(2/3 acos(-a/M))) and
-    b* = a + 2 r* sqrt(Delta*) / (r* - M).  There V = V' = 0 for the
-    equatorial radial function V = v_beta(r) + (beta - a)^2.
-    """
-    m, a = params.mass, params.spin
-    r_star = 2.0 * m * (1.0 + math.cos((2.0 / 3.0) * math.acos(-a / m)))
-    b_star = a + 2.0 * r_star * math.sqrt(kerr.delta(params, r_star)) / (r_star - m)
-    return r_star, -b_star
-
-
-def _model_functions(kind: str, black_hole: KerrParams):
-    """Closed-form (v, m, top, exponent, domain) per kind.
-
-    The exponent is the barrier-top normal rate sqrt(2 m |v''|); the toy's
-    is sqrt(2*1*2) = 2.  The barrier kinds share one path through
-    ``kerr``: at the critical orbit of ``black_hole``,
-    v = (v_beta(r) + (beta - a)^2) * Delta/r^4 and m = Delta^2/r^4, the
-    equatorial radial function scaled by Delta/r^4; ``build_model`` hands
-    ``schw_radial`` the black hole without its spin.  Since V = V' = 0 at
-    r*, the top curvature is exactly v''(r*) = v_rr(r*) * Delta*/r*^4.
-    """
-    if kind == "toy_sech2":
-
-        def v_func(r):
-            s = 1.0 / np.cosh(r)
-            return s * s - 1.0
-
-        def m_func(r):
-            return np.ones_like(np.asarray(r, dtype=float))
-
-        return v_func, m_func, 0.0, 2.0, (-6.0, 6.0)
-    if kind not in ("schw_radial", "kerr_equatorial"):
-        raise DomainError(f"unknown model kind {kind!r}")
-
-    r_star, beta = _critical_orbit(black_hole)
-    shift = (beta - black_hole.spin) ** 2
-
-    def v_func(r):
-        r = np.asarray(r, dtype=float)
-        v_beta = kerr.radial_potential(black_hole, beta, r)
-        return (v_beta + shift) * kerr.delta(black_hole, r) / r**4
-
-    def m_func(r):
-        r = np.asarray(r, dtype=float)
-        return kerr.delta(black_hole, r) ** 2 / r**4
-
-    delta_star = kerr.delta(black_hole, r_star)
-    # at the last double below extremal spin Delta(r*) rounds to exactly 0
-    if not delta_star > 0.0:
-        raise DomainError(
-            f"Delta vanishes at the critical orbit r* = {r_star:g}: "
-            "spin too close to extremal"
-        )
-    m_top = delta_star**2 / r_star**4
-    v_curv = kerr.radial_terms(black_hole, beta, r_star)[2] * delta_star / r_star**4
-    r_h = float(kerr.horizon_radius(black_hole))
-    span = r_star - r_h
-    domain = (r_h + 0.10 * span, r_star + 3.8 * span)
-    return v_func, m_func, r_star, math.sqrt(2.0 * m_top * max(-v_curv, 0.0)), domain
-
-
 def required_points(length: float, h: float, xi_max: float) -> int:
     """Wavelength rule: at least RESOLUTION_FACTOR grid points per radian
     of the fastest window-energy oscillation (phase rate xi/h per unit
@@ -297,23 +232,21 @@ def build_model(
         raise DomainError(f"h must lie in (0, 0.5), got {h:g}")
     if not 0.0 <= absorber_scale <= 1.0:
         raise DomainError(f"absorber scale must lie in [0, 1], got {absorber_scale:g}")
-    if kind == "schw_radial":
-        black_hole = KerrParams(mass=black_hole.mass)
-    v_func, m_func, top, exponent, (x_min, x_max) = _model_functions(kind, black_hole)
+    barrier = kerr.barrier(kind, black_hole)
+    (x_min, x_max), top = barrier.domain, barrier.top
     length = x_max - x_min
 
     # fastest window-energy phase rate sets the grid rule; the saturated
     # margins are excluded since waves arrive there exponentially damped
     probe = np.linspace(x_min, x_max, 2001)[1:-1]
-    v_probe = np.asarray(v_func(probe), dtype=float)
+    (m_probe, *_), (v_probe, *_) = barrier.terms(probe)
     # within a few float spacings of extremal spin Delta rounds to 0 on the
     # domain, and v with it to inf or nan
     if not np.all(np.isfinite(v_probe)):
-        raise DomainError("model functions lost finiteness on the domain")
+        raise DomainError("barrier symbol lost finiteness on the domain")
     live = (probe >= x_min + MARGINS[0] * length) & (
         probe <= x_max - MARGINS[1] * length
     )
-    m_probe = np.asarray(m_func(probe), dtype=float)
     xi_sq = (window - v_probe[live]) / m_probe[live]
     xi_max = math.sqrt(max(np.max(xi_sq), 0.0))
     n_points = required_points(length, h, xi_max)
@@ -328,8 +261,8 @@ def build_model(
     dx = length / (n_points + 1)
     x = x_min + dx * np.arange(1, n_points + 1)
     x_mid = x_min + dx * (np.arange(n_points + 1) + 0.5)
-    potential = np.asarray(v_func(x), dtype=float)
-    mass_mid = np.asarray(m_func(x_mid), dtype=float)
+    potential = barrier.terms(x)[1][0]
+    mass_mid = barrier.terms(x_mid)[0][0]
     # flat toy wells keep the banded ramps; barrier kinds need the depth-keyed
     # turn-on or slow near-top waves reflect off the absorber as h shrinks
     if kind == "toy_sech2":
@@ -357,7 +290,7 @@ def build_model(
         potential=potential,
         mass_mid=mass_mid,
         absorber=absorber,
-        exponent=exponent,
+        exponent=barrier.exponent,
     )
 
 

@@ -5,9 +5,11 @@ module are paid by every run.  They stay light: numpy and the modules
 that pull in no scipy (``config``, ``errors``, ``artifacts``).  Each
 handler imports the numerical layer it runs as its first statement, in
 the main thread before ``_run_jobs`` fans out, and never inside a job:
-``capspec`` for the spectrum commands, ``escape`` and ``models`` for
-escape-check, ``trapping`` for trap-find, trap-certify and perturb, and
-``flow``, ``kerr`` (the Carter column) and ``models`` for flow-integrate.
+``capspec`` for the spectrum commands, ``escape``, ``kerr`` and
+``models`` for escape-check (it certifies the barrier symbols of
+``kerr.barrier`` that spectrum-gap measures), ``trapping`` for
+trap-find, trap-certify and perturb, and ``flow``, ``kerr`` (the Carter
+column) and ``models`` for flow-integrate.
 Jobs call the layer through its module attributes.  Only the spectrum
 commands load scipy (through ``capspec``): the other layers integrate and
 find roots with ``ode``.  Seeded numbers (the perturbing bump, escape's
@@ -192,23 +194,19 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
 
 
 def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
-    from . import escape, models
+    from . import escape, kerr, models
 
-    def escape_one(model, saddle_guess) -> tuple[dict, bool]:
-        """The model's report and build_G1's monotonicity verdict."""
-        pair = escape.build_defining_pair(model, saddle_guess=saddle_guess)
+    def escape_one(barrier) -> tuple[dict, bool]:
+        """A barrier's report, saddle searched from its top, and G1's verdict."""
+        model = models.barrier_model(barrier.terms, None)
+        pair = escape.build_defining_pair(model, saddle_guess=(barrier.top, 0.0))
         spec = escape.make_escape_spec(pair, h=cfg.h)
         report = escape.escape_report(spec, seed=cfg.seed)
         return report, spec.G1.report["passed"]
 
-    jobs = [
-        partial(escape_one, models.toy_barrier_model(), (0.0, 0.0)),
-        partial(
-            escape_one,
-            models.reduced_kerr_model(cfg.kerr, beta=0.0),
-            (3.0 * cfg.kerr_mass, 0.0),
-        ),
-    ]
+    # spectrum-gap's symbols, under the model names the benchmark checks
+    kinds = ("toy_sech2", "kerr_equatorial")
+    jobs = [partial(escape_one, kerr.barrier(kind, cfg.kerr)) for kind in kinds]
     names = ("toy", "reduced_kerr")
     reports, g1_verdicts = zip(*_run_jobs(jobs, workers))
     out = Outcome()

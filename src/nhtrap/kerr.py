@@ -22,11 +22,12 @@ This form is the single source of p and its derivatives.  The value,
 the conserved triple, the radial potential and the gradient and Hessian
 (`_grad_hess`, with `_grad_p`, `hessian_p` and `grad_hess_raw` as views)
 are all assembled from `radial_terms` (v_beta and its derivatives) and
-`_angular_terms` (q and its derivatives); `radial_half` and
-`angular_derivs` turn them into the derivatives of the radial half
-Delta*xi^2 + v_beta(r) and of the angular half alpha^2 + q^2.  The
-r-derivatives of the quotient f = N/Delta come from the Leibniz rule for
-N = f*Delta,
+`_angular_terms` (q and its derivatives; `angular_derivs` gives those of
+the angular half alpha^2 + q^2).  The radial half Delta*xi^2 + v_beta(r)
+is a barrier symbol m*xi^2 + v (`radial_symbol`, the reduced (r, xi)
+model's), and `barrier` scales it by Delta/r^4 into the Kerr kinds that
+escape-check certifies and capspec samples.  The r-derivatives of the
+quotient f = N/Delta come from the Leibniz rule for N = f*Delta,
 
     f^(k) = (N^(k) - sum_{j<k} C(k, j) * Delta^(k-j) * f^(j)) / Delta,
 
@@ -45,7 +46,9 @@ All functions broadcast over numpy arrays in the state slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -159,19 +162,11 @@ def radial_terms(params: KerrParams, beta, r):
     return 2.0 * a * beta - f0, -f1, -f2, -f3, 2.0 * a - fb, -frb, -fbb
 
 
-def radial_half(params: KerrParams, beta, r, xi):
-    """Derivatives of the radial half Delta*xi^2 + v_beta(r) of p.
-
-    Returns the gradient (p_r, p_xi, p_b) and the Hessian entries
-    (p_rr, p_rxi, p_xixi, p_rb, p_bb) in r, xi and beta (b); p_xib = 0.
-    The reduced (r, xi) model and `_grad_hess` both take them from here.
-    """
-    _, v_r, v_rr, _, v_b, v_rb, v_bb = radial_terms(params, beta, r)
-    dl = delta(params, r)
-    dl1 = 2.0 * (r - params.mass)
-    gradient = (dl1 * xi**2 + v_r, 2.0 * dl * xi, v_b)
-    hessian = (2.0 * xi**2 + v_rr, 2.0 * dl1 * xi, 2.0 * dl, v_rb, v_bb)
-    return gradient, hessian
+def radial_symbol(params: KerrParams, beta, r):
+    """The radial half Delta*xi^2 + v_beta(r) as a barrier symbol m*xi^2 + v:
+    ((Delta, Delta', Delta'', Delta'''), (v_beta, v', v'', v'''))."""
+    m_terms = (delta(params, r), 2.0 * (r - params.mass), 2.0, 0.0)
+    return m_terms, radial_terms(params, beta, r)[:4]
 
 
 def _angular_terms(params: KerrParams, theta, beta):
@@ -216,26 +211,25 @@ def _grad_hess(params: KerrParams, r, theta, xi, alpha, beta):
     beta); the arguments broadcast against each other, and their common
     shape is the trailing batch shape.
     """
-    (r_r, r_xi, r_b), (r_rr, r_rxi, r_xixi, r_rb, r_bb) = radial_half(
-        params, beta, r, xi
-    )
+    _, v_r, v_rr, _, v_b, v_rb, v_bb = radial_terms(params, beta, r)
+    dl, dl1 = delta(params, r), 2.0 * (r - params.mass)
     p_t, p_a, p_b, p_tt, p_tb, p_bb = angular_derivs(params, theta, alpha, beta)
-    batch = np.shape(r_xixi + p_t + xi + alpha)
+    batch = np.shape(dl + p_t + xi + alpha)
     g = np.zeros((6,) + batch)
-    g[0] = r_r
+    g[0] = dl1 * xi**2 + v_r
     g[1] = p_t
-    g[3] = r_xi
+    g[3] = 2.0 * dl * xi
     g[4] = p_a
-    g[5] = r_b + p_b
+    g[5] = v_b + p_b
     H = np.zeros((6, 6) + batch)
-    H[0, 0] = r_rr
-    H[0, 3] = H[3, 0] = r_rxi
-    H[0, 5] = H[5, 0] = r_rb
+    H[0, 0] = 2.0 * xi**2 + v_rr
+    H[0, 3] = H[3, 0] = 2.0 * dl1 * xi
+    H[0, 5] = H[5, 0] = v_rb
     H[1, 1] = p_tt
     H[1, 5] = H[5, 1] = p_tb
-    H[3, 3] = r_xixi
+    H[3, 3] = 2.0 * dl
     H[4, 4] = 2.0
-    H[5, 5] = r_bb + p_bb
+    H[5, 5] = v_bb + p_bb
     return g, H
 
 
@@ -280,3 +274,95 @@ def conserved(state: PhaseState, params: KerrParams) -> ConservedTriple:
         beta=state.beta,
         carter=carter(params, state.theta, state.alpha, state.beta),
     )
+
+
+def prograde_orbit(params: KerrParams):
+    """Radius r* and beta* = -b* of the prograde circular equatorial null orbit.
+
+    Closed form: r* = 2M(1 + cos(2/3 acos(-a/M))) and
+    b* = a + 2 r* sqrt(Delta*) / (r* - M).  There V = V' = 0 for the
+    equatorial radial function V = v_beta(r) + (beta - a)^2.
+    """
+    m, a = params.mass, params.spin
+    r_star = 2.0 * m * (1.0 + math.cos((2.0 / 3.0) * math.acos(-a / m)))
+    b_star = a + 2.0 * r_star * math.sqrt(delta(params, r_star)) / (r_star - m)
+    return r_star, -b_star
+
+
+@dataclass(frozen=True)
+class Barrier:
+    """A one-dimensional barrier symbol p = m(x)*xi^2 + v(x).
+
+    `terms(x)` returns ((m, m', m'', m'''), (v, v', v'', v''')) in closed
+    form.  v has its nondegenerate top at x = `top`, inside `domain`, and
+    `exponent` is the normal rate sqrt(2 m |v''|) there.
+    """
+
+    top: float
+    exponent: float
+    domain: tuple[float, float]
+    terms: Callable
+
+
+def _product(f, g):
+    """Derivatives of f*g up to third order from those of f and g (Leibniz)."""
+    return tuple(sum(math.comb(k, j) * f[j] * g[k - j] for j in range(k + 1))
+                 for k in range(4))
+
+
+def _sech2_terms(x):
+    """m = 1 and v = sech^2 x - 1, with their derivatives."""
+    one = np.ones_like(np.asarray(x, dtype=float))
+    s = 1.0 / np.cosh(x)
+    s2, t = s * s, np.tanh(x)
+    v = (s2 - 1.0, -2.0 * s2 * t, s2 * (4.0 - 6.0 * s2), s2 * t * (24.0 * s2 - 8.0))
+    return (one, 0.0 * one, 0.0 * one, 0.0 * one), v
+
+
+def barrier(kind: str, params: KerrParams) -> Barrier:
+    """The barrier symbol of one model kind; `params` is the run's black hole.
+
+    ``toy_sech2`` is v = sech^2 x - 1, m = 1 (top 0, rate 2), whatever the
+    black hole.  ``kerr_equatorial`` is V = v_beta(r) + (beta - a)^2 at the
+    prograde beta* (`prograde_orbit`, where V = V' = 0) scaled by
+    w = Delta/r^4: v = V*w and m = Delta*w, with derivatives by the Leibniz
+    rule from `radial_symbol` and Delta*r^-4.  ``schw_radial`` is the same
+    barrier at a = 0 and the same mass (v = 27 M^2 Delta/r^4 - 1).
+
+    Normalization: with m = Delta^2/r^4 the principal part is (hD_x)^2 in
+    x = int r^2/Delta dr, which is not Kerr's tortoise coordinate
+    int (r^2 + a^2)/Delta dr.  Since V = V' = 0 at r*, the rate is exactly
+    sqrt(2 m* |v_rr(r*)| Delta*/r*^4); at a = 0, mu/2 = 1/(3 sqrt(3) M).
+    """
+    if kind == "toy_sech2":
+        return Barrier(0.0, 2.0, (-6.0, 6.0), _sech2_terms)
+    if kind == "schw_radial":
+        params = KerrParams(mass=params.mass)
+    elif kind != "kerr_equatorial":
+        raise DomainError(f"unknown model kind {kind!r}")
+    r_star, beta = prograde_orbit(params)
+    shift = (beta - params.spin) ** 2
+
+    def terms(r):
+        r = np.asarray(r, dtype=float)
+        dl, (v_beta, *v_rest) = radial_symbol(params, beta, r)
+        w = _product(dl, (r**-4, -4.0 * r**-5, 20.0 * r**-6, -120.0 * r**-7))
+        # values as direct quotients: the CAP grids sample these bits
+        m = (dl[0] ** 2 / r**4, *_product(dl, w)[1:])
+        v = ((v_beta + shift) * dl[0] / r**4,
+             *_product((v_beta + shift, *v_rest), w)[1:])
+        return m, v
+
+    delta_star = delta(params, r_star)
+    # at the last double below extremal spin Delta(r*) rounds to exactly 0
+    if not delta_star > 0.0:
+        raise DomainError(
+            f"Delta vanishes at the critical orbit r* = {r_star:g}: "
+            "spin too close to extremal"
+        )
+    m_top = delta_star**2 / r_star**4
+    v_curv = radial_terms(params, beta, r_star)[2] * delta_star / r_star**4
+    r_h = float(horizon_radius(params))
+    span = r_star - r_h
+    domain = (r_h + 0.10 * span, r_star + 3.8 * span)
+    return Barrier(r_star, math.sqrt(2.0 * m_top * max(-v_curv, 0.0)), domain, terms)

@@ -6,17 +6,17 @@ flow-integrate flows, also carries its chart as a margin function: positive
 inside, nonpositive at exit.  A model keeps no conserved set: flow-integrate
 takes p from the model and the Carter constant from `kerr`.
 
-The two-dimensional models have a hyperbolic saddle, whose rate
-sqrt(-det H) is `saddle_rate`: escape builds its defining pair there and
-trapping its normal chart.  The reduced Kerr model's `evaluate` gives
-trapping the radial half of p on the photon shell; the toy's only serves
-as the reference of the closed-form derivatives.  They also carry `third`,
-the symmetric 2x2x2 tensor T_ijk = d^3 p / dy_i dy_j dy_k of third
-derivatives, where it is known in closed form (the toy and the unbumped
-reduced Kerr model); otherwise it is None.  Their `gradient`, `hessian`
-and `third` take y of shape (2, *batch) and return (2, *batch),
-(2, 2, *batch) and (2, 2, 2, *batch), so a whole grid is one call; a
-single point of shape (2,) gives plain vectors and matrices.
+The two-dimensional models are barrier symbols p = m(x)*xi^2 + v(x),
+built by `barrier_model` from closed-form terms: the kinds of
+`kerr.barrier` that escape-check certifies, and the reduced Kerr model
+(the radial half of p at fixed beta, which trapping evaluates on the
+photon shell).  Each has a hyperbolic saddle, whose rate sqrt(-det H) is
+`saddle_rate`: escape builds its defining pair there and trapping its
+normal chart.  Unbumped, they carry `third`, the symmetric 2x2x2 tensor
+T_ijk = d^3 p / dy_i dy_j dy_k.  Their `gradient`, `hessian` and `third`
+take y of shape (2, *batch) and return (2, *batch), (2, 2, *batch) and
+(2, 2, 2, *batch), so a whole grid is one call; a single point of shape
+(2,) gives plain vectors and matrices.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import kerr
 from .errors import NewtonDiverged, NotHyperbolic
-from .kerr import KerrParams, PhaseState, radial_potential, radial_potential_derivs
+# perfbench/tracer.py wraps ``models.radial_potential_derivs``
+from .kerr import KerrParams, PhaseState, radial_potential_derivs  # noqa: F401
 
 CHART_CAP_KERR_R = 200.0
 SADDLE_STEP_TOL = 1e-13
@@ -201,76 +203,46 @@ class BumpPattern:
         return hxx, hxy, hyy
 
 
-def toy_barrier_model() -> HamiltonianModel:
-    """p = xi^2 - x^2: the 1D hyperbolic barrier normal form."""
+def barrier_model(terms, bump: BumpPattern | None) -> HamiltonianModel:
+    """p = m(x)*xi^2 + v(x) on the (x, xi) plane, plus an optional bump.
 
-    def evaluate(y):
-        return y[1] ** 2 - y[0] ** 2
-
-    def gradient(y):
-        return np.asarray([-2.0 * y[0], 2.0 * y[1]])
-
-    def hessian(y):
-        zero = np.zeros(np.shape(y[0]))
-        return np.asarray([[zero - 2.0, zero], [zero, zero + 2.0]])
-
-    def third(y):
-        return np.zeros((2, 2, 2) + np.shape(y[0]))
-
-    return HamiltonianModel(
-        dimension=2,
-        evaluate=evaluate,
-        gradient=gradient,
-        hessian=hessian,
-        third=third,
-    )
-
-
-def reduced_kerr_model(
-    params: KerrParams, beta: float, bump: BumpPattern | None = None
-) -> HamiltonianModel:
-    """Autonomous (r, xi) subsystem at fixed beta: p = Delta*xi^2 + v_beta(r).
-
-    The full flow's (r, xi) block closes on itself, and the reduced conserved
-    quantity (carter - p of the full system) equals -p here.  An optional
-    bump, whose size is the perturbation's epsilon, is added to p and models
+    `terms(x)` = ((m, m', m'', m'''), (v, v', v'', v''')), as `kerr.barrier`
+    and `kerr.radial_symbol` give them.  The bump, of size epsilon, models
     symbol perturbations; the bumped model carries no `third`.
     """
     bumped = bump is not None
 
     def evaluate(y):
-        r, xi = y[0], y[1]
-        val = kerr.delta(params, r) * xi**2 + radial_potential(params, beta, r)
+        x, xi = y[0], y[1]
+        (m, *_), (v, *_) = terms(x)
+        val = m * xi**2 + v
         if bumped:
-            val = val + bump.value(r, xi)
+            val = val + bump.value(x, xi)
         return val
 
     def gradient(y):
-        r, xi = y[0], y[1]
-        (gr, gxi, _), _ = kerr.radial_half(params, beta, r, xi)
-        if bumped:
-            bx, bxi = bump.gradient(r, xi)
-            gr = gr + bx
-            gxi = gxi + bxi
-        return np.asarray([gr, gxi])
+        x, xi = y[0], y[1]
+        (m, m1, _, _), (_, v1, _, _) = terms(x)
+        g = np.asarray([m1 * xi**2 + v1, 2.0 * m * xi])
+        return g + np.asarray(bump.gradient(x, xi)) if bumped else g
 
     def hessian(y):
-        r, xi = y[0], y[1]
-        _, (h_rr, h_rxi, h_xixi, _, _) = kerr.radial_half(params, beta, r, xi)
-        H = np.asarray([[h_rr, h_rxi], [h_rxi, h_xixi]])
+        x, xi = y[0], y[1]
+        (m, m1, m2, _), (_, _, v2, _) = terms(x)
+        h_xxi = 2.0 * m1 * xi
+        H = np.asarray([[m2 * xi**2 + v2, h_xxi], [h_xxi, 2.0 * m]])
         if bumped:
-            hxx, hxy, hyy = bump.hessian(r, xi)
+            hxx, hxy, hyy = bump.hessian(x, xi)
             H = H + np.asarray([[hxx, hxy], [hxy, hyy]])
         return H
 
     def third(y):
-        # p_rrr = v_rrr, p_rrxi = 2 Delta'' xi, p_rxixi = 2 Delta', p_xixixi = 0
-        r, xi = y[0], y[1]
-        _, _, _, v3 = radial_potential_derivs(params, beta, r)
-        T = np.zeros((2, 2, 2) + np.shape(r + xi))
-        T[0, 0, 0] = v3
-        T[0, 0, 1] = T[0, 1, 0] = T[1, 0, 0] = 4.0 * xi
-        T[0, 1, 1] = T[1, 0, 1] = T[1, 1, 0] = 4.0 * (r - params.mass)
+        x, xi = y[0], y[1]
+        (_, m1, m2, m3), (_, _, _, v3) = terms(x)
+        T = np.zeros((2, 2, 2) + np.shape(x + xi))
+        T[0, 0, 0] = m3 * xi**2 + v3
+        T[0, 0, 1] = T[0, 1, 0] = T[1, 0, 0] = 2.0 * m2 * xi
+        T[0, 1, 1] = T[1, 0, 1] = T[1, 1, 0] = 2.0 * m1
         return T
 
     return HamiltonianModel(
@@ -280,6 +252,17 @@ def reduced_kerr_model(
         hessian=hessian,
         third=None if bumped else third,
     )
+
+
+def reduced_kerr_model(
+    params: KerrParams, beta: float, bump: BumpPattern | None = None
+) -> HamiltonianModel:
+    """Autonomous (r, xi) subsystem at fixed beta: p = Delta*xi^2 + v_beta(r).
+
+    The full flow's (r, xi) block closes on itself, and the reduced conserved
+    quantity (carter - p of the full system) equals -p here.
+    """
+    return barrier_model(partial(kerr.radial_symbol, params, beta), bump)
 
 
 def full_kerr_model(params: KerrParams) -> HamiltonianModel:

@@ -7,8 +7,10 @@ orbit, a shell orbit's tangential cocycle over one whole theta-period
 (by scipy's DOP853), points on an invariant graph by following the flow
 out of the saddle, and the six-dimensional symbol of a (bumped) reduced
 family at a shell point and the embedding differential of a shell orbit,
-which the package reads off the reduced (r, xi) symbol instead.  None of
-them is reached from the CLI.
+which the package reads off the reduced (r, xi) symbol instead.  The
+normal form xi^2 - x^2 of a barrier top is kept here too, as the exact
+reference escape's constructions are checked on.  None of them is
+reached from the CLI.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from nhtrap import capspec, flow, kerr
 from nhtrap.errors import GridTooCoarse
 from nhtrap.kerr import PhaseState
+from nhtrap.models import HamiltonianModel
 from nhtrap.ode import solve_ivp
 
 
@@ -164,3 +167,28 @@ def manifold_samples(
         raise GridTooCoarse("too few manifold samples inside the window")
     idx = np.linspace(0, len(pts) - 1, n_points).astype(int)
     return pts[idx]
+
+
+def toy_barrier_model() -> HamiltonianModel:
+    """p = xi^2 - x^2: the exact normal form of a 1D hyperbolic barrier."""
+
+    def evaluate(y):
+        return y[1] ** 2 - y[0] ** 2
+
+    def gradient(y):
+        return np.asarray([-2.0 * y[0], 2.0 * y[1]])
+
+    def hessian(y):
+        zero = np.zeros(np.shape(y[0]))
+        return np.asarray([[zero - 2.0, zero], [zero, zero + 2.0]])
+
+    def third(y):
+        return np.zeros((2, 2, 2) + np.shape(y[0]))
+
+    return HamiltonianModel(
+        dimension=2,
+        evaluate=evaluate,
+        gradient=gradient,
+        hessian=hessian,
+        third=third,
+    )

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from oracles import dense_eigenvalues
 
-from nhtrap import capspec, cli, kerr, trapping
+from nhtrap import capspec, cli, escape, kerr, models, trapping
 from nhtrap.errors import ConvergenceFailure, DomainError
 from nhtrap.kerr import KerrParams
 
@@ -98,16 +98,15 @@ class TestBuildModel:
 
     def test_schw_barrier_top_values(self):
         # v(3M) = 0, v'(3M) = 0 and m(3M) = 1/9 at the critical b^2 = 27 M^2
-        v_func, m_func, top, exponent, _ = capspec._model_functions(
-            "schw_radial", KerrParams()
-        )
-        assert top == 3.0
-        assert v_func(3.0) == pytest.approx(0.0, abs=1e-13)
+        barrier = kerr.barrier("schw_radial", KerrParams())
+        assert barrier.top == 3.0
+        (m, *_), (v, *_) = barrier.terms(3.0)
+        assert v == pytest.approx(0.0, abs=1e-13)
         h = 1e-5
-        slope = (v_func(3.0 + h) - v_func(3.0 - h)) / (2.0 * h)
-        assert slope == pytest.approx(0.0, abs=1e-9)
-        assert m_func(3.0) == pytest.approx(1.0 / 9.0, abs=1e-15)
-        assert exponent == pytest.approx(MU_EFF, abs=1e-13)
+        (_, (v_hi, *_)), (_, (v_lo, *_)) = barrier.terms(3.0 + h), barrier.terms(3.0 - h)
+        assert (v_hi - v_lo) / (2.0 * h) == pytest.approx(0.0, abs=1e-9)
+        assert m == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert barrier.exponent == pytest.approx(MU_EFF, abs=1e-13)
 
     def test_schw_ignores_spin(self, schw_problem):
         spinning = capspec.build_model("schw_radial", KerrParams(spin=0.7), h=0.05)
@@ -146,7 +145,7 @@ class TestBuildModel:
         # V' is held relative to v_rr, because rounding the inputs to double
         # moves it by v_rr * dr (1.3e-12 at a = 0.99, where v_rr = -997)
         params = KerrParams(mass=1.0, spin=spin)
-        r_star, beta = capspec._critical_orbit(params)
+        r_star, beta = kerr.prograde_orbit(params)
         v, v_r, v_rr = kerr.radial_terms(params, beta, r_star)[:3]
         assert abs(v + (beta - spin) ** 2) < 1e-12
         assert abs(v_r) < 1e-12 * max(1.0, abs(v_rr))
@@ -164,7 +163,20 @@ class TestBuildModel:
             )
         assert abs(r_star - float(root[0])) < 1e-14 * r_star
         assert abs(beta - float(root[1])) < 1e-14 * max(1.0, abs(beta))
-        assert capspec._model_functions("kerr_equatorial", params)[2] == r_star
+        assert kerr.barrier("kerr_equatorial", params).top == r_star
+
+    @pytest.mark.parametrize("mass", [1.0, 2.0])
+    @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("kind", ["toy_sech2", "schw_radial", "kerr_equatorial"])
+    def test_escape_rate_is_cap_exponent(self, kind, spin, mass):
+        # escape-check certifies the symbol the CAP problem samples: the
+        # defining pair's saddle rate is the problem's barrier-top exponent
+        params = KerrParams(mass, spin * mass)
+        barrier = kerr.barrier(kind, params)
+        model = models.barrier_model(barrier.terms, None)
+        mu = escape.build_defining_pair(model, (barrier.top, 0.0)).mu
+        exponent = capspec.build_model(kind, params).exponent
+        assert mu == pytest.approx(exponent, rel=1e-12, abs=0.0)
 
     def test_kerr_spinning_domain(self):
         params = KerrParams(mass=1.0, spin=0.4)
@@ -172,7 +184,7 @@ class TestBuildModel:
         horizon = 1.0 + math.sqrt(1.0 - 0.16)
         assert p.x_min > horizon
         free = absorber_free(p)
-        assert free[0] < capspec._critical_orbit(params)[0] < free[-1]
+        assert free[0] < kerr.prograde_orbit(params)[0] < free[-1]
 
     def test_wavelength_rule(self):
         n_rule = capspec.required_points(8.0, 0.05, 1.2)
@@ -232,10 +244,11 @@ class TestSemigroup:
         # barrier-top linearization [[0, 2m], [-v'', 0]] of the flow field;
         # for sech^2 x - 1 (m = 1, v'' = -2) its positive eigenvalue
         # sqrt(2 m |v''|) = 2 is the problem's exponent
-        v_func, m_func, top, _, _ = capspec._model_functions("toy_sech2", KerrParams())
-        step = 1e-4
-        v_curv = (v_func(top + step) - 2.0 * v_func(top) + v_func(top - step)) / step**2
-        gen = np.array([[0.0, 2.0 * m_func(top)], [-v_curv, 0.0]])
+        barrier = kerr.barrier("toy_sech2", KerrParams())
+        top, step = barrier.top, 1e-4
+        v = [barrier.terms(x)[1][0] for x in (top - step, top, top + step)]
+        v_curv = (v[2] - 2.0 * v[1] + v[0]) / step**2
+        gen = np.array([[0.0, 2.0 * barrier.terms(top)[0][0]], [-v_curv, 0.0]])
         assert np.max(np.abs(gen - np.array([[0.0, 2.0], [2.0, 0.0]]))) < 1e-6
         rate = float(np.max(np.linalg.eigvals(gen).real))
         assert rate == pytest.approx(toy_problem.exponent, abs=1e-6)

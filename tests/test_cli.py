@@ -102,6 +102,9 @@ print(json.dumps([code, sorted(sys.modules)]))
 # seeded draws come from the stdlib generator and one worker runs its jobs
 # in line, so only the spectrum commands load these, through scipy
 _SPECTRUM_ONLY = ("numpy.random", "concurrent.futures")
+# the barrier symbols live in kerr, so the spectrum commands load neither
+# the 2-D models nor the escape layer
+_NOT_SPECTRUM = ("nhtrap.models", "nhtrap.escape")
 
 
 @pytest.mark.parametrize(
@@ -117,13 +120,13 @@ _SPECTRUM_ONLY = ("numpy.random", "concurrent.futures")
         (
             "spectrum-gap",
             "model = toy_sech2\nh_list = 0.1\n",
-            ("scipy.optimize", "scipy.integrate"),
+            ("scipy.optimize", "scipy.integrate", *_NOT_SPECTRUM),
             ("scipy.sparse.linalg",),
         ),
         (
             "spectrum-resolvent",
             "model = toy_sech2\nh = 0.1\nseed = 3\n",
-            ("scipy.optimize", "scipy.integrate"),
+            ("scipy.optimize", "scipy.integrate", *_NOT_SPECTRUM),
             ("scipy.sparse.linalg",),
         ),
         (
@@ -437,19 +440,24 @@ class TestSpectrumGap:
         assert points[1] > points[0]
 
     def test_extremal_spin_is_config_error(self, tmp_path, capsys):
-        # at the last double below M = 1, Delta(r*) rounds to exactly 0
-        code, out = run_cli(
-            tmp_path, "spectrum-gap",
-            "model = kerr_equatorial\nkerr.spin = 0.9999999999999999\n",
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "Delta vanishes" in err and "internal error" not in err
-        assert not (out / "gaps.csv").exists()
-        (failure,) = read_failures(out)
-        assert failure["check"] == "config"
-        assert failure["type"] == "DomainError"
-        assert "traceback" not in failure
+        # at the last double below M = 1, Delta(r*) rounds to exactly 0;
+        # escape-check reads the same prograde barrier from kerr.barrier
+        for command, text, artifact in (
+            ("spectrum-gap", "model = kerr_equatorial\n", "gaps.csv"),
+            ("escape-check", "", "escape_report.json"),
+        ):
+            code, out = run_cli(
+                tmp_path, command, text + "kerr.spin = 0.9999999999999999\n",
+                name=command,
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "Delta vanishes" in err and "internal error" not in err
+            assert not (out / artifact).exists()
+            (failure,) = read_failures(out)
+            assert failure["check"] == "config"
+            assert failure["type"] == "DomainError"
+            assert "traceback" not in failure
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import manifold_samples
+from oracles import manifold_samples, toy_barrier_model
 from scipy.integrate import solve_ivp
 
 from nhtrap import escape as esc
@@ -20,11 +20,7 @@ from nhtrap.errors import (
     Unbounded,
 )
 from nhtrap.kerr import KerrParams
-from nhtrap.models import (
-    HamiltonianModel,
-    reduced_kerr_model,
-    toy_barrier_model,
-)
+from nhtrap.models import HamiltonianModel, reduced_kerr_model
 
 ROOT3 = math.sqrt(3.0)
 # min phi_tilde / htilde at a = 0, h = 1e-2 over the 41-point disc of radius 0.2

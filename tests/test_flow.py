@@ -9,14 +9,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import joint_flow, tangent_flow
+from oracles import joint_flow, tangent_flow, toy_barrier_model
 from scipy.linalg import expm
 
 from nhtrap import flow, models, ode
 from nhtrap.errors import ChartExit
 from nhtrap.kerr import KerrParams
 
-TOY = models.toy_barrier_model()
+TOY = toy_barrier_model()
 
 
 class TestToyClosedForm:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import toy_barrier_model
 
-from nhtrap import models, trapping
+from nhtrap import kerr, models, trapping
 from nhtrap.kerr import KerrParams
 
 
@@ -36,7 +37,7 @@ def check_model_consistency(model, points, tol=2e-5):
 
 class TestToyModel:
     def test_closed_forms(self):
-        m = models.toy_barrier_model()
+        m = toy_barrier_model()
         y = np.asarray([1.5, -0.7])
         assert m.evaluate(y) == pytest.approx((-0.7) ** 2 - 1.5**2, abs=1e-14)
         assert np.allclose(m.gradient(y), [-3.0, -1.4], atol=1e-14)
@@ -47,20 +48,20 @@ class TestToyModel:
 class TestRadialPotential:
     def test_static_frozen_values(self):
         p = KerrParams()
-        v, v1, v2, v3 = models.radial_potential_derivs(p, 0.0, 3.0)
+        v, v1, v2, v3 = kerr.radial_potential_derivs(p, 0.0, 3.0)
         assert v == pytest.approx(-27.0, abs=1e-12)
         assert v1 == pytest.approx(0.0, abs=1e-12)
         assert v2 == pytest.approx(-18.0, abs=1e-12)
-        assert models.radial_potential(p, 0.0, 4.0) == pytest.approx(
+        assert kerr.radial_potential(p, 0.0, 4.0) == pytest.approx(
             -32.0, abs=1e-12
         )
 
     def test_mass_scaling(self):
         p = KerrParams(mass=2.0)
-        assert models.radial_potential(p, 0.0, 8.0) == pytest.approx(
+        assert kerr.radial_potential(p, 0.0, 8.0) == pytest.approx(
             -32.0 * 4.0, abs=1e-10
         )
-        v, v1, v2, _ = models.radial_potential_derivs(p, 0.0, 6.0)
+        v, v1, v2, _ = kerr.radial_potential_derivs(p, 0.0, 6.0)
         assert v == pytest.approx(-27.0 * 4.0, abs=1e-10)
         assert v1 == pytest.approx(0.0, abs=1e-11)
 
@@ -72,18 +73,18 @@ class TestRadialPotential:
             betas = rng.uniform(-5.0, 5.0, 12)
             h = 1e-5
             for r, b in zip(rs, betas):
-                v0, v1, v2, v3 = models.radial_potential_derivs(p, b, r)
+                v0, v1, v2, v3 = kerr.radial_potential_derivs(p, b, r)
                 fd1 = (
-                    models.radial_potential(p, b, r + h)
-                    - models.radial_potential(p, b, r - h)
+                    kerr.radial_potential(p, b, r + h)
+                    - kerr.radial_potential(p, b, r - h)
                 ) / (2 * h)
                 fd2 = (
-                    models.radial_potential_derivs(p, b, r + h)[1]
-                    - models.radial_potential_derivs(p, b, r - h)[1]
+                    kerr.radial_potential_derivs(p, b, r + h)[1]
+                    - kerr.radial_potential_derivs(p, b, r - h)[1]
                 ) / (2 * h)
                 fd3 = (
-                    models.radial_potential_derivs(p, b, r + h)[2]
-                    - models.radial_potential_derivs(p, b, r - h)[2]
+                    kerr.radial_potential_derivs(p, b, r + h)[2]
+                    - kerr.radial_potential_derivs(p, b, r - h)[2]
                 ) / (2 * h)
                 scale = 1.0 + abs(v1) + abs(v2) + abs(v3)
                 assert abs(fd1 - v1) < 1e-5 * scale
@@ -106,37 +107,45 @@ class TestThirdDerivatives:
     """The closed-form third-derivative tensors and the batched calls."""
 
     def test_toy_third_is_zero(self):
-        m = models.toy_barrier_model()
+        m = toy_barrier_model()
         assert np.array_equal(m.third(np.asarray([1.5, -0.7])), np.zeros((2, 2, 2)))
         assert np.array_equal(m.third(np.ones((2, 4, 3))), np.zeros((2, 2, 2, 4, 3)))
 
     @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9])
     def test_reduced_kerr_matches_sympy(self, spin):
+        # the reduced symbol at three betas, and the scaled kerr_equatorial
+        # barrier (Delta^2/r^4) xi^2 + (v_beta + (beta - a)^2) Delta/r^4 at
+        # the prograde beta*
         sp = pytest.importorskip("sympy")
         import mpmath
 
         r, xi, be = sp.symbols("r xi beta", real=True)
         a = sp.nsimplify(spin)
         dl = r**2 - 2 * r + a**2
-        p = dl * xi**2 + 2 * a * be - (
-            a**2 * be**2 + 4 * a * r * be + (r**2 + a**2) ** 2
-        ) / dl
-        coords = (r, xi)
-        tensor = [
-            [[sp.diff(p, ci, cj, ck) for ck in coords] for cj in coords]
-            for ci in coords
-        ]
-        exact = sp.lambdify((r, xi, be), tensor, modules="mpmath")
+        v_beta = 2 * a * be - (a**2 * be**2 + 4 * a * r * be + (r**2 + a**2) ** 2) / dl
+        reduced = dl * xi**2 + v_beta
+        scaled = dl**2 / r**4 * xi**2 + (v_beta + (be - a) ** 2) * dl / r**4
+        params = KerrParams(1.0, spin)
+        cases = [(reduced, b, models.reduced_kerr_model(params, b)) for b in (0.0, 2.0, -2.0)]
+        barrier = kerr.barrier("kerr_equatorial", params)
+        cases.append(
+            (scaled, kerr.prograde_orbit(params)[1], models.barrier_model(barrier.terms, None))
+        )
         rng = np.random.default_rng(29)
-        r_lo = models.kerr.horizon_radius(KerrParams(1.0, spin)) + 0.2
+        r_lo = kerr.horizon_radius(params) + 0.2
         ys = np.stack(
             [
                 rng.uniform(r_lo, 8.0, 5),
                 rng.uniform(0.2, 1.5, 5) * rng.choice([-1.0, 1.0], 5),
             ]
         )
-        for beta in (0.0, 2.0, -2.0):
-            m = models.reduced_kerr_model(KerrParams(1.0, spin), beta)
+        for p, beta, m in cases:
+            coords = (r, xi)
+            tensor = [
+                [[sp.diff(p, ci, cj, ck) for ck in coords] for cj in coords]
+                for ci in coords
+            ]
+            exact = sp.lambdify((r, xi, be), tensor, modules="mpmath")
             got = m.third(ys)
             for n in range(ys.shape[1]):
                 with mpmath.workdps(30):
@@ -146,12 +155,52 @@ class TestThirdDerivatives:
                     )
                 assert np.max(np.abs(got[..., n] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize(
+        "kind, spin",
+        [("toy_sech2", 0.0), ("schw_radial", 0.7), ("kerr_equatorial", 0.5),
+         ("kerr_equatorial", 0.99)],
+    )
+    def test_barrier_terms_match_sympy(self, kind, spin):
+        # every term of kerr.barrier, (m, m', m'', m''') and (v, ..., v'''),
+        # against sympy's derivatives of the closed-form m and v.  Near the
+        # horizon the Leibniz sum for v''' cancels V''' ~ Delta^-4 against
+        # w ~ Delta: at a = 0.99 on the domain's inner edge it keeps 1.8e-12
+        # relative, so the bound is 1e-11
+        sp = pytest.importorskip("sympy")
+        import mpmath
+
+        x, be = sp.symbols("x beta", real=True)
+        params = KerrParams(1.0, spin)
+        barrier = kerr.barrier(kind, params)
+        if kind == "toy_sech2":
+            m_expr, v_expr, beta = sp.Integer(1), sp.sech(x) ** 2 - 1, 0.0
+        else:
+            a = sp.nsimplify(spin if kind == "kerr_equatorial" else 0.0)
+            dl = x**2 - 2 * x + a**2
+            n = a**2 * be**2 + 4 * a * x * be + (x**2 + a**2) ** 2
+            m_expr = dl**2 / x**4
+            v_expr = (2 * a * be - n / dl + (be - a) ** 2) * dl / x**4
+            beta = kerr.prograde_orbit(KerrParams(1.0, float(a)))[1]
+        exact = sp.lambdify(
+            (x, be), [sp.diff(f, x, k) for f in (m_expr, v_expr) for k in range(4)],
+            modules="mpmath",
+        )
+        lo, hi = barrier.domain
+        xs = np.linspace(lo, hi, 7)
+        got = np.asarray([np.broadcast_to(t, xs.shape) for t in sum(barrier.terms(xs), ())])
+        for i, point in enumerate(xs):
+            with mpmath.workdps(30):
+                ref = np.asarray(exact(mpmath.mpf(point), mpmath.mpf(beta)), dtype=float)
+            assert np.all(np.abs(got[:, i] - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+
     def test_batched_matches_pointwise(self):
         rng = np.random.default_rng(31)
         ys = np.stack([rng.uniform(2.5, 6.0, 7), rng.uniform(-1.0, 1.0, 7)])
         for m in (
-            models.toy_barrier_model(),
+            toy_barrier_model(),
             models.reduced_kerr_model(KerrParams(1.0, 0.5), 2.0),
+            models.barrier_model(kerr.barrier("kerr_equatorial", KerrParams()).terms, None),
+            models.barrier_model(kerr.barrier("toy_sech2", KerrParams()).terms, None),
         ):
             for f in (m.gradient, m.hessian, m.third):
                 batched = f(ys)

@@ -14,7 +14,7 @@ from oracles import (
 )
 from scipy.linalg import expm
 
-from nhtrap import capspec, kerr, models, trapping
+from nhtrap import kerr, models, trapping
 from nhtrap.config import RunConfig
 from nhtrap.errors import (
     DomainError,
@@ -99,9 +99,9 @@ class TestTrappedRadius:
 
     @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9, 0.99])
     def test_prograde_closed_form(self, spin):
-        # capspec's closed-form prograde equatorial orbit lies on the shell
+        # the closed-form prograde equatorial orbit lies on the shell
         p = KerrParams(1.0, spin)
-        r_star, beta_star = capspec._critical_orbit(p)
+        r_star, beta_star = kerr.prograde_orbit(p)
         assert trapping.trapped_radius(beta_star, p) == pytest.approx(r_star, abs=1e-12)
 
     def test_numerator_factorization(self):

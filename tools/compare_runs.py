@@ -12,8 +12,9 @@ of every artifact are compared; the ``runtime_s`` column of gaps.csv, a
 wall time, is blanked first.  Every difference is printed, and the exit
 status is 1 if any config differs, else 0.
 
-The list holds refactor checks across all seven commands (escape-check
-at M = 2 and perturb at M = 0.1, the rest at M = 1) and the eight
+The list holds 24 configs: refactor checks across all seven commands
+(escape-check at M = 2, and at a = 0.99 where its scaled Kerr barrier is
+most extreme; perturb at M = 0.1; the rest at M = 1) and the eight
 workload commands of the benchmark at seed 1.  Three of the checks end
 in an error exit: the h >= htilde exit 2 of escape-check, a flow orbit
 that leaves the chart (exit 3) and a certify horizon shorter than one
@@ -49,6 +50,7 @@ CONFIGS = (
     ("escape_a09_h001", "escape-check", "kerr.spin = 0.9\nh = 0.01\nseed = 3\n"),
     ("escape_m2", "escape-check", "kerr.mass = 2\nkerr.spin = 1.2\nh = 0.2\n"),
     ("escape_h03", "escape-check", "h = 0.3\n"),
+    ("escape_a099", "escape-check", "kerr.spin = 0.99\nh = 0.05\n"),
     ("gap_toy", "spectrum-gap", "model = toy_sech2\n"),
     ("gap_kerr_a09", "spectrum-gap",
      "kerr.spin = 0.9\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
