@@ -22,9 +22,9 @@ resolvent norm 1/sigma_min(A - z) is the top eigenvalue of the Hermitian
 Three model kinds are built in: ``toy_sech2`` (v = sech^2 x - 1, flat
 mass), and ``kerr_equatorial`` and ``schw_radial``, the prograde
 equatorial barrier of the run's black hole (a ``KerrParams``) scaled by
-Delta/r^4, and the same barrier with the spin dropped.  Each is a
-barrier symbol m(x)*xi^2 + v(x) that ``kerr.barrier`` states once, with
-closed-form derivatives, for this module and escape-check alike;
+Delta/r^4, v = -(1 - r*/r)^2 (1 + 2r*/r), and the same with a = 0.  Each
+is a barrier symbol m(x)*xi^2 + v(x) that ``kerr.barrier`` states once,
+with closed-form derivatives, for this module and escape-check alike;
 ``build_model`` samples v and m from its terms.
 
 A problem carries the half-width ``window`` of the real-part window its
@@ -241,9 +241,9 @@ def build_model(
     probe = np.linspace(x_min, x_max, 2001)[1:-1]
     (m_probe, *_), (v_probe, *_) = barrier.terms(probe)
     # within a few float spacings of extremal spin Delta rounds to 0 on the
-    # domain, and v with it to inf or nan
-    if not np.all(np.isfinite(v_probe)):
-        raise DomainError("barrier symbol lost finiteness on the domain")
+    # domain, and the weight m = (Delta/r^2)^2 with it
+    if not np.all(m_probe > 0.0):
+        raise DomainError("barrier weight m vanishes on the domain")
     live = (probe >= x_min + MARGINS[0] * length) & (
         probe <= x_max - MARGINS[1] * length
     )

@@ -25,9 +25,9 @@ are all assembled from `radial_terms` (v_beta and its derivatives) and
 `_angular_terms` (q and its derivatives; `angular_derivs` gives those of
 the angular half alpha^2 + q^2).  The radial half Delta*xi^2 + v_beta(r)
 is a barrier symbol m*xi^2 + v (`radial_symbol`, the reduced (r, xi)
-model's), and `barrier` scales it by Delta/r^4 into the Kerr kinds that
-escape-check certifies and capspec samples.  The r-derivatives of the
-quotient f = N/Delta come from the Leibniz rule for N = f*Delta,
+model's); scaled by Delta/r^4 at the prograde orbit it is a cubic in r*/r,
+the Kerr kinds of `barrier`.  The r-derivatives of the quotient
+f = N/Delta come from the Leibniz rule for N = f*Delta,
 
     f^(k) = (N^(k) - sum_{j<k} C(k, j) * Delta^(k-j) * f^(j)) / Delta,
 
@@ -312,9 +312,9 @@ def _product(f, g):
 
 def _sech2_terms(x):
     """m = 1 and v = sech^2 x - 1, with their derivatives."""
-    one = np.ones_like(np.asarray(x, dtype=float))
     s = 1.0 / np.cosh(x)
     s2, t = s * s, np.tanh(x)
+    one = np.ones_like(s)
     v = (s2 - 1.0, -2.0 * s2 * t, s2 * (4.0 - 6.0 * s2), s2 * t * (24.0 * s2 - 8.0))
     return (one, 0.0 * one, 0.0 * one, 0.0 * one), v
 
@@ -324,15 +324,16 @@ def barrier(kind: str, params: KerrParams) -> Barrier:
 
     ``toy_sech2`` is v = sech^2 x - 1, m = 1 (top 0, rate 2), whatever the
     black hole.  ``kerr_equatorial`` is V = v_beta(r) + (beta - a)^2 at the
-    prograde beta* (`prograde_orbit`, where V = V' = 0) scaled by
-    w = Delta/r^4: v = V*w and m = Delta*w, with derivatives by the Leibniz
-    rule from `radial_symbol` and Delta*r^-4.  ``schw_radial`` is the same
-    barrier at a = 0 and the same mass (v = 27 M^2 Delta/r^4 - 1).
+    prograde beta* (`prograde_orbit`, where V = V' = 0) scaled by Delta/r^4.
+    Since beta*^2 - a^2 = 3 r*^2 and M (a + beta*)^2 = r*^3 there,
+    V*Delta = -r (r - r*)^2 (r + 2 r*): v = -(1 - u)^2 (1 + 2u) with u = r*/r,
+    and m = w^2 with w = Delta/r^2; neither divides by Delta and both take
+    complex r.  ``schw_radial`` is the same barrier at a = 0 and the same mass.
 
     Normalization: with m = Delta^2/r^4 the principal part is (hD_x)^2 in
     x = int r^2/Delta dr, which is not Kerr's tortoise coordinate
-    int (r^2 + a^2)/Delta dr.  Since V = V' = 0 at r*, the rate is exactly
-    sqrt(2 m* |v_rr(r*)| Delta*/r*^4); at a = 0, mu/2 = 1/(3 sqrt(3) M).
+    int (r^2 + a^2)/Delta dr.  The rate sqrt(2 m* |v''(r*)|) is exactly
+    2 sqrt(3) Delta*/r*^3; at a = 0, mu/2 = 1/(3 sqrt(3) M).
     """
     if kind == "toy_sech2":
         return Barrier(0.0, 2.0, (-6.0, 6.0), _sech2_terms)
@@ -340,18 +341,17 @@ def barrier(kind: str, params: KerrParams) -> Barrier:
         params = KerrParams(mass=params.mass)
     elif kind != "kerr_equatorial":
         raise DomainError(f"unknown model kind {kind!r}")
-    r_star, beta = prograde_orbit(params)
-    shift = (beta - params.spin) ** 2
+    m, a2, r_star = params.mass, params.spin**2, prograde_orbit(params)[0]
 
     def terms(r):
-        r = np.asarray(r, dtype=float)
-        dl, (v_beta, *v_rest) = radial_symbol(params, beta, r)
-        w = _product(dl, (r**-4, -4.0 * r**-5, 20.0 * r**-6, -120.0 * r**-7))
-        # values as direct quotients: the CAP grids sample these bits
-        m = (dl[0] ** 2 / r**4, *_product(dl, w)[1:])
-        v = ((v_beta + shift) * dl[0] / r**4,
-             *_product((v_beta + shift, *v_rest), w)[1:])
-        return m, v
+        r = np.asarray(r)
+        r2, u = r * r, r_star / r
+        r3, u2 = r2 * r, u * u
+        w = (delta(params, r) / r2, 2.0 * (m * r - a2) / r3,
+             (6.0 * a2 - 4.0 * m * r) / (r2 * r2), (12.0 * m * r - 24.0 * a2) / (r3 * r2))
+        v = (-(1.0 - u) * (1.0 - u) * (1.0 + 2.0 * u), -6.0 * u2 * (1.0 - u) / r,
+             6.0 * u2 * (3.0 - 4.0 * u) / r2, -24.0 * u2 * (3.0 - 5.0 * u) / r3)
+        return _product(w, w), v
 
     delta_star = delta(params, r_star)
     # at the last double below extremal spin Delta(r*) rounds to exactly 0
@@ -360,9 +360,7 @@ def barrier(kind: str, params: KerrParams) -> Barrier:
             f"Delta vanishes at the critical orbit r* = {r_star:g}: "
             "spin too close to extremal"
         )
-    m_top = delta_star**2 / r_star**4
-    v_curv = radial_terms(params, beta, r_star)[2] * delta_star / r_star**4
     r_h = float(horizon_radius(params))
     span = r_star - r_h
     domain = (r_h + 0.10 * span, r_star + 3.8 * span)
-    return Barrier(r_star, math.sqrt(2.0 * m_top * max(-v_curv, 0.0)), domain, terms)
+    return Barrier(r_star, 2.0 * math.sqrt(3.0) * delta_star / r_star**3, domain, terms)

@@ -162,10 +162,10 @@ class TestThirdDerivatives:
     )
     def test_barrier_terms_match_sympy(self, kind, spin):
         # every term of kerr.barrier, (m, m', m'', m''') and (v, ..., v'''),
-        # against sympy's derivatives of the closed-form m and v.  Near the
-        # horizon the Leibniz sum for v''' cancels V''' ~ Delta^-4 against
-        # w ~ Delta: at a = 0.99 on the domain's inner edge it keeps 1.8e-12
-        # relative, so the bound is 1e-11
+        # against sympy's derivatives of the quotient form of m and v.  The
+        # barrier's cubic in u = r*/r divides by no Delta, so the terms keep
+        # their digits next to the horizon too: at a = 0.99 on the domain's
+        # inner edge the worst is 6.4e-15 relative
         sp = pytest.importorskip("sympy")
         import mpmath
 
@@ -191,7 +191,23 @@ class TestThirdDerivatives:
         for i, point in enumerate(xs):
             with mpmath.workdps(30):
                 ref = np.asarray(exact(mpmath.mpf(point), mpmath.mpf(beta)), dtype=float)
-            assert np.all(np.abs(got[:, i] - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+            assert np.all(np.abs(got[:, i] - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize(
+        "kind, spin",
+        [("toy_sech2", 0.0), ("schw_radial", 0.7), ("kerr_equatorial", 0.5),
+         ("kerr_equatorial", 0.99)],
+    )
+    def test_barrier_terms_complex_step(self, kind, spin):
+        # the terms take complex x: Im f(x + i*eps)/eps is f'(x) to rounding
+        barrier = kerr.barrier(kind, KerrParams(1.0, spin))
+        xs = np.linspace(*barrier.domain, 7)
+        eps = 1e-20
+        for exact, stepped in zip(barrier.terms(xs), barrier.terms(xs + 1j * eps)):
+            for k in range(3):
+                slope = np.imag(stepped[k]) / eps
+                ref = np.broadcast_to(exact[k + 1], xs.shape)
+                assert np.all(np.abs(slope - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     def test_batched_matches_pointwise(self):
         rng = np.random.default_rng(31)

@@ -99,10 +99,22 @@ class TestTrappedRadius:
 
     @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9, 0.99])
     def test_prograde_closed_form(self, spin):
-        # the closed-form prograde equatorial orbit lies on the shell
-        p = KerrParams(1.0, spin)
-        r_star, beta_star = kerr.prograde_orbit(p)
-        assert trapping.trapped_radius(beta_star, p) == pytest.approx(r_star, abs=1e-12)
+        # the closed-form prograde equatorial orbit lies on the shell, with
+        # normal rate 2 sqrt(3) r*; scaled by Delta*/r*^4 it is the barrier's
+        # exponent 2 sqrt(3) Delta*/r*^3
+        rate = 2.0 * math.sqrt(3.0)
+        for mass in (1.0, 2.0):
+            p = KerrParams(mass, spin * mass)
+            r_star, beta_star = kerr.prograde_orbit(p)
+            assert trapping.trapped_radius(beta_star, p) == pytest.approx(
+                r_star, abs=1e-12 * mass
+            )
+            chart = trapping.linearization(beta_star, p)
+            assert chart.normal_exponent == pytest.approx(rate * r_star, rel=1e-13)
+            exponent = kerr.barrier("kerr_equatorial", p).exponent
+            assert exponent == pytest.approx(
+                rate * kerr.delta(p, r_star) / r_star**3, rel=1e-13
+            )
 
     def test_numerator_factorization(self):
         sp = pytest.importorskip("sympy")

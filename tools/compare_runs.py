@@ -12,13 +12,13 @@ of every artifact are compared; the ``runtime_s`` column of gaps.csv, a
 wall time, is blanked first.  Every difference is printed, and the exit
 status is 1 if any config differs, else 0.
 
-The list holds 24 configs: refactor checks across all seven commands
-(escape-check at M = 2, and at a = 0.99 where its scaled Kerr barrier is
-most extreme; perturb at M = 0.1; the rest at M = 1) and the eight
-workload commands of the benchmark at seed 1.  Three of the checks end
-in an error exit: the h >= htilde exit 2 of escape-check, a flow orbit
-that leaves the chart (exit 3) and a certify horizon shorter than one
-theta-period (exit 2).
+The list holds 25 configs: refactor checks across all seven commands
+(escape-check and spectrum-gap at a = 0.99, where the scaled Kerr barrier
+is most extreme; escape-check at M = 2; perturb at M = 0.1; the rest at
+M = 1) and the eight workload commands of the benchmark at seed 1.
+Three of the checks end in an error exit: the h >= htilde exit 2 of
+escape-check, a flow orbit that leaves the chart (exit 3) and a certify
+horizon shorter than one theta-period (exit 2).
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ CONFIGS = (
     ("gap_toy", "spectrum-gap", "model = toy_sech2\n"),
     ("gap_kerr_a09", "spectrum-gap",
      "kerr.spin = 0.9\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
+    ("gap_kerr_a099", "spectrum-gap",
+     "kerr.spin = 0.99\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
     # leaves the chart at t = 1.2757: exit 3
     ("flow_chart_exit", "flow-integrate", QUICK_SURVEY_ORBIT + "orbit.time = 30\n"),
     # shorter than one theta-period: exit 2
