@@ -30,6 +30,8 @@ DEFAULT_TOLERANCES = {
 
 # accepted range of tol.flow, the end-to-end tolerance of every integration
 FLOW_TOL_RANGE = (1e-13, 1e-6)
+# accepted range of kerr.mass; past it the shell and escape arithmetic leaves the float range
+MASS_RANGE = (1e-50, 1e50)
 
 # equatorial photon circle of the static hole: r = 3, carter = 27
 DEFAULT_ORBIT = {
@@ -178,9 +180,10 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.kerr_mass <= 0.0:
+    lo, hi = MASS_RANGE
+    if not lo <= cfg.kerr_mass <= hi:
         raise ValidationError(
-            f"mass must be positive, got {cfg.kerr_mass!r}", key="kerr.mass"
+            f"mass must lie in [{lo:g}, {hi:g}], got {cfg.kerr_mass!r}", key="kerr.mass"
         )
     if not 0.0 <= cfg.kerr_spin < cfg.kerr_mass:
         raise ValidationError(

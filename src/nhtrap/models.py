@@ -267,7 +267,7 @@ def reduced_kerr_model(
 
 def full_kerr_model(params: KerrParams) -> HamiltonianModel:
     """Six-dimensional exterior model of p on the (r, theta) chart."""
-    rp = kerr.horizon_radius(params)
+    rp, mass = kerr.horizon_radius(params), params.mass
 
     def evaluate(y):
         return float(kerr.symbol_p(PhaseState.from_array(y), params))
@@ -281,8 +281,8 @@ def full_kerr_model(params: KerrParams) -> HamiltonianModel:
 
     def margin(y):
         return min(
-            y[0] - (rp + kerr.DEFAULT_R_MARGIN),
-            CHART_CAP_KERR_R - y[0],
+            y[0] - (rp + kerr.DEFAULT_R_MARGIN * mass),
+            CHART_CAP_KERR_R * mass - y[0],
             y[1] - kerr.DEFAULT_THETA_MARGIN,
             np.pi - kerr.DEFAULT_THETA_MARGIN - y[1],
         )

@@ -286,13 +286,9 @@ class DenseSolution:
     def __call__(self, t):
         """y(t) of shape (n,) for a scalar t, (n, len(t)) for an array."""
         t = np.asarray(t, dtype=float)
-        last = len(self.h) - 1
-        if self.ts[-1] >= self.ts[0]:
-            seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, last)
-        else:
-            seg = last - np.clip(
-                np.searchsorted(self.ts[::-1], t, side="right") - 1, 0, last
-            )
+        # times signed by the direction of integration ascend
+        d = np.sign(self.ts[-1] - self.ts[0])
+        seg = np.clip(np.searchsorted(d * self.ts, d * t, side="left") - 1, 0, len(self.h) - 1)
         x = ((t - self.t_old[seg]) / self.h[seg])[..., None]
         F = self.coeffs[seg]
         y = np.zeros_like(self.y_old[seg])

@@ -40,16 +40,15 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    X_q = X(t_q)
        X(t_q + s) = R X(t_q - s) X_q^-1 R X_q,
        X(P/2 + s) = S X(s) S X(P/2),
-   so X(P/2) = R X_q^-1 R X_q and M = X(P) = S X(P/2) S X(P/2).  The state
-   follows the same maps: u(t_q + s) = (theta, 2 phi_q - phi, -alpha, beta)
-   at time t_q - s, and u(P/2 + s) = (pi - theta, phi(P/2) - phi_0 + phi,
-   -alpha, beta) at time s.
+   so X(P/2) = R X_q^-1 R X_q and M = X(P) = S X(P/2) S X(P/2).  R and S
+   are signed identities, so they commute with a diagonal weight and keep
+   the 2-norm: a weighted norm of X over [0, P] is one of X on [0, t_q].
 
 The quarter period is integrated by the in-house DOP853 of `nhtrap.ode`,
 whose dense output and stop event give t_q and X(s) on [0, t_q]; fact 4
-rebuilds the period, the monodromy and X(s) on [0, P].  The value of p on
-the pinned shell at the equator with alpha = 0 is the reduced symbol at
-the saddle plus the Carter constant q(pi/2, beta)^2
+gives the period, the monodromy and the tangential envelope over [0, P].
+The value of p on the pinned shell at the equator with alpha = 0 is the
+reduced symbol at the saddle plus the Carter constant q(pi/2, beta)^2
 (`ReducedFamily.shell_value`): it fixes each orbit's alpha and, through a
 bracketed `brentq`, the extremal beta values.  Trapped radii are
 closed-form roots of v' (see `trapped_radius`).
@@ -83,8 +82,8 @@ REVERSE = np.asarray([1.0, -1.0, -1.0, 1.0])
 RATE_FLOOR_FRACTION = 0.9
 INVARIANCE_ANGLE_MAX = 1e-4
 TANGENTIAL_DEGREE_MAX = 1
-# grid over one theta-period locating the sup of the tangential envelope
-ENVELOPE_SAMPLES = 256
+# grid over one quarter theta-period locating the sup of the tangential envelope
+ENVELOPE_SAMPLES = 64
 # each polish round of that sup evaluates this many points across the
 # bracket around the argmax, and the rounds stop on brackets this short
 ENVELOPE_REFINE = 17
@@ -272,7 +271,7 @@ class ShellOrbit:
         )
 
     def tangent_cocycle(self, horizon: float, tol: float) -> TangentCocycle:
-        """Intrinsic Jacobian t -> X(t) for any real t, from a quarter theta-period.
+        """The tangential cocycle over one theta-period, from its first quarter.
 
         The orbit starts on the equator with alpha > 0, so theta first turns,
         where alpha falls through 0, at t_q = P/4 (fact 4); the integration
@@ -322,15 +321,14 @@ class ShellOrbit:
 
 
 class TangentCocycle:
-    """X(t) = X(s) (I + mN) for t = s + mP, s in [0, P) (fact 3), with X(s)
-    rebuilt from the first quarter period (fact 4).
+    """The intrinsic Jacobian X on one theta-period, held as its first
+    quarter (fact 4).
 
     Each s in [0, P] lies in a quarter j = 0..3 and is the image of a time
     sigma in [0, t_q]: s = sigma, 2 t_q - sigma, 2 t_q + sigma or
-    4 t_q - sigma.  With D_j = I, R, S, SR there,
-    u(s) = c_j + D_j u(sigma) and X(s) = D_j X(sigma) B_j, where
-    B_1 = X_q^-1 R X_q, B_2 = S X(P/2) and B_3 = B_1 B_2, so that
-    X(P/2) = R B_1 and M = X(P) = B_2^2.
+    4 t_q - sigma.  There X(s) = D_j X(sigma) B_j, with D_j = I, R, S, SR and
+    the post-factors B_0 = I, B_1 = X_q^-1 R X_q, B_2 = S X(P/2) and
+    B_3 = B_1 B_2, so that X(P/2) = R B_1 and M = X(P) = B_2^2 = I + N.
 
     The monodromy is never raised to a power: integration error of size
     tol splits its 2x2 Jordan blocks into eigenvalues about sqrt(tol) off
@@ -341,42 +339,23 @@ class TangentCocycle:
         self.quarter_time = quarter_time  # t_q, where theta first turns
         self.quarter = quarter  # sigma -> (u, X) on [0, t_q]
         self.period = 4.0 * quarter_time
-        u0, end = quarter(0.0), quarter(quarter_time)
-        X_q = end[4:].reshape(4, 4)
+        X_q = quarter(quarter_time)[4:].reshape(4, 4)
         B1 = np.linalg.solve(X_q, REVERSE[:, None] * X_q)
         B2 = (REFLECT * REVERSE)[:, None] * B1
-        self._flips = np.asarray([np.ones(4), REVERSE, REFLECT, REFLECT * REVERSE])
-        self._post = np.asarray([np.eye(4), B1, B2, B1 @ B2])
-        # phi advances by 2 (phi_q - phi_0) over each half period
-        phi_q, half = end[1], 2.0 * (end[1] - u0[1])
-        self._shifts = np.asarray([
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 2.0 * phi_q, 0.0, 0.0],
-            [np.pi, half, 0.0, 0.0],
-            [np.pi, half + 2.0 * phi_q, 0.0, 0.0],
-        ])
+        self.post = np.asarray([np.eye(4), B1, B2, B1 @ B2])
         self.shear = B2 @ B2 - np.eye(4)  # N = X(P) - I, N^2 = 0 up to integration error
 
-    def one_period(self, s):
-        """(u, X) at s in [0, P], flattened as the integrated state
-        (u, X.ravel()): shape (20,) for a scalar s, (20, n) for n times."""
-        s = np.asarray(s, dtype=float)
-        j = np.clip((s // self.quarter_time).astype(int), 0, 3)
-        # the time in [0, t_q] that quarter j repeats or reverses
-        h = s - 2.0 * self.quarter_time * (j // 2)
-        sigma = np.where(j % 2 == 0, h, 2.0 * self.quarter_time - h)
-        z = np.moveaxis(self.quarter(sigma), 0, -1)  # (..., 20)
-        flips = self._flips[j]
-        u = self._shifts[j] + flips * z[..., :4]
-        X = flips[..., :, None] * z[..., 4:].reshape(*s.shape, 4, 4) @ self._post[j]
-        return np.moveaxis(np.concatenate([u, X.reshape(*s.shape, 16)], axis=-1), -1, 0)
+    def sup(self, W: np.ndarray, Y: np.ndarray) -> float:
+        """sup over s in [0, P] of ||diag(W) X(s) Y||: the sup over sigma in
+        [0, t_q] of max_j ||diag(W) X(sigma) B_j Y||, since each D_j is a
+        signed identity (fact 4)."""
+        post_Y = self.post @ Y  # (4, 4, k): B_j Y
 
-    def __call__(self, t):
-        """X(t) as a 4x4 matrix, or a stack of them for an array of times."""
-        m, s = np.divmod(t, self.period)
-        X = self.one_period(s)[4:].reshape(4, 4, *np.shape(s))
-        X = np.moveaxis(X, (0, 1), (-2, -1))
-        return X @ (np.eye(4) + np.multiply.outer(m, self.shear))
+        def branch_max(sigma):
+            X = np.moveaxis(self.quarter(sigma)[4:].reshape(4, 4, -1), -1, 0)[:, None]
+            return np.linalg.norm(W[:, None] * X @ post_Y, 2, axis=(-2, -1)).max(axis=-1)
+
+        return _envelope_sup(branch_max, self.quarter_time)
 
 
 def _line_angle(ref: np.ndarray, w: np.ndarray) -> float:
@@ -494,18 +473,12 @@ def _beta_sample(
     (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
     cocycle = orbit.tangent_cocycle(horizon, tol)
     period, N = cocycle.period, cocycle.shear
-    W, F = orbit.weight[:, None], orbit.tangential_frame()
+    W, F = orbit.weight, orbit.tangential_frame()
     units = np.asarray([1.0, 1.0, fam.params.mass, fam.params.mass])
     N_hat = N * units / units[:, None]  # D^-1 N D
     degree, NkF = 0, N_hat @ F
     while degree <= TANGENTIAL_DEGREE_MAX and np.linalg.norm(NkF, 2) > math.sqrt(tol):
         degree, NkF = degree + 1, N_hat @ NkF
-
-    def sup(Y):
-        """sup over s in [0, P] of ||W X(s) Y||."""
-        return _envelope_sup(
-            lambda s: np.linalg.norm(W * cocycle(s) @ Y, 2, axis=(-2, -1)), period
-        )
 
     return BetaSample(
         chart=orbit.chart,
@@ -513,23 +486,23 @@ def _beta_sample(
         rate_minus=rate_minus,
         period=period,
         tangential_degree=degree,
-        envelope=(sup(F), sup(N @ F) / period),
+        envelope=(cocycle.sup(W, F), cocycle.sup(W, N @ F) / period),
         invariance_angle=max(
             _line_angle(e, orbit.normal_block @ e) for e in (e_plus, e_minus)
         ),
     )
 
 
-def _envelope_sup(f, period: float) -> float:
-    """sup over s in [0, period] of f, which maps an array of times to values.
+def _envelope_sup(f, end: float) -> float:
+    """sup over s in [0, end] of f, which maps an array of times to values.
 
     The argmax of an ENVELOPE_SAMPLES grid is refined on ENVELOPE_REFINE
     point grids across the bracket of its neighbours, one call of f each,
     until the bracket is shorter than ENVELOPE_XTOL (or than a few float
-    spacings of s, for a very long period).  The largest value evaluated
+    spacings of s, for a very long span).  The largest value evaluated
     is returned, so the sup is never overstated.
     """
-    s = np.linspace(0.0, period, ENVELOPE_SAMPLES)
+    s = np.linspace(0.0, end, ENVELOPE_SAMPLES)
     best = -math.inf
     while True:
         values = f(s)
@@ -573,9 +546,9 @@ def certify(
     on the pinned shell orbit: the normal rates and bundles are the
     eigenpairs of the (r, phi, xi) normal block (fact 2), and the
     invariance angle is the line angle between each bundle vector and its
-    image under that block.  One theta-period of the tangential cocycle,
-    rebuilt from its first quarter (fact 4), gives the degree of
-    tangential growth and the envelope a + b*t (fact 3).  For
+    image under that block.  The first quarter theta-period of the
+    tangential cocycle gives, through fact 4, the degree of tangential
+    growth and the envelope a + b*t (fact 3).  For
     r = 1..r_max the ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t)
     over t >= 0 in closed form, forward with lambda_+ and backward with
     lambda_-; they hold when the degree is at most 1.  `horizon` only

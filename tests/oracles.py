@@ -4,7 +4,8 @@ Each oracle takes the slow, direct route to a quantity the package
 computes another way: a dense eigensolve of the whole CAP matrix, the
 Jacobian of the flow by integrating the variational equation next to the
 orbit, a shell orbit's tangential cocycle over one whole theta-period
-(by scipy's DOP853), points on an invariant graph by following the flow
+(by scipy's DOP853) and at any real time (from that period and its
+monodromy), points on an invariant graph by following the flow
 out of the saddle, and the six-dimensional symbol of a (bumped) reduced
 family at a shell point and the embedding differential of a shell orbit,
 which the package reads off the reduced (r, xi) symbol instead.  The
@@ -89,6 +90,21 @@ def full_period_cocycle(orbit, horizon: float, tol: float):
                           atol=tol * 1e-2, events=crossing, dense_output=True)
     assert sol.status == 1, sol.message
     return float(sol.t_events[0][-1]), sol.y_events[0][-1][4:].reshape(4, 4), sol.sol
+
+
+def periodic_cocycle(orbit, horizon: float, tol: float):
+    """(P, t -> X(t)) of a shell orbit for any real t, or a stack of X for
+    an array of times: `full_period_cocycle` continued by fact 3 of
+    `trapping`, X(s + mP) = X(s) (I + mN) with N = X(P) - I."""
+    period, monodromy, dense = full_period_cocycle(orbit, horizon, tol)
+    shear = monodromy - np.eye(4)
+
+    def cocycle(t):
+        m, s = np.divmod(t, period)
+        X = np.moveaxis(dense(s)[4:].reshape(4, 4, *np.shape(s)), (0, 1), (-2, -1))
+        return X @ (np.eye(4) + np.multiply.outer(m, shear))
+
+    return period, cocycle
 
 
 def embed(orbit, u) -> np.ndarray:

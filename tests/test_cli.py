@@ -251,6 +251,16 @@ class TestConfigErrors:
         assert failures[0]["error"] == "boom"
         assert "in crash" in failures[0]["traceback"]
 
+    @pytest.mark.parametrize("mass", ["1e100", "1e150", "1e-150"])
+    def test_mass_outside_float_range_is_config_error(self, tmp_path, capsys, mass):
+        # at these masses the shell and escape arithmetic overflows or
+        # divides by an underflowed zero, so no command may start
+        for command in cli._HANDLERS:
+            code, out = run_cli(tmp_path, command, f"kerr.mass = {mass}\n", name=command)
+            assert code == 2
+            assert "kerr.mass" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_bad_workers_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NHTRAP_WORKERS", "three")
         code, _ = run_cli(tmp_path, "trap-find", "command = trap-find\n")
@@ -314,6 +324,20 @@ class TestFlowIntegrate:
         failures = read_failures(out)
         assert failures and failures[0]["type"] == "ChartExit"
         assert not (out / "orbit.csv").exists()
+
+    def test_chart_scales_with_mass(self, tmp_path, capsys):
+        # the photon circle r = 3M, beta = sqrt(27) M lies inside the chart
+        # at M = 100 too, where r passes the M = 1 chart's outer radius
+        code, out = run_cli(
+            tmp_path,
+            "flow-integrate",
+            f"kerr.mass = 100\norbit.r = 300\norbit.beta = {100.0 * math.sqrt(27.0)!r}\n"
+            "orbit.time = 0.01\n",
+        )
+        assert code == 0
+        rows = (out / "orbit.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"300"}
+        assert read_failures(out) == []
 
     def test_chart_exit_time_counts_from_the_orbit_start(self, tmp_path, capsys):
         # the orbit leaves the chart in the 12th sampling interval; its exit

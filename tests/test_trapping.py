@@ -8,6 +8,7 @@ from oracles import (
     embed,
     embed_diff,
     full_period_cocycle,
+    periodic_cocycle,
     symbol_grad_hess,
     symbol_value,
     tangent_flow,
@@ -281,10 +282,11 @@ class TestFamilyAndShell:
 
     def test_exact_structure_matches_full_flow(self):
         # independent oracle: the six-dimensional variational flow of the
-        # full Kerr model from the embedded start, past one theta-period
+        # full Kerr model from the embedded start, past one theta-period,
+        # against the intrinsic cocycle of one direct period continued by fact 3
         params = KerrParams(1.0, 0.35)
         orbit = trapping.ShellOrbit(trapping.ReducedFamily(params), 1.7, 0.0)
-        cocycle = orbit.tangent_cocycle(1.5, tol=1e-12)
+        _, cocycle = periodic_cocycle(orbit, 1.5, tol=1e-12)
         H = symbol_grad_hess(orbit.family, embed(orbit, orbit.u0))[1]
         A6 = np.vstack([H[3:, :], -H[:3, :]])
         (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
@@ -316,16 +318,19 @@ class TestFamilyAndShell:
 
     def test_long_orbit_conservation(self):
         # the intrinsic flow preserves volume, so det X(t) = 1 out to
-        # |t| = 20 through the period structure; along the one integrated
-        # period p, beta and Carter stay at their starting values
+        # |t| = 20 through the period structure, and each post-factor of
+        # the quarter period has det 1; along the integrated quarter p,
+        # beta and Carter stay at their starting values
         params = KerrParams(1.0, 0.2)
         orbit = trapping.ShellOrbit(trapping.ReducedFamily(params), 1.8, 0.0)
-        cocycle = orbit.tangent_cocycle(20.0, tol=1e-12)
+        _, oracle = periodic_cocycle(orbit, 20.0, tol=1e-12)
         t = np.linspace(-20.0, 20.0, 41)
-        assert np.max(np.abs(np.linalg.det(cocycle(t)) - 1.0)) < 1e-8
+        assert np.max(np.abs(np.linalg.det(oracle(t)) - 1.0)) < 1e-8
+        cocycle = orbit.tangent_cocycle(20.0, tol=1e-12)
+        assert np.max(np.abs(np.linalg.det(cocycle.post) - 1.0)) < 1e-12
         start = kerr.conserved(PhaseState.from_array(embed(orbit, orbit.u0)), params)
-        for s in np.linspace(0.0, cocycle.period, 41):
-            u = cocycle.one_period(s)[:4]
+        for sigma in np.linspace(0.0, cocycle.quarter_time, 41):
+            u = cocycle.quarter(sigma)[:4]
             now = kerr.conserved(PhaseState.from_array(embed(orbit, u)), params)
             assert abs(now.p - start.p) < 1e-10
             assert now.beta == start.beta
@@ -333,9 +338,9 @@ class TestFamilyAndShell:
 
 
 class TestQuarterPeriod:
-    """The period, monodromy and (u, X) on [0, P] rebuilt from a quarter
-    period by the reflection and reversal symmetries, against one whole
-    period integrated directly."""
+    """The period, monodromy and X on [0, P] rebuilt from a quarter period
+    by the reflection and reversal symmetries, against one whole period
+    integrated directly."""
 
     @pytest.mark.parametrize("spin, epsilon", [(0.5, 0.0), (0.9, 0.0), (0.5, 0.01)])
     def test_matches_full_period(self, spin, epsilon):
@@ -347,13 +352,19 @@ class TestQuarterPeriod:
             period, monodromy, dense = full_period_cocycle(orbit, CLI.horizon, tol=1e-12)
             assert cocycle.period == pytest.approx(period, rel=1e-11)
             assert np.max(np.abs(cocycle.shear + np.eye(4) - monodromy)) < 1e-8
-            # 97 points, 24 in each quarter, cover all four quarters
-            s = np.linspace(0.0, period, 97)
-            rebuilt, direct = cocycle.one_period(s), dense(s)
-            assert np.max(np.abs(rebuilt[:4] - direct[:4])) < 1e-8
-            assert np.max(np.abs(rebuilt[4:] - direct[4:])) < 1e-8
-            assert np.max(np.abs(cocycle(s) - np.moveaxis(
-                direct[4:].reshape(4, 4, -1), -1, 0))) < 1e-8
+            # the first quarter is the direct (u, X); on quarter j,
+            # X(s) = D_j X(sigma) B_j at s = sigma, 2 t_q - sigma,
+            # 2 t_q + sigma or 4 t_q - sigma
+            t_q, sigma = cocycle.quarter_time, np.linspace(0.0, cocycle.quarter_time, 25)
+            quarter = cocycle.quarter(sigma)
+            assert np.max(np.abs(quarter - dense(sigma))) < 1e-8
+            X = np.moveaxis(quarter[4:].reshape(4, 4, -1), -1, 0)
+            flips = (np.ones(4), trapping.REVERSE, trapping.REFLECT,
+                     trapping.REFLECT * trapping.REVERSE)
+            times = (sigma, 2.0 * t_q - sigma, 2.0 * t_q + sigma, 4.0 * t_q - sigma)
+            for D, B, s in zip(flips, cocycle.post, times):
+                direct = np.moveaxis(dense(s)[4:].reshape(4, 4, -1), -1, 0)
+                assert np.max(np.abs(D[:, None] * X @ B - direct)) < 1e-8
 
     def test_horizon_bounds_the_period(self):
         orbit = trapping.ShellOrbit(_family(0.5, 0.0), 1.2, 0.0)
@@ -370,25 +381,35 @@ class TestQuarterPeriod:
         "spin, epsilon, beta", [(0.5, 0.0, -2.0), (0.9, 0.0, 1.5), (0.5, 0.01, -2.0)]
     )
     def test_envelope_sup(self, spin, epsilon, beta):
-        # sigma(s) = ||L X(s) Y|| for both envelope directions Y
+        # for both envelope directions Y, the sup over [0, P] of ||L X(s) Y||
+        # is that over [0, t_q] of the largest ||L X(sigma) B_j Y||, since
+        # ||L D_j Z|| = ||L Z|| for each signed identity D_j
         orbit = trapping.ShellOrbit(_family(spin, epsilon), beta, 0.0)
         cocycle = orbit.tangent_cocycle(CLI.horizon, TOL)
-        L, F, P = embed_diff(orbit), orbit.tangential_frame(), cocycle.period
+        L, F, t_q = embed_diff(orbit), orbit.tangential_frame(), cocycle.quarter_time
+        _, direct = periodic_cocycle(orbit, CLI.horizon, TOL)
         for Y in (F, cocycle.shear @ F):
+            BY = cocycle.post @ Y
 
-            def sigma(s):
-                return np.linalg.norm(L @ cocycle(s) @ Y, 2, axis=(-2, -1))
+            def branch_max(sigma):
+                X = np.moveaxis(cocycle.quarter(sigma)[4:].reshape(4, 4, -1), -1, 0)
+                return np.max(np.linalg.norm(L @ X[:, None] @ BY, 2, axis=(-2, -1)), axis=1)
 
-            sup = trapping._envelope_sup(sigma, P)
-            grid = np.linspace(0.0, P, trapping.ENVELOPE_SAMPLES)
-            values = sigma(grid)
+            sup = cocycle.sup(orbit.weight, Y)
+            grid = np.linspace(0.0, t_q, trapping.ENVELOPE_SAMPLES)
+            values = branch_max(grid)
             assert sup >= np.max(values)
-            assert sup >= np.max(sigma(np.linspace(0.0, P, 100001))) * (1.0 - 1e-12)
+            assert sup >= np.max(branch_max(np.linspace(0.0, t_q, 100001))) * (1.0 - 1e-12)
             # the sup lies in the bracket of the grid argmax, where 1e5
             # points resolve it to far below 1e-12
             i = int(np.argmax(values))
             bracket = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 100001)
-            assert sup == pytest.approx(np.max(sigma(bracket)), rel=1e-12)
+            assert sup == pytest.approx(np.max(branch_max(bracket)), rel=1e-12)
+            # and it is the sup of the directly integrated period
+            s = np.linspace(0.0, 4.0 * t_q, 100001)
+            assert sup == pytest.approx(
+                np.max(np.linalg.norm(L @ direct(s) @ Y, 2, axis=(-2, -1))), rel=1e-8
+            )
 
     def test_envelope_sup_ends_on_long_periods(self):
         # past P ~ 1e7 the float spacing of s exceeds ENVELOPE_XTOL (at
@@ -430,8 +451,10 @@ class TestCertify:
         for s in cert.beta_samples:
             assert s.tangential_degree == degree
             orbit = trapping.ShellOrbit(fam, s.chart.beta, 0.0)
-            cocycle = orbit.tangent_cocycle(5.0, TOL)
-            L, F, P = embed_diff(orbit), orbit.tangential_frame(), cocycle.period
+            # at a = 0 the shear is integration noise, which the oracle
+            # keeps well inside the envelope's slack only at this tol
+            P, cocycle = periodic_cocycle(orbit, 5.0, tol=1e-12)
+            L, F = embed_diff(orbit), orbit.tangential_frame()
 
             def sigma(t):
                 return np.linalg.norm(L @ cocycle(t) @ F, 2, axis=(-2, -1))

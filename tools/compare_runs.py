@@ -12,9 +12,10 @@ of every artifact are compared; the ``runtime_s`` column of gaps.csv, a
 wall time, is blanked first.  Every difference is printed, and the exit
 status is 1 if any config differs, else 0.
 
-The list holds 25 configs: refactor checks across all seven commands
+The list holds 27 configs: refactor checks across all seven commands
 (escape-check and spectrum-gap at a = 0.99, where the scaled Kerr barrier
-is most extreme; escape-check at M = 2; perturb at M = 0.1; the rest at
+is most extreme; trap-certify and escape-check at M = 2; perturb at
+M = 0.1; flow-integrate on the photon circle at M = 100; the rest at
 M = 1) and the eight workload commands of the benchmark at seed 1.
 Three of the checks end in an error exit: the h >= htilde exit 2 of
 escape-check, a flow orbit that leaves the chart (exit 3) and a certify
@@ -41,6 +42,7 @@ QUICK_SURVEY_ORBIT = (
 CONFIGS = (
     ("certify_spins", "trap-certify", "a_list = 0, 0.5, 0.9, 0.99\n"),
     ("certify_lam30", "trap-certify", "lam = 30\n"),
+    ("certify_m2", "trap-certify", "kerr.mass = 2\na_list = 0, 1, 1.8\nhorizon = 20\n"),
     ("perturb_s3", "perturb", "kerr.spin = 0.5\nseed = 3\n"),
     ("perturb_a09_s5", "perturb", "kerr.spin = 0.9\nepsilon = 0.03\nseed = 5\n"),
     ("perturb_m01", "perturb", "kerr.mass = 0.1\nkerr.spin = 0.05\n"),
@@ -56,6 +58,9 @@ CONFIGS = (
      "kerr.spin = 0.9\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
     ("gap_kerr_a099", "spectrum-gap",
      "kerr.spin = 0.99\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
+    # the photon circle r = 3M at M = 100
+    ("flow_m100", "flow-integrate",
+     "kerr.mass = 100\norbit.r = 300\norbit.beta = 519.6152422706632\norbit.time = 0.01\n"),
     # leaves the chart at t = 1.2757: exit 3
     ("flow_chart_exit", "flow-integrate", QUICK_SURVEY_ORBIT + "orbit.time = 30\n"),
     # shorter than one theta-period: exit 2
