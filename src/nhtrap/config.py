@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -33,7 +33,8 @@ FLOW_TOL_RANGE = (1e-13, 1e-6)
 # accepted range of kerr.mass; past it the shell and escape arithmetic leaves the float range
 MASS_RANGE = (1e-50, 1e50)
 
-# equatorial photon circle of the static hole: r = 3, carter = 27
+# equatorial photon circle of the static hole at M = 1: r = 3, carter = 27;
+# an unset orbit.r or orbit.beta scales with kerr.mass (see parse_config)
 DEFAULT_ORBIT = {
     "r": 3.0,
     "theta": math.pi / 2.0,
@@ -42,6 +43,10 @@ DEFAULT_ORBIT = {
     "alpha": 0.0,
     "beta": math.sqrt(27.0),
 }
+
+# the certify horizon at M = 1; theta-periods scale like 1/M, and so does
+# an unset horizon (see parse_config)
+DEFAULT_HORIZON = 50.0
 
 _KEY_RE = re.compile(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*")
 
@@ -132,7 +137,7 @@ class RunConfig:
     a_list: tuple[float, ...] | None = None
     window: float = 0.3
     lam: float = 0.0
-    horizon: float = 50.0
+    horizon: float = DEFAULT_HORIZON
     r_max: int = 4
     epsilon: float = 0.01
     orbit: dict = field(default_factory=lambda: dict(DEFAULT_ORBIT))
@@ -289,4 +294,21 @@ def parse_config(
             fields[key.replace(".", "_")] = value
     cfg = RunConfig(**fields, orbit=orbit, tolerances=tolerances)
     _validate(cfg)
-    return cfg
+    return _scale_defaults(cfg, typed)
+
+
+def _scale_defaults(cfg: RunConfig, typed: dict) -> RunConfig:
+    """The M = 1 defaults of the keys `typed` leaves unset, at the run's mass.
+
+    Under (M, a, r, alpha, beta) -> s (M, a, r, alpha, beta), xi fixed, the
+    symbol scales by s^2 and its flow's times by 1/s.  So the default
+    orbit's r and beta scale like M, and the default horizon like 1/M.  The
+    mass is validated first, so the quotient is finite and positive.
+    """
+    mass = cfg.kerr_mass
+    orbit = dict(cfg.orbit)
+    for name in ("r", "beta"):
+        if f"orbit.{name}" not in typed:
+            orbit[name] = DEFAULT_ORBIT[name] * mass
+    horizon = cfg.horizon if "horizon" in typed else DEFAULT_HORIZON / mass
+    return replace(cfg, orbit=orbit, horizon=horizon)

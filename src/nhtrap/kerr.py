@@ -172,11 +172,13 @@ def radial_symbol(params: KerrParams, beta, r):
 def _angular_terms(params: KerrParams, theta, beta):
     """q = beta/sin(theta) - a*sin(theta) with its derivatives.
 
-    Returns (q, q_t, q_tt, q_b, q_tb); q_bb = 0.
+    Returns (q, q_t, q_tt, q_b, q_tb); q_bb = 0.  A float theta takes its
+    sine and cosine from `math`, an array theta from numpy.
     """
     a = params.spin
-    s = np.sin(theta)
-    c = np.cos(theta)
+    trig = math if isinstance(theta, float) else np
+    s = trig.sin(theta)
+    c = trig.cos(theta)
     q_b = 1.0 / s
     q_tb = -c * q_b * q_b
     q = beta / s - a * s

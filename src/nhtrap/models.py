@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -116,7 +116,9 @@ class BumpPattern:
     s (M, a, r, alpha, beta), xi fixed, the Kerr symbol scales by s^2, and
     so does the pattern.  Values and the first two derivative tensors are
     analytic (the classic exp(1 - 1/(1-u^2)) profile), so perturbed symbols
-    keep exact gradients/Hessians.
+    keep exact gradients/Hessians.  `value`, `gradient` and `hessian`
+    evaluate the profiles of every bump in one pass, the bump index a
+    leading axis, and sum the terms in bump order.
     """
 
     def __init__(self, seed: int, mass: float, size: float):
@@ -162,45 +164,57 @@ class BumpPattern:
 
     @staticmethod
     def _profile(u):
-        """exp(1 - 1/(1-u^2)) on |u|<1, 0 outside; returns (b, b', b'')."""
+        """exp(1 - 1/(1-u^2)) on |u|<1, 0 outside; returns (b, b', b'').
+
+        Powers are written as products, which round alike for a scalar and
+        an array u (numpy's array power may differ from the C pow of a
+        scalar in the last bits)."""
         u = np.asarray(u, dtype=float)
         inside = np.abs(u) < 1.0
         safe = np.where(inside, u, 0.0)
         q = 1.0 - safe * safe
+        q2 = q * q
+        slope = 2.0 * safe / q2
         b = np.where(inside, np.exp(1.0 - 1.0 / q), 0.0)
-        db = b * (-2.0 * safe / q**2)
-        d2b = b * (
-            (2.0 * safe / q**2) ** 2 - 2.0 / q**2 - 8.0 * safe * safe / q**3
-        )
+        db = b * -slope
+        d2b = b * (slope * slope - 2.0 / q2 - 8.0 * safe * safe / (q2 * q))
         return b, np.where(inside, db, 0.0), np.where(inside, d2b, 0.0)
 
+    def _bumps(self, x, y):
+        """Profiles (b, b', b'') of every bump along x and along y, and the
+        widths and amplitudes, each with the bump index as a leading axis
+        broadcast against x and y."""
+        lead = (N_BUMPS,) + (1,) * max(np.ndim(x), np.ndim(y))
+        cx, cy = (c.reshape(lead) for c in self.centers.T)
+        wx, wy = (w.reshape(lead) for w in self.widths.T)
+        return (self._profile((x - cx) / wx), self._profile((y - cy) / wy),
+                wx, wy, self.amps.reshape(lead))
+
     def value(self, x, y):
-        total = 0.0
-        for (cx, cy), (wx, wy), a in zip(self.centers, self.widths, self.amps):
-            bx, _, _ = self._profile((x - cx) / wx)
-            by, _, _ = self._profile((y - cy) / wy)
-            total = total + a * bx * by
-        return total
+        (bx, _, _), (by, _, _), _, _, a = self._bumps(x, y)
+        return _sum_bumps(lambda k: a[k] * bx[k] * by[k])
 
     def gradient(self, x, y):
-        gx = 0.0
-        gy = 0.0
-        for (cx, cy), (wx, wy), a in zip(self.centers, self.widths, self.amps):
-            bx, dbx, _ = self._profile((x - cx) / wx)
-            by, dby, _ = self._profile((y - cy) / wy)
-            gx = gx + a * dbx * by / wx
-            gy = gy + a * bx * dby / wy
-        return gx, gy
+        (bx, dbx, _), (by, dby, _), wx, wy, a = self._bumps(x, y)
+        return (
+            _sum_bumps(lambda k: a[k] * dbx[k] * by[k] / wx[k]),
+            _sum_bumps(lambda k: a[k] * bx[k] * dby[k] / wy[k]),
+        )
 
     def hessian(self, x, y):
-        hxx = hxy = hyy = 0.0
-        for (cx, cy), (wx, wy), a in zip(self.centers, self.widths, self.amps):
-            bx, dbx, d2bx = self._profile((x - cx) / wx)
-            by, dby, d2by = self._profile((y - cy) / wy)
-            hxx = hxx + a * d2bx * by / wx**2
-            hxy = hxy + a * dbx * dby / (wx * wy)
-            hyy = hyy + a * bx * d2by / wy**2
-        return hxx, hxy, hyy
+        (bx, dbx, d2bx), (by, dby, d2by), wx, wy, a = self._bumps(x, y)
+        return (
+            _sum_bumps(lambda k: a[k] * d2bx[k] * by[k] / wx[k] ** 2),
+            _sum_bumps(lambda k: a[k] * dbx[k] * dby[k] / (wx[k] * wy[k])),
+            _sum_bumps(lambda k: a[k] * bx[k] * d2by[k] / wy[k] ** 2),
+        )
+
+
+def _sum_bumps(term):
+    """The sum over k < N_BUMPS of term(k), added left to right from 0.0.
+    The profiles are evaluated for all bumps at once, but a term over a
+    grid spans the whole grid, so they are formed one bump at a time."""
+    return reduce(np.add, map(term, range(N_BUMPS)), 0.0)
 
 
 def barrier_model(terms, bump: BumpPattern | None) -> HamiltonianModel:

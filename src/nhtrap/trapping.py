@@ -45,8 +45,9 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    the 2-norm: a weighted norm of X over [0, P] is one of X on [0, t_q].
 
 The quarter period is integrated by the in-house DOP853 of `nhtrap.ode`,
-whose dense output and stop event give t_q and X(s) on [0, t_q]; fact 4
-gives the period, the monodromy and the tangential envelope over [0, P].
+in the units of M (time M t, alpha/M, beta/M), whose dense output and stop
+event give t_q and X(s) on [0, t_q]; fact 4 gives the period, the
+monodromy and the tangential envelope over [0, P].
 The value of p on the pinned shell at the equator with alpha = 0 is the
 reduced symbol at the saddle plus the Carter constant q(pi/2, beta)^2
 (`ReducedFamily.shell_value`): it fixes each orbit's alpha and, through a
@@ -140,6 +141,7 @@ class ReducedFamily:
         self.params = params
         self.bump = bump
         self._saddles: dict[float, tuple[float, float]] = {}
+        self._charts: dict[float, TrappedOrbitChart] = {}
 
     def reduced_model(self, beta: float):
         return reduced_kerr_model(self.params, beta, bump=self.bump)
@@ -170,14 +172,17 @@ class ReducedFamily:
 
     def chart(self, beta: float) -> TrappedOrbitChart:
         """Normal chart at the saddle, the one place the reduced Hessian H is
-        formed.  The full-field generator is J H = [[H10, H11], [-H00, -H01]],
-        whose top eigenvalue is `models.saddle_rate`; the chart keeps it
-        halved, which unperturbed (xi_s = 0) is [[0, Delta], [B', 0]] with
-        B' = -v''/2."""
+        formed, once per beta.  The full-field generator is
+        J H = [[H10, H11], [-H00, -H01]], whose top eigenvalue is
+        `models.saddle_rate`; the chart keeps it halved, which unperturbed
+        (xi_s = 0) is [[0, Delta], [B', 0]] with B' = -v''/2."""
+        key = float(beta)
+        if key in self._charts:
+            return self._charts[key]
         r_s, xi_s = self.saddle(beta)
         H = self.reduced_model(beta).hessian(np.asarray((r_s, xi_s)))
         generator = np.asarray([[H[1, 0], H[1, 1]], [-H[0, 0], -H[0, 1]]])
-        return TrappedOrbitChart(
+        chart = self._charts[key] = TrappedOrbitChart(
             beta=beta,
             trapped_radius=r_s,
             xi_saddle=xi_s,
@@ -188,6 +193,7 @@ class ReducedFamily:
             normal_exponent=saddle_rate(H, f"beta={beta:g}"),
             potential_curvature=float(H[0, 0]),
         )
+        return chart
 
     def shell_value(self, beta: float) -> float:
         """p at the saddle on the equator with alpha = 0: the reduced symbol
@@ -215,13 +221,21 @@ class ShellOrbit:
     orthogonal column (r_s', 0, 0, xi_s', 0, 1) for beta, so ||E Y|| equals
     ||W Y|| with W = diag(`weight`) = diag(1, 1, 1, sqrt(1 + r_s'^2 + xi_s'^2)).
     The normal directions are the (r, phi, xi) block of fact 2.
+
+    The cocycle is integrated in the units of M, D = diag(`units`) =
+    diag(1, 1, M, M) (alpha and beta scale like M, theta and phi do not):
+    time tau = M t, state D^-1 u and Jacobian D^-1 X D.  Every entry is then
+    of order one at every mass, so one tolerance means the same thing at
+    every M; at M = 1 these are the intrinsic variables themselves.
     """
 
     def __init__(self, family: ReducedFamily, beta: float, lam: float):
         self.family = family
         self.beta = float(beta)
         self.lam = float(lam)
-        self._dr, dxi = family.saddle_derivative(beta)
+        self.mass = family.params.mass
+        self.units = np.asarray([1.0, 1.0, self.mass, self.mass])
+        self._dr, dxi = family.saddle_derivative(beta).tolist()
         self.weight = np.asarray([1.0, 1.0, 1.0, math.hypot(1.0, self._dr, dxi)])
         # the radial half of p, Delta*xi^2 + v_beta(r) + bump, is pinned with
         # (r, xi): of its derivatives `rhs` reads only (v_b, v_rb, v_bb), and
@@ -235,6 +249,8 @@ class ShellOrbit:
                 f"beta={beta:g} admits no shell orbit on the lambda={lam:g} shell"
             )
         self.u0 = np.asarray([*SHELL_START, math.sqrt(disc), beta])
+        # the start of (u, X) in the units of M, as `rhs` takes it
+        self.z0 = np.concatenate([self.u0 / self.units, np.eye(4).ravel()])
         self.chart = family.chart(beta)
         # the (r, phi, xi) block of J Hess p (fact 2), from the reduced Hessian
         H = self.chart.hessian
@@ -253,34 +269,47 @@ class ShellOrbit:
         rows of Hess p hold p_aa = 2, (p_br, p_bt, p_bb) and (p_tt, p_tb)
         only, and E's beta column weighs p_br by r_s'.  They and the
         velocity add the orbit's radial constants to the angular
-        half at theta, entry by entry as `kerr._grad_hess` does.
+        half at theta, entry by entry as `kerr._grad_hess` does, so the
+        three rows are
+
+            [[0, 0, 2, 0], [p_tb, 0, 0, c], [-p_tt, 0, 0, -p_tb]],
+
+        with c = v_rb r_s' + v_bb + p_bb.  In the units of the mass m (class
+        docstring) z = (D^-1 u, D^-1 X D) and d/dtau = (1/m) d/dt, so the
+        rows become [[0, 0, 2, 0], [p_tb/m, 0, 0, c], [-p_tt/m^2, 0, 0, -p_tb/m]]
+        and the velocity (p_alpha/m, p_beta/m, -p_theta/m^2, 0).  At m = 1
+        that is the intrinsic field itself.  The field runs on Python floats: the twelve entries of those rows
+        times X are written out from that structure, and the one array built
+        per call is the returned field.
         """
-        theta, _, alpha, beta = z[:4]
+        theta, _, alpha, beta, *X = z.tolist()
+        m = self.mass
         p_t, p_a, p_b, p_tt, p_tb, p_bb = kerr.angular_derivs(
-            self.family.params, theta, alpha, beta
+            self.family.params, theta, alpha * m, beta * m
         )
         v_b, v_rb, v_bb = self._radial
-        M = np.asarray([
-            [0.0, 0.0, 2.0, 0.0],
-            [p_tb, 0.0, 0.0, v_rb * self._dr + (v_bb + p_bb)],
-            [-p_tt, 0.0, 0.0, -p_tb],
+        c = v_rb * self._dr + (v_bb + p_bb)
+        e, f = p_tb / m, p_tt / (m * m)
+        rows_03 = list(zip(X[:4], X[12:]))  # (X_0j, X_3j)
+        return np.array([
+            p_a / m, (v_b + p_b) / m, -p_t / (m * m), 0.0,
+            *[2.0 * x for x in X[8:12]],
+            *[e * a + c * b for a, b in rows_03],
+            *[-f * a - e * b for a, b in rows_03],
+            0.0, 0.0, 0.0, 0.0,
         ])
-        velocity = [p_a, v_b + p_b, -p_t, 0.0]
-        return np.concatenate(
-            [velocity, (M @ z[4:].reshape(4, 4)).ravel(), np.zeros(4)]
-        )
 
     def tangent_cocycle(self, horizon: float, tol: float) -> TangentCocycle:
-        """The tangential cocycle over one theta-period, from its first quarter.
+        """The tangential cocycle over one theta-period, from its first
+        quarter, in the units of M.
 
         The orbit starts on the equator with alpha > 0, so theta first turns,
         where alpha falls through 0, at t_q = P/4 (fact 4); the integration
-        of (u, X) stops there.  Raises InvalidHorizon when the period 4 t_q
+        of `rhs` stops there.  Raises InvalidHorizon when the period 4 t_q
         exceeds `horizon`.
         """
-        z0 = np.concatenate([self.u0, np.eye(4).ravel()])
-        sol = solve_ivp(self.rhs, (0.0, horizon / 4.0), z0, rtol=tol, atol=tol * 1e-2,
-                        event=lambda t, z: z[2], dense_output=True)
+        sol = solve_ivp(self.rhs, (0.0, horizon * self.mass / 4.0), self.z0, rtol=tol,
+                        atol=tol * 1e-2, event=lambda t, z: z[2], dense_output=True)
         if sol.status != 1:
             raise InvalidHorizon(
                 f"horizon {horizon:g} is too short: theta does not return "
@@ -307,22 +336,28 @@ class ShellOrbit:
 
         Its first column is the start velocity (p_alpha, p_beta, -p_theta, 0)
         from `rhs`; phi and a beta-alpha (or beta-theta) mix complete the
-        kernel of dp = (p_theta, 0, p_alpha, p_beta).
+        kernel of dp = (p_theta, 0, p_alpha, p_beta).  `rhs` gives the
+        velocity in the units of M, (p_alpha, p_beta)/M and -p_theta/M^2, so
+        the test for p_alpha = 0 does not depend on M.
         """
-        flow = self.rhs(0.0, np.concatenate([self.u0, np.eye(4).ravel()]))[:4]
+        flow = self.rhs(0.0, self.z0)[:4]
         p_al, p_be, p_th = flow[0], flow[1], -flow[2]
         b_phi = np.asarray([0.0, 1.0, 0.0, 0.0])
         if abs(p_al) > 1e-12:
             b_mix = np.asarray([0.0, 0.0, -p_be / p_al, 1.0])
         else:
-            b_mix = np.asarray([-p_be / p_th, 0.0, 0.0, 1.0])
-        frame, _ = np.linalg.qr(np.column_stack([flow, b_phi, b_mix]))
+            b_mix = np.asarray([-p_be / (p_th * self.mass), 0.0, 0.0, 1.0])
+        velocity = flow * self.units * self.mass
+        frame, _ = np.linalg.qr(np.column_stack([velocity, b_phi, b_mix]))
         return frame
 
 
 class TangentCocycle:
     """The intrinsic Jacobian X on one theta-period, held as its first
-    quarter (fact 4).
+    quarter (fact 4), in the units of the mass that `ShellOrbit.rhs`
+    integrates: times here are M t and matrices D^-1 X D.  D is diagonal,
+    so it commutes with R and S, and the structure below holds in either
+    units.
 
     Each s in [0, P] lies in a quarter j = 0..3 and is the image of a time
     sigma in [0, t_q]: s = sigma, 2 t_q - sigma, 2 t_q + sigma or
@@ -337,7 +372,7 @@ class TangentCocycle:
 
     def __init__(self, quarter_time: float, quarter: DenseSolution):
         self.quarter_time = quarter_time  # t_q, where theta first turns
-        self.quarter = quarter  # sigma -> (u, X) on [0, t_q]
+        self.quarter = quarter  # sigma -> (D^-1 u, D^-1 X D) on [0, t_q]
         self.period = 4.0 * quarter_time
         X_q = quarter(quarter_time)[4:].reshape(4, 4)
         B1 = np.linalg.solve(X_q, REVERSE[:, None] * X_q)
@@ -348,12 +383,16 @@ class TangentCocycle:
     def sup(self, W: np.ndarray, Y: np.ndarray) -> float:
         """sup over s in [0, P] of ||diag(W) X(s) Y||: the sup over sigma in
         [0, t_q] of max_j ||diag(W) X(sigma) B_j Y||, since each D_j is a
-        signed identity (fact 4)."""
+        signed identity (fact 4).  The 2-norm of each 4 x k product A is the
+        root of the top eigenvalue of its k x k Gram matrix A^T A, a
+        symmetric eigensolve where `np.linalg.norm(A, 2)` would run an SVD."""
         post_Y = self.post @ Y  # (4, 4, k): B_j Y
 
         def branch_max(sigma):
             X = np.moveaxis(self.quarter(sigma)[4:].reshape(4, 4, -1), -1, 0)[:, None]
-            return np.linalg.norm(W[:, None] * X @ post_Y, 2, axis=(-2, -1)).max(axis=-1)
+            A = W[:, None] * X @ post_Y  # (m, 4, 4, k): diag(W) X(sigma) B_j Y
+            gram = np.swapaxes(A, -2, -1) @ A
+            return np.sqrt(np.linalg.eigvalsh(gram)[..., -1].max(axis=-1))
 
         return _envelope_sup(branch_max, self.quarter_time)
 
@@ -461,24 +500,26 @@ def _beta_sample(
     t = s + mP, X(t) F = X(s) (F + mNF + C(m, 2) N^2 F + ...), so the degree
     of growth is the first power k with N^k F = 0, less one.  N carries
     units (alpha and beta scale like M, theta and phi do not), so the zero
-    test runs on the dimensionless D^-1 N D, D = diag(1, 1, M, M).  F spans
+    test runs on the dimensionless D^-1 N D, D = diag(1, 1, M, M), which is
+    the shear of the cocycle held in the units of M (`ShellOrbit`).  F spans
     a D-invariant space (at the equatorial start p_theta = 0, so the flow
     has no alpha part), hence (D^-1 N D)^k F vanishes exactly when N^k F
     does.  The test is ||(D^-1 N D)^k F|| <= sqrt(tol), decades above the
-    integration error.  The shear grows like a/M (0.02 at a = 0.1 M), so it
+    integration error, read on the top eigenvalue of the Gram matrix as in
+    `TangentCocycle.sup`.  The shear grows like a/M (0.02 at a = 0.1 M), so it
     reads as degree 0 only below a ~ 5e-5 M, and the envelope slope b is
     measured either way.
     """
     orbit = ShellOrbit(fam, beta, lam)
     (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
-    cocycle = orbit.tangent_cocycle(horizon, tol)
-    period, N = cocycle.period, cocycle.shear
+    cocycle = orbit.tangent_cocycle(horizon, tol)  # in the units of M
+    period, N_hat = cocycle.period / orbit.mass, cocycle.shear  # N_hat = D^-1 N D
     W, F = orbit.weight, orbit.tangential_frame()
-    units = np.asarray([1.0, 1.0, fam.params.mass, fam.params.mass])
-    N_hat = N * units / units[:, None]  # D^-1 N D
     degree, NkF = 0, N_hat @ F
-    while degree <= TANGENTIAL_DEGREE_MAX and np.linalg.norm(NkF, 2) > math.sqrt(tol):
+    while degree <= TANGENTIAL_DEGREE_MAX and np.linalg.eigvalsh(NkF.T @ NkF)[-1] > tol:
         degree, NkF = degree + 1, N_hat @ NkF
+    # ||W X(t) Y|| = ||W D X_hat D^-1 Y|| with X_hat = D^-1 X D, and N F = D N_hat D^-1 F
+    W_hat, F_hat = W * orbit.units, F / orbit.units[:, None]
 
     return BetaSample(
         chart=orbit.chart,
@@ -486,7 +527,7 @@ def _beta_sample(
         rate_minus=rate_minus,
         period=period,
         tangential_degree=degree,
-        envelope=(cocycle.sup(W, F), cocycle.sup(W, N @ F) / period),
+        envelope=(cocycle.sup(W_hat, F_hat), cocycle.sup(W_hat, N_hat @ F_hat) / period),
         invariance_angle=max(
             _line_angle(e, orbit.normal_block @ e) for e in (e_plus, e_minus)
         ),

@@ -6,7 +6,8 @@ Jacobian of the flow by integrating the variational equation next to the
 orbit, a shell orbit's tangential cocycle over one whole theta-period
 (by scipy's DOP853) and at any real time (from that period and its
 monodromy), points on an invariant graph by following the flow
-out of the saddle, and the six-dimensional symbol of a (bumped) reduced
+out of the saddle, a perturbing bump pattern summed one bump at a
+time, and the six-dimensional symbol of a (bumped) reduced
 family at a shell point and the embedding differential of a shell orbit,
 which the package reads off the reduced (r, xi) symbol instead.  The
 normal form xi^2 - x^2 of a barrier top is kept here too, as the exact
@@ -142,6 +143,22 @@ def symbol_grad_hess(family, y6):
         H[0, 0], H[3, 3] = H[0, 0] + hxx, H[3, 3] + hyy
         H[0, 3] = H[3, 0] = H[0, 3] + hxy
     return g, H
+
+
+def bump_loop(bump, x, y):
+    """(value, gradient, Hessian) of a `models.BumpPattern` at (x, y), one
+    bump at a time: the per-bump sum the one-pass evaluation replaces."""
+    value = gx = gy = hxx = hxy = hyy = 0.0
+    for (cx, cy), (wx, wy), a in zip(bump.centers, bump.widths, bump.amps):
+        bx, dbx, d2bx = bump._profile((x - cx) / wx)
+        by, dby, d2by = bump._profile((y - cy) / wy)
+        value = value + a * bx * by
+        gx = gx + a * dbx * by / wx
+        gy = gy + a * bx * dby / wy
+        hxx = hxx + a * d2bx * by / wx**2
+        hxy = hxy + a * dbx * dby / (wx * wy)
+        hyy = hyy + a * bx * d2by / wy**2
+    return value, (gx, gy), (hxx, hxy, hyy)
 
 
 def manifold_samples(

@@ -644,6 +644,29 @@ class TestCertifyAndPerturb:
             "perturb eps=0.01 seed=0: displacement=0.004937 (0.494 eps), exponent_shift=0.02607",
         ]
 
+    @pytest.mark.parametrize("mass", ["1e50", "1e-50"])
+    def test_mass_alone_runs(self, tmp_path, capsys, mass):
+        # with only kerr.mass set, the default orbit lies in the chart and the
+        # default horizon holds a theta-period at both ends of the mass range
+        for command in ("trap-certify", "perturb"):
+            code, out = run_cli(tmp_path, command, f"kerr.mass = {mass}\n", name=command)
+            assert code in (0, 1), capsys.readouterr().err
+            assert (out / "certificate.json").exists()
+        code, out = run_cli(tmp_path, "flow-integrate", f"kerr.mass = {mass}\n", name="flow")
+        err = capsys.readouterr().err
+        assert "outside the chart" not in err
+        if mass == "1e-50":
+            assert code == 0
+            assert read_failures(out) == []
+        else:
+            # the rounded start lies off the unstable photon circle, and
+            # orbit.time = 100 is 1e52 in units of M, so the orbit leaves the
+            # chart near M t = 3.55; at M = 1 the start is exact in floats
+            # and the orbit stays
+            assert code == 3
+            (failure,) = read_failures(out)
+            assert failure["type"] == "ChartExit"
+
     @pytest.mark.parametrize("seed", range(8))
     def test_perturbed_shell_recertifies_across_seeds(self, tmp_path, seed):
         # r-normal hyperbolicity survives each seeded bump of size 0.01; the

@@ -34,6 +34,23 @@ class TestParsing:
     def test_defaults_come_from_run_config(self):
         assert parse_config("command = trap-find") == RunConfig(command="trap-find")
 
+    @pytest.mark.parametrize("mass", [1e-50, 0.1, 1.0, 1e50])
+    def test_unset_defaults_scale_with_mass(self, mass):
+        # the default orbit is the photon circle r = 3M, beta = sqrt(27) M,
+        # and the default horizon 50/M, since theta-periods scale like 1/M;
+        # at M = 1 they are the values RunConfig holds, bit for bit
+        cfg = parse_config(f"command = trap-certify\nkerr.mass = {mass!r}\n")
+        assert cfg.orbit["r"] == 3.0 * mass
+        assert cfg.orbit["beta"] == math.sqrt(27.0) * mass
+        assert cfg.orbit["theta"] == math.pi / 2.0
+        assert cfg.horizon == 50.0 / mass
+        # a key that is set keeps its value
+        cfg = parse_config(
+            f"command = trap-certify\nkerr.mass = {mass!r}\norbit.r = 7\nhorizon = 3\n"
+        )
+        assert cfg.orbit["r"] == 7.0 and cfg.horizon == 3.0
+        assert cfg.orbit["beta"] == math.sqrt(27.0) * mass
+
     def test_comments_and_blank_lines(self):
         text = (
             "# full line comment\n"

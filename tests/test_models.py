@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import toy_barrier_model
+from oracles import bump_loop, toy_barrier_model
 
 from nhtrap import kerr, models, trapping
 from nhtrap.kerr import KerrParams
@@ -322,6 +322,26 @@ class TestBumpPattern:
                 scaled.value(mass * r, xi), size * mass**2 * unit.value(r, xi),
                 rtol=1e-12, atol=1e-14 * mass**2,
             )
+
+    @pytest.mark.parametrize("mass", [0.1, 1.0, 100.0])
+    def test_one_pass_is_the_per_bump_sum(self, mass):
+        # all bumps in one pass, summed in the order of the per-bump loop:
+        # within one unit in the last place of it on the normalization grid
+        # and at single points (the peak, a grid point, the grid's corner)
+        for seed in range(6):
+            b = models.BumpPattern(seed, mass, 0.01)
+            xs, ys = (
+                np.linspace(c - 2 * models.BUMP_SPAN, c + 2 * models.BUMP_SPAN, 201) * k
+                for c, k in zip(models.BUMP_CENTER, (mass, 1.0))
+            )
+            points = [(xs[:, None], ys[None, :]), tuple(b.peak_point),
+                      (float(xs[90]), float(ys[110])), (xs[0], ys[200])]
+            for x, y in points:
+                value, grad, hess = bump_loop(b, x, y)
+                got = (b.value(x, y), *b.gradient(x, y), *b.hessian(x, y))
+                for one, loop in zip(got, (value, *grad, *hess)):
+                    assert np.shape(one) == np.shape(loop)
+                    assert np.all(np.abs(one - loop) <= np.spacing(np.abs(loop)))
 
     def test_gradient_hessian_stencils(self):
         b = models.BumpPattern(8, 1.0, 1.0)

@@ -197,6 +197,22 @@ class TestFamilyAndShell:
         with pytest.raises(DomainError):
             trapping.ShellOrbit(fam, 5.5, 0.0)  # beyond sqrt(27)
 
+    def test_chart_is_formed_once_per_beta(self, monkeypatch):
+        # the saddle derivative and the shell orbit of each certified beta
+        # share one chart, and perturb's base family forms one more
+        made, chart = [], trapping.TrappedOrbitChart
+
+        def counted(**fields):
+            made.append(fields["beta"])
+            return chart(**fields)
+
+        monkeypatch.setattr(trapping, "TrappedOrbitChart", counted)
+        rep = trapping.perturb_and_recertify(
+            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX, tol=TOL
+        )
+        betas = [s.chart.beta for s in rep.certificate.beta_samples]
+        assert sorted(made) == sorted(2 * betas)
+
     def test_pinned_radial_pair_is_invariant(self):
         # on the trapped set the (r, xi) components of the field vanish
         fam = trapping.ReducedFamily(KerrParams(1.0, 0.3))
@@ -410,6 +426,54 @@ class TestQuarterPeriod:
             assert sup == pytest.approx(
                 np.max(np.linalg.norm(L @ direct(s) @ Y, 2, axis=(-2, -1))), rel=1e-8
             )
+
+    @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9])
+    def test_gram_norm_is_the_two_norm(self, spin):
+        # on the stacks diag(W) X(sigma) B_j Y that `sup` forms on its grid,
+        # for both envelope directions Y, the root of the top Gram eigenvalue
+        # is the SVD's 2-norm, and `sup` is the search run on SVD norms
+        fam = _family(spin, 0.0)
+        lo, hi = trapping.equatorial_beta_range(0.0, fam)
+        for beta in trapping._beta_grid(lo, hi)[[0, 3]]:
+            orbit = trapping.ShellOrbit(fam, float(beta), 0.0)
+            cocycle = orbit.tangent_cocycle(CLI.horizon, TOL)
+            W, F = orbit.weight, orbit.tangential_frame()
+            for Y in (F, cocycle.shear @ F):
+
+                def stacks(sigma):
+                    X = np.moveaxis(cocycle.quarter(sigma)[4:].reshape(4, 4, -1), -1, 0)
+                    return W[:, None] * X[:, None] @ (cocycle.post @ Y)
+
+                A = stacks(np.linspace(0.0, cocycle.quarter_time, trapping.ENVELOPE_SAMPLES))
+                assert A.shape == (trapping.ENVELOPE_SAMPLES, 4, 4, 3)
+                gram = np.swapaxes(A, -2, -1) @ A
+                np.testing.assert_allclose(
+                    np.sqrt(np.linalg.eigvalsh(gram)[..., -1]),
+                    np.linalg.norm(A, 2, axis=(-2, -1)), rtol=1e-14, atol=0.0,
+                )
+                svd_sup = trapping._envelope_sup(
+                    lambda s: np.linalg.norm(stacks(s), 2, axis=(-2, -1)).max(axis=-1),
+                    cocycle.quarter_time,
+                )
+                assert cocycle.sup(W, Y) == pytest.approx(svd_sup, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mass", [1e-50, 1e50])
+    def test_quarter_is_integrated_in_units_of_mass(self, mass):
+        # in the units of M the orbit at a = M/2, beta = 1.2 M is the M = 1
+        # orbit, so its quarter takes as many steps and ends at the same
+        # M t_q with the same dimensionless shear.  In time units the M = 1
+        # tolerance would not fit: at M = 1e-50 the steps stalled near 1e33
+        # against a period near 1e50, and at M = 1e50 d(theta)/d(alpha) fell
+        # below the absolute tolerance
+        def quarter(m):
+            orbit = trapping.ShellOrbit(trapping.ReducedFamily(KerrParams(m, m / 2.0)),
+                                        1.2 * m, 0.0)
+            return orbit.tangent_cocycle(CLI.horizon / m, TOL)
+
+        got, want = quarter(mass), quarter(1.0)
+        assert got.quarter.ts.size == want.quarter.ts.size
+        assert got.quarter_time == pytest.approx(want.quarter_time, rel=1e-12)
+        assert np.max(np.abs(got.shear - want.shear)) < 1e-12
 
     def test_envelope_sup_ends_on_long_periods(self):
         # past P ~ 1e7 the float spacing of s exceeds ENVELOPE_XTOL (at

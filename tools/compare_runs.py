@@ -10,7 +10,9 @@ temporary directory with the same relative ``output_dir``, with
 ``OPENBLAS_NUM_THREADS=1``.  The exit code, stdout, stderr and the bytes
 of every artifact are compared; the ``runtime_s`` column of gaps.csv, a
 wall time, is blanked first.  Every difference is printed, and the exit
-status is 1 if any config differs, else 0.
+status is 1 if any config differs, else 0.  Each config's line also
+shows the wall time of its run on either tree, process start-up
+included; one run each, so it is a rough guide, not a gate.
 
 The list holds 27 configs: refactor checks across all seven commands
 (escape-check and spectrum-gap at a = 0.99, where the scaled Kerr barrier
@@ -30,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 OUTPUT_DIR = "out"
@@ -98,10 +101,12 @@ def run(tree: Path, command: str, body: str) -> dict:
         config.write_text(
             f"command = {command}\nworkers = 1\noutput_dir = {OUTPUT_DIR}\n{body}"
         )
+        start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "nhtrap.cli", command, "--config", config.name],
             cwd=work, env=env, capture_output=True,
         )
+        wall = time.perf_counter() - start
         files = {}
         out = Path(work, OUTPUT_DIR)
         for path in sorted(out.rglob("*")) if out.is_dir() else ():
@@ -115,6 +120,7 @@ def run(tree: Path, command: str, body: str) -> dict:
         "stdout": proc.stdout,
         "stderr": proc.stderr,
         "files": files,
+        "wall_s": wall,
     }
 
 
@@ -159,7 +165,8 @@ def main(argv: list[str]) -> int:
         found = differences(parent, change)
         status = "DIFFERS" if found else "same"
         print(f"{name:20s} {command:18s} exit {parent['exit code']} -> "
-              f"{change['exit code']}, {len(change['files'])} artifacts: {status}")
+              f"{change['exit code']}, {len(change['files'])} artifacts, "
+              f"{parent['wall_s']:.2f} -> {change['wall_s']:.2f} s: {status}")
         for line in found:
             print(f"    {line}")
         n_differ += bool(found)
