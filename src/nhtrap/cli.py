@@ -55,6 +55,11 @@ _CONFIG_FAULTS = (ConfigError, DomainError, InvalidHorizon)
 
 DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
 UHP_SAMPLES = 50
+# perturb's gates: each certified saddle moves by at most
+# PERTURB_DISPLACEMENT_MAX * epsilon and its normal exponent by at most
+# PERTURB_EXPONENT_SHIFT_MAX, relative
+PERTURB_DISPLACEMENT_MAX = 5.0
+PERTURB_EXPONENT_SHIFT_MAX = 0.05
 
 
 @dataclass
@@ -430,20 +435,20 @@ def _cmd_perturb(cfg: RunConfig, workers: int) -> Outcome:
         f"({report.displacement_factor:.3g} eps), "
         f"exponent_shift={report.exponent_shift:.4g}"
     )
-    if report.displacement_factor > 5.0:
+    if report.displacement_factor > PERTURB_DISPLACEMENT_MAX:
         out.failures.append(
             {
                 "check": "saddle_displacement",
                 "factor": report.displacement_factor,
-                "limit": 5.0,
+                "limit": PERTURB_DISPLACEMENT_MAX,
             }
         )
-    if report.exponent_shift > 0.05:
+    if report.exponent_shift > PERTURB_EXPONENT_SHIFT_MAX:
         out.failures.append(
             {
                 "check": "exponent_shift",
                 "shift": report.exponent_shift,
-                "limit": 0.05,
+                "limit": PERTURB_EXPONENT_SHIFT_MAX,
             }
         )
     if not report.certificate.passed:

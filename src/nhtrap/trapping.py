@@ -14,13 +14,14 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    only).  With H the Hessian of the reduced (r, xi) symbol at the saddle
    and v_rb = d^2 v_beta / dr dbeta, the block is
 
-       [[H10, 0, H11], [v_rb, 0, 0], [-H00, 0, -H01]],
+       [[H10, 0, H11], [v_rb, 0, 0], [-H00, 0, -H01]].
 
-   so it is read off the reduced symbol, and no six-dimensional Hessian
-   is formed (`ShellOrbit.normal_block`).  Its eigenvalues are lambda_+, 0
-   and -lambda_- (phi is cyclic), so the eigenvectors for +-lambda are the
-   normal bundles, and they grow exactly like exp(lambda_+ t) forward and
-   exp(lambda_- |t|) backward.
+   phi is cyclic, so its column is zero, and the eigenvalues are 0 and
+   those of J H = [[H10, H11], [-H00, -H01]], whose trace is zero and whose
+   determinant is det H: +-lambda with lambda = sqrt(-det H) =
+   `models.saddle_rate(H)`, the chart's `normal_exponent`.  The normal
+   bundles grow exactly like exp(lambda |t|) forward and backward, so the
+   rate is read off the reduced symbol, and no eigensolve runs.
 3. The tangential cocycle X(t) depends on the orbit only through theta(t),
    a periodic one-degree-of-freedom motion of period P.  Hence
    X(t + P) = X(t) M with the monodromy M = X(P) = I + N, and N^2 = 0:
@@ -80,9 +81,10 @@ SHELL_START = (np.pi / 2.0, 0.0)
 # and the time reversal (fact 4)
 REFLECT = np.asarray([-1.0, 1.0, -1.0, 1.0])
 REVERSE = np.asarray([1.0, -1.0, -1.0, 1.0])
-RATE_FLOOR_FRACTION = 0.9
-INVARIANCE_ANGLE_MAX = 1e-4
 TANGENTIAL_DEGREE_MAX = 1
+# the ratio checks take theta0 = THETA0_FRACTION * lambda, which leaves the
+# bound (a + b*t)^r a decay rate of (1 - THETA0_FRACTION) * lambda
+THETA0_FRACTION = 0.9
 # grid over one quarter theta-period locating the sup of the tangential envelope
 ENVELOPE_SAMPLES = 64
 # each polish round of that sup evaluates this many points across the
@@ -252,13 +254,6 @@ class ShellOrbit:
         # the start of (u, X) in the units of M, as `rhs` takes it
         self.z0 = np.concatenate([self.u0 / self.units, np.eye(4).ravel()])
         self.chart = family.chart(beta)
-        # the (r, phi, xi) block of J Hess p (fact 2), from the reduced Hessian
-        H = self.chart.hessian
-        self.normal_block = np.asarray([
-            [H[1, 0], 0.0, H[1, 1]],
-            [self._radial[1], 0.0, 0.0],
-            [-H[0, 0], 0.0, -H[0, 1]],
-        ])
 
     def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
         """Field of (u, intrinsic 4x4 Jacobian X): the one shell-orbit RHS.
@@ -316,20 +311,6 @@ class ShellOrbit:
                 f"within it at beta={self.beta:g} ({sol.message})"
             )
         return TangentCocycle(float(sol.t[-1]), sol.sol)
-
-    def normal_bundles(self):
-        """Normal rates and unit bundle vectors in (r, phi, xi),
-        ((lambda_+, e_+), (lambda_-, e_-)).
-
-        The eigenpairs of the normal block A (fact 2), so
-        exp(t*A) e_+ = exp(lambda_+ t) e_+ and exp(-t*A) e_- = exp(lambda_- t) e_-.
-        """
-        eigvals, eigvecs = np.linalg.eig(self.normal_block)
-        out = []
-        for i in (np.argmax(eigvals.real), np.argmin(eigvals.real)):
-            e = eigvecs[:, i].real
-            out.append((abs(float(eigvals[i].real)), e / np.linalg.norm(e)))
-        return out[0], out[1]
 
     def tangential_frame(self) -> np.ndarray:
         """Orthonormal intrinsic 4x3 frame spanning the shell-tangent kernel of dp.
@@ -397,16 +378,6 @@ class TangentCocycle:
         return _envelope_sup(branch_max, self.quarter_time)
 
 
-def _line_angle(ref: np.ndarray, w: np.ndarray) -> float:
-    """Angle between the lines spanned by the unit vector ref and w != 0.
-
-    atan2 of the rejection and projection keeps small angles exact, where
-    acos of the projection loses them below about 1e-8.
-    """
-    dot = float(np.dot(ref, w))
-    return math.atan2(float(np.linalg.norm(w - dot * ref)), abs(dot))
-
-
 # -- certification -----------------------------------------------------------
 
 
@@ -422,22 +393,11 @@ class RatioCheck:
 
 @dataclass
 class BetaSample:
-    chart: TrappedOrbitChart
-    rate_plus: float
-    rate_minus: float
+    chart: TrappedOrbitChart  # its normal_exponent is the normal rate (fact 2)
     period: float
     tangential_degree: int
     # (a, b): sigma(t) <= a + b*t forward and a + b*(t + period) backward
     envelope: tuple[float, float]
-    invariance_angle: float
-
-    def passed(self) -> bool:
-        mu = self.chart.normal_exponent
-        return (
-            self.rate_plus >= RATE_FLOOR_FRACTION * mu
-            and self.rate_minus >= RATE_FLOOR_FRACTION * mu
-            and self.invariance_angle <= INVARIANCE_ANGLE_MAX
-        )
 
 
 @dataclass
@@ -493,7 +453,7 @@ def _beta_grid(lo: float, hi: float) -> np.ndarray:
 def _beta_sample(
     fam: ReducedFamily, beta: float, lam: float, horizon: float, tol: float
 ) -> BetaSample:
-    """Normal rates, bundle invariance and tangential envelope at one beta.
+    """Period, tangential degree and tangential envelope at one beta.
 
     sigma(t) = ||E X(t) F|| = ||W X(t) F|| on the shell-tangent frame F,
     with E and W = `ShellOrbit.weight` as in `ShellOrbit`.  With
@@ -511,7 +471,6 @@ def _beta_sample(
     measured either way.
     """
     orbit = ShellOrbit(fam, beta, lam)
-    (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
     cocycle = orbit.tangent_cocycle(horizon, tol)  # in the units of M
     period, N_hat = cocycle.period / orbit.mass, cocycle.shear  # N_hat = D^-1 N D
     W, F = orbit.weight, orbit.tangential_frame()
@@ -523,14 +482,9 @@ def _beta_sample(
 
     return BetaSample(
         chart=orbit.chart,
-        rate_plus=rate_plus,
-        rate_minus=rate_minus,
         period=period,
         tangential_degree=degree,
         envelope=(cocycle.sup(W_hat, F_hat), cocycle.sup(W_hat, N_hat @ F_hat) / period),
-        invariance_angle=max(
-            _line_angle(e, orbit.normal_block @ e) for e in (e_plus, e_minus)
-        ),
     )
 
 
@@ -584,16 +538,16 @@ def certify(
     energy shell.
 
     The N_BETA sampled betas lie inside `equatorial_beta_range`.  At each,
-    on the pinned shell orbit: the normal rates and bundles are the
-    eigenpairs of the (r, phi, xi) normal block (fact 2), and the
-    invariance angle is the line angle between each bundle vector and its
-    image under that block.  The first quarter theta-period of the
-    tangential cocycle gives, through fact 4, the degree of tangential
-    growth and the envelope a + b*t (fact 3).  For
-    r = 1..r_max the ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t)
-    over t >= 0 in closed form, forward with lambda_+ and backward with
-    lambda_-; they hold when the degree is at most 1.  `horizon` only
-    bounds the search for the theta-period: no number depends on it.
+    the normal bundles grow like exp(lambda |t|) both ways, with lambda the
+    chart's `normal_exponent` (fact 2), and the first quarter theta-period
+    of the tangential cocycle on the pinned shell orbit gives, through
+    fact 4, the degree of tangential growth and the envelope a + b*t
+    (fact 3).  With lambda the least sampled rate, for r = 1..r_max the
+    ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t) over t >= 0 in
+    closed form, with a the backward envelope's a + b*P, which is at least
+    the forward one's a, and the bound grows with a; they hold when the
+    degree is at most 1.  `horizon` only bounds the search for the
+    theta-period: no number depends on it.
     """
     if horizon <= 0.0:
         raise InvalidHorizon(f"horizon must be positive, got {horizon}")
@@ -602,43 +556,31 @@ def certify(
         _beta_sample(family, float(beta), lam, horizon, tol)
         for beta in _beta_grid(lo, hi)
     ]
-    reasons = [
-        f"beta={s.chart.beta:.6g}: rates ({s.rate_plus:.4g}, {s.rate_minus:.4g}) "
-        f"vs exponent {s.chart.normal_exponent:.4g}, "
-        f"angle {s.invariance_angle:.2e}"
-        for s in samples
-        if not s.passed()
-    ]
     degree = max(s.tangential_degree for s in samples)
-    if degree > TANGENTIAL_DEGREE_MAX:
-        reasons.append(f"tangential degree {degree} > {TANGENTIAL_DEGREE_MAX}")
-
-    rate_fwd = min(s.rate_plus for s in samples)
-    rate_bwd = min(s.rate_minus for s in samples)
-    theta0 = 0.9 * min(rate_fwd, rate_bwd)
+    passed = degree <= TANGENTIAL_DEGREE_MAX
+    rate = min(s.chart.normal_exponent for s in samples)
+    theta0 = THETA0_FRACTION * rate
     b = max(s.envelope[1] for s in samples)
-    a_fwd = max(s.envelope[0] for s in samples)
     a_bwd = max(s.envelope[0] + s.envelope[1] * s.period for s in samples)
     ratio_checks = [
         RatioCheck(
             r=r,
             theta0=theta0,
-            C=max(_ratio_sup(r, a_fwd, b, rate_fwd - theta0),
-                  _ratio_sup(r, a_bwd, b, rate_bwd - theta0)),
-            slope_forward=-rate_fwd,
-            slope_backward=-rate_bwd,
-            passed=degree <= TANGENTIAL_DEGREE_MAX,
+            C=_ratio_sup(r, a_bwd, b, rate - theta0),
+            slope_forward=-rate,
+            slope_backward=-rate,
+            passed=passed,
         )
         for r in range(1, r_max + 1)
     ]
     return TrapCertificate(
         lam=lam,
         beta_samples=samples,
-        theta_rate=min(rate_fwd, rate_bwd),
+        theta_rate=rate,
         ratio_checks=ratio_checks,
         tangential_degree=degree,
-        passed=not reasons,
-        reasons=reasons,
+        passed=passed,
+        reasons=[] if passed else [f"tangential degree {degree} > {TANGENTIAL_DEGREE_MAX}"],
     )
 
 
@@ -713,12 +655,11 @@ def certificate_to_dict(cert: TrapCertificate) -> dict:
                 "lin_matrix": [list(row) for row in s.chart.lin_matrix],
                 "normal_exponent": s.chart.normal_exponent,
                 "potential_curvature": s.chart.potential_curvature,
-                "rate_plus": s.rate_plus,
-                "rate_minus": s.rate_minus,
+                "rate_plus": s.chart.normal_exponent,
+                "rate_minus": s.chart.normal_exponent,
                 "period": s.period,
                 "tangential_degree": s.tangential_degree,
                 "envelope": list(s.envelope),
-                "invariance_angle": s.invariance_angle,
             }
             for s in cert.beta_samples
         ],

@@ -8,8 +8,10 @@ orbit, a shell orbit's tangential cocycle over one whole theta-period
 monodromy), points on an invariant graph by following the flow
 out of the saddle, a perturbing bump pattern summed one bump at a
 time, and the six-dimensional symbol of a (bumped) reduced
-family at a shell point and the embedding differential of a shell orbit,
-which the package reads off the reduced (r, xi) symbol instead.  The
+family at a shell point, the normal bundles of a shell orbit as
+eigenvectors of its six-dimensional J Hess p, and the embedding
+differential of a shell orbit, which the package reads off the reduced
+(r, xi) symbol instead.  The
 normal form xi^2 - x^2 of a barrier top is kept here too, as the exact
 reference escape's constructions are checked on.  None of them is
 reached from the CLI.
@@ -122,6 +124,22 @@ def embed_diff(orbit) -> np.ndarray:
     E[[1, 2, 4, 5], [0, 1, 2, 3]] = 1.0
     E[[0, 3], 3] = orbit.family.saddle_derivative(orbit.beta)
     return E
+
+
+def normal_bundles(orbit) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors (e_+, e_-) in (r, phi, xi) of a shell orbit's unstable
+    and stable normal bundles: the eigenvectors of the top and bottom real
+    eigenvalues of the (r, phi, xi) block of the six-dimensional J Hess p
+    at the orbit's start, by a general 3x3 eigensolve."""
+    block = [0, 2, 3]
+    H = symbol_grad_hess(orbit.family, embed(orbit, orbit.u0))[1]
+    A6 = np.vstack([H[3:, :], -H[:3, :]])
+    eigvals, eigvecs = np.linalg.eig(A6[np.ix_(block, block)])
+    out = []
+    for i in (np.argmax(eigvals.real), np.argmin(eigvals.real)):
+        e = eigvecs[:, i].real
+        out.append(e / np.linalg.norm(e))
+    return out[0], out[1]
 
 
 def symbol_value(family, y6) -> float:

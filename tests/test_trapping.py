@@ -8,6 +8,7 @@ from oracles import (
     embed,
     embed_diff,
     full_period_cocycle,
+    normal_bundles,
     periodic_cocycle,
     symbol_grad_hess,
     symbol_value,
@@ -252,15 +253,20 @@ class TestFamilyAndShell:
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.01])
     def test_normal_block_is_the_reference_block(self, epsilon):
-        # the block read off the reduced symbol is the (r, phi, xi) block of
-        # the six-dimensional J Hess p at the start point, bit for bit
+        # the (r, phi, xi) block of the six-dimensional J Hess p at the start
+        # point has eigenvalues lambda, 0 and -lambda, with lambda the
+        # chart's exponent read off the reduced symbol (fact 2)
         fam = _family(0.5, epsilon, seed=3)
         block = [0, 2, 3]
         for beta in (-2.5, 1.2):
             orbit = trapping.ShellOrbit(fam, beta, 0.0)
             H = symbol_grad_hess(fam, embed(orbit, orbit.u0))[1]
             A6 = np.vstack([H[3:, :], -H[:3, :]])
-            assert np.array_equal(orbit.normal_block, A6[np.ix_(block, block)])
+            lam = orbit.chart.normal_exponent
+            eigvals = np.linalg.eigvals(A6[np.ix_(block, block)])
+            assert np.max(np.abs(eigvals.imag)) <= 1e-13 * lam
+            assert np.sort(eigvals.real) == pytest.approx([-lam, 0.0, lam], rel=1e-13,
+                                                          abs=1e-13 * lam)
             # the other rows vanish on the block, which makes it invariant
             rest = [1, 4, 5]
             assert not np.any(A6[np.ix_(rest, block)])
@@ -305,7 +311,7 @@ class TestFamilyAndShell:
         _, cocycle = periodic_cocycle(orbit, 1.5, tol=1e-12)
         H = symbol_grad_hess(orbit.family, embed(orbit, orbit.u0))[1]
         A6 = np.vstack([H[3:, :], -H[:3, :]])
-        (rate_plus, e_plus), (rate_minus, e_minus) = orbit.normal_bundles()
+        rate, bundles = orbit.chart.normal_exponent, normal_bundles(orbit)
         L = embed_diff(orbit)
         model = models.full_kerr_model(params)
         for t in (0.4, 0.9, 1.5, -0.7, -1.5):
@@ -315,9 +321,8 @@ class TestFamilyAndShell:
             # the beta column moves the saddle, so the normal flow
             # amplifies the rounding of its saddle derivative
             assert np.max(diff[:, 3]) < 1e-10 * np.linalg.norm(expm(t * A6), 2)
-            rate, e = (rate_plus, e_plus) if t > 0 else (rate_minus, e_minus)
             bundle = np.zeros(6)
-            bundle[[0, 2, 3]] = e  # the (r, phi, xi) slots
+            bundle[[0, 2, 3]] = bundles[0 if t > 0 else 1]  # the (r, phi, xi) slots
             assert math.log(np.linalg.norm(J6 @ bundle)) == pytest.approx(
                 rate * abs(t), abs=1e-9
             )
@@ -493,18 +498,16 @@ class TestCertify:
         assert all(c.passed for c in cert.ratio_checks)
         assert all(c.theta0 > 0 for c in cert.ratio_checks)
         assert cert.tangential_degree == 0
-        for s in cert.beta_samples:
-            assert s.rate_plus == pytest.approx(MU0, rel=1e-12)
-            assert s.rate_minus == pytest.approx(MU0, rel=1e-12)
-            assert s.invariance_angle <= trapping.INVARIANCE_ANGLE_MAX
+        for s in trapping.certificate_to_dict(cert)["beta_samples"]:
+            assert s["normal_exponent"] == pytest.approx(MU0, rel=1e-12)
+            assert s["rate_plus"] == s["rate_minus"] == s["normal_exponent"]
 
     @pytest.mark.parametrize("spin", [0.5, 0.9, 0.95, 0.99])
     def test_rates_are_the_normal_exponent(self, spin):
         cert = trapping.certify(0.0, _family(spin, 0.0), horizon=5.0, r_max=R_MAX, tol=TOL)
         assert cert.passed, cert.reasons
-        for s in cert.beta_samples:
-            assert s.rate_plus == pytest.approx(s.chart.normal_exponent, rel=1e-12)
-            assert s.rate_minus == pytest.approx(s.chart.normal_exponent, rel=1e-12)
+        for s in trapping.certificate_to_dict(cert)["beta_samples"]:
+            assert s["rate_plus"] == s["rate_minus"] == s["normal_exponent"]
 
     @pytest.mark.parametrize("spin, degree", [(0.0, 0), (0.5, 1), (0.9, 1)])
     def test_tangential_degree_matches_dense_envelope(self, spin, degree):
@@ -607,21 +610,10 @@ class TestCertify:
             "period",
             "tangential_degree",
             "envelope",
-            "invariance_angle",
         } <= set(sample)
+        assert "invariance_angle" not in sample
         check = d["ratio_checks"][0]
         assert {"r", "theta0", "C", "passed"} <= set(check)
-
-
-class TestInvarianceAngle:
-    def test_small_angles_resolved(self):
-        ref = np.zeros(6)
-        ref[0] = 1.0
-        for angle in (1e-12, 1e-6):
-            w = np.zeros(6)
-            w[0], w[3] = math.cos(angle), math.sin(angle)
-            assert trapping._line_angle(ref, w) == pytest.approx(angle, rel=1e-12)
-            assert trapping._line_angle(ref, -w) == pytest.approx(angle, rel=1e-12)
 
 
 class TestPerturbation:

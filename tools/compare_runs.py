@@ -92,15 +92,18 @@ def _blank_runtime(data: bytes) -> bytes:
     return out.getvalue().encode()
 
 
+def config_text(command: str, body: str) -> str:
+    """The config file a run of one CONFIGS entry reads."""
+    return f"command = {command}\nworkers = 1\noutput_dir = {OUTPUT_DIR}\n{body}"
+
+
 def run(tree: Path, command: str, body: str) -> dict:
     """Exit code, stdout, stderr and {relative path: bytes} of one run."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree.resolve() / "src"))
     env.pop("NHTRAP_WORKERS", None)
     with tempfile.TemporaryDirectory() as work:
         config = Path(work, "run.cfg")
-        config.write_text(
-            f"command = {command}\nworkers = 1\noutput_dir = {OUTPUT_DIR}\n{body}"
-        )
+        config.write_text(config_text(command, body))
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "nhtrap.cli", command, "--config", config.name],
