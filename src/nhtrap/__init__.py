@@ -2,9 +2,10 @@
 
 Geometry and flow symbol (`kerr`), Hamiltonian model wrappers (`models`),
 orbit integration (`flow`) on an in-house DOP853 (`ode`), trapped-set
-location and certification (`trapping`), escape-function construction
-(`escape`), and complex-absorbing-potential spectra (`capspec`), with a
-config-driven CLI (`cli`).
+location and certification (`trapping`) on closed-form shell orbits
+(`shell`, with the elliptic functions of `elliptic`), escape-function
+construction (`escape`), and complex-absorbing-potential spectra
+(`capspec`), with a config-driven CLI (`cli`).
 """
 
 from .errors import (

@@ -44,8 +44,9 @@ DEFAULT_ORBIT = {
     "beta": math.sqrt(27.0),
 }
 
-# the certify horizon at M = 1; theta-periods scale like 1/M, and so does
-# an unset horizon (see parse_config)
+# the longest theta-period trap-certify and perturb accept at M = 1 (a longer
+# one is an InvalidHorizon, exit 2; no certified number depends on it);
+# theta-periods scale like 1/M, and so does an unset horizon (see parse_config)
 DEFAULT_HORIZON = 50.0
 
 _KEY_RE = re.compile(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*")

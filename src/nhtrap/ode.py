@@ -1,16 +1,16 @@
-"""Adaptive Dormand-Prince 8(5,3) integration, dense output and a stop event.
+"""Adaptive Dormand-Prince 8(5,3) integration with a stop event.
 
-One explicit Runge-Kutta integrator serves the shell cocycle (`trapping`)
-and the orbit segments of `flow`.  It follows the DOP853 code of Hairer,
-Norsett and Wanner step for step, as scipy's ``solve_ivp`` does with its
-DOP853 method: the same tableau, the same initial-step rule, the E3/E5
-error norm, and step factors bounded by SAFETY, MIN_FACTOR and
-MAX_FACTOR.  It takes the same steps, makes the same number of field
-evaluations and returns the same numbers, without importing scipy.
+One explicit Runge-Kutta integrator serves the orbit segments of `flow`.
+It follows the DOP853 code of Hairer, Norsett and Wanner step for step,
+as scipy's ``solve_ivp`` does with its DOP853 method: the same tableau,
+the same initial-step rule, the E3/E5 error norm, and step factors bounded
+by SAFETY, MIN_FACTOR and MAX_FACTOR.  It takes the same steps, makes the
+same number of field evaluations and returns the same numbers, without
+importing scipy.
 
 One event function g(t, y) may end a run at its first downward zero, in
 the first step over which g falls from >= 0 to <= 0, located by `brentq`
-on the step's dense output: scipy's contract for one event with
+on the step's degree-7 interpolant: scipy's contract for one event with
 ``direction = -1`` and ``terminal = True``.
 
 The tableau is transcribed from scipy's ``dop853_coefficients.py`` (BSD
@@ -45,7 +45,7 @@ MESSAGES = {
 # -- tableau -----------------------------------------------------------------
 
 N_STAGES = 12
-N_STAGES_EXTENDED = 16  # three more stages feed the dense output
+N_STAGES_EXTENDED = 16  # three more stages feed the step interpolant
 
 C = np.array([
     0.0,
@@ -184,7 +184,7 @@ E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [0.1312004499419488073250102996e-1,
                                   0.8192320648511571246570742613e-1,
                                   -0.2235530786388629525884427845e-1]
 
-# dense output: the last four of the seven interpolant coefficients
+# the step interpolant: the last four of its seven coefficients
 D = np.zeros((4, N_STAGES_EXTENDED))
 D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
     [-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
@@ -264,39 +264,16 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = EVENT_TOL) 
     raise ConvergenceFailure(f"no root within {BRENTQ_MAXITER} iterations on [{a:g}, {b:g}]")
 
 
-# -- dense output ----------------------------------------------------------------
-
-
-class DenseSolution:
-    """Piecewise interpolant y(t) over the accepted steps, one per step.
-
-    ``steps`` holds (t_old, h, y_old, F) per step: the degree-7 DOP853
-    interpolant y_old + x(F0 + (1-x)(F1 + x(F2 + ...))), x = (t - t_old)/h.
-    Step k serves [ts[k], ts[k+1]]; a time on a boundary belongs to the
-    earlier step, and times outside ts extrapolate the nearest step.
-    """
-
-    def __init__(self, ts, steps):
-        self.ts = np.asarray(ts, dtype=float)
-        t_old, h, y_old, coeffs = zip(*steps)
-        self.t_old, self.h = np.asarray(t_old), np.asarray(h)
-        self.y_old = np.asarray(y_old)  # (steps, n)
-        self.coeffs = np.asarray(coeffs)  # (steps, 7, n)
-
-    def __call__(self, t):
-        """y(t) of shape (n,) for a scalar t, (n, len(t)) for an array."""
-        t = np.asarray(t, dtype=float)
-        # times signed by the direction of integration ascend
-        d = np.sign(self.ts[-1] - self.ts[0])
-        seg = np.clip(np.searchsorted(d * self.ts, d * t, side="left") - 1, 0, len(self.h) - 1)
-        x = ((t - self.t_old[seg]) / self.h[seg])[..., None]
-        F = self.coeffs[seg]
-        y = np.zeros_like(self.y_old[seg])
-        for i in range(F.shape[-2]):
-            y += F[..., -1 - i, :]
-            y *= x if i % 2 == 0 else 1.0 - x
-        y += self.y_old[seg]
-        return y.T
+def _interpolate(step, t: float) -> np.ndarray:
+    """y(t) on one accepted step (t_old, h, y_old, F): the degree-7 DOP853
+    interpolant y_old + x(F0 + (1-x)(F1 + x(F2 + ...))), x = (t - t_old)/h."""
+    t_old, h, y_old, F = step
+    x = (t - t_old) / h
+    y = np.zeros_like(y_old)
+    for i in range(F.shape[0]):
+        y += F[-1 - i]
+        y *= x if i % 2 == 0 else 1.0 - x
+    return y + y_old
 
 
 # -- the integrator ----------------------------------------------------------------
@@ -306,7 +283,6 @@ class DenseSolution:
 class OdeResult:
     t: np.ndarray  # accepted step times, ending at the event time if it fired
     y: np.ndarray  # (n, len(t)) states at those times
-    sol: DenseSolution | None  # with dense_output only
     nfev: int
     status: int  # 0 end reached, 1 event zero reached, -1 step too small
     message: str
@@ -404,7 +380,7 @@ class _Stepper:
     def finished(self) -> bool:
         return self.direction * (self.t - self.t_bound) >= 0
 
-    def dense_step(self):
+    def interpolant(self):
         """(t_old, h, y_old, F) of the last accepted step, F of shape (7, n)."""
         K, h = self.K, self.h_previous
         for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
@@ -421,22 +397,21 @@ class _Stepper:
 
 
 def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
-              event=None, dense_output: bool = False) -> OdeResult:
+              event=None) -> OdeResult:
     """Integrate y' = fun(t, y) over t_span = (t0, tf); tf < t0 runs backward.
 
     ``rtol`` below RTOL_MIN is raised to it; ``atol`` is a scalar.  Every
-    call of ``fun``, those of the dense output included, counts in
+    call of ``fun``, those of the event's interpolant included, counts in
     ``nfev``.  ``event`` is an optional function g(t, y); the run ends at
     its first downward zero with status 1, and then ``t[-1]`` is the zero.
-    A rise through 0 does nothing.  With ``dense_output`` the result's
-    ``sol`` interpolates the whole run.
+    A rise through 0 does nothing.
     """
     t0, tf = map(float, t_span)
     if t0 == tf:
         raise ValueError("t_span must have nonzero length")
     y0 = np.asarray(y0, dtype=float)
     stepper = _Stepper(fun, t0, y0, tf, max(rtol, RTOL_MIN), atol)
-    ts, ys, steps = [t0], [y0], []
+    ts, ys = [t0], [y0]
     if event is not None:
         g = event(t0, y0)
 
@@ -448,28 +423,21 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
         if stepper.finished:
             status = 0
         t_old, t, y = stepper.t_old, stepper.t, stepper.y
-        step = stepper.dense_step() if dense_output else None
-        if dense_output:
-            steps.append(step)
         if event is not None:
             g_new = event(t, y)
             if g_new <= 0 <= g:
-                sol = DenseSolution([t_old, t], [step or stepper.dense_step()])
-                t = brentq(lambda s: event(s, sol(s)), t_old, t,
+                step = stepper.interpolant()
+                t = brentq(lambda s: event(s, _interpolate(step, s)), t_old, t,
                            xtol=EVENT_TOL, rtol=EVENT_TOL)
-                y = sol(t)
+                y = _interpolate(step, t)
                 status = 1
             g = g_new
-        if dense_output and len(ts) > 1 and ts[-1] == t:
-            steps.pop()
-        else:
-            ts.append(t)
-            ys.append(y)
+        ts.append(t)
+        ys.append(y)
 
     return OdeResult(
         t=np.asarray(ts),
         y=np.vstack(ys).T,
-        sol=DenseSolution(ts, steps) if dense_output and steps else None,
         nfev=stepper.nfev,
         status=status,
         message=MESSAGES[status],

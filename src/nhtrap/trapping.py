@@ -24,36 +24,41 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    rate is read off the reduced symbol, and no eigensolve runs.
 3. The tangential cocycle X(t) depends on the orbit only through theta(t),
    a periodic one-degree-of-freedom motion of period P.  Hence
-   X(t + P) = X(t) M with the monodromy M = X(P) = I + N, and N^2 = 0:
-   M shears along the flow (the period depends on the energy) and along
-   phi (which is cyclic), and fixes both directions.  So
-   X(s + mP) = X(s) (I + mN) for every integer m, and tangential growth is
-   polynomial of degree 0 (N vanishes on the shell-tangent frame) or 1.
+   X(t + P) = X(t) M with the monodromy M = X(P) = I + N: M shears along
+   the flow (the period depends on the energy) and along phi (which is
+   cyclic), and fixes both directions.  So X(s + mP) = X(s) (I + mN) for
+   every integer m, and tangential growth is polynomial of degree 0 (N
+   vanishes on the shell-tangent frame) or 1.
 4. A quarter period fixes the rest.  The intrinsic field is
    theta' = 2 alpha, phi' = v_b + p_b(theta, beta), alpha' = -p_theta,
    beta' = 0, and q(pi - theta) = q(theta), so p_b and p_theta are even and
-   odd about the equator.  The reflection (theta, phi, alpha, beta) ->
-   (pi - theta, phi, -alpha, beta), with differential S = diag(-1, 1, -1, 1),
-   commutes with the flow; the reversal (theta, phi, alpha, beta) ->
-   (theta, -phi, -alpha, beta) with t -> -t, differential
-   R = diag(1, -1, -1, 1), reverses it.  An orbit that starts on the
-   equator with alpha > 0 first turns (alpha = 0) at t_q = P/4, and with
-   X_q = X(t_q)
-       X(t_q + s) = R X(t_q - s) X_q^-1 R X_q,
-       X(P/2 + s) = S X(s) S X(P/2),
-   so X(P/2) = R X_q^-1 R X_q and M = X(P) = S X(P/2) S X(P/2).  R and S
-   are signed identities, so they commute with a diagonal weight and keep
-   the 2-norm: a weighted norm of X over [0, P] is one of X on [0, t_q].
+   odd about the equator.  An orbit that starts on the equator with
+   alpha > 0 first turns (alpha = 0) at t_q = P/4, and the reflection
+   theta -> pi - theta and the reversal of time give u at s = sigma,
+   2 t_q - sigma, 2 t_q + sigma and 4 t_q - sigma, sigma in [0, t_q], from
+   u(sigma): theta(sigma) or pi - theta(sigma), phi(sigma), 2 phi_q - phi,
+   2 phi_q + phi or 4 phi_q - phi (phi_q = phi(t_q)), and +-alpha(sigma).
+   Take the shell-tangent basis of the start velocity v, e_phi and the
+   start's beta direction b along the lambda shell: X(s) v = v(u(s)),
+   X(s) e_phi = e_phi and X(s) b = d_beta u(s).  So X(s) = D_j X(sigma) B_j
+   with D_j = I, R, S, SR (R = diag(1, -1, -1, 1), S = diag(-1, 1, -1, 1)),
+   and B_0 = I, B_3 = B_1 B_2 and
+       B_1: v -> -v, e_phi -> -e_phi, b -> b + 2 t_q' v - 2 phi_q' e_phi,
+       B_2: v -> v, e_phi -> e_phi, b -> b - 2 t_q' v + 2 phi_q' e_phi
+   on that basis, primes the beta derivatives along the shell.  Hence
+   N b = B_2^2 b - b = -P' v + Phi' e_phi, the twist of P = 4 t_q and
+   Phi = 4 phi_q, and N^2 = 0 on the shell tangent.  The D_j are signed
+   identities, so they commute with a diagonal weight and keep the 2-norm:
+   a weighted norm of X over [0, P] is one of X(sigma) B_j, sigma in [0, t_q].
 
-The quarter period is integrated by the in-house DOP853 of `nhtrap.ode`,
-in the units of M (time M t, alpha/M, beta/M), whose dense output and stop
-event give t_q and X(s) on [0, t_q]; fact 4 gives the period, the
-monodromy and the tangential envelope over [0, P].
-The value of p on the pinned shell at the equator with alpha = 0 is the
-reduced symbol at the saddle plus the Carter constant q(pi/2, beta)^2
-(`ReducedFamily.shell_value`): it fixes each orbit's alpha and, through a
-bracketed `brentq`, the extremal beta values.  Trapped radii are
-closed-form roots of v' (see `trapped_radius`).
+The theta-motion is elliptic, and `shell.ShellOrbit` holds each orbit in
+closed form (Jacobi functions, K, and Pi for phi_q, from `elliptic`), in
+the units of M; a complex step in beta gives the twist and d_beta u, and
+no orbit is integrated.  The value of p on the pinned shell at the
+equator with alpha = 0 is the reduced symbol at the saddle plus the
+Carter constant q(pi/2, beta)^2 (`ReducedFamily.shell_value`): it fixes
+each orbit's alpha and, through a bracketed `brentq`, the extremal beta
+values.  Trapped radii are closed-form roots of v' (see `trapped_radius`).
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ from . import kerr
 from .errors import DomainError, InvalidHorizon, NoBracket
 from .kerr import KerrParams, radial_potential_derivs
 from .models import BumpPattern, newton_saddle, reduced_kerr_model, saddle_rate
-from .ode import DenseSolution, brentq, solve_ivp
+# perfbench/tracer.py wraps ``trapping.solve_ivp``; no shell orbit is integrated
+from .ode import brentq, solve_ivp  # noqa: F401
 
 N_BETA = 6  # beta samples of each certificate
 # equatorial_beta_range brackets each extremal beta between +-BETA_NEAR * M
@@ -75,12 +81,6 @@ N_BETA = 6  # beta samples of each certificate
 BETA_NEAR = 1e-3
 BETA_FAR = 7.0
 BETA_DOUBLINGS = 8
-# every shell orbit starts on the equator at phi = 0, which fact 4 needs
-SHELL_START = (np.pi / 2.0, 0.0)
-# the diagonals of S and R, the differentials of the equatorial reflection
-# and the time reversal (fact 4)
-REFLECT = np.asarray([-1.0, 1.0, -1.0, 1.0])
-REVERSE = np.asarray([1.0, -1.0, -1.0, 1.0])
 TANGENTIAL_DEGREE_MAX = 1
 # the ratio checks take theta0 = THETA0_FRACTION * lambda, which leaves the
 # bound (a + b*t)^r a decay rate of (1 - THETA0_FRACTION) * lambda
@@ -202,180 +202,12 @@ class ReducedFamily:
         plus the Carter constant q(pi/2, beta)^2."""
         r_s, xi_s = self.saddle(beta)
         radial = self.reduced_model(beta).evaluate(np.asarray((r_s, xi_s)))
-        return float(radial + kerr.carter(self.params, SHELL_START[0], 0.0, beta))
+        return float(radial + kerr.carter(self.params, np.pi / 2.0, 0.0, beta))
 
 
 def linearization(beta: float, params: KerrParams) -> TrappedOrbitChart:
     """Normal chart of the unperturbed family at one beta."""
     return ReducedFamily(params).chart(beta)
-
-
-# -- photon-shell orbits (pinned radial pair) -------------------------------
-
-
-class ShellOrbit:
-    """One shell orbit: intrinsic coordinates u = (theta, phi, alpha, beta).
-
-    The embedding back into the six-dimensional chart pins (r, xi) at the
-    saddle, which the flow preserves exactly; the intrinsic variational
-    system is the tangential cocycle, free of hyperbolic contamination.
-    Its differential E has unit columns for theta, phi and alpha and the
-    orthogonal column (r_s', 0, 0, xi_s', 0, 1) for beta, so ||E Y|| equals
-    ||W Y|| with W = diag(`weight`) = diag(1, 1, 1, sqrt(1 + r_s'^2 + xi_s'^2)).
-    The normal directions are the (r, phi, xi) block of fact 2.
-
-    The cocycle is integrated in the units of M, D = diag(`units`) =
-    diag(1, 1, M, M) (alpha and beta scale like M, theta and phi do not):
-    time tau = M t, state D^-1 u and Jacobian D^-1 X D.  Every entry is then
-    of order one at every mass, so one tolerance means the same thing at
-    every M; at M = 1 these are the intrinsic variables themselves.
-    """
-
-    def __init__(self, family: ReducedFamily, beta: float, lam: float):
-        self.family = family
-        self.beta = float(beta)
-        self.lam = float(lam)
-        self.mass = family.params.mass
-        self.units = np.asarray([1.0, 1.0, self.mass, self.mass])
-        self._dr, dxi = family.saddle_derivative(beta).tolist()
-        self.weight = np.asarray([1.0, 1.0, 1.0, math.hypot(1.0, self._dr, dxi)])
-        # the radial half of p, Delta*xi^2 + v_beta(r) + bump, is pinned with
-        # (r, xi): of its derivatives `rhs` reads only (v_b, v_rb, v_bb), and
-        # the bump, a function of (r, xi) alone, enters none of them
-        r_s = family.saddle(beta)[0]
-        self._radial = kerr.radial_terms(family.params, self.beta, r_s)[4:]
-
-        disc = lam - family.shell_value(beta)
-        if disc <= 0.0:
-            raise DomainError(
-                f"beta={beta:g} admits no shell orbit on the lambda={lam:g} shell"
-            )
-        self.u0 = np.asarray([*SHELL_START, math.sqrt(disc), beta])
-        # the start of (u, X) in the units of M, as `rhs` takes it
-        self.z0 = np.concatenate([self.u0 / self.units, np.eye(4).ravel()])
-        self.chart = family.chart(beta)
-
-    def rhs(self, t: float, z: np.ndarray) -> np.ndarray:
-        """Field of (u, intrinsic 4x4 Jacobian X): the one shell-orbit RHS.
-
-        The intrinsic variational matrix is M = (H_alpha, H_beta, -H_theta, 0) E
-        with E the embedding differential: beta is conserved, so only its
-        first three rows are formed, and the last row of X' is zero.  Those
-        rows of Hess p hold p_aa = 2, (p_br, p_bt, p_bb) and (p_tt, p_tb)
-        only, and E's beta column weighs p_br by r_s'.  They and the
-        velocity add the orbit's radial constants to the angular
-        half at theta, entry by entry as `kerr._grad_hess` does, so the
-        three rows are
-
-            [[0, 0, 2, 0], [p_tb, 0, 0, c], [-p_tt, 0, 0, -p_tb]],
-
-        with c = v_rb r_s' + v_bb + p_bb.  In the units of the mass m (class
-        docstring) z = (D^-1 u, D^-1 X D) and d/dtau = (1/m) d/dt, so the
-        rows become [[0, 0, 2, 0], [p_tb/m, 0, 0, c], [-p_tt/m^2, 0, 0, -p_tb/m]]
-        and the velocity (p_alpha/m, p_beta/m, -p_theta/m^2, 0).  At m = 1
-        that is the intrinsic field itself.  The field runs on Python floats: the twelve entries of those rows
-        times X are written out from that structure, and the one array built
-        per call is the returned field.
-        """
-        theta, _, alpha, beta, *X = z.tolist()
-        m = self.mass
-        p_t, p_a, p_b, p_tt, p_tb, p_bb = kerr.angular_derivs(
-            self.family.params, theta, alpha * m, beta * m
-        )
-        v_b, v_rb, v_bb = self._radial
-        c = v_rb * self._dr + (v_bb + p_bb)
-        e, f = p_tb / m, p_tt / (m * m)
-        rows_03 = list(zip(X[:4], X[12:]))  # (X_0j, X_3j)
-        return np.array([
-            p_a / m, (v_b + p_b) / m, -p_t / (m * m), 0.0,
-            *[2.0 * x for x in X[8:12]],
-            *[e * a + c * b for a, b in rows_03],
-            *[-f * a - e * b for a, b in rows_03],
-            0.0, 0.0, 0.0, 0.0,
-        ])
-
-    def tangent_cocycle(self, horizon: float, tol: float) -> TangentCocycle:
-        """The tangential cocycle over one theta-period, from its first
-        quarter, in the units of M.
-
-        The orbit starts on the equator with alpha > 0, so theta first turns,
-        where alpha falls through 0, at t_q = P/4 (fact 4); the integration
-        of `rhs` stops there.  Raises InvalidHorizon when the period 4 t_q
-        exceeds `horizon`.
-        """
-        sol = solve_ivp(self.rhs, (0.0, horizon * self.mass / 4.0), self.z0, rtol=tol,
-                        atol=tol * 1e-2, event=lambda t, z: z[2], dense_output=True)
-        if sol.status != 1:
-            raise InvalidHorizon(
-                f"horizon {horizon:g} is too short: theta does not return "
-                f"within it at beta={self.beta:g} ({sol.message})"
-            )
-        return TangentCocycle(float(sol.t[-1]), sol.sol)
-
-    def tangential_frame(self) -> np.ndarray:
-        """Orthonormal intrinsic 4x3 frame spanning the shell-tangent kernel of dp.
-
-        Its first column is the start velocity (p_alpha, p_beta, -p_theta, 0)
-        from `rhs`; phi and a beta-alpha (or beta-theta) mix complete the
-        kernel of dp = (p_theta, 0, p_alpha, p_beta).  `rhs` gives the
-        velocity in the units of M, (p_alpha, p_beta)/M and -p_theta/M^2, so
-        the test for p_alpha = 0 does not depend on M.
-        """
-        flow = self.rhs(0.0, self.z0)[:4]
-        p_al, p_be, p_th = flow[0], flow[1], -flow[2]
-        b_phi = np.asarray([0.0, 1.0, 0.0, 0.0])
-        if abs(p_al) > 1e-12:
-            b_mix = np.asarray([0.0, 0.0, -p_be / p_al, 1.0])
-        else:
-            b_mix = np.asarray([-p_be / (p_th * self.mass), 0.0, 0.0, 1.0])
-        velocity = flow * self.units * self.mass
-        frame, _ = np.linalg.qr(np.column_stack([velocity, b_phi, b_mix]))
-        return frame
-
-
-class TangentCocycle:
-    """The intrinsic Jacobian X on one theta-period, held as its first
-    quarter (fact 4), in the units of the mass that `ShellOrbit.rhs`
-    integrates: times here are M t and matrices D^-1 X D.  D is diagonal,
-    so it commutes with R and S, and the structure below holds in either
-    units.
-
-    Each s in [0, P] lies in a quarter j = 0..3 and is the image of a time
-    sigma in [0, t_q]: s = sigma, 2 t_q - sigma, 2 t_q + sigma or
-    4 t_q - sigma.  There X(s) = D_j X(sigma) B_j, with D_j = I, R, S, SR and
-    the post-factors B_0 = I, B_1 = X_q^-1 R X_q, B_2 = S X(P/2) and
-    B_3 = B_1 B_2, so that X(P/2) = R B_1 and M = X(P) = B_2^2 = I + N.
-
-    The monodromy is never raised to a power: integration error of size
-    tol splits its 2x2 Jordan blocks into eigenvalues about sqrt(tol) off
-    the unit circle, which powers would amplify.
-    """
-
-    def __init__(self, quarter_time: float, quarter: DenseSolution):
-        self.quarter_time = quarter_time  # t_q, where theta first turns
-        self.quarter = quarter  # sigma -> (D^-1 u, D^-1 X D) on [0, t_q]
-        self.period = 4.0 * quarter_time
-        X_q = quarter(quarter_time)[4:].reshape(4, 4)
-        B1 = np.linalg.solve(X_q, REVERSE[:, None] * X_q)
-        B2 = (REFLECT * REVERSE)[:, None] * B1
-        self.post = np.asarray([np.eye(4), B1, B2, B1 @ B2])
-        self.shear = B2 @ B2 - np.eye(4)  # N = X(P) - I, N^2 = 0 up to integration error
-
-    def sup(self, W: np.ndarray, Y: np.ndarray) -> float:
-        """sup over s in [0, P] of ||diag(W) X(s) Y||: the sup over sigma in
-        [0, t_q] of max_j ||diag(W) X(sigma) B_j Y||, since each D_j is a
-        signed identity (fact 4).  The 2-norm of each 4 x k product A is the
-        root of the top eigenvalue of its k x k Gram matrix A^T A, a
-        symmetric eigensolve where `np.linalg.norm(A, 2)` would run an SVD."""
-        post_Y = self.post @ Y  # (4, 4, k): B_j Y
-
-        def branch_max(sigma):
-            X = np.moveaxis(self.quarter(sigma)[4:].reshape(4, 4, -1), -1, 0)[:, None]
-            A = W[:, None] * X @ post_Y  # (m, 4, 4, k): diag(W) X(sigma) B_j Y
-            gram = np.swapaxes(A, -2, -1) @ A
-            return np.sqrt(np.linalg.eigvalsh(gram)[..., -1].max(axis=-1))
-
-        return _envelope_sup(branch_max, self.quarter_time)
 
 
 # -- certification -----------------------------------------------------------
@@ -455,36 +287,39 @@ def _beta_sample(
 ) -> BetaSample:
     """Period, tangential degree and tangential envelope at one beta.
 
-    sigma(t) = ||E X(t) F|| = ||W X(t) F|| on the shell-tangent frame F,
-    with E and W = `ShellOrbit.weight` as in `ShellOrbit`.  With
-    t = s + mP, X(t) F = X(s) (F + mNF + C(m, 2) N^2 F + ...), so the degree
-    of growth is the first power k with N^k F = 0, less one.  N carries
-    units (alpha and beta scale like M, theta and phi do not), so the zero
-    test runs on the dimensionless D^-1 N D, D = diag(1, 1, M, M), which is
-    the shear of the cocycle held in the units of M (`ShellOrbit`).  F spans
-    a D-invariant space (at the equatorial start p_theta = 0, so the flow
-    has no alpha part), hence (D^-1 N D)^k F vanishes exactly when N^k F
-    does.  The test is ||(D^-1 N D)^k F|| <= sqrt(tol), decades above the
-    integration error, read on the top eigenvalue of the Gram matrix as in
-    `TangentCocycle.sup`.  The shear grows like a/M (0.02 at a = 0.1 M), so it
-    reads as degree 0 only below a ~ 5e-5 M, and the envelope slope b is
-    measured either way.
+    sigma(t) = ||E X(t) F|| = ||W X(t) F|| on the orthonormal shell-tangent
+    frame F, with E and W = `ShellOrbit.weight` as in `shell.ShellOrbit`.  With
+    t = s + mP, X(t) F = X(s) (F + mNF), as N^2 F = 0 (fact 4), so the degree
+    of growth is 0 where NF = 0 and 1 otherwise.  N carries units (alpha and
+    beta scale like M, theta and phi do not), so the zero test runs on the
+    dimensionless D^-1 N D F = (-P' u' + Phi' e_phi) (0, 0, 1/R_22) in the
+    units of M (`ShellOrbit.shear`), and reads the twist as zero up to
+    sqrt(tol).  The envelope slope b is measured either way.  Raises
+    InvalidHorizon when the theta-period exceeds `horizon`.
     """
-    orbit = ShellOrbit(fam, beta, lam)
-    cocycle = orbit.tangent_cocycle(horizon, tol)  # in the units of M
-    period, N_hat = cocycle.period / orbit.mass, cocycle.shear  # N_hat = D^-1 N D
-    W, F = orbit.weight, orbit.tangential_frame()
-    degree, NkF = 0, N_hat @ F
-    while degree <= TANGENTIAL_DEGREE_MAX and np.linalg.eigvalsh(NkF.T @ NkF)[-1] > tol:
-        degree, NkF = degree + 1, N_hat @ NkF
-    # ||W X(t) Y|| = ||W D X_hat D^-1 Y|| with X_hat = D^-1 X D, and N F = D N_hat D^-1 F
-    W_hat, F_hat = W * orbit.units, F / orbit.units[:, None]
+    from .shell import ShellOrbit  # trap-find's import path does without it
 
+    orbit = ShellOrbit(fam, beta, lam)
+    if orbit.period > horizon:
+        raise InvalidHorizon(
+            f"horizon {horizon:g} is too short: theta does not return "
+            f"within it at beta={beta:g} (its period is {orbit.period:.6g})"
+        )
+
+    def frame_norm(sigma):
+        # the 2-norm of each 4 x 3 stack is the root of the top eigenvalue of
+        # its 3 x 3 Gram matrix, a symmetric eigensolve where an SVD would run
+        A = orbit.frame_stacks(sigma)
+        gram = np.swapaxes(A, -2, -1) @ A
+        return np.sqrt(np.linalg.eigvalsh(gram)[..., -1].max(axis=-1))
+
+    t_q = orbit.quarter_time
     return BetaSample(
         chart=orbit.chart,
-        period=period,
-        tangential_degree=degree,
-        envelope=(cocycle.sup(W_hat, F_hat), cocycle.sup(W_hat, N_hat @ F_hat) / period),
+        period=orbit.period,
+        tangential_degree=int(orbit.shear > math.sqrt(tol)),
+        envelope=(_envelope_sup(frame_norm, t_q),
+                  _envelope_sup(orbit.slope_norms, t_q) / orbit.period),
     )
 
 
@@ -539,15 +374,14 @@ def certify(
 
     The N_BETA sampled betas lie inside `equatorial_beta_range`.  At each,
     the normal bundles grow like exp(lambda |t|) both ways, with lambda the
-    chart's `normal_exponent` (fact 2), and the first quarter theta-period
-    of the tangential cocycle on the pinned shell orbit gives, through
-    fact 4, the degree of tangential growth and the envelope a + b*t
-    (fact 3).  With lambda the least sampled rate, for r = 1..r_max the
+    chart's `normal_exponent` (fact 2), and the closed-form shell orbit
+    gives, through fact 4, the degree of tangential growth and the envelope
+    a + b*t (fact 3).  With lambda the least sampled rate, for r = 1..r_max the
     ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t) over t >= 0 in
     closed form, with a the backward envelope's a + b*P, which is at least
     the forward one's a, and the bound grows with a; they hold when the
-    degree is at most 1.  `horizon` only bounds the search for the
-    theta-period: no number depends on it.
+    degree is at most 1.  `horizon` only bounds the theta-period, which
+    raises InvalidHorizon past it: no number depends on it.
     """
     if horizon <= 0.0:
         raise InvalidHorizon(f"horizon must be positive, got {horizon}")

@@ -3,9 +3,11 @@
 Each oracle takes the slow, direct route to a quantity the package
 computes another way: a dense eigensolve of the whole CAP matrix, the
 Jacobian of the flow by integrating the variational equation next to the
-orbit, a shell orbit's tangential cocycle over one whole theta-period
-(by scipy's DOP853) and at any real time (from that period and its
-monodromy), points on an invariant graph by following the flow
+orbit, a shell orbit's field with its tangential cocycle by integrating
+the 20-component variational system with scipy's DOP853 (over its first
+quarter theta-period, over one whole period, and at any real time from
+that period and its monodromy), where the package holds the orbit in
+closed form, points on an invariant graph by following the flow
 out of the saddle, a perturbing bump pattern summed one bump at a
 time, and the six-dimensional symbol of a (bumped) reduced
 family at a shell point, the normal bundles of a shell orbit as
@@ -76,11 +78,77 @@ def tangent_flow(model, start, time: float, tol: float = 1e-10) -> np.ndarray:
     return joint_flow(model, start, time, tol)[1]
 
 
+def shell_rhs(orbit):
+    """Field of (u, intrinsic 4x4 Jacobian X) on a shell orbit, in the units
+    of M: z = (D^-1 u, D^-1 X D), d/dtau = (1/M) d/dt, D = diag(1, 1, M, M).
+
+    The intrinsic variational matrix is (H_alpha, H_beta, -H_theta, 0) E
+    with E the embedding differential: beta is conserved, so only its
+    first three rows are formed, and the last row of X' is zero.  Those
+    rows of Hess p hold p_aa = 2, (p_br, p_bt, p_bb) and (p_tt, p_tb)
+    only, and E's beta column weighs p_br by r_s', so the three rows are
+
+        [[0, 0, 2, 0], [p_tb, 0, 0, c], [-p_tt, 0, 0, -p_tb]],
+
+    with c = v_rb r_s' + v_bb + p_bb.  In the units of M they become
+    [[0, 0, 2, 0], [p_tb/M, 0, 0, c], [-p_tt/M^2, 0, 0, -p_tb/M]] and the
+    velocity (p_alpha/M, p_beta/M, -p_theta/M^2, 0).
+    """
+    fam, m = orbit.family, orbit.mass
+    v_b, v_rb, v_bb = kerr.radial_terms(fam.params, orbit.beta, fam.saddle(orbit.beta)[0])[4:]
+    dr = fam.saddle_derivative(orbit.beta)[0]
+
+    def rhs(t, z):
+        theta, _, alpha, beta = z[:4]
+        X = z[4:].reshape(4, 4)
+        p_t, p_a, p_b, p_tt, p_tb, p_bb = kerr.angular_derivs(
+            fam.params, theta, alpha * m, beta * m
+        )
+        c = v_rb * dr + (v_bb + p_bb)
+        rows = np.asarray([[0.0, 0.0, 2.0, 0.0], [p_tb / m, 0.0, 0.0, c],
+                           [-p_tt / m**2, 0.0, 0.0, -p_tb / m], np.zeros(4)])
+        velocity = [p_a / m, (v_b + p_b) / m, -p_t / m**2, 0.0]
+        return np.concatenate([velocity, (rows @ X).ravel()])
+
+    return rhs
+
+
+def shell_start(orbit) -> np.ndarray:
+    """The start (D^-1 u0, I) of `shell_rhs`."""
+    units = np.asarray([1.0, 1.0, orbit.mass, orbit.mass])
+    return np.concatenate([orbit.u0 / units, np.eye(4).ravel()])
+
+
+def integrated_quarter(orbit, tol: float):
+    """(M t_q, dense sigma -> (D^-1 u, D^-1 X D)) of a shell orbit, by
+    integrating `shell_rhs` with scipy's DOP853 until alpha first falls
+    through 0, where theta turns: the package's route before its closed form."""
+
+    def turn(t, z):
+        return z[2]
+
+    turn.direction = -1.0
+    turn.terminal = True
+    sol = scipy_solve_ivp(shell_rhs(orbit), (0.0, 100.0), shell_start(orbit), method="DOP853",
+                          rtol=tol, atol=tol * 1e-2, events=turn, dense_output=True)
+    assert sol.status == 1, sol.message
+    return float(sol.t_events[0][0]), sol.sol
+
+
+def shell_frame(orbit) -> np.ndarray:
+    """Orthonormal intrinsic 4x3 frame of the shell tangent at the start of
+    a shell orbit at M = 1: the start velocity of `shell_rhs`, e_phi and the
+    beta direction (0, 0, -p_beta/p_alpha, 1) along the lambda shell."""
+    v = shell_rhs(orbit)(0.0, shell_start(orbit))[:4]
+    basis = np.column_stack([v, [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -v[1] / v[0], 1.0]])
+    return np.linalg.qr(basis)[0]
+
+
 def full_period_cocycle(orbit, horizon: float, tol: float):
     """(period, monodromy X(P), dense s -> (u, X) on [0, P]) of a shell
-    orbit by integrating one whole theta-period directly with scipy's
-    DOP853: the first upward return of theta to its start, with no use of
-    the quarter symmetries."""
+    orbit at M = 1 by integrating one whole theta-period of `shell_rhs`
+    directly with scipy's DOP853: the first upward return of theta to its
+    start, with no use of the quarter symmetries."""
     theta0 = orbit.u0[0]
 
     def crossing(t, z):
@@ -88,9 +156,9 @@ def full_period_cocycle(orbit, horizon: float, tol: float):
 
     crossing.direction = 1.0
     crossing.terminal = 2  # the first root is the start itself, t = 0
-    z0 = np.concatenate([orbit.u0, np.eye(4).ravel()])
-    sol = scipy_solve_ivp(orbit.rhs, (0.0, horizon), z0, method="DOP853", rtol=tol,
-                          atol=tol * 1e-2, events=crossing, dense_output=True)
+    sol = scipy_solve_ivp(shell_rhs(orbit), (0.0, horizon), shell_start(orbit),
+                          method="DOP853", rtol=tol, atol=tol * 1e-2, events=crossing,
+                          dense_output=True)
     assert sol.status == 1, sol.message
     return float(sol.t_events[0][-1]), sol.y_events[0][-1][4:].reshape(4, 4), sol.sol
 
@@ -199,14 +267,17 @@ def manifold_samples(
     def inside(t, y):
         return 2.0 * s_max - pair.adapted_radius(y)
 
-    sol = solve_ivp(
+    inside.terminal = True
+    inside.direction = -1.0
+    sol = scipy_solve_ivp(
         lambda t, y: pair.model.hamilton_rhs(y),
         (0.0, tf),
         y0,
+        method="DOP853",
         rtol=1e-12,
         atol=1e-16,
         dense_output=True,
-        event=inside,
+        events=inside,
     )
     t_end = sol.t[-1]
     ts = np.linspace(0.0, t_end, 400)

@@ -647,11 +647,17 @@ class TestCertifyAndPerturb:
     @pytest.mark.parametrize("mass", ["1e50", "1e-50"])
     def test_mass_alone_runs(self, tmp_path, capsys, mass):
         # with only kerr.mass set, the default orbit lies in the chart and the
-        # default horizon holds a theta-period at both ends of the mass range
+        # default horizon holds a theta-period at both ends of the mass range;
+        # a = 0 has no twist, so both certificates read degree 0 (M = 1e50
+        # once read 1 from a frame that weighed p_theta at fl(pi/2))
         for command in ("trap-certify", "perturb"):
             code, out = run_cli(tmp_path, command, f"kerr.mass = {mass}\n", name=command)
             assert code in (0, 1), capsys.readouterr().err
-            assert (out / "certificate.json").exists()
+            payload = json.loads((out / "certificate.json").read_text())
+            (cert,) = payload.get("certificates", [payload.get("certificate")])
+            assert cert["passed"] is True
+            assert cert["tangential_degree"] == 0
+            assert [s["tangential_degree"] for s in cert["beta_samples"]] == [0] * 6
         code, out = run_cli(tmp_path, "flow-integrate", f"kerr.mass = {mass}\n", name="flow")
         err = capsys.readouterr().err
         assert "outside the chart" not in err
@@ -689,14 +695,35 @@ class TestCertifyAndPerturb:
         assert not out.exists()
 
     def test_perturb_flow_tolerance(self, tmp_path):
-        # tol.flow reaches the recertification's one-period integration
+        # tol.flow sets the sqrt(tol) threshold of the degree test: at
+        # a = 1e-4 the twist reads about 2e-5 to 5e-5, above sqrt(1e-10) and
+        # below sqrt(1e-8)
         certs = []
         for name, extra in (("default", ""), ("loose", "tol.flow = 1e-8\n")):
             code, out = run_cli(
-                tmp_path, "perturb", "horizon = 5\nseed = 2\n" + extra, name=name
+                tmp_path, "perturb", "kerr.spin = 1e-4\nhorizon = 5\nseed = 2\n" + extra,
+                name=name,
             )
             assert code == 0
             payload = json.loads((out / "certificate.json").read_text())
             certs.append(payload["certificate"])
         assert certs[0]["passed"] and certs[1]["passed"]
-        assert certs[0] != certs[1]
+        assert [c["tangential_degree"] for c in certs] == [1, 0]
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("trap-certify", "a_list = 0, 0.9\n"), ("perturb", "kerr.spin = 0.9\nepsilon = 0.01\n")],
+    )
+    def test_shell_certificate_integrates_nothing(self, tmp_path, monkeypatch, command, text):
+        # the shell orbits are closed forms: with every solve_ivp binding
+        # made to raise, the command still certifies
+        from nhtrap import flow, ode, trapping
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        for module in (ode, trapping, flow):
+            monkeypatch.setattr(module, "solve_ivp", forbidden)
+        code, out = run_cli(tmp_path, command, text)
+        assert code == 0
+        assert (out / "certificate.json").exists()

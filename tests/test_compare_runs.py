@@ -40,3 +40,19 @@ def test_names_are_unique():
 
 def test_commands_are_known():
     assert {command for _, command, _ in compare_runs.CONFIGS} <= set(COMMANDS)
+
+
+def test_file_diff_names_only_changed_lines():
+    # an artifact that only loses a line names that line alone, not every
+    # later line shifted by it; a changed digit names its one line
+    parent = b'{\n  "a": 1,\n  "angle": 0.0,\n  "b": 2,\n  "c": 3\n}\n'
+    change = b'{\n  "a": 1,\n  "b": 2,\n  "c": 4\n}\n'
+    assert compare_runs._file_diff("certificate.json", parent, change) == [
+        "certificate.json: 6 -> 5 lines",
+        'certificate.json:3: removed "angle": 0.0,',
+        'certificate.json:5: "c": 3 -> "c": 4',
+    ]
+    assert compare_runs._file_diff("out", b"x\n", b"x\ny\n") == [
+        "out: 1 -> 2 lines", "out:2 (change): added y",
+    ]
+    assert compare_runs._file_diff("out", b"x", b"x\n") == ["out: bytes differ"]

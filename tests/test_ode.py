@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import shell_rhs, shell_start
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
 from nhtrap import flow, models, ode, trapping
 from nhtrap.errors import ChartExit, NoBracket, StepFailure
 from nhtrap.kerr import KerrParams
+from nhtrap.shell import ShellOrbit
 
 # the quick-survey orbit at a = 0.5: it leaves the chart through the outer
 # cap r = 200 at t = 1.276 forward and at t = -0.0653 backward
@@ -21,20 +23,21 @@ FLOW_START = np.asarray([8.0, 1.2, 0.0, -1.047452885827, 3.923213879343, 4.0])
 
 
 def shell_problem():
-    """(orbit, z0, alpha-turn event) of one beta sample at a = 0.9: what
-    `ShellOrbit.tangent_cocycle` integrates.  The event's attributes are
-    read by scipy only; `ode` always stops at the first downward zero."""
+    """(field, z0, alpha-turn event) of one beta sample at a = 0.9: the
+    shell orbit's 20-component variational system of `oracles.shell_rhs`.
+    The event's attributes are read by scipy only; `ode` always stops at
+    the first downward zero."""
     params = KerrParams(1.0, 0.9)
     fam = trapping.ReducedFamily(params)
     lo, hi = trapping.equatorial_beta_range(0.0, fam)
-    orbit = trapping.ShellOrbit(fam, float(trapping._beta_grid(lo, hi)[1]), 0.0)
+    orbit = ShellOrbit(fam, float(trapping._beta_grid(lo, hi)[1]), 0.0)
 
     def turn(t, z):
         return z[2]
 
     turn.direction = -1.0
     turn.terminal = True
-    return orbit, np.concatenate([orbit.u0, np.eye(4).ravel()]), turn
+    return shell_rhs(orbit), shell_start(orbit), turn
 
 
 def flow_problem():
@@ -67,8 +70,8 @@ def assert_same_run(ours, theirs):
 class TestAgainstScipy:
     @pytest.mark.parametrize("horizon", [2.0, -2.0])
     def test_shell_cocycle_steps(self, horizon):
-        orbit, z0, _ = shell_problem()
-        ours, theirs = solve_both(orbit.rhs, (0.0, horizon), z0, rtol=1e-10, atol=1e-12)
+        rhs, z0, _ = shell_problem()
+        ours, theirs = solve_both(rhs, (0.0, horizon), z0, rtol=1e-10, atol=1e-12)
         assert ours.status == 0
         assert_same_run(ours, theirs)
 
@@ -89,45 +92,31 @@ class TestAgainstScipy:
                                      rtol=1e-16, atol=1e-18)
         assert_same_run(ours, theirs)
 
-    def test_dense_output_and_alpha_turn(self):
-        orbit, z0, turn = shell_problem()
-        ours, theirs = solve_both(orbit.rhs, (0.0, 20.0), z0, rtol=1e-10, atol=1e-12,
-                                  event=turn, dense_output=True)
+    def test_alpha_turn(self):
+        rhs, z0, turn = shell_problem()
+        ours, theirs = solve_both(rhs, (0.0, 20.0), z0, rtol=1e-10, atol=1e-12, event=turn)
         assert ours.status == theirs.status == 1
         assert ours.nfev == theirs.nfev
         # alpha starts positive and first falls through 0 a quarter period on
-        quarter = ours.t[-1]
-        assert quarter == pytest.approx(theirs.t_events[0][0], rel=1e-14, abs=0.0)
+        assert ours.t[-1] == pytest.approx(theirs.t_events[0][0], rel=1e-14, abs=0.0)
         assert np.array_equal(ours.t[:-1], theirs.t[:-1])
-        s = np.linspace(0.0, quarter, 256)
-        dense, ref = ours.sol(s), theirs.sol(s)
-        assert dense.shape == ref.shape == (20, 256)
-        assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.max(np.abs(ours.sol(s[100]) - ref[:, 100])) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(ours.y[:, -1] - theirs.y_events[0][0])) <= 1e-13
 
     def test_rising_event_does_not_stop(self):
         # -alpha rises through 0 where alpha first falls, a quarter period
         # on, and falls again three quarters on: a run over half a period
         # goes on to the end with the steps of a run without an event
-        orbit, z0, turn = shell_problem()
-        quarter = ode.solve_ivp(orbit.rhs, (0.0, 20.0), z0, event=turn).t[-1]
+        rhs, z0, turn = shell_problem()
+        quarter = ode.solve_ivp(rhs, (0.0, 20.0), z0, event=turn).t[-1]
         span = (0.0, 2.0 * quarter)
-        plain = ode.solve_ivp(orbit.rhs, span, z0, rtol=1e-10, atol=1e-12)
-        rising = ode.solve_ivp(orbit.rhs, span, z0, rtol=1e-10, atol=1e-12,
+        plain = ode.solve_ivp(rhs, span, z0, rtol=1e-10, atol=1e-12)
+        rising = ode.solve_ivp(rhs, span, z0, rtol=1e-10, atol=1e-12,
                                event=lambda t, z: -z[2])
         assert np.any(plain.y[2] < 0.0)
         assert rising.status == plain.status == 0
         assert rising.nfev == plain.nfev
         assert np.array_equal(rising.t, plain.t)
         assert np.array_equal(rising.y, plain.y)
-
-    def test_backward_dense_output(self):
-        orbit, z0, _ = shell_problem()
-        ours, theirs = solve_both(orbit.rhs, (0.0, -2.0), z0, rtol=1e-10, atol=1e-12,
-                                  dense_output=True)
-        s = np.linspace(-2.0, 0.0, 97)
-        assert np.max(np.abs(ours.sol(s) - theirs.sol(s))) <= 1e-13 * np.max(np.abs(theirs.sol(s)))
 
 
 class TestFlowStatuses:

@@ -8,8 +8,11 @@ from oracles import (
     embed,
     embed_diff,
     full_period_cocycle,
+    integrated_quarter,
     normal_bundles,
     periodic_cocycle,
+    shell_frame,
+    shell_rhs,
     symbol_grad_hess,
     symbol_value,
     tangent_flow,
@@ -24,6 +27,7 @@ from nhtrap.errors import (
     NoBracket,
 )
 from nhtrap.kerr import KerrParams, PhaseState
+from nhtrap.shell import ShellOrbit
 
 SQRT27 = math.sqrt(27.0)
 MU0 = 6.0 * math.sqrt(3.0)
@@ -188,7 +192,7 @@ class TestFamilyAndShell:
 
     def test_orbit_on_shell(self):
         fam = trapping.ReducedFamily(KerrParams(1.0, 0.2))
-        orbit = trapping.ShellOrbit(fam, 1.5, 0.0)
+        orbit = ShellOrbit(fam, 1.5, 0.0)
         assert symbol_value(fam, embed(orbit, orbit.u0)) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -196,7 +200,7 @@ class TestFamilyAndShell:
     def test_orbit_outside_range_rejected(self):
         fam = trapping.ReducedFamily(KerrParams())
         with pytest.raises(DomainError):
-            trapping.ShellOrbit(fam, 5.5, 0.0)  # beyond sqrt(27)
+            ShellOrbit(fam, 5.5, 0.0)  # beyond sqrt(27)
 
     def test_chart_is_formed_once_per_beta(self, monkeypatch):
         # the saddle derivative and the shell orbit of each certified beta
@@ -217,7 +221,7 @@ class TestFamilyAndShell:
     def test_pinned_radial_pair_is_invariant(self):
         # on the trapped set the (r, xi) components of the field vanish
         fam = trapping.ReducedFamily(KerrParams(1.0, 0.3))
-        orbit = trapping.ShellOrbit(fam, 2.0, 0.0)
+        orbit = ShellOrbit(fam, 2.0, 0.0)
         rng = np.random.default_rng(5)
         for _ in range(10):
             u = np.asarray(
@@ -238,18 +242,16 @@ class TestFamilyAndShell:
             assert abs(g_eq[0]) < 1e-9
 
     def test_start_blocks_match_grad_hess6(self):
-        # the frame's start velocity is the 6D gradient at the start point,
-        # bit for bit, also with a bump
+        # the closed-form field along the first quarter, the start included,
+        # is the 6D gradient at the embedded closed-form state, also with a bump
         fam = _family(0.5, 0.01, seed=3)
         for beta in (-2.5, 1.2):
-            orbit = trapping.ShellOrbit(fam, beta, 0.0)
-            g, H = symbol_grad_hess(fam, embed(orbit, orbit.u0))
-            z0 = np.concatenate([orbit.u0, np.eye(4).ravel()])
-            velocity = orbit.rhs(0.0, z0)[:4]
-            assert np.array_equal(velocity, [g[4], g[5], -g[1], 0.0])
-            frame = orbit.tangential_frame()
-            direction = velocity / np.linalg.norm(velocity)
-            assert abs(abs(frame[:, 0] @ direction) - 1.0) < 1e-14
+            orbit = ShellOrbit(fam, beta, 0.0)
+            u, field, _ = orbit.flow(np.linspace(0.0, orbit.quarter_time, 9))
+            for ui, fi in zip(u.T, field.T):
+                g = symbol_grad_hess(fam, embed(orbit, ui))[0]
+                ref = np.asarray([g[4], g[5], -g[1], 0.0])
+                assert np.max(np.abs(fi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.01])
     def test_normal_block_is_the_reference_block(self, epsilon):
@@ -259,7 +261,7 @@ class TestFamilyAndShell:
         fam = _family(0.5, epsilon, seed=3)
         block = [0, 2, 3]
         for beta in (-2.5, 1.2):
-            orbit = trapping.ShellOrbit(fam, beta, 0.0)
+            orbit = ShellOrbit(fam, beta, 0.0)
             H = symbol_grad_hess(fam, embed(orbit, orbit.u0))[1]
             A6 = np.vstack([H[3:, :], -H[:3, :]])
             lam = orbit.chart.normal_exponent
@@ -273,18 +275,19 @@ class TestFamilyAndShell:
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.01])
     def test_rhs_is_the_embedded_reference(self, epsilon):
-        # the intrinsic rows of `rhs` are the alpha, beta and -theta rows of
-        # the six-dimensional Hess p times the embedding differential
+        # the intrinsic rows of the oracle's shell field are the alpha, beta
+        # and -theta rows of the six-dimensional Hess p times the embedding
+        # differential
         fam = _family(0.5, epsilon, seed=3)
         rng = np.random.default_rng(11)
         for beta in (-2.5, 0.4, 1.2):
-            orbit = trapping.ShellOrbit(fam, beta, 0.0)
+            orbit = ShellOrbit(fam, beta, 0.0)
             E = embed_diff(orbit)
             for u in (orbit.u0, [1.1, 0.3, -0.4, beta], [2.0, -1.0, 0.7, beta]):
                 H = symbol_grad_hess(fam, embed(orbit, u))[1]
                 M = np.vstack([H[4], H[5], -H[1], np.zeros(6)]) @ E
                 X = rng.standard_normal((4, 4))
-                field = orbit.rhs(0.0, np.concatenate([u, X.ravel()]))[4:]
+                field = shell_rhs(orbit)(0.0, np.concatenate([u, X.ravel()]))[4:]
                 ref = M @ X
                 assert np.max(np.abs(field.reshape(4, 4) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -294,7 +297,7 @@ class TestFamilyAndShell:
         fam = _family(0.5, epsilon, seed=3)
         rng = np.random.default_rng(12)
         for beta in (-2.5, 0.4, 1.2):
-            orbit = trapping.ShellOrbit(fam, beta, 0.0)
+            orbit = ShellOrbit(fam, beta, 0.0)
             E, W = embed_diff(orbit), orbit.weight[:, None]
             assert np.allclose(E.T @ E, np.diag(orbit.weight**2), rtol=1e-15, atol=0.0)
             Y = rng.standard_normal((5, 4, 3))
@@ -307,7 +310,7 @@ class TestFamilyAndShell:
         # full Kerr model from the embedded start, past one theta-period,
         # against the intrinsic cocycle of one direct period continued by fact 3
         params = KerrParams(1.0, 0.35)
-        orbit = trapping.ShellOrbit(trapping.ReducedFamily(params), 1.7, 0.0)
+        orbit = ShellOrbit(trapping.ReducedFamily(params), 1.7, 0.0)
         _, cocycle = periodic_cocycle(orbit, 1.5, tol=1e-12)
         H = symbol_grad_hess(orbit.family, embed(orbit, orbit.u0))[1]
         A6 = np.vstack([H[3:, :], -H[:3, :]])
@@ -339,146 +342,128 @@ class TestFamilyAndShell:
 
     def test_long_orbit_conservation(self):
         # the intrinsic flow preserves volume, so det X(t) = 1 out to
-        # |t| = 20 through the period structure, and each post-factor of
-        # the quarter period has det 1; along the integrated quarter p,
-        # beta and Carter stay at their starting values
+        # |t| = 20 through the period structure; along the closed-form
+        # quarter p, beta and Carter stay at their starting values
         params = KerrParams(1.0, 0.2)
-        orbit = trapping.ShellOrbit(trapping.ReducedFamily(params), 1.8, 0.0)
+        orbit = ShellOrbit(trapping.ReducedFamily(params), 1.8, 0.0)
         _, oracle = periodic_cocycle(orbit, 20.0, tol=1e-12)
         t = np.linspace(-20.0, 20.0, 41)
         assert np.max(np.abs(np.linalg.det(oracle(t)) - 1.0)) < 1e-8
-        cocycle = orbit.tangent_cocycle(20.0, tol=1e-12)
-        assert np.max(np.abs(np.linalg.det(cocycle.post) - 1.0)) < 1e-12
         start = kerr.conserved(PhaseState.from_array(embed(orbit, orbit.u0)), params)
-        for sigma in np.linspace(0.0, cocycle.quarter_time, 41):
-            u = cocycle.quarter(sigma)[:4]
+        for u in orbit.flow(np.linspace(0.0, orbit.quarter_time, 41))[0].T:
             now = kerr.conserved(PhaseState.from_array(embed(orbit, u)), params)
-            assert abs(now.p - start.p) < 1e-10
+            assert abs(now.p - start.p) < 1e-12
             assert now.beta == start.beta
-            assert abs(now.carter - start.carter) < 1e-10
+            assert abs(now.carter - start.carter) < 1e-12
 
 
 class TestQuarterPeriod:
-    """The period, monodromy and X on [0, P] rebuilt from a quarter period
-    by the reflection and reversal symmetries, against one whole period
-    integrated directly."""
+    """The period, monodromy and X on [0, P] rebuilt from the closed-form
+    quarter period by the reflection and reversal symmetries, against one
+    whole period integrated directly."""
+
+    # D_j of fact 4: X(s) = D_j X(sigma) B_j on quarter j
+    FLIPS = (np.ones(4), np.asarray([1.0, -1.0, -1.0, 1.0]),
+             np.asarray([-1.0, 1.0, -1.0, 1.0]), np.asarray([-1.0, -1.0, 1.0, 1.0]))
 
     @pytest.mark.parametrize("spin, epsilon", [(0.5, 0.0), (0.9, 0.0), (0.5, 0.01)])
     def test_matches_full_period(self, spin, epsilon):
         fam = _family(spin, epsilon)
         lo, hi = trapping.equatorial_beta_range(0.0, fam)
         for beta in (0.8 * lo, 0.3 * lo, 0.5 * hi):
-            orbit = trapping.ShellOrbit(fam, beta, 0.0)
-            cocycle = orbit.tangent_cocycle(CLI.horizon, tol=1e-12)
+            orbit = ShellOrbit(fam, beta, 0.0)
             period, monodromy, dense = full_period_cocycle(orbit, CLI.horizon, tol=1e-12)
-            assert cocycle.period == pytest.approx(period, rel=1e-11)
-            assert np.max(np.abs(cocycle.shear + np.eye(4) - monodromy)) < 1e-8
-            # the first quarter is the direct (u, X); on quarter j,
-            # X(s) = D_j X(sigma) B_j at s = sigma, 2 t_q - sigma,
-            # 2 t_q + sigma or 4 t_q - sigma
-            t_q, sigma = cocycle.quarter_time, np.linspace(0.0, cocycle.quarter_time, 25)
-            quarter = cocycle.quarter(sigma)
-            assert np.max(np.abs(quarter - dense(sigma))) < 1e-8
-            X = np.moveaxis(quarter[4:].reshape(4, 4, -1), -1, 0)
-            flips = (np.ones(4), trapping.REVERSE, trapping.REFLECT,
-                     trapping.REFLECT * trapping.REVERSE)
+            assert orbit.period == pytest.approx(period, rel=1e-11)
+            # the monodromy is I + N, with N v = N e_phi = 0 and the twist N b
+            _, v0, b0 = (col[:, 0] for col in orbit.flow([0.0]))
+            P, Phi = orbit.twist
+            N, e_phi = monodromy - np.eye(4), np.asarray([0.0, 1.0, 0.0, 0.0])
+            assert np.max(np.abs(N @ np.column_stack([v0, e_phi]))) < 1e-8
+            assert np.max(np.abs(N @ b0 - (-P * v0 + Phi * e_phi))) < 1e-8
+            # the first quarter is the direct u; on quarter j the stacks are
+            # D_j W X(s) F at s = sigma, 2 t_q - sigma, 2 t_q + sigma or 4 t_q - sigma
+            t_q, sigma = orbit.quarter_time, np.linspace(0.0, orbit.quarter_time, 25)
+            assert np.max(np.abs(orbit.flow(sigma)[0] - dense(sigma)[:4])) < 1e-8
+            stacks = orbit.frame_stacks(sigma)
+            W = orbit.weight[:, None]
+            F = stacks[0, 0] / W
+            assert np.allclose(F.T @ F, np.eye(3), rtol=0.0, atol=1e-14)
             times = (sigma, 2.0 * t_q - sigma, 2.0 * t_q + sigma, 4.0 * t_q - sigma)
-            for D, B, s in zip(flips, cocycle.post, times):
+            for j, (D, s) in enumerate(zip(self.FLIPS, times)):
                 direct = np.moveaxis(dense(s)[4:].reshape(4, 4, -1), -1, 0)
-                assert np.max(np.abs(D[:, None] * X @ B - direct)) < 1e-8
+                assert np.max(np.abs(stacks[:, j] - D[:, None] * W * direct @ F)) < 1e-8
 
     def test_horizon_bounds_the_period(self):
-        orbit = trapping.ShellOrbit(_family(0.5, 0.0), 1.2, 0.0)
-        period = orbit.tangent_cocycle(CLI.horizon, TOL).period
-        with pytest.raises(InvalidHorizon):
-            orbit.tangent_cocycle(0.99 * period, TOL)
-        # a bound this close clips the step that holds the turn, which moves
-        # the period in its last bits only
-        assert orbit.tangent_cocycle(1.01 * period, TOL).period == pytest.approx(
-            period, rel=1e-12
-        )
+        # certify raises InvalidHorizon when a theta-period exceeds the
+        # horizon, and a horizon past every period changes no number
+        fam = _family(0.5, 0.0)
+        cert = trapping.certify(0.0, fam, horizon=CLI.horizon, r_max=R_MAX, tol=TOL)
+        longest = max(s.period for s in cert.beta_samples)
+        with pytest.raises(InvalidHorizon, match="too short"):
+            trapping.certify(0.0, fam, horizon=0.99 * longest, r_max=R_MAX, tol=TOL)
+        near = trapping.certify(0.0, fam, horizon=1.01 * longest, r_max=R_MAX, tol=TOL)
+        assert trapping.certificate_to_dict(near) == trapping.certificate_to_dict(cert)
 
     @pytest.mark.parametrize(
-        "spin, epsilon, beta", [(0.5, 0.0, -2.0), (0.9, 0.0, 1.5), (0.5, 0.01, -2.0)]
+        "spin, epsilon, beta",
+        [(0.0, 0.0, -2.0), (0.5, 0.0, -2.0), (0.9, 0.0, 1.5), (0.5, 0.01, -2.0)],
     )
     def test_envelope_sup(self, spin, epsilon, beta):
-        # for both envelope directions Y, the sup over [0, P] of ||L X(s) Y||
-        # is that over [0, t_q] of the largest ||L X(sigma) B_j Y||, since
-        # ||L D_j Z|| = ||L Z|| for each signed identity D_j
-        orbit = trapping.ShellOrbit(_family(spin, epsilon), beta, 0.0)
-        cocycle = orbit.tangent_cocycle(CLI.horizon, TOL)
-        L, F, t_q = embed_diff(orbit), orbit.tangential_frame(), cocycle.quarter_time
-        _, direct = periodic_cocycle(orbit, CLI.horizon, TOL)
-        for Y in (F, cocycle.shear @ F):
-            BY = cocycle.post @ Y
-
-            def branch_max(sigma):
-                X = np.moveaxis(cocycle.quarter(sigma)[4:].reshape(4, 4, -1), -1, 0)
-                return np.max(np.linalg.norm(L @ X[:, None] @ BY, 2, axis=(-2, -1)), axis=1)
-
-            sup = cocycle.sup(orbit.weight, Y)
-            grid = np.linspace(0.0, t_q, trapping.ENVELOPE_SAMPLES)
-            values = branch_max(grid)
-            assert sup >= np.max(values)
-            assert sup >= np.max(branch_max(np.linspace(0.0, t_q, 100001))) * (1.0 - 1e-12)
-            # the sup lies in the bracket of the grid argmax, where 1e5
-            # points resolve it to far below 1e-12
-            i = int(np.argmax(values))
-            bracket = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 100001)
-            assert sup == pytest.approx(np.max(branch_max(bracket)), rel=1e-12)
-            # and it is the sup of the directly integrated period
-            s = np.linspace(0.0, 4.0 * t_q, 100001)
-            assert sup == pytest.approx(
-                np.max(np.linalg.norm(L @ direct(s) @ Y, 2, axis=(-2, -1))), rel=1e-8
-            )
+        # the envelope (a, b) is the sup over [0, P] of ||L X(s) F|| and of
+        # ||L X(s) N F|| / P on the directly integrated period
+        fam = _family(spin, epsilon)
+        orbit = ShellOrbit(fam, beta, 0.0)
+        sample = trapping._beta_sample(fam, beta, 0.0, CLI.horizon, TOL)
+        period, monodromy, _ = full_period_cocycle(orbit, CLI.horizon, tol=1e-12)
+        _, direct = periodic_cocycle(orbit, CLI.horizon, tol=1e-12)
+        L, F = embed_diff(orbit), shell_frame(orbit)
+        s = np.linspace(0.0, period, 100001)
+        X = direct(s)
+        a, b = sample.envelope
+        assert a == pytest.approx(np.max(np.linalg.norm(L @ X @ F, 2, axis=(-2, -1))), rel=1e-8)
+        NF = (monodromy - np.eye(4)) @ F
+        slope = np.max(np.linalg.norm(L @ X @ NF, 2, axis=(-2, -1))) / period
+        assert b == pytest.approx(slope, rel=1e-8, abs=1e-9)
 
     @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9])
     def test_gram_norm_is_the_two_norm(self, spin):
-        # on the stacks diag(W) X(sigma) B_j Y that `sup` forms on its grid,
-        # for both envelope directions Y, the root of the top Gram eigenvalue
-        # is the SVD's 2-norm, and `sup` is the search run on SVD norms
+        # on the stacks W X(s) F that the envelope forms on its grid, the
+        # root of the top Gram eigenvalue is the SVD's 2-norm, and the
+        # certified a is the search run on SVD norms
         fam = _family(spin, 0.0)
         lo, hi = trapping.equatorial_beta_range(0.0, fam)
         for beta in trapping._beta_grid(lo, hi)[[0, 3]]:
-            orbit = trapping.ShellOrbit(fam, float(beta), 0.0)
-            cocycle = orbit.tangent_cocycle(CLI.horizon, TOL)
-            W, F = orbit.weight, orbit.tangential_frame()
-            for Y in (F, cocycle.shear @ F):
-
-                def stacks(sigma):
-                    X = np.moveaxis(cocycle.quarter(sigma)[4:].reshape(4, 4, -1), -1, 0)
-                    return W[:, None] * X[:, None] @ (cocycle.post @ Y)
-
-                A = stacks(np.linspace(0.0, cocycle.quarter_time, trapping.ENVELOPE_SAMPLES))
-                assert A.shape == (trapping.ENVELOPE_SAMPLES, 4, 4, 3)
-                gram = np.swapaxes(A, -2, -1) @ A
-                np.testing.assert_allclose(
-                    np.sqrt(np.linalg.eigvalsh(gram)[..., -1]),
-                    np.linalg.norm(A, 2, axis=(-2, -1)), rtol=1e-14, atol=0.0,
-                )
-                svd_sup = trapping._envelope_sup(
-                    lambda s: np.linalg.norm(stacks(s), 2, axis=(-2, -1)).max(axis=-1),
-                    cocycle.quarter_time,
-                )
-                assert cocycle.sup(W, Y) == pytest.approx(svd_sup, rel=1e-14, abs=0.0)
+            orbit = ShellOrbit(fam, float(beta), 0.0)
+            A = orbit.frame_stacks(np.linspace(0.0, orbit.quarter_time, trapping.ENVELOPE_SAMPLES))
+            assert A.shape == (trapping.ENVELOPE_SAMPLES, 4, 4, 3)
+            gram = np.swapaxes(A, -2, -1) @ A
+            np.testing.assert_allclose(
+                np.sqrt(np.linalg.eigvalsh(gram)[..., -1]),
+                np.linalg.norm(A, 2, axis=(-2, -1)), rtol=1e-14, atol=0.0,
+            )
+            svd_sup = trapping._envelope_sup(
+                lambda s: np.linalg.norm(orbit.frame_stacks(s), 2, axis=(-2, -1)).max(axis=-1),
+                orbit.quarter_time,
+            )
+            a = trapping._beta_sample(fam, float(beta), 0.0, CLI.horizon, TOL).envelope[0]
+            assert a == pytest.approx(svd_sup, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("mass", [1e-50, 1e50])
     def test_quarter_is_integrated_in_units_of_mass(self, mass):
         # in the units of M the orbit at a = M/2, beta = 1.2 M is the M = 1
-        # orbit, so its quarter takes as many steps and ends at the same
-        # M t_q with the same dimensionless shear.  In time units the M = 1
-        # tolerance would not fit: at M = 1e-50 the steps stalled near 1e33
-        # against a period near 1e50, and at M = 1e50 d(theta)/d(alpha) fell
-        # below the absolute tolerance
-        def quarter(m):
-            orbit = trapping.ShellOrbit(trapping.ReducedFamily(KerrParams(m, m / 2.0)),
-                                        1.2 * m, 0.0)
-            return orbit.tangent_cocycle(CLI.horizon / m, TOL)
+        # orbit: the same M t_q, twist, shear and closed-form flow, where in
+        # time units nothing would fit one tolerance (a period near 1e50 at
+        # M = 1e-50, and d(theta)/d(alpha) near 1e-50 at M = 1e50)
+        def orbit(m):
+            return ShellOrbit(trapping.ReducedFamily(KerrParams(m, m / 2.0)), 1.2 * m, 0.0)
 
-        got, want = quarter(mass), quarter(1.0)
-        assert got.quarter.ts.size == want.quarter.ts.size
-        assert got.quarter_time == pytest.approx(want.quarter_time, rel=1e-12)
-        assert np.max(np.abs(got.shear - want.shear)) < 1e-12
+        got, want = orbit(mass), orbit(1.0)
+        assert got.quarter_time == pytest.approx(want.quarter_time, rel=1e-13)
+        assert got.twist == pytest.approx(want.twist, rel=1e-12)
+        assert got.shear == pytest.approx(want.shear, rel=1e-12)
+        sigma = np.linspace(0.0, want.quarter_time, 9)
+        for g, w in zip(got.flow(sigma), want.flow(sigma)):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     def test_envelope_sup_ends_on_long_periods(self):
         # past P ~ 1e7 the float spacing of s exceeds ENVELOPE_XTOL (at
@@ -486,6 +471,71 @@ class TestQuarterPeriod:
         period = 6e8
         sup = trapping._envelope_sup(lambda s: np.cos(2.0 * np.pi * s / period - 1.0), period)
         assert sup == pytest.approx(1.0, abs=1e-12)
+
+
+class TestClosedForm:
+    """The closed-form shell orbit against the integrated quarter period."""
+
+    @pytest.mark.parametrize("mass", [1e-50, 1.0, 1e50])
+    @pytest.mark.parametrize("spin", [0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    def test_turn_matches_integrated_quarter(self, mass, spin, epsilon):
+        # t_q and phi(t_q) in the units of M, at three betas of the sample grid
+        bump = models.BumpPattern(3, mass, epsilon) if epsilon else None
+        fam = trapping.ReducedFamily(KerrParams(mass, spin * mass), bump=bump)
+        lo, hi = trapping.equatorial_beta_range(0.0, fam)
+        for beta in trapping._beta_grid(lo, hi)[[0, 2, 5]]:
+            orbit = ShellOrbit(fam, float(beta), 0.0)
+            t_q, dense = integrated_quarter(orbit, tol=1e-12)
+            sigma = np.linspace(0.0, t_q, 9)
+            assert orbit.quarter_time == pytest.approx(t_q, rel=1e-10)
+            phi = orbit.flow(sigma)[0][1]
+            assert phi[-1] == pytest.approx(dense(t_q)[1], rel=1e-10)
+            assert phi == pytest.approx(dense(sigma)[1], rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("spin, epsilon", [(0.5, 0.0), (0.9, 0.0), (0.5, 0.01)])
+    def test_twist_is_the_beta_derivative(self, spin, epsilon):
+        # the complex step's (P', Phi') against central differences of the
+        # closed form along the lambda shell, and d_beta u against the
+        # integrated X(sigma) b
+        fam = _family(spin, epsilon)
+        for beta in (-2.0, 1.3):
+            orbit, step = ShellOrbit(fam, beta, 0.0), 1e-5
+            lo, hi = ShellOrbit(fam, beta - step, 0.0), ShellOrbit(fam, beta + step, 0.0)
+            P_diff = 4.0 * (hi.quarter_time - lo.quarter_time) / (2.0 * step)
+            phi_q = [o.flow([o.quarter_time])[0][1, 0] for o in (lo, hi)]
+            Phi_diff = 4.0 * (phi_q[1] - phi_q[0]) / (2.0 * step)
+            assert orbit.twist == pytest.approx((P_diff, Phi_diff), rel=1e-6)
+            t_q, dense = integrated_quarter(orbit, tol=1e-12)
+            sigma = np.linspace(0.0, t_q, 17)
+            X = np.moveaxis(dense(sigma)[4:].reshape(4, 4, -1), -1, 0)
+            w = orbit.flow(sigma)[2]
+            assert np.max(np.abs(X @ w[:, 0] - w.T)) < 1e-9 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("mass", [1e-50, 1.0, 1e50])
+    def test_degree_reads_the_twist(self, mass):
+        # a = 0 has no twist (its shear rounds below 2e-14), and a = 1e-6 M
+        # has a shear near 2e-7, so a sqrt(tol) threshold between them reads
+        # degree 0 and 1 at every mass; the integrated test needed a > 5e-5 M
+        for spin, degree in ((0.0, 0), (1e-6, 1)):
+            fam = trapping.ReducedFamily(KerrParams(mass, spin * mass))
+            cert = trapping.certify(0.0, fam, horizon=50.0 / mass, r_max=R_MAX, tol=1e-20)
+            assert [s.tangential_degree for s in cert.beta_samples] == [degree] * trapping.N_BETA
+
+    def test_no_integration(self, monkeypatch):
+        # certify and perturb run no ODE solve
+        from nhtrap import ode
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr(ode, "solve_ivp", forbidden)
+        monkeypatch.setattr(trapping, "solve_ivp", forbidden)
+        assert trapping.certify(0.0, _family(0.9, 0.0), horizon=20.0, r_max=R_MAX, tol=TOL).passed
+        rep = trapping.perturb_and_recertify(
+            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX, tol=TOL
+        )
+        assert rep.certificate.passed
 
 
 class TestCertify:
@@ -517,11 +567,11 @@ class TestCertify:
         assert cert.tangential_degree == degree
         for s in cert.beta_samples:
             assert s.tangential_degree == degree
-            orbit = trapping.ShellOrbit(fam, s.chart.beta, 0.0)
-            # at a = 0 the shear is integration noise, which the oracle
+            orbit = ShellOrbit(fam, s.chart.beta, 0.0)
+            # at a = 0 the oracle's shear is integration noise, which it
             # keeps well inside the envelope's slack only at this tol
             P, cocycle = periodic_cocycle(orbit, 5.0, tol=1e-12)
-            L, F = embed_diff(orbit), orbit.tangential_frame()
+            L, F = embed_diff(orbit), shell_frame(orbit)
 
             def sigma(t):
                 return np.linalg.norm(L @ cocycle(t) @ F, 2, axis=(-2, -1))

@@ -21,12 +21,15 @@ M = 0.1; flow-integrate on the photon circle at M = 100; the rest at
 M = 1) and the eight workload commands of the benchmark at seed 1.
 Three of the checks end in an error exit: the h >= htilde exit 2 of
 escape-check, a flow orbit that leaves the chart (exit 3) and a certify
-horizon shorter than one theta-period (exit 2).
+horizon shorter than one theta-period (exit 2).  Differing text outputs
+are compared by a `difflib` line diff, so an artifact that only loses
+lines names just those lines.
 """
 
 from __future__ import annotations
 
 import csv
+import difflib
 import io
 import os
 import subprocess
@@ -144,12 +147,27 @@ def differences(parent: dict, change: dict) -> list[str]:
 
 
 def _file_diff(name: str, a: bytes, b: bytes) -> list[str]:
-    """The lines of a text output that differ, with their line numbers."""
+    """The lines of a text output that differ, with their line numbers.
+
+    Lines are matched by `difflib`, so a line only removed or only added is
+    named alone, not every later line shifted by it.  A block of changed
+    lines that keeps its length is paired line by line (parent -> change);
+    any other block is listed as removed parent lines and added change lines.
+    """
     lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
-    found = [f"{name}: {len(lines_a)} -> {len(lines_b)} lines"] if len(lines_a) != len(lines_b) else []
-    for i, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
-        if x != y:
-            found.append(f"{name}:{i}: {x.strip()} -> {y.strip()}")
+    found = []
+    if len(lines_a) != len(lines_b):
+        found.append(f"{name}: {len(lines_a)} -> {len(lines_b)} lines")
+    matcher = difflib.SequenceMatcher(None, lines_a, lines_b, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        if i2 - i1 == j2 - j1:
+            found.extend(f"{name}:{i + 1}: {lines_a[i].strip()} -> {lines_b[j].strip()}"
+                         for i, j in zip(range(i1, i2), range(j1, j2)))
+            continue
+        found.extend(f"{name}:{i + 1}: removed {lines_a[i].strip()}" for i in range(i1, i2))
+        found.extend(f"{name}:{j + 1} (change): added {lines_b[j].strip()}" for j in range(j1, j2))
     return found or [f"{name}: bytes differ"]
 
 
