@@ -1,4 +1,4 @@
-"""Elliptic integrals, Jacobi elliptic functions and Chebyshev antiderivatives.
+"""The complete integral K, Jacobi elliptic functions, Chebyshev antiderivatives.
 
 Pure Python and numpy, so that the shell certificate loads no scipy.  Every
 function takes complex arguments as well as real ones and is analytic in
@@ -13,10 +13,6 @@ them, so a complex step in an argument gives its derivative to rounding.
       sn = (1 + k1) s / (1 + k1 s^2), cn = c d / (1 + k1 s^2),
       dn = (1 - k1 s^2) / (1 + k1 s^2),
   with (s, c, d) the functions of modulus k1 at z / (1 + k1).
-- `elliprf`, `elliprj` (with R_C): Carlson's symmetric integrals by the
-  duplication theorem (Carlson, Numer. Algorithms 10, 13 (1995)), and
-  `ellippi`, the complete integral of the third kind
-  Pi(n | m) = R_F(0, 1 - m, 1) + (n/3) R_J(0, 1 - m, 1, 1 - n).
 - `ChebyshevIntegral`: the antiderivative of a function sampled on
   Chebyshev-Lobatto points of an interval, held as a Chebyshev series.
 """
@@ -29,8 +25,6 @@ import math
 import numpy as np
 
 EPS = 2.0**-52
-# Carlson's stopping rule: the series remainder is below r times the value
-CARLSON_R = EPS / 4.0
 # descending Landen stops once m = k^2 is below this: sn = sin to rounding
 LANDEN_M_MIN = 1e-17
 
@@ -71,70 +65,6 @@ class Jacobi:
             den = 1.0 / (1.0 + ks2)
             sn, cn, dn = (1.0 + k) * sn * den, cn * dn * den, (1.0 - ks2) * den
         return sn, cn, dn
-
-
-def elliprf(x, y, z):
-    """Carlson's R_F(x, y, z) = (1/2) int_0^inf dt / sqrt((t+x)(t+y)(t+z))."""
-    A0 = A = (x + y + z) / 3.0
-    Q = (3.0 * CARLSON_R) ** (-1.0 / 6.0) * max(abs(A0 - v) for v in (x, y, z))
-    # X = 1 - x_m/A_m = (A0 - x)/(4^m A_m): every update adds the same lambda/4
-    X0, Y0 = A0 - x, A0 - y
-    fac = 1.0
-    while fac * Q >= abs(A):
-        sx, sy, sz = _sqrt(x), _sqrt(y), _sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        x, y, z, A = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (A + lam) / 4.0
-        fac /= 4.0
-    X, Y = fac * X0 / A, fac * Y0 / A
-    Z = -(X + Y)
-    E2, E3 = X * Y - Z * Z, X * Y * Z
-    return (1.0 - E2 / 10.0 + E3 / 14.0 + E2 * E2 / 24.0 - 3.0 * E2 * E3 / 44.0) / _sqrt(A)
-
-
-def _elliprc(x, y):
-    """Carlson's R_C(x, y) = R_F(x, y, y)."""
-    A0 = A = (x + 2.0 * y) / 3.0
-    Q = (3.0 * CARLSON_R) ** (-1.0 / 8.0) * abs(A0 - x)
-    S0 = y - A0
-    fac = 1.0
-    while fac * Q >= abs(A):
-        lam = 2.0 * _sqrt(x) * _sqrt(y) + y
-        x, y, A = (x + lam) / 4.0, (y + lam) / 4.0, (A + lam) / 4.0
-        fac /= 4.0
-    s = fac * S0 / A
-    return (1.0 + s * s * (3.0 / 10.0 + s * (1.0 / 7.0 + s * (3.0 / 8.0 + s * (
-        9.0 / 22.0 + s * (159.0 / 208.0 + s * 9.0 / 8.0)))))) / _sqrt(A)
-
-
-def elliprj(x, y, z, p):
-    """Carlson's R_J(x, y, z, p) = (3/2) int_0^inf dt / ((t+p) sqrt((t+x)(t+y)(t+z)))."""
-    A0 = A = (x + y + z + 2.0 * p) / 5.0
-    delta = (p - x) * (p - y) * (p - z)
-    Q = (CARLSON_R / 4.0) ** (-1.0 / 6.0) * max(abs(A0 - v) for v in (x, y, z, p))
-    X0, Y0, Z0 = A0 - x, A0 - y, A0 - z
-    fac, total = 1.0, 0.0
-    while fac * Q >= abs(A):
-        sx, sy, sz, sp = _sqrt(x), _sqrt(y), _sqrt(z), _sqrt(p)
-        lam = sx * sy + sy * sz + sz * sx
-        d = (sp + sx) * (sp + sy) * (sp + sz)
-        total += fac * _elliprc(1.0, 1.0 + fac**3 * delta / (d * d)) / d
-        x, y, z, p = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (p + lam) / 4.0
-        A = (A + lam) / 4.0
-        fac /= 4.0
-    X, Y, Z = fac * X0 / A, fac * Y0 / A, fac * Z0 / A
-    P = -(X + Y + Z) / 2.0
-    E2 = X * Y + X * Z + Y * Z - 3.0 * P * P
-    E3 = X * Y * Z + 2.0 * E2 * P + 4.0 * P**3
-    E4 = (2.0 * X * Y * Z + E2 * P + 3.0 * P**3) * P
-    E5 = X * Y * Z * P * P
-    series = (1.0 - 3.0 * E2 / 14.0 + E3 / 6.0 + 9.0 * E2 * E2 / 88.0 - 3.0 * E4 / 22.0
-              - 9.0 * E2 * E3 / 52.0 + 3.0 * E5 / 26.0)
-    return fac * series / (A * _sqrt(A)) + 6.0 * total
-
-
-def ellippi(n, m):
-    """Pi(n | m) = int_0^(pi/2) dt / ((1 - n sin^2 t) sqrt(1 - m sin^2 t)), n, m < 1."""
-    return elliprf(0.0, 1.0 - m, 1.0) + n / 3.0 * elliprj(0.0, 1.0 - m, 1.0, 1.0 - n)
 
 
 class ChebyshevIntegral:

@@ -2,7 +2,7 @@
 
 On a pinned shell orbit (fact 1 of `trapping`) the theta-motion is an
 elliptic oscillation of one degree of freedom, which `ShellOrbit` holds by
-Jacobi functions and complete integrals from `elliptic`; fact 4 of
+Jacobi functions and K from `elliptic`; fact 4 of
 `trapping` turns it into the tangential cocycle on the shell tangent.
 Nothing here integrates an orbit or loads scipy.
 """
@@ -56,14 +56,17 @@ class ShellOrbit:
 
     the first term holds the whole steepness of a near-polar orbit
     (y+ near 1), and the smooth second one is a Chebyshev series on
-    PHI_NODES points.  At the turn
-    phi_q = t_q (v_b - 2a) + 2 beta Pi(-y+/(1 - y+) | m) / (omega (1 - y+)).
+    PHI_NODES points, G(t) in time.  At the turn psi = pi/2, so
+    phi_q = t_q (v_b - 2a) + 2 beta (d pi / (2 omega k'') + G(t_q)), and
+    G(t_q) is the sum of the series' coefficients.
 
     Each closed form is taken at beta + i h with the radial constants moved
     along the lambda-shell family (kappa' = -v_b, v_b' = v_rb r_s' + v_bb), so
     its imaginary part over h is its derivative along the family: the twist
     (P', Phi') = 4 (t_q', phi_q') and d_beta u(sigma), the one column of
-    X(sigma) the envelope needs (fact 4 of `trapping`).
+    X(sigma) the envelope needs (fact 4 of `trapping`).  The series is built
+    on the real [0, Re t_q], so G at the complex t_q adds its integrand at the
+    end, (m/n0) k'/(k' + d), times i Im(t_q).
     """
 
     def __init__(self, family, beta: float, lam: float):
@@ -98,14 +101,18 @@ class ShellOrbit:
         self._kk, self._d = (1.0 - n0) ** 0.5, (1.0 - m / n0) ** 0.5
         self._jacobi = elliptic.Jacobi(m)
         t_q = elliptic.ellipk(m) / self._omega
-        phi_q = t_q * (self._vb - 2.0 * a) + 2.0 * b * elliptic.ellippi(
-            -y / (1.0 - y), m) / (self._omega * (1.0 - y))
         self.quarter_time = t_q.real  # M t_q
         self.period = 4.0 * t_q.real / mass
-        self.twist = (4.0 * t_q.imag / BETA_STEP, 4.0 * phi_q.imag / BETA_STEP)  # (P', Phi')
 
         dn = self._jacobi(self._omega * PHI_SERIES.nodes(t_q.real))[2]
         self._phi_coeffs = PHI_SERIES.coefficients(m / n0 * dn / (dn + self._d), t_q.real)
+        # phi at the complex turn t_q: psi = pi/2, and the series at its end
+        # plus its integrand there (dn = k') times the step off the real end
+        k1 = (1.0 - m) ** 0.5
+        phi_q = t_q * (self._vb - 2.0 * a) + 2.0 * b * (
+            self._d * math.pi / (2.0 * self._omega * self._kk) + self._phi_coeffs.sum()
+            + m / n0 * k1 / (k1 + self._d) * 1j * t_q.imag)
+        self.twist = (4.0 * t_q.imag / BETA_STEP, 4.0 * phi_q.imag / BETA_STEP)  # (P', Phi')
 
         # the frame F = A0 R^-1 of the shell-tangent basis A0 = D [u', e_phi, d_beta u / M]
         # at the start, and the post-factors B_j on it (fact 4), n = N b in that basis

@@ -52,7 +52,7 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    a weighted norm of X over [0, P] is one of X(sigma) B_j, sigma in [0, t_q].
 
 The theta-motion is elliptic, and `shell.ShellOrbit` holds each orbit in
-closed form (Jacobi functions, K, and Pi for phi_q, from `elliptic`), in
+closed form (Jacobi functions and K from `elliptic`), in
 the units of M; a complex step in beta gives the twist and d_beta u, and
 no orbit is integrated.  The value of p on the pinned shell at the
 equator with alpha = 0 is the reduced symbol at the saddle plus the

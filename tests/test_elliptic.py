@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
-from scipy.integrate import quad
 
 from nhtrap import elliptic
 
@@ -34,30 +33,6 @@ def test_jacobi_at_the_quarter_period():
         assert sn[0] == pytest.approx(1.0, abs=1e-15)
         assert cn[0] == pytest.approx(0.0, abs=1e-15)
         assert dn[0] == pytest.approx(math.sqrt(1.0 - m), rel=1e-15)
-
-
-def test_carlson():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        x, y, z = rng.uniform(0.0, 3.0, 3)
-        p = rng.uniform(0.01, 50.0)
-        assert elliptic.elliprf(x, y, z) == pytest.approx(sp.elliprf(x, y, z), rel=2e-15)
-        assert elliptic.elliprj(x, y, z, p) == pytest.approx(sp.elliprj(x, y, z, p), rel=2e-15)
-    # one argument zero, as the complete integrals take them
-    assert elliptic.elliprf(0.0, 0.3, 1.0) == pytest.approx(sp.elliprf(0.0, 0.3, 1.0), rel=2e-15)
-    assert elliptic.elliprj(0.0, 0.3, 1.0, 40.0) == pytest.approx(
-        sp.elliprj(0.0, 0.3, 1.0, 40.0), rel=2e-15)
-
-
-@pytest.mark.parametrize("n, m", [(-0.5, 0.3), (-50.0, 0.05), (-4000.0, 0.9), (0.4, 0.6)])
-def test_ellippi(n, m):
-    def integrand(t):
-        s2 = math.sin(t) ** 2
-        return 1.0 / ((1.0 - n * s2) * math.sqrt(1.0 - m * s2))
-
-    ref = quad(integrand, 0.0, math.pi / 2.0, epsabs=0.0, epsrel=2e-14, limit=200)[0]
-    assert elliptic.ellippi(n, m) == pytest.approx(ref, rel=1e-13)
-    assert elliptic.ellipk(m) == pytest.approx(elliptic.elliprf(0.0, 1.0 - m, 1.0), rel=1e-15)
 
 
 def test_complex_step_derivatives():

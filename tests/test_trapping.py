@@ -410,16 +410,34 @@ class TestQuarterPeriod:
     )
     def test_envelope_sup(self, spin, epsilon, beta):
         # the envelope (a, b) is the sup over [0, P] of ||L X(s) F|| and of
-        # ||L X(s) N F|| / P on the directly integrated period
+        # ||L X(s) N F|| / P, that is over [0, t_q] of the largest stack norm
+        # of `frame_stacks` and of `slope_norms` (fact 4)
         fam = _family(spin, epsilon)
         orbit = ShellOrbit(fam, beta, 0.0)
         sample = trapping._beta_sample(fam, beta, 0.0, CLI.horizon, TOL)
+        t_q, (a, b) = orbit.quarter_time, sample.envelope
+
+        def frame_norm(sigma):
+            return np.linalg.norm(orbit.frame_stacks(sigma), 2, axis=(-2, -1)).max(axis=-1)
+
+        for f, value in ((frame_norm, a), (orbit.slope_norms, b * orbit.period)):
+            sup = trapping._envelope_sup(f, t_q)
+            assert value == pytest.approx(sup, rel=1e-14, abs=0.0)
+            grid = np.linspace(0.0, t_q, trapping.ENVELOPE_SAMPLES)
+            values = f(grid)
+            assert sup >= np.max(values)
+            assert sup >= np.max(f(np.linspace(0.0, t_q, 100001))) * (1.0 - 1e-12)
+            # the sup lies in the bracket of the grid argmax, where 1e5
+            # points resolve it to far below 1e-12
+            i = int(np.argmax(values))
+            bracket = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 100001)
+            assert sup == pytest.approx(np.max(f(bracket)), rel=1e-12)
+        # and both are the sups of the directly integrated period
         period, monodromy, _ = full_period_cocycle(orbit, CLI.horizon, tol=1e-12)
         _, direct = periodic_cocycle(orbit, CLI.horizon, tol=1e-12)
         L, F = embed_diff(orbit), shell_frame(orbit)
         s = np.linspace(0.0, period, 100001)
         X = direct(s)
-        a, b = sample.envelope
         assert a == pytest.approx(np.max(np.linalg.norm(L @ X @ F, 2, axis=(-2, -1))), rel=1e-8)
         NF = (monodromy - np.eye(4)) @ F
         slope = np.max(np.linalg.norm(L @ X @ NF, 2, axis=(-2, -1))) / period
