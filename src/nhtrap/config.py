@@ -28,7 +28,8 @@ DEFAULT_TOLERANCES = {
     "consistency": 0.15,
 }
 
-# accepted range of tol.flow, the end-to-end tolerance of every integration
+# accepted range of tol.flow, the end-to-end tolerance of flow-integrate's
+# integration; no other command reads it
 FLOW_TOL_RANGE = (1e-13, 1e-6)
 # accepted range of kerr.mass; past it the shell and escape arithmetic leaves the float range
 MASS_RANGE = (1e-50, 1e50)

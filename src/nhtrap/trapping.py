@@ -28,7 +28,7 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
    the flow (the period depends on the energy) and along phi (which is
    cyclic), and fixes both directions.  So X(s + mP) = X(s) (I + mN) for
    every integer m, and tangential growth is polynomial of degree 0 (N
-   vanishes on the shell-tangent frame) or 1.
+   vanishes on the shell-tangent frame) or 1 (fact 4 makes N^2 = 0).
 4. A quarter period fixes the rest.  The intrinsic field is
    theta' = 2 alpha, phi' = v_b + p_b(theta, beta), alpha' = -p_theta,
    beta' = 0, and q(pi - theta) = q(theta), so p_b and p_theta are even and
@@ -54,7 +54,8 @@ p = Delta*xi^2 + v_beta(r) + alpha^2 + q(theta, beta)^2:
 The theta-motion is elliptic, and `shell.ShellOrbit` holds each orbit in
 closed form (Jacobi functions and K from `elliptic`), in
 the units of M; a complex step in beta gives the twist and d_beta u, and
-no orbit is integrated.  The value of p on the pinned shell at the
+no orbit is integrated.  The degree is read off the twist, not checked:
+fact 4 bounds it by 1.  The value of p on the pinned shell at the
 equator with alpha = 0 is the reduced symbol at the saddle plus the
 Carter constant q(pi/2, beta)^2 (`ReducedFamily.shell_value`): it fixes
 each orbit's alpha and, through a bracketed `brentq`, the extremal beta
@@ -64,7 +65,7 @@ values.  Trapped radii are closed-form roots of v' (see `trapped_radius`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +82,9 @@ N_BETA = 6  # beta samples of each certificate
 BETA_NEAR = 1e-3
 BETA_FAR = 7.0
 BETA_DOUBLINGS = 8
-TANGENTIAL_DEGREE_MAX = 1
+# the dimensionless shear reads as a twist above this; rounding leaves at
+# most 2.3e-14 at a = 0, and a = 1e-8 M shears by 2e-9 or more
+SHEAR_ROUNDING = 1e-12
 # the ratio checks take theta0 = THETA0_FRACTION * lambda, which leaves the
 # bound (a + b*t)^r a decay rate of (1 - THETA0_FRACTION) * lambda
 THETA0_FRACTION = 0.9
@@ -220,7 +223,6 @@ class RatioCheck:
     C: float
     slope_forward: float
     slope_backward: float
-    passed: bool
 
 
 @dataclass
@@ -239,8 +241,6 @@ class TrapCertificate:
     theta_rate: float
     ratio_checks: list[RatioCheck]
     tangential_degree: int
-    passed: bool
-    reasons: list[str] = field(default_factory=list)
 
 
 def equatorial_beta_range(lam: float, family: ReducedFamily) -> tuple[float, float]:
@@ -282,9 +282,7 @@ def _beta_grid(lo: float, hi: float) -> np.ndarray:
     return grid
 
 
-def _beta_sample(
-    fam: ReducedFamily, beta: float, lam: float, horizon: float, tol: float
-) -> BetaSample:
+def _beta_sample(fam: ReducedFamily, beta: float, lam: float, horizon: float) -> BetaSample:
     """Period, tangential degree and tangential envelope at one beta.
 
     sigma(t) = ||E X(t) F|| = ||W X(t) F|| on the orthonormal shell-tangent
@@ -294,7 +292,7 @@ def _beta_sample(
     beta scale like M, theta and phi do not), so the zero test runs on the
     dimensionless D^-1 N D F = (-P' u' + Phi' e_phi) (0, 0, 1/R_22) in the
     units of M (`ShellOrbit.shear`), and reads the twist as zero up to
-    sqrt(tol).  The envelope slope b is measured either way.  Raises
+    SHEAR_ROUNDING.  The envelope slope b is measured either way.  Raises
     InvalidHorizon when the theta-period exceeds `horizon`.
     """
     from .shell import ShellOrbit  # trap-find's import path does without it
@@ -317,7 +315,7 @@ def _beta_sample(
     return BetaSample(
         chart=orbit.chart,
         period=orbit.period,
-        tangential_degree=int(orbit.shear > math.sqrt(tol)),
+        tangential_degree=int(orbit.shear > SHEAR_ROUNDING),
         envelope=(_envelope_sup(frame_norm, t_q),
                   _envelope_sup(orbit.slope_norms, t_q) / orbit.period),
     )
@@ -366,9 +364,7 @@ def _ratio_sup(r: int, a: float, b: float, k: float) -> float:
     return value
 
 
-def certify(
-    lam: float, family: ReducedFamily, horizon: float, r_max: int, tol: float
-) -> TrapCertificate:
+def certify(lam: float, family: ReducedFamily, horizon: float, r_max: int) -> TrapCertificate:
     """Certify r-normal hyperbolicity of the family's trapped set on one
     energy shell.
 
@@ -379,19 +375,18 @@ def certify(
     a + b*t (fact 3).  With lambda the least sampled rate, for r = 1..r_max the
     ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t) over t >= 0 in
     closed form, with a the backward envelope's a + b*P, which is at least
-    the forward one's a, and the bound grows with a; they hold when the
-    degree is at most 1.  `horizon` only bounds the theta-period, which
+    the forward one's a, and the bound grows with a; the degree is at most
+    1 (fact 4), so every C is finite unless it overflows a float, which
+    raises DomainError.  `horizon` only bounds the theta-period, which
     raises InvalidHorizon past it: no number depends on it.
     """
     if horizon <= 0.0:
         raise InvalidHorizon(f"horizon must be positive, got {horizon}")
     lo, hi = equatorial_beta_range(lam, family)
     samples = [
-        _beta_sample(family, float(beta), lam, horizon, tol)
+        _beta_sample(family, float(beta), lam, horizon)
         for beta in _beta_grid(lo, hi)
     ]
-    degree = max(s.tangential_degree for s in samples)
-    passed = degree <= TANGENTIAL_DEGREE_MAX
     rate = min(s.chart.normal_exponent for s in samples)
     theta0 = THETA0_FRACTION * rate
     b = max(s.envelope[1] for s in samples)
@@ -403,7 +398,6 @@ def certify(
             C=_ratio_sup(r, a_bwd, b, rate - theta0),
             slope_forward=-rate,
             slope_backward=-rate,
-            passed=passed,
         )
         for r in range(1, r_max + 1)
     ]
@@ -412,9 +406,7 @@ def certify(
         beta_samples=samples,
         theta_rate=rate,
         ratio_checks=ratio_checks,
-        tangential_degree=degree,
-        passed=passed,
-        reasons=[] if passed else [f"tangential degree {degree} > {TANGENTIAL_DEGREE_MAX}"],
+        tangential_degree=max(s.tangential_degree for s in samples),
     )
 
 
@@ -438,7 +430,6 @@ def perturb_and_recertify(
     seed: int,
     horizon: float,
     r_max: int,
-    tol: float,
 ) -> PerturbReport:
     """Perturb the symbol by a seeded bump of size epsilon, recertify, and
     compare each certified saddle with the unperturbed one at its beta.
@@ -451,7 +442,7 @@ def perturb_and_recertify(
     if not (0.0 <= epsilon <= 0.05):
         raise DomainError(f"epsilon={epsilon} outside the certified regime [0, 0.05]")
     fam = ReducedFamily(params, bump=BumpPattern(seed, params.mass, epsilon))
-    cert = certify(lam, fam, horizon=horizon, r_max=r_max, tol=tol)
+    cert = certify(lam, fam, horizon=horizon, r_max=r_max)
     base = ReducedFamily(params)
     displacement = 0.0
     shift = 0.0
@@ -478,7 +469,13 @@ def perturb_and_recertify(
 
 
 def certificate_to_dict(cert: TrapCertificate) -> dict:
-    """JSON-ready dictionary with the stable key set."""
+    """JSON-ready dictionary with the stable key set.
+
+    Its "passed" keys are always true and "reasons" is always empty: the
+    degree is at most 1 by fact 4, and every other way a certificate can
+    fail raises before one is made (NotHyperbolic, NoBracket,
+    NewtonDiverged, InvalidHorizon, and DomainError from `_ratio_sup`).
+    """
     return {
         "lambda": cert.lam,
         "beta_samples": [
@@ -505,11 +502,11 @@ def certificate_to_dict(cert: TrapCertificate) -> dict:
                 "C": c.C,
                 "slope_forward": c.slope_forward,
                 "slope_backward": c.slope_backward,
-                "passed": c.passed,
+                "passed": True,
             }
             for c in cert.ratio_checks
         ],
         "tangential_degree": cert.tangential_degree,
-        "passed": cert.passed,
-        "reasons": list(cert.reasons),
+        "passed": True,
+        "reasons": [],
     }

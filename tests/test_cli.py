@@ -629,8 +629,9 @@ class TestCertifyAndPerturb:
         assert payload["certificate"]["passed"] is True
 
     def test_small_mass_runs(self, tmp_path, capsys):
-        # the degree test and the perturbing bump scale with M, so small
-        # holes certify and perturb as M = 1 does (same perturb line)
+        # the degree test reads a dimensionless shear and the perturbing bump
+        # scales with M, so small holes certify and perturb as M = 1 does
+        # (same perturb line)
         code, _ = run_cli(
             tmp_path, "trap-certify",
             "kerr.mass = 1e-8\nkerr.spin = 5e-9\nhorizon = 1e10\n", name="certify",
@@ -675,8 +676,9 @@ class TestCertifyAndPerturb:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_perturbed_shell_recertifies_across_seeds(self, tmp_path, seed):
-        # r-normal hyperbolicity survives each seeded bump of size 0.01; the
-        # exponent_shift gate may still fail (exit 1), the recertify may not
+        # r-normal hyperbolicity survives each seeded bump of size 0.01: the
+        # certificate is made (no exit 2 or 3), and only perturb's own gates
+        # may fail (exit 1)
         code, out = run_cli(
             tmp_path, "perturb", "kerr.spin = 0.5\nepsilon = 0.01\nhorizon = 20\n",
             extra=("--seed", str(seed)),
@@ -684,8 +686,10 @@ class TestCertifyAndPerturb:
         assert code in (0, 1)
         payload = json.loads((out / "certificate.json").read_text())
         assert payload["seed"] == seed
-        assert payload["certificate"]["passed"] is True
-        assert "recertify" not in [f["check"] for f in read_failures(out)]
+        assert payload["certificate"]["tangential_degree"] == 1
+        checks = {f["check"] for f in read_failures(out)}
+        assert checks <= {"saddle_displacement", "exponent_shift"}
+        assert (code == 1) == bool(checks)
 
     @pytest.mark.parametrize("command", ["flow-integrate", "trap-certify", "perturb"])
     def test_flow_tolerance_out_of_range_is_config_error(self, tmp_path, capsys, command):
@@ -694,21 +698,35 @@ class TestCertifyAndPerturb:
         assert "tol.flow" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_perturb_flow_tolerance(self, tmp_path):
-        # tol.flow sets the sqrt(tol) threshold of the degree test: at
-        # a = 1e-4 the twist reads about 2e-5 to 5e-5, above sqrt(1e-10) and
-        # below sqrt(1e-8)
-        certs = []
-        for name, extra in (("default", ""), ("loose", "tol.flow = 1e-8\n")):
+    @pytest.mark.parametrize("command", ["trap-certify", "perturb"])
+    def test_shell_ignores_flow_tolerance(self, tmp_path, capsys, command):
+        # tol.flow is flow-integrate's alone: at a = 1e-4, whose shear (2e-5
+        # to 5e-5) lies between sqrt(1e-13) and sqrt(1e-6), both ends of its
+        # range give the same bytes and read degree 1
+        runs = []
+        for tol in ("1e-13", "1e-6"):
             code, out = run_cli(
-                tmp_path, "perturb", "kerr.spin = 1e-4\nhorizon = 5\nseed = 2\n" + extra,
-                name=name,
+                tmp_path, command, f"kerr.spin = 1e-4\nhorizon = 5\nseed = 2\ntol.flow = {tol}\n",
+                name=f"tol{tol}",
             )
             assert code == 0
-            payload = json.loads((out / "certificate.json").read_text())
-            certs.append(payload["certificate"])
-        assert certs[0]["passed"] and certs[1]["passed"]
-        assert [c["tangential_degree"] for c in certs] == [1, 0]
+            runs.append(((out / "certificate.json").read_bytes(), capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        payload = json.loads(runs[0][0])
+        (cert,) = payload.get("certificates", [payload.get("certificate")])
+        assert cert["tangential_degree"] == 1
+
+    def test_tiny_spin_reads_its_twist(self, tmp_path, capsys):
+        # a = 1e-6 M shears by 2e-7 or more, which sqrt(tol.flow) >= 3.2e-7
+        # once read as degree 0; the shear is now read against rounding
+        code, out = run_cli(tmp_path, "trap-certify", "a_list = 0, 1e-6\n")
+        assert code == 0
+        certs = json.loads((out / "certificate.json").read_text())["certificates"]
+        assert [c["tangential_degree"] for c in certs] == [0, 1]
+        assert [s["tangential_degree"] for s in certs[1]["beta_samples"]] == [1] * 6
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("tangential_degree=0)")
+        assert lines[1].endswith("tangential_degree=1)")
 
     @pytest.mark.parametrize(
         "command, text",

@@ -5,6 +5,7 @@ guard a renamed config key or command would only show when the tool is run.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,12 @@ def test_config_parses(name, command, body):
 def test_names_are_unique():
     names = [name for name, _, _ in compare_runs.CONFIGS]
     assert len(set(names)) == len(names)
+
+
+def test_docstring_counts_the_configs():
+    # the count in the tool's docstring cannot go stale
+    count = re.search(r"The list holds (\d+) configs", compare_runs.__doc__)
+    assert int(count.group(1)) == len(compare_runs.CONFIGS)
 
 
 def test_commands_are_known():

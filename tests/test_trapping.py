@@ -33,7 +33,7 @@ SQRT27 = math.sqrt(27.0)
 MU0 = 6.0 * math.sqrt(3.0)
 # the CLI's defaults for the values certify and perturb take
 CLI = RunConfig(command="trap-certify")
-R_MAX, TOL = CLI.r_max, CLI.tolerances["flow"]
+R_MAX = CLI.r_max
 
 
 def _family(spin: float, epsilon: float, seed: int = 1) -> trapping.ReducedFamily:
@@ -213,7 +213,7 @@ class TestFamilyAndShell:
 
         monkeypatch.setattr(trapping, "TrappedOrbitChart", counted)
         rep = trapping.perturb_and_recertify(
-            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX, tol=TOL
+            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX
         )
         betas = [s.chart.beta for s in rep.certificate.beta_samples]
         assert sorted(made) == sorted(2 * betas)
@@ -397,11 +397,11 @@ class TestQuarterPeriod:
         # certify raises InvalidHorizon when a theta-period exceeds the
         # horizon, and a horizon past every period changes no number
         fam = _family(0.5, 0.0)
-        cert = trapping.certify(0.0, fam, horizon=CLI.horizon, r_max=R_MAX, tol=TOL)
+        cert = trapping.certify(0.0, fam, horizon=CLI.horizon, r_max=R_MAX)
         longest = max(s.period for s in cert.beta_samples)
         with pytest.raises(InvalidHorizon, match="too short"):
-            trapping.certify(0.0, fam, horizon=0.99 * longest, r_max=R_MAX, tol=TOL)
-        near = trapping.certify(0.0, fam, horizon=1.01 * longest, r_max=R_MAX, tol=TOL)
+            trapping.certify(0.0, fam, horizon=0.99 * longest, r_max=R_MAX)
+        near = trapping.certify(0.0, fam, horizon=1.01 * longest, r_max=R_MAX)
         assert trapping.certificate_to_dict(near) == trapping.certificate_to_dict(cert)
 
     @pytest.mark.parametrize(
@@ -414,7 +414,7 @@ class TestQuarterPeriod:
         # of `frame_stacks` and of `slope_norms` (fact 4)
         fam = _family(spin, epsilon)
         orbit = ShellOrbit(fam, beta, 0.0)
-        sample = trapping._beta_sample(fam, beta, 0.0, CLI.horizon, TOL)
+        sample = trapping._beta_sample(fam, beta, 0.0, CLI.horizon)
         t_q, (a, b) = orbit.quarter_time, sample.envelope
 
         def frame_norm(sigma):
@@ -463,7 +463,7 @@ class TestQuarterPeriod:
                 lambda s: np.linalg.norm(orbit.frame_stacks(s), 2, axis=(-2, -1)).max(axis=-1),
                 orbit.quarter_time,
             )
-            a = trapping._beta_sample(fam, float(beta), 0.0, CLI.horizon, TOL).envelope[0]
+            a = trapping._beta_sample(fam, float(beta), 0.0, CLI.horizon).envelope[0]
             assert a == pytest.approx(svd_sup, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("mass", [1e-50, 1e50])
@@ -532,13 +532,15 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("mass", [1e-50, 1.0, 1e50])
     def test_degree_reads_the_twist(self, mass):
-        # a = 0 has no twist (its shear rounds below 2e-14), and a = 1e-6 M
-        # has a shear near 2e-7, so a sqrt(tol) threshold between them reads
+        # a = 0 has no twist (its shear rounds below 2.3e-14, bumped or not),
+        # and a = 1e-8 M shears by 2e-9 or more, so SHEAR_ROUNDING reads
         # degree 0 and 1 at every mass; the integrated test needed a > 5e-5 M
-        for spin, degree in ((0.0, 0), (1e-6, 1)):
-            fam = trapping.ReducedFamily(KerrParams(mass, spin * mass))
-            cert = trapping.certify(0.0, fam, horizon=50.0 / mass, r_max=R_MAX, tol=1e-20)
-            assert [s.tangential_degree for s in cert.beta_samples] == [degree] * trapping.N_BETA
+        for bump in (None, models.BumpPattern(1, mass, 0.05)):
+            for spin, degree in ((0.0, 0), (1e-8, 1)):
+                fam = trapping.ReducedFamily(KerrParams(mass, spin * mass), bump=bump)
+                cert = trapping.certify(0.0, fam, horizon=50.0 / mass, r_max=R_MAX)
+                degrees = [s.tangential_degree for s in cert.beta_samples]
+                assert degrees == [degree] * trapping.N_BETA
 
     def test_no_integration(self, monkeypatch):
         # certify and perturb run no ODE solve
@@ -549,21 +551,19 @@ class TestClosedForm:
 
         monkeypatch.setattr(ode, "solve_ivp", forbidden)
         monkeypatch.setattr(trapping, "solve_ivp", forbidden)
-        assert trapping.certify(0.0, _family(0.9, 0.0), horizon=20.0, r_max=R_MAX, tol=TOL).passed
+        cert = trapping.certify(0.0, _family(0.9, 0.0), horizon=20.0, r_max=R_MAX)
+        assert cert.tangential_degree == 1
         rep = trapping.perturb_and_recertify(
-            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX, tol=TOL
+            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX
         )
-        assert rep.certificate.passed
+        assert rep.certificate.tangential_degree == 1
 
 
 class TestCertify:
     def test_static_certificate(self):
-        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=6.0, r_max=R_MAX, tol=TOL)
-        assert cert.passed
-        assert cert.reasons == []
+        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=6.0, r_max=R_MAX)
         assert cert.theta_rate == pytest.approx(MU0, rel=1e-12)
         assert len(cert.ratio_checks) == R_MAX
-        assert all(c.passed for c in cert.ratio_checks)
         assert all(c.theta0 > 0 for c in cert.ratio_checks)
         assert cert.tangential_degree == 0
         for s in trapping.certificate_to_dict(cert)["beta_samples"]:
@@ -572,8 +572,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("spin", [0.5, 0.9, 0.95, 0.99])
     def test_rates_are_the_normal_exponent(self, spin):
-        cert = trapping.certify(0.0, _family(spin, 0.0), horizon=5.0, r_max=R_MAX, tol=TOL)
-        assert cert.passed, cert.reasons
+        cert = trapping.certify(0.0, _family(spin, 0.0), horizon=5.0, r_max=R_MAX)
         for s in trapping.certificate_to_dict(cert)["beta_samples"]:
             assert s["rate_plus"] == s["rate_minus"] == s["normal_exponent"]
 
@@ -581,7 +580,7 @@ class TestCertify:
     def test_tangential_degree_matches_dense_envelope(self, spin, degree):
         params = KerrParams(1.0, spin)
         fam = trapping.ReducedFamily(params)
-        cert = trapping.certify(0.0, fam, horizon=5.0, r_max=R_MAX, tol=TOL)
+        cert = trapping.certify(0.0, fam, horizon=5.0, r_max=R_MAX)
         assert cert.tangential_degree == degree
         for s in cert.beta_samples:
             assert s.tangential_degree == degree
@@ -612,7 +611,7 @@ class TestCertify:
         # bracket and its root tolerance must scale with M too
         def scaled(m):
             fam = trapping.ReducedFamily(KerrParams(m, m / 2.0))
-            cert = trapping.certify(0.0, fam, horizon=50.0 / m, r_max=R_MAX, tol=TOL)
+            cert = trapping.certify(0.0, fam, horizon=50.0 / m, r_max=R_MAX)
             return (
                 cert.theta_rate / m,
                 np.asarray([s.period * m for s in cert.beta_samples]),
@@ -628,9 +627,8 @@ class TestCertify:
         # at every mass (the raw ||L N^k F|| read 2 below M = 1e-5 and 0 on a
         # sample at M = 1e4)
         fam = trapping.ReducedFamily(KerrParams(mass, mass / 2.0))
-        cert = trapping.certify(0.0, fam, horizon=50.0 / mass, r_max=R_MAX, tol=TOL)
+        cert = trapping.certify(0.0, fam, horizon=50.0 / mass, r_max=R_MAX)
         assert [s.tangential_degree for s in cert.beta_samples] == [1] * trapping.N_BETA
-        assert cert.passed, cert.reasons
 
     def test_ratio_constant_is_the_sup(self):
         t = np.linspace(0.0, 20.0, 400001)
@@ -641,7 +639,7 @@ class TestCertify:
     def test_certificate_does_not_depend_on_horizon(self):
         docs = [
             trapping.certificate_to_dict(
-                trapping.certify(0.0, _family(0.5, 0.0), horizon=horizon, r_max=R_MAX, tol=TOL)
+                trapping.certify(0.0, _family(0.5, 0.0), horizon=horizon, r_max=R_MAX)
             )
             for horizon in (1.0, 50.0)
         ]
@@ -652,11 +650,11 @@ class TestCertify:
         for horizon in (0.0, 0.1):
             with pytest.raises(InvalidHorizon):
                 trapping.certify(
-                    0.0, _family(0.0, 0.0), horizon=horizon, r_max=R_MAX, tol=TOL
+                    0.0, _family(0.0, 0.0), horizon=horizon, r_max=R_MAX
                 )
 
     def test_certificate_dict_schema(self):
-        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=4.0, r_max=R_MAX, tol=TOL)
+        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=4.0, r_max=R_MAX)
         d = trapping.certificate_to_dict(cert)
         assert set(d) == {
             "lambda",
@@ -667,6 +665,9 @@ class TestCertify:
             "passed",
             "reasons",
         }
+        # kept for readers of the old schema; no certificate fails without raising
+        assert d["passed"] is True and d["reasons"] == []
+        assert all(c["passed"] is True for c in d["ratio_checks"])
         sample = d["beta_samples"][0]
         assert {
             "beta",
@@ -688,14 +689,14 @@ class TestPerturbation:
     def test_epsilon_bound(self):
         with pytest.raises(DomainError):
             trapping.perturb_and_recertify(
-                KerrParams(), 0.0, 0.2, seed=1, horizon=CLI.horizon, r_max=R_MAX, tol=TOL
+                KerrParams(), 0.0, 0.2, seed=1, horizon=CLI.horizon, r_max=R_MAX
             )
 
     def test_small_perturbation_certificate(self):
         rep = trapping.perturb_and_recertify(
-            KerrParams(), 0.0, 0.005, seed=3, horizon=5.0, r_max=R_MAX, tol=TOL
+            KerrParams(), 0.0, 0.005, seed=3, horizon=5.0, r_max=R_MAX
         )
-        assert rep.certificate.passed
+        assert rep.certificate.tangential_degree == 0
         assert rep.displacement <= 5.0 * rep.epsilon
         assert rep.exponent_shift <= 0.05
         assert rep.displacement_factor == pytest.approx(
@@ -709,9 +710,8 @@ class TestPerturbation:
         def ratios(m):
             rep = trapping.perturb_and_recertify(
                 KerrParams(m, m / 2.0), 0.0, 0.01, seed=1, horizon=20.0 / m,
-                r_max=R_MAX, tol=TOL,
+                r_max=R_MAX,
             )
-            assert rep.certificate.passed
             return rep.exponent_shift, rep.displacement_factor
 
         assert ratios(mass) == pytest.approx(ratios(1.0), rel=1e-10)
@@ -734,14 +734,14 @@ class TestPerturbation:
         monkeypatch.setattr(trapping, "equatorial_beta_range", counted)
         monkeypatch.setattr(trapping.ReducedFamily, "saddle", recorded)
         rep = trapping.perturb_and_recertify(
-            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX, tol=TOL
+            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX
         )
         assert len(searches) == 1
         assert compared == {s.chart.beta for s in rep.certificate.beta_samples}
 
     def test_zero_perturbation_is_identity(self):
         rep = trapping.perturb_and_recertify(
-            KerrParams(), 0.0, 0.0, seed=9, horizon=4.0, r_max=R_MAX, tol=TOL
+            KerrParams(), 0.0, 0.0, seed=9, horizon=4.0, r_max=R_MAX
         )
         assert rep.displacement == pytest.approx(0.0, abs=1e-10)
         assert rep.exponent_shift == pytest.approx(0.0, abs=1e-10)

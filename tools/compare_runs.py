@@ -14,11 +14,13 @@ status is 1 if any config differs, else 0.  Each config's line also
 shows the wall time of its run on either tree, process start-up
 included; one run each, so it is a rough guide, not a gate.
 
-The list holds 27 configs: refactor checks across all seven commands
+The list holds 29 configs: refactor checks across all seven commands
 (escape-check and spectrum-gap at a = 0.99, where the scaled Kerr barrier
 is most extreme; trap-certify and escape-check at M = 2; perturb at
-M = 0.1; flow-integrate on the photon circle at M = 100; the rest at
-M = 1) and the eight workload commands of the benchmark at seed 1.
+M = 0.1; flow-integrate on the photon circle at M = 100; trap-certify
+and perturb at spins of 1e-8 and 1e-6, whose twist is small but not
+zero; the rest at M = 1) and the eight workload commands of the
+benchmark at seed 1.
 Three of the checks end in an error exit: the h >= htilde exit 2 of
 escape-check, a flow orbit that leaves the chart (exit 3) and a certify
 horizon shorter than one theta-period (exit 2).  Differing text outputs
@@ -52,6 +54,8 @@ CONFIGS = (
     ("perturb_s3", "perturb", "kerr.spin = 0.5\nseed = 3\n"),
     ("perturb_a09_s5", "perturb", "kerr.spin = 0.9\nepsilon = 0.03\nseed = 5\n"),
     ("perturb_m01", "perturb", "kerr.mass = 0.1\nkerr.spin = 0.05\n"),
+    ("certify_tiny_spin", "trap-certify", "a_list = 0, 1e-8, 1e-6\n"),
+    ("perturb_tiny_spin", "perturb", "kerr.spin = 1e-6\n"),
     ("find_a09", "trap-find", "kerr.spin = 0.9\nbeta_list = -2.8, -1, 0, 1, 4, 6\n"),
     ("escape_defaults", "escape-check", ""),
     ("escape_a05_h005", "escape-check", "kerr.spin = 0.5\nh = 0.05\n"),
