@@ -16,8 +16,11 @@ far corner, so no eigenvalue in the box is missed and none is counted
 twice.  Since A is complex symmetric (A^T = A), the left
 eigenvector of a right eigenvector r is conj(r), and each eigenvalue's
 condition number ||r||^2 / |r^T r| comes with it at no extra solve.  The
-resolvent norm 1/sigma_min(A - z) is the top eigenvalue of the Hermitian
-(A - z)^{-H} (A - z)^{-1}, found by ``eigsh`` through one sparse LU.
+resolvent norm 1/sigma_min(A - z) comes from Lanczos: ``eigsh`` finds the
+top eigenvalue of the Hermitian (A - z)^{-H} (A - z)^{-1} through one
+sparse LU.  A bound ||(A - z)^{-1}|| <= t needs no norm: it holds exactly
+when the banded (A - z)^H (A - z) - t^{-2} I is positive definite, which
+one banded Cholesky decides (``resolvent_bound_test``).
 
 Three model kinds are built in: ``toy_sech2`` (v = sech^2 x - 1, flat
 mass), and ``kerr_equatorial`` and ``schw_radial``, the prograde
@@ -45,9 +48,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# no solve here is dense; the benchmark tracer (perfbench/tracer.py) reads
-# and wraps ``capspec.sla.eig``, so the module keeps the name
-import scipy.linalg as sla  # noqa: F401
+# only the banded Cholesky comes from here; the benchmark tracer
+# (perfbench/tracer.py) also reads ``capspec.sla.eig``
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -549,3 +552,35 @@ def resolvent_norm(
         ) from exc
     sigma_sq = float(top[0])
     return math.sqrt(sigma_sq) if sigma_sq > 0.0 else float("inf")
+
+
+def resolvent_bound_test(matrix):
+    """The test ||(A - z)^{-1}|| <= bound for a complex symmetric banded A,
+    decided without the norm.
+
+    With S = Re A and W = -Im A (the absorber),
+    (A - z)^H (A - z) = A^H A - 2 Re z S + 2 Im z W + |z|^2 I, so the bound
+    holds exactly when that matrix minus bound^{-2} I is positive definite.
+    The upper bands of A^H A, twice as wide as A's, and of A are stored
+    once; each ``holds(z, bound)`` forms one combination of them and runs
+    one LAPACK ``zpbtrf``, and the bound holds when it returns info = 0.
+    Forming A^H A rounds sigma_min(A - z)^2 by about eps ||A - z||^2, so
+    the test resolves the norm to about eps kappa(A - z)^2 relative; a
+    bound closer to the norm than that may come back either way.
+    """
+    a = sp.csr_matrix(matrix, dtype=complex)
+    rows, cols = a.nonzero()
+    width = 2 * int(np.max(np.abs(cols - rows), initial=0))
+    gram = (a.conj().T @ a).tocsr()
+    # upper band storage: row width - k holds diagonal k from column k on
+    bands = np.zeros((2, width + 1, a.shape[0]), dtype=complex)
+    for k in range(width + 1):
+        bands[:, width - k, k:] = gram.diagonal(k), a.diagonal(k)
+
+    def holds(z: complex, bound: float) -> bool:
+        # -2 Re(conj(z) A) = -2 Re z S + 2 Im z W, A being complex symmetric
+        ab = bands[0] - 2.0 * (z.conjugate() * bands[1]).real
+        ab[width] += abs(z) ** 2 - bound**-2
+        return sla.lapack.zpbtrf(ab, overwrite_ab=True)[1] == 0
+
+    return holds

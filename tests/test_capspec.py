@@ -468,3 +468,33 @@ class TestResolvent:
     def test_nonconvergence_raises(self, toy_problem):
         with pytest.raises(ConvergenceFailure):
             capspec.resolvent_norm(toy_problem.matrix, complex(0.1, 0.3), max_iter=1)
+
+
+class TestResolventBoundTest:
+    # h = 0.1 keeps each dense reference SVD near 0.1 s (0.9 s at h = 0.05)
+    @pytest.fixture(scope="class", params=["toy_sech2", "schw_radial"])
+    def coarse(self, request):
+        return capspec.build_model(request.param, h=0.1)
+
+    def test_decides_at_the_dense_singular_value(self, coarse):
+        # every spectrum-resolvent sample at seed 1: the test flips within
+        # one part in 1e8 of the norm, and the dissipative A keeps 1/Im z
+        holds = capspec.resolvent_bound_test(coarse.matrix)
+        dense, eye = coarse.matrix.toarray(), np.eye(coarse.n_points)
+        for z in cli.uhp_samples(0.3, 1):
+            sigma_min = sla.svdvals(dense - z * eye)[-1]
+            assert holds(z, (1.0 + 1e-8) / sigma_min)
+            assert not holds(z, (1.0 - 1e-8) / sigma_min)
+            assert holds(z, 1.0 / z.imag)
+
+    def test_flags_what_lanczos_flags(self, coarse):
+        # conj(A) = S + iW: the absorber's sign flipped, so A is not
+        # dissipative and 1/Im z fails near its eigenvalues above the axis
+        flipped = coarse.matrix.conj().tocsc()
+        holds = capspec.resolvent_bound_test(flipped)
+        verdicts = [
+            (holds(z, 1.0 / z.imag), capspec.resolvent_norm(flipped, z) <= 1.0 / z.imag)
+            for z in cli.uhp_samples(0.3, 1)
+        ]
+        assert all(test == lanczos for test, lanczos in verdicts)
+        assert not all(test for test, _ in verdicts)

@@ -519,6 +519,31 @@ class TestSpectrumResolvent:
         assert len(gaps) == 2
         assert read_failures(out) == []
 
+    def test_flipped_absorber_fails_the_bound(self, tmp_path, monkeypatch, capsys):
+        # conj(A) = S + iW is not dissipative.  Its eigenvalues sit above the
+        # axis, where the box search refuses them, so the gap report comes
+        # from the dissipative problem and only the bound check sees conj(A)
+        text = "model = toy_sech2\nh = 0.1\nseed = 3\n"
+        problem = capspec.build_model("toy_sech2", h=0.1)
+        report = capspec.spectral_gap(problem)
+        flipped = problem.matrix.conj().tocsc()
+        slack = 1.0 + 10.0 * sys.float_info.epsilon
+        expected = sum(
+            capspec.resolvent_norm(flipped, z) > slack / z.imag
+            for z in cli.uhp_samples(capspec.DEFAULT_WINDOW, 3)
+        )
+        assemble = capspec._assemble
+        monkeypatch.setattr(capspec, "_assemble", lambda p: assemble(p).conj().tocsc())
+        monkeypatch.setattr(capspec, "spectral_gap", lambda p: report)
+        code, out = run_cli(tmp_path, "spectrum-resolvent", text)
+        assert code == 1
+        assert f"uhp_violations={expected}/50" in capsys.readouterr().out
+        failures = read_failures(out)
+        assert len(failures) == expected > 0
+        for failure in failures:
+            assert failure["check"] == "upper_half_plane_bound"
+            assert failure["norm"] > failure["bound"]
+
 
 class TestEscapeCheck:
     def test_both_models_reported(self, tmp_path):

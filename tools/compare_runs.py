@@ -14,13 +14,15 @@ status is 1 if any config differs, else 0.  Each config's line also
 shows the wall time of its run on either tree, process start-up
 included; one run each, so it is a rough guide, not a gate.
 
-The list holds 29 configs: refactor checks across all seven commands
+The list holds 31 configs: refactor checks across all seven commands
 (escape-check and spectrum-gap at a = 0.99, where the scaled Kerr barrier
 is most extreme; trap-certify and escape-check at M = 2; perturb at
 M = 0.1; flow-integrate on the photon circle at M = 100; trap-certify
 and perturb at spins of 1e-8 and 1e-6, whose twist is small but not
-zero; the rest at M = 1) and the eight workload commands of the
-benchmark at seed 1.
+zero; spectrum-resolvent on Schwarzschild at h = 0.025, where a sampled
+norm comes within 2.7e-4 of its bound 1/Im z, and on Kerr at a = 0.9;
+the rest at M = 1) and the eight workload commands of the benchmark at
+seed 1.
 Three of the checks end in an error exit: the h >= htilde exit 2 of
 escape-check, a flow orbit that leaves the chart (exit 3) and a certify
 horizon shorter than one theta-period (exit 2).  Differing text outputs
@@ -68,6 +70,9 @@ CONFIGS = (
      "kerr.spin = 0.9\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
     ("gap_kerr_a099", "spectrum-gap",
      "kerr.spin = 0.99\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
+    ("resolvent_schw", "spectrum-resolvent", "model = schw_radial\nh = 0.025\nseed = 1\n"),
+    ("resolvent_kerr_a09", "spectrum-resolvent",
+     "kerr.spin = 0.9\nmodel = kerr_equatorial\nh = 0.05\nseed = 1\n"),
     # the photon circle r = 3M at M = 100
     ("flow_m100", "flow-integrate",
      "kerr.mass = 100\norbit.r = 300\norbit.beta = 519.6152422706632\norbit.time = 0.01\n"),
