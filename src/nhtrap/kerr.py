@@ -19,14 +19,16 @@ Carter constant carter = alpha^2 + q^2:
     q = beta/sin(theta) - a*sin(theta).
 
 This form is the single source of p and its derivatives.  The value,
-the conserved triple, the radial potential and the gradient and Hessian
-(`_grad_hess`, with `_grad_p`, `hessian_p` and `grad_hess_raw` as views)
-are all assembled from `radial_terms` (v_beta and its derivatives) and
-`_angular_terms` (q and its derivatives; `angular_derivs` gives those of
-the angular half alpha^2 + q^2).  The radial half Delta*xi^2 + v_beta(r)
-is a barrier symbol m*xi^2 + v (`radial_symbol`, the reduced (r, xi)
-model's); scaled by Delta/r^4 at the prograde orbit it is a cubic in r*/r,
-the Kerr kinds of `barrier`.  The r-derivatives of the quotient
+the conserved triple, the radial potential, the gradient (`_gradient`;
+`_grad_p`, the flow's view, builds no Hessian) and the Hessian
+(`_grad_hess` adds it to `_gradient`'s terms; `hessian_p` and
+`grad_hess_raw` are its views) are all assembled from `radial_terms`
+(v_beta and its derivatives) and `_angular_terms` (q and its
+derivatives; `angular_derivs` gives those of the angular half
+alpha^2 + q^2).  The radial half Delta*xi^2 + v_beta(r) is a barrier
+symbol m*xi^2 + v (`radial_symbol`, the reduced (r, xi) model's); scaled
+by Delta/r^4 at the prograde orbit it is a cubic in r*/r, the Kerr kinds
+of `barrier`.  The r-derivatives of the quotient
 f = N/Delta come from the Leibniz rule for N = f*Delta,
 
     f^(k) = (N^(k) - sum_{j<k} C(k, j) * Delta^(k-j) * f^(j)) / Delta,
@@ -205,25 +207,40 @@ def angular_derivs(params: KerrParams, theta, alpha, beta):
     )
 
 
-def _grad_hess(params: KerrParams, r, theta, xi, alpha, beta):
-    """Gradient (6, *batch) and Hessian (6, 6, *batch) of p.
+def _gradient(params: KerrParams, r, theta, xi, alpha, beta):
+    """Gradient (6, *batch) of p with the terms the Hessian reuses.
 
     The one implementation of the derivatives of p, assembled from the
     separable form.  Components are ordered (r, theta, phi, xi, alpha,
     beta); the arguments broadcast against each other, and their common
-    shape is the trailing batch shape.
+    shape is the trailing batch shape.  Returns (g, radial_terms(...),
+    angular_derivs(...), Delta, Delta').
     """
-    _, v_r, v_rr, _, v_b, v_rb, v_bb = radial_terms(params, beta, r)
+    radial = radial_terms(params, beta, r)
+    angular = angular_derivs(params, theta, alpha, beta)
     dl, dl1 = delta(params, r), 2.0 * (r - params.mass)
-    p_t, p_a, p_b, p_tt, p_tb, p_bb = angular_derivs(params, theta, alpha, beta)
-    batch = np.shape(dl + p_t + xi + alpha)
-    g = np.zeros((6,) + batch)
+    v_r, v_b = radial[1], radial[4]
+    p_t, p_a, p_b = angular[:3]
+    g = np.zeros((6,) + np.shape(dl + p_t + xi + alpha))
     g[0] = dl1 * xi**2 + v_r
     g[1] = p_t
     g[3] = 2.0 * dl * xi
     g[4] = p_a
     g[5] = v_b + p_b
-    H = np.zeros((6, 6) + batch)
+    return g, radial, angular, dl, dl1
+
+
+def _grad_p(params: KerrParams, r, theta, xi, alpha, beta):
+    """Gradient of p, shape (6, *batch), in the order (r, theta, phi, xi, alpha, beta)."""
+    return _gradient(params, r, theta, xi, alpha, beta)[0]
+
+
+def _grad_hess(params: KerrParams, r, theta, xi, alpha, beta):
+    """Gradient (6, *batch) and Hessian (6, 6, *batch) of p: `_gradient` plus H."""
+    g, radial, angular, dl, dl1 = _gradient(params, r, theta, xi, alpha, beta)
+    _, _, v_rr, _, _, v_rb, v_bb = radial
+    p_tt, p_tb, p_bb = angular[3:]
+    H = np.zeros((6,) + g.shape)
     H[0, 0] = 2.0 * xi**2 + v_rr
     H[0, 3] = H[3, 0] = 2.0 * dl1 * xi
     H[0, 5] = H[5, 0] = v_rb
@@ -233,11 +250,6 @@ def _grad_hess(params: KerrParams, r, theta, xi, alpha, beta):
     H[4, 4] = 2.0
     H[5, 5] = v_bb + p_bb
     return g, H
-
-
-def _grad_p(params: KerrParams, r, theta, xi, alpha, beta):
-    """Gradient of p, shape (6, *batch), in the order (r, theta, phi, xi, alpha, beta)."""
-    return _grad_hess(params, r, theta, xi, alpha, beta)[0]
 
 
 def hessian_p(state: PhaseState, params: KerrParams) -> np.ndarray:

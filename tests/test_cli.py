@@ -1,10 +1,14 @@
 """End-to-end command-line tests: exit codes, artifacts, determinism."""
 
+import csv
+import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,22 @@ def masked_gaps(out: Path):
         ",".join(c for i, c in enumerate(line.split(",")) if i != 4)
         for line in lines
     ]
+
+
+QUICK_ORBIT = (
+    "kerr.spin = 0.5\norbit.r = 8\norbit.theta = 1.2\n"
+    "orbit.xi = -1.047452885827\norbit.alpha = 3.923213879343\norbit.beta = 4\n"
+)
+# a config of each command that runs in well under a second
+CHEAP_RUNS = {
+    "escape-check": "seed = 1\n",
+    "spectrum-gap": "model = toy_sech2\nh_list = 0.1\n",
+    "spectrum-resolvent": "model = toy_sech2\nh = 0.1\nseed = 3\n",
+    "trap-find": "beta_list = 1\n",
+    "trap-certify": "a_list = 0.5\nhorizon = 20\n",
+    "perturb": "epsilon = 0.01\nhorizon = 20\n",
+    "flow-integrate": QUICK_ORBIT + "orbit.time = 1.0\n",
+}
 
 
 class TestTrapFind:
@@ -113,45 +133,43 @@ _NOT_SPECTRUM = ("nhtrap.models", "nhtrap.escape")
         (None, "", ("scipy", *_SPECTRUM_ONLY), ("nhtrap.cli",)),
         (
             "escape-check",
-            "seed = 1\n",
+            CHEAP_RUNS["escape-check"],
             ("scipy", "nhtrap.ode", *_SPECTRUM_ONLY),
             ("nhtrap.escape",),
         ),
         (
             "spectrum-gap",
-            "model = toy_sech2\nh_list = 0.1\n",
+            CHEAP_RUNS["spectrum-gap"],
             ("scipy.optimize", "scipy.integrate", *_NOT_SPECTRUM),
             ("scipy.sparse.linalg",),
         ),
         (
             "spectrum-resolvent",
-            "model = toy_sech2\nh = 0.1\nseed = 3\n",
+            CHEAP_RUNS["spectrum-resolvent"],
             ("scipy.optimize", "scipy.integrate", *_NOT_SPECTRUM),
             ("scipy.sparse.linalg",),
         ),
         (
             "trap-find",
-            "beta_list = 1\n",
+            CHEAP_RUNS["trap-find"],
             ("scipy", *_SPECTRUM_ONLY),
             ("nhtrap.trapping", "nhtrap.ode"),
         ),
         (
             "trap-certify",
-            "a_list = 0.5\nhorizon = 20\n",
+            CHEAP_RUNS["trap-certify"],
             ("scipy", *_SPECTRUM_ONLY),
             ("nhtrap.trapping", "nhtrap.ode"),
         ),
         (
             "perturb",
-            "epsilon = 0.01\nhorizon = 20\n",
+            CHEAP_RUNS["perturb"],
             ("scipy", *_SPECTRUM_ONLY),
             ("nhtrap.trapping", "nhtrap.ode"),
         ),
         (
             "flow-integrate",
-            "kerr.spin = 0.5\norbit.r = 8\norbit.theta = 1.2\n"
-            "orbit.xi = -1.047452885827\norbit.alpha = 3.923213879343\n"
-            "orbit.beta = 4\norbit.time = 1.0\n",
+            CHEAP_RUNS["flow-integrate"],
             ("scipy", *_SPECTRUM_ONLY),
             ("nhtrap.flow", "nhtrap.ode"),
         ),
@@ -770,3 +788,127 @@ class TestCertifyAndPerturb:
         code, out = run_cli(tmp_path, command, text)
         assert code == 0
         assert (out / "certificate.json").exists()
+
+
+def parse_artifacts(out: Path) -> dict:
+    """Every file of a run's output directory, parsed: JSON to objects,
+    CSV to rows.  A leftover temp file or any other name fails."""
+    parsed = {}
+    for path in sorted(out.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            parsed[path.name] = json.loads(text)
+        else:
+            assert path.suffix == ".csv", path.name
+            rows = list(csv.reader(io.StringIO(text)))
+            assert len({len(row) for row in rows}) == 1, path.name
+            parsed[path.name] = rows
+    return parsed
+
+
+class TestExitHook:
+    """``main`` freezes the heap at interpreter exit and never before."""
+
+    @pytest.mark.parametrize(
+        "command, text, code",
+        [
+            ("trap-find", CHEAP_RUNS["trap-find"], 0),
+            ("flow-integrate", CHEAP_RUNS["flow-integrate"] + "tol.drift = 1e-20\n", 1),
+            ("trap-find", "warp_factor = 9\n", 2),
+            ("flow-integrate", "orbit.theta = 0\norbit.time = 2\n", 2),
+            # compare_runs.py's flow_chart_exit: leaves the chart at t = 1.2757
+            ("flow-integrate", QUICK_ORBIT + "orbit.time = 30\n", 3),
+        ],
+        ids=["pass", "check-failure", "config-parse", "config-in-handler", "chart-exit"],
+    )
+    def test_exit_paths_in_a_fresh_interpreter(self, tmp_path, capsys, command, text, code):
+        # the process's outputs are those of the same run made in process,
+        # where the hook has not run, and every artifact it leaves parses
+        expected_code, expected_out = run_cli(tmp_path, command, text, name="inproc")
+        expected = capsys.readouterr()
+        assert expected_code == code
+        cfg = tmp_path / "inproc.cfg"
+        out = tmp_path / "proc"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nhtrap.cli", command,
+             "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, expected.out, expected.err
+        )
+        if code == 0:
+            assert (proc.stdout, proc.stderr) == (TRAP_FIND_LINE + "\n", "")
+        elif code == 3:
+            assert proc.stderr.startswith("numerical failure: orbit left the chart at t=1.27")
+        if not expected_out.exists():  # a config that never parsed writes nothing
+            assert code == 2 and not out.exists()
+            assert proc.stderr.startswith("config error: ")
+            return
+        artifacts = parse_artifacts(out)
+        assert (artifacts["failures.json"]["failures"] == []) == (code == 0)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            p.name: p.read_bytes() for p in expected_out.iterdir()
+        }
+
+    def test_hook_runs_at_exit_of_a_process_that_called_main(self, tmp_path):
+        # as in the benchmark's launcher: main returns, the caller goes on,
+        # and the heap is frozen only when the interpreter exits
+        probe = (
+            "import atexit, gc, sys\n"
+            "from nhtrap import cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print('returned', code, gc.get_freeze_count())\n"
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CHEAP_RUNS["trap-find"])
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "trap-find",
+             "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [TRAP_FIND_LINE, "returned 0 0", "frozen True"]
+
+    def test_in_process_callers_keep_their_collector(self, tmp_path, capsys, monkeypatch):
+        # CPython's atexit._ncallbacks() counts slots, and unregister empties
+        # a slot without freeing it, so a stand-in records what is registered
+        class Registry:
+            def __init__(self):
+                self.funcs = []
+
+            def register(self, func):
+                self.funcs.append(func)
+
+            def unregister(self, func):
+                self.funcs = [f for f in self.funcs if f != func]
+
+        registry = Registry()
+        monkeypatch.setattr(cli, "atexit", registry)
+        for name in ("first", "second"):
+            code, _ = run_cli(tmp_path, "trap-find", CHEAP_RUNS["trap-find"], name=name)
+            assert code == 0
+            assert gc.isenabled()
+            assert gc.get_freeze_count() == 0
+            assert registry.funcs == [gc.freeze]
+
+    @pytest.mark.parametrize("command", sorted(CHEAP_RUNS))
+    def test_no_file_left_open(self, tmp_path, capsys, command):
+        # a frozen cycle is never finalized, so a file that only a
+        # collection would close must not exist when a command ends
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, _ = run_cli(tmp_path, command, CHEAP_RUNS[command])
+            gc.collect()
+        assert code == 0
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
