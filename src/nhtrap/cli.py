@@ -1,5 +1,11 @@
 """Command-line orchestrator: job fan-out, checks, artifact emission.
 
+``nhtrap COMMAND --config FILE`` is the whole command line: every run
+value, the seed and the output directory included, is set in the config
+file and nowhere else.  Each handler takes ``(cfg, workers)`` although
+``workers`` is ``cfg.workers``: the benchmark launcher wraps the handlers
+with that signature and records the ``workers`` each one was given.
+
 Every command runs in its own process, so the imports at the top of this
 module are paid by every run.  They stay light: numpy and the modules
 that pull in no scipy (``config``, ``errors``, ``artifacts``).  Each
@@ -36,13 +42,12 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import os
 import random
 import sys
 import tempfile
 import traceback
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +71,6 @@ EXIT_NUMERICAL_FAILURE = 3
 # errors below are caused by inputs, not by the numerics
 _CONFIG_FAULTS = (ConfigError, DomainError, InvalidHorizon)
 
-DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
 UHP_SAMPLES = 50
 # perturb's gates: each certified saddle moves by at most
 # PERTURB_DISPLACEMENT_MAX * epsilon and its normal exponent by at most
@@ -83,33 +87,6 @@ class Outcome:
     csvs: dict = field(default_factory=dict)
     jsons: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
-
-
-def resolve_workers(cfg: RunConfig) -> int:
-    """NHTRAP_WORKERS env wins, then the config key, then one thread.
-
-    One thread is the default because the jobs gain nothing from more: the
-    shell-orbit RHS holds the GIL, and the spectrum sweeps ran no faster
-    on two threads than on one.
-    """
-    env = os.environ.get("NHTRAP_WORKERS")
-    if env is not None:
-        try:
-            workers = int(env, 10)
-        except ValueError:
-            raise ValidationError(
-                f"NHTRAP_WORKERS must be an integer, got {env!r}",
-                key="workers",
-            )
-        if workers < 1:
-            raise ValidationError(
-                f"NHTRAP_WORKERS must be at least 1, got {workers}",
-                key="workers",
-            )
-        return workers
-    if cfg.workers is not None:
-        return cfg.workers
-    return 1
 
 
 def _check_writable(directory: Path) -> None:
@@ -136,10 +113,9 @@ def _run_jobs(jobs, workers: int):
 def _cmd_trap_find(cfg: RunConfig, workers: int) -> Outcome:
     from . import trapping
 
-    betas = tuple(cfg.beta_list if cfg.beta_list is not None else (0.0,))
     kerr = cfg.kerr
     charts = _run_jobs(
-        [partial(trapping.linearization, beta, kerr) for beta in betas],
+        [partial(trapping.linearization, beta, kerr) for beta in cfg.beta_list],
         workers,
     )
     out = Outcome()
@@ -169,7 +145,6 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
     from . import trapping
     from .kerr import KerrParams
 
-    spins = tuple(cfg.a_list if cfg.a_list is not None else (cfg.kerr_spin,))
     jobs = [
         partial(
             trapping.certify,
@@ -178,12 +153,12 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
             horizon=cfg.horizon,
             r_max=cfg.r_max,
         )
-        for spin in spins
+        for spin in cfg.a_list
     ]
     certs = _run_jobs(jobs, workers)
     out = Outcome()
     entries = []
-    for spin, cert in zip(spins, certs):
+    for spin, cert in zip(cfg.a_list, certs):
         out.summaries.append(
             f"trap-certify a={spin:g}: PASS "
             f"(theta_rate={cert.theta_rate:.6g}, "
@@ -266,8 +241,7 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
         problem = capspec.build_model(cfg.model, cfg.kerr, h=h, window=cfg.window)
         return capspec.spectral_gap(problem)
 
-    h_list = tuple(cfg.h_list if cfg.h_list is not None else DEFAULT_H_LIST)
-    reports = _run_jobs([partial(gap_job, h) for h in h_list], workers)
+    reports = _run_jobs([partial(gap_job, h) for h in cfg.h_list], workers)
     out = Outcome()
     gap_rows, eig_rows = [], []
     for report in reports:
@@ -285,7 +259,7 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
     if len(reports) >= 2:
         nu_prev, nu_last = reports[-2].nu, reports[-1].nu
         consistency = abs(nu_last - nu_prev) / abs(nu_prev)
-        tol = cfg.tolerances["consistency"]
+        tol = cfg.tol_consistency
         verdict = "PASS" if consistency <= tol else "FAIL"
         out.summaries.append(
             f"spectrum-gap {cfg.model}: nu_floor="
@@ -359,17 +333,9 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
     params = cfg.kerr
     model = models.full_kerr_model(params)
     start = np.array(
-        [
-            cfg.orbit["r"],
-            cfg.orbit["theta"],
-            cfg.orbit["phi"],
-            cfg.orbit["xi"],
-            cfg.orbit["alpha"],
-            cfg.orbit["beta"],
-        ]
+        [cfg.orbit_r, cfg.orbit_theta, cfg.orbit_phi, cfg.orbit_xi, cfg.orbit_alpha, cfg.orbit_beta]
     )
     times = np.linspace(0.0, cfg.orbit_time, cfg.orbit_samples)
-    tol = cfg.tolerances["flow"]
     beta_ref = float(start[5])
 
     def row_at(state, t: float):
@@ -390,7 +356,7 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
     states = [start]
     for t_prev, t_next in zip(times, times[1:]):
         try:
-            result = flow.integrate_flow(model, states[-1], t_next - t_prev, tol=tol)
+            result = flow.integrate_flow(model, states[-1], t_next - t_prev, tol=cfg.tol_flow)
         except ChartExit as exc:  # its exit time counts from t_prev
             t_exit = float(t_prev) + exc.exit_time
             raise ChartExit(f"orbit left the chart at t={t_exit}", t_exit, exc.partial)
@@ -401,7 +367,7 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
         name: max(abs(row[col] - rows[0][col]) for row in rows)
         for name, col in (("p", 7), ("beta", 6), ("carter", 9))
     }
-    allowance = cfg.tolerances["drift"]
+    allowance = cfg.tol_drift
     out.summaries.append(
         f"flow-integrate T={cfg.orbit_time:g}: "
         f"drift_p={drift['p']:.3e}, drift_beta={drift['beta']:.3e}, "
@@ -498,19 +464,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config", required=True, type=Path, help="run configuration file"
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the config seed"
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="override the output dir"
-    )
     return parser
 
 
-def main(argv=None) -> int:
-    # skip the final heap sweep at exit; registered once however often main runs
-    atexit.unregister(gc.freeze)
+@cache
+def _freeze_heap_at_exit() -> None:
+    """Skip the final heap sweep at exit; cached, so registered once per process."""
     atexit.register(gc.freeze)
+
+
+def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     args = build_parser().parse_args(argv)
     try:
         text = args.config.read_text(encoding="utf-8")
@@ -520,23 +484,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
 
     try:
-        cfg = parse_config(text, fallback_command=args.command)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ValidationError(
-                    f"must be nonnegative, got {args.seed}", key="seed"
-                )
-            cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, output_dir=args.out)
-        workers = resolve_workers(cfg)
+        cfg = parse_config(text, args.command)
         _check_writable(cfg.output_dir)
     except _CONFIG_FAULTS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     try:
-        outcome = _HANDLERS[cfg.command](cfg, workers)
+        outcome = _HANDLERS[cfg.command](cfg, cfg.workers)
     except Exception as exc:  # exit 2 or 3 with a failures.json entry, no traceback
         failure = {"check": "run", "error": str(exc), "type": type(exc).__name__}
         code = EXIT_NUMERICAL_FAILURE

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -22,33 +22,11 @@ COMMANDS = (
 # CAP operator kinds that capspec.build_model accepts
 MODEL_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
 
-DEFAULT_TOLERANCES = {
-    "flow": 1e-10,
-    "drift": 1e-9,
-    "consistency": 0.15,
-}
-
 # accepted range of tol.flow, the end-to-end tolerance of flow-integrate's
 # integration; no other command reads it
 FLOW_TOL_RANGE = (1e-13, 1e-6)
 # accepted range of kerr.mass; past it the shell and escape arithmetic leaves the float range
 MASS_RANGE = (1e-50, 1e50)
-
-# equatorial photon circle of the static hole at M = 1: r = 3, carter = 27;
-# an unset orbit.r or orbit.beta scales with kerr.mass (see parse_config)
-DEFAULT_ORBIT = {
-    "r": 3.0,
-    "theta": math.pi / 2.0,
-    "phi": 0.0,
-    "xi": 0.0,
-    "alpha": 0.0,
-    "beta": math.sqrt(27.0),
-}
-
-# the longest theta-period trap-certify and perturb accept at M = 1 (a longer
-# one is an InvalidHorizon, exit 2; no certified number depends on it);
-# theta-periods scale like 1/M, and so does an unset horizon (see parse_config)
-DEFAULT_HORIZON = 50.0
 
 _KEY_RE = re.compile(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*")
 
@@ -127,29 +105,48 @@ KNOWN_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated inputs of one orchestrated run."""
+    """Fully validated inputs of one orchestrated run.
+
+    Each config key sets the field of its name, dots read as underscores
+    (``kerr.mass`` sets ``kerr_mass``, ``tol.flow`` sets ``tol_flow``), and
+    each field's default is the one below.  The defaults are the M = 1
+    values; ``parse_config`` scales the mass-dependent ones the text leaves
+    unset (see ``_scale_defaults``).
+    """
 
     command: str
     kerr_mass: float = 1.0
     kerr_spin: float = 0.0
     model: str = "toy_sech2"
     h: float = 0.05
-    h_list: tuple[float, ...] | None = None
-    beta_list: tuple[float, ...] | None = None
-    a_list: tuple[float, ...] | None = None
+    h_list: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
+    beta_list: tuple[float, ...] = (0.0,)
+    # the spins trap-certify certifies; unset, kerr.spin alone
+    a_list: tuple[float, ...] = (0.0,)
     window: float = 0.3
     lam: float = 0.0
-    horizon: float = DEFAULT_HORIZON
+    # the longest theta-period trap-certify and perturb accept (a longer one
+    # is an InvalidHorizon, exit 2; no certified number depends on it)
+    horizon: float = 50.0
     r_max: int = 4
     epsilon: float = 0.01
-    orbit: dict = field(default_factory=lambda: dict(DEFAULT_ORBIT))
+    # flow-integrate's start: the equatorial photon circle r = 3, carter = 27
+    orbit_r: float = 3.0
+    orbit_theta: float = math.pi / 2.0
+    orbit_phi: float = 0.0
+    orbit_xi: float = 0.0
+    orbit_alpha: float = 0.0
+    orbit_beta: float = math.sqrt(27.0)
     orbit_time: float = 100.0
     orbit_samples: int = 201
-    tolerances: dict = field(
-        default_factory=lambda: dict(DEFAULT_TOLERANCES)
-    )
+    tol_flow: float = 1e-10
+    tol_drift: float = 1e-9
+    tol_consistency: float = 0.15
     seed: int = 0
-    workers: int | None = None
+    # threads of the job fan-out; the jobs gain nothing from more than one,
+    # since the shell-orbit RHS holds the GIL and the spectrum sweeps ran
+    # no faster on two threads than on one
+    workers: int = 1
     output_dir: Path = Path("out")
 
     @property
@@ -197,13 +194,13 @@ def _validate(cfg: RunConfig) -> None:
             f"spin must satisfy 0 <= spin < mass, got {cfg.kerr_spin!r}",
             key="kerr.spin",
         )
-    for name, value in cfg.tolerances.items():
-        _require_positive(f"tol.{name}", value)
+    _require_positive("tol.flow", cfg.tol_flow)
+    _require_positive("tol.drift", cfg.tol_drift)
+    _require_positive("tol.consistency", cfg.tol_consistency)
     lo, hi = FLOW_TOL_RANGE
-    if not lo <= cfg.tolerances["flow"] <= hi:
+    if not lo <= cfg.tol_flow <= hi:
         raise ValidationError(
-            f"must lie in [{lo:g}, {hi:g}], got {cfg.tolerances['flow']!r}",
-            key="tol.flow",
+            f"must lie in [{lo:g}, {hi:g}], got {cfg.tol_flow!r}", key="tol.flow"
         )
     _require_positive("h", cfg.h)
     _require_positive("window", cfg.window)
@@ -213,26 +210,17 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError(
             f"must be a positive integer, got {cfg.r_max!r}", key="r_max"
         )
-    if cfg.h_list is not None:
-        if not cfg.h_list:
-            raise ValidationError("must be nonempty", key="h_list")
-        for value in cfg.h_list:
-            _require_positive("h_list", value)
-        if any(
-            later >= earlier
-            for earlier, later in zip(cfg.h_list, cfg.h_list[1:])
-        ):
+    for value in cfg.h_list:
+        _require_positive("h_list", value)
+    if any(later >= earlier for earlier, later in zip(cfg.h_list, cfg.h_list[1:])):
+        raise ValidationError(
+            f"must be strictly descending, got {list(cfg.h_list)!r}", key="h_list"
+        )
+    for value in cfg.a_list:
+        if not 0.0 <= value < cfg.kerr_mass:
             raise ValidationError(
-                f"must be strictly descending, got {list(cfg.h_list)!r}",
-                key="h_list",
+                f"every spin must satisfy 0 <= a < mass, got {value!r}", key="a_list"
             )
-    if cfg.a_list is not None:
-        for value in cfg.a_list:
-            if not 0.0 <= value < cfg.kerr_mass:
-                raise ValidationError(
-                    f"every spin must satisfy 0 <= a < mass, got {value!r}",
-                    key="a_list",
-                )
     if cfg.orbit_time == 0.0:
         raise ValidationError("must be nonzero", key="orbit.time")
     if cfg.orbit_samples < 2:
@@ -244,73 +232,50 @@ def _validate(cfg: RunConfig) -> None:
         raise ValidationError(
             f"must be nonnegative, got {cfg.seed!r}", key="seed"
         )
-    if cfg.workers is not None and cfg.workers < 1:
+    if cfg.workers < 1:
         raise ValidationError(
             f"must be at least 1, got {cfg.workers!r}", key="workers"
         )
 
 
-def parse_config(
-    text: str, fallback_command: str | None = None
-) -> RunConfig:
-    """Parse 'key = value' lines into a validated RunConfig.
+def parse_config(text: str, command: str) -> RunConfig:
+    """Parse the 'key = value' lines of a run of ``command`` into a RunConfig.
 
-    Unknown keys are hard errors; '#' starts a comment; dotted keys
-    address nested fields (kerr.mass, tol.flow, orbit.r).  When the
-    text omits ``command``, ``fallback_command`` fills it in; when both
-    are present they must agree.
+    Each key sets the RunConfig field of its name, dots read as underscores;
+    a field the text leaves unset keeps its default.  Unknown keys are hard
+    errors and '#' starts a comment.  The text may name the command too, and
+    then it must be ``command``.
     """
-    raw = _split_lines(text)
-    typed: dict[str, object] = {}
-    for key, text_value in raw.items():
+    fields: dict[str, object] = {}
+    for key, value in _split_lines(text).items():
         converter = KNOWN_KEYS.get(key)
         if converter is None:
             raise ValidationError("unknown key", key=key)
-        typed[key] = converter(key, text_value)
-
-    if "command" not in typed:
-        if fallback_command is None:
-            raise ValidationError("missing required key", key="command")
-        typed["command"] = _to_choice(COMMANDS)("command", fallback_command)
-    elif (
-        fallback_command is not None
-        and typed["command"] != fallback_command
-    ):
+        fields[key.replace(".", "_")] = converter(key, value)
+    if fields.setdefault("command", _to_choice(COMMANDS)("command", command)) != command:
         raise ValidationError(
-            f"config says {typed['command']!r} but the command line says "
-            f"{fallback_command!r}",
+            f"config says {fields['command']!r} but the command line says {command!r}",
             key="command",
         )
-
-    # tol.<name> and orbit.<coordinate> fill the two dicts; every other
-    # key sets the RunConfig field of its name, dots read as underscores
-    tolerances, orbit = dict(DEFAULT_TOLERANCES), dict(DEFAULT_ORBIT)
-    fields: dict[str, object] = {}
-    for key, value in typed.items():
-        group, _, name = key.partition(".")
-        if group == "tol":
-            tolerances[name] = value
-        elif group == "orbit" and name in DEFAULT_ORBIT:
-            orbit[name] = value
-        else:
-            fields[key.replace(".", "_")] = value
-    cfg = RunConfig(**fields, orbit=orbit, tolerances=tolerances)
+    cfg = RunConfig(**fields)
     _validate(cfg)
-    return _scale_defaults(cfg, typed)
+    return _scale_defaults(cfg, fields)
 
 
-def _scale_defaults(cfg: RunConfig, typed: dict) -> RunConfig:
-    """The M = 1 defaults of the keys `typed` leaves unset, at the run's mass.
+def _scale_defaults(cfg: RunConfig, fields: dict) -> RunConfig:
+    """The M = 1 defaults of the fields the text leaves unset, at the run's mass.
 
     Under (M, a, r, alpha, beta) -> s (M, a, r, alpha, beta), xi fixed, the
     symbol scales by s^2 and its flow's times by 1/s.  So the default
     orbit's r and beta scale like M, and the default horizon like 1/M.  The
-    mass is validated first, so the quotient is finite and positive.
+    mass is validated first, so the quotient is finite and positive.  An
+    unset a_list is the run's own spin.
     """
     mass = cfg.kerr_mass
-    orbit = dict(cfg.orbit)
-    for name in ("r", "beta"):
-        if f"orbit.{name}" not in typed:
-            orbit[name] = DEFAULT_ORBIT[name] * mass
-    horizon = cfg.horizon if "horizon" in typed else DEFAULT_HORIZON / mass
-    return replace(cfg, orbit=orbit, horizon=horizon)
+    scaled = {
+        "orbit_r": cfg.orbit_r * mass,
+        "orbit_beta": cfg.orbit_beta * mass,
+        "horizon": cfg.horizon / mass,
+        "a_list": (cfg.kerr_spin,),
+    }
+    return replace(cfg, **{name: value for name, value in scaled.items() if name not in fields})

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, artifacts, determinism."""
 
+import atexit
 import csv
 import gc
 import io
@@ -18,14 +19,12 @@ from nhtrap import capspec, cli
 TRAP_FIND_LINE = "r(beta)=3.000000000000, exponent=10.392304845413"
 
 
-def run_cli(tmp_path: Path, command: str, text: str, name: str = "run",
-            extra=()):
+def run_cli(tmp_path: Path, command: str, text: str, name: str = "run"):
+    """Run ``command`` in process on ``text``, writing to tmp_path/name."""
     cfg = tmp_path / f"{name}.cfg"
-    cfg.write_text(text)
     out = tmp_path / name
-    code = cli.main(
-        [command, "--config", str(cfg), "--out", str(out), *extra]
-    )
+    cfg.write_text(f"{text}\noutput_dir = {out}\n")
+    code = cli.main([command, "--config", str(cfg)])
     return code, out
 
 
@@ -92,18 +91,9 @@ class TestTrapFind:
 
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "tf.cfg"
-        cfg.write_text("command = trap-find\n")
+        cfg.write_text(f"command = trap-find\noutput_dir = {tmp_path / 'out'}\n")
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "nhtrap.cli",
-                "trap-find",
-                "--config",
-                str(cfg),
-                "--out",
-                str(tmp_path / "out"),
-            ],
+            [sys.executable, "-m", "nhtrap.cli", "trap-find", "--config", str(cfg)],
             capture_output=True,
             text=True,
         )
@@ -185,8 +175,8 @@ def test_import_footprint(tmp_path, command, text, absent, present):
     argv = []
     if command is not None:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        cfg.write_text(f"{text}output_dir = {tmp_path / 'out'}\n")
+        argv = [command, "--config", str(cfg)]
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
@@ -230,28 +220,13 @@ class TestConfigErrors:
             cli.main(["transmogrify", "--config", "x"])
         assert err.value.code == 2
 
-    def test_negative_seed_override(self, tmp_path):
-        code, _ = run_cli(
-            tmp_path, "trap-find", "command = trap-find\n",
-            extra=("--seed", "-3"),
-        )
-        assert code == 2
-
     def test_unwritable_output_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory\n")
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("command = trap-find\n")
         for out in (blocker / "sub", tmp_path / "nul\x00byte"):
-            code = cli.main(
-                [
-                    "trap-find",
-                    "--config",
-                    str(cfg),
-                    "--out",
-                    str(out),
-                ]
-            )
+            cfg.write_text(f"command = trap-find\noutput_dir = {out}\n")
+            code = cli.main(["trap-find", "--config", str(cfg)])
             assert code == 2
             assert "config error" in capsys.readouterr().err
 
@@ -279,28 +254,110 @@ class TestConfigErrors:
             assert "kerr.mass" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_bad_workers_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NHTRAP_WORKERS", "three")
-        code, _ = run_cli(tmp_path, "trap-find", "command = trap-find\n")
-        assert code == 2
-
 
 class TestWorkers:
-    def test_env_overrides_config(self, monkeypatch):
-        from nhtrap.config import parse_config
+    def test_default_is_one(self, tmp_path, monkeypatch):
+        # the handler is given the config's workers, one unless the text sets it
+        seen = []
+        handler = cli._HANDLERS["trap-find"]
 
-        cfg = parse_config("command = trap-find\nworkers = 2\n")
-        monkeypatch.delenv("NHTRAP_WORKERS", raising=False)
-        assert cli.resolve_workers(cfg) == 2
-        monkeypatch.setenv("NHTRAP_WORKERS", "5")
-        assert cli.resolve_workers(cfg) == 5
+        def recording(cfg, workers):
+            seen.append(workers)
+            return handler(cfg, workers)
 
-    def test_default_is_one(self, monkeypatch):
-        from nhtrap.config import parse_config
+        monkeypatch.setitem(cli._HANDLERS, "trap-find", recording)
+        for name, text in (("default", ""), ("two", "workers = 2\n")):
+            code, _ = run_cli(tmp_path, "trap-find", text, name=name)
+            assert code == 0
+        assert seen == [1, 2]
 
-        monkeypatch.delenv("NHTRAP_WORKERS", raising=False)
-        cfg = parse_config("command = trap-find\n")
-        assert cli.resolve_workers(cfg) == 1
+
+# a cheap run of each command, and under each config key two values that
+# give it different outputs; workers is the one documented no-op
+KEY_BASES = {
+    "trap-find": "beta_list = 0, 1\n",
+    "trap-certify": "horizon = 20\n",
+    "perturb": "horizon = 20\n",
+    "escape-check": "",
+    "spectrum-gap": "h_list = 0.1, 0.09\n",
+    "spectrum-resolvent": "h = 0.1\n",
+    "flow-integrate": QUICK_ORBIT + "orbit.time = 1.0\n",
+}
+KEY_VALUES = [
+    ("command", "trap-find", "trap-find", "perturb"),  # exit 2: they disagree
+    ("kerr.mass", "trap-find", "1", "2"),
+    ("kerr.spin", "trap-find", "0", "0.5"),
+    ("model", "spectrum-gap", "toy_sech2", "schw_radial"),
+    ("h", "spectrum-resolvent", "0.1", "0.09"),
+    ("h_list", "spectrum-gap", "0.1, 0.09", "0.1"),
+    ("beta_list", "trap-find", "0, 1", "1"),
+    ("a_list", "trap-certify", "0", "0.5"),
+    ("window", "spectrum-gap", "0.3", "0.5"),
+    ("lam", "trap-certify", "0", "30"),
+    ("horizon", "trap-certify", "20", "0.5"),  # exit 2: shorter than a period
+    ("r_max", "trap-certify", "4", "2"),
+    ("epsilon", "perturb", "0.01", "0.02"),
+    ("orbit.r", "flow-integrate", "8", "8.5"),
+    ("orbit.theta", "flow-integrate", "1.2", "1.1"),
+    ("orbit.phi", "flow-integrate", "0", "1"),
+    ("orbit.xi", "flow-integrate", "-1.047452885827", "-1"),
+    ("orbit.alpha", "flow-integrate", "3.923213879343", "3.8"),
+    ("orbit.beta", "flow-integrate", "4", "3.9"),
+    ("orbit.time", "flow-integrate", "1", "0.5"),
+    ("orbit.samples", "flow-integrate", "201", "101"),
+    ("tol.flow", "flow-integrate", "1e-10", "1e-13"),
+    ("tol.drift", "flow-integrate", "1e-9", "1e-20"),  # exit 1
+    ("tol.consistency", "spectrum-gap", "0.15", "1e-6"),  # exit 1
+    ("seed", "perturb", "0", "1"),
+    ("workers", "trap-find", "1", "2"),
+    ("output_dir", "trap-find", "out", "elsewhere"),
+]
+
+
+def run_outcome(directory: Path, command: str, text: str, capsys, monkeypatch) -> tuple:
+    """Exit code, stdout, stderr and every file a run from ``directory``
+    writes there, gaps.csv without its wall-clock column."""
+    directory.mkdir()
+    cfg = directory.parent / f"{directory.name}.cfg"
+    cfg.write_text(text)
+    monkeypatch.chdir(directory)  # a relative output_dir lands here
+    capsys.readouterr()
+    code = cli.main([command, "--config", str(cfg)])
+    files = {
+        str(path.relative_to(directory)): (
+            masked_gaps(path.parent) if path.name == "gaps.csv" else path.read_bytes()
+        )
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+    return code, *capsys.readouterr(), files
+
+
+class TestEveryKeyActs:
+    def test_table_covers_every_key(self):
+        from nhtrap.config import KNOWN_KEYS
+
+        keys = [key for key, *_ in KEY_VALUES]
+        assert sorted(keys) == sorted(KNOWN_KEYS)
+
+    @pytest.mark.parametrize(
+        "key, command, first, second", KEY_VALUES, ids=[row[0] for row in KEY_VALUES]
+    )
+    def test_key_changes_the_outcome(self, tmp_path, monkeypatch, capsys, key, command,
+                                     first, second):
+        base = "".join(
+            line for line in KEY_BASES[command].splitlines(keepends=True)
+            if line.partition("=")[0].strip() != key
+        )
+        outcomes = [
+            run_outcome(tmp_path / name, command, f"{base}{key} = {value}\n", capsys, monkeypatch)
+            for name, value in (("first", first), ("second", second))
+        ]
+        assert outcomes[0][0] == 0, outcomes[0][2]
+        if key == "workers":
+            assert outcomes[0] == outcomes[1]
+        else:
+            assert outcomes[0] != outcomes[1]
 
 
 class TestFlowIntegrate:
@@ -388,11 +445,10 @@ class TestFlowIntegrate:
         # the field overflows at the start, so the first step size is NaN;
         # a fresh interpreter with a timeout fails the test instead of hanging
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text("orbit.beta = 1e300\n")
+        cfg.write_text(f"orbit.beta = 1e300\noutput_dir = {tmp_path / 'out'}\n")
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-m", "nhtrap.cli", "flow-integrate",
-             "--config", str(cfg), "--out", str(tmp_path / "out")],
+            [sys.executable, "-m", "nhtrap.cli", "flow-integrate", "--config", str(cfg)],
             capture_output=True,
             text=True,
             timeout=60,
@@ -448,12 +504,10 @@ class TestSpectrumGap:
         assert read_failures(out) == []
         assert not list(out.glob("*.tmp"))
 
-    def test_determinism_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_determinism_across_worker_counts(self, tmp_path):
         text = "model = toy_sech2\nh_list = 0.1, 0.05\n"
-        monkeypatch.delenv("NHTRAP_WORKERS", raising=False)
-        _, out1 = run_cli(tmp_path, "spectrum-gap", text, name="w1")
-        monkeypatch.setenv("NHTRAP_WORKERS", "3")
-        _, out2 = run_cli(tmp_path, "spectrum-gap", text, name="w3")
+        _, out1 = run_cli(tmp_path, "spectrum-gap", text + "workers = 1\n", name="w1")
+        _, out2 = run_cli(tmp_path, "spectrum-gap", text + "workers = 3\n", name="w3")
         assert (out1 / "eigenvalues.csv").read_bytes() == (
             out2 / "eigenvalues.csv"
         ).read_bytes()
@@ -723,8 +777,7 @@ class TestCertifyAndPerturb:
         # certificate is made (no exit 2 or 3), and only perturb's own gates
         # may fail (exit 1)
         code, out = run_cli(
-            tmp_path, "perturb", "kerr.spin = 0.5\nepsilon = 0.01\nhorizon = 20\n",
-            extra=("--seed", str(seed)),
+            tmp_path, "perturb", f"kerr.spin = 0.5\nepsilon = 0.01\nhorizon = 20\nseed = {seed}\n"
         )
         assert code in (0, 1)
         payload = json.loads((out / "certificate.json").read_text())
@@ -827,12 +880,12 @@ class TestExitHook:
         expected_code, expected_out = run_cli(tmp_path, command, text, name="inproc")
         expected = capsys.readouterr()
         assert expected_code == code
-        cfg = tmp_path / "inproc.cfg"
+        cfg = tmp_path / "proc.cfg"
         out = tmp_path / "proc"
+        cfg.write_text(f"{text}\noutput_dir = {out}\n")
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-m", "nhtrap.cli", command,
-             "--config", str(cfg), "--out", str(out)],
+            [sys.executable, "-m", "nhtrap.cli", command, "--config", str(cfg)],
             capture_output=True,
             text=True,
             timeout=120,
@@ -866,11 +919,10 @@ class TestExitHook:
             "print('returned', code, gc.get_freeze_count())\n"
         )
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(CHEAP_RUNS["trap-find"])
+        cfg.write_text(CHEAP_RUNS["trap-find"] + f"output_dir = {tmp_path / 'out'}\n")
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
-            [sys.executable, "-c", probe, "trap-find",
-             "--config", str(cfg), "--out", str(tmp_path / "out")],
+            [sys.executable, "-c", probe, "trap-find", "--config", str(cfg)],
             capture_output=True,
             text=True,
             timeout=60,
@@ -879,27 +931,17 @@ class TestExitHook:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [TRAP_FIND_LINE, "returned 0 0", "frozen True"]
 
-    def test_in_process_callers_keep_their_collector(self, tmp_path, capsys, monkeypatch):
-        # CPython's atexit._ncallbacks() counts slots, and unregister empties
-        # a slot without freeing it, so a stand-in records what is registered
-        class Registry:
-            def __init__(self):
-                self.funcs = []
-
-            def register(self, func):
-                self.funcs.append(func)
-
-            def unregister(self, func):
-                self.funcs = [f for f in self.funcs if f != func]
-
-        registry = Registry()
-        monkeypatch.setattr(cli, "atexit", registry)
-        for name in ("first", "second"):
+    def test_in_process_callers_keep_their_collector(self, tmp_path, capsys):
+        # the freeze is registered once per process: a later main call
+        # takes no atexit slot (CPython's _ncallbacks counts slots)
+        counts = []
+        for name in ("first", "second", "third"):
             code, _ = run_cli(tmp_path, "trap-find", CHEAP_RUNS["trap-find"], name=name)
             assert code == 0
             assert gc.isenabled()
             assert gc.get_freeze_count() == 0
-            assert registry.funcs == [gc.freeze]
+            counts.append(atexit._ncallbacks())
+        assert counts[1:] == counts[:1] * 2
 
     @pytest.mark.parametrize("command", sorted(CHEAP_RUNS))
     def test_no_file_left_open(self, tmp_path, capsys, command):

@@ -30,7 +30,7 @@ compare_runs = _load_tool()
 )
 def test_config_parses(name, command, body):
     # the text the tool writes for the run, parsed as the CLI parses it
-    cfg = parse_config(compare_runs.config_text(command, body), fallback_command=command)
+    cfg = parse_config(compare_runs.config_text(command, body), command)
     assert cfg.command == command
 
 

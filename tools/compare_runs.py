@@ -112,7 +112,6 @@ def config_text(command: str, body: str) -> str:
 def run(tree: Path, command: str, body: str) -> dict:
     """Exit code, stdout, stderr and {relative path: bytes} of one run."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree.resolve() / "src"))
-    env.pop("NHTRAP_WORKERS", None)
     with tempfile.TemporaryDirectory() as work:
         config = Path(work, "run.cfg")
         config.write_text(config_text(command, body))
