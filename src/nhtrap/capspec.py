@@ -18,9 +18,9 @@ eigenvector of a right eigenvector r is conj(r), and each eigenvalue's
 condition number ||r||^2 / |r^T r| comes with it at no extra solve.  The
 resolvent norm 1/sigma_min(A - z) comes from Lanczos: ``eigsh`` finds the
 top eigenvalue of the Hermitian (A - z)^{-H} (A - z)^{-1} through one
-sparse LU.  A bound ||(A - z)^{-1}|| <= t needs no norm: it holds exactly
-when the banded (A - z)^H (A - z) - t^{-2} I is positive definite, which
-one banded Cholesky decides (``resolvent_bound_test``).
+sparse LU.  Above the axis no norm is needed: ``dissipativity`` reads off
+the stored matrix that A is dissipative, which bounds the resolvent norm
+by 1/Im z on the whole upper half plane.
 
 Three model kinds are built in: ``toy_sech2`` (v = sech^2 x - 1, flat
 mass), and ``kerr_equatorial`` and ``schw_radial``, the prograde
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# only the banded Cholesky comes from here; the benchmark tracer
-# (perfbench/tracer.py) also reads ``capspec.sla.eig``
-import scipy.linalg as sla
+# only the benchmark tracer (perfbench/tracer.py) reads this, as
+# ``capspec.sla.eig``; without it a traced pass fails at install
+import scipy.linalg as sla  # noqa: F401
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -347,8 +347,27 @@ def _conditions(vecs: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vecs, axis=0) ** 2 / np.abs(np.sum(vecs * vecs, axis=0))
 
 
+def dissipativity(matrix) -> tuple[float, float]:
+    """(off_diagonal, gain) of K = (A - A^H)/2i, the Hermitian imaginary part.
+
+    Im<Au, u> = <Ku, u>.  ``off_diagonal`` is the largest |K_ij| with
+    i != j and ``gain`` the largest K_ii = Im A_ii.  When off_diagonal = 0
+    and gain <= 0, <Ku, u> <= 0 for every u: A is dissipative, so for
+    Im z > 0, ||(A - z)u|| ||u|| >= -Im<(A - z)u, u> >= Im z ||u||^2, and
+    ||(A - z)^{-1}|| <= 1/Im z on the whole upper half plane.  The test is
+    exact, not within a tolerance: the absorber is diagonal and
+    ``_assemble`` symmetrizes the kinetic part as 0.5 (T + T^T), so
+    off_diagonal reads exactly 0 in floating point.
+    """
+    a = sp.csr_matrix(matrix, dtype=complex)
+    upper = sp.triu(a - a.conj().T, k=1)  # 2i K above the diagonal
+    off_diagonal = 0.5 * float(np.max(np.abs(upper.data), initial=0.0))
+    return off_diagonal, float(np.max(a.diagonal().imag))
+
+
 def _range_bottom(matrix) -> float:
-    """Lowest Im z of the numerical range: min Im diag(A) = -max W."""
+    """Lowest Im z of the numerical range, min Im diag(A) = -max W: K is
+    diagonal (see ``dissipativity``), so its least eigenvalue is its least entry."""
     return float(np.min(matrix.diagonal().imag))
 
 
@@ -552,35 +571,3 @@ def resolvent_norm(
         ) from exc
     sigma_sq = float(top[0])
     return math.sqrt(sigma_sq) if sigma_sq > 0.0 else float("inf")
-
-
-def resolvent_bound_test(matrix):
-    """The test ||(A - z)^{-1}|| <= bound for a complex symmetric banded A,
-    decided without the norm.
-
-    With S = Re A and W = -Im A (the absorber),
-    (A - z)^H (A - z) = A^H A - 2 Re z S + 2 Im z W + |z|^2 I, so the bound
-    holds exactly when that matrix minus bound^{-2} I is positive definite.
-    The upper bands of A^H A, twice as wide as A's, and of A are stored
-    once; each ``holds(z, bound)`` forms one combination of them and runs
-    one LAPACK ``zpbtrf``, and the bound holds when it returns info = 0.
-    Forming A^H A rounds sigma_min(A - z)^2 by about eps ||A - z||^2, so
-    the test resolves the norm to about eps kappa(A - z)^2 relative; a
-    bound closer to the norm than that may come back either way.
-    """
-    a = sp.csr_matrix(matrix, dtype=complex)
-    rows, cols = a.nonzero()
-    width = 2 * int(np.max(np.abs(cols - rows), initial=0))
-    gram = (a.conj().T @ a).tocsr()
-    # upper band storage: row width - k holds diagonal k from column k on
-    bands = np.zeros((2, width + 1, a.shape[0]), dtype=complex)
-    for k in range(width + 1):
-        bands[:, width - k, k:] = gram.diagonal(k), a.diagonal(k)
-
-    def holds(z: complex, bound: float) -> bool:
-        # -2 Re(conj(z) A) = -2 Re z S + 2 Im z W, A being complex symmetric
-        ab = bands[0] - 2.0 * (z.conjugate() * bands[1]).real
-        ab[width] += abs(z) ** 2 - bound**-2
-        return sla.lapack.zpbtrf(ab, overwrite_ab=True)[1] == 0
-
-    return holds

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from oracles import dense_eigenvalues
 
-from nhtrap import capspec, cli, escape, kerr, models, trapping
+from nhtrap import capspec, escape, kerr, models, trapping
 from nhtrap.errors import ConvergenceFailure, DomainError
 from nhtrap.kerr import KerrParams
 
@@ -59,6 +59,15 @@ def toy_window(toy_problem):
 @pytest.fixture(scope="module")
 def schw_problem():
     return capspec.build_model("schw_radial", h=0.05)
+
+
+COARSE_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
+
+
+@pytest.fixture(scope="module")
+def coarse_problems():
+    # h = 0.1 keeps each dense reference small; the Kerr barrier at a = 0.9
+    return {kind: capspec.build_model(kind, KerrParams(spin=0.9), h=0.1) for kind in COARSE_KINDS}
 
 
 class TestBuildModel:
@@ -275,9 +284,10 @@ class TestDiscretization:
         rates = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(rates) > 3.5
 
-    def test_matrix_symmetry(self, toy_problem):
-        matrix = toy_problem.matrix
-        assert abs(matrix - matrix.T).max() == 0.0
+    def test_matrix_symmetry(self, toy_problem, coarse_problems):
+        for problem in (toy_problem, *coarse_problems.values()):
+            matrix = problem.matrix
+            assert abs(matrix - matrix.T).max() == 0.0
 
     def test_numerical_range_identity(self, toy_problem):
         matrix = toy_problem.matrix
@@ -434,6 +444,21 @@ class TestSpectralGap:
         assert abs(nus[1] - nus[0]) / abs(nus[0]) < 0.15
 
 
+# ten fixed upper-half-plane points across the default window
+LANCZOS_POINTS = (
+    -0.21938145353255928 + 0.0457698789188302j,
+    0.20145906235192185 + 0.17016987962848398j,
+    -0.2847324834039235 + 0.13757625816195101j,
+    -0.1601493298454564 + 0.2307400375377047j,
+    0.2955260473056391 + 0.042016041361413035j,
+    -0.11797889344024942 + 0.12372581815693216j,
+    -0.19619555905256944 + 0.1353603715835541j,
+    -0.006183887722645054 + 0.2911275108099279j,
+    0.16231388389848034 + 0.13811476546506637j,
+    0.27426976887613613 + 0.29828726116488213j,
+)
+
+
 class TestResolvent:
     def test_lower_bound_spectrum_distance(self, schw_problem):
         rep = capspec.spectral_gap(schw_problem)
@@ -441,12 +466,16 @@ class TestResolvent:
         dist = float(np.min(np.abs(rep.eigenvalues - 0.0)))
         assert norm >= (1.0 / dist) * (1.0 - 1e-6)
 
-    def test_upper_half_plane_bound(self, toy_problem):
+    def test_upper_half_plane_bound(self, toy_problem, coarse_problems):
+        # the bound dissipativity proves, against the Lanczos norm, down to
+        # Im z = 1e-3, where it reads 1000
         rng = np.random.default_rng(20)
-        for _ in range(8):
-            z = complex(rng.uniform(-0.2, 0.2), rng.uniform(0.01, 0.3))
-            norm = capspec.resolvent_norm(toy_problem.matrix, z)
-            assert norm <= (1.0 / z.imag) * (1.0 + 1e-10)
+        zs = [complex(rng.uniform(-0.2, 0.2), rng.uniform(0.01, 0.3)) for _ in range(8)]
+        zs += [complex(re, 1e-3) for re in (-0.2, 0.0, 0.2)]
+        for problem in (toy_problem, *coarse_problems.values()):
+            for z in zs:
+                norm = capspec.resolvent_norm(problem.matrix, z)
+                assert norm <= (1.0 / z.imag) * (1.0 + 1e-10)
 
     def test_elliptic_region_is_tame(self, toy_problem):
         assert capspec.resolvent_norm(toy_problem.matrix, -2.0) < 2.0
@@ -457,10 +486,9 @@ class TestResolvent:
         assert capspec.resolvent_norm(toy_problem.matrix, complex(z0)) > 1e5
 
     def test_lanczos_matches_dense_svd(self, toy_problem):
-        # every fifth of the spectrum-resolvent samples at seed 1
         matrix = toy_problem.matrix.toarray()
         eye = np.eye(toy_problem.n_points)
-        for z in cli.uhp_samples(0.3, 1)[::5]:
+        for z in LANCZOS_POINTS:
             exact = 1.0 / sla.svdvals(matrix - z * eye)[-1]
             norm = capspec.resolvent_norm(toy_problem.matrix, z)
             assert norm == pytest.approx(exact, rel=1e-10)
@@ -470,31 +498,30 @@ class TestResolvent:
             capspec.resolvent_norm(toy_problem.matrix, complex(0.1, 0.3), max_iter=1)
 
 
-class TestResolventBoundTest:
-    # h = 0.1 keeps each dense reference SVD near 0.1 s (0.9 s at h = 0.05)
-    @pytest.fixture(scope="class", params=["toy_sech2", "schw_radial"])
-    def coarse(self, request):
-        return capspec.build_model(request.param, h=0.1)
+class TestDissipativity:
+    @pytest.mark.parametrize("kind", COARSE_KINDS)
+    def test_imaginary_part_is_diagonal(self, coarse_problems, kind):
+        # K = (A - A^H)/2i is exactly diagonal and <= 0, and its least
+        # eigenvalue is the numerical range's bottom the box search starts from
+        matrix = coarse_problems[kind].matrix
+        off_diagonal, gain = capspec.dissipativity(matrix)
+        assert off_diagonal == 0.0 and gain <= 0.0
+        dense = matrix.toarray()
+        k = (dense - dense.conj().T) / 2j
+        assert capspec._range_bottom(matrix) == np.linalg.eigvalsh(k)[0]
 
-    def test_decides_at_the_dense_singular_value(self, coarse):
-        # every spectrum-resolvent sample at seed 1: the test flips within
-        # one part in 1e8 of the norm, and the dissipative A keeps 1/Im z
-        holds = capspec.resolvent_bound_test(coarse.matrix)
-        dense, eye = coarse.matrix.toarray(), np.eye(coarse.n_points)
-        for z in cli.uhp_samples(0.3, 1):
-            sigma_min = sla.svdvals(dense - z * eye)[-1]
-            assert holds(z, (1.0 + 1e-8) / sigma_min)
-            assert not holds(z, (1.0 - 1e-8) / sigma_min)
-            assert holds(z, 1.0 / z.imag)
+    @pytest.mark.parametrize("kind", COARSE_KINDS)
+    def test_flipped_absorber_is_read(self, coarse_problems, kind):
+        # conj(A) = S + iW gains max W, and its eigenvalues above the axis
+        # really break 1/Im z there
+        problem = coarse_problems[kind]
+        flipped = problem.matrix.conj().tocsc()
+        assert capspec.dissipativity(flipped) == (0.0, float(np.max(problem.absorber)))
+        z = 0.05j
+        assert capspec.resolvent_norm(flipped, z) > 1.0 / z.imag
 
-    def test_flags_what_lanczos_flags(self, coarse):
-        # conj(A) = S + iW: the absorber's sign flipped, so A is not
-        # dissipative and 1/Im z fails near its eigenvalues above the axis
-        flipped = coarse.matrix.conj().tocsc()
-        holds = capspec.resolvent_bound_test(flipped)
-        verdicts = [
-            (holds(z, 1.0 / z.imag), capspec.resolvent_norm(flipped, z) <= 1.0 / z.imag)
-            for z in cli.uhp_samples(0.3, 1)
-        ]
-        assert all(test == lanczos for test, lanczos in verdicts)
-        assert not all(test for test, _ in verdicts)
+    def test_skew_entry_is_read(self, coarse_problems):
+        skewed = coarse_problems["toy_sech2"].matrix.tolil()
+        skewed[0, 1] += 1e-3
+        off_diagonal, gain = capspec.dissipativity(skewed.tocsc())
+        assert off_diagonal == pytest.approx(0.5e-3) and gain == 0.0

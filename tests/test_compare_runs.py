@@ -2,27 +2,37 @@
 
 The tool is not a package module, so it is loaded by path; without this
 guard a renamed config key or command would only show when the tool is run.
+The benchmark's workload list (perfbench/workloads.py) is loaded the same
+way, read only, so the tool's mirror of it cannot drift.
 """
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from nhtrap.config import COMMANDS, parse_config
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
 
 
-compare_runs = _load_tool()
+compare_runs = _load("compare_runs", ROOT / "tools" / "compare_runs.py")
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+WORKLOAD_COMMANDS = [
+    (workload.name, command)
+    for workload in workloads.WORKLOADS.values()
+    for command in workload.commands
+]
 
 
 @pytest.mark.parametrize(
@@ -43,6 +53,20 @@ def test_docstring_counts_the_configs():
     # the count in the tool's docstring cannot go stale
     count = re.search(r"The list holds (\d+) configs", compare_runs.__doc__)
     assert int(count.group(1)) == len(compare_runs.CONFIGS)
+
+
+@pytest.mark.parametrize(
+    "workload, command", WORKLOAD_COMMANDS,
+    ids=[f"{name}-{command.name}" for name, command in WORKLOAD_COMMANDS],
+)
+def test_workload_command_is_mirrored(workload, command):
+    # the benchmark's config at its seed 1 parses to one CONFIGS entry's config
+    cfg = parse_config(command.config_text(1, compare_runs.OUTPUT_DIR), command.name)
+    mirrors = [
+        name for name, cmd, body in compare_runs.CONFIGS
+        if cmd == command.name and parse_config(compare_runs.config_text(cmd, body), cmd) == cfg
+    ]
+    assert mirrors, f"{workload}: {command.name} has no mirror in compare_runs.CONFIGS"
 
 
 def test_commands_are_known():
