@@ -22,7 +22,6 @@ ORBIT_HEADER = (
     "alpha",
     "beta",
     "p",
-    "beta_c",
     "carter",
 )
 

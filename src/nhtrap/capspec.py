@@ -125,7 +125,7 @@ class CapProblem:
 class SpectrumReport:
     """Windowed spectrum of one absorbing-barrier problem.
 
-    ``eigenvalues`` holds the floor-filtered list for reporting, with
+    ``eigenvalues`` holds the list above the floor, FLOOR_FACTOR * h, with
     residuals and condition numbers; ``gap`` is the distance from the
     axis to the top window eigenvalue, above the floor or not,
     ``nu`` = gap/h, and ``nu_ratio`` = nu/(mu/2) compares it with the
@@ -137,7 +137,6 @@ class SpectrumReport:
     h: float
     n_points: int
     window: float
-    floor: float
     eigenvalues: np.ndarray
     residuals: np.ndarray
     conditions: np.ndarray
@@ -517,7 +516,6 @@ def spectral_gap(problem: CapProblem) -> SpectrumReport:
         h=problem.h,
         n_points=problem.n_points,
         window=problem.window,
-        floor=floor,
         eigenvalues=zs[keep],
         residuals=residuals[keep],
         conditions=conditions[keep],

@@ -158,9 +158,8 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
     entries = []
     for spin, cert in zip(cfg.a_list, certs):
         out.summaries.append(
-            f"trap-certify a={spin:g}: PASS "
-            f"(theta_rate={cert.theta_rate:.6g}, "
-            f"tangential_degree={cert.tangential_degree})"
+            f"trap-certify a={spin:g}: theta_rate={cert.theta_rate:.6g}, "
+            f"tangential_degree={cert.tangential_degree}"
         )
         entry = trapping.certificate_to_dict(cert)
         entry["spin"] = spin
@@ -192,16 +191,15 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
     reports, g1_verdicts = zip(*_run_jobs(jobs, workers))
     out = Outcome()
     for name, report, g1_passed in zip(names, reports, g1_verdicts):
-        n_violations = len(report["violations"])
         out.summaries.append(
             f"escape-check {name}: c1={report['c1']:.6g}, "
             f"C={report['C']:.6g}, N={report['N']}, "
-            f"violations={n_violations}, "
+            f"violations={len(report['violations'])}, "
             f"bracket_min={report['bracket_min']:.6g}"
         )
         for check, bad in (
             ("c1_positive", not report["c1"] > 0.0),
-            ("sign_violations", n_violations != 0),
+            ("sign_violations", bool(report["violations"])),
             ("order_exponent", report["N"] > 4),
             ("bracket_positive", not report["bracket_min"] > 0.0),
             ("g1_monotone", not g1_passed),
@@ -312,21 +310,10 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
         [cfg.orbit_r, cfg.orbit_theta, cfg.orbit_phi, cfg.orbit_xi, cfg.orbit_alpha, cfg.orbit_beta]
     )
     times = np.linspace(0.0, cfg.orbit_time, cfg.orbit_samples)
-    beta_ref = float(start[5])
 
     def row_at(state, t: float):
-        return (
-            t,
-            state[0],
-            state[1],
-            state[2],
-            state[3],
-            state[4],
-            state[5],
-            model.evaluate(state),
-            beta_ref,
-            float(kerr.carter(params, state[1], state[4], state[5])),
-        )
+        carter = kerr.carter(params, state[1], state[4], state[5])
+        return (t, *state, model.evaluate(state), float(carter))
 
     # integrate_flow checks the chart before any row evaluates p
     states = [start]
@@ -341,13 +328,12 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
     out = Outcome()
     drift = {
         name: max(abs(row[col] - rows[0][col]) for row in rows)
-        for name, col in (("p", 7), ("beta", 6), ("carter", 9))
+        for name, col in (("p", 7), ("carter", 8))
     }
     allowance = cfg.tol_drift
     out.summaries.append(
         f"flow-integrate T={cfg.orbit_time:g}: "
-        f"drift_p={drift['p']:.3e}, drift_beta={drift['beta']:.3e}, "
-        f"drift_carter={drift['carter']:.3e}"
+        f"drift_p={drift['p']:.3e}, drift_carter={drift['carter']:.3e}"
     )
     for name, value in drift.items():
         if value > allowance:

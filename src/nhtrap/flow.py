@@ -24,15 +24,15 @@ class FlowResult:
 
     end_state: np.ndarray
     nfev: int
-    time: float
 
 
 def step_tolerance(tol: float, time: float) -> float:
-    """Per-step tolerance delivering `tol` end to end over `time`.
+    """Per-step tolerance tol / (2 max(1, |time|)), at least `ode.RTOL_MIN`.
 
-    Local truncation errors accumulate roughly linearly in the step count,
-    so long horizons need proportionally tighter stepping; `ode.RTOL_MIN`
-    (100 eps) is the floor below which the integrator tightens no further.
+    It does not deliver `tol` end to end.  On the quick-survey orbit
+    (a = 0.5, r = 8, beta = 4), one run over [0, 1] at its rtol 5e-11
+    drifts 2.83e-7 in p and in the Carter constant, sampled by the step
+    interpolant (1,535 RHS calls).
     """
     return min(tol, max(tol / (2.0 * max(1.0, abs(time))), RTOL_MIN))
 
@@ -45,8 +45,10 @@ def integrate_flow(
 ) -> FlowResult:
     """Flow `start` for `time` (may be negative) along the Hamilton field.
 
-    `tol` is the end-to-end tolerance (see `step_tolerance`); the run
-    configuration keeps ``tol.flow`` in its accepted range.  Raises
+    `tol` sets the stepping (see `step_tolerance`); the run configuration
+    keeps ``tol.flow`` in its accepted range.  The restarts, not `tol`,
+    set the accuracy: flow-integrate's 200 segments over that orbit drift
+    8.1e-13 in p and 9.9e-13 in Carter (2,860 RHS calls).  Raises
     DomainError when `start` is not inside the model's chart,
     ChartExit (with exit time and the partial result attached) when the
     orbit hits the chart margin, StepFailure when the adaptive integrator
@@ -72,7 +74,7 @@ def integrate_flow(
         raise StepFailure(f"integrator failed at t={sol.t[-1]}: {sol.message}")
 
     reached = float(sol.t[-1])
-    result = FlowResult(end_state=sol.y[:, -1].copy(), nfev=int(sol.nfev), time=reached)
+    result = FlowResult(end_state=sol.y[:, -1].copy(), nfev=int(sol.nfev))
     if sol.status == 1:  # chart event fired
         raise ChartExit(
             f"orbit left the chart at t={reached}", exit_time=reached,

@@ -1,4 +1,4 @@
-"""Hamiltonian model instances shared by the flow, certification, and spectral code.
+"""Hamiltonian model instances shared by the flow, certification and escape code.
 
 A model packages a smooth symbol on R^{2n} (positions first, momenta second)
 with its analytic gradient and Hessian.  The full Kerr model, the one that

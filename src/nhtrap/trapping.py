@@ -217,15 +217,6 @@ def linearization(beta: float, params: KerrParams) -> TrappedOrbitChart:
 
 
 @dataclass
-class RatioCheck:
-    r: int
-    theta0: float
-    C: float
-    slope_forward: float
-    slope_backward: float
-
-
-@dataclass
 class BetaSample:
     chart: TrappedOrbitChart  # its normal_exponent is the normal rate (fact 2)
     period: float
@@ -239,7 +230,8 @@ class TrapCertificate:
     lam: float
     beta_samples: list[BetaSample]
     theta_rate: float
-    ratio_checks: list[RatioCheck]
+    theta0: float  # THETA0_FRACTION * theta_rate
+    ratio_constants: list[float]  # C at r = 1..r_max
     tangential_degree: int
 
 
@@ -372,13 +364,14 @@ def certify(lam: float, family: ReducedFamily, horizon: float, r_max: int) -> Tr
     the normal bundles grow like exp(lambda |t|) both ways, with lambda the
     chart's `normal_exponent` (fact 2), and the closed-form shell orbit
     gives, through fact 4, the degree of tangential growth and the envelope
-    a + b*t (fact 3).  With lambda the least sampled rate, for r = 1..r_max the
-    ratio checks bound (a + b*t)^r exp(-(lambda - theta0) t) over t >= 0 in
-    closed form, with a the backward envelope's a + b*P, which is at least
-    the forward one's a, and the bound grows with a; the degree is at most
-    1 (fact 4), so every C is finite unless it overflows a float, which
-    raises DomainError.  `horizon` only bounds the theta-period, which
-    raises InvalidHorizon past it: no number depends on it.
+    a + b*t (fact 3).  With lambda the least sampled rate, for r = 1..r_max
+    the constant C bounds (a + b*t)^r exp(-(lambda - theta0) t) over t >= 0
+    in closed form, theta0 = THETA0_FRACTION * lambda, with a the backward
+    envelope's a + b*P, which is at least the forward one's a, and the
+    bound grows with a; the degree is at most 1 (fact 4), so every C is
+    finite unless it overflows a float, which raises DomainError.
+    `horizon` only bounds the theta-period, which raises InvalidHorizon
+    past it: no number depends on it.
     """
     if horizon <= 0.0:
         raise InvalidHorizon(f"horizon must be positive, got {horizon}")
@@ -391,21 +384,14 @@ def certify(lam: float, family: ReducedFamily, horizon: float, r_max: int) -> Tr
     theta0 = THETA0_FRACTION * rate
     b = max(s.envelope[1] for s in samples)
     a_bwd = max(s.envelope[0] + s.envelope[1] * s.period for s in samples)
-    ratio_checks = [
-        RatioCheck(
-            r=r,
-            theta0=theta0,
-            C=_ratio_sup(r, a_bwd, b, rate - theta0),
-            slope_forward=-rate,
-            slope_backward=-rate,
-        )
-        for r in range(1, r_max + 1)
-    ]
     return TrapCertificate(
         lam=lam,
         beta_samples=samples,
         theta_rate=rate,
-        ratio_checks=ratio_checks,
+        theta0=theta0,
+        ratio_constants=[
+            _ratio_sup(r, a_bwd, b, rate - theta0) for r in range(1, r_max + 1)
+        ],
         tangential_degree=max(s.tangential_degree for s in samples),
     )
 
@@ -471,10 +457,11 @@ def perturb_and_recertify(
 def certificate_to_dict(cert: TrapCertificate) -> dict:
     """JSON-ready dictionary with the stable key set.
 
-    Its "passed" keys are always true and "reasons" is always empty: the
-    degree is at most 1 by fact 4, and every other way a certificate can
-    fail raises before one is made (NotHyperbolic, NoBracket,
-    NewtonDiverged, InvalidHorizon, and DomainError from `_ratio_sup`).
+    Only the keys `perfbench/checks.py` reads are constant or copies,
+    until ROADMAP item 4 deletes them after item 5: "passed" is always
+    true and "reasons" always empty, since no certificate fails without
+    raising (fact 4 and `certify`), and each sample's "rate_plus" and
+    "rate_minus" copy its "normal_exponent".
     """
     return {
         "lambda": cert.lam,
@@ -495,16 +482,9 @@ def certificate_to_dict(cert: TrapCertificate) -> dict:
             for s in cert.beta_samples
         ],
         "theta_rate": cert.theta_rate,
+        "theta0": cert.theta0,
         "ratio_checks": [
-            {
-                "r": c.r,
-                "theta0": c.theta0,
-                "C": c.C,
-                "slope_forward": c.slope_forward,
-                "slope_backward": c.slope_backward,
-                "passed": True,
-            }
-            for c in cert.ratio_checks
+            {"r": r, "C": C} for r, C in enumerate(cert.ratio_constants, start=1)
         ],
         "tangential_degree": cert.tangential_degree,
         "passed": True,

@@ -30,7 +30,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from nhtrap import capspec, flow, kerr
 from nhtrap.errors import GridTooCoarse
 from nhtrap.kerr import PhaseState
-from nhtrap.models import HamiltonianModel
+from nhtrap.models import HamiltonianModel, saddle_rate
 from nhtrap.ode import solve_ivp
 
 
@@ -261,7 +261,8 @@ def manifold_samples(
     direction = np.asarray([1.0, gamma])
     direction = direction / np.linalg.norm(direction)
     y0 = pair.saddle + seed_size * direction
-    span = 1.5 * math.log(2.0 * s_max / seed_size) / pair.mu
+    mu = saddle_rate(pair.model.hessian(pair.saddle), "the saddle")
+    span = 1.5 * math.log(2.0 * s_max / seed_size) / mu
     tf = span if side > 0 else -span
 
     def inside(t, y):

@@ -369,16 +369,28 @@ class TestFlowIntegrate:
         )
         assert code == 0
         lines = (out / "orbit.csv").read_text().splitlines()
-        assert lines[0] == "t,r,theta,phi,xi,alpha,beta,p,beta_c,carter"
+        assert lines[0] == "t,r,theta,phi,xi,alpha,beta,p,carter"
         assert len(lines) == 12
         first = lines[1].split(",")
         last = lines[-1].split(",")
         assert float(first[1]) == pytest.approx(3.0, abs=1e-12)
         assert float(last[1]) == pytest.approx(3.0, abs=1e-9)
-        # beta_c column repeats the conserved reference value
-        assert {row.split(",")[8] for row in lines[1:]} == {first[8]}
-        assert float(last[9]) == pytest.approx(27.0, abs=1e-9)
+        assert float(last[8]) == pytest.approx(27.0, abs=1e-9)
         assert read_failures(out) == []
+
+    @pytest.mark.parametrize("time", ["1", "-0.05"])
+    def test_beta_column_is_bit_constant(self, tmp_path, capsys, time):
+        # beta' = -p_phi and the Kerr gradient's phi slot is 0.0, so every
+        # step adds +-0.0 to beta: a drift in it could never fail, and the
+        # summary reads only the conserved quantities that can drift
+        code, out = run_cli(tmp_path, "flow-integrate", QUICK_ORBIT + f"orbit.time = {time}\n")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO((out / "orbit.csv").read_text())))
+        assert len(rows) == 201
+        assert {row["beta"] for row in rows} == {"4"}
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"flow-integrate T={time}: drift_p=")
+        assert "drift_beta" not in line and ", drift_carter=" in line
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         text = "orbit.time = 5\norbit.samples = 6\n"
@@ -664,7 +676,7 @@ class TestCertifyAndPerturb:
             tmp_path, "trap-certify", "horizon = 5\na_list = 0.0\n"
         )
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("trap-certify a=0: theta_rate=10.3923, ")
         payload = json.loads((out / "certificate.json").read_text())
         cert = payload["certificates"][0]
         assert cert["passed"] is True
@@ -675,17 +687,21 @@ class TestCertifyAndPerturb:
     def test_trap_certify_default_horizon(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "trap-certify", "kerr.spin = 0.5\n")
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "trap-certify a=0.5: theta_rate=8.32788, tangential_degree=1\n"
+        )
         cert = json.loads((out / "certificate.json").read_text())["certificates"][0]
         assert cert["passed"] is True
         assert cert["tangential_degree"] == 1
+        assert cert["theta0"] == pytest.approx(0.9 * cert["theta_rate"], rel=1e-11)
+        assert [row["r"] for row in cert["ratio_checks"]] == [1, 2, 3, 4]
 
     def test_trap_certify_large_lambda(self, tmp_path, capsys):
         # at a = 0 the equatorial beta range is +-sqrt(27 + lambda) = +-sqrt(57),
         # and the outermost samples sit 5% of its width inside it
         code, out = run_cli(tmp_path, "trap-certify", "lam = 30\n")
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("trap-certify a=0: theta_rate=")
         samples = json.loads((out / "certificate.json").read_text())["certificates"][0][
             "beta_samples"
         ]
@@ -739,7 +755,7 @@ class TestCertifyAndPerturb:
                           name="perturb")
         assert code == 0
         assert capsys.readouterr().out.splitlines() == [
-            "trap-certify a=5e-09: PASS (theta_rate=8.32788e-08, tangential_degree=1)",
+            "trap-certify a=5e-09: theta_rate=8.32788e-08, tangential_degree=1",
             "perturb eps=0.01 seed=0: displacement=0.004937 (0.494 eps), exponent_shift=0.02607",
         ]
 
@@ -822,8 +838,8 @@ class TestCertifyAndPerturb:
         assert [c["tangential_degree"] for c in certs] == [0, 1]
         assert [s["tangential_degree"] for s in certs[1]["beta_samples"]] == [1] * 6
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].endswith("tangential_degree=0)")
-        assert lines[1].endswith("tangential_degree=1)")
+        assert lines[0].endswith("tangential_degree=0")
+        assert lines[1].endswith("tangential_degree=1")
 
     @pytest.mark.parametrize(
         "command, text",

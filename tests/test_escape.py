@@ -19,8 +19,8 @@ from nhtrap.errors import (
     NotHyperbolic,
     Unbounded,
 )
-from nhtrap.kerr import KerrParams
-from nhtrap.models import HamiltonianModel, reduced_kerr_model
+from nhtrap.kerr import KerrParams, barrier
+from nhtrap.models import HamiltonianModel, barrier_model, reduced_kerr_model, saddle_rate
 
 ROOT3 = math.sqrt(3.0)
 # min phi_tilde / htilde at a = 0, h = 1e-2 over the 41-point disc of radius 0.2
@@ -72,7 +72,7 @@ class TestBuildDefiningPair:
     def test_toy_exact(self, toy_pair):
         p = toy_pair
         assert np.allclose(p.saddle, [0.0, 0.0], atol=1e-14)
-        assert p.mu == pytest.approx(2.0, abs=1e-14)
+        assert saddle_rate(p.model.hessian(p.saddle), "toy") == pytest.approx(2.0, abs=1e-14)
         assert p.kappa == pytest.approx(1.0, abs=1e-14)
         assert p.gamma_plus == pytest.approx(1.0, abs=1e-14)
         assert p.gamma_minus == pytest.approx(-1.0, abs=1e-14)
@@ -97,7 +97,8 @@ class TestBuildDefiningPair:
         p = kerr_pair
         assert p.saddle[0] == pytest.approx(3.0, abs=1e-12)
         assert p.saddle[1] == pytest.approx(0.0, abs=1e-12)
-        assert p.mu == pytest.approx(6.0 * ROOT3, abs=1e-10)
+        mu = saddle_rate(p.model.hessian(p.saddle), "kerr")
+        assert mu == pytest.approx(6.0 * ROOT3, abs=1e-10)
         assert p.kappa == pytest.approx(ROOT3, abs=1e-12)
         assert p.gamma_plus == pytest.approx(ROOT3, abs=1e-12)
         assert p.gamma_minus == pytest.approx(-ROOT3, abs=1e-12)
@@ -247,45 +248,39 @@ class TestManifoldsAndVerify:
             manifold_samples(toy_pair, +1, n_points=100_000)
 
     def test_verify_toy(self, toy_pair):
-        report = esc.verify_defG_relations(
+        violations, min_bracket = esc.verify_defG_relations(
             toy_pair, esc.saddle_grid(toy_pair, 0.3, 31)
         )
-        assert report["n_violations"] == 0
-        assert report["min_bracket"] == pytest.approx(2.0, abs=1e-14)
-        assert report["passed"]
+        assert violations == []
+        assert min_bracket == pytest.approx(2.0, abs=1e-14)
 
     def test_verify_kerr_bracket_floor(self, kerr_pair):
-        report = esc.verify_defG_relations(
+        violations, min_bracket = esc.verify_defG_relations(
             kerr_pair, esc.saddle_grid(kerr_pair, 0.05, 41)
         )
-        assert report["n_violations"] == 0
-        assert report["min_bracket"] >= 0.9 * 2.0 * ROOT3
-        assert report["passed"]
+        assert violations == []
+        assert min_bracket >= 0.9 * 2.0 * ROOT3
 
     def test_verify_flags_sign_flip(self, toy_pair):
-        report = esc.verify_defG_relations(
+        violations, min_bracket = esc.verify_defG_relations(
             swapped(toy_pair), esc.saddle_grid(toy_pair, 0.3, 21)
         )
-        assert not report["passed"]
-        assert report["min_bracket"] < 0.0
-        assert report["n_violations"] > 0
+        assert min_bracket < 0.0
+        assert violations
+        assert {v["side"] for v in violations} == {"plus", "minus"}
 
     def test_verify_batched_matches_pointwise(self, toy_pair, kerr_pair):
         # violations come point by point, plus before minus
         for pair in (swapped(toy_pair), swapped(kerr_pair)):
             grid = esc.saddle_grid(pair, 0.3, 21)
-            report = esc.verify_defG_relations(pair, grid)
+            violations, min_bracket = esc.verify_defG_relations(pair, grid)
             pieces = [
                 esc.verify_defG_relations(pair, grid[i : i + 1])
                 for i in range(len(grid))
             ]
-            assert report["violations"] == [
-                v for piece in pieces for v in piece["violations"]
-            ]
-            assert report["n_violations"] > 0
-            assert report["min_bracket"] == min(
-                piece["min_bracket"] for piece in pieces
-            )
+            assert violations == [v for piece, _ in pieces for v in piece]
+            assert violations
+            assert min_bracket == min(bracket for _, bracket in pieces)
 
     def test_flow_monotonicity_of_phi_squares(self, kerr, kerr_pair):
         # forward flow drains phi+^2 and feeds phi-^2 wherever the rates
@@ -356,11 +351,11 @@ class TestG1:
     def test_toy_report(self, toy_pair):
         g1 = esc.build_G1(toy_pair)
         report = g1.report
+        assert set(report) == {"scale", "g1_floor", "passed"}
         assert report["passed"]
         assert report["g1_floor"] >= 1.0 - 1e-12
-        assert report["floor_raw"] >= 0.5
-        assert report["min_everywhere"] >= -1e-6
-        assert report["max_abs_on_core"] <= 1e-10
+        # the raw band floor is g1_floor / scale
+        assert report["g1_floor"] / report["scale"] >= 0.5
         # beyond the ramp the pairing is bare: H_p(x xi) = 2(x^2 + xi^2)
         y = np.asarray([0.8, 0.7])
         assert g1.hp(y) == pytest.approx(
@@ -388,6 +383,38 @@ class TestG1:
             grid = esc.saddle_grid(pair, 1.0, 21)
             for f in (g1, g1.gradient, g1.hp):
                 assert_batched_matches_pointwise(f, grid)
+
+    @pytest.mark.parametrize(
+        "kind, spin", [("toy_sech2", 0.0), ("kerr_equatorial", 0.5), ("kerr_equatorial", 0.99)]
+    )
+    def test_what_holds_by_construction(self, kind, spin):
+        # build_G1 checks neither: G1 is exactly 0 on the core, where
+        # smoothstep5 clips to 0, and scale = max(1, 1/floor_raw) lifts the
+        # band floor to 1; both on escape-check's symbols and G1 grid
+        symbol = barrier(kind, KerrParams(1.0, spin))
+        pair = esc.build_defining_pair(barrier_model(symbol.terms, None), (symbol.top, 0.0))
+        g1 = esc.build_G1(pair)
+        band = 2.0 * esc.G1_RADII[1]
+        xs = np.linspace(-band, band, esc.G1_GRID_N)
+        rho = pair.point(*(m.ravel() for m in np.meshgrid(xs, xs, indexing="ij")))
+        core = pair.adapted_radius(rho) <= esc.G1_RADII[0]
+        assert core.sum() >= 100
+        assert np.all(g1(rho[:, core]) == 0.0)
+        assert g1.report["g1_floor"] >= 1.0 - 1e-12
+
+    def test_verdict_fails_where_hp_dips(self, toy_pair, monkeypatch):
+        # the verdict's one condition: H_p G1 >= -HP_G1_NEGATIVE_TOL on the
+        # whole disc, here broken on the core alone, away from the band
+        hp = esc.G1Function.hp
+
+        def dipping(self, rho):
+            core = self.pair.adapted_radius(rho) <= esc.G1_RADII[0]
+            return hp(self, rho) - 2.0 * esc.HP_G1_NEGATIVE_TOL * core
+
+        monkeypatch.setattr(esc.G1Function, "hp", dipping)
+        report = esc.build_G1(toy_pair).report
+        assert not report["passed"]
+        assert report["g1_floor"] >= 1.0 - 1e-12
 
 
 class TestEscapeFunction:

@@ -87,6 +87,13 @@ class TestStructure:
                 np.abs(expm(t * A))
             )
 
+    def test_beta_rate_is_exactly_zero(self):
+        # beta' = -p_phi, and the Kerr gradient leaves the phi slot at 0.0,
+        # so no step moves beta (flow-integrate writes no drift for it)
+        m = models.full_kerr_model(KerrParams(1.0, 0.5))
+        survey_start = np.asarray([8.0, 1.2, 0.0, -1.047452885827, 3.923213879343, 4.0])
+        assert m.hamilton_rhs(survey_start)[5] == 0.0
+
 
 class TestChartExitAndValidation:
     def test_toy_chart_exit(self):

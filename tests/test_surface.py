@@ -16,6 +16,12 @@ as passed by keyword or by position (a ``*args`` fills every position
 from its own on).  A ``**mapping`` passes nothing the guard can see.  The
 values set only from outside the package are in ``ALLOWED_SETTABLE``,
 which is held to the same rule as ``ALLOWED``.
+
+Every dataclass field defined in ``src/nhtrap`` must be read as an
+attribute, ``obj.field``, somewhere in ``src/nhtrap``; by name again, so a
+read counts for every field of that name.  A field that is only stored
+carries data no one uses.  The fields read only from outside the package
+are in ``ALLOWED_UNREAD``, held to the same rule.
 """
 
 import ast
@@ -51,6 +57,13 @@ ALLOWED_SETTABLE = {
         for field in {key.replace(".", "_") for key in KNOWN_KEYS}
         & {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
     },
+}
+
+
+# "Class.field" read only from outside src/nhtrap, with the reason each stays
+ALLOWED_UNREAD = {
+    "ConservedTriple.p": "kerr.conserved builds it, and only the benchmark tracer "
+    "wraps conserved (perfbench/tracer.py)",
 }
 
 
@@ -196,6 +209,25 @@ def _unset():
     }
 
 
+def _unread_fields():
+    """"Class.field" of every dataclass field no attribute read names."""
+    trees = _modules().values()
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        f"{node.name}.{stmt.target.id}"
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+    }
+
+
 def test_every_definition_is_referenced_in_the_package():
     missing = {name for name in _unreferenced() if not _exempt(name)}
     assert missing == set(ALLOWED)
@@ -209,3 +241,7 @@ def test_allowlisted_names_are_wrapped_by_the_tracer():
 
 def test_every_settable_value_is_set_in_the_package():
     assert _unset() == set(ALLOWED_SETTABLE)
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert _unread_fields() == set(ALLOWED_UNREAD)

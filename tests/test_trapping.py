@@ -563,8 +563,8 @@ class TestCertify:
     def test_static_certificate(self):
         cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=6.0, r_max=R_MAX)
         assert cert.theta_rate == pytest.approx(MU0, rel=1e-12)
-        assert len(cert.ratio_checks) == R_MAX
-        assert all(c.theta0 > 0 for c in cert.ratio_checks)
+        assert len(cert.ratio_constants) == R_MAX
+        assert cert.theta0 > 0
         assert cert.tangential_degree == 0
         for s in trapping.certificate_to_dict(cert)["beta_samples"]:
             assert s["normal_exponent"] == pytest.approx(MU0, rel=1e-12)
@@ -660,14 +660,14 @@ class TestCertify:
             "lambda",
             "beta_samples",
             "theta_rate",
+            "theta0",
             "ratio_checks",
             "tangential_degree",
             "passed",
             "reasons",
         }
-        # kept for readers of the old schema; no certificate fails without raising
+        # kept for the benchmark's checks; no certificate fails without raising
         assert d["passed"] is True and d["reasons"] == []
-        assert all(c["passed"] is True for c in d["ratio_checks"])
         sample = d["beta_samples"][0]
         assert {
             "beta",
@@ -681,8 +681,16 @@ class TestCertify:
             "envelope",
         } <= set(sample)
         assert "invariance_angle" not in sample
-        check = d["ratio_checks"][0]
-        assert {"r", "theta0", "C", "passed"} <= set(check)
+
+    @pytest.mark.parametrize("spin", [0.0, 0.9])
+    def test_ratio_rows_carry_only_C(self, spin):
+        # theta0 and the normal slopes -theta_rate do not depend on r, so
+        # the certificate holds theta0 once and a row is (r, C)
+        cert = trapping.certify(0.0, _family(spin, 0.0), horizon=20.0, r_max=R_MAX)
+        d = trapping.certificate_to_dict(cert)
+        assert d["theta0"] == trapping.THETA0_FRACTION * d["theta_rate"]
+        assert [set(row) for row in d["ratio_checks"]] == [{"r", "C"}] * R_MAX
+        assert [row["r"] for row in d["ratio_checks"]] == list(range(1, R_MAX + 1))
 
 
 class TestPerturbation:
