@@ -322,7 +322,7 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
             result = flow.integrate_flow(model, states[-1], t_next - t_prev, tol=cfg.tol_flow)
         except ChartExit as exc:  # its exit time counts from t_prev
             t_exit = float(t_prev) + exc.exit_time
-            raise ChartExit(f"orbit left the chart at t={t_exit}", t_exit, exc.partial)
+            raise ChartExit(f"orbit left the chart at t={t_exit}", t_exit)
         states.append(result.end_state)
     rows = [row_at(state, float(t)) for state, t in zip(states, times)]
     out = Outcome()

@@ -22,8 +22,8 @@ COMMANDS = (
 # CAP operator kinds that capspec.build_model accepts
 MODEL_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
 
-# accepted range of tol.flow, the end-to-end tolerance of flow-integrate's
-# integration; no other command reads it
+# accepted range of tol.flow, the input of flow-integrate's per-step rule
+# flow.step_tolerance, not an end-to-end tolerance; no other command reads it
 FLOW_TOL_RANGE = (1e-13, 1e-6)
 # accepted range of kerr.mass; past it the shell and escape arithmetic leaves the float range
 MASS_RANGE = (1e-50, 1e50)

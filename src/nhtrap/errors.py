@@ -12,15 +12,11 @@ class DomainError(NhtrapError):
 
 
 class ChartExit(NhtrapError):
-    """An integrated orbit left the valid chart.
+    """An integrated orbit left the valid chart; carries the exit time."""
 
-    Carries the exit time and the partial flow result up to the exit.
-    """
-
-    def __init__(self, message: str, exit_time: float, partial=None):
+    def __init__(self, message: str, exit_time: float):
         super().__init__(message)
         self.exit_time = exit_time
-        self.partial = partial
 
 
 class StepFailure(NhtrapError):

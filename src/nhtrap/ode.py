@@ -6,12 +6,14 @@ as scipy's ``solve_ivp`` does with its DOP853 method: the same tableau,
 the same initial-step rule, the E3/E5 error norm, and step factors bounded
 by SAFETY, MIN_FACTOR and MAX_FACTOR.  It takes the same steps, makes the
 same number of field evaluations and returns the same numbers, without
-importing scipy.
+importing scipy; an event changes only the end of a run.
 
 One event function g(t, y) may end a run at its first downward zero, in
-the first step over which g falls from >= 0 to <= 0, located by `brentq`
-on the step's degree-7 interpolant: scipy's contract for one event with
-``direction = -1`` and ``terminal = True``.
+the first step over which g falls from >= 0 to <= 0: scipy's contract
+for one event with ``direction = -1`` and ``terminal = True``.  The zero
+is located by `brentq` on g(s, y(s)), where y(s) is that step retaken
+from its start to each trial time s, the method's own eighth-order
+solution there; scipy reads y(s) off a dense-output interpolant instead.
 
 The tableau is transcribed from scipy's ``dop853_coefficients.py`` (BSD
 licence), which transcribes the Fortran DOP853 of E. Hairer and G. Wanner,
@@ -45,7 +47,6 @@ MESSAGES = {
 # -- tableau -----------------------------------------------------------------
 
 N_STAGES = 12
-N_STAGES_EXTENDED = 16  # three more stages feed the step interpolant
 
 C = np.array([
     0.0,
@@ -61,12 +62,9 @@ C = np.array([
     0.857142857142857142857142857142,
     1.0,
     1.0,
-    0.1,
-    0.2,
-    0.777777777777777777777777777778,
 ])
 
-A = np.zeros((N_STAGES_EXTENDED, N_STAGES_EXTENDED))
+A = np.zeros((N_STAGES + 1, N_STAGES + 1))
 A[1, 0] = 5.26001519587677318785587544488e-2
 
 A[2, :2] = [1.97250569845378994544595329183e-2,
@@ -138,33 +136,6 @@ A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [5.42937341165687622380535766363e-2,
                                      2.01365400804030348374776537501e-1,
                                      4.47106157277725905176885569043e-2]
 
-A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = [5.61675022830479523392909219681e-2,
-                                      2.53500210216624811088794765333e-1,
-                                      -2.46239037470802489917441475441e-1,
-                                      -1.24191423263816360469010140626e-1,
-                                      1.5329179827876569731206322685e-1,
-                                      8.20105229563468988491666602057e-3,
-                                      7.56789766054569976138603589584e-3,
-                                      -8.298e-3]
-
-A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = [3.18346481635021405060768473261e-2,
-                                       2.83009096723667755288322961402e-2,
-                                       5.35419883074385676223797384372e-2,
-                                       -5.49237485713909884646569340306e-2,
-                                       -1.08347328697249322858509316994e-4,
-                                       3.82571090835658412954920192323e-4,
-                                       -3.40465008687404560802977114492e-4,
-                                       1.41312443674632500278074618366e-1]
-
-A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [-4.28896301583791923408573538692e-1,
-                                      -4.69762141536116384314449447206,
-                                      7.68342119606259904184240953878,
-                                      4.06898981839711007970213554331,
-                                      3.56727187455281109270669543021e-1,
-                                      -1.39902416515901462129418009734e-3,
-                                      2.9475147891527723389556272149,
-                                      -9.15095847217987001081870187138]
-
 B = A[N_STAGES, :N_STAGES]
 
 # error weights: E5 of the fifth-order and E3 of the third-order estimate
@@ -183,36 +154,6 @@ E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [0.1312004499419488073250102996e-1,
                                   0.3341791187130174790297318841,
                                   0.8192320648511571246570742613e-1,
                                   -0.2235530786388629525884427845e-1]
-
-# the step interpolant: the last four of its seven coefficients
-D = np.zeros((4, N_STAGES_EXTENDED))
-D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
-    [-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
-     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
-     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
-     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
-     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
-     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1],
-    [0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
-     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
-     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
-     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
-     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
-     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2],
-    [0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
-     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
-     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
-     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
-     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
-     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2],
-    [-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
-     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
-     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
-     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
-     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
-     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3],
-]
-
 
 # -- scalar roots --------------------------------------------------------------
 
@@ -264,18 +205,6 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = EVENT_TOL) 
     raise ConvergenceFailure(f"no root within {BRENTQ_MAXITER} iterations on [{a:g}, {b:g}]")
 
 
-def _interpolate(step, t: float) -> np.ndarray:
-    """y(t) on one accepted step (t_old, h, y_old, F): the degree-7 DOP853
-    interpolant y_old + x(F0 + (1-x)(F1 + x(F2 + ...))), x = (t - t_old)/h."""
-    t_old, h, y_old, F = step
-    x = (t - t_old) / h
-    y = np.zeros_like(y_old)
-    for i in range(F.shape[0]):
-        y += F[-1 - i]
-        y *= x if i % 2 == 0 else 1.0 - x
-    return y + y_old
-
-
 # -- the integrator ----------------------------------------------------------------
 
 
@@ -302,10 +231,9 @@ class _Stepper:
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.rtol, self.atol = rtol, atol
         self.direction = np.sign(t_bound - t0)
-        self.K = np.empty((N_STAGES_EXTENDED, y0.size))
+        self.K = np.empty((N_STAGES + 1, y0.size))
         self.f = self.fun(t0, y0)
         self.h_abs = self._initial_step()
-        self.t_old = self.y_old = self.h_previous = None
 
     def fun(self, t, y):
         self.nfev += 1
@@ -328,24 +256,22 @@ class _Stepper:
         return min(100 * h0, h1, interval)
 
     def _error_norm(self, h, scale) -> float:
-        K = self.K[:N_STAGES + 1]
-        err5 = np.dot(K.T, E5) / scale
-        err3 = np.dot(K.T, E3) / scale
+        err5 = np.dot(self.K.T, E5) / scale
+        err3 = np.dot(self.K.T, E3) / scale
         err5_2 = np.linalg.norm(err5) ** 2
         err3_2 = np.linalg.norm(err3) ** 2
         if err5_2 == 0 and err3_2 == 0:
             return 0.0
         return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
 
-    def _rk_step(self, h):
-        t, y, K = self.t, self.y, self.K
-        K[0] = self.f
+    def _rk_step(self, t, y, f, h):
+        """The eighth-order solution at t + h from y = y(t) and f = y'(t)."""
+        K = self.K
+        K[0] = f
         for s in range(1, N_STAGES):
             dy = np.dot(K[:s].T, A[s, :s]) * h
             K[s] = self.fun(t + C[s] * h, y + dy)
-        y_new = y + h * np.dot(K[:N_STAGES].T, B)
-        K[N_STAGES] = f_new = self.fun(t + h, y_new)
-        return y_new, f_new
+        return y + h * np.dot(K[:N_STAGES].T, B)
 
     def step(self) -> bool:
         """Take one accepted step; False when the step size underflows."""
@@ -361,7 +287,8 @@ class _Stepper:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = self._rk_step(h)
+            y_new = self._rk_step(t, y, self.f, h)
+            self.K[N_STAGES] = f_new = self.fun(t + h, y_new)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error = self._error_norm(h, scale)
             if error < 1:
@@ -372,7 +299,6 @@ class _Stepper:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
             rejected = True
-        self.h_previous, self.t_old, self.y_old = h, t, y
         self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs, f_new
         return True
 
@@ -380,29 +306,14 @@ class _Stepper:
     def finished(self) -> bool:
         return self.direction * (self.t - self.t_bound) >= 0
 
-    def interpolant(self):
-        """(t_old, h, y_old, F) of the last accepted step, F of shape (7, n)."""
-        K, h = self.K, self.h_previous
-        for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-            dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = self.fun(self.t_old + C[s] * h, self.y_old + dy)
-        F = np.empty((7, self.y.size))
-        f_old = K[0]
-        delta_y = self.y - self.y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(D, K)
-        return self.t_old, self.t - self.t_old, self.y_old, F
-
 
 def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
               event=None) -> OdeResult:
     """Integrate y' = fun(t, y) over t_span = (t0, tf); tf < t0 runs backward.
 
     ``rtol`` below RTOL_MIN is raised to it; ``atol`` is a scalar.  Every
-    call of ``fun``, those of the event's interpolant included, counts in
-    ``nfev``.  ``event`` is an optional function g(t, y); the run ends at
+    call of ``fun``, those of the event's retaken steps included, counts
+    in ``nfev``.  ``event`` is an optional function g(t, y); the run ends at
     its first downward zero with status 1, and then ``t[-1]`` is the zero.
     A rise through 0 does nothing.
     """
@@ -417,19 +328,22 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
 
     status = None
     while status is None:
+        t_old, y_old, f_old = stepper.t, stepper.y, stepper.f
         if not stepper.step():
             status = -1
             break
         if stepper.finished:
             status = 0
-        t_old, t, y = stepper.t_old, stepper.t, stepper.y
+        t, y = stepper.t, stepper.y
         if event is not None:
             g_new = event(t, y)
             if g_new <= 0 <= g:
-                step = stepper.interpolant()
-                t = brentq(lambda s: event(s, _interpolate(step, s)), t_old, t,
+                def retaken(s):
+                    return stepper._rk_step(t_old, y_old, f_old, s - t_old)
+
+                t = brentq(lambda s: event(s, retaken(s)), t_old, t,
                            xtol=EVENT_TOL, rtol=EVENT_TOL)
-                y = _interpolate(step, t)
+                y = retaken(t)
                 status = 1
             g = g_new
         ts.append(t)

@@ -97,14 +97,22 @@ class TestStructure:
 
 class TestChartExitAndValidation:
     def test_toy_chart_exit(self):
-        # the toy capped at max(|x|, |xi|) = 1e6
-        capped = replace(TOY, chart_margin=lambda y: 1e6 - max(abs(y[0]), abs(y[1])))
-        with pytest.raises(ChartExit) as exc:
-            flow.integrate_flow(capped, np.asarray([1.0, 1.0]), 10.0, tol=1e-10)
-        # x(t) = e^{2t} reaches the 1e6 cap at t = 3 ln 10
-        assert exc.value.exit_time == pytest.approx(3.0 * math.log(10.0), abs=1e-5)
-        assert exc.value.partial is not None
-        assert exc.value.partial.end_state[0] == pytest.approx(1e6, rel=1e-6)
+        start, time, tol = np.asarray([1.0, 1.0]), 30.0, 1e-10
+        rtol = flow.step_tolerance(tol, time)
+        for cap in (1e2, 1e6, 1e12):
+            # the toy capped at max(|x|, |xi|) = cap
+            capped = replace(TOY, chart_margin=lambda y, cap=cap: cap - max(abs(y[0]), abs(y[1])))
+            with pytest.raises(ChartExit) as exc:
+                flow.integrate_flow(capped, start, time, tol=tol)
+            # x(t) = e^{2t} reaches the cap at t = ln(cap) / 2
+            assert exc.value.exit_time == pytest.approx(0.5 * math.log(cap), rel=0.0, abs=5e-12)
+            # the same run, integrated as integrate_flow does, ends on the cap
+            sol = ode.solve_ivp(lambda t, y: capped.hamilton_rhs(y), (0.0, time), start,
+                                rtol=rtol, atol=rtol * 1e-2,
+                                event=lambda t, y: capped.chart_margin(y))
+            assert sol.status == 1
+            assert sol.t[-1] == exc.value.exit_time
+            assert sol.y[0, -1] == pytest.approx(cap, rel=1e-12)
 
     def test_kerr_escape_exits_chart(self):
         m = models.full_kerr_model(KerrParams())

@@ -1,4 +1,10 @@
-"""The in-house DOP853 against scipy's solve_ivp(method="DOP853") as oracle."""
+"""The in-house DOP853 against scipy's solve_ivp(method="DOP853") as oracle.
+
+Runs without an event match scipy's bit for bit.  A run that ends on its
+event locates it on the last step retaken to each trial time, where scipy
+reads a dense-output interpolant; there the oracles are scipy's own
+Runge-Kutta step and the closed-form shell orbit.
+"""
 
 import math
 import os
@@ -9,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import shell_rhs, shell_start
+from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp.rk import rk_step
 from scipy.optimize import brentq as scipy_brentq
 
 from nhtrap import flow, models, ode, trapping
@@ -23,10 +31,10 @@ FLOW_START = np.asarray([8.0, 1.2, 0.0, -1.047452885827, 3.923213879343, 4.0])
 
 
 def shell_problem():
-    """(field, z0, alpha-turn event) of one beta sample at a = 0.9: the
-    shell orbit's 20-component variational system of `oracles.shell_rhs`.
-    The event's attributes are read by scipy only; `ode` always stops at
-    the first downward zero."""
+    """(field, z0, alpha-turn event, orbit) of one beta sample at a = 0.9:
+    the shell orbit's 20-component variational system of
+    `oracles.shell_rhs`.  The event's attributes are read by scipy only;
+    `ode` always stops at the first downward zero."""
     params = KerrParams(1.0, 0.9)
     fam = trapping.ReducedFamily(params)
     lo, hi = trapping.equatorial_beta_range(0.0, fam)
@@ -37,7 +45,7 @@ def shell_problem():
 
     turn.direction = -1.0
     turn.terminal = True
-    return shell_rhs(orbit), shell_start(orbit), turn
+    return shell_rhs(orbit), shell_start(orbit), turn, orbit
 
 
 def flow_problem():
@@ -67,10 +75,33 @@ def assert_same_run(ours, theirs):
     assert np.max(np.abs(end - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def assert_event_on_retaken_step(ours, theirs, fun, event):
+    """Both runs end on the event, and every accepted step before it is
+    scipy's bit for bit.  The end state is the last accepted step retaken
+    to t[-1] (scipy's `rk_step` with the DOP853 tableau), the event changes
+    sign within EVENT_TOL of t[-1], and the retakes cost at most 12 RHS
+    calls for each of brentq's trials."""
+    assert ours.status == theirs.status == 1
+    assert np.array_equal(ours.t[:-1], theirs.t[:-1])
+    assert np.array_equal(ours.y[:, :-1], theirs.y[:, :-1])
+    assert theirs.nfev < ours.nfev <= theirs.nfev + 12 * (ode.BRENTQ_MAXITER + 1)
+    t_old, y_old, t_end = ours.t[-2], ours.y[:, -2], ours.t[-1]
+
+    def retaken(s):
+        K = np.empty((DOP853.n_stages + 1, y_old.size))
+        f_old = fun(t_old, y_old)
+        return rk_step(fun, t_old, y_old, f_old, s - t_old, DOP853.A, DOP853.B, DOP853.C, K)[0]
+
+    assert np.array_equal(ours.y[:, -1], retaken(t_end))
+    delta = ode.EVENT_TOL * (1.0 + abs(t_end)) * np.sign(t_end - ours.t[0])
+    before, after = t_end - delta, t_end + delta
+    assert event(before, retaken(before)) >= 0.0 >= event(after, retaken(after))
+
+
 class TestAgainstScipy:
     @pytest.mark.parametrize("horizon", [2.0, -2.0])
     def test_shell_cocycle_steps(self, horizon):
-        rhs, z0, _ = shell_problem()
+        rhs, z0, _, _ = shell_problem()
         ours, theirs = solve_both(rhs, (0.0, horizon), z0, rtol=1e-10, atol=1e-12)
         assert ours.status == 0
         assert_same_run(ours, theirs)
@@ -93,20 +124,18 @@ class TestAgainstScipy:
         assert_same_run(ours, theirs)
 
     def test_alpha_turn(self):
-        rhs, z0, turn = shell_problem()
+        rhs, z0, turn, orbit = shell_problem()
         ours, theirs = solve_both(rhs, (0.0, 20.0), z0, rtol=1e-10, atol=1e-12, event=turn)
-        assert ours.status == theirs.status == 1
-        assert ours.nfev == theirs.nfev
-        # alpha starts positive and first falls through 0 a quarter period on
-        assert ours.t[-1] == pytest.approx(theirs.t_events[0][0], rel=1e-14, abs=0.0)
-        assert np.array_equal(ours.t[:-1], theirs.t[:-1])
-        assert np.max(np.abs(ours.y[:, -1] - theirs.y_events[0][0])) <= 1e-13
+        assert_event_on_retaken_step(ours, theirs, rhs, turn)
+        # alpha starts positive and first falls through 0 a quarter period
+        # on, at the closed-form orbit's quarter time
+        assert ours.t[-1] == pytest.approx(orbit.quarter_time / orbit.mass, rel=0.0, abs=5e-14)
 
     def test_rising_event_does_not_stop(self):
         # -alpha rises through 0 where alpha first falls, a quarter period
         # on, and falls again three quarters on: a run over half a period
         # goes on to the end with the steps of a run without an event
-        rhs, z0, turn = shell_problem()
+        rhs, z0, turn, _ = shell_problem()
         quarter = ode.solve_ivp(rhs, (0.0, 20.0), z0, event=turn).t[-1]
         span = (0.0, 2.0 * quarter)
         plain = ode.solve_ivp(rhs, span, z0, rtol=1e-10, atol=1e-12)
@@ -126,9 +155,7 @@ class TestFlowStatuses:
         rtol = flow.step_tolerance(1e-10, time)
         ours, theirs = solve_both(rhs, (0.0, time), z0, rtol=rtol, atol=rtol * 1e-2,
                                   event=exit_event)
-        assert ours.status == theirs.status == 1
-        assert_same_run(ours, theirs)
-        assert ours.t[-1] == pytest.approx(theirs.t_events[0][0], rel=1e-14)
+        assert_event_on_retaken_step(ours, theirs, rhs, exit_event)
         model = models.full_kerr_model(KerrParams(1.0, 0.5))
         with pytest.raises(ChartExit) as err:
             flow.integrate_flow(model, FLOW_START, time, tol=1e-10)

@@ -26,6 +26,9 @@ are in ``ALLOWED_UNREAD``, held to the same rule.
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nhtrap
@@ -237,6 +240,27 @@ def test_allowlisted_names_are_wrapped_by_the_tracer():
     tracer = TRACER.read_text()
     for name in ALLOWED:
         assert f'"{name}"' in tracer or f".{name}" in tracer, name
+
+
+def test_tracer_installs():
+    # the tracer rebinds package names (flow.solve_ivp, trapping.solve_ivp,
+    # capspec.sla, resolvent_norm's max_iter default); deleting one breaks
+    # the benchmark's traced pass, so install it in a fresh interpreter
+    probe = (
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('tracer', {str(TRACER)!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "tracer.Tracer().install()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_settable_value_is_set_in_the_package():

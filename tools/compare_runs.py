@@ -14,19 +14,21 @@ status is 1 if any config differs, else 0.  Each config's line also
 shows the wall time of its run on either tree, process start-up
 included; one run each, so it is a rough guide, not a gate.
 
-The list holds 31 configs: refactor checks across all seven commands
+The list holds 33 configs: refactor checks across all seven commands
 (escape-check and spectrum-gap at a = 0.99, where the scaled Kerr barrier
 is most extreme; trap-certify and escape-check at M = 2; perturb at
-M = 0.1; flow-integrate on the photon circle at M = 100; trap-certify
+M = 0.1; flow-integrate on the photon circle at M = 100, and on its
+defaults, the photon circle r = 3M at T = 100 in 201 samples; trap-certify
 and perturb at spins of 1e-8 and 1e-6, whose twist is small but not
 zero; spectrum-resolvent on Schwarzschild at h = 0.025, its largest
 matrix, whose imaginary part must still read exactly diagonal, and on
 Kerr at a = 0.9; the rest at M = 1) and the eight workload commands of
 the benchmark at seed 1, which ``tests/test_compare_runs.py`` holds equal
 to ``perfbench/workloads.py``.
-Three of the checks end in an error exit: the h >= htilde exit 2 of
-escape-check, a flow orbit that leaves the chart (exit 3) and a certify
-horizon shorter than one theta-period (exit 2).  Differing text outputs
+Four of the checks end in an error exit: the h >= htilde exit 2 of
+escape-check, a flow orbit that leaves the chart forward and one that
+leaves it backward (exit 3 each) and a certify horizon shorter than one
+theta-period (exit 2).  Differing text outputs
 are compared by a `difflib` line diff, so an artifact that only loses
 lines names just those lines.
 """
@@ -77,8 +79,11 @@ CONFIGS = (
     # the photon circle r = 3M at M = 100
     ("flow_m100", "flow-integrate",
      "kerr.mass = 100\norbit.r = 300\norbit.beta = 519.6152422706632\norbit.time = 0.01\n"),
+    ("flow_defaults", "flow-integrate", ""),
     # leaves the chart at t = 1.2757: exit 3
     ("flow_chart_exit", "flow-integrate", QUICK_SURVEY_ORBIT + "orbit.time = 30\n"),
+    # leaves the chart at t = -0.0653: exit 3
+    ("flow_chart_exit_backward", "flow-integrate", QUICK_SURVEY_ORBIT + "orbit.time = -1\n"),
     # shorter than one theta-period: exit 2
     ("certify_horizon05", "trap-certify", "horizon = 0.5\n"),
     # the benchmark's workload commands, seed 1
@@ -194,7 +199,7 @@ def main(argv: list[str]) -> int:
         parent, change = run(parent_tree, command, body), run(change_tree, command, body)
         found = differences(parent, change)
         status = "DIFFERS" if found else "same"
-        print(f"{name:20s} {command:18s} exit {parent['exit code']} -> "
+        print(f"{name:24s} {command:18s} exit {parent['exit code']} -> "
               f"{change['exit code']}, {len(change['files'])} artifacts, "
               f"{parent['wall_s']:.2f} -> {change['wall_s']:.2f} s: {status}")
         for line in found:
