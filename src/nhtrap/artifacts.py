@@ -26,17 +26,6 @@ ORBIT_HEADER = (
 )
 
 
-def format_value(value) -> str:
-    """Render one cell: floats at 12 significant digits, rest via str."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FORMAT % float(value)
-    return str(value)
-
-
 def write_atomic(path: Path, text: str) -> Path:
     """Write text to path via a same-directory temp file and rename."""
     path = Path(path)
@@ -63,7 +52,7 @@ def write_csv(path: Path, header, rows) -> Path:
     lines = [",".join(header)]
     width = len(header)
     for row in rows:
-        cells = [format_value(cell) for cell in row]
+        cells = [FLOAT_FORMAT % float(cell) for cell in row]
         if len(cells) != width:
             raise ValueError(
                 f"row width {len(cells)} does not match header width {width}"

@@ -101,7 +101,6 @@ class CapProblem:
     problem.
     """
 
-    kind: str
     h: float
     x_min: float
     x_max: float
@@ -133,10 +132,8 @@ class SpectrumReport:
     is the discrete resolvent norm at z = 0.
     """
 
-    kind: str
     h: float
     n_points: int
-    window: float
     eigenvalues: np.ndarray
     residuals: np.ndarray
     conditions: np.ndarray
@@ -283,7 +280,6 @@ def build_model(
         )
 
     return CapProblem(
-        kind=kind,
         h=h,
         x_min=x_min,
         x_max=x_max,
@@ -396,7 +392,7 @@ def _box_eigenpairs(matrix, window: float, bottom: float):
     k_cap = min(K_CAP, n - 2)
     identity = sp.identity(n, dtype=complex, format="csc")
     # fixed start vector: keeps repeated solves bit-reproducible across
-    # processes and thread schedules
+    # processes
     rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     cells = [(-window, window, bottom, DISSIPATIVITY_TOL)]
@@ -512,10 +508,8 @@ def spectral_gap(problem: CapProblem) -> SpectrumReport:
     nu = gap / problem.h
     keep = zs.imag > floor
     return SpectrumReport(
-        kind=problem.kind,
         h=problem.h,
         n_points=problem.n_points,
-        window=problem.window,
         eigenvalues=zs[keep],
         residuals=residuals[keep],
         conditions=conditions[keep],

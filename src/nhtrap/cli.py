@@ -1,31 +1,31 @@
-"""Command-line orchestrator: job fan-out, checks, artifact emission.
+"""Command-line orchestrator: one handler per command, checks, artifact emission.
 
 ``nhtrap COMMAND --config FILE`` is the whole command line: every run
 value, the seed and the output directory included, is set in the config
-file and nowhere else.  Each handler takes ``(cfg, workers)`` although
-``workers`` is ``cfg.workers``: the benchmark launcher wraps the handlers
-with that signature and records the ``workers`` each one was given.
+file and nowhere else.  Each handler runs its problems one after another,
+in the order the config lists them.  The ``workers`` key is still
+accepted (at least 1) and each handler still takes ``(cfg, workers)``,
+although no handler reads ``workers``: the benchmark launcher wraps the
+handlers with that signature and records the ``workers`` each one was
+given.  A thread pool over the problems gained nothing on 2 vCPUs, since
+the shell-orbit RHS holds the GIL and the spectrum sweeps ran no faster
+on two threads than on one.
 
 Every command runs in its own process, so the imports at the top of this
 module are paid by every run.  They stay light: numpy and the modules
 that pull in no scipy (``config``, ``errors``, ``artifacts``).  Each
-handler imports the numerical layer it runs as its first statement, in
-the main thread before ``_run_jobs`` fans out, and never inside a job:
+handler imports the numerical layer it runs as its first statement:
 ``capspec`` for the spectrum commands, ``escape``, ``kerr`` and
 ``models`` for escape-check (it certifies the barrier symbols of
 ``kerr.barrier`` that spectrum-gap measures), ``trapping`` for
 trap-find, trap-certify and perturb, and ``flow``, ``kerr`` (the Carter
 column) and ``models`` for flow-integrate.
-Jobs call the layer through its module attributes.  Only the spectrum
+Handlers call the layer through its module attributes.  Only the spectrum
 commands load scipy (through ``capspec``): the other layers integrate and
 find roots with ``ode``.  Seeded numbers (the perturbing bump and
 escape's sample pairs) come from the stdlib ``random.Random(seed)``,
-which every process loads anyway, and ``_run_jobs`` imports its thread
-pool only when it runs more than one worker; so numpy.random and
-concurrent.futures are loaded by the spectrum commands alone, through
-scipy.  spectrum-resolvent runs no jobs: it solves one problem and reads
-its upper-half-plane bound off the matrix, so ``workers`` is a no-op
-there.
+which every process loads anyway, so numpy.random is loaded by the
+spectrum commands alone, through scipy.
 
 ``main`` registers ``gc.freeze`` to run at interpreter exit, once per
 process.  CPython's final collections sweep the heap that numpy and
@@ -46,7 +46,7 @@ import sys
 import tempfile
 import traceback
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -98,24 +98,11 @@ def _check_writable(directory: Path) -> None:
         ) from exc
 
 
-def _run_jobs(jobs, workers: int):
-    """Execute pure jobs, preserving submission order in the results."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [future.result() for future in [pool.submit(j) for j in jobs]]
-
-
 def _cmd_trap_find(cfg: RunConfig, workers: int) -> Outcome:
     from . import trapping
 
     kerr = cfg.kerr
-    charts = _run_jobs(
-        [partial(trapping.linearization, beta, kerr) for beta in cfg.beta_list],
-        workers,
-    )
+    charts = [trapping.linearization(beta, kerr) for beta in cfg.beta_list]
     out = Outcome()
     for chart in charts:
         out.summaries.append(
@@ -143,20 +130,11 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
     from . import trapping
     from .kerr import KerrParams
 
-    jobs = [
-        partial(
-            trapping.certify,
-            cfg.lam,
-            trapping.ReducedFamily(KerrParams(mass=cfg.kerr_mass, spin=spin)),
-            horizon=cfg.horizon,
-            r_max=cfg.r_max,
-        )
-        for spin in cfg.a_list
-    ]
-    certs = _run_jobs(jobs, workers)
     out = Outcome()
     entries = []
-    for spin, cert in zip(cfg.a_list, certs):
+    for spin in cfg.a_list:
+        family = trapping.ReducedFamily(KerrParams(mass=cfg.kerr_mass, spin=spin))
+        cert = trapping.certify(cfg.lam, family, horizon=cfg.horizon, r_max=cfg.r_max)
         out.summaries.append(
             f"trap-certify a={spin:g}: theta_rate={cert.theta_rate:.6g}, "
             f"tangential_degree={cert.tangential_degree}"
@@ -176,21 +154,15 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
 def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
     from . import escape, kerr, models
 
-    def escape_one(barrier) -> tuple[dict, bool]:
-        """A barrier's report, saddle searched from its top, and G1's verdict."""
+    out = Outcome()
+    reports = {}
+    # spectrum-gap's symbols, under the model names the benchmark checks
+    for name, kind in (("toy", "toy_sech2"), ("reduced_kerr", "kerr_equatorial")):
+        barrier = kerr.barrier(kind, cfg.kerr)
         model = models.barrier_model(barrier.terms, None)
         pair = escape.build_defining_pair(model, saddle_guess=(barrier.top, 0.0))
         spec = escape.make_escape_spec(pair, h=cfg.h)
-        report = escape.escape_report(spec, seed=cfg.seed)
-        return report, spec.G1.report["passed"]
-
-    # spectrum-gap's symbols, under the model names the benchmark checks
-    kinds = ("toy_sech2", "kerr_equatorial")
-    jobs = [partial(escape_one, kerr.barrier(kind, cfg.kerr)) for kind in kinds]
-    names = ("toy", "reduced_kerr")
-    reports, g1_verdicts = zip(*_run_jobs(jobs, workers))
-    out = Outcome()
-    for name, report, g1_passed in zip(names, reports, g1_verdicts):
+        report = reports[name] = escape.escape_report(spec, seed=cfg.seed)
         out.summaries.append(
             f"escape-check {name}: c1={report['c1']:.6g}, "
             f"C={report['C']:.6g}, N={report['N']}, "
@@ -202,7 +174,7 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
             ("sign_violations", bool(report["violations"])),
             ("order_exponent", report["N"] > 4),
             ("bracket_positive", not report["bracket_min"] > 0.0),
-            ("g1_monotone", not g1_passed),
+            ("g1_monotone", not spec.G1.report["passed"]),
         ):
             if bad:
                 out.failures.append(
@@ -212,7 +184,7 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
         "command": "escape-check",
         "h": cfg.h,
         "seed": cfg.seed,
-        "models": dict(zip(names, reports)),
+        "models": reports,
     }
     return out
 
@@ -233,11 +205,10 @@ def _eigenvalue_rows(report) -> list:
 def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
     from . import capspec
 
-    def gap_job(h: float):
-        problem = capspec.build_model(cfg.model, cfg.kerr, h=h, window=cfg.window)
-        return capspec.spectral_gap(problem)
-
-    reports = _run_jobs([partial(gap_job, h) for h in cfg.h_list], workers)
+    reports = [
+        capspec.spectral_gap(capspec.build_model(cfg.model, cfg.kerr, h=h, window=cfg.window))
+        for h in cfg.h_list
+    ]
     out = Outcome()
     gap_rows, eig_rows = [], []
     for report in reports:
@@ -319,11 +290,12 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
     states = [start]
     for t_prev, t_next in zip(times, times[1:]):
         try:
-            result = flow.integrate_flow(model, states[-1], t_next - t_prev, tol=cfg.tol_flow)
+            states.append(
+                flow.integrate_flow(model, states[-1], t_next - t_prev, tol=cfg.tol_flow)
+            )
         except ChartExit as exc:  # its exit time counts from t_prev
             t_exit = float(t_prev) + exc.exit_time
             raise ChartExit(f"orbit left the chart at t={t_exit}", t_exit)
-        states.append(result.end_state)
     rows = [row_at(state, float(t)) for state, t in zip(states, times)]
     out = Outcome()
     drift = {
@@ -385,8 +357,8 @@ def _cmd_perturb(cfg: RunConfig, workers: int) -> Outcome:
         )
     out.jsons["certificate.json"] = {
         "command": "perturb",
-        "epsilon": report.epsilon,
-        "seed": report.seed,
+        "epsilon": cfg.epsilon,
+        "seed": cfg.seed,
         "displacement": report.displacement,
         "displacement_factor": report.displacement_factor,
         "exponent_shift": report.exponent_shift,
@@ -457,6 +429,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # exit 2 or 3 with a failures.json entry, no traceback
         failure = {"check": "run", "error": str(exc), "type": type(exc).__name__}
         code = EXIT_NUMERICAL_FAILURE
+        if isinstance(exc, NhtrapError):  # its own fields: exit_time, shift, ...
+            failure.update(vars(exc))
         if isinstance(exc, _CONFIG_FAULTS):
             print(f"config error: {exc}", file=sys.stderr)
             failure["check"], code = "config", EXIT_CONFIG_ERROR

@@ -143,9 +143,8 @@ class RunConfig:
     tol_drift: float = 1e-9
     tol_consistency: float = 0.15
     seed: int = 0
-    # threads of the job fan-out; the jobs gain nothing from more than one,
-    # since the shell-orbit RHS holds the GIL and the spectrum sweeps ran
-    # no faster on two threads than on one
+    # read by no handler: every command runs its problems in order; the
+    # benchmark launcher records the value each handler is given
     workers: int = 1
     output_dir: Path = Path("out")
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class NhtrapError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    The CLI writes an instance's own attributes into its failures.json entry.
+    """
 
 
 class DomainError(NhtrapError):

@@ -243,7 +243,7 @@ class G1Function:
     """Exterior escape term: position-momentum pairing gated off near K,
     ramped on across the G1_RADII.
 
-    `report` holds build_G1's scale, floor and verdict."""
+    `report` holds build_G1's floor and verdict."""
 
     pair: DefiningPair
     scale: float
@@ -283,8 +283,8 @@ def build_G1(pair: DefiningPair) -> G1Function:
     s <= r_inner and equal to 1 for s >= r_outer, the G1_RADII; it is
     scaled so the directional derivative H_p G1 is >= 1 on the band
     between r_outer and 2 r_outer, sampled on a G1_GRID_N-point grid per
-    axis.  Its report carries the scale, the scaled band floor `g1_floor`
-    and the "passed" verdict: H_p G1 >= -HP_G1_NEGATIVE_TOL on the whole
+    axis.  Its report carries the scaled band floor `g1_floor` and the
+    "passed" verdict: H_p G1 >= -HP_G1_NEGATIVE_TOL on the whole
     sample disc.  Two more facts hold by construction, so it does not
     check them: g1_floor >= 1 up to rounding, as scale = max(1, 1/floor_raw);
     and G1 is exactly 0 on the core s <= r_inner, where `smoothstep5`
@@ -308,7 +308,6 @@ def build_G1(pair: DefiningPair) -> G1Function:
         )
     scale = max(1.0, 1.0 / floor_raw)
     report = {
-        "scale": float(scale),
         "g1_floor": floor_raw * scale,
         "passed": float(np.min(hp)) * scale >= -HP_G1_NEGATIVE_TOL,
     }

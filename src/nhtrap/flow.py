@@ -2,28 +2,18 @@
 
 `integrate_flow` advances a state along the Hamilton field of a model
 with the adaptive DOP853 of `nhtrap.ode`, whose event stops an orbit where
-the chart margin first falls to 0.  Only the end state is transported;
-the linearized flow of the photon shell comes from `trapping`'s exact
+the chart margin first falls to 0, and returns the end state alone.  The
+linearized flow of the photon shell comes from `trapping`'s exact
 cocycle, not from here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartExit, DomainError, StepFailure
 from .models import HamiltonianModel
 from .ode import RTOL_MIN, solve_ivp
-
-
-@dataclass
-class FlowResult:
-    """Endpoint data of one integrated orbit segment."""
-
-    end_state: np.ndarray
-    nfev: int
 
 
 def step_tolerance(tol: float, time: float) -> float:
@@ -43,8 +33,9 @@ def integrate_flow(
     start: np.ndarray,
     time: float,
     tol: float,
-) -> FlowResult:
-    """Flow `start` for `time` (may be negative) along the Hamilton field.
+) -> np.ndarray:
+    """The state reached by flowing `start` for `time` (may be negative)
+    along the Hamilton field.
 
     `tol` sets the stepping (see `step_tolerance`); the run configuration
     keeps ``tol.flow`` in its accepted range.  The restarts, not `tol`,
@@ -76,4 +67,4 @@ def integrate_flow(
     if sol.status == 1:  # chart event fired
         reached = float(sol.t[-1])
         raise ChartExit(f"orbit left the chart at t={reached}", exit_time=reached)
-    return FlowResult(end_state=sol.y[:, -1].copy(), nfev=int(sol.nfev))
+    return sol.y[:, -1].copy()

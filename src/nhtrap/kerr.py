@@ -125,17 +125,11 @@ def _require_exterior(params: KerrParams, r) -> None:
 def symbol_p(state: PhaseState, params: KerrParams):
     """Rescaled flow symbol p at a state (array-friendly)."""
     _require_exterior(params, state.r)
-    return _p_values(
-        params, state.r, state.theta, state.xi, state.alpha, state.beta
-    )
-
-
-def _p_values(params: KerrParams, r, theta, xi, alpha, beta):
-    q = _angular_terms(params, theta, beta)[0]
+    q = _angular_terms(params, state.theta, state.beta)[0]
     return (
-        delta(params, r) * xi**2
-        + radial_potential(params, beta, r)
-        + alpha**2
+        delta(params, state.r) * state.xi**2
+        + radial_terms(params, state.beta, state.r)[0]
+        + state.alpha**2
         + q**2
     )
 
@@ -264,11 +258,6 @@ def grad_hess_raw(params: KerrParams, r: float, theta: float, xi: float,
                   alpha: float, beta: float):
     """Gradient (6,) and Hessian (6, 6) of p in one pass; no chart validation."""
     return _grad_hess(params, r, theta, xi, alpha, beta)
-
-
-def radial_potential(params: KerrParams, beta: float, r):
-    """v_beta(r) = 2 a beta - (a^2 beta^2 + 4 M a r beta + (r^2+a^2)^2)/Delta."""
-    return radial_terms(params, beta, r)[0]
 
 
 def radial_potential_derivs(params: KerrParams, beta: float, r):

@@ -402,8 +402,6 @@ def certify(lam: float, family: ReducedFamily, horizon: float, r_max: int) -> Tr
 @dataclass
 class PerturbReport:
     certificate: TrapCertificate
-    epsilon: float
-    seed: int
     displacement: float
     displacement_factor: float  # displacement / epsilon
     exponent_shift: float  # max relative shift of the normal exponent
@@ -443,8 +441,6 @@ def perturb_and_recertify(
         shift = max(shift, abs(chart.normal_exponent - mu0) / mu0)
     return PerturbReport(
         certificate=cert,
-        epsilon=epsilon,
-        seed=seed,
         displacement=displacement,
         displacement_factor=displacement / epsilon if epsilon > 0 else 0.0,
         exponent_shift=shift,

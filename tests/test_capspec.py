@@ -1,5 +1,6 @@
 """Absorbing-barrier spectrum tests: stencils, strings, gaps, resolvents."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -23,7 +24,6 @@ def laplacian_reference(h: float, n_points: int,
     The continuum eigenvalues are h^2 (j pi / length)^2.
     """
     return capspec.CapProblem(
-        kind="reference",
         h=h,
         x_min=0.0,
         x_max=length,
@@ -73,7 +73,6 @@ def coarse_problems():
 class TestBuildModel:
     def test_toy_defaults(self, toy_problem):
         p = toy_problem
-        assert p.kind == "toy_sech2"
         assert p.x_min == -6.0 and p.x_max == 6.0
         assert p.window == capspec.DEFAULT_WINDOW
         assert p.potential.shape == p.absorber.shape == (p.n_points,)
@@ -380,6 +379,23 @@ class TestEigenvalues:
         # bound kappa * residual; 1e-9 on top of that
         assert np.all(np.abs(zd - zb[match]) <= 1e-9 + kd * (rd + rb[match]))
 
+    def test_wide_box_splits_along_re_z(self, coarse_problems, monkeypatch):
+        # at window 2 the 64 eigenvalues nearest the box's centre do not
+        # reach its corner, so the box splits into strips of Re z
+        matrix = coarse_problems["toy_sech2"].matrix
+        shifts, eigs = [], capspec.spla.eigs
+
+        def recording(*args, sigma, **kwargs):
+            shifts.append(sigma)
+            return eigs(*args, sigma=sigma, **kwargs)
+
+        monkeypatch.setattr(capspec.spla, "eigs", recording)
+        zb, rb, _ = capspec.eigenvalues(matrix, window=2.0, floor=-0.2)
+        assert len({z.real for z in shifts}) > 1 and len({z.imag for z in shifts}) == 1
+        zd, rd, kd = dense_eigenvalues(matrix, window=2.0, floor=-0.2)
+        assert zb.size == zd.size == 5
+        assert np.all(np.abs(zd - zb) <= 1e-9 + kd * (rd + rb))
+
     def test_condition_numbers_match_left_eigenvectors(self):
         p = capspec.build_model("schw_radial", h=0.1)
         matrix = p.matrix
@@ -396,17 +412,16 @@ class TestEigenvalues:
 class TestSpectralGap:
     def test_report_fields(self, toy_problem):
         rep = capspec.spectral_gap(toy_problem)
-        assert rep.kind == "toy_sech2"
         assert rep.gap > 0.0
         assert rep.nu == pytest.approx(rep.gap / rep.h)
         assert np.all(rep.eigenvalues.imag > capspec.FLOOR_FACTOR * rep.h)
-        assert np.all(np.abs(rep.eigenvalues.real) < rep.window)
+        assert np.all(np.abs(rep.eigenvalues.real) < toy_problem.window)
         assert rep.norm_axis_z0 == capspec.resolvent_norm(toy_problem.matrix, 0.0)
 
     def test_floor_trims_list_not_gap(self, toy_problem):
         rep = capspec.spectral_gap(toy_problem)
         deep, _, _ = capspec.eigenvalues(
-            toy_problem.matrix, window=rep.window, floor=-6.0 * rep.h
+            toy_problem.matrix, window=toy_problem.window, floor=-6.0 * rep.h
         )
         assert -deep[0].imag == pytest.approx(rep.gap, rel=1e-12)
         assert deep.size > rep.eigenvalues.size
@@ -414,10 +429,21 @@ class TestSpectralGap:
     def test_searches_the_problem_window(self):
         p = capspec.build_model("toy_sech2", h=0.1, window=0.6)
         rep = capspec.spectral_gap(p)
-        assert rep.window == p.window == 0.6
+        assert p.window == 0.6
         floor = capspec.FLOOR_FACTOR * rep.h
         wide, _, _ = capspec.eigenvalues(p.matrix, window=0.6, floor=floor)
         assert np.array_equal(rep.eigenvalues, wide)
+
+    def test_empty_floor_box_deepens_to_the_gap(self):
+        # a flat well under a constant absorber 0.25 has every eigenvalue at
+        # Im z = -0.25, below the floor -h, so the search doubles its depth;
+        # the well has no barrier top, so its rate (nu_ratio's scale) is 1
+        flat = dataclasses.replace(
+            laplacian_reference(h=0.1, n_points=200), absorber=np.full(200, 0.25), exponent=1.0
+        )
+        rep = capspec.spectral_gap(flat)
+        assert rep.eigenvalues.size == 0
+        assert rep.gap == pytest.approx(0.25, abs=1e-12)
 
     def test_toy_gap_tracks_string(self, toy_problem):
         rep = capspec.spectral_gap(toy_problem)
@@ -523,6 +549,9 @@ class TestDissipativity:
         assert capspec.dissipativity(flipped) == (0.0, float(np.max(problem.absorber)))
         z = 0.05j
         assert capspec.resolvent_norm(flipped, z) > 1.0 / z.imag
+        # and the box search refuses them
+        with pytest.raises(ConvergenceFailure, match="breaks dissipativity"):
+            capspec.eigenvalues(flipped)
 
     def test_skew_entry_is_read(self, coarse_problems):
         skewed = coarse_problems["toy_sech2"].matrix.tolil()

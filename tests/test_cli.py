@@ -244,6 +244,22 @@ class TestConfigErrors:
         assert failures[0]["error"] == "boom"
         assert "in crash" in failures[0]["traceback"]
 
+    def test_package_error_fields_are_written(self, tmp_path, monkeypatch):
+        # a package error's own fields join its failure entry; a complex
+        # shift is written as its parts
+        from nhtrap.errors import ConvergenceFailure
+
+        def stuck(cfg, workers):
+            raise ConvergenceFailure("stuck", shift=0.5 - 0.25j)
+
+        monkeypatch.setitem(cli._HANDLERS, "trap-find", stuck)
+        code, out = run_cli(tmp_path, "trap-find", "")
+        assert code == 3
+        assert read_failures(out) == [
+            {"check": "run", "error": "stuck", "type": "ConvergenceFailure",
+             "shift": {"re": 0.5, "im": -0.25}}
+        ]
+
     @pytest.mark.parametrize("mass", ["1e100", "1e150", "1e-150"])
     def test_mass_outside_float_range_is_config_error(self, tmp_path, capsys, mass):
         # at these masses the shell and escape arithmetic overflows or
@@ -445,6 +461,7 @@ class TestFlowIntegrate:
         prefix = "orbit left the chart at t="
         assert failures[0]["error"].startswith(prefix)
         reported = float(failures[0]["error"][len(prefix):])
+        assert failures[0]["exit_time"] == float(f"{reported:.12g}")
         assert f"at t={reported!r}" in capsys.readouterr().err
         model = models.full_kerr_model(KerrParams(1.0, 0.7))
         start = [6.0, 1.0, 0.0, 0.3, 2.0, 3.0]
@@ -516,14 +533,17 @@ class TestSpectrumGap:
         assert read_failures(out) == []
         assert not list(out.glob("*.tmp"))
 
-    def test_determinism_across_worker_counts(self, tmp_path):
-        text = "model = toy_sech2\nh_list = 0.1, 0.05\n"
-        _, out1 = run_cli(tmp_path, "spectrum-gap", text + "workers = 1\n", name="w1")
-        _, out2 = run_cli(tmp_path, "spectrum-gap", text + "workers = 3\n", name="w3")
-        assert (out1 / "eigenvalues.csv").read_bytes() == (
-            out2 / "eigenvalues.csv"
-        ).read_bytes()
-        assert masked_gaps(out1) == masked_gaps(out2)
+    def test_empty_window_is_numerical_failure(self, tmp_path, capsys):
+        # no toy eigenvalue has |Re z| < 0.001: the search deepens to the
+        # bottom of the numerical range and gives up
+        code, out = run_cli(
+            tmp_path, "spectrum-gap", "model = toy_sech2\nh_list = 0.1\nwindow = 0.001\n"
+        )
+        assert code == 3
+        assert read_failures(out) == [
+            {"check": "run", "error": "no window eigenvalue below the axis",
+             "type": "ConvergenceFailure", "shift": None}
+        ]
 
     def test_consistency_gate_drives_exit_code(self, tmp_path):
         code, out = run_cli(

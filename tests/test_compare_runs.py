@@ -2,8 +2,8 @@
 
 The tool is not a package module, so it is loaded by path; without this
 guard a renamed config key or command would only show when the tool is run.
-The benchmark's workload list (perfbench/workloads.py) is loaded the same
-way, read only, so the tool's mirror of it cannot drift.
+The tool reads the benchmark's workload configs from perfbench/workloads.py
+itself, so they cannot drift from the benchmark's.
 """
 
 import importlib.util
@@ -27,20 +27,14 @@ def _load(name: str, path: Path):
 
 
 compare_runs = _load("compare_runs", ROOT / "tools" / "compare_runs.py")
-workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-WORKLOAD_COMMANDS = [
-    (workload.name, command)
-    for workload in workloads.WORKLOADS.values()
-    for command in workload.commands
-]
 
 
 @pytest.mark.parametrize(
-    "name, command, body", compare_runs.CONFIGS, ids=[c[0] for c in compare_runs.CONFIGS]
+    "name, command, text", compare_runs.CONFIGS, ids=[c[0] for c in compare_runs.CONFIGS]
 )
-def test_config_parses(name, command, body):
+def test_config_parses(name, command, text):
     # the text the tool writes for the run, parsed as the CLI parses it
-    cfg = parse_config(compare_runs.config_text(command, body), command)
+    cfg = parse_config(text, command)
     assert cfg.command == command
 
 
@@ -53,20 +47,6 @@ def test_docstring_counts_the_configs():
     # the count in the tool's docstring cannot go stale
     count = re.search(r"The list holds (\d+) configs", compare_runs.__doc__)
     assert int(count.group(1)) == len(compare_runs.CONFIGS)
-
-
-@pytest.mark.parametrize(
-    "workload, command", WORKLOAD_COMMANDS,
-    ids=[f"{name}-{command.name}" for name, command in WORKLOAD_COMMANDS],
-)
-def test_workload_command_is_mirrored(workload, command):
-    # the benchmark's config at its seed 1 parses to one CONFIGS entry's config
-    cfg = parse_config(command.config_text(1, compare_runs.OUTPUT_DIR), command.name)
-    mirrors = [
-        name for name, cmd, body in compare_runs.CONFIGS
-        if cmd == command.name and parse_config(compare_runs.config_text(cmd, body), cmd) == cfg
-    ]
-    assert mirrors, f"{workload}: {command.name} has no mirror in compare_runs.CONFIGS"
 
 
 def test_commands_are_known():

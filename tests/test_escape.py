@@ -351,11 +351,11 @@ class TestG1:
     def test_toy_report(self, toy_pair):
         g1 = esc.build_G1(toy_pair)
         report = g1.report
-        assert set(report) == {"scale", "g1_floor", "passed"}
+        assert set(report) == {"g1_floor", "passed"}
         assert report["passed"]
         assert report["g1_floor"] >= 1.0 - 1e-12
         # the raw band floor is g1_floor / scale
-        assert report["g1_floor"] / report["scale"] >= 0.5
+        assert report["g1_floor"] / g1.scale >= 0.5
         # beyond the ramp the pairing is bare: H_p(x xi) = 2(x^2 + xi^2)
         y = np.asarray([0.8, 0.7])
         assert g1.hp(y) == pytest.approx(
@@ -363,9 +363,10 @@ class TestG1:
         )
 
     def test_kerr_report(self, kerr_pair):
-        report = esc.build_G1(kerr_pair).report
+        g1 = esc.build_G1(kerr_pair)
+        report = g1.report
         assert report["passed"]
-        assert report["scale"] == 1.0
+        assert g1.scale == 1.0
         assert report["g1_floor"] == pytest.approx(1.0934, abs=2e-3)
 
     def test_gradient_stencil(self, toy_pair, kerr_pair):

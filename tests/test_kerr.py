@@ -67,7 +67,7 @@ class TestSymbol:
                     kerr._grad_p(p, y[0], y[1], y[3], y[4], y[5]), dtype=float
                 )
                 fd = fd_gradient(
-                    lambda v: float(kerr._p_values(p, v[0], v[1], v[3], v[4], v[5])),
+                    lambda v: float(kerr.symbol_p(PhaseState(*v), p)),
                     y,
                 )
                 scale = 1.0 + np.max(np.abs(g))

@@ -52,13 +52,13 @@ class TestRadialPotential:
         assert v == pytest.approx(-27.0, abs=1e-12)
         assert v1 == pytest.approx(0.0, abs=1e-12)
         assert v2 == pytest.approx(-18.0, abs=1e-12)
-        assert kerr.radial_potential(p, 0.0, 4.0) == pytest.approx(
+        assert kerr.radial_terms(p, 0.0, 4.0)[0] == pytest.approx(
             -32.0, abs=1e-12
         )
 
     def test_mass_scaling(self):
         p = KerrParams(mass=2.0)
-        assert kerr.radial_potential(p, 0.0, 8.0) == pytest.approx(
+        assert kerr.radial_terms(p, 0.0, 8.0)[0] == pytest.approx(
             -32.0 * 4.0, abs=1e-10
         )
         v, v1, v2, _ = kerr.radial_potential_derivs(p, 0.0, 6.0)
@@ -75,8 +75,8 @@ class TestRadialPotential:
             for r, b in zip(rs, betas):
                 v0, v1, v2, v3 = kerr.radial_potential_derivs(p, b, r)
                 fd1 = (
-                    kerr.radial_potential(p, b, r + h)
-                    - kerr.radial_potential(p, b, r - h)
+                    kerr.radial_terms(p, b, r + h)[0]
+                    - kerr.radial_terms(p, b, r - h)[0]
                 ) / (2 * h)
                 fd2 = (
                     kerr.radial_potential_derivs(p, b, r + h)[1]

@@ -22,6 +22,14 @@ attribute, ``obj.field``, somewhere in ``src/nhtrap``; by name again, so a
 read counts for every field of that name.  A field that is only stored
 carries data no one uses.  The fields read only from outside the package
 are in ``ALLOWED_UNREAD``, held to the same rule.
+
+Matching by name has a blind spot: a field no one reads passes when a
+field or attribute of the same name is read elsewhere.  It let four
+unread fields through, since deleted: ``FlowResult.nfev``, passed by the
+reads ``sol.nfev`` and ``stepper.nfev``; ``SpectrumReport.kind`` and
+``SpectrumReport.window``, passed by ``problem.kind`` and
+``problem.window``; and ``CapProblem.kind``, whose one read,
+``problem.kind``, only filled ``SpectrumReport.kind``.
 """
 
 import ast

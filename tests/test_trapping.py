@@ -705,11 +705,9 @@ class TestPerturbation:
             KerrParams(), 0.0, 0.005, seed=3, horizon=5.0, r_max=R_MAX
         )
         assert rep.certificate.tangential_degree == 0
-        assert rep.displacement <= 5.0 * rep.epsilon
+        assert rep.displacement <= 5.0 * 0.005
         assert rep.exponent_shift <= 0.05
-        assert rep.displacement_factor == pytest.approx(
-            rep.displacement / rep.epsilon
-        )
+        assert rep.displacement_factor == pytest.approx(rep.displacement / 0.005)
 
     @pytest.mark.parametrize("mass", [0.1, 10.0])
     def test_mass_scaling(self, mass):

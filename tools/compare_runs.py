@@ -23,8 +23,8 @@ and perturb at spins of 1e-8 and 1e-6, whose twist is small but not
 zero; spectrum-resolvent on Schwarzschild at h = 0.025, its largest
 matrix, whose imaginary part must still read exactly diagonal, and on
 Kerr at a = 0.9; the rest at M = 1) and the eight workload commands of
-the benchmark at seed 1, which ``tests/test_compare_runs.py`` holds equal
-to ``perfbench/workloads.py``.
+the benchmark at seed 1, whose config texts are read from
+``perfbench/workloads.py``.
 Four of the checks end in an error exit: the h >= htilde exit 2 of
 escape-check, a flow orbit that leaves the chart forward and one that
 leaves it backward (exit 3 each) and a certify horizon shorter than one
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import difflib
+import importlib.util
 import io
 import os
 import subprocess
@@ -52,7 +53,7 @@ QUICK_SURVEY_ORBIT = (
 )
 
 # (name, command, config lines after command, workers and output_dir)
-CONFIGS = (
+_BODIES = (
     ("certify_spins", "trap-certify", "a_list = 0, 0.5, 0.9, 0.99\n"),
     ("certify_lam30", "trap-certify", "lam = 30\n"),
     ("certify_m2", "trap-certify", "kerr.mass = 2\na_list = 0, 1, 1.8\nhorizon = 20\n"),
@@ -86,18 +87,49 @@ CONFIGS = (
     ("flow_chart_exit_backward", "flow-integrate", QUICK_SURVEY_ORBIT + "orbit.time = -1\n"),
     # shorter than one theta-period: exit 2
     ("certify_horizon05", "trap-certify", "horizon = 0.5\n"),
-    # the benchmark's workload commands, seed 1
-    ("cap_fine_gap", "spectrum-gap", "model = schw_radial\nh_list = 0.05, 0.025\n"),
-    ("cap_fine_resolvent", "spectrum-resolvent", "model = toy_sech2\nh = 0.05\nseed = 1\n"),
-    ("shell_certify", "trap-certify", "a_list = 0, 0.9\nhorizon = 20\n"),
-    ("shell_perturb", "perturb",
-     "kerr.spin = 0.5\nhorizon = 20\nepsilon = 0.01\nseed = 1\n"),
-    ("survey_find", "trap-find", "kerr.spin = 0.5\nbeta_list = -4, -2, -1, 1, 2, 4\n"),
-    ("survey_escape", "escape-check", "kerr.spin = 0.5\nh = 0.05\nseed = 1\n"),
-    ("survey_flow", "flow-integrate", QUICK_SURVEY_ORBIT + "orbit.time = 1.0\n"),
-    ("survey_gap", "spectrum-gap",
-     "kerr.spin = 0.5\nmodel = kerr_equatorial\nh_list = 0.1, 0.09, 0.08, 0.07, 0.06\n"),
 )
+
+
+# report names of the benchmark's workload commands, kept short and stable
+# so reports and test ids compare across changes; any other is workload-command
+_WORKLOAD_NAMES = {
+    ("cap_fine", "spectrum-gap"): "cap_fine_gap",
+    ("cap_fine", "spectrum-resolvent"): "cap_fine_resolvent",
+    ("shell_certify", "trap-certify"): "shell_certify",
+    ("shell_certify", "perturb"): "shell_perturb",
+    ("quick_survey", "trap-find"): "survey_find",
+    ("quick_survey", "escape-check"): "survey_escape",
+    ("quick_survey", "flow-integrate"): "survey_flow",
+    ("quick_survey", "spectrum-gap"): "survey_gap",
+}
+
+
+def _workload_configs() -> tuple:
+    """The benchmark's workload commands at seed 1, as the benchmark writes them.
+
+    ``perfbench/workloads.py`` is loaded by path and only read.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve annotations through it
+    spec.loader.exec_module(workloads)
+    return tuple(
+        (
+            _WORKLOAD_NAMES.get((workload.name, command.name), f"{workload.name}-{command.name}"),
+            command.name,
+            command.config_text(1, OUTPUT_DIR),
+        )
+        for workload in workloads.WORKLOADS.values()
+        for command in workload.commands
+    )
+
+
+# (name, command, config text)
+CONFIGS = tuple(
+    (name, command, f"command = {command}\nworkers = 1\noutput_dir = {OUTPUT_DIR}\n{body}")
+    for name, command, body in _BODIES
+) + _workload_configs()
 
 
 def _blank_runtime(data: bytes) -> bytes:
@@ -110,17 +142,12 @@ def _blank_runtime(data: bytes) -> bytes:
     return out.getvalue().encode()
 
 
-def config_text(command: str, body: str) -> str:
-    """The config file a run of one CONFIGS entry reads."""
-    return f"command = {command}\nworkers = 1\noutput_dir = {OUTPUT_DIR}\n{body}"
-
-
-def run(tree: Path, command: str, body: str) -> dict:
+def run(tree: Path, command: str, text: str) -> dict:
     """Exit code, stdout, stderr and {relative path: bytes} of one run."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree.resolve() / "src"))
     with tempfile.TemporaryDirectory() as work:
         config = Path(work, "run.cfg")
-        config.write_text(config_text(command, body))
+        config.write_text(text)
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "nhtrap.cli", command, "--config", config.name],
@@ -195,8 +222,8 @@ def main(argv: list[str]) -> int:
             print(f"{tree} holds no src/nhtrap", file=sys.stderr)
             return 2
     n_differ = 0
-    for name, command, body in CONFIGS:
-        parent, change = run(parent_tree, command, body), run(change_tree, command, body)
+    for name, command, text in CONFIGS:
+        parent, change = run(parent_tree, command, text), run(change_tree, command, text)
         found = differences(parent, change)
         status = "DIFFERS" if found else "same"
         print(f"{name:24s} {command:18s} exit {parent['exit code']} -> "
