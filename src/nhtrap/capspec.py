@@ -55,7 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import kerr
-from .errors import ConvergenceFailure, DomainError
+from .errors import ConvergenceFailure, DomainError, NotHyperbolic
 from .kerr import KerrParams
 from .ramp import smoothstep5
 
@@ -488,8 +488,11 @@ def spectral_gap(problem: CapProblem) -> SpectrumReport:
     and doubles its depth while it finds nothing, until the box holds the
     whole numerical range, so the gap is always the distance from the
     axis to the top window eigenvalue; the floor only trims the reported
-    eigenvalue list.
+    eigenvalue list.  NotHyperbolic, before any solve, unless the
+    problem's rate (the scale of nu_ratio) is positive.
     """
+    if not problem.exponent > 0.0:
+        raise NotHyperbolic(f"barrier-top rate {problem.exponent!r} is not positive")
     start = time.perf_counter()
     floor = FLOOR_FACTOR * problem.h
     matrix = problem.matrix

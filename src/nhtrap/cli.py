@@ -1,9 +1,11 @@
 """Command-line orchestrator: one handler per command, checks, artifact emission.
 
-``nhtrap COMMAND --config FILE`` is the whole command line: every run
-value, the seed and the output directory included, is set in the config
-file and nowhere else.  Each handler runs its problems one after another,
-in the order the config lists them.  The ``workers`` key is still
+``nhtrap COMMAND --config FILE`` is the whole command line: every
+problem input, the seed and the output directory included, is set in the
+config file and nowhere else.  Gates, tolerances and sample counts are
+not config keys but module constants, here and in ``trapping``
+(``R_MAX``).  Each handler runs its problems one after another, in the
+order the config lists them.  The ``workers`` key is still
 accepted (at least 1) and each handler still takes ``(cfg, workers)``,
 although no handler reads ``workers``: the benchmark launcher wraps the
 handlers with that signature and records the ``workers`` each one was
@@ -75,6 +77,14 @@ _CONFIG_FAULTS = (ConfigError, DomainError, InvalidHorizon)
 # PERTURB_EXPONENT_SHIFT_MAX, relative
 PERTURB_DISPLACEMENT_MAX = 5.0
 PERTURB_EXPONENT_SHIFT_MAX = 0.05
+# spectrum-gap's gate on the relative change of nu over its last two h
+NU_CONSISTENCY_MAX = 0.15
+# flow-integrate's gate on the drift of p and of the Carter constant
+DRIFT_MAX = 1e-9
+# flow-integrate's sample times over [0, orbit.time], and the tol of its
+# segments (see flow.step_tolerance)
+ORBIT_SAMPLES = 201
+FLOW_TOL = 1e-10
 
 
 @dataclass
@@ -134,7 +144,7 @@ def _cmd_trap_certify(cfg: RunConfig, workers: int) -> Outcome:
     entries = []
     for spin in cfg.a_list:
         family = trapping.ReducedFamily(KerrParams(mass=cfg.kerr_mass, spin=spin))
-        cert = trapping.certify(cfg.lam, family, horizon=cfg.horizon, r_max=cfg.r_max)
+        cert = trapping.certify(cfg.lam, family, horizon=cfg.horizon)
         out.summaries.append(
             f"trap-certify a={spin:g}: theta_rate={cert.theta_rate:.6g}, "
             f"tangential_degree={cert.tangential_degree}"
@@ -226,19 +236,18 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
     if len(reports) >= 2:
         nu_prev, nu_last = reports[-2].nu, reports[-1].nu
         consistency = abs(nu_last - nu_prev) / abs(nu_prev)
-        tol = cfg.tol_consistency
-        verdict = "PASS" if consistency <= tol else "FAIL"
+        verdict = "PASS" if consistency <= NU_CONSISTENCY_MAX else "FAIL"
         out.summaries.append(
             f"spectrum-gap {cfg.model}: nu_floor="
             f"{min(r.nu for r in reports):.6g}, "
             f"consistency={consistency:.4g} ({verdict})"
         )
-        if consistency > tol:
+        if consistency > NU_CONSISTENCY_MAX:
             out.failures.append(
                 {
                     "check": "nu_consistency",
                     "value": consistency,
-                    "tolerance": tol,
+                    "tolerance": NU_CONSISTENCY_MAX,
                 }
             )
     out.csvs["gaps.csv"] = (artifacts.GAPS_HEADER, gap_rows)
@@ -280,7 +289,7 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
     start = np.array(
         [cfg.orbit_r, cfg.orbit_theta, cfg.orbit_phi, cfg.orbit_xi, cfg.orbit_alpha, cfg.orbit_beta]
     )
-    times = np.linspace(0.0, cfg.orbit_time, cfg.orbit_samples)
+    times = np.linspace(0.0, cfg.orbit_time, ORBIT_SAMPLES)
 
     def row_at(state, t: float):
         carter = kerr.carter(params, state[1], state[4], state[5])
@@ -291,7 +300,7 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
     for t_prev, t_next in zip(times, times[1:]):
         try:
             states.append(
-                flow.integrate_flow(model, states[-1], t_next - t_prev, tol=cfg.tol_flow)
+                flow.integrate_flow(model, states[-1], t_next - t_prev, tol=FLOW_TOL)
             )
         except ChartExit as exc:  # its exit time counts from t_prev
             t_exit = float(t_prev) + exc.exit_time
@@ -302,19 +311,18 @@ def _cmd_flow_integrate(cfg: RunConfig, workers: int) -> Outcome:
         name: max(abs(row[col] - rows[0][col]) for row in rows)
         for name, col in (("p", 7), ("carter", 8))
     }
-    allowance = cfg.tol_drift
     out.summaries.append(
         f"flow-integrate T={cfg.orbit_time:g}: "
         f"drift_p={drift['p']:.3e}, drift_carter={drift['carter']:.3e}"
     )
     for name, value in drift.items():
-        if value > allowance:
+        if value > DRIFT_MAX:
             out.failures.append(
                 {
                     "check": "conserved_drift",
                     "quantity": name,
                     "drift": value,
-                    "tolerance": allowance,
+                    "tolerance": DRIFT_MAX,
                 }
             )
     out.csvs["orbit.csv"] = (artifacts.ORBIT_HEADER, rows)
@@ -325,12 +333,7 @@ def _cmd_perturb(cfg: RunConfig, workers: int) -> Outcome:
     from . import trapping
 
     report = trapping.perturb_and_recertify(
-        cfg.kerr,
-        cfg.lam,
-        cfg.epsilon,
-        cfg.seed,
-        horizon=cfg.horizon,
-        r_max=cfg.r_max,
+        cfg.kerr, cfg.lam, cfg.epsilon, cfg.seed, horizon=cfg.horizon
     )
     out = Outcome()
     out.summaries.append(

@@ -22,9 +22,6 @@ COMMANDS = (
 # CAP operator kinds that capspec.build_model accepts
 MODEL_KINDS = ("toy_sech2", "schw_radial", "kerr_equatorial")
 
-# accepted range of tol.flow, the input of flow-integrate's per-step rule
-# flow.step_tolerance, not an end-to-end tolerance; no other command reads it
-FLOW_TOL_RANGE = (1e-13, 1e-6)
 # accepted range of kerr.mass; past it the shell and escape arithmetic leaves the float range
 MASS_RANGE = (1e-50, 1e50)
 
@@ -84,7 +81,6 @@ KNOWN_KEYS = {
     "window": _to_float,
     "lam": _to_float,
     "horizon": _to_float,
-    "r_max": _to_int,
     "epsilon": _to_float,
     "orbit.r": _to_float,
     "orbit.theta": _to_float,
@@ -93,10 +89,6 @@ KNOWN_KEYS = {
     "orbit.alpha": _to_float,
     "orbit.beta": _to_float,
     "orbit.time": _to_float,
-    "orbit.samples": _to_int,
-    "tol.flow": _to_float,
-    "tol.drift": _to_float,
-    "tol.consistency": _to_float,
     "seed": _to_int,
     "workers": _to_int,
     "output_dir": _to_path,
@@ -108,7 +100,7 @@ class RunConfig:
     """Fully validated inputs of one orchestrated run.
 
     Each config key sets the field of its name, dots read as underscores
-    (``kerr.mass`` sets ``kerr_mass``, ``tol.flow`` sets ``tol_flow``), and
+    (``kerr.mass`` sets ``kerr_mass``, ``orbit.r`` sets ``orbit_r``), and
     each field's default is the one below.  The defaults are the M = 1
     values; ``parse_config`` scales the mass-dependent ones the text leaves
     unset (see ``_scale_defaults``).
@@ -128,7 +120,6 @@ class RunConfig:
     # the longest theta-period trap-certify and perturb accept (a longer one
     # is an InvalidHorizon, exit 2; no certified number depends on it)
     horizon: float = 50.0
-    r_max: int = 4
     epsilon: float = 0.01
     # flow-integrate's start: the equatorial photon circle r = 3, carter = 27
     orbit_r: float = 3.0
@@ -138,10 +129,6 @@ class RunConfig:
     orbit_alpha: float = 0.0
     orbit_beta: float = math.sqrt(27.0)
     orbit_time: float = 100.0
-    orbit_samples: int = 201
-    tol_flow: float = 1e-10
-    tol_drift: float = 1e-9
-    tol_consistency: float = 0.15
     seed: int = 0
     # read by no handler: every command runs its problems in order; the
     # benchmark launcher records the value each handler is given
@@ -193,22 +180,10 @@ def _validate(cfg: RunConfig) -> None:
             f"spin must satisfy 0 <= spin < mass, got {cfg.kerr_spin!r}",
             key="kerr.spin",
         )
-    _require_positive("tol.flow", cfg.tol_flow)
-    _require_positive("tol.drift", cfg.tol_drift)
-    _require_positive("tol.consistency", cfg.tol_consistency)
-    lo, hi = FLOW_TOL_RANGE
-    if not lo <= cfg.tol_flow <= hi:
-        raise ValidationError(
-            f"must lie in [{lo:g}, {hi:g}], got {cfg.tol_flow!r}", key="tol.flow"
-        )
     _require_positive("h", cfg.h)
     _require_positive("window", cfg.window)
     _require_positive("horizon", cfg.horizon)
     _require_positive("epsilon", cfg.epsilon)
-    if cfg.r_max < 1:
-        raise ValidationError(
-            f"must be a positive integer, got {cfg.r_max!r}", key="r_max"
-        )
     for value in cfg.h_list:
         _require_positive("h_list", value)
     if any(later >= earlier for earlier, later in zip(cfg.h_list, cfg.h_list[1:])):
@@ -222,11 +197,6 @@ def _validate(cfg: RunConfig) -> None:
             )
     if cfg.orbit_time == 0.0:
         raise ValidationError("must be nonzero", key="orbit.time")
-    if cfg.orbit_samples < 2:
-        raise ValidationError(
-            f"need at least 2 samples, got {cfg.orbit_samples!r}",
-            key="orbit.samples",
-        )
     if cfg.seed < 0:
         raise ValidationError(
             f"must be nonnegative, got {cfg.seed!r}", key="seed"

@@ -364,7 +364,9 @@ def _hatted(spec: EscapeSpec, rho, side: int):
     c = np.sqrt(c2)
     w = np.sqrt(phi * phi + eta)
     val = c * phi / w
-    gradient = (c * eta / w**3) * grad + (phi / w) * (dc2 / (2.0 * c))
+    # eta / w**3 as (eta / w) / w**2: at the saddle w = sqrt(eta), whose
+    # cube underflows to 0 once h is below about 1e-250
+    gradient = (c * (eta / w) / (w * w)) * grad + (phi / w) * (dc2 / (2.0 * c))
     return val, gradient
 
 

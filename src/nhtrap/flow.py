@@ -37,10 +37,10 @@ def integrate_flow(
     """The state reached by flowing `start` for `time` (may be negative)
     along the Hamilton field.
 
-    `tol` sets the stepping (see `step_tolerance`); the run configuration
-    keeps ``tol.flow`` in its accepted range.  The restarts, not `tol`,
-    set the accuracy: flow-integrate's 200 segments over that orbit drift
-    8.1e-13 in p and 9.9e-13 in Carter (2,860 RHS calls).  Raises
+    `tol` sets the stepping (see `step_tolerance`); flow-integrate passes
+    ``cli.FLOW_TOL``.  The restarts, not `tol`, set the accuracy:
+    flow-integrate's 200 segments over that orbit drift 8.1e-13 in p and
+    9.9e-13 in Carter (2,860 RHS calls).  Raises
     DomainError when `start` is not inside the model's chart,
     ChartExit (with the exit time) when the orbit hits the chart margin,
     StepFailure when the adaptive integrator gives up.

@@ -77,6 +77,7 @@ from .models import BumpPattern, newton_saddle, reduced_kerr_model, saddle_rate
 from .ode import brentq, solve_ivp  # noqa: F401
 
 N_BETA = 6  # beta samples of each certificate
+R_MAX = 4  # the certificate bounds r-normal hyperbolicity for r = 1..R_MAX
 # equatorial_beta_range brackets each extremal beta between +-BETA_NEAR * M
 # and +-BETA_FAR * M, doubling the far end at most BETA_DOUBLINGS times
 BETA_NEAR = 1e-3
@@ -231,7 +232,7 @@ class TrapCertificate:
     beta_samples: list[BetaSample]
     theta_rate: float
     theta0: float  # THETA0_FRACTION * theta_rate
-    ratio_constants: list[float]  # C at r = 1..r_max
+    ratio_constants: list[float]  # C at r = 1..R_MAX
     tangential_degree: int
 
 
@@ -339,8 +340,7 @@ def _ratio_sup(r: int, a: float, b: float, k: float) -> float:
 
     The log is concave in t, so the sup sits at t = 0 unless the stationary
     point t* = r/k - a/b, where a + b*t* = r*b/k, is positive.  A sup past
-    the float range raises DomainError, since r runs up to the config's
-    r_max.
+    the float range raises DomainError.
     """
     try:
         if r * b <= k * a:
@@ -350,13 +350,11 @@ def _ratio_sup(r: int, a: float, b: float, k: float) -> float:
     except OverflowError:
         value = math.inf
     if math.isinf(value):
-        raise DomainError(
-            f"r_max is too large: the ratio bound overflows a float at r = {r}"
-        )
+        raise DomainError(f"the ratio bound overflows a float at r = {r}")
     return value
 
 
-def certify(lam: float, family: ReducedFamily, horizon: float, r_max: int) -> TrapCertificate:
+def certify(lam: float, family: ReducedFamily, horizon: float) -> TrapCertificate:
     """Certify r-normal hyperbolicity of the family's trapped set on one
     energy shell.
 
@@ -364,7 +362,7 @@ def certify(lam: float, family: ReducedFamily, horizon: float, r_max: int) -> Tr
     the normal bundles grow like exp(lambda |t|) both ways, with lambda the
     chart's `normal_exponent` (fact 2), and the closed-form shell orbit
     gives, through fact 4, the degree of tangential growth and the envelope
-    a + b*t (fact 3).  With lambda the least sampled rate, for r = 1..r_max
+    a + b*t (fact 3).  With lambda the least sampled rate, for r = 1..R_MAX
     the constant C bounds (a + b*t)^r exp(-(lambda - theta0) t) over t >= 0
     in closed form, theta0 = THETA0_FRACTION * lambda, with a the backward
     envelope's a + b*P, which is at least the forward one's a, and the
@@ -390,7 +388,7 @@ def certify(lam: float, family: ReducedFamily, horizon: float, r_max: int) -> Tr
         theta_rate=rate,
         theta0=theta0,
         ratio_constants=[
-            _ratio_sup(r, a_bwd, b, rate - theta0) for r in range(1, r_max + 1)
+            _ratio_sup(r, a_bwd, b, rate - theta0) for r in range(1, R_MAX + 1)
         ],
         tangential_degree=max(s.tangential_degree for s in samples),
     )
@@ -413,7 +411,6 @@ def perturb_and_recertify(
     epsilon: float,
     seed: int,
     horizon: float,
-    r_max: int,
 ) -> PerturbReport:
     """Perturb the symbol by a seeded bump of size epsilon, recertify, and
     compare each certified saddle with the unperturbed one at its beta.
@@ -426,7 +423,7 @@ def perturb_and_recertify(
     if not (0.0 <= epsilon <= 0.05):
         raise DomainError(f"epsilon={epsilon} outside the certified regime [0, 0.05]")
     fam = ReducedFamily(params, bump=BumpPattern(seed, params.mass, epsilon))
-    cert = certify(lam, fam, horizon=horizon, r_max=r_max)
+    cert = certify(lam, fam, horizon=horizon)
     base = ReducedFamily(params)
     displacement = 0.0
     shift = 0.0

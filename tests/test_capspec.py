@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from oracles import dense_eigenvalues
 
 from nhtrap import capspec, escape, kerr, models, trapping
-from nhtrap.errors import ConvergenceFailure, DomainError
+from nhtrap.errors import ConvergenceFailure, DomainError, NotHyperbolic
 from nhtrap.kerr import KerrParams
 
 MU_EFF = 2.0 * math.sqrt(3.0) / 9.0
@@ -444,6 +444,20 @@ class TestSpectralGap:
         rep = capspec.spectral_gap(flat)
         assert rep.eigenvalues.size == 0
         assert rep.gap == pytest.approx(0.25, abs=1e-12)
+
+    def test_zero_rate_is_not_hyperbolic(self, monkeypatch):
+        # nu_ratio's scale is the barrier-top rate: a flat well at rate 0 is
+        # refused before any eigensolve
+        flat = dataclasses.replace(
+            laplacian_reference(h=0.1, n_points=200), absorber=np.full(200, 0.25), exponent=0.0
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(capspec, "eigenvalues", forbidden)
+        with pytest.raises(NotHyperbolic, match="rate 0.0"):
+            capspec.spectral_gap(flat)
 
     def test_toy_gap_tracks_string(self, toy_problem):
         rep = capspec.spectral_gap(toy_problem)

@@ -50,6 +50,9 @@ QUICK_ORBIT = (
     "kerr.spin = 0.5\norbit.r = 8\norbit.theta = 1.2\n"
     "orbit.xi = -1.047452885827\norbit.alpha = 3.923213879343\norbit.beta = 4\n"
 )
+# a photon orbit at r = 3 off the equator, over the default T = 100: r
+# stays 3 in every row, but p and the Carter constant drift 3.161e-7
+TILTED_PHOTON_ORBIT = "orbit.theta = 1.2\norbit.beta = 3\norbit.alpha = 4.079173202743033\n"
 # a config of each command that runs in well under a second
 CHEAP_RUNS = {
     "escape-check": "seed = 1\n",
@@ -311,7 +314,6 @@ KEY_VALUES = [
     ("window", "spectrum-gap", "0.3", "0.5"),
     ("lam", "trap-certify", "0", "30"),
     ("horizon", "trap-certify", "20", "0.5"),  # exit 2: shorter than a period
-    ("r_max", "trap-certify", "4", "2"),
     ("epsilon", "perturb", "0.01", "0.02"),
     ("orbit.r", "flow-integrate", "8", "8.5"),
     ("orbit.theta", "flow-integrate", "1.2", "1.1"),
@@ -320,10 +322,6 @@ KEY_VALUES = [
     ("orbit.alpha", "flow-integrate", "3.923213879343", "3.8"),
     ("orbit.beta", "flow-integrate", "4", "3.9"),
     ("orbit.time", "flow-integrate", "1", "0.5"),
-    ("orbit.samples", "flow-integrate", "201", "101"),
-    ("tol.flow", "flow-integrate", "1e-10", "1e-13"),
-    ("tol.drift", "flow-integrate", "1e-9", "1e-20"),  # exit 1
-    ("tol.consistency", "spectrum-gap", "0.15", "1e-6"),  # exit 1
     ("seed", "perturb", "0", "1"),
     ("workers", "trap-find", "1", "2"),
     ("output_dir", "trap-find", "out", "elsewhere"),
@@ -381,12 +379,12 @@ class TestFlowIntegrate:
         code, out = run_cli(
             tmp_path,
             "flow-integrate",
-            "orbit.time = 10\norbit.samples = 11\n",
+            "orbit.time = 10\n",
         )
         assert code == 0
         lines = (out / "orbit.csv").read_text().splitlines()
         assert lines[0] == "t,r,theta,phi,xi,alpha,beta,p,carter"
-        assert len(lines) == 12
+        assert len(lines) == 1 + cli.ORBIT_SAMPLES
         first = lines[1].split(",")
         last = lines[-1].split(",")
         assert float(first[1]) == pytest.approx(3.0, abs=1e-12)
@@ -409,7 +407,7 @@ class TestFlowIntegrate:
         assert "drift_beta" not in line and ", drift_carter=" in line
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
-        text = "orbit.time = 5\norbit.samples = 6\n"
+        text = "orbit.time = 5\n"
         _, out1 = run_cli(tmp_path, "flow-integrate", text, name="a")
         _, out2 = run_cli(tmp_path, "flow-integrate", text, name="b")
         assert (out1 / "orbit.csv").read_bytes() == (
@@ -420,8 +418,7 @@ class TestFlowIntegrate:
         code, out = run_cli(
             tmp_path,
             "flow-integrate",
-            "orbit.r = 3.2\norbit.xi = 0.3\norbit.time = 2\n"
-            "orbit.samples = 3\n",
+            "orbit.r = 3.2\norbit.xi = 0.3\norbit.time = 2\n",
         )
         assert code == 3
         failures = read_failures(out)
@@ -545,12 +542,10 @@ class TestSpectrumGap:
              "type": "ConvergenceFailure", "shift": None}
         ]
 
-    def test_consistency_gate_drives_exit_code(self, tmp_path):
+    def test_consistency_gate_drives_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "NU_CONSISTENCY_MAX", 1e-6)
         code, out = run_cli(
-            tmp_path,
-            "spectrum-gap",
-            "model = toy_sech2\nh_list = 0.1, 0.05\n"
-            "tol.consistency = 1e-6\n",
+            tmp_path, "spectrum-gap", "model = toy_sech2\nh_list = 0.1, 0.05\n"
         )
         assert code == 1
         failures = read_failures(out)
@@ -663,6 +658,19 @@ class TestEscapeCheck:
         assert models["reduced_kerr"]["N"] <= 4
         assert read_failures(out) == []
 
+    def test_tiny_h_keeps_c1_finite(self, tmp_path):
+        # at the saddle w = sqrt(h / htilde), whose cube underflows below
+        # h = 1e-250; c1 must stay finite, since strict JSON holds no NaN
+        c1 = []
+        for h in ("1e-150", "1e-300"):
+            code, out = run_cli(tmp_path, "escape-check", f"h = {h}\n", name=h)
+            assert code == 0
+            text = (out / "escape_report.json").read_text()
+            assert "NaN" not in text
+            c1.append({name: m["c1"] for name, m in json.loads(text)["models"].items()})
+        assert c1[0] == c1[1]
+        assert c1[1]["toy"] == pytest.approx(4.0, abs=1e-10)
+
     def test_failing_g1_verdict_is_a_check_failure(self, tmp_path, monkeypatch):
         from dataclasses import replace
 
@@ -737,11 +745,14 @@ class TestCertifyAndPerturb:
         assert "too short" in capsys.readouterr().err
         assert not (out / "certificate.json").exists()
 
-    def test_overflowing_ratio_bound_is_config_error(self, tmp_path, capsys):
-        code, out = run_cli(tmp_path, "trap-certify", "kerr.spin = 0.9\nr_max = 90\n")
+    def test_overflowing_ratio_bound_is_config_error(self, tmp_path, capsys, monkeypatch):
+        from nhtrap import trapping
+
+        monkeypatch.setattr(trapping, "R_MAX", 90)
+        code, out = run_cli(tmp_path, "trap-certify", "kerr.spin = 0.9\n")
         assert code == 2
         err = capsys.readouterr().err
-        assert "r_max" in err and "r = 85" in err
+        assert "overflows" in err and "r = 85" in err
         assert "internal error" not in err
         assert not (out / "certificate.json").exists()
         (failure,) = read_failures(out)
@@ -824,33 +835,26 @@ class TestCertifyAndPerturb:
         assert checks <= {"saddle_displacement", "exponent_shift"}
         assert (code == 1) == bool(checks)
 
-    @pytest.mark.parametrize("command", ["flow-integrate", "trap-certify", "perturb"])
-    def test_flow_tolerance_out_of_range_is_config_error(self, tmp_path, capsys, command):
-        code, out = run_cli(tmp_path, command, "tol.flow = 1e-4\n")
+    @pytest.mark.parametrize(
+        "key, command",
+        [
+            ("tol.flow", "flow-integrate"),
+            ("tol.drift", "flow-integrate"),
+            ("orbit.samples", "flow-integrate"),
+            ("tol.consistency", "spectrum-gap"),
+            ("r_max", "trap-certify"),
+        ],
+    )
+    def test_numerics_keys_are_unknown(self, tmp_path, capsys, key, command):
+        # gates, tolerances and sample counts are module constants, not
+        # keys: a config that sets one is rejected before anything is written
+        code, out = run_cli(tmp_path, command, f"{key} = 1\n")
         assert code == 2
-        assert "tol.flow" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["trap-certify", "perturb"])
-    def test_shell_ignores_flow_tolerance(self, tmp_path, capsys, command):
-        # tol.flow is flow-integrate's alone: at a = 1e-4, whose shear (2e-5
-        # to 5e-5) lies between sqrt(1e-13) and sqrt(1e-6), both ends of its
-        # range give the same bytes and read degree 1
-        runs = []
-        for tol in ("1e-13", "1e-6"):
-            code, out = run_cli(
-                tmp_path, command, f"kerr.spin = 1e-4\nhorizon = 5\nseed = 2\ntol.flow = {tol}\n",
-                name=f"tol{tol}",
-            )
-            assert code == 0
-            runs.append(((out / "certificate.json").read_bytes(), capsys.readouterr().out))
-        assert runs[0] == runs[1]
-        payload = json.loads(runs[0][0])
-        (cert,) = payload.get("certificates", [payload.get("certificate")])
-        assert cert["tangential_degree"] == 1
-
     def test_tiny_spin_reads_its_twist(self, tmp_path, capsys):
-        # a = 1e-6 M shears by 2e-7 or more, which sqrt(tol.flow) >= 3.2e-7
+        # a = 1e-6 M shears by 2e-7 or more, which a threshold of 3.2e-7
         # once read as degree 0; the shear is now read against rounding
         code, out = run_cli(tmp_path, "trap-certify", "a_list = 0, 1e-6\n")
         assert code == 0
@@ -903,7 +907,7 @@ class TestExitHook:
         "command, text, code",
         [
             ("trap-find", CHEAP_RUNS["trap-find"], 0),
-            ("flow-integrate", CHEAP_RUNS["flow-integrate"] + "tol.drift = 1e-20\n", 1),
+            ("flow-integrate", TILTED_PHOTON_ORBIT, 1),
             ("trap-find", "warp_factor = 9\n", 2),
             ("flow-integrate", "orbit.theta = 0\norbit.time = 2\n", 2),
             # compare_runs.py's flow_chart_exit: leaves the chart at t = 1.2757

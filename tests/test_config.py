@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from nhtrap.config import (
     COMMANDS,
-    FLOW_TOL_RANGE,
     KNOWN_KEYS,
     MODEL_KINDS,
     RunConfig,
@@ -31,7 +30,6 @@ class TestParsing:
         assert cfg.seed == 0
         assert cfg.workers == 1
         assert cfg.output_dir == Path("out")
-        assert (cfg.tol_flow, cfg.tol_drift, cfg.tol_consistency) == (1e-10, 1e-9, 0.15)
         assert cfg.h_list == (0.1, 0.05, 0.025, 0.0125) and cfg.beta_list == (0.0,)
         assert cfg.a_list == (0.0,)
 
@@ -73,14 +71,11 @@ class TestParsing:
         # a dotted key sets the field of its name, dots read as underscores
         cfg = parse_config(
             "orbit.r = 3.5\n"
-            "tol.flow = 1e-11\n"
             "kerr.spin = 0.2\n",
             "flow-integrate",
         )
         assert cfg.orbit_r == 3.5
         assert cfg.orbit_theta == math.pi / 2.0
-        assert cfg.tol_flow == 1e-11
-        assert cfg.tol_drift == RunConfig.tol_drift
         assert cfg.kerr_spin == 0.2
 
     def test_every_known_key_round_trips(self):
@@ -96,7 +91,6 @@ class TestParsing:
             "window": "0.3",
             "lam": "0.0",
             "horizon": "10",
-            "r_max": "4",
             "epsilon": "0.01",
             "orbit.r": "3.0",
             "orbit.theta": "1.5707",
@@ -105,10 +99,6 @@ class TestParsing:
             "orbit.alpha": "0.0",
             "orbit.beta": "5.196",
             "orbit.time": "10",
-            "orbit.samples": "11",
-            "tol.flow": "1e-10",
-            "tol.drift": "1e-9",
-            "tol.consistency": "0.15",
             "seed": "7",
             "workers": "2",
             "output_dir": "artifacts",
@@ -180,22 +170,6 @@ class TestValidation:
         with pytest.raises(ParseError):
             parse_config("h_list =\n", "spectrum-gap")
 
-    def test_every_tolerance_positive(self):
-        for key in ("tol.flow", "tol.drift", "tol.consistency"):
-            with pytest.raises(ValidationError) as err:
-                parse_config(f"{key} = 0\n", "trap-find")
-            assert err.value.key == key
-
-    def test_flow_tolerance_range(self):
-        lo, hi = FLOW_TOL_RANGE
-        for value in (lo, hi):
-            cfg = parse_config(f"tol.flow = {value!r}\n", "perturb")
-            assert cfg.tol_flow == value
-        for value in (1e-4, 1e-15):
-            with pytest.raises(ValidationError) as err:
-                parse_config(f"tol.flow = {value!r}\n", "perturb")
-            assert err.value.key == "tol.flow"
-
     def test_a_list_subextremal(self):
         with pytest.raises(ValidationError) as err:
             parse_config("a_list = 0.0, 1.0\n", "trap-certify")
@@ -227,11 +201,9 @@ class TestValidation:
         for text, key in (
             ("seed = -1", "seed"),
             ("workers = 0", "workers"),
-            ("orbit.samples = 1", "orbit.samples"),
             ("orbit.time = 0", "orbit.time"),
             ("epsilon = 0", "epsilon"),
             ("horizon = -5", "horizon"),
-            ("r_max = 0", "r_max"),
             ("window = -0.3", "window"),
             ("h = 0", "h"),
             ("model = cubic_well", "model"),
@@ -282,7 +254,6 @@ VALID_VALUES = {
     "window": _number(1e-3, 10.0),
     "lam": _number(-10.0, 10.0),
     "horizon": _number(1e-3, 1e3),
-    "r_max": st.integers(1, 90).map(str),
     "epsilon": _number(1e-6, 1.0),
     "orbit.r": _number(-10.0, 10.0),
     "orbit.theta": _number(-10.0, 10.0),
@@ -291,10 +262,6 @@ VALID_VALUES = {
     "orbit.alpha": _number(-10.0, 10.0),
     "orbit.beta": _number(-10.0, 10.0),
     "orbit.time": _number(1e-3, 1e3) | _number(-1e3, -1e-3),
-    "orbit.samples": st.integers(2, 10**6).map(str),
-    "tol.flow": _number(*FLOW_TOL_RANGE),
-    "tol.drift": _number(1e-15, 1.0),
-    "tol.consistency": _number(1e-15, 1.0),
     "seed": st.integers(0, 2**63).map(str),
     "workers": st.integers(1, 64).map(str),
     "output_dir": st.text("abz09_-./", min_size=1),

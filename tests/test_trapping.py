@@ -31,9 +31,9 @@ from nhtrap.shell import ShellOrbit
 
 SQRT27 = math.sqrt(27.0)
 MU0 = 6.0 * math.sqrt(3.0)
-# the CLI's defaults for the values certify and perturb take
+# the CLI's default horizon, the one config value certify and perturb take
 CLI = RunConfig(command="trap-certify")
-R_MAX = CLI.r_max
+R_MAX = trapping.R_MAX
 
 
 def _family(spin: float, epsilon: float, seed: int = 1) -> trapping.ReducedFamily:
@@ -212,9 +212,7 @@ class TestFamilyAndShell:
             return chart(**fields)
 
         monkeypatch.setattr(trapping, "TrappedOrbitChart", counted)
-        rep = trapping.perturb_and_recertify(
-            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX
-        )
+        rep = trapping.perturb_and_recertify(KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0)
         betas = [s.chart.beta for s in rep.certificate.beta_samples]
         assert sorted(made) == sorted(2 * betas)
 
@@ -397,11 +395,11 @@ class TestQuarterPeriod:
         # certify raises InvalidHorizon when a theta-period exceeds the
         # horizon, and a horizon past every period changes no number
         fam = _family(0.5, 0.0)
-        cert = trapping.certify(0.0, fam, horizon=CLI.horizon, r_max=R_MAX)
+        cert = trapping.certify(0.0, fam, horizon=CLI.horizon)
         longest = max(s.period for s in cert.beta_samples)
         with pytest.raises(InvalidHorizon, match="too short"):
-            trapping.certify(0.0, fam, horizon=0.99 * longest, r_max=R_MAX)
-        near = trapping.certify(0.0, fam, horizon=1.01 * longest, r_max=R_MAX)
+            trapping.certify(0.0, fam, horizon=0.99 * longest)
+        near = trapping.certify(0.0, fam, horizon=1.01 * longest)
         assert trapping.certificate_to_dict(near) == trapping.certificate_to_dict(cert)
 
     @pytest.mark.parametrize(
@@ -538,7 +536,7 @@ class TestClosedForm:
         for bump in (None, models.BumpPattern(1, mass, 0.05)):
             for spin, degree in ((0.0, 0), (1e-8, 1)):
                 fam = trapping.ReducedFamily(KerrParams(mass, spin * mass), bump=bump)
-                cert = trapping.certify(0.0, fam, horizon=50.0 / mass, r_max=R_MAX)
+                cert = trapping.certify(0.0, fam, horizon=50.0 / mass)
                 degrees = [s.tangential_degree for s in cert.beta_samples]
                 assert degrees == [degree] * trapping.N_BETA
 
@@ -551,17 +549,15 @@ class TestClosedForm:
 
         monkeypatch.setattr(ode, "solve_ivp", forbidden)
         monkeypatch.setattr(trapping, "solve_ivp", forbidden)
-        cert = trapping.certify(0.0, _family(0.9, 0.0), horizon=20.0, r_max=R_MAX)
+        cert = trapping.certify(0.0, _family(0.9, 0.0), horizon=20.0)
         assert cert.tangential_degree == 1
-        rep = trapping.perturb_and_recertify(
-            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX
-        )
+        rep = trapping.perturb_and_recertify(KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0)
         assert rep.certificate.tangential_degree == 1
 
 
 class TestCertify:
     def test_static_certificate(self):
-        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=6.0, r_max=R_MAX)
+        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=6.0)
         assert cert.theta_rate == pytest.approx(MU0, rel=1e-12)
         assert len(cert.ratio_constants) == R_MAX
         assert cert.theta0 > 0
@@ -572,7 +568,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("spin", [0.5, 0.9, 0.95, 0.99])
     def test_rates_are_the_normal_exponent(self, spin):
-        cert = trapping.certify(0.0, _family(spin, 0.0), horizon=5.0, r_max=R_MAX)
+        cert = trapping.certify(0.0, _family(spin, 0.0), horizon=5.0)
         for s in trapping.certificate_to_dict(cert)["beta_samples"]:
             assert s["rate_plus"] == s["rate_minus"] == s["normal_exponent"]
 
@@ -580,7 +576,7 @@ class TestCertify:
     def test_tangential_degree_matches_dense_envelope(self, spin, degree):
         params = KerrParams(1.0, spin)
         fam = trapping.ReducedFamily(params)
-        cert = trapping.certify(0.0, fam, horizon=5.0, r_max=R_MAX)
+        cert = trapping.certify(0.0, fam, horizon=5.0)
         assert cert.tangential_degree == degree
         for s in cert.beta_samples:
             assert s.tangential_degree == degree
@@ -611,7 +607,7 @@ class TestCertify:
         # bracket and its root tolerance must scale with M too
         def scaled(m):
             fam = trapping.ReducedFamily(KerrParams(m, m / 2.0))
-            cert = trapping.certify(0.0, fam, horizon=50.0 / m, r_max=R_MAX)
+            cert = trapping.certify(0.0, fam, horizon=50.0 / m)
             return (
                 cert.theta_rate / m,
                 np.asarray([s.period * m for s in cert.beta_samples]),
@@ -627,7 +623,7 @@ class TestCertify:
         # at every mass (the raw ||L N^k F|| read 2 below M = 1e-5 and 0 on a
         # sample at M = 1e4)
         fam = trapping.ReducedFamily(KerrParams(mass, mass / 2.0))
-        cert = trapping.certify(0.0, fam, horizon=50.0 / mass, r_max=R_MAX)
+        cert = trapping.certify(0.0, fam, horizon=50.0 / mass)
         assert [s.tangential_degree for s in cert.beta_samples] == [1] * trapping.N_BETA
 
     def test_ratio_constant_is_the_sup(self):
@@ -635,11 +631,13 @@ class TestCertify:
         for r, a, b, k in ((1, 5.0, 0.0, 1.0), (2, 5.0, 0.1, 3.0), (4, 8.0, 6.0, 0.6)):
             dense = np.max((a + b * t) ** r * np.exp(-k * t))
             assert trapping._ratio_sup(r, a, b, k) == pytest.approx(dense, rel=1e-9)
+        with pytest.raises(DomainError, match="overflows a float at r = 400"):
+            trapping._ratio_sup(400, 1e3, 1.0, 1.0)
 
     def test_certificate_does_not_depend_on_horizon(self):
         docs = [
             trapping.certificate_to_dict(
-                trapping.certify(0.0, _family(0.5, 0.0), horizon=horizon, r_max=R_MAX)
+                trapping.certify(0.0, _family(0.5, 0.0), horizon=horizon)
             )
             for horizon in (1.0, 50.0)
         ]
@@ -649,12 +647,10 @@ class TestCertify:
         # 0.1 is shorter than the theta-period
         for horizon in (0.0, 0.1):
             with pytest.raises(InvalidHorizon):
-                trapping.certify(
-                    0.0, _family(0.0, 0.0), horizon=horizon, r_max=R_MAX
-                )
+                trapping.certify(0.0, _family(0.0, 0.0), horizon=horizon)
 
     def test_certificate_dict_schema(self):
-        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=4.0, r_max=R_MAX)
+        cert = trapping.certify(0.0, _family(0.0, 0.0), horizon=4.0)
         d = trapping.certificate_to_dict(cert)
         assert set(d) == {
             "lambda",
@@ -686,7 +682,7 @@ class TestCertify:
     def test_ratio_rows_carry_only_C(self, spin):
         # theta0 and the normal slopes -theta_rate do not depend on r, so
         # the certificate holds theta0 once and a row is (r, C)
-        cert = trapping.certify(0.0, _family(spin, 0.0), horizon=20.0, r_max=R_MAX)
+        cert = trapping.certify(0.0, _family(spin, 0.0), horizon=20.0)
         d = trapping.certificate_to_dict(cert)
         assert d["theta0"] == trapping.THETA0_FRACTION * d["theta_rate"]
         assert [set(row) for row in d["ratio_checks"]] == [{"r", "C"}] * R_MAX
@@ -696,14 +692,10 @@ class TestCertify:
 class TestPerturbation:
     def test_epsilon_bound(self):
         with pytest.raises(DomainError):
-            trapping.perturb_and_recertify(
-                KerrParams(), 0.0, 0.2, seed=1, horizon=CLI.horizon, r_max=R_MAX
-            )
+            trapping.perturb_and_recertify(KerrParams(), 0.0, 0.2, seed=1, horizon=CLI.horizon)
 
     def test_small_perturbation_certificate(self):
-        rep = trapping.perturb_and_recertify(
-            KerrParams(), 0.0, 0.005, seed=3, horizon=5.0, r_max=R_MAX
-        )
+        rep = trapping.perturb_and_recertify(KerrParams(), 0.0, 0.005, seed=3, horizon=5.0)
         assert rep.certificate.tangential_degree == 0
         assert rep.displacement <= 5.0 * 0.005
         assert rep.exponent_shift <= 0.05
@@ -715,8 +707,7 @@ class TestPerturbation:
         # in (r/M, xi), so neither reported ratio depends on M
         def ratios(m):
             rep = trapping.perturb_and_recertify(
-                KerrParams(m, m / 2.0), 0.0, 0.01, seed=1, horizon=20.0 / m,
-                r_max=R_MAX,
+                KerrParams(m, m / 2.0), 0.0, 0.01, seed=1, horizon=20.0 / m
             )
             return rep.exponent_shift, rep.displacement_factor
 
@@ -739,15 +730,11 @@ class TestPerturbation:
 
         monkeypatch.setattr(trapping, "equatorial_beta_range", counted)
         monkeypatch.setattr(trapping.ReducedFamily, "saddle", recorded)
-        rep = trapping.perturb_and_recertify(
-            KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0, r_max=R_MAX
-        )
+        rep = trapping.perturb_and_recertify(KerrParams(1.0, 0.5), 0.0, 0.01, seed=1, horizon=20.0)
         assert len(searches) == 1
         assert compared == {s.chart.beta for s in rep.certificate.beta_samples}
 
     def test_zero_perturbation_is_identity(self):
-        rep = trapping.perturb_and_recertify(
-            KerrParams(), 0.0, 0.0, seed=9, horizon=4.0, r_max=R_MAX
-        )
+        rep = trapping.perturb_and_recertify(KerrParams(), 0.0, 0.0, seed=9, horizon=4.0)
         assert rep.displacement == pytest.approx(0.0, abs=1e-10)
         assert rep.exponent_shift == pytest.approx(0.0, abs=1e-10)
