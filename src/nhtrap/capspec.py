@@ -8,11 +8,11 @@ non-self-adjoint spectrum near the barrier energy, the spectral gap,
 and resolvent norms on and near the real axis.
 
 Every solve works on the banded sparse matrix.  Eigenvalues come from a
-box |Re z| < window, bottom < Im z <= 0, covered by cells (strips of Re z
-with shifts on the mid-line when the box is wider than deep); each cell
-runs ARPACK shift-invert from the shift at its centre through one sparse
-LU and is accepted once its nearest eigenvalues reach past the cell's
-far corner, so no eigenvalue in the box is missed and none is counted
+box |Re z| < window, bottom < Im z <= 0, covered by cells; each cell
+runs one ARPACK shift-invert from the shift at its centre through one
+sparse LU, keeps the band of Re z that the disk out to its farthest
+eigenvalue spans from the cell's bottom to its top, and passes the rest
+of the cell on, so no eigenvalue in the box is missed and none is counted
 twice.  Since A is complex symmetric (A^T = A), the left
 eigenvector of a right eigenvector r is conj(r), and each eigenvalue's
 condition number ||r||^2 / |r^T r| comes with it at no extra solve.  The
@@ -62,9 +62,8 @@ from .ramp import smoothstep5
 DEFAULT_WINDOW = 0.3  # half-width of the real-part window around z = 0
 FLOOR_FACTOR = -1.0  # reported-list floor, in units of h below the axis
 RESIDUAL_TOL = 1e-8
-RESOLVENT_TOL = 1e-10  # ARPACK's relative tolerance on the resolvent norm
-K_START = 16  # nearest eigenvalues first asked of each shift
-K_CAP = 64  # most asked of one shift before its cell splits
+ARPACK_TOL = 1e-10  # ARPACK's relative tolerance, eigenpairs and resolvent norm
+K = 16  # nearest eigenvalues asked of each shift
 RESOLUTION_FACTOR = 3.0  # grid points per semiclassical radian
 DISSIPATIVITY_TOL = 1e-9
 
@@ -378,18 +377,18 @@ def _box_eigenpairs(matrix, window: float, bottom: float):
     residuals it was accepted with.
 
     The box is covered by cells, at first the whole box.  Each cell runs
-    ARPACK shift-invert from one shift at its centre through one sparse
-    LU.  The k eigenvalues nearest the shift are all the eigenvalues in
-    the disk out to the k-th of them, so once that disk reaches past the
-    cell's far corner, none in the cell is missed.  Until then k doubles
-    up to K_CAP.  A cell that stays uncovered, or owns an eigenpair whose
-    residual misses the certification tolerance, splits its longer side
-    in two.  A box wider than it is deep thus splits into strips of Re z
-    with their shifts on its mid-line.  Each cell keeps only the
-    eigenvalues it owns, so none is reported twice.
+    ARPACK shift-invert for the K eigenvalues nearest the shift at its
+    centre, through one sparse LU.  They are all the eigenvalues in the
+    disk out to the farthest of them, and that disk spans the cell from
+    bottom to top over a band of Re z about the shift.  The cell is
+    accepted when the band is at least as wide as the cell's shorter side
+    and every eigenpair in it passes the certification tolerance; it owns
+    the band's eigenpairs, and the parts of the cell left and right of the
+    band become new cells.  Otherwise the cell splits its longer side in
+    two.  Ownership is half-open in Re z, so none is reported twice.
     """
     n = matrix.shape[0]
-    k_cap = min(K_CAP, n - 2)
+    k = min(K, n - 2)
     identity = sp.identity(n, dtype=complex, format="csc")
     # fixed start vector: keeps repeated solves bit-reproducible across
     # processes
@@ -400,45 +399,41 @@ def _box_eigenpairs(matrix, window: float, bottom: float):
     while cells:
         lo, hi, bot, top = cells.pop()
         shift = complex(0.5 * (lo + hi), 0.5 * (bot + top))
-        corner = math.hypot(0.5 * (hi - lo), 0.5 * (top - bot))
+        # an exactly singular LU (the shift is an eigenvalue) and an ARPACK
+        # failure both raise RuntimeError
         try:
             lu = spla.splu((matrix - shift * identity).tocsc())
+            inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+            zs, vecs = spla.eigs(
+                matrix, k=k, sigma=shift, OPinv=inverse, v0=v0, tol=ARPACK_TOL
+            )
         except RuntimeError as exc:
             raise ConvergenceFailure(
-                f"shift {shift:.6g} is an eigenvalue", shift=shift
+                f"shift-invert failed at shift {shift:.6g}: {exc}", shift=shift
             ) from exc
-        inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=complex)
-        k = min(K_START, k_cap)
-        while True:
-            try:
-                zs, vecs = spla.eigs(
-                    matrix, k=k, sigma=shift, OPinv=inverse, v0=v0
-                )
-            except spla.ArpackError as exc:
-                raise ConvergenceFailure(
-                    f"shift-invert failed at shift {shift:.6g}: {exc}",
-                    shift=shift,
-                ) from exc
-            _require_dissipative(zs)
-            covered = float(np.max(np.abs(zs - shift))) > corner
-            if covered or k == k_cap:
-                break
-            k = min(2 * k, k_cap)
+        _require_dissipative(zs)
+        reach = float(np.max(np.abs(zs - shift)))
+        half = math.sqrt(max(reach**2 - (top - bot) ** 2 / 4, 0.0))
+        left, right = max(lo, shift.real - half), min(hi, shift.real + half)
         own = (
-            (zs.real >= lo)
-            & (zs.real < hi)
+            (zs.real >= left)
+            & (zs.real < right)
             & (np.abs(zs.real) < window)
             & (zs.imag > bot)
             & (zs.imag <= top)
         )
         zs, vecs = zs[own], vecs[:, own]
-        residuals = _certify(matrix, zs, vecs) if covered else None
-        if covered and np.all(residuals < RESIDUAL_TOL):
+        residuals = _certify(matrix, zs, vecs)
+        if right - left >= min(hi - lo, top - bot) and np.all(residuals < RESIDUAL_TOL):
             found_z.append(zs)
             found_v.append(vecs)
             found_r.append(residuals)
+            if left > lo:
+                cells.append((lo, left, bot, top))
+            if right < hi:
+                cells.append((right, hi, bot, top))
             continue
-        if corner < 1e-6 * window:
+        if max(hi - lo, top - bot) < 1e-6 * window:
             raise ConvergenceFailure(
                 f"no certified eigenpairs from {k} near shift {shift:.6g}",
                 shift=shift,
@@ -467,8 +462,9 @@ def eigenvalues(matrix, window: float = DEFAULT_WINDOW, floor: float | None = No
     Returns (values, residuals, condition numbers) sorted by descending
     imaginary part.
     """
-    if matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"matrix is not square: {matrix.shape}")
+    # ARPACK asks 1 <= k < n - 1
+    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 3:
+        raise DomainError(f"need a square matrix with n >= 3, got {matrix.shape}")
     matrix = sp.csc_matrix(matrix, dtype=complex)
     # no eigenvalue lies below the numerical range; the slack mirrors the
     # dissipativity tolerance above the axis
@@ -534,7 +530,7 @@ def resolvent_norm(
 
     ``eigsh`` (k = 1) finds the top eigenvalue 1/sigma_min^2 of the
     Hermitian (A - z)^{-H} (A - z)^{-1}, applied through one sparse LU,
-    to ARPACK's relative tolerance RESOLVENT_TOL; ``max_iter`` is its
+    to ARPACK's relative tolerance ARPACK_TOL; ``max_iter`` is its
     limit on restarts, past which ConvergenceFailure is raised.  An exactly
     singular shift reports +inf.
     """
@@ -554,7 +550,7 @@ def resolvent_norm(
             gram_inverse,
             k=1,
             v0=v0,
-            tol=RESOLVENT_TOL,
+            tol=ARPACK_TOL,
             maxiter=max_iter,
             return_eigenvectors=False,
         )

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import dense_eigenvalues
 
 from nhtrap import capspec, escape, kerr, models, trapping
@@ -34,6 +36,21 @@ def laplacian_reference(h: float, n_points: int,
         absorber=np.zeros(n_points),
         exponent=0.0,
     )
+
+
+def assert_box_matches_dense(matrix, window: float, floor) -> int:
+    """The box search and the dense oracle find the same eigenvalues, one
+    to one; returns how many."""
+    zd, rd, kd = dense_eigenvalues(matrix, window=window, floor=floor)
+    zb, rb, _ = capspec.eigenvalues(matrix, window=window, floor=floor)
+    assert zb.size == zd.size
+    if zd.size:
+        match = np.argmin(np.abs(zd[:, None] - zb[None, :]), axis=1)
+        assert np.unique(match).size == zb.size  # one-to-one, no duplicates
+        # an eigenvalue is only determined to its first-order perturbation
+        # bound kappa * residual; 1e-9 on top of that
+        assert np.all(np.abs(zd - zb[match]) <= 1e-9 + kd * (rd + rb[match]))
+    return zd.size
 
 
 def nodes(p: capspec.CapProblem) -> np.ndarray:
@@ -349,8 +366,10 @@ class TestEigenvalues:
         assert abs(tops[0] - tops[1]) < 1e-6
 
     def test_method_validation(self):
-        with pytest.raises(DomainError):
-            capspec.eigenvalues(np.zeros((3, 4)))
+        # not square, and too small for ARPACK's 1 <= k < n - 1
+        for matrix in (np.zeros((3, 4)), sp.identity(2)):
+            with pytest.raises(DomainError):
+                capspec.eigenvalues(matrix)
 
     @pytest.mark.parametrize(
         "kind, params, scale",
@@ -368,29 +387,39 @@ class TestEigenvalues:
         p = capspec.build_model(
             kind, params or KerrParams(), h=0.1, absorber_scale=scale
         )
-        matrix = p.matrix
         floor = None if floor_factor is None else floor_factor * p.h
-        zd, rd, kd = dense_eigenvalues(matrix, floor=floor)
-        zb, rb, _ = capspec.eigenvalues(matrix, floor=floor)
-        assert zb.size == zd.size > 0
-        match = np.argmin(np.abs(zd[:, None] - zb[None, :]), axis=1)
-        assert np.unique(match).size == zb.size  # one-to-one, no duplicates
-        # an eigenvalue is only determined to its first-order perturbation
-        # bound kappa * residual; 1e-9 on top of that
-        assert np.all(np.abs(zd - zb[match]) <= 1e-9 + kd * (rd + rb[match]))
+        assert assert_box_matches_dense(p.matrix, p.window, floor) > 0
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(COARSE_KINDS),
+        spin=st.floats(0.0, 0.9),
+        h=st.floats(0.1, 0.2),
+        window=st.floats(0.05, 0.8),
+        floor_factor=st.sampled_from([-0.5, -1.0, -3.0, -8.0, None]),
+    )
+    def test_box_matches_dense_oracle_property(self, kind, spin, h, window, floor_factor):
+        # cells of every shape: narrow and wide boxes, shallow and full depth
+        p = capspec.build_model(kind, KerrParams(spin=spin), h=h, window=window)
+        floor = None if floor_factor is None else floor_factor * h
+        assert_box_matches_dense(p.matrix, window, floor)
 
     def test_wide_box_splits_along_re_z(self, coarse_problems, monkeypatch):
-        # at window 2 the 64 eigenvalues nearest the box's centre do not
-        # reach its corner, so the box splits into strips of Re z
+        # at window 2 the disk out to the K-th eigenvalue nearest the box's
+        # centre spans only a band of Re z, so the rest of the box is passed
+        # on as cells beside it, each solved once at its own shift
         matrix = coarse_problems["toy_sech2"].matrix
-        shifts, eigs = [], capspec.spla.eigs
+        calls, eigs = [], capspec.spla.eigs
 
-        def recording(*args, sigma, **kwargs):
-            shifts.append(sigma)
-            return eigs(*args, sigma=sigma, **kwargs)
+        def recording(*args, sigma, k, **kwargs):
+            calls.append((sigma, k))
+            return eigs(*args, sigma=sigma, k=k, **kwargs)
 
         monkeypatch.setattr(capspec.spla, "eigs", recording)
         zb, rb, _ = capspec.eigenvalues(matrix, window=2.0, floor=-0.2)
+        shifts = [sigma for sigma, _ in calls]
+        assert len(set(shifts)) == len(shifts)  # no shift is solved twice
+        assert {k for _, k in calls} == {min(capspec.K, matrix.shape[0] - 2)}
         assert len({z.real for z in shifts}) > 1 and len({z.imag for z in shifts}) == 1
         zd, rd, kd = dense_eigenvalues(matrix, window=2.0, floor=-0.2)
         assert zb.size == zd.size == 5

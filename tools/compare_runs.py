@@ -14,13 +14,14 @@ status is 1 if any config differs, else 0.  Each config's line also
 shows the wall time of its run on either tree, process start-up
 included; one run each, so it is a rough guide, not a gate.
 
-The list holds 33 configs: refactor checks across all seven commands
+The list holds 34 configs: refactor checks across all seven commands
 (escape-check and spectrum-gap at a = 0.99, where the scaled Kerr barrier
 is most extreme; trap-certify and escape-check at M = 2; perturb at
 M = 0.1; flow-integrate on the photon circle at M = 100, and on its
 defaults, the photon circle r = 3M at T = 100 in 201 samples; trap-certify
 and perturb at spins of 1e-8 and 1e-6, whose twist is small but not
-zero; spectrum-resolvent on Schwarzschild at h = 0.025, its largest
+zero; spectrum-gap on Schwarzschild at h = 0.0125 and 0.00625, the only
+h below 0.025; spectrum-resolvent on Schwarzschild at h = 0.025, its largest
 matrix, whose imaginary part must still read exactly diagonal, and on
 Kerr at a = 0.9; the rest at M = 1) and the eight workload commands of
 the benchmark at seed 1, whose config texts are read from
@@ -74,6 +75,8 @@ _BODIES = (
      "kerr.spin = 0.9\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
     ("gap_kerr_a099", "spectrum-gap",
      "kerr.spin = 0.99\nmodel = kerr_equatorial\nh_list = 0.05, 0.025\n"),
+    # the only config below h = 0.025, where the spectral box search costs most
+    ("gap_schw_fine", "spectrum-gap", "model = schw_radial\nh_list = 0.0125, 0.00625\n"),
     ("resolvent_schw", "spectrum-resolvent", "model = schw_radial\nh = 0.025\n"),
     ("resolvent_kerr_a09", "spectrum-resolvent",
      "kerr.spin = 0.9\nmodel = kerr_equatorial\nh = 0.05\n"),
