@@ -30,9 +30,9 @@ is a barrier symbol m(x)*xi^2 + v(x) that ``kerr.barrier`` states once,
 with closed-form derivatives, for this module and escape-check alike;
 ``build_model`` samples v and m from its terms.
 
-A problem carries the half-width ``window`` of the real-part window its
-grid is sized for, and ``spectral_gap`` searches that window, so a grid
-and the box searched on it always agree.
+Every problem's grid is sized for the real-part window |Re z| <
+DEFAULT_WINDOW, and ``spectral_gap`` searches that window, so a grid and
+the box searched on it always agree.
 
 The absorber shape is fixed per kind.  Both shapes saturate on the outer
 MARGINS fractions of the domain.  The toy ramps down over the fixed
@@ -93,18 +93,15 @@ class CapProblem:
     Node samples live on the uniform interior grid of ``(x_min, x_max)``
     with Dirichlet walls at both ends; ``mass_mid`` is sampled at the
     n_points + 1 cell midpoints the flux stencils difference across.
-    ``window`` is the half-width of the real-part window the grid is
-    sized for and the spectrum is searched in, and ``exponent`` is the
-    barrier-top normal rate sqrt(2 m |v''|).  ``matrix`` is the operator
-    A, assembled on first use and then shared by every solve on the
-    problem.
+    ``exponent`` is the barrier-top normal rate sqrt(2 m |v''|), and
+    ``matrix`` is the operator A, assembled on first use and then shared
+    by every solve on the problem.
     """
 
     h: float
     x_min: float
     x_max: float
     n_points: int
-    window: float
     potential: np.ndarray
     mass_mid: np.ndarray
     absorber: np.ndarray
@@ -208,23 +205,20 @@ def build_model(
     h: float = 0.05,
     *,
     absorber_scale: float = 1.0,
-    window: float = DEFAULT_WINDOW,
 ) -> CapProblem:
     """Sample one absorbing-barrier problem onto a uniform Dirichlet grid.
 
     ``black_hole`` is the run's ``KerrParams``: ``kerr_equatorial`` uses it
-    whole, ``schw_radial`` only its mass, and the toy ignores it.
-    ``window`` is the half-width of the real-part window the spectrum is
-    searched in; the problem carries it, so ``spectral_gap`` searches the
-    window the grid was sized for.  Every problem lives on its kind's own
-    domain, and n_points is set by the wavelength rule at the fastest
-    oscillation of energies up to ``window``.  The absorber shape is fixed
-    per kind: the toy ramps over the fixed domain fractions TOY_RAMPS, and
-    the barrier kinds key the ramp to barrier depth -v; both saturate on
-    the MARGINS fractions at the ends, and the barrier top must lie among
-    the absorber-free nodes.  ``absorber_scale`` multiplies the absorber,
-    and 0 builds the absorber-free reference problem (self-adjoint, for
-    calibration).
+    whole, ``schw_radial`` only its mass, and the toy ignores it.  Every
+    problem lives on its kind's own domain, and n_points is set by the
+    wavelength rule at the fastest oscillation of energies up to
+    DEFAULT_WINDOW, the window ``spectral_gap`` searches.  The absorber
+    shape is fixed per kind: the toy ramps over the fixed domain fractions
+    TOY_RAMPS, and the barrier kinds key the ramp to barrier depth -v;
+    both saturate on the MARGINS fractions at the ends, and the barrier
+    top must lie among the absorber-free nodes.  ``absorber_scale``
+    multiplies the absorber, and 0 builds the absorber-free reference
+    problem (self-adjoint, for calibration).
     """
     if not 0.0 < h < 0.5:
         raise DomainError(f"h must lie in (0, 0.5), got {h:g}")
@@ -245,14 +239,12 @@ def build_model(
     live = (probe >= x_min + MARGINS[0] * length) & (
         probe <= x_max - MARGINS[1] * length
     )
-    xi_sq = (window - v_probe[live]) / m_probe[live]
+    xi_sq = (DEFAULT_WINDOW - v_probe[live]) / m_probe[live]
     xi_max = math.sqrt(max(np.max(xi_sq), 0.0))
     n_points = required_points(length, h, xi_max)
     if n_points > _MAX_AUTO_POINTS:
-        raise DomainError(
-            f"wavelength rule wants {n_points} points; raise h or narrow the window"
-        )
-    # a near-extremal barrier at large h and a tiny window wants fewer
+        raise DomainError(f"wavelength rule wants {n_points} points; raise h")
+    # a small black hole at large h wants fewer
     if n_points < 8:
         raise DomainError(f"need at least 8 grid points, got {n_points}")
 
@@ -283,7 +275,6 @@ def build_model(
         x_min=x_min,
         x_max=x_max,
         n_points=n_points,
-        window=window,
         potential=potential,
         mass_mid=mass_mid,
         absorber=absorber,
@@ -451,12 +442,13 @@ def _box_eigenpairs(matrix, window: float, bottom: float):
     )
 
 
-def eigenvalues(matrix, window: float = DEFAULT_WINDOW, floor: float | None = None):
+def eigenvalues(matrix, window: float, floor: float):
     """Certified eigenvalues with |Re z| < window and Im z > floor.
 
-    ``floor=None`` means the bottom of the numerical range, below which
-    no eigenvalue lies.  The box is searched on the sparse matrix by
-    shift-invert cells (``_box_eigenpairs``); nothing is solved densely.
+    The box reaches down to the floor or to the bottom of the numerical
+    range, below which no eigenvalue lies, whichever is higher.  It is
+    searched on the sparse matrix by shift-invert cells
+    (``_box_eigenpairs``); nothing is solved densely.
     Every returned eigenvalue carries the relative residual its cell was
     accepted with, below the certification tolerance RESIDUAL_TOL.
     Returns (values, residuals, condition numbers) sorted by descending
@@ -468,17 +460,15 @@ def eigenvalues(matrix, window: float = DEFAULT_WINDOW, floor: float | None = No
     matrix = sp.csc_matrix(matrix, dtype=complex)
     # no eigenvalue lies below the numerical range; the slack mirrors the
     # dissipativity tolerance above the axis
-    bottom = _range_bottom(matrix) - DISSIPATIVITY_TOL
-    if floor is not None:
-        bottom = max(bottom, floor)
+    bottom = max(_range_bottom(matrix) - DISSIPATIVITY_TOL, floor)
     zs, vecs, residuals = _box_eigenpairs(matrix, window, bottom)
     order = np.lexsort((zs.real, -zs.imag))
     return zs[order], residuals[order], _conditions(vecs[:, order])
 
 
 def spectral_gap(problem: CapProblem) -> SpectrumReport:
-    """Spectrum report in the problem's window: gap, nu = gap/h, and the
-    norm at z = 0.
+    """Spectrum report in the window |Re z| < DEFAULT_WINDOW: gap,
+    nu = gap/h, and the norm at z = 0.
 
     The box search starts at the floor (FLOOR_FACTOR * h below the axis)
     and doubles its depth while it finds nothing, until the box holds the
@@ -495,9 +485,7 @@ def spectral_gap(problem: CapProblem) -> SpectrumReport:
     lowest = _range_bottom(matrix)
     bottom = floor
     while True:
-        zs, residuals, conditions = eigenvalues(
-            matrix, window=problem.window, floor=bottom
-        )
+        zs, residuals, conditions = eigenvalues(matrix, DEFAULT_WINDOW, bottom)
         if zs.size:
             break
         if bottom <= lowest:

@@ -2,10 +2,11 @@
 
 ``nhtrap COMMAND --config FILE`` is the whole command line: every
 problem input, the seed and the output directory included, is set in the
-config file and nowhere else.  Gates, tolerances and sample counts are
-not config keys but module constants, here and in ``trapping``
-(``R_MAX``).  Each handler runs its problems one after another, in the
-order the config lists them.  The ``workers`` key is still
+config file and nowhere else.  Gates, tolerances, sample counts and the
+spectrum window are not config keys but module constants, here, in
+``trapping`` (``R_MAX``) and in ``capspec`` (``DEFAULT_WINDOW``).  Each
+handler runs its problems one after another, in the order the config
+lists them.  The ``workers`` key is still
 accepted (at least 1) and each handler still takes ``(cfg, workers)``,
 although no handler reads ``workers``: the benchmark launcher wraps the
 handlers with that signature and records the ``workers`` each one was
@@ -24,10 +25,10 @@ trap-find, trap-certify and perturb, and ``flow``, ``kerr`` (the Carter
 column) and ``models`` for flow-integrate.
 Handlers call the layer through its module attributes.  Only the spectrum
 commands load scipy (through ``capspec``): the other layers integrate and
-find roots with ``ode``.  Seeded numbers (the perturbing bump and
-escape's sample pairs) come from the stdlib ``random.Random(seed)``,
-which every process loads anyway, so numpy.random is loaded by the
-spectrum commands alone, through scipy.
+find roots with ``ode``.  The one seeded number, perturb's bump, comes
+from the stdlib ``random.Random(seed)``, which every process loads
+anyway, so numpy.random is loaded by the spectrum commands alone,
+through scipy.
 
 ``main`` registers ``gc.freeze`` to run at interpreter exit, once per
 process.  CPython's final collections sweep the heap that numpy and
@@ -172,7 +173,7 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
         model = models.barrier_model(barrier.terms, None)
         pair = escape.build_defining_pair(model, saddle_guess=(barrier.top, 0.0))
         spec = escape.make_escape_spec(pair, h=cfg.h)
-        report = reports[name] = escape.escape_report(spec, seed=cfg.seed)
+        report = reports[name] = escape.escape_report(spec)
         out.summaries.append(
             f"escape-check {name}: c1={report['c1']:.6g}, "
             f"C={report['C']:.6g}, N={report['N']}, "
@@ -193,7 +194,6 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
     out.jsons["escape_report.json"] = {
         "command": "escape-check",
         "h": cfg.h,
-        "seed": cfg.seed,
         "models": reports,
     }
     return out
@@ -216,7 +216,7 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
     from . import capspec
 
     reports = [
-        capspec.spectral_gap(capspec.build_model(cfg.model, cfg.kerr, h=h, window=cfg.window))
+        capspec.spectral_gap(capspec.build_model(cfg.model, cfg.kerr, h=h))
         for h in cfg.h_list
     ]
     out = Outcome()
@@ -258,7 +258,7 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
 def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
     from . import capspec
 
-    problem = capspec.build_model(cfg.model, cfg.kerr, h=cfg.h, window=cfg.window)
+    problem = capspec.build_model(cfg.model, cfg.kerr, h=cfg.h)
     report = capspec.spectral_gap(problem)
     # a dissipative A has ||(A - z)^{-1}|| <= 1/Im z wherever Im z > 0
     off_diagonal, gain = capspec.dissipativity(problem.matrix)

@@ -78,7 +78,6 @@ KNOWN_KEYS = {
     "h_list": _to_float_list,
     "beta_list": _to_float_list,
     "a_list": _to_float_list,
-    "window": _to_float,
     "lam": _to_float,
     "horizon": _to_float,
     "epsilon": _to_float,
@@ -103,7 +102,9 @@ class RunConfig:
     (``kerr.mass`` sets ``kerr_mass``, ``orbit.r`` sets ``orbit_r``), and
     each field's default is the one below.  The defaults are the M = 1
     values; ``parse_config`` scales the mass-dependent ones the text leaves
-    unset (see ``_scale_defaults``).
+    unset (see ``_scale_defaults``).  The fields name the problem, not the
+    numerics: the spectrum window, gates and sample counts are module
+    constants, and ``seed`` picks perturb's bump and nothing else.
     """
 
     command: str
@@ -115,7 +116,6 @@ class RunConfig:
     beta_list: tuple[float, ...] = (0.0,)
     # the spins trap-certify certifies; unset, kerr.spin alone
     a_list: tuple[float, ...] = (0.0,)
-    window: float = 0.3
     lam: float = 0.0
     # the longest theta-period trap-certify and perturb accept (a longer one
     # is an InvalidHorizon, exit 2; no certified number depends on it)
@@ -181,7 +181,6 @@ def _validate(cfg: RunConfig) -> None:
             key="kerr.spin",
         )
     _require_positive("h", cfg.h)
-    _require_positive("window", cfg.window)
     _require_positive("horizon", cfg.horizon)
     _require_positive("epsilon", cfg.epsilon)
     for value in cfg.h_list:

@@ -9,15 +9,17 @@ and evaluates the positive-commutator quantity whose grid minimum
 certifies the bound phi_tilde >= c1 * htilde with c1 > 0.  An escape
 spec is the defining pair at scale h, with its G1: the coarse scale
 htilde (HTILDE), the weights M and C1, the cutoff and G1 radii and every
-grid size are module constants, read where they are used.
+grid size are module constants, read where they are used.  The order
+check compares G over every pair of points of one grid, so no number
+this module reports depends on a seed.
 
 Conventions.  Phase points are arrays (x, xi) of shape (2, *batch): every
 function of a point also takes a whole batch and returns values of shape
 batch and gradients of shape (2, *batch), so each grid is evaluated as one
-array expression.  Point lists (grids, samples) are stored as (n, 2) and
-transposed on the way in.  Every derivative is in closed form, built from
-the model's gradient, Hessian and third-derivative tensor.  G itself is
-only evaluated (the order-function check compares its values): the
+array expression.  Point lists are stored as (n, 2) and transposed on
+the way in.  Every derivative is in closed form, built from the model's
+gradient, Hessian and third-derivative tensor.  G itself is only
+evaluated (the order-function check compares its values): the
 commutator floor differentiates the hatted defining functions, and the
 G1 check differentiates G1.  The Poisson bracket is
 {f, g} = f_xi g_x - f_x g_xi (`_poisson`), and H_p f = {p, f}.
@@ -25,14 +27,13 @@ Each defining function is the graph polynomial itself, with xi-derivative
 identically 1, and each rate field c^2 is used as constructed.  The pair
 says each of them once, indexed by side (+1 for phi+, -1 for phi-).  It
 also owns the saddle-adapted chart (x_s + a/kappa, xi_s + b), with kappa
-the slope magnitude of the invariant graphs: every grid, sample disc and
-cutoff radius is laid out in (a, b), where s^2 = a^2 + b^2.
+the slope magnitude of the invariant graphs: every grid and cutoff
+radius is laid out in (a, b), where s^2 = a^2 + b^2.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ G1_GRID_N = 61            # points per axis of the G1 monotonicity grid
 GRID_N = 41               # points per axis of the saddle grids
 VERIFY_RADIUS = 0.05      # adapted radius of the sign-relation grid
 PHI_TUBE = 1e-3           # sign relations are checked where |phi| exceeds this
-ORDER_PAIRS = 2000        # sample pairs of the report's order-function check
+ORDER_GRID_N = 17         # points per axis of the order-function grid
 ORDER_C_CAP = 100.0
 ORDER_N_MAX = 8
 HP_G1_NEGATIVE_TOL = 1e-6
@@ -405,39 +406,20 @@ def commutator_lower_bound(spec: EscapeSpec, grid: np.ndarray) -> float:
 # order function
 
 
-def sample_disc_pairs(
-    pair: DefiningPair,
-    radius: float,
-    n_pairs: int,
-    rng: random.Random,
-) -> np.ndarray:
-    """Uniform point pairs in the adapted disc around the saddle, (n,2,2).
-
-    Each candidate (a, b) is drawn from the square, a then b, by
-    ``rng.uniform`` and kept when it lands in the disc; consecutive kept
-    points form a pair."""
-    accepted = []
-    while len(accepted) < 2 * n_pairs:
-        a, b = rng.uniform(-radius, radius), rng.uniform(-radius, radius)
-        if math.hypot(a, b) <= radius:
-            accepted.append((a, b))
-    return pair.point(*np.transpose(accepted)).T.reshape(n_pairs, 2, 2)
-
-
 def _order_statistics(
-    spec: EscapeSpec, sample_pairs: np.ndarray
+    spec: EscapeSpec, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair |G gap| and log of the eta-scaled separation bracket."""
-    pairs = np.asarray(sample_pairs, dtype=float)
-    rho_a, rho_b = pairs[:, 0].T, pairs[:, 1].T
-    G_a, G_b = (escape_function(spec, rho) for rho in (rho_a, rho_b))
-    gaps = np.broadcast_to(np.abs(G_a - G_b), len(pairs))
+    """|G gap| and log of the eta-scaled separation bracket of every pair
+    (i < j) of an (n, 2) grid, with G evaluated once per point."""
+    rho = np.asarray(grid, dtype=float).T
+    G = escape_function(spec, rho)
+    i, j = np.triu_indices(rho.shape[1], k=1)
     # separation in the saddle-adapted chart; a fixed linear change of
     # coordinates only renormalizes the constant, and it removes the
     # kappa anisotropy between models
-    t = np.hypot(spec.pair.kappa * (rho_a[0] - rho_b[0]), rho_a[1] - rho_b[1])
+    t = np.hypot(spec.pair.kappa * (rho[0, i] - rho[0, j]), rho[1, i] - rho[1, j])
     t /= math.sqrt(spec.eta)
-    return gaps, 0.5 * np.log1p(t * t)
+    return np.abs(G[i] - G[j]), 0.5 * np.log1p(t * t)
 
 
 def _smallest_order(gaps: np.ndarray, log_brackets: np.ndarray):
@@ -450,12 +432,11 @@ def _smallest_order(gaps: np.ndarray, log_brackets: np.ndarray):
     return None
 
 
-def order_function_check(
-    spec: EscapeSpec, sample_pairs: np.ndarray
-) -> tuple[float, int]:
+def order_function_check(spec: EscapeSpec, grid: np.ndarray) -> tuple[float, int]:
     """Smallest N with exp G(rho)/exp G(rho') <= C <(rho-rho')/sqrt(eta)>^N
-    and C below the cap, over all sampled pairs; C is the tight constant."""
-    found = _smallest_order(*_order_statistics(spec, sample_pairs))
+    and C below the cap, over every pair of points of an (n, 2) grid; C is
+    the tight constant."""
+    found = _smallest_order(*_order_statistics(spec, grid))
     if found is None:
         raise Unbounded(
             "no admissible polynomial order up to "
@@ -464,15 +445,16 @@ def order_function_check(
     return math.exp(found[0]), found[1]
 
 
-def escape_report(spec: EscapeSpec, seed: int) -> dict:
+def escape_report(spec: EscapeSpec) -> dict:
     """One-stop summary: sign relations, commutator floor, order function."""
     pair = spec.pair
     violations, min_bracket = verify_defG_relations(
         pair, saddle_grid(pair, VERIFY_RADIUS, GRID_N)
     )
     c1 = commutator_lower_bound(spec, saddle_grid(pair, CHI_RADII[0], GRID_N))
-    pairs = sample_disc_pairs(pair, CHI_RADII[0], ORDER_PAIRS, random.Random(seed))
-    c_val, n_exp = order_function_check(spec, pairs)
+    c_val, n_exp = order_function_check(
+        spec, saddle_grid(pair, CHI_RADII[0], ORDER_GRID_N)
+    )
     return {
         "c1": float(c1),
         "C": float(c_val),

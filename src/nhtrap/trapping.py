@@ -83,6 +83,7 @@ R_MAX = 4  # the certificate bounds r-normal hyperbolicity for r = 1..R_MAX
 BETA_NEAR = 1e-3
 BETA_FAR = 7.0
 BETA_DOUBLINGS = 8
+BETA_RANGE = 1e50  # linearization accepts |beta| <= BETA_RANGE * M
 # the dimensionless shear reads as a twist above this; rounding leaves at
 # most 2.3e-14 at a = 0, and a = 1e-8 M shears by 2e-9 or more
 SHEAR_ROUNDING = 1e-12
@@ -210,7 +211,13 @@ class ReducedFamily:
 
 
 def linearization(beta: float, params: KerrParams) -> TrappedOrbitChart:
-    """Normal chart of the unperturbed family at one beta."""
+    """Normal chart of the unperturbed family at one beta.
+
+    DomainError, before any arithmetic, when |beta| exceeds BETA_RANGE * M:
+    past it, at masses up to 1e50, the squares in ``kerr.radial_terms``
+    leave the float range."""
+    if abs(beta) > BETA_RANGE * params.mass:
+        raise DomainError(f"|beta| must be at most {BETA_RANGE:g} M, got beta={beta:g}")
     return ReducedFamily(params).chart(beta)
 
 

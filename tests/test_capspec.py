@@ -30,7 +30,6 @@ def laplacian_reference(h: float, n_points: int,
         x_min=0.0,
         x_max=length,
         n_points=n_points,
-        window=capspec.DEFAULT_WINDOW,
         potential=np.zeros(n_points),
         mass_mid=np.ones(n_points + 1),
         absorber=np.zeros(n_points),
@@ -70,7 +69,7 @@ def toy_problem():
 
 @pytest.fixture(scope="module")
 def toy_window(toy_problem):
-    return capspec.eigenvalues(toy_problem.matrix, window=0.3, floor=None)
+    return capspec.eigenvalues(toy_problem.matrix, window=0.3, floor=-np.inf)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +90,6 @@ class TestBuildModel:
     def test_toy_defaults(self, toy_problem):
         p = toy_problem
         assert p.x_min == -6.0 and p.x_max == 6.0
-        assert p.window == capspec.DEFAULT_WINDOW
         assert p.potential.shape == p.absorber.shape == (p.n_points,)
         assert p.mass_mid.shape == (p.n_points + 1,)
         assert p.dx == pytest.approx((p.x_max - p.x_min) / (p.n_points + 1))
@@ -212,12 +210,13 @@ class TestBuildModel:
         free = absorber_free(p)
         assert free[0] < kerr.prograde_orbit(params)[0] < free[-1]
 
-    def test_wavelength_rule(self):
+    def test_wavelength_rule(self, monkeypatch):
         n_rule = capspec.required_points(8.0, 0.05, 1.2)
         assert n_rule >= capspec.RESOLUTION_FACTOR * 8.0 * 1.2 / 0.05
         # the rule resolves the fastest oscillation up to the window edge
         narrow = capspec.build_model("toy_sech2", h=0.05)
-        wide = capspec.build_model("toy_sech2", h=0.05, window=1.0)
+        monkeypatch.setattr(capspec, "DEFAULT_WINDOW", 1.0)
+        wide = capspec.build_model("toy_sech2", h=0.05)
         assert wide.n_points > narrow.n_points
 
     def test_validation_errors(self):
@@ -231,11 +230,10 @@ class TestBuildModel:
             capspec.build_model("no_such_model")
 
     def test_near_extremal_limits(self):
-        # at large h and a tiny window the wavelength rule asks fewer than 8
-        # points of the near-extremal barrier
+        # at large h the wavelength rule asks fewer than 8 points of a small
+        # black hole's barrier
         with pytest.raises(DomainError, match="at least 8 grid points"):
-            capspec.build_model("kerr_equatorial", KerrParams(1.0, 0.99), h=0.4999,
-                                window=1e-6)
+            capspec.build_model("schw_radial", KerrParams(0.01, 0.0), h=0.4999)
         # two float spacings below extremal spin, Delta rounds to 0 on the
         # domain and the weight m = (Delta/r^2)^2 with it, though v stays finite
         with pytest.raises(DomainError, match="weight m vanishes"):
@@ -321,7 +319,7 @@ class TestDiscretization:
 
     def test_absorber_free_is_self_adjoint(self):
         p = capspec.build_model("toy_sech2", h=0.1, absorber_scale=0.0)
-        vals, _, _ = capspec.eigenvalues(p.matrix, window=0.3, floor=None)
+        vals, _, _ = capspec.eigenvalues(p.matrix, window=0.3, floor=-np.inf)
         assert np.max(np.abs(vals.imag)) < 1e-10
 
 
@@ -350,7 +348,7 @@ class TestEigenvalues:
         p = capspec.build_model("toy_sech2", h=0.1)
         matrix = p.matrix
         zd, _, _ = dense_eigenvalues(matrix)
-        zi, _, _ = capspec.eigenvalues(matrix)
+        zi, _, _ = capspec.eigenvalues(matrix, capspec.DEFAULT_WINDOW, -np.inf)
         top_d = zd[np.argmax(zd.imag)]
         top_i = zi[np.argmax(zi.imag)]
         assert abs(top_d - top_i) < 1e-8
@@ -361,7 +359,7 @@ class TestEigenvalues:
         for factor in (15.0, 30.0):  # n = 2053 and 4105
             monkeypatch.setattr(capspec, "RESOLUTION_FACTOR", factor)
             p = capspec.build_model("toy_sech2", h=0.1)
-            zs, _, _ = capspec.eigenvalues(p.matrix)
+            zs, _, _ = capspec.eigenvalues(p.matrix, capspec.DEFAULT_WINDOW, -np.inf)
             tops.append(zs[np.argmax(zs.imag)])
         assert abs(tops[0] - tops[1]) < 1e-6
 
@@ -369,7 +367,7 @@ class TestEigenvalues:
         # not square, and too small for ARPACK's 1 <= k < n - 1
         for matrix in (np.zeros((3, 4)), sp.identity(2)):
             with pytest.raises(DomainError):
-                capspec.eigenvalues(matrix)
+                capspec.eigenvalues(matrix, capspec.DEFAULT_WINDOW, -np.inf)
 
     @pytest.mark.parametrize(
         "kind, params, scale",
@@ -387,8 +385,8 @@ class TestEigenvalues:
         p = capspec.build_model(
             kind, params or KerrParams(), h=0.1, absorber_scale=scale
         )
-        floor = None if floor_factor is None else floor_factor * p.h
-        assert assert_box_matches_dense(p.matrix, p.window, floor) > 0
+        floor = -np.inf if floor_factor is None else floor_factor * p.h
+        assert assert_box_matches_dense(p.matrix, capspec.DEFAULT_WINDOW, floor) > 0
 
     @settings(max_examples=12, derandomize=True, deadline=None)
     @given(
@@ -400,8 +398,8 @@ class TestEigenvalues:
     )
     def test_box_matches_dense_oracle_property(self, kind, spin, h, window, floor_factor):
         # cells of every shape: narrow and wide boxes, shallow and full depth
-        p = capspec.build_model(kind, KerrParams(spin=spin), h=h, window=window)
-        floor = None if floor_factor is None else floor_factor * h
+        p = capspec.build_model(kind, KerrParams(spin=spin), h=h)
+        floor = -np.inf if floor_factor is None else floor_factor * h
         assert_box_matches_dense(p.matrix, window, floor)
 
     def test_wide_box_splits_along_re_z(self, coarse_problems, monkeypatch):
@@ -428,7 +426,7 @@ class TestEigenvalues:
     def test_condition_numbers_match_left_eigenvectors(self):
         p = capspec.build_model("schw_radial", h=0.1)
         matrix = p.matrix
-        zs, _, kappa = capspec.eigenvalues(matrix, floor=-6.0 * p.h)
+        zs, _, kappa = capspec.eigenvalues(matrix, capspec.DEFAULT_WINDOW, -6.0 * p.h)
         vals, left, right = sla.eig(matrix.toarray(), left=True)
         for z, k in zip(zs, kappa):
             i = int(np.argmin(np.abs(vals - z)))
@@ -444,21 +442,22 @@ class TestSpectralGap:
         assert rep.gap > 0.0
         assert rep.nu == pytest.approx(rep.gap / rep.h)
         assert np.all(rep.eigenvalues.imag > capspec.FLOOR_FACTOR * rep.h)
-        assert np.all(np.abs(rep.eigenvalues.real) < toy_problem.window)
+        assert np.all(np.abs(rep.eigenvalues.real) < capspec.DEFAULT_WINDOW)
         assert rep.norm_axis_z0 == capspec.resolvent_norm(toy_problem.matrix, 0.0)
 
     def test_floor_trims_list_not_gap(self, toy_problem):
         rep = capspec.spectral_gap(toy_problem)
         deep, _, _ = capspec.eigenvalues(
-            toy_problem.matrix, window=toy_problem.window, floor=-6.0 * rep.h
+            toy_problem.matrix, window=capspec.DEFAULT_WINDOW, floor=-6.0 * rep.h
         )
         assert -deep[0].imag == pytest.approx(rep.gap, rel=1e-12)
         assert deep.size > rep.eigenvalues.size
 
-    def test_searches_the_problem_window(self):
-        p = capspec.build_model("toy_sech2", h=0.1, window=0.6)
+    def test_searches_the_problem_window(self, monkeypatch):
+        # the grid and the searched box both read the one window
+        monkeypatch.setattr(capspec, "DEFAULT_WINDOW", 0.6)
+        p = capspec.build_model("toy_sech2", h=0.1)
         rep = capspec.spectral_gap(p)
-        assert p.window == 0.6
         floor = capspec.FLOOR_FACTOR * rep.h
         wide, _, _ = capspec.eigenvalues(p.matrix, window=0.6, floor=floor)
         assert np.array_equal(rep.eigenvalues, wide)
@@ -594,7 +593,7 @@ class TestDissipativity:
         assert capspec.resolvent_norm(flipped, z) > 1.0 / z.imag
         # and the box search refuses them
         with pytest.raises(ConvergenceFailure, match="breaks dissipativity"):
-            capspec.eigenvalues(flipped)
+            capspec.eigenvalues(flipped, capspec.DEFAULT_WINDOW, -np.inf)
 
     def test_skew_entry_is_read(self, coarse_problems):
         skewed = coarse_problems["toy_sech2"].matrix.tolil()

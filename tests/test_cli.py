@@ -55,7 +55,7 @@ QUICK_ORBIT = (
 TILTED_PHOTON_ORBIT = "orbit.theta = 1.2\norbit.beta = 3\norbit.alpha = 4.079173202743033\n"
 # a config of each command that runs in well under a second
 CHEAP_RUNS = {
-    "escape-check": "seed = 1\n",
+    "escape-check": "",
     "spectrum-gap": "model = toy_sech2\nh_list = 0.1\n",
     "spectrum-resolvent": "model = toy_sech2\nh = 0.1\nseed = 3\n",
     "trap-find": "beta_list = 1\n",
@@ -91,6 +91,24 @@ class TestTrapFind:
         code, _ = run_cli(tmp_path, "trap-find", "kerr.spin = 0.9\nbeta_list = -100\n")
         assert code == 0
         assert capsys.readouterr().out == "r(beta)=9.444045743218, exponent=37.776182972873\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["beta_list = 1e155\n", "kerr.mass = 1e50\nkerr.spin = 5e49\nbeta_list = 0, 1e120\n"],
+        ids=["beta-squared", "mass-1e50"],
+    )
+    def test_beta_outside_float_range_is_config_error(self, tmp_path, capsys, text):
+        # past |beta| = 1e50 M the squares of the radial potential leave the
+        # float range; the run stops before any chart is computed
+        code, out = run_cli(tmp_path, "trap-find", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: |beta| must be at most 1e+50 M")
+        assert not (out / "certificate.json").exists()
+        (failure,) = read_failures(out)
+        assert failure["check"] == "config"
+        assert failure["type"] == "DomainError"
+        assert "traceback" not in failure
 
     def test_console_entry_point(self, tmp_path):
         cfg = tmp_path / "tf.cfg"
@@ -311,7 +329,6 @@ KEY_VALUES = [
     ("h_list", "spectrum-gap", "0.1, 0.09", "0.1"),
     ("beta_list", "trap-find", "0, 1", "1"),
     ("a_list", "trap-certify", "0", "0.5"),
-    ("window", "spectrum-gap", "0.3", "0.5"),
     ("lam", "trap-certify", "0", "30"),
     ("horizon", "trap-certify", "20", "0.5"),  # exit 2: shorter than a period
     ("epsilon", "perturb", "0.01", "0.02"),
@@ -530,12 +547,11 @@ class TestSpectrumGap:
         assert read_failures(out) == []
         assert not list(out.glob("*.tmp"))
 
-    def test_empty_window_is_numerical_failure(self, tmp_path, capsys):
+    def test_empty_window_is_numerical_failure(self, tmp_path, monkeypatch):
         # no toy eigenvalue has |Re z| < 0.001: the search deepens to the
         # bottom of the numerical range and gives up
-        code, out = run_cli(
-            tmp_path, "spectrum-gap", "model = toy_sech2\nh_list = 0.1\nwindow = 0.001\n"
-        )
+        monkeypatch.setattr(capspec, "DEFAULT_WINDOW", 0.001)
+        code, out = run_cli(tmp_path, "spectrum-gap", "model = toy_sech2\nh_list = 0.1\n")
         assert code == 3
         assert read_failures(out) == [
             {"check": "run", "error": "no window eigenvalue below the axis",
@@ -551,13 +567,12 @@ class TestSpectrumGap:
         failures = read_failures(out)
         assert failures[0]["check"] == "nu_consistency"
 
-    def test_window_sets_grid(self, tmp_path, capsys):
+    def test_window_sets_grid(self, tmp_path, monkeypatch, capsys):
         # the wavelength rule resolves the searched window out to its edge
         points = []
-        for name, extra in (("narrow", ""), ("wide", "window = 1\n")):
-            code, _ = run_cli(
-                tmp_path, "spectrum-gap", "h_list = 0.1\n" + extra, name=name
-            )
+        for name, window in (("narrow", 0.3), ("wide", 1.0)):
+            monkeypatch.setattr(capspec, "DEFAULT_WINDOW", window)
+            code, _ = run_cli(tmp_path, "spectrum-gap", "h_list = 0.1\n", name=name)
             assert code == 0
             points.append(int(capsys.readouterr().out.split("n=")[1].split()[0]))
         assert points[1] > points[0]
@@ -647,7 +662,7 @@ class TestSpectrumResolvent:
 
 class TestEscapeCheck:
     def test_both_models_reported(self, tmp_path):
-        code, out = run_cli(tmp_path, "escape-check", "seed = 1\n")
+        code, out = run_cli(tmp_path, "escape-check", "")
         assert code == 0
         payload = json.loads((out / "escape_report.json").read_text())
         models = payload["models"]
@@ -657,6 +672,18 @@ class TestEscapeCheck:
         assert models["reduced_kerr"]["c1"] > 0.0
         assert models["reduced_kerr"]["N"] <= 4
         assert read_failures(out) == []
+
+    def test_seed_is_not_read(self, tmp_path, monkeypatch, capsys):
+        # the order check pairs grid points, so no output depends on a seed
+        outcomes = [
+            run_outcome(tmp_path / f"seed{seed}", "escape-check", f"seed = {seed}\n",
+                        capsys, monkeypatch)
+            for seed in (0, 7)
+        ]
+        assert outcomes[0][0] == 0
+        assert outcomes[0] == outcomes[1]
+        payload = json.loads(outcomes[0][3]["out/escape_report.json"])
+        assert "seed" not in payload
 
     def test_tiny_h_keeps_c1_finite(self, tmp_path):
         # at the saddle w = sqrt(h / htilde), whose cube underflows below
@@ -676,7 +703,7 @@ class TestEscapeCheck:
 
         from nhtrap import escape
 
-        code, passing = run_cli(tmp_path, "escape-check", "seed = 1\n", name="passing")
+        code, passing = run_cli(tmp_path, "escape-check", "", name="passing")
         assert code == 0
         build_G1 = escape.build_G1
 
@@ -685,7 +712,7 @@ class TestEscapeCheck:
             return replace(g1, report={**g1.report, "passed": False})
 
         monkeypatch.setattr(escape, "build_G1", failing)
-        code, out = run_cli(tmp_path, "escape-check", "seed = 1\n", name="failing")
+        code, out = run_cli(tmp_path, "escape-check", "", name="failing")
         assert code == 1
         failures = read_failures(out)
         assert [(f["check"], f["model"]) for f in failures] == [
@@ -843,6 +870,7 @@ class TestCertifyAndPerturb:
             ("orbit.samples", "flow-integrate"),
             ("tol.consistency", "spectrum-gap"),
             ("r_max", "trap-certify"),
+            ("window", "spectrum-gap"),
         ],
     )
     def test_numerics_keys_are_unknown(self, tmp_path, capsys, key, command):

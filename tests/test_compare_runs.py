@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nhtrap.config import COMMANDS, parse_config
+from nhtrap.config import COMMANDS, KNOWN_KEYS, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,6 +51,25 @@ def test_docstring_counts_the_configs():
 
 def test_commands_are_known():
     assert {command for _, command, _ in compare_runs.CONFIGS} <= set(COMMANDS)
+
+
+# keys that take one value across the configs, each with why it stays a key
+ONE_VALUE_KEYS = {
+    "orbit.phi": "the benchmark's quick_survey orbit writes it (perfbench/workloads.py)",
+    "workers": "every benchmark config writes it (perfbench/workloads.py)",
+    "output_dir": "a deployment path, not part of the problem",
+}
+
+
+def test_every_key_takes_two_values():
+    # a key that every config sets alike is a constant; the list above
+    # must name exactly the ones that stay keys, so it cannot go stale
+    configs = [parse_config(text, command) for _, command, text in compare_runs.CONFIGS]
+    one_value = {
+        key for key in KNOWN_KEYS
+        if len({getattr(cfg, key.replace(".", "_")) for cfg in configs}) < 2
+    }
+    assert one_value == set(ONE_VALUE_KEYS)
 
 
 def test_file_diff_names_only_changed_lines():

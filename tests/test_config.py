@@ -88,7 +88,6 @@ class TestParsing:
             "h_list": "0.1, 0.05",
             "beta_list": "0.0, 1.0",
             "a_list": "0.0, 0.1",
-            "window": "0.3",
             "lam": "0.0",
             "horizon": "10",
             "epsilon": "0.01",
@@ -139,8 +138,8 @@ class TestParsing:
             parse_config("h_list = 0.1,,0.05\n", "trap-find")
         assert err.value.key == "h_list"
         with pytest.raises(ValidationError) as err:
-            parse_config("window = inf\n", "trap-find")
-        assert err.value.key == "window"
+            parse_config("lam = inf\n", "trap-find")
+        assert err.value.key == "lam"
 
 
 class TestValidation:
@@ -204,7 +203,6 @@ class TestValidation:
             ("orbit.time = 0", "orbit.time"),
             ("epsilon = 0", "epsilon"),
             ("horizon = -5", "horizon"),
-            ("window = -0.3", "window"),
             ("h = 0", "h"),
             ("model = cubic_well", "model"),
         ):
@@ -251,7 +249,6 @@ VALID_VALUES = {
     "h_list": _numbers(1e-3, 1.0, descending=True),
     "beta_list": _numbers(-10.0, 10.0),
     "a_list": _numbers(0.0, 0.49),
-    "window": _number(1e-3, 10.0),
     "lam": _number(-10.0, 10.0),
     "horizon": _number(1e-3, 1e3),
     "epsilon": _number(1e-6, 1.0),

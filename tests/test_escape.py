@@ -1,7 +1,6 @@
 """Escape-function tests: defining pairs, cutoffs, commutator floor, order checks."""
 
 import math
-import random
 from dataclasses import replace
 from functools import partial
 
@@ -11,7 +10,6 @@ from oracles import manifold_samples, toy_barrier_model
 from scipy.integrate import solve_ivp
 
 from nhtrap import escape as esc
-from nhtrap.config import RunConfig
 from nhtrap.errors import (
     DomainError,
     GridTooCoarse,
@@ -545,18 +543,22 @@ class TestOrderFunction:
         assert n_exp == 3
         assert log_c == pytest.approx(math.log(2.0), abs=1e-12)
 
-    def test_samples_match_one_at_a_time_draws(self, kerr_pair):
-        # candidates (a, b) come from the stdlib generator, a then b, and
-        # those in the disc are kept in draw order
-        for seed in (0, 1, 7):
-            rng = random.Random(seed)
-            ref = []
-            while len(ref) < 2 * 300:
-                a, b = (rng.uniform(-0.2, 0.2) for _ in range(2))
-                if math.hypot(a, b) <= 0.2:
-                    ref.append(kerr_pair.saddle + [a / kerr_pair.kappa, b])
-            got = esc.sample_disc_pairs(kerr_pair, 0.2, 300, random.Random(seed))
-            assert np.array_equal(got, np.reshape(ref, (300, 2, 2)))
+    def test_grid_pairs_match_a_double_loop(self, kerr_pair):
+        # every pair (i < j) of grid points, G evaluated one point at a time
+        spec = esc.make_escape_spec(kerr_pair, h=1e-2)
+        grid = esc.saddle_grid(kerr_pair, 0.2, 7)
+        G = [esc.escape_function(spec, point) for point in grid]
+        gaps, log_brackets = [], []
+        for i in range(len(grid)):
+            for j in range(i + 1, len(grid)):
+                gaps.append(abs(G[i] - G[j]))
+                da = kerr_pair.kappa * (grid[i, 0] - grid[j, 0])
+                db = grid[i, 1] - grid[j, 1]
+                log_brackets.append(0.5 * math.log1p((da * da + db * db) / spec.eta))
+        got = esc._order_statistics(spec, grid)
+        assert len(got[0]) == len(grid) * (len(grid) - 1) // 2
+        np.testing.assert_allclose(got[0], gaps, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got[1], log_brackets, rtol=1e-12)
 
     def test_unbounded_flags_defects(self, toy_pair, monkeypatch):
         # gaps far above any power of the bracket admit no order
@@ -566,13 +568,13 @@ class TestOrderFunction:
         monkeypatch.setattr(esc, "_order_statistics", lambda *args: (gaps, log_brackets))
         spec = esc.make_escape_spec(toy_pair, h=1e-3)
         with pytest.raises(Unbounded):
-            esc.order_function_check(spec, np.zeros((50, 2, 2)))
+            esc.order_function_check(spec, np.zeros((50, 2)))
 
 
 class TestEscapeReport:
     def test_toy_report_contents(self, toy_pair):
         spec = esc.make_escape_spec(toy_pair, h=1e-2)
-        report = esc.escape_report(spec, seed=RunConfig(command="escape-check").seed)
+        report = esc.escape_report(spec)
         for key in ("c1", "C", "N", "bracket_min", "g1_floor", "violations"):
             assert key in report
         assert report["c1"] == pytest.approx(4.0, abs=1e-9)
@@ -581,8 +583,14 @@ class TestEscapeReport:
 
     def test_kerr_report_contents(self, kerr_pair):
         spec = esc.make_escape_spec(kerr_pair, h=1e-2)
-        report = esc.escape_report(spec, seed=RunConfig(command="escape-check").seed)
+        report = esc.escape_report(spec)
         assert report["c1"] > 0.0
         assert report["bracket_min"] >= 0.9 * 2.0 * ROOT3
         assert report["violations"] == []
         assert report["N"] <= 4
+
+    def test_toy_order_is_exact_at_tiny_h(self, toy_pair):
+        # each factor of (phi-^2 + eta)/(phi+^2 + eta) is of order 2 in
+        # <rho/sqrt(eta)>, and the grid has points on both invariant lines
+        report = esc.escape_report(esc.make_escape_spec(toy_pair, h=1e-12))
+        assert report["N"] == 4

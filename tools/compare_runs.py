@@ -66,7 +66,7 @@ _BODIES = (
     ("find_a09", "trap-find", "kerr.spin = 0.9\nbeta_list = -2.8, -1, 0, 1, 4, 6\n"),
     ("escape_defaults", "escape-check", ""),
     ("escape_a05_h005", "escape-check", "kerr.spin = 0.5\nh = 0.05\n"),
-    ("escape_a09_h001", "escape-check", "kerr.spin = 0.9\nh = 0.01\nseed = 3\n"),
+    ("escape_a09_h001", "escape-check", "kerr.spin = 0.9\nh = 0.01\n"),
     ("escape_m2", "escape-check", "kerr.mass = 2\nkerr.spin = 1.2\nh = 0.2\n"),
     ("escape_h03", "escape-check", "h = 0.3\n"),
     ("escape_a099", "escape-check", "kerr.spin = 0.99\nh = 0.05\n"),
