@@ -32,12 +32,16 @@ with closed-form derivatives, for this module and escape-check alike;
 
 Every problem's grid is sized for the real-part window |Re z| <
 DEFAULT_WINDOW, and ``spectral_gap`` searches that window, so a grid and
-the box searched on it always agree.
+the box searched on it always agree.  It searches down to the floor
+and, only when that box is empty, once more down to the bottom of the
+numerical range.
 
 The absorber shape is fixed per kind.  Both shapes saturate on the outer
 MARGINS fractions of the domain.  The toy ramps down over the fixed
 fractions TOY_RAMPS next to them; the barrier kinds key the ramp to the
-barrier depth -v, so slow waves near the top meet no absorber.
+barrier depth -v, so slow waves near the top meet no absorber.  The
+absorber-free reference W = 0 is a problem with its ``absorber`` zeroed:
+the grid does not depend on W.
 """
 
 from __future__ import annotations
@@ -140,7 +144,7 @@ class SpectrumReport:
     runtime_s: float
 
 
-def _band_profile(x, x_min, x_max, scale):
+def _band_profile(x, x_min, x_max):
     """Toy absorber W: saturated margins, quintic ramps, flat-zero middle.
 
     Margin and ramp edges are the fixed fractions MARGINS and TOY_RAMPS of
@@ -152,14 +156,13 @@ def _band_profile(x, x_min, x_max, scale):
     lo_end = lo_start + ramp_lo * length
     hi_end = x_max - margin_hi * length  # ramp-up ends
     hi_start = hi_end - ramp_hi * length
-    w = np.maximum(
+    return np.maximum(
         1.0 - smoothstep5((x - lo_start) / (lo_end - lo_start)),
         smoothstep5((x - hi_start) / (hi_end - hi_start)),
     )
-    return scale * w
 
 
-def _depth_profile(x, potential, barrier_top, x_min, x_max, h, scale):
+def _depth_profile(x, potential, barrier_top, x_min, x_max, h):
     """Barrier absorber W keyed to depth: quintic smoothstep of -v.
 
     The turn-on tracks how far the potential has fallen below the barrier
@@ -189,7 +192,7 @@ def _depth_profile(x, potential, barrier_top, x_min, x_max, h, scale):
     np.minimum(w, 1.0, out=w)
     w[x <= lo_edge] = 1.0
     w[x >= hi_edge] = 1.0
-    return scale * w
+    return w
 
 
 def required_points(length: float, h: float, xi_max: float) -> int:
@@ -203,8 +206,6 @@ def build_model(
     kind: str,
     black_hole: KerrParams = KerrParams(),
     h: float = 0.05,
-    *,
-    absorber_scale: float = 1.0,
 ) -> CapProblem:
     """Sample one absorbing-barrier problem onto a uniform Dirichlet grid.
 
@@ -216,14 +217,12 @@ def build_model(
     shape is fixed per kind: the toy ramps over the fixed domain fractions
     TOY_RAMPS, and the barrier kinds key the ramp to barrier depth -v;
     both saturate on the MARGINS fractions at the ends, and the barrier
-    top must lie among the absorber-free nodes.  ``absorber_scale``
-    multiplies the absorber, and 0 builds the absorber-free reference
-    problem (self-adjoint, for calibration).
+    top must lie among the absorber-free nodes.  The absorber W is the
+    problem's ``absorber`` field; the absorber-free reference (W = 0,
+    self-adjoint) is the problem with that field zeroed, on the same grid.
     """
     if not 0.0 < h < 0.5:
         raise DomainError(f"h must lie in (0, 0.5), got {h:g}")
-    if not 0.0 <= absorber_scale <= 1.0:
-        raise DomainError(f"absorber scale must lie in [0, 1], got {absorber_scale:g}")
     barrier = kerr.barrier(kind, black_hole)
     (x_min, x_max), top = barrier.domain, barrier.top
     length = x_max - x_min
@@ -256,11 +255,9 @@ def build_model(
     # flat toy wells keep the banded ramps; barrier kinds need the depth-keyed
     # turn-on or slow near-top waves reflect off the absorber as h shrinks
     if kind == "toy_sech2":
-        absorber = _band_profile(x, x_min, x_max, absorber_scale)
+        absorber = _band_profile(x, x_min, x_max)
     else:
-        absorber = _depth_profile(
-            x, potential, top, x_min, x_max, h, absorber_scale
-        )
+        absorber = _depth_profile(x, potential, top, x_min, x_max, h)
     free = x[absorber == 0.0]
     if free.size < 2:
         raise DomainError("absorber leaves no absorber-free region")
@@ -470,27 +467,24 @@ def spectral_gap(problem: CapProblem) -> SpectrumReport:
     """Spectrum report in the window |Re z| < DEFAULT_WINDOW: gap,
     nu = gap/h, and the norm at z = 0.
 
-    The box search starts at the floor (FLOOR_FACTOR * h below the axis)
-    and doubles its depth while it finds nothing, until the box holds the
-    whole numerical range, so the gap is always the distance from the
-    axis to the top window eigenvalue; the floor only trims the reported
-    eigenvalue list.  NotHyperbolic, before any solve, unless the
-    problem's rate (the scale of nu_ratio) is positive.
+    The box search reaches down to the floor (FLOOR_FACTOR * h below the
+    axis); when that box is empty, one more search reaches down to the
+    bottom of the numerical range, below which no eigenvalue lies, and
+    ConvergenceFailure when that is empty too.  So the gap is always the
+    distance from the axis to the top window eigenvalue, and the floor
+    only trims the reported eigenvalue list.  NotHyperbolic, before any
+    solve, unless the problem's rate (the scale of nu_ratio) is positive.
     """
     if not problem.exponent > 0.0:
         raise NotHyperbolic(f"barrier-top rate {problem.exponent!r} is not positive")
     start = time.perf_counter()
     floor = FLOOR_FACTOR * problem.h
     matrix = problem.matrix
-    lowest = _range_bottom(matrix)
-    bottom = floor
-    while True:
-        zs, residuals, conditions = eigenvalues(matrix, DEFAULT_WINDOW, bottom)
-        if zs.size:
-            break
-        if bottom <= lowest:
-            raise ConvergenceFailure("no window eigenvalue below the axis")
-        bottom *= 2.0
+    zs, residuals, conditions = eigenvalues(matrix, DEFAULT_WINDOW, floor)
+    if not zs.size:
+        zs, residuals, conditions = eigenvalues(matrix, DEFAULT_WINDOW, -math.inf)
+    if not zs.size:
+        raise ConvergenceFailure("no window eigenvalue below the axis")
     gap = float(-zs[0].imag)
     nu = gap / problem.h
     keep = zs.imag > floor

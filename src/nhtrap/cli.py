@@ -6,7 +6,11 @@ config file and nowhere else.  Gates, tolerances, sample counts and the
 spectrum window are not config keys but module constants, here, in
 ``trapping`` (``R_MAX``) and in ``capspec`` (``DEFAULT_WINDOW``).  Each
 handler runs its problems one after another, in the order the config
-lists them.  The ``workers`` key is still
+lists them.  The two spectrum commands share one body, ``_spectrum``:
+spectrum-gap runs it over ``h_list`` and spectrum-resolvent at its one
+``h``, then proves the upper-half-plane resolvent bound on that
+problem's matrix, so both write the same rows and apply the same
+checks.  The ``workers`` key is still
 accepted (at least 1) and each handler still takes ``(cfg, workers)``,
 although no handler reads ``workers``: the benchmark launcher wraps the
 handlers with that signature and records the ``workers`` each one was
@@ -117,8 +121,8 @@ def _cmd_trap_find(cfg: RunConfig, workers: int) -> Outcome:
     out = Outcome()
     for chart in charts:
         out.summaries.append(
-            f"r(beta)={chart.trapped_radius:.12f}, "
-            f"exponent={chart.normal_exponent:.12f}"
+            f"r(beta)={chart.trapped_radius:.12g}, "
+            f"exponent={chart.normal_exponent:.12g}"
         )
     out.jsons["certificate.json"] = {
         "command": "trap-find",
@@ -199,33 +203,31 @@ def _cmd_escape_check(cfg: RunConfig, workers: int) -> Outcome:
     return out
 
 
-def _gap_row(report) -> tuple:
-    return (
-        report.h, report.gap, report.nu, report.norm_axis_z0, report.runtime_s,
-        report.nu_ratio,
-    )
-
-
-def _eigenvalue_rows(report) -> list:
-    zs = report.eigenvalues
-    columns = (zs.real, zs.imag, report.residuals, report.conditions)
-    return [(report.h, *row) for row in zip(*columns)]
-
-
-def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
+def _spectrum(cfg: RunConfig, h_values: tuple) -> tuple:
+    """Both spectrum commands' body: per h, the problem, its spectrum
+    report, its gaps.csv and eigenvalues.csv rows, a summary line and the
+    ``gap_positive`` check; then ``nu_consistency`` over the last two h,
+    when there are two.  Returns (outcome, the last h's problem, reports);
+    each earlier problem, and its matrix, is freed once its report is in."""
     from . import capspec
 
-    reports = [
-        capspec.spectral_gap(capspec.build_model(cfg.model, cfg.kerr, h=h))
-        for h in cfg.h_list
-    ]
     out = Outcome()
-    gap_rows, eig_rows = [], []
-    for report in reports:
-        gap_rows.append(_gap_row(report))
-        eig_rows += _eigenvalue_rows(report)
+    reports, gap_rows, eig_rows = [], [], []
+    for h in h_values:
+        problem = capspec.build_model(cfg.model, cfg.kerr, h=h)
+        report = capspec.spectral_gap(problem)
+        reports.append(report)
+        gap_rows.append(
+            (report.h, report.gap, report.nu, report.norm_axis_z0, report.runtime_s,
+             report.nu_ratio)
+        )
+        zs = report.eigenvalues
+        eig_rows += [
+            (report.h, *row)
+            for row in zip(zs.real, zs.imag, report.residuals, report.conditions)
+        ]
         out.summaries.append(
-            f"spectrum-gap {cfg.model} h={report.h:g}: "
+            f"{cfg.command} {cfg.model} h={report.h:g}: "
             f"gap={report.gap:.6g}, nu={report.nu:.6g}, "
             f"n={report.n_points}"
         )
@@ -238,7 +240,7 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
         consistency = abs(nu_last - nu_prev) / abs(nu_prev)
         verdict = "PASS" if consistency <= NU_CONSISTENCY_MAX else "FAIL"
         out.summaries.append(
-            f"spectrum-gap {cfg.model}: nu_floor="
+            f"{cfg.command} {cfg.model}: nu_floor="
             f"{min(r.nu for r in reports):.6g}, "
             f"consistency={consistency:.4g} ({verdict})"
         )
@@ -252,18 +254,20 @@ def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
             )
     out.csvs["gaps.csv"] = (artifacts.GAPS_HEADER, gap_rows)
     out.csvs["eigenvalues.csv"] = (artifacts.EIGENVALUES_HEADER, eig_rows)
-    return out
+    return out, problem, reports
+
+
+def _cmd_spectrum_gap(cfg: RunConfig, workers: int) -> Outcome:
+    return _spectrum(cfg, cfg.h_list)[0]
 
 
 def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
     from . import capspec
 
-    problem = capspec.build_model(cfg.model, cfg.kerr, h=cfg.h)
-    report = capspec.spectral_gap(problem)
+    out, problem, (report,) = _spectrum(cfg, (cfg.h,))
     # a dissipative A has ||(A - z)^{-1}|| <= 1/Im z wherever Im z > 0
     off_diagonal, gain = capspec.dissipativity(problem.matrix)
     holds = off_diagonal == 0.0 and gain <= 0.0
-    out = Outcome()
     if not holds:
         out.failures.append(
             {"check": "upper_half_plane_bound", "off_diagonal": off_diagonal, "gain": gain}
@@ -272,11 +276,6 @@ def _cmd_spectrum_resolvent(cfg: RunConfig, workers: int) -> Outcome:
         f"spectrum-resolvent {cfg.model} h={cfg.h:g}: "
         f"norm_axis_z0={report.norm_axis_z0:.6g}, "
         f"uhp_bound={'holds' if holds else 'FAIL'}"
-    )
-    out.csvs["gaps.csv"] = (artifacts.GAPS_HEADER, [_gap_row(report)])
-    out.csvs["eigenvalues.csv"] = (
-        artifacts.EIGENVALUES_HEADER,
-        _eigenvalue_rows(report),
     )
     return out
 

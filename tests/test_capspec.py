@@ -225,8 +225,6 @@ class TestBuildModel:
         with pytest.raises(DomainError):
             capspec.build_model("toy_sech2", h=0.6)
         with pytest.raises(DomainError):
-            capspec.build_model("toy_sech2", absorber_scale=2.0)
-        with pytest.raises(DomainError):
             capspec.build_model("no_such_model")
 
     def test_near_extremal_limits(self):
@@ -239,9 +237,12 @@ class TestBuildModel:
         with pytest.raises(DomainError, match="weight m vanishes"):
             capspec.build_model("kerr_equatorial", KerrParams(1.0, 1.0 - 2.0**-52), h=0.1)
 
-    def test_absorber_scale_zero(self):
-        p = capspec.build_model("toy_sech2", h=0.1, absorber_scale=0.0)
-        assert np.all(p.absorber == 0.0)
+    def test_absorber_free_reference(self):
+        # the absorber-free reference keeps the grid and P, with W = 0
+        p = capspec.build_model("toy_sech2", h=0.1)
+        ref = dataclasses.replace(p, absorber=np.zeros_like(p.absorber))
+        assert np.all(ref.absorber == 0.0)
+        assert abs(ref.matrix - p.matrix - 1j * sp.diags(p.absorber)).max() == 0.0
 
 
 def _loop_derivative_matrix(n, dx):
@@ -318,7 +319,8 @@ class TestDiscretization:
             assert im <= capspec.DISSIPATIVITY_TOL
 
     def test_absorber_free_is_self_adjoint(self):
-        p = capspec.build_model("toy_sech2", h=0.1, absorber_scale=0.0)
+        p = capspec.build_model("toy_sech2", h=0.1)
+        p = dataclasses.replace(p, absorber=np.zeros_like(p.absorber))
         vals, _, _ = capspec.eigenvalues(p.matrix, window=0.3, floor=-np.inf)
         assert np.max(np.abs(vals.imag)) < 1e-10
 
@@ -380,11 +382,10 @@ class TestEigenvalues:
     )
     @pytest.mark.parametrize("floor_factor", [-1.0, -6.0, None])
     def test_box_matches_dense_oracle(self, kind, params, scale, floor_factor):
-        # absorber_scale = 0 is the absorber-free, all-real case; None is
-        # the default black hole
-        p = capspec.build_model(
-            kind, params or KerrParams(), h=0.1, absorber_scale=scale
-        )
+        # scale 0 is the absorber-free, all-real case; None is the default
+        # black hole
+        p = capspec.build_model(kind, params or KerrParams(), h=0.1)
+        p = dataclasses.replace(p, absorber=scale * p.absorber)
         floor = -np.inf if floor_factor is None else floor_factor * p.h
         assert assert_box_matches_dense(p.matrix, capspec.DEFAULT_WINDOW, floor) > 0
 
@@ -462,14 +463,23 @@ class TestSpectralGap:
         wide, _, _ = capspec.eigenvalues(p.matrix, window=0.6, floor=floor)
         assert np.array_equal(rep.eigenvalues, wide)
 
-    def test_empty_floor_box_deepens_to_the_gap(self):
+    def test_empty_floor_box_deepens_to_the_gap(self, monkeypatch):
         # a flat well under a constant absorber 0.25 has every eigenvalue at
-        # Im z = -0.25, below the floor -h, so the search doubles its depth;
-        # the well has no barrier top, so its rate (nu_ratio's scale) is 1
+        # Im z = -0.25, below the floor -h, so the search runs once more, to
+        # the bottom of the numerical range; the well has no barrier top, so
+        # its rate (nu_ratio's scale) is 1
         flat = dataclasses.replace(
             laplacian_reference(h=0.1, n_points=200), absorber=np.full(200, 0.25), exponent=1.0
         )
+        floors, search = [], capspec.eigenvalues
+
+        def recording(matrix, window, floor):
+            floors.append(floor)
+            return search(matrix, window, floor)
+
+        monkeypatch.setattr(capspec, "eigenvalues", recording)
         rep = capspec.spectral_gap(flat)
+        assert floors == [-0.1, -math.inf]
         assert rep.eigenvalues.size == 0
         assert rep.gap == pytest.approx(0.25, abs=1e-12)
 

@@ -2,6 +2,7 @@
 
 import atexit
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -16,7 +17,8 @@ import pytest
 
 from nhtrap import capspec, cli
 
-TRAP_FIND_LINE = "r(beta)=3.000000000000, exponent=10.392304845413"
+# 12 significant digits, as the artifacts carry them
+TRAP_FIND_LINE = "r(beta)=3, exponent=10.3923048454"
 
 
 def run_cli(tmp_path: Path, command: str, text: str, name: str = "run"):
@@ -90,7 +92,15 @@ class TestTrapFind:
         # the maximum of v_beta lies beyond 8 M at this beta
         code, _ = run_cli(tmp_path, "trap-find", "kerr.spin = 0.9\nbeta_list = -100\n")
         assert code == 0
-        assert capsys.readouterr().out == "r(beta)=9.444045743218, exponent=37.776182972873\n"
+        assert capsys.readouterr().out == "r(beta)=9.44404574322, exponent=37.7761829729\n"
+
+    def test_small_mass_prints_its_digits(self, tmp_path, capsys):
+        # a fixed-point format would print 0.000000000000 for both
+        code, out = run_cli(tmp_path, "trap-find", "kerr.mass = 1e-50\n")
+        assert code == 0
+        assert capsys.readouterr().out == "r(beta)=3e-50, exponent=1.03923048454e-49\n"
+        (entry,) = json.loads((out / "certificate.json").read_text())["entries"]
+        assert (entry["trapped_radius"], entry["normal_exponent"]) == (3e-50, 1.03923048454e-49)
 
     @pytest.mark.parametrize(
         "text",
@@ -632,6 +642,33 @@ class TestSpectrumResolvent:
         gaps = (out / "gaps.csv").read_text().splitlines()
         assert len(gaps) == 2
         assert read_failures(out) == []
+
+    def test_runs_spectrum_gap_at_its_h(self, tmp_path, capsys):
+        # one body: the same artifacts and per-h line as spectrum-gap's
+        runs = {}
+        for command, text in (
+            ("spectrum-resolvent", "model = toy_sech2\nh = 0.1\n"),
+            ("spectrum-gap", "model = toy_sech2\nh_list = 0.1\n"),
+        ):
+            code, out = run_cli(tmp_path, command, text, name=command)
+            assert code == 0
+            lines = capsys.readouterr().out.splitlines()
+            runs[command] = (
+                lines[0].removeprefix(command),
+                masked_gaps(out),
+                (out / "eigenvalues.csv").read_bytes(),
+            )
+        assert runs["spectrum-resolvent"] == runs["spectrum-gap"]
+
+    def test_nonpositive_gap_fails(self, tmp_path, monkeypatch, capsys):
+        spectral_gap = capspec.spectral_gap
+        monkeypatch.setattr(
+            capspec, "spectral_gap", lambda p: dataclasses.replace(spectral_gap(p), gap=0.0)
+        )
+        code, out = run_cli(tmp_path, "spectrum-resolvent", "model = toy_sech2\nh = 0.1\n")
+        assert code == 1
+        assert "gap=0, " in capsys.readouterr().out
+        assert read_failures(out) == [{"check": "gap_positive", "h": 0.1, "gap": 0.0}]
 
     def test_flipped_absorber_fails_the_bound(self, tmp_path, monkeypatch, capsys):
         # conj(A) = S + iW is not dissipative.  Its eigenvalues sit above the

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nhtrap.config import COMMANDS, KNOWN_KEYS, parse_config
+from nhtrap.config import COMMANDS, KNOWN_KEYS, MODEL_KINDS, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,7 +50,18 @@ def test_docstring_counts_the_configs():
 
 
 def test_commands_are_known():
-    assert {command for _, command, _ in compare_runs.CONFIGS} <= set(COMMANDS)
+    # every config runs a known command, and every command has a config, so
+    # a byte-identical comparison covers every handler
+    assert {command for _, command, _ in compare_runs.CONFIGS} == set(COMMANDS)
+
+
+def test_spectrum_resolvent_runs_every_model_kind():
+    kinds = {
+        parse_config(text, command).model
+        for _, command, text in compare_runs.CONFIGS
+        if command == "spectrum-resolvent"
+    }
+    assert kinds == set(MODEL_KINDS)
 
 
 # keys that take one value across the configs, each with why it stays a key

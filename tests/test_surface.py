@@ -55,8 +55,6 @@ ALLOWED = {
 
 # "owner.value" set only from outside src/nhtrap, with the reason each stays
 ALLOWED_SETTABLE = {
-    "build_model.absorber_scale": "the tests' absorber-free calibration; "
-    "ROADMAP item 1 needs it too",
     "resolvent_norm.max_iter": "the benchmark tracer reads its default (perfbench/tracer.py)",
     "main.argv": "the console entry point calls main() with none",
     **{
